@@ -1,12 +1,12 @@
-"""Parallel-engine benchmarks: serial vs sharded day-loop, serial vs
-chunked DLD matrix.
+"""Day-loop and DLD-pool benchmarks: the serial day loop over two
+months, serial vs chunked DLD matrix.
 
-These quantify what ``--workers N`` buys.  Speedup depends on core
-count, so no thresholds are asserted here — each bench instead asserts
-the *equivalence* contract (digest / bit-identical matrix), which must
-hold on any machine.  The ``repro bench`` CLI subcommand is the
-headline harness; these keep the comparison visible in the regular
-pytest-benchmark table alongside the per-figure benches.
+These quantify what ``--workers N`` buys for the DLD pair pool.  Speedup
+depends on core count, so no thresholds are asserted here — the pool
+bench instead asserts the *equivalence* contract (bit-identical
+matrix), which must hold on any machine.  The ``repro bench`` CLI
+subcommand is the headline harness; these keep the comparison visible
+in the regular pytest-benchmark table alongside the per-figure benches.
 """
 
 from __future__ import annotations
@@ -39,14 +39,6 @@ def test_simulation_two_months_serial(benchmark):
         lambda: run_simulation(_BENCH_WINDOW), rounds=3, iterations=1
     )
     assert len(result.database) > 0
-
-
-def test_simulation_two_months_two_workers(benchmark):
-    serial_digest = run_simulation(_BENCH_WINDOW).database.digest()
-    result = benchmark.pedantic(
-        lambda: run_simulation(_BENCH_WINDOW, workers=2), rounds=3, iterations=1
-    )
-    assert result.database.digest() == serial_digest
 
 
 def test_dld_matrix_300_serial(benchmark):

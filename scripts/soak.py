@@ -3,41 +3,36 @@
 
 Runs the full robustness story in one go, against the `stress` fault
 profile (outages + churn + lossy transport + checkpoint corruption +
-log corruption + worker crashes):
+log corruption + index corruption):
 
-1. serial vs parallel at 2 and 4 workers — dataset digest and collector
-   accounting must be identical;
-2. a checkpointed run (corruption faults live) killed mid-window and
-   resumed — digest must equal the uninterrupted serial run;
-3. a corrupted JSONL export, recovered leniently — `repro verify` must
+1. a checkpointed run (corruption faults live) killed mid-window and
+   resumed — digest must equal the uninterrupted run;
+2. a corrupted JSONL export, recovered leniently — `repro verify` must
    PASS (every loss quarantined with provenance) and the recovery
    accounting must balance;
-4. an indexed artifact tree under every index-corruption mode — the
+3. an indexed artifact tree under every index-corruption mode — the
    resilient store must answer identically to a clean index via scan
    fallback, `repro verify` must flag the damage as repairable
    (exit 2) and `--rebuild-index` must restore a clean audit;
-5. a deliberately mangled copy without recovery — `repro verify` must
+4. a deliberately mangled copy without recovery — `repro verify` must
    FAIL (unexplained damage is never waved through);
-6. a flood-recovery leg: the same stress window under the `storm`
-   flood preset — serial vs parallel digests and the shed ledger must
-   be identical, the extended conservation law must balance with
-   `shed > 0`, and a watchdog-armed run (generous shard deadline) must
-   reproduce the same bytes;
-7. a long-corpus LSH recall leg: the exact DLD matrix over a
+5. a flood leg: the same stress window under the `storm` flood preset
+   — the extended conservation law must balance with `shed > 0`;
+6. a long-corpus LSH recall leg: the exact DLD matrix over a
    `--lsh-corpus`-sized synthetic corpus is the oracle for a
    recall-vs-candidate-ratio sweep across LSH band counts — every
    measured sketch entry must equal the exact value bit for bit, and
    the shipped default config must hold ≥ 0.99 close-pair recall at a
    < 0.25 candidate ratio (the tuning claim in
    `repro.analysis.sketch` made falsifiable nightly);
-8. a stream-chaos leg: the supervised stream engine under elevated
+7. a stream-chaos leg: the supervised stream engine under elevated
    stream faults (`chaos` preset) on top of the storm flood — two runs
    of the same seed must produce identical digests *and* identical
    breaker/mode-ladder timelines, the conservation ledger (including
    the extended `admitted == stored + deduplicated` law) must balance,
    a mid-run interrupt must resume to the same final digest, and a
    fault-free supervised replay must stay byte-identical to batch;
-9. a stream-serve leg: the same chaos stream with a snapshot publisher
+8. a stream-serve leg: the same chaos stream with a snapshot publisher
    attached and a live query burst fired at every published day
    boundary — digests and accounting must stay byte-identical to the
    detached run, and a full chaos-profile service load test over the
@@ -99,7 +94,7 @@ def fail(message: str) -> None:
 class SoakContext:
     """Everything a soak leg may need, built once per invocation.
 
-    The serial reference run is expensive, so it is computed lazily —
+    The reference run is expensive, so it is computed lazily —
     `--only` runs of legs that never touch it skip it entirely.
     """
 
@@ -107,15 +102,15 @@ class SoakContext:
     work: Path
     seed: int
     lsh_corpus: int
-    _serial: object = field(default=None, repr=False)
+    _reference: object = field(default=None, repr=False)
 
     @property
-    def serial(self):
-        if self._serial is None:
-            print("building serial reference run…")
-            self._serial = run_simulation(self.config)
-            print(f"serial digest: {self._serial.database.digest()}")
-        return self._serial
+    def reference(self):
+        if self._reference is None:
+            print("building reference run…")
+            self._reference = run_simulation(self.config)
+            print(f"reference digest: {self._reference.database.digest()}")
+        return self._reference
 
 
 #: Registered soak legs, in execution order: name -> leg(ctx).
@@ -132,25 +127,8 @@ def leg(name: str):
     return register
 
 
-def check_parallel_equivalence(config: SimulationConfig, serial) -> None:
-    for workers in (2, 4):
-        with telemetry.collecting() as registry:
-            parallel = run_simulation(config, workers=workers)
-        crashes = registry.counters.get("parallel.worker_crashes", 0)
-        retries = registry.counters.get("parallel.shard_retries", 0)
-        fallbacks = registry.counters.get("parallel.serial_fallbacks", 0)
-        print(
-            f"workers={workers}: digest {parallel.database.digest()[:16]}… "
-            f"({crashes} crashes, {retries} retries, {fallbacks} fallbacks)"
-        )
-        if parallel.database.digest() != serial.database.digest():
-            fail(f"parallel digest diverged at workers={workers}")
-        if parallel.collector.accounting() != serial.collector.accounting():
-            fail(f"collector accounting diverged at workers={workers}")
-
-
 def check_checkpoint_recovery(
-    config: SimulationConfig, serial, work: Path
+    config: SimulationConfig, reference, work: Path
 ) -> None:
     checkpoint = work / "soak.ckpt"
     with telemetry.collecting() as registry:
@@ -169,15 +147,15 @@ def check_checkpoint_recovery(
         f"checkpoint resume: {corruptions} saves corrupted, "
         f"{rejected} generations rejected at resume"
     )
-    if resumed.database.digest() != serial.database.digest():
-        fail("resumed digest diverged from uninterrupted serial run")
+    if resumed.database.digest() != reference.database.digest():
+        fail("resumed digest diverged from the uninterrupted run")
     audit = audit_tree(work)
     if not audit.ok:
         print(audit.render())
         fail("checkpoint tree failed verification")
 
 
-def check_export_recovery(config: SimulationConfig, serial, work: Path) -> None:
+def check_export_recovery(config: SimulationConfig, reference, work: Path) -> None:
     export_dir = work / "export"
     export_dir.mkdir()
     path = export_dir / "sessions.jsonl"
@@ -185,7 +163,7 @@ def check_export_recovery(config: SimulationConfig, serial, work: Path) -> None:
         config.faults.integrity,
         RngTree(config.seed).child("faults", "integrity", "log", path.name),
     )
-    write_jsonl(serial.database.sessions, path, corruptor=corruptor)
+    write_jsonl(reference.database.sessions, path, corruptor=corruptor)
     report = recover_jsonl(path).report
     read_jsonl(path, mode="lenient")  # populate the quarantine store
     print(
@@ -203,8 +181,7 @@ def check_export_recovery(config: SimulationConfig, serial, work: Path) -> None:
 
 
 def check_flood_overload(config: SimulationConfig) -> None:
-    """Overload leg: digest equality and a balanced shed ledger under
-    the storm flood, with and without the hung-worker watchdog."""
+    """Overload leg: a balanced shed ledger under the storm flood."""
     import dataclasses
 
     from repro.faults.plan import FloodFaults
@@ -214,11 +191,11 @@ def check_flood_overload(config: SimulationConfig) -> None:
             config.faults, flood=FloodFaults.from_name("storm")
         )
     )
-    serial = run_simulation(flood_config)
-    collector = serial.collector
+    flooded = run_simulation(flood_config)
+    collector = flooded.collector
     print(
         f"flood: {collector.generated} generated, {collector.shed} shed, "
-        f"{collector.deferred} deferred, digest {serial.database.digest()[:16]}…"
+        f"{collector.deferred} deferred, digest {flooded.database.digest()[:16]}…"
     )
     if not collector.accounting_balanced():
         fail("flood run's conservation accounting does not balance")
@@ -226,24 +203,9 @@ def check_flood_overload(config: SimulationConfig) -> None:
         fail("storm flood shed nothing — admission gate not engaging")
     if collector.admitted != len(collector.sessions) + collector.deduplicated:
         fail("admitted != stored + deduplicated under the flood gate")
-    parallel = run_simulation(flood_config, workers=2)
-    if parallel.database.digest() != serial.database.digest():
-        fail("flood digest diverged between serial and parallel")
-    if parallel.collector.accounting() != serial.collector.accounting():
-        fail("flood shed ledger diverged between serial and parallel")
-    with telemetry.collecting() as registry:
-        watched = run_simulation(
-            flood_config.replace(shard_deadline_s=600.0), workers=2
-        )
-    breaches = registry.counters.get("overload.watchdog.hard_breaches", 0)
-    print(f"watchdog-armed flood run: {breaches} hard breaches")
-    if watched.database.digest() != serial.database.digest():
-        fail("watchdog-armed flood digest diverged")
-    if breaches:
-        fail("healthy flood run breached its generous hard deadline")
 
 
-def check_index_resilience(serial, work: Path) -> None:
+def check_index_resilience(reference, work: Path) -> None:
     """Store leg: under every index-corruption mode the resilient store
     answers identically to a clean index, verify flags repairable
     damage as exit 2, and --rebuild-index restores a clean audit."""
@@ -255,7 +217,7 @@ def check_index_resilience(serial, work: Path) -> None:
         index_path_for,
     )
 
-    sessions = serial.database.sessions[:500]
+    sessions = reference.database.sessions[:500]
     clean_dir = work / "store-clean"
     export_indexed_tree(sessions, clean_dir)
     baseline = ResilientArtifactStore(clean_dir)
@@ -370,11 +332,11 @@ def check_lsh_recall(seed: int, corpus_size: int) -> None:
                 )
 
 
-def check_mangled_tree_fails(serial, work: Path) -> None:
+def check_mangled_tree_fails(reference, work: Path) -> None:
     mangled_dir = work / "mangled"
     mangled_dir.mkdir()
     path = mangled_dir / "sessions.jsonl"
-    write_jsonl(serial.database.sessions[:500], path)
+    write_jsonl(reference.database.sessions[:500], path)
     corrupt_file(path, random.Random(7))
     audit = audit_tree(mangled_dir)
     if audit.ok:
@@ -553,13 +515,12 @@ def check_stream_serve(config: SimulationConfig, work: Path) -> None:
 # ----------------------------------------------------------------------
 # leg registry (execution order == registration order)
 # ----------------------------------------------------------------------
-leg("parallel")(lambda ctx: check_parallel_equivalence(ctx.config, ctx.serial))
 leg("checkpoint")(
-    lambda ctx: check_checkpoint_recovery(ctx.config, ctx.serial, ctx.work)
+    lambda ctx: check_checkpoint_recovery(ctx.config, ctx.reference, ctx.work)
 )
-leg("export")(lambda ctx: check_export_recovery(ctx.config, ctx.serial, ctx.work))
-leg("store")(lambda ctx: check_index_resilience(ctx.serial, ctx.work))
-leg("mangled")(lambda ctx: check_mangled_tree_fails(ctx.serial, ctx.work))
+leg("export")(lambda ctx: check_export_recovery(ctx.config, ctx.reference, ctx.work))
+leg("store")(lambda ctx: check_index_resilience(ctx.reference, ctx.work))
+leg("mangled")(lambda ctx: check_mangled_tree_fails(ctx.reference, ctx.work))
 leg("flood")(lambda ctx: check_flood_overload(ctx.config))
 leg("lsh")(
     lambda ctx: check_lsh_recall(ctx.seed, ctx.lsh_corpus)

@@ -35,7 +35,7 @@ additionally pins the *pruned* regime against the exact oracle with
 the floor forced to zero.
 
 Telemetry (all deterministic functions of config + data, so serial and
-parallel runs agree exactly — see docs/observability.md):
+pooled builds agree exactly — see docs/observability.md):
 
 * ``sketch.matrix_builds`` / ``sketch.bypassed`` — activations vs
   below-floor exact fallbacks.

@@ -12,11 +12,9 @@ state, the only mutable state a resumed run must restore is the
 collector and each honeypot's session counter — see
 :mod:`repro.faults.checkpoint`.
 
-That same per-day purity is what lets :mod:`repro.parallel` shard the
-window across processes: :func:`simulate_day` (the one inner loop, used
-by the serial path and by every shard worker) and :func:`count_day`
-(its rng-aligned counting twin) are defined here so the two execution
-engines can never drift apart.
+:func:`simulate_day` is the one inner loop; the day loop around it
+lives in :mod:`repro.stream.engine`, which :func:`run_simulation`
+delegates to.
 """
 
 from __future__ import annotations
@@ -85,7 +83,7 @@ class SimulationResult:
     coverage: CoverageReport
     channel: DirectChannel | ResilientChannel
     #: Supervision summary when the run used a supervised stream policy
-    #: (:mod:`repro.stream`); None for batch replay and parallel runs.
+    #: (:mod:`repro.stream`); None for batch replay.
     stream: "StreamReport | None" = field(default=None)
 
 
@@ -113,10 +111,10 @@ class SimulationSubstrate:
     """Everything the day-loop needs, built as a pure function of config.
 
     The substrate carries no day-loop progress: populations, bots and
-    the fault plan are all derived from the master seed, so any process
-    can rebuild an identical substrate from the config alone.  The only
-    mutable members are each honeypot's session counter (inside
-    ``honeynet``) — shard workers preset those before simulating.
+    the fault plan are all derived from the master seed, so the same
+    config always rebuilds an identical substrate.  The only mutable
+    members are each honeypot's session counter (inside ``honeynet``),
+    which checkpoints save and restore.
     """
 
     config: SimulationConfig
@@ -137,8 +135,8 @@ class SimulationSubstrate:
 
         When the flood profile bounds ingest, the collector gets its own
         admission gate; the gate's shed coins are keyed by session id
-        under a fixed subtree, so verdicts are identical in the serial
-        loop and in every shard worker.
+        under a fixed subtree, so verdicts do not depend on delivery
+        order.
         """
         return Collector(
             outages=self.config.faults.outages,
@@ -159,24 +157,11 @@ class SimulationSubstrate:
             self.tree.child("faults", "transport"),
         )
 
-    def honeypot_counters(self) -> dict[str, int]:
-        """Current per-honeypot session counters (non-zero only)."""
-        return {
-            honeypot.honeypot_id: honeypot._counter
-            for honeypot in self.honeynet.honeypots
-            if honeypot._counter
-        }
-
-    def set_honeypot_counters(self, counters: dict[str, int]) -> None:
-        """Preset every honeypot's session counter (absent ids → 0)."""
-        for honeypot in self.honeynet.honeypots:
-            honeypot._counter = counters.get(honeypot.honeypot_id, 0)
-
     def checkpoint_corruptor(self):
         """This run's checkpoint-corruption fault hook (None when inert).
 
         Keyed under the fault subtree so corruption decisions are a pure
-        function of (seed, save event), shared by both engines.
+        function of (seed, save event).
         """
         return build_checkpoint_corruptor(
             self.config.faults.integrity,
@@ -190,8 +175,7 @@ def build_substrate(
     """Build the full pre-day-loop state for ``config``.
 
     Deterministic: every piece is derived from path-keyed rng streams,
-    so a substrate built in a worker process is identical to one built
-    in the parent.
+    so two builds from the same config are identical.
     """
     tree = RngTree(config.seed)
     population = build_base_population(
@@ -286,9 +270,8 @@ def simulate_day(
 ) -> None:
     """Simulate one calendar day, delivering every produced record.
 
-    This is *the* inner loop: the serial engine and every parallel
-    shard worker call this exact function, so the record stream for a
-    given day is identical no matter which process produces it.
+    This is *the* inner loop, called once per day by the stream
+    engine's day loop (and so by every batch run, its replay).
 
     With the default ``include_telnet=True`` config the routing draws
     are batched per (bot, day) via :func:`_route_draws`; excluding
@@ -346,68 +329,6 @@ def simulate_day(
         registry.observe("sim.sessions_per_day", produced)
 
 
-def count_day(
-    substrate: SimulationSubstrate, day: date, counts: dict[str, int]
-) -> None:
-    """Count per-honeypot arrivals for ``day`` without handling them.
-
-    The rng-aligned twin of :func:`simulate_day`: it draws the same
-    intent and routing streams (``choose_honeypot_index`` and
-    ``start_seconds`` consume the route rng exactly as the real loop
-    does) but skips the honeypot shell and delivery.  The counts are
-    exactly the session-counter increments the real loop would apply —
-    the parallel engine uses prefix sums of these to preset each
-    shard's honeypot counters.
-
-    Fast path: when telnet is included (the default) the count is
-    independent of intent *contents*, so building intents is skipped
-    entirely — only the session-count draw and the batched route draws
-    are made (the ``intents`` subtree is an independent hash-derived
-    stream; not drawing it cannot perturb any other stream).  Bots that
-    override :meth:`Bot.sessions_for_day` fall back to the full loop.
-    """
-    config = substrate.config
-    honeypots = substrate.honeynet.honeypots
-    fleet_size = len(honeypots)
-    context = substrate.context
-    ordinal = day.toordinal()
-    count_only = config.include_telnet
-    for bot in substrate.bots:
-        if count_only and type(bot).sessions_for_day is Bot.sessions_for_day:
-            n = bot.session_count(context, day)
-            if n == 0:
-                continue
-            route_rng = context.tree.rand_for("route", bot.name, ordinal)
-            indices, _seconds = _route_draws(
-                bot, route_rng, n, fleet_size, day
-            )
-            tallies = [0] * fleet_size
-            for index in indices:
-                tallies[index] += 1
-            for index, hits in enumerate(tallies):
-                if hits:
-                    honeypot_id = honeypots[index].honeypot_id
-                    counts[honeypot_id] = counts.get(honeypot_id, 0) + hits
-            continue
-        intents = bot.sessions_for_day(context, day)
-        if not intents:
-            continue
-        route_rng = context.tree.rand_for("route", bot.name, ordinal)
-        for intent in intents:
-            index = bot.choose_honeypot_index(route_rng, fleet_size)
-            if not config.include_telnet and intent.protocol.value == "telnet":
-                continue
-            bot.start_seconds(route_rng, day)  # keep the stream aligned
-            honeypot_id = honeypots[index].honeypot_id
-            counts[honeypot_id] = counts.get(honeypot_id, 0) + 1
-    if substrate.flood is not None:
-        for index, _seconds, _intent in substrate.flood.arrivals(
-            day, fleet_size
-        ):
-            honeypot_id = honeypots[index].honeypot_id
-            counts[honeypot_id] = counts.get(honeypot_id, 0) + 1
-
-
 def _finish_result(
     substrate: SimulationSubstrate,
     collector: Collector,
@@ -454,23 +375,21 @@ def _resume_state(
     config: SimulationConfig,
     honeynet: Honeynet,
     collector: Collector,
-    stream_sink: list | None = None,
+    stream_sink: list,
 ) -> date | None:
     """Restore the newest valid checkpoint generation, loudly.
 
-    Shared by the stream engine (and thus the serial batch replay) and
-    the parallel engine.  Returns the first day left to simulate, or
+    Called by the stream engine (and thus the serial batch replay).
+    Returns the first day left to simulate, or
     ``None`` when no usable checkpoint exists (the caller starts
     fresh).  Generations rejected as corrupt are reported via warnings
     and ``checkpoint.*`` telemetry — a corrupted checkpoint costs
     re-simulated days, never silence.
 
     ``stream_sink``: a checkpoint written by a *degraded* supervised
-    stream carries a ``stream`` section; when a list is given here, the
-    restored section is appended to it so the caller can reinstate (or
-    refuse) the supervision state.  Callers that cannot reproduce
-    supervision (the parallel batch engine) must pass a sink and reject
-    a non-empty one.
+    stream carries a ``stream`` section; the restored section is
+    appended to this list so the caller can reinstate (or refuse) the
+    supervision state.
     """
     if checkpoint_path is None:
         raise ValueError("resume=True requires a checkpoint_path")
@@ -490,7 +409,7 @@ def _resume_state(
         )
         return None
     first_day = restore_state(checkpoint, honeynet, collector)
-    if stream_sink is not None and checkpoint.stream:
+    if checkpoint.stream:
         stream_sink.append(checkpoint.stream)
     telemetry.count("checkpoint.resumes")
     if rejected:
@@ -546,7 +465,6 @@ def run_simulation(
     checkpoint_every_days: int | None = None,
     resume: bool = False,
     stop_after: date | None = None,
-    workers: int | None = None,
     store_dir: Path | str | None = None,
 ) -> SimulationResult:
     """Generate the full synthetic dataset for ``config``.
@@ -569,42 +487,17 @@ def run_simulation(
     shutdown mid-window; the returned result then covers only the
     simulated prefix.
 
-    ``workers`` (default ``config.workers``) selects the execution
-    engine: ``1`` replays the window through the stream engine's day
-    loop (:mod:`repro.stream`, supervision bypassed — the batch serial
-    path *is* the stream path); ``N > 1`` shards the window across
-    ``N`` processes via :mod:`repro.parallel` and merges a
-    digest-identical result.  ``extra_bots_factory`` must then be
-    picklable (a module-level function), since workers rebuild the
-    fleet themselves.
+    The window runs through the stream engine's day loop
+    (:mod:`repro.stream`) with supervision bypassed — the batch path
+    *is* the stream path.  ``config.workers`` does not change the
+    simulation; it only sizes the DLD pair pool of later analysis.
 
     ``store_dir``, when set, additionally writes the finished dataset as
     an indexed artifact tree (JSONL shards + ``index.sqlite``,
-    :mod:`repro.store`) under that directory — a post-merge projection
-    of the result, identical under both engines and byte-neutral to the
-    result itself.
+    :mod:`repro.store`) under that directory — a projection of the
+    finished result, byte-neutral to the result itself.
     """
-    if workers is None:
-        workers = config.workers
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    if workers > 1:
-        from repro.parallel.engine import run_simulation_parallel
-
-        result = run_simulation_parallel(
-            config,
-            extra_bots_factory,
-            workers=workers,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every_days=checkpoint_every_days,
-            resume=resume,
-            stop_after=stop_after,
-        )
-        if store_dir is not None:
-            _export_store(result, store_dir)
-        return result
-
-    # Serial batch mode IS the stream engine replaying the window with
+    # Batch mode IS the stream engine replaying the window with
     # supervision bypassed — one code path (see repro.stream.engine).
     from repro.stream.engine import run_stream
 

@@ -8,9 +8,10 @@ Subcommands:
 * ``report``      — regenerate the EXPERIMENTS.md comparison document.
 * ``faults``      — simulate under a fault profile and print the
   resilience report (fault plan, collector accounting, coverage).
-* ``bench``       — time the serial vs parallel engines (day-loop and
-  DLD matrix), plus telemetry on-vs-off overhead, and optionally
-  record the numbers as JSON.
+* ``bench``       — time the DLD matrix serial vs the pair pool,
+  telemetry on-vs-off overhead of the day loop, the flood shed path,
+  the sketch prefilter and the query service, and optionally record
+  the numbers as JSON.
 * ``telemetry``   — run the pipeline with telemetry enabled and print
   the run report (see docs/observability.md).
 * ``verify``      — audit a dataset/checkpoint tree (manifests,
@@ -31,13 +32,12 @@ default ``paper`` models exactly the deployment the paper describes.
 ``--flood-profile {off,burst,storm}`` layers the overload fault domain
 (scan floods + admission control with deterministic load shedding) on
 top of whatever fault profile is active; ``off`` (the default) is
-byte-identical to the pre-overload pipeline.  ``--workers N`` switches
-every stage that supports it to the parallel engine (see
-docs/parallelism.md); the output is identical at any N.
-``--shard-deadline-s S`` arms the hung-worker watchdog for parallel
-runs (soft warning at S/2, cancellation + retry at S).  ``--telemetry
-[PATH]`` collects metrics/spans for the run and writes them as JSON —
-purely observational, outputs are byte-identical with it on or off.
+byte-identical to the pre-overload pipeline.  ``--workers N`` sizes the
+process pool of the pairwise DLD matrix (see docs/parallelism.md); the
+simulation is serial at any N and the output is identical at any N.
+``--telemetry [PATH]`` collects metrics/spans for the run and writes
+them as JSON — purely observational, outputs are byte-identical with it
+on or off.
 """
 
 from __future__ import annotations
@@ -77,16 +77,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=DEFAULT_CONFIG.workers,
-        help="worker processes for the parallel engine (1 = serial; "
-        "see docs/parallelism.md)",
-    )
-    parser.add_argument(
-        "--shard-deadline-s",
-        type=float,
-        default=None,
-        metavar="S",
-        help="hung-worker watchdog: hard wall-clock deadline per shard "
-        "attempt for parallel runs (default: no deadline)",
+        help="processes for the pairwise DLD pool (1 = serial; the "
+        "simulation is serial at any N; see docs/parallelism.md)",
     )
     parser.add_argument(
         "--telemetry",
@@ -114,7 +106,6 @@ def _config(args: argparse.Namespace) -> SimulationConfig:
         seed=args.seed,
         faults=faults,
         workers=getattr(args, "workers", 1),
-        shard_deadline_s=getattr(args, "shard_deadline_s", None),
     )
 
 
@@ -490,7 +481,6 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
 
 
 #: Default regression floors for ``repro bench --enforce``.
-SPEEDUP_FLOOR = 1.8
 TELEMETRY_BAR_PCT = 5.0
 #: Floors for the sketch-prefilter scenario (single-process pruning
 #: wins, so they apply at any core count): the pruned matrix must beat
@@ -508,7 +498,6 @@ SERVICE_CACHE_FLOOR = 0.9
 
 def check_bench_floors(
     report: dict,
-    speedup_floor: float = SPEEDUP_FLOOR,
     telemetry_bar_pct: float = TELEMETRY_BAR_PCT,
     sketch_speedup_floor: float = SKETCH_SPEEDUP_FLOOR,
     sketch_ratio_bar: float = SKETCH_RATIO_BAR,
@@ -517,26 +506,14 @@ def check_bench_floors(
 ) -> list[str]:
     """Regression-floor violations in a bench report (empty = healthy).
 
-    Floors guard the perf trajectory: parallel day-loop speedup at the
-    benched worker count, telemetry overhead on the serial engine, and
-    — when the report has a ``sketch`` block — the LSH prefilter's
-    speedup, candidate ratio and close-pair recall.  The day-loop
-    speedup floor only applies on multi-core machines — on a single
-    core, parallel execution cannot beat serial by construction, so the
-    floor would only measure the box, not the code.  The telemetry bar
-    and the sketch floors apply everywhere (pruning wins are
-    single-process).
+    Floors guard the perf trajectory: telemetry overhead on the day
+    loop (the median of the interleaved off/on pairs), and — when the
+    report has the blocks — the LSH prefilter's speedup, candidate
+    ratio and close-pair recall, and the query service's cache hit
+    ratio and unserved count.  Every floor applies at any core count
+    (pruning wins are single-process).
     """
     violations: list[str] = []
-    day = report.get("day_loop", {})
-    if (report.get("cpu_count") or 1) >= 2:
-        speedup = day.get("speedup", 0.0)
-        if speedup < speedup_floor:
-            violations.append(
-                f"day-loop speedup {speedup:.2f}x at "
-                f"{report.get('workers')} workers is below the "
-                f"{speedup_floor:.2f}x floor"
-            )
     overhead = report.get("telemetry", {}).get("overhead_pct", 0.0)
     if overhead > telemetry_bar_pct:
         violations.append(
@@ -737,18 +714,21 @@ def _service_bench(serial_result, config) -> dict:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Time serial vs N-worker execution of both parallel stages.
+    """Time the serial day loop's costs and the DLD pair pool.
 
-    Records wall-clock for the simulation day-loop and for the DLD
-    distance matrix, serial vs ``--workers`` processes, and verifies
-    digest/bit equality between the two runs while at it.  With
+    Records telemetry on-vs-off overhead of the day loop over
+    interleaved pairs, the shed path's cost per generated session under
+    the burst flood, and the DLD distance matrix serial vs ``--workers``
+    processes, verifying digest/bit equality while at it.  With
     ``--json PATH`` the numbers land in a machine-readable file.  With
     ``--enforce`` the run additionally fails on regression-floor
     violations (:func:`check_bench_floors`) — the CI smoke runs this
-    so a speedup or telemetry-overhead regression breaks the build.
+    so a telemetry-overhead, sketch or service regression breaks the
+    build.
     """
     import json
     import os
+    import statistics
     import time
 
     import numpy as np
@@ -802,35 +782,27 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print(f"wrote {args.json}")
         return 1 if args.enforce and violations else 0
 
-    # Serial runs are interleaved telemetry-off / telemetry-on so the
-    # overhead comparison is robust against machine drift between
-    # timing blocks (the issue's acceptance bar is < 5% on the serial
-    # engine; single-shot CI timings only record the number).
+    # Day-loop runs are interleaved telemetry-off / telemetry-on, and the
+    # overhead is the median of the per-pair on/off ratios, so drift of
+    # the machine between timing blocks cancels within each pair.
     from repro import telemetry
 
     def run_instrumented():
         with telemetry.collecting():
             return run_simulation(config)
 
-    serial_times: list[float] = []
-    telemetry_times: list[float] = []
+    off_times: list[float] = []
+    on_times: list[float] = []
     for _ in range(args.repeat):
         serial_result, elapsed = best_of(lambda: run_simulation(config), 1)
-        serial_times.append(elapsed)
+        off_times.append(elapsed)
         telemetry_result, elapsed = best_of(run_instrumented, 1)
-        telemetry_times.append(elapsed)
-    serial_day_s = min(serial_times)
-    telemetry_day_s = min(telemetry_times)
+        on_times.append(elapsed)
+    overhead_pcts = [
+        (on / off - 1.0) * 100 for off, on in zip(off_times, on_times)
+    ]
     telemetry_match = (
         serial_result.database.digest() == telemetry_result.database.digest()
-    )
-    telemetry_overhead = telemetry_day_s / serial_day_s - 1.0
-
-    parallel_result, parallel_day_s = best_of(
-        lambda: run_simulation(config, workers=workers), args.repeat
-    )
-    digest_match = (
-        serial_result.database.digest() == parallel_result.database.digest()
     )
 
     sessions = sample_sessions(
@@ -853,35 +825,25 @@ def cmd_bench(args: argparse.Namespace) -> int:
     parallel_matrix, parallel_dld_s = timed_matrix(workers)
     matrix_match = bool(np.array_equal(serial_matrix, parallel_matrix))
 
-    # Flood scenario: the same window under the burst flood preset —
-    # serial vs parallel (shed-path cost relative to the quiet runs
-    # above) and parallel again with the hung-worker watchdog armed, so
-    # the deadline plumbing's overhead on a healthy run is on record.
+    # Flood scenario: the same window under the burst flood preset.  The
+    # flood run generates an order of magnitude more sessions than the
+    # quiet one, so both are compared per generated session.
     import dataclasses as _dataclasses
 
-    flood_deadline_s = 120.0
     flood_config = config.replace(
         faults=_dataclasses.replace(
             config.faults, flood=FloodFaults.from_name("burst")
         )
     )
-    flood_serial, flood_serial_s = best_of(
-        lambda: run_simulation(flood_config), args.repeat
-    )
-    flood_parallel, flood_parallel_s = best_of(
-        lambda: run_simulation(flood_config, workers=workers), args.repeat
-    )
-    watchdog_config = flood_config.replace(shard_deadline_s=flood_deadline_s)
-    flood_watchdog, flood_watchdog_s = best_of(
-        lambda: run_simulation(watchdog_config, workers=workers), args.repeat
-    )
-    flood_digest = flood_serial.database.digest()
-    flood_match = (
-        flood_digest == flood_parallel.database.digest()
-        and flood_digest == flood_watchdog.database.digest()
-    )
-    flood_accounting = flood_serial.collector.accounting()
+    flood_times: list[float] = []
+    for _ in range(args.repeat):
+        flood_result, elapsed = best_of(lambda: run_simulation(flood_config), 1)
+        flood_times.append(elapsed)
+    flood_accounting = flood_result.collector.accounting()
     flood_generated = flood_accounting["generated"]
+    quiet_generated = serial_result.collector.generated
+    quiet_us = statistics.median(off_times) / quiet_generated * 1e6
+    flood_us = statistics.median(flood_times) / flood_generated * 1e6
 
     report = {
         "workers": workers,
@@ -891,16 +853,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "fault_profile": config.faults.name,
         "repeat": args.repeat,
         "sessions": len(serial_result.database),
-        "day_loop": {
-            "serial_s": round(serial_day_s, 4),
-            "parallel_s": round(parallel_day_s, 4),
-            "speedup": round(serial_day_s / parallel_day_s, 3),
-            "digest_match": digest_match,
-        },
         "telemetry": {
-            "off_s": round(serial_day_s, 4),
-            "on_s": round(telemetry_day_s, 4),
-            "overhead_pct": round(telemetry_overhead * 100, 2),
+            "pairs": len(overhead_pcts),
+            "off_s": round(statistics.median(off_times), 4),
+            "on_s": round(statistics.median(on_times), 4),
+            "overhead_pct": round(statistics.median(overhead_pcts), 2),
+            "overhead_min_pct": round(min(overhead_pcts), 2),
+            "overhead_max_pct": round(max(overhead_pcts), 2),
             "digest_match": telemetry_match,
         },
         "dld_matrix": {
@@ -914,10 +873,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         },
         "flood": {
             "profile": "burst",
-            "serial_s": round(flood_serial_s, 4),
-            "parallel_s": round(flood_parallel_s, 4),
-            "watchdog_on_s": round(flood_watchdog_s, 4),
-            "watchdog_deadline_s": flood_deadline_s,
+            "serial_s": round(statistics.median(flood_times), 4),
             "generated": flood_generated,
             "admitted": flood_accounting["admitted"],
             "deferred": flood_accounting["deferred"],
@@ -925,27 +881,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "shed_fraction": round(
                 flood_accounting["shed"] / max(flood_generated, 1), 4
             ),
-            "shed_path_overhead_pct": round(
-                (flood_serial_s / serial_day_s - 1.0) * 100, 2
-            ),
-            "watchdog_overhead_pct": round(
-                (flood_watchdog_s / flood_parallel_s - 1.0) * 100, 2
-            ),
-            "digest_match": flood_match,
+            "quiet_generated": quiet_generated,
+            "quiet_us_per_generated": round(quiet_us, 2),
+            "us_per_generated": round(flood_us, 2),
+            "us_per_generated_ratio": round(flood_us / quiet_us, 3),
         },
     }
     if args.sketch_sample > 0:
         report["sketch"] = _sketch_bench(args, config, best_of)
     report["service"] = _service_bench(serial_result, config)
     violations = check_bench_floors(
-        report,
-        speedup_floor=args.speedup_floor,
-        telemetry_bar_pct=args.telemetry_bar,
+        report, telemetry_bar_pct=args.telemetry_bar
     )
     report["enforcement"] = {
         "enforced": bool(args.enforce),
-        "speedup_floor": args.speedup_floor,
-        "speedup_floor_applies": (report["cpu_count"] or 1) >= 2,
         "telemetry_bar_pct": args.telemetry_bar,
         "sketch_speedup_floor": SKETCH_SPEEDUP_FLOOR,
         "sketch_ratio_bar": SKETCH_RATIO_BAR,
@@ -953,11 +902,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "service_cache_floor": SERVICE_CACHE_FLOOR,
         "violations": violations,
     }
-    print(f"== bench: serial vs {workers} workers ==")
-    print(
-        f"day-loop:   {serial_day_s:.3f}s -> {parallel_day_s:.3f}s "
-        f"({report['day_loop']['speedup']:.2f}x, digest match: {digest_match})"
-    )
+    tele = report["telemetry"]
+    print(f"== bench: serial day loop, DLD pool at {workers} workers ==")
     print(
         f"DLD matrix: {serial_dld_s:.3f}s -> {parallel_dld_s:.3f}s "
         f"({report['dld_matrix']['speedup']:.2f}x, "
@@ -965,16 +911,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
         f"bit-identical: {matrix_match})"
     )
     print(
-        f"telemetry:  {serial_day_s:.3f}s -> {telemetry_day_s:.3f}s "
-        f"({telemetry_overhead:+.1%} overhead, "
-        f"digest match: {telemetry_match})"
+        f"telemetry:  {tele['off_s']:.3f}s -> {tele['on_s']:.3f}s "
+        f"({tele['overhead_pct']:+.1f}% median overhead over "
+        f"{tele['pairs']} pairs, range [{tele['overhead_min_pct']:+.1f}, "
+        f"{tele['overhead_max_pct']:+.1f}], digest match: {telemetry_match})"
     )
     print(
-        f"flood:      {flood_serial_s:.3f}s serial, "
-        f"{flood_parallel_s:.3f}s parallel, "
-        f"{flood_watchdog_s:.3f}s watchdog-on "
-        f"({flood_accounting['shed']} shed of {flood_generated}, "
-        f"digest match: {flood_match})"
+        f"flood:      {flood_us:.1f} us/generated session vs "
+        f"{quiet_us:.1f} quiet ({flood_us / quiet_us:.2f}x; "
+        f"{flood_accounting['shed']} shed of {flood_generated})"
     )
     if "sketch" in report:
         _print_sketch_bench(report["sketch"])
@@ -992,7 +937,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.json is not None:
         args.json.write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {args.json}")
-    healthy = digest_match and matrix_match and telemetry_match and flood_match
+    healthy = matrix_match and telemetry_match
     if args.enforce and violations:
         return 1
     return 0 if healthy else 1
@@ -1459,7 +1404,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--seed", type=int, default=BENCH_CONFIG.seed)
     report.add_argument(
         "--workers", type=int, default=DEFAULT_CONFIG.workers,
-        help="worker processes for the parallel engine (1 = serial)",
+        help="processes for the pairwise DLD pool (1 = serial)",
     )
     report.add_argument("--out", type=Path, default=Path("EXPERIMENTS.md"))
     report.add_argument(
@@ -1490,7 +1435,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = commands.add_parser(
         "bench",
-        help="time serial vs parallel engines (day-loop + DLD matrix)",
+        help="time telemetry overhead, the flood shed path and the DLD "
+        "pair pool",
     )
     _add_common(bench)
     bench.add_argument(
@@ -1499,7 +1445,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--repeat", type=int, default=1,
-        help="iterations per timing (best-of; CI smoke uses 1)",
+        help="iterations per timing: interleaved off/on telemetry pairs "
+        "and flood runs (median), DLD and sketch builds (best-of)",
     )
     bench.add_argument(
         "--dld-sample", type=int, default=400, metavar="N",
@@ -1510,14 +1457,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail (exit 1) on regression-floor violations",
     )
     bench.add_argument(
-        "--speedup-floor", type=float, default=SPEEDUP_FLOOR, metavar="X",
-        help="minimum day-loop speedup at --workers (multi-core only; "
-        f"default {SPEEDUP_FLOOR})",
-    )
-    bench.add_argument(
         "--telemetry-bar", type=float, default=TELEMETRY_BAR_PCT,
         metavar="PCT",
-        help="maximum telemetry overhead percentage "
+        help="maximum median telemetry overhead percentage "
         f"(default {TELEMETRY_BAR_PCT})",
     )
     bench.add_argument(

@@ -62,21 +62,15 @@ class SimulationConfig:
             paper's deployment — only the October 2023 outage, no
             sensor churn, a lossless collection path — and reproduces
             the pre-fault-model pipeline byte for byte.
-        workers: process count for the parallel execution engine
-            (:mod:`repro.parallel`).  ``1`` (the default) runs the
-            original serial day-loop and serial DLD matrix; ``N > 1``
-            shards the simulated window across ``N`` worker processes
-            and chunks the O(n²) distance matrix over the same pool.
-            The output is digest-identical at every worker count, so
-            this knob trades wall-clock for cores, never correctness —
-            it is deliberately excluded from checkpoint fingerprints
-            and dataset cache keys.
-        shard_deadline_s: hard wall-clock deadline per shard attempt for
-            the parallel engine's hung-worker watchdog (``None`` — the
-            default — disables the watchdog).  An execution knob like
-            ``workers``: it can change which code path produced a batch
-            (cancel → retry → serial fallback), never the bytes in it,
-            so it too is excluded from fingerprints and cache keys.
+        workers: process count for the pairwise DLD pool
+            (:mod:`repro.parallel.distance`).  ``1`` (the default)
+            builds the distance matrices serially; ``N > 1`` chunks
+            their pair work over ``N`` processes.  The simulation day
+            loop is serial at every value.  The matrices are
+            bit-identical at every worker count, so this knob trades
+            wall-clock for cores, never correctness — it is
+            deliberately excluded from checkpoint fingerprints and
+            dataset cache keys.
     """
 
     seed: int = 7
@@ -90,7 +84,6 @@ class SimulationConfig:
     include_telnet: bool = True
     faults: FaultProfile = field(default_factory=FaultProfile.paper)
     workers: int = 1
-    shard_deadline_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.scale <= 0:
@@ -101,10 +94,6 @@ class SimulationConfig:
             raise ValueError("need at least one honeypot")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
-        if self.shard_deadline_s is not None and self.shard_deadline_s <= 0:
-            raise ValueError(
-                f"shard_deadline_s must be positive, got {self.shard_deadline_s}"
-            )
 
     def scaled(self, paper_count: float) -> float:
         """Return ``paper_count`` scaled to this configuration."""

@@ -32,6 +32,7 @@ from repro.attackers.bots.mdrfckr import MDRFCKR_KEY
 from repro.attackers.bots.named_campaigns import RAPPERBOT_KEY
 from repro.attackers.orchestrator import SimulationResult, run_simulation
 from repro.config import SimulationConfig
+from repro.faults.checkpoint import config_fingerprint
 from repro.faults.coverage import (
     CoverageReport,
     integrity_note,
@@ -200,15 +201,14 @@ _CACHE: dict[tuple, Dataset] = {}
 
 
 def _cache_key(config: SimulationConfig) -> tuple:
-    return (
-        config.seed,
-        config.scale,
-        config.start,
-        config.end,
-        config.n_honeypots,
-        config.include_telnet,
-        config.faults,
-    )
+    """Which cached dataset ``config`` may reuse.
+
+    :func:`~repro.faults.checkpoint.config_fingerprint` is the one
+    definition of the fields that shape a dataset.  ``faults`` rides
+    along whole because its ``repr=False`` knobs (index corruption)
+    still change what a cached dataset's store export writes.
+    """
+    return (config_fingerprint(config), config.faults)
 
 
 def build_dataset(

@@ -84,7 +84,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed)
     parser.add_argument(
         "--workers", type=int, default=DEFAULT_CONFIG.workers,
-        help="worker processes for the parallel engine (1 = serial)",
+        help="processes for the pairwise DLD pool (1 = serial)",
     )
     parser.add_argument(
         "--only", nargs="*", default=None, help="experiment ids to run"

@@ -18,9 +18,8 @@ the simulation:
   identical dataset.
 * :mod:`repro.faults.corruption` — seeded *storage* faults: bit-flips
   and truncation of checkpoint files, mangled/duplicated/reordered
-  session-log lines, damaged or desynced ``index.sqlite`` artifacts
-  (:mod:`repro.store`), and injected worker crashes for the parallel
-  engine.
+  session-log lines, and damaged or desynced ``index.sqlite``
+  artifacts (:mod:`repro.store`).
 * :mod:`repro.faults.flood` — seeded *overload* faults: scan-campaign
   session bursts that push arrivals past the collector's admission
   budget (the defences live in :mod:`repro.overload`).
@@ -50,13 +49,9 @@ from repro.faults.checkpoint import (
 from repro.faults.corruption import (
     INDEX_CORRUPTION_MODES,
     IndexCorruptor,
-    WorkerCrash,
-    WorkerHang,
     build_checkpoint_corruptor,
     build_index_corruptor,
     build_log_corruptor,
-    crash_point,
-    hang_point,
 )
 from repro.faults.coverage import (
     CoverageError,
@@ -111,8 +106,6 @@ __all__ = [
     "SensorDowntime",
     "ServiceFaults",
     "TransportFaults",
-    "WorkerCrash",
-    "WorkerHang",
     "audit_checkpoint",
     "build_channel",
     "build_checkpoint_corruptor",
@@ -124,8 +117,6 @@ __all__ = [
     "compile_request_plan",
     "compile_tick_plan",
     "config_fingerprint",
-    "crash_point",
-    "hang_point",
     "has_checkpoint",
     "integrity_note",
     "load_checkpoint",

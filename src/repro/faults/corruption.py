@@ -1,12 +1,12 @@
-"""Seeded corruption and crash events for persisted artifacts.
+"""Seeded corruption events for persisted artifacts.
 
 The loss model (:mod:`repro.faults.transport`) breaks records *in
 flight*; this module breaks what has already been written — checkpoint
-files on disk, session-log lines in an export stream — and kills shard
-workers mid-run.  Like every other fault, the events are drawn from
-seed-derived :class:`~repro.util.rng.RngTree` streams keyed by artifact
-and attempt, so the same seed corrupts the same bytes every run and the
-simulation's own record streams are never perturbed.
+files on disk, session-log lines in an export stream, built
+``index.sqlite`` artifacts.  Like every other fault, the events are
+drawn from seed-derived :class:`~repro.util.rng.RngTree` streams keyed
+by artifact and save event, so the same seed corrupts the same bytes
+every run and the simulation's own record streams are never perturbed.
 
 This module must not import :mod:`repro.config` (the config module
 embeds :class:`~repro.faults.plan.FaultProfile`, which carries our
@@ -22,72 +22,6 @@ from pathlib import Path
 from repro import telemetry
 from repro.faults.plan import IntegrityFaults
 from repro.util.rng import RngTree
-
-
-class WorkerCrash(RuntimeError):
-    """An injected shard-worker death (simulated process crash).
-
-    Raised inside a worker; the parallel engine treats it exactly like a
-    real crash: the shard's partial output is discarded, the shard is
-    deterministically re-executed, and bounded retries fall back to
-    serial in-process execution.
-    """
-
-
-class WorkerHang(RuntimeError):
-    """An injected shard-worker stall (simulated hung process).
-
-    The worker stops making progress for the fault's configured stall
-    time and then dies like a crash, freeing its pool slot.  The
-    parallel engine treats the eventual death exactly like a
-    :class:`WorkerCrash`; with a shard deadline configured, the
-    hung-worker watchdog cancels the attempt at the hard deadline
-    instead of waiting the stall out.
-    """
-
-
-def crash_point(
-    faults: IntegrityFaults | None,
-    seed: int,
-    shard_index: int,
-    attempt: int,
-    days: int,
-) -> int | None:
-    """After how many simulated days attempt ``attempt`` of this shard dies.
-
-    ``None`` means the attempt survives.  Keyed by ``(shard, attempt)``
-    so retries of a crashed shard roll fresh — a crash schedule can kill
-    several attempts in a row (forcing the serial fallback) without ever
-    being able to loop forever.
-    """
-    if faults is None or faults.worker_crash_probability <= 0.0 or days <= 0:
-        return None
-    rng = RngTree(seed).child("faults", "integrity", "crash", shard_index, attempt).rand()
-    if rng.random() >= faults.worker_crash_probability:
-        return None
-    return rng.randrange(days)
-
-
-def hang_point(
-    faults: IntegrityFaults | None,
-    seed: int,
-    shard_index: int,
-    attempt: int,
-    days: int,
-) -> tuple[int, float] | None:
-    """Where (and for how long) attempt ``attempt`` of this shard stalls.
-
-    Returns ``(day index, stall seconds)``, or ``None`` when the attempt
-    keeps making progress.  Keyed by ``(shard, attempt)`` on a stream
-    independent of :func:`crash_point`, so hangs and crashes can be
-    co-scheduled on the same shard without perturbing each other.
-    """
-    if faults is None or faults.worker_hang_probability <= 0.0 or days <= 0:
-        return None
-    rng = RngTree(seed).child("faults", "integrity", "hang", shard_index, attempt).rand()
-    if rng.random() >= faults.worker_hang_probability:
-        return None
-    return rng.randrange(days), faults.worker_hang_seconds
 
 
 def _mangle_line(line: str, rng: random.Random) -> str:

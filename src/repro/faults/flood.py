@@ -9,10 +9,10 @@ run nothing, the cheapest and shed-first traffic class — spread across
 the fleet at random offsets within the day.
 
 Determinism contract: every decision (which days flood, which sensor
-each arrival hits, when) comes from ``tree.child(day ordinal)``, so the
-serial engine, every shard worker and the rng-aligned count pass
-regenerate the *same* arrivals independently, and the simulation's own
-record streams are never perturbed.
+each arrival hits, when) comes from ``tree.child(day ordinal)``, so a
+run and its resume from a mid-window checkpoint regenerate the *same*
+arrivals independently, and the simulation's own record streams are
+never perturbed.
 
 This module must not import :mod:`repro.config` (the config module
 embeds :class:`~repro.faults.plan.FaultProfile`, which carries our

@@ -111,7 +111,7 @@ class FloodFaults:
 
     * ``burst_probability`` — each calendar day independently hosts a
       scan flood with this probability (seeded per day ordinal, so the
-      same seed floods the same days in every engine).
+      same seed floods the same days in every run).
     * ``burst_sessions`` — extra scanner no-op sessions injected on a
       flood day, spread across the fleet.
     * ``daily_session_budget`` — fleet-wide admission budget: how many
@@ -206,12 +206,11 @@ class FloodFaults:
 
 @dataclass(frozen=True)
 class IntegrityFaults:
-    """Corruption/crash model for persisted artifacts and shard workers.
+    """Corruption model for persisted artifacts.
 
     Where :class:`TransportFaults` loses records in flight, these faults
-    damage what has already been *persisted* or kill the process doing
-    the persisting — the failure modes a long-running deployment meets
-    on disk rather than on the wire:
+    damage what has already been *persisted* — the failure modes a
+    long-running deployment meets on disk rather than on the wire:
 
     * ``checkpoint_corruption_probability`` — each saved checkpoint file
       is bit-flipped or truncated with this probability (resume must
@@ -225,16 +224,6 @@ class IntegrityFaults:
     * ``line_reorder_probability`` — adjacent exported lines are swapped
       with this probability (out-of-order delivery); the sequence number
       restores the order losslessly.
-    * ``worker_crash_probability`` — each parallel shard attempt dies
-      mid-run with this probability (the engine retries, then falls
-      back to serial execution for that shard).
-    * ``worker_hang_probability`` — each parallel shard attempt *stalls*
-      mid-run with this probability: the worker stops making progress
-      for ``worker_hang_seconds`` and then dies like a crash.  With a
-      shard deadline configured
-      (:attr:`repro.config.SimulationConfig.shard_deadline_s`), the
-      hung-worker watchdog cancels the attempt at the hard deadline
-      instead of waiting the stall out.
     * ``index_corruption_probability`` — each built ``index.sqlite``
       artifact (:mod:`repro.store`) is damaged with this probability:
       a bit-flipped page, a truncated file, or rows silently dropped so
@@ -244,22 +233,24 @@ class IntegrityFaults:
       answer.
 
     All decisions are drawn from seed-derived streams keyed by artifact
-    and attempt, never from the simulation's record streams, so enabling
-    corruption cannot change what a fault-free run would have produced.
-    The hang and index fields are declared ``repr=False``: a hang only
-    stalls the execution engine and index damage only degrades queries
-    to the scan path — the recovered output is byte-identical — so,
-    like the ``workers`` knob, they stay out of ``repr(profile)`` and
-    therefore out of checkpoint fingerprints.
+    and save event, never from the simulation's record streams, so
+    enabling corruption cannot change what a fault-free run would have
+    produced.  The index field is declared ``repr=False``: index damage
+    only degrades queries to the scan path — the recovered output is
+    byte-identical — so, like the ``workers`` knob, it stays out of
+    ``repr(profile)`` and therefore out of checkpoint fingerprints.
+
+    ``worker_crash_probability`` is a retired knob kept as the constant
+    0.0: it is part of ``repr(profile)``, which
+    :func:`~repro.faults.checkpoint.config_fingerprint` hashes, so
+    dropping the field would orphan every existing checkpoint.
     """
 
     checkpoint_corruption_probability: float = 0.0
     line_mangle_probability: float = 0.0
     line_duplicate_probability: float = 0.0
     line_reorder_probability: float = 0.0
-    worker_crash_probability: float = 0.0
-    worker_hang_probability: float = field(default=0.0, repr=False)
-    worker_hang_seconds: float = field(default=0.05, repr=False)
+    worker_crash_probability: float = field(default=0.0, init=False)
     index_corruption_probability: float = field(default=0.0, repr=False)
 
     def __post_init__(self) -> None:
@@ -272,34 +263,24 @@ class IntegrityFaults:
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {value}")
-        # A certain crash, hang or index corruption is a legitimate
-        # schedule — it forces the serial fallback / watchdog ladder /
-        # scan fallback every time — so these admit 1.0.
-        for name in (
-            "worker_crash_probability",
-            "worker_hang_probability",
-            "index_corruption_probability",
-        ):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(
-                    f"{name} must be in [0, 1], got {value}"
-                )
-        if self.worker_hang_seconds < 0:
-            raise ValueError("worker_hang_seconds must be non-negative")
+        # A certain index corruption is a legitimate schedule — it
+        # forces the scan fallback every time — so it admits 1.0.
+        value = self.index_corruption_probability
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(
+                f"index_corruption_probability must be in [0, 1], got {value}"
+            )
         if self.line_mangle_probability + self.line_duplicate_probability >= 1.0:
             raise ValueError("combined per-line corruption probability must be < 1")
 
     @property
     def inert(self) -> bool:
-        """True when no corruption, crash or hang can ever be injected."""
+        """True when no corruption can ever be injected."""
         return (
             self.checkpoint_corruption_probability == 0.0
             and self.line_mangle_probability == 0.0
             and self.line_duplicate_probability == 0.0
             and self.line_reorder_probability == 0.0
-            and self.worker_crash_probability == 0.0
-            and self.worker_hang_probability == 0.0
             and self.index_corruption_probability == 0.0
         )
 
@@ -327,8 +308,8 @@ class FaultProfile:
             (exponential, rounded up to at least one full day — faults
             apply at day granularity, like the outage windows).
         transport: loss model for the collection path.
-        integrity: corruption/crash model for persisted artifacts and
-            shard workers (:class:`IntegrityFaults`).
+        integrity: corruption model for persisted artifacts
+            (:class:`IntegrityFaults`).
         flood: overload model — bursty scan floods plus the admission
             budget that sheds them (:class:`FloodFaults`).  Orthogonal
             to the named profiles: the CLI composes it onto any of them
@@ -383,12 +364,10 @@ class FaultProfile:
         On top of the loss model, the integrity knobs corrupt what gets
         *persisted*: one saved checkpoint in four is bit-flipped or
         truncated, a few percent of exported log lines are mangled,
-        duplicated or reordered, one built artifact index in four is
-        damaged or desynced, and parallel shard workers crash or
-        briefly hang mid-run — exercising generation fallback,
-        quarantine-and-recover, the crash-tolerant engine, the
-        hung-worker watchdog ladder and the index scan-fallback on
-        every stress-profile test.
+        duplicated or reordered, and one built artifact index in four is
+        damaged or desynced — exercising generation fallback,
+        quarantine-and-recover and the index scan-fallback on every
+        stress-profile test.
         """
         return cls(
             name="stress",
@@ -409,9 +388,6 @@ class FaultProfile:
                 line_mangle_probability=0.02,
                 line_duplicate_probability=0.02,
                 line_reorder_probability=0.02,
-                worker_crash_probability=0.2,
-                worker_hang_probability=0.15,
-                worker_hang_seconds=0.05,
                 index_corruption_probability=0.25,
             ),
         )

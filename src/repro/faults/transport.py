@@ -87,9 +87,6 @@ class DirectChannel:
     def flush_telemetry(self) -> None:
         """Nothing to flush — a lossless channel records no telemetry."""
 
-    def mark_telemetry_flushed(self) -> None:
-        """Nothing to mark — a lossless channel records no telemetry."""
-
 
 class ResilientChannel:
     """At-least-once delivery with bounded retries over a lossy path.
@@ -187,19 +184,6 @@ class ResilientChannel:
                 registry.count("transport.delivered", delivered)
         self._flushed_attempts = stats.attempts
         self._flushed_delivered = stats.delivered
-
-    def mark_telemetry_flushed(self) -> None:
-        """Advance the flush snapshot without emitting.
-
-        The parallel engine folds shard ``ChannelStats`` into the
-        parent channel after each merge; those deliveries were already
-        counted — by the shard's own registry, or inline during a
-        serial fallback — so the parent's final flush must not emit
-        them again (the mirror of
-        :meth:`Collector._mark_telemetry_flushed` after ``absorb``).
-        """
-        self._flushed_attempts = self.stats.attempts
-        self._flushed_delivered = self.stats.delivered
 
 
 def build_channel(

@@ -28,16 +28,13 @@ still ends up stored (or deduplicated).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from repro import telemetry
 from repro.faults.plan import PAPER_OUTAGE, OutageWindow
 from repro.honeypot.session import SessionRecord
 from repro.overload.admission import ADMIT, DEFER, AdmissionController
 from repro.util.timeutils import epoch_ordinal
-
-if TYPE_CHECKING:
-    from repro.honeynet.columnar import ColumnBatch
 
 #: Drop reasons understood by :meth:`Collector.record_drop`.
 DROP_OUTAGE = "outage"
@@ -222,9 +219,8 @@ class Collector:
         """Emit counter deltas since the last flush to the registry.
 
         The final registry totals equal what per-record instrumentation
-        would have produced — the differential telemetry suite compares
-        serial and merged-parallel registries exactly — but the hot
-        path pays one dictionary update per *day*, not per record.
+        would have produced, but the hot path pays one dictionary update
+        per *day*, not per record.
         No-op while telemetry is disabled (the snapshot then tracks the
         would-have-been-flushed values so a later enable never
         re-counts history).
@@ -242,9 +238,8 @@ class Collector:
         """Advance the snapshot without emitting anything.
 
         Used when counters change by means that were already accounted
-        elsewhere: checkpoint restores (the originating run counted
-        them) and shard absorption (the shard's own registry counted
-        them and is merged separately).
+        elsewhere: pre-seeded sessions and checkpoint restores (the
+        originating run counted them).
         """
         for name, current in self._telemetry_state():
             self._flushed[name] = current
@@ -284,77 +279,6 @@ class Collector:
             + self.quarantined
             + self.shed
         )
-
-    def absorb(
-        self,
-        sessions: Iterable[SessionRecord],
-        dead_letters: Iterable[SessionRecord],
-        counters: dict[str, int],
-    ) -> None:
-        """Merge one shard-local collector's state into this one.
-
-        Used by :mod:`repro.parallel.engine`: shard collectors are
-        merged in shard (chronological) order, so appending reproduces
-        the serial ingestion order and summing the counters reproduces
-        the serial accounting — every per-record effect (drop, dedup,
-        dead-letter) already happened inside the shard.
-        """
-        absorbed = len(self.sessions)
-        self.sessions.extend(sessions)
-        new_sessions = self.sessions[absorbed:]
-        self._seen_ids.update(record.session_id for record in new_sessions)
-        absorbed = len(self.sessions) - absorbed
-        dead = len(self.dead_letters)
-        self.dead_letters.extend(dead_letters)
-        self._absorb_bookkeeping(absorbed, len(self.dead_letters) - dead, counters)
-
-    def absorb_batch(
-        self,
-        sessions: "ColumnBatch",
-        dead_letters: "ColumnBatch",
-        counters: dict[str, int],
-    ) -> None:
-        """Merge a shard's columnar output (:mod:`repro.honeynet.columnar`).
-
-        The vectorized twin of :meth:`absorb`: the shard shipped compact
-        column buffers over IPC, so decode them in bulk here — session
-        ids come straight off the id column (one buffer decode) rather
-        than attribute lookups on freshly built records.
-        """
-        records = sessions.to_records()
-        self.sessions.extend(records)
-        self._seen_ids.update(sessions.session_ids())
-        dead = dead_letters.to_records()
-        self.dead_letters.extend(dead)
-        self._absorb_bookkeeping(len(records), len(dead), counters)
-
-    def _absorb_bookkeeping(
-        self, absorbed: int, dead: int, counters: dict[str, int]
-    ) -> None:
-        """Merge-only telemetry + counter sums shared by both absorb paths.
-
-        The shard's own registry already counted every per-record effect
-        (and is merged separately by the engine), so the snapshot is
-        advanced without emitting — only the engine-shaped
-        ``collector.absorb.*`` marks are recorded, and those carry a
-        merge-only prefix (see :func:`repro.telemetry.comparable_view`).
-        """
-        registry = telemetry.active()
-        if registry is not None:
-            registry.count("collector.absorb.batches")
-            registry.count("collector.absorb.sessions", absorbed)
-            registry.count("collector.absorb.dead_letters", dead)
-        self.generated += counters.get("generated", 0)
-        self.dropped_outage += counters.get("dropped_outage", 0)
-        self.dropped_sensor_down += counters.get("dropped_sensor_down", 0)
-        self.retried += counters.get("retried", 0)
-        self.deduplicated += counters.get("deduplicated", 0)
-        self.dead_lettered += counters.get("dead_lettered", 0)
-        self.quarantined += counters.get("quarantined", 0)
-        self.admitted += counters.get("admitted", 0)
-        self.shed += counters.get("shed", 0)
-        self.deferred += counters.get("deferred", 0)
-        self._mark_telemetry_flushed()
 
     def restore(
         self,

@@ -1,7 +1,7 @@
 """Data integrity: self-verifying artifacts, quarantine, and audits.
 
 The third leg of the robustness story (after loss faults and
-deterministic parallelism): every persisted artifact carries enough
+deterministic replay): every persisted artifact carries enough
 evidence — checksums, sequence numbers, sidecar manifests — to *detect*
 corruption, every unrecoverable loss is *quarantined* with provenance
 instead of silently dropped, and ``repro verify`` audits a whole tree

@@ -10,10 +10,8 @@ crashes) — this package adds the fourth domain: **too much traffic**.
   first) and bounded per-sensor deferral queues, all accounted under
   the collector's conservation law (``admitted``/``shed``/``deferred``
   extend the ledger).
-* :mod:`repro.overload.watchdog` — per-shard soft/hard deadlines for
-  the parallel engine: a stalled worker is detected, cancelled at the
-  hard deadline, and salvaged through the bounded-retry → serial-
-  fallback ladder.
+* :mod:`repro.overload.watchdog` — soft/hard deadlines, the policy the
+  stream engine's heartbeat monitor grades stage liveness against.
 * :mod:`repro.overload.tokenbucket` — per-client token buckets on the
   virtual clock, the rate-limiting rung of the query/status service's
   overload ladder (:mod:`repro.service`).
@@ -37,10 +35,7 @@ from repro.overload.tokenbucket import (
     ClientRateLimiter,
     TokenBucket,
 )
-from repro.overload.watchdog import (
-    DeadlinePolicy,
-    ShardDeadlineExceeded,
-)
+from repro.overload.watchdog import DeadlinePolicy
 
 __all__ = [
     "ADMIT",
@@ -49,7 +44,6 @@ __all__ = [
     "AdmissionController",
     "ClientRateLimiter",
     "DeadlinePolicy",
-    "ShardDeadlineExceeded",
     "TokenBucket",
     "build_admission_controller",
     "record_priority",

@@ -18,11 +18,9 @@ simulated day may store and sheds the excess *deterministically*:
   order — deferral delays a record within its day, it never loses one —
   and the budget resets.
 
-Because the budget is per *day* and every simulated day lives inside
-exactly one shard, the gate's decisions are identical however the
-window is sharded: admission is a pure function of (day's records,
-seeded coins), which is what keeps the serial and parallel engines
-digest-equal under flood.
+Because the budget is per *day*, admission is a pure function of
+(day's records, seeded coins): a resumed run, a batch replay and a
+supervised stream make identical verdicts under flood.
 
 The supervised stream engine (:mod:`repro.stream`) additionally feeds
 queue-depth backpressure into the gate via :meth:`apply_backpressure`:

@@ -1,20 +1,16 @@
-"""Shard deadlines for the hung-worker watchdog.
+"""Soft/hard deadlines for liveness watchdogs.
 
-A crashed worker announces itself; a *hung* worker just stops.  The
-parallel engine's defence is a pair of per-shard deadlines derived from
-one configured hard limit:
+A crashed stage announces itself; a *hung* stage just stops.  The
+defence is a pair of deadlines derived from one configured hard limit:
 
 * **soft** (``soft_fraction`` of the hard limit) — the watchdog notes
-  the breach (``overload.watchdog.soft_breaches``) and keeps waiting; a
-  slow shard is not yet a dead shard.
-* **hard** — the watchdog cancels the attempt, counts the breach, and
-  feeds the shard to the same bounded-retry → serial-fallback ladder
-  that salvages crashed shards.  A hung shard therefore never blocks
-  the run past its hard deadline.
+  the breach and keeps waiting; a slow stage is not yet a dead stage.
+* **hard** — the watchdog treats the stage as failed.
 
-The deadline is an *execution* knob like the worker count: it can
-change which code path produced a record batch, never the bytes in it,
-so it is excluded from config fingerprints and dataset cache keys.
+The stream engine's heartbeat monitor
+(:class:`repro.stream.supervisor.HeartbeatMonitor`) grades stage
+liveness against these deadlines on its virtual clock, so breaches are
+a pure function of ``(seed, policy)``.
 
 This module must not import :mod:`repro.config`.
 """
@@ -24,13 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class ShardDeadlineExceeded(RuntimeError):
-    """A shard attempt overran its hard deadline and was cancelled."""
-
-
 @dataclass(frozen=True)
 class DeadlinePolicy:
-    """Soft/hard wall-clock deadlines for one shard attempt."""
+    """Soft/hard deadlines for one watched stage."""
 
     hard_s: float
     soft_fraction: float = 0.5
@@ -43,12 +35,12 @@ class DeadlinePolicy:
 
     @property
     def soft_s(self) -> float:
-        """Seconds after which a still-running shard is worth a warning."""
+        """Seconds after which a still-running stage is worth a warning."""
         return self.hard_s * self.soft_fraction
 
     @classmethod
     def from_deadline(cls, hard_s: float | None) -> "DeadlinePolicy | None":
-        """The policy for a configured ``shard_deadline_s``, or ``None``."""
+        """The policy for a configured hard deadline, or ``None``."""
         if hard_s is None:
             return None
         return cls(hard_s=float(hard_s))

@@ -1,34 +1,23 @@
-"""Deterministic parallel execution engine.
+"""Deterministic process pool for the pairwise DLD matrix.
 
-Two independently useful halves, both proven digest-identical to the
-serial pipeline by the differential suite in ``tests/test_parallel.py``:
-
-* :func:`repro.parallel.engine.run_simulation_parallel` — the sharded
-  day-loop (reached via ``run_simulation(..., workers=N)``).
-* :func:`repro.parallel.distance.compact_distance_matrix_parallel` —
-  the chunked pairwise-DLD pool behind
-  ``distance_matrix(..., workers=N)``.
-
-See ``docs/parallelism.md`` for the shard/merge model and the
-determinism contract.
+:func:`repro.parallel.distance.compact_distance_matrix_parallel` is the
+chunked pair pool behind ``distance_matrix(..., workers=N)``; the
+assembled matrix is bit-identical to the serial one (pinned by
+``tests/test_clustering.py`` and ``tests/test_cluster_differential.py``).
+The simulation day loop is serial: see ``docs/parallelism.md`` for the
+measurements that retired the sharded engine.
 """
 
-from repro.parallel.engine import ShardOutput, run_simulation_parallel
 from repro.parallel.distance import (
     chunk_spans,
     compact_distance_matrix_parallel,
     pair_at,
     row_offsets,
 )
-from repro.parallel.shards import Shard, plan_shards
 
 __all__ = [
-    "Shard",
-    "ShardOutput",
     "chunk_spans",
     "compact_distance_matrix_parallel",
     "pair_at",
-    "plan_shards",
     "row_offsets",
-    "run_simulation_parallel",
 ]

@@ -15,6 +15,7 @@ not per chunk, so the IPC cost is O(m + chunks), not O(pairs).
 
 from __future__ import annotations
 
+import multiprocessing
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 
@@ -34,6 +35,14 @@ _SEQUENCES: list[tuple[str, ...]] | None = None
 _ROW_OFFSETS: list[int] | None = None
 _FINGERPRINT: str | None = None
 _PAIRS: np.ndarray | None = None
+
+
+def pool_context() -> multiprocessing.context.BaseContext:
+    """The cheapest start method available (fork where supported)."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "fork" if "fork" in methods else methods[0]
+    )
 
 
 def row_offsets(m: int) -> list[int]:
@@ -127,7 +136,6 @@ def compact_distance_matrix_parallel(
 ) -> np.ndarray:
     """The m×m compact matrix over distinct sequences, chunked over a pool."""
     from repro.analysis.tokenizer import DEFAULT_TOKENIZER
-    from repro.parallel.engine import pool_context
 
     if fingerprint is None:
         fingerprint = DEFAULT_TOKENIZER.fingerprint
@@ -172,7 +180,6 @@ def candidate_values_parallel(
     the dense path.  Values come back in pair-list order.
     """
     from repro.analysis.tokenizer import DEFAULT_TOKENIZER
-    from repro.parallel.engine import pool_context
 
     if fingerprint is None:
         fingerprint = DEFAULT_TOKENIZER.fingerprint

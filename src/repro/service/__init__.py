@@ -24,7 +24,7 @@ lookups, behind the full overload-protection ladder:
 Everything timing-related runs on the virtual clock, and the service is
 a pure reader: simulation digests, accounting and checkpoint bytes are
 byte-identical with the service attached or absent (the differential
-suite proves it, serial and sharded).
+suite proves it, for live and folded snapshots).
 
 Layering: ``service`` composes ``stream`` (snapshots, breaker, queues),
 ``store``, ``overload`` and ``faults`` — it sits at the ``experiments``

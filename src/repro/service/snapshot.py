@@ -191,12 +191,12 @@ class SnapshotPublisher:
 
 
 def publish_result(publisher: SnapshotPublisher, result) -> Snapshot:
-    """Publish one final snapshot of a finished run (batch or parallel).
+    """Publish one final snapshot of a finished run.
 
-    The parallel engine has no day-boundary hook in the parent — shards
-    simulate days remotely — so a service attached to a parallel run
-    serves the merged end state: one snapshot folded from the final
-    collector, published at the run's last day.
+    For a run that had no publisher attached (a batch ``run_simulation``
+    result, or one loaded back from a checkpoint), a service serves the
+    end state: one snapshot folded from the final collector, published
+    at the run's last day.
     """
     snapshot = publisher.publish_day(
         result.collector,

@@ -13,17 +13,17 @@ gauges, and an optional
 Around that pipeline sits the supervision layer
 (:mod:`repro.stream.supervisor`): per-stage circuit breakers with
 seeded probe schedules, a bounded inter-stage queue whose depth feeds
-backpressure into the admission controller, heartbeat monitoring on the
-:class:`~repro.overload.watchdog.DeadlinePolicy` watchdog, the
+backpressure into the admission controller, heartbeat monitoring
+against a :class:`~repro.overload.watchdog.DeadlinePolicy`, the
 ``full → analysis-deferred → shed-only`` degraded-mode ladder, and
 crash recovery that resumes the stream — supervision state included —
 from the newest valid checkpoint generation.
 
-**Batch mode is a replay of the stream.**  ``run_simulation``'s serial
-engine calls :func:`run_stream` under :meth:`StreamPolicy.replay`; the
-day-boundary sequence (simulate → drain gate → flush telemetry →
-checkpoint cadence → stop check) is this module's loop, so there is
-exactly one code path.  On the fault-free path every push is pumped
+**Batch mode is a replay of the stream.**  ``run_simulation`` calls
+:func:`run_stream` under :meth:`StreamPolicy.replay`; the day-boundary
+sequence (simulate → drain gate → flush telemetry → checkpoint cadence
+→ stop check) is this module's loop, the only day loop in the
+codebase.  On the fault-free path every push is pumped
 synchronously — queue depth never exceeds one, delivery order equals
 the batch loop's — which is why stream digests, accounting and
 checkpoint bytes are byte-identical to the batch engine
@@ -756,7 +756,7 @@ def run_stream(
     """Run ``config`` through the (optionally supervised) stream engine.
 
     With ``policy=None`` (or :meth:`StreamPolicy.replay`) this *is* the
-    batch serial engine — ``run_simulation(workers=1)`` delegates here.
+    batch engine — ``run_simulation`` delegates here.
     A supervised policy adds the robustness layer; a supervised
     fault-free policy still produces byte-identical digests, accounting
     and checkpoints.  Supervised results carry a :class:`StreamReport`

@@ -3,8 +3,8 @@
 A :class:`StreamPolicy` is deliberately *not* part of
 :class:`~repro.config.SimulationConfig`: like the ``workers`` knob it
 describes how a run executes, never what data it produces on the
-healthy path, so it stays out of config fingerprints and the serial ≡
-parallel equivalence contract.  The batch serial engine is literally
+healthy path, so it stays out of config fingerprints and dataset
+cache keys.  The batch serial engine is literally
 the stream engine under :meth:`StreamPolicy.replay` (supervision
 bypassed, zero per-event overhead); the live service mode runs under
 :meth:`StreamPolicy.live` or a faulted variant.

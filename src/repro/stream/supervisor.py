@@ -2,8 +2,8 @@
 
 The supervisor owns the robustness state machine around the stream
 engine's pipeline: one circuit breaker per stage, the bounded
-inter-stage queue, a heartbeat monitor reusing the hung-worker
-watchdog's :class:`~repro.overload.watchdog.DeadlinePolicy` (against
+inter-stage queue, a heartbeat monitor grading stage liveness with a
+:class:`~repro.overload.watchdog.DeadlinePolicy` (against
 *virtual* time, so supervision is deterministic), and the explicit
 degraded-mode ladder::
 

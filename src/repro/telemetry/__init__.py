@@ -22,12 +22,10 @@ Design constraints (enforced by ``tests/test_telemetry.py``):
 * **Off by default, near-zero when off.**  Every recording helper
   checks one module global and returns; ``span()`` hands back a shared
   no-op context manager.
-* **Mergeable.**  Shard workers record into shard-local registries
-  which the parallel engine merges in shard order (mirroring
-  ``Collector.absorb``), so counters and histograms equal the serial
-  run's exactly.  Metrics that only exist because of the parallel
-  machinery itself live under the ``parallel.`` and
-  ``collector.absorb.`` prefixes and are excluded from that
+* **Comparable.**  Counters and histograms are functions of the config
+  alone, so two runs of the same config agree on them exactly.  Metrics
+  that describe the execution engine rather than the simulated pipeline
+  live under the :data:`MERGE_ONLY_PREFIXES` and are excluded from that
   equivalence (see :func:`comparable_view`).
 
 Layering: ``telemetry`` imports only ``util`` (like ``util`` itself,
@@ -78,17 +76,14 @@ __all__ = [
 ]
 
 #: Metric-name prefixes that describe the execution *engine* rather
-#: than the simulated pipeline.  They legitimately differ between a
-#: serial run and a parallel run of the same config (the parent's
-#: absorb bookkeeping only exists when shards are merged, checkpoint
-#: cadence is day-based serially but shard-boundary-based in parallel,
-#: and watchdog breaches depend on wall-clock scheduling; store
-#: counters track artifact-tree persistence, which is engine-external
-#: bookkeeping), so the differential suite compares registries with
-#: these filtered out.
+#: than the simulated pipeline.  They legitimately differ between two
+#: runs of the same config (checkpoint counters depend on the save
+#: cadence and on resumes; store counters track artifact-tree
+#: persistence, which is engine-external bookkeeping), so the
+#: differential suites compare registries with these filtered out.
 #: The admission counters (``overload.admitted/shed/deferred``) are
 #: deliberately NOT here: shedding verdicts are seeded per record, so
-#: both engines must agree on them exactly.
+#: every run of a config must agree on them exactly.
 #: ``stream.*`` counters describe the supervision layer of the stream
 #: engine (queue depths, breaker/mode transitions, heartbeat breaches)
 #: — supervision exists only on that engine, so they are engine-class
@@ -98,10 +93,7 @@ __all__ = [
 #: must not change the comparable view, so its whole catalog is
 #: engine-class.
 MERGE_ONLY_PREFIXES = (
-    "parallel.",
-    "collector.absorb.",
     "checkpoint.",
-    "overload.watchdog.",
     "store.",
     "stream.",
     "service.",
@@ -194,11 +186,11 @@ def comparable_view(export: dict) -> dict:
     """The deterministic slice of an exported registry.
 
     Keeps counters and histograms (whose values are functions of the
-    config alone) and drops engine-shaped metrics (``parallel.*``,
-    ``collector.absorb.*``) plus everything timing-valued (spans,
-    gauges, profiles).  Two runs of the same config — serial or
-    sharded, any worker count — must agree on this view exactly, up to
-    float summation order in histogram sums.
+    config alone) and drops engine-shaped metrics (the
+    :data:`MERGE_ONLY_PREFIXES`) plus everything timing-valued (spans,
+    gauges, profiles).  Two runs of the same config — batch replay or
+    supervised stream, with or without a store or service attached —
+    must agree on this view exactly.
     """
     return {
         "counters": {

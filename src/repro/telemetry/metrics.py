@@ -1,19 +1,11 @@
 """Process-local metrics: counters, gauges and fixed-bucket histograms.
 
 The registry is deliberately boring: plain dictionaries of plain
-numbers, no background threads, no sampling.  What makes it useful for
-this codebase is the *merge algebra* — every metric kind merges by a
-simple associative operation (integer addition for counters and
-histogram bucket counts, last-write for gauges), so shard-local
-registries collected by the parallel engine can be folded together in
-shard order and reproduce exactly what a serial run would have counted.
-That associativity is property-tested in
-``tests/test_telemetry_properties.py``.
+numbers, no background threads, no sampling.
 
 Histograms use *fixed* bucket layouts (named below) rather than
-adaptive ones: two histograms can only be merged when their layouts are
-identical, and fixing the layout per metric family guarantees that is
-always the case across workers and across runs.
+adaptive ones, so two runs of the same metric family always bucket a
+value identically and their exports compare field for field.
 """
 
 from __future__ import annotations
@@ -30,7 +22,7 @@ __all__ = [
     "MetricsRegistry",
 ]
 
-#: Session/record volumes per unit of work (per day, per shard, ...).
+#: Session/record volumes per unit of work (per day, per stage, ...).
 VOLUME_BOUNDS = (0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000)
 
 #: Wall-clock durations in seconds (spans use :class:`SpanStats`;
@@ -75,21 +67,6 @@ class Histogram:
         if self.max is None or value > self.max:
             self.max = value
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold ``other`` into this histogram (layouts must match)."""
-        if self.bounds != other.bounds:
-            raise ValueError(
-                "cannot merge histograms with different bucket layouts: "
-                f"{self.bounds!r} != {other.bounds!r}"
-            )
-        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        self.count += other.count
-        self.sum += other.sum
-        if other.min is not None:
-            self.min = other.min if self.min is None else min(self.min, other.min)
-        if other.max is not None:
-            self.max = other.max if self.max is None else max(self.max, other.max)
-
     def to_dict(self) -> dict:
         return {
             "bounds": list(self.bounds),
@@ -127,18 +104,6 @@ class SpanStats:
             self.min_s = elapsed_s
         if self.max_s is None or elapsed_s > self.max_s:
             self.max_s = elapsed_s
-
-    def merge(self, other: "SpanStats") -> None:
-        self.count += other.count
-        self.total_s += other.total_s
-        if other.min_s is not None:
-            self.min_s = (
-                other.min_s if self.min_s is None else min(self.min_s, other.min_s)
-            )
-        if other.max_s is not None:
-            self.max_s = (
-                other.max_s if self.max_s is None else max(self.max_s, other.max_s)
-            )
 
     def to_dict(self) -> dict:
         return {
@@ -198,35 +163,6 @@ class MetricsRegistry:
         if stats is None:
             stats = self.spans[path] = SpanStats()
         stats.record(elapsed_s)
-
-    # ------------------------------------------------------------------
-    # merging (shard-local registries fold into the parent in shard order)
-    # ------------------------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> None:
-        for name, value in other.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + value
-        self.gauges.update(other.gauges)
-        for name, histogram in other.histograms.items():
-            mine = self.histograms.get(name)
-            if mine is None:
-                copy = Histogram(histogram.bounds)
-                copy.merge(histogram)
-                self.histograms[name] = copy
-            else:
-                mine.merge(histogram)
-        for path, stats in other.spans.items():
-            mine_stats = self.spans.get(path)
-            if mine_stats is None:
-                self.spans[path] = SpanStats(
-                    stats.count, stats.total_s, stats.min_s, stats.max_s
-                )
-            else:
-                mine_stats.merge(stats)
-        self.profiles.update(other.profiles)
-
-    def merge_export(self, export: dict) -> None:
-        """Merge a registry previously serialized with :meth:`export`."""
-        self.merge(MetricsRegistry.from_export(export))
 
     # ------------------------------------------------------------------
     # serialization

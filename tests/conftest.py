@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import inspect
+from dataclasses import asdict
 from datetime import date
 
 import pytest
@@ -81,6 +82,25 @@ def make_record(
         start=start,
         end=start + 5,
     )
+
+
+def assert_equivalent(result, reference) -> None:
+    """The full equivalence contract between two simulation results."""
+    assert result.database.digest() == reference.database.digest()
+    assert result.collector.accounting() == reference.collector.accounting()
+    assert result.collector.dead_letters == reference.collector.dead_letters
+    assert result.collector.accounting_balanced()
+    assert {
+        hp.honeypot_id: hp._counter for hp in result.honeynet.honeypots
+    } == {hp.honeypot_id: hp._counter for hp in reference.honeynet.honeypots}
+    result_stats = asdict(result.channel.stats)
+    reference_stats = asdict(reference.channel.stats)
+    # Integer transport counters must match exactly; the simulated
+    # backoff is a float sum, equal only up to summation order.
+    backoff = "simulated_backoff_s"
+    assert result_stats[backoff] == pytest.approx(reference_stats[backoff])
+    del result_stats[backoff], reference_stats[backoff]
+    assert result_stats == reference_stats
 
 
 def short_fault_config(profile: str) -> SimulationConfig:

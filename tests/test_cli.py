@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, check_bench_floors, main
 from repro.experiments.base import ExperimentResult
 
 
@@ -88,3 +88,35 @@ class TestCommands:
         )
         assert code == 0
         assert (tmp_path / "table_stats.csv").read_text().startswith("metric")
+
+
+class TestBenchFloors:
+    def _report(self, overhead=1.0, unserved=0):
+        return {
+            "workers": 2,
+            "cpu_count": 4,
+            "telemetry": {"overhead_pct": overhead, "digest_match": True},
+            "service": {
+                "repeated": {"cache_hit_ratio": 0.95, "unserved": 0},
+                "breaker_open": {"unserved": unserved},
+            },
+        }
+
+    def test_healthy_report_passes(self):
+        assert check_bench_floors(self._report()) == []
+
+    def test_telemetry_overhead_fails(self):
+        violations = check_bench_floors(self._report(overhead=6.3))
+        assert violations and "6.30%" in violations[0]
+
+    def test_custom_floors(self):
+        report = self._report(overhead=4.0)
+        assert check_bench_floors(report) == []
+        assert check_bench_floors(report, telemetry_bar_pct=3.0)
+        assert check_bench_floors(report, service_cache_floor=0.99)
+
+    def test_both_floors_can_fail_together(self):
+        violations = check_bench_floors(
+            self._report(overhead=9.9, unserved=3)
+        )
+        assert len(violations) == 2

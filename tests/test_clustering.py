@@ -1,12 +1,25 @@
-"""Distance matrices, K-medoids, model selection, cluster labelling."""
+"""Distance matrices, K-medoids, model selection, cluster labelling.
+
+The DLD pair pool (``distance_matrix(..., workers=N)``) must produce the
+serial matrix bit for bit; ``TestDistanceMatrixParallel`` pins that.
+"""
 
 from __future__ import annotations
+
+import random
+from datetime import date
 
 import numpy as np
 import pytest
 
 from repro.analysis.clusterselect import cluster_with_selection, elbow_point, select_k
-from repro.analysis.distance import distance_matrix
+from repro.analysis.distance import (
+    clear_distance_caches,
+    distance_matrix,
+    sample_sessions,
+    session_tokens,
+)
+from repro.analysis.dld import normalized_dld
 from repro.analysis.kmedoids import kmedoids, silhouette_score
 
 
@@ -109,6 +122,103 @@ class TestTokenizerCacheKeying:
         assert TokenizerConfig(normalize=True).fingerprint == (
             DEFAULT_TOKENIZER.fingerprint
         )
+
+
+def _random_token_sequences(count: int, seed: int) -> list[list[str]]:
+    rng = random.Random(seed)
+    vocabulary = ["cd", "/tmp", "wget", "<url>", "chmod", "777", "rm", "echo"]
+    return [
+        [rng.choice(vocabulary) for _ in range(rng.randrange(0, 24))]
+        for _ in range(count)
+    ]
+
+
+class TestDistanceMatrixParallel:
+    def test_chunked_pool_matches_serial_bit_for_bit(self):
+        # 80 distinct-ish sequences → thousands of pairs, over the
+        # MIN_PAIRS_FOR_POOL threshold, so the pool path really runs.
+        tokens = _random_token_sequences(80, seed=5)
+        clear_distance_caches()
+        serial = distance_matrix(tokens)
+        clear_distance_caches()
+        parallel = distance_matrix(tokens, workers=2)
+        assert np.array_equal(serial, parallel)
+
+    def test_matrix_matches_naive_loop(self):
+        tokens = _random_token_sequences(30, seed=9)
+        clear_distance_caches()
+        matrix = distance_matrix(tokens, workers=2)
+        for i, a in enumerate(tokens):
+            for j, b in enumerate(tokens):
+                assert matrix[i, j] == normalized_dld(a, b)
+
+    def test_tiny_inputs_skip_the_pool(self):
+        tokens = _random_token_sequences(6, seed=1)
+        clear_distance_caches()
+        assert np.array_equal(
+            distance_matrix(tokens, workers=4), distance_matrix(tokens)
+        )
+
+    def test_clustering_sample_matches(self, serial_baselines):
+        sessions = sample_sessions(
+            serial_baselines["paper"].database.command_sessions(), 150, seed=7
+        )
+        tokens = session_tokens(sessions)
+        clear_distance_caches()
+        serial = distance_matrix(tokens)
+        clear_distance_caches()
+        parallel = distance_matrix(tokens, workers=2)
+        assert np.array_equal(serial, parallel)
+
+
+class TestTokenizeOnce:
+    """Regression: repeated calls must not re-tokenize the corpus."""
+
+    def make_sessions(self, count: int):
+        from tests.conftest import make_record
+        from repro.util.timeutils import to_epoch
+
+        return [
+            make_record(
+                to_epoch(date(2022, 5, 1), index), session_id=f"tok-{index}"
+            )
+            for index in range(count)
+        ]
+
+    @staticmethod
+    def count_tokenizations(monkeypatch):
+        """Instrument ``TokenizerConfig.tokenize`` (the cache's miss
+        path) and return the list of session ids it was called for."""
+        from repro.analysis.tokenizer import TokenizerConfig
+
+        calls = []
+        real = TokenizerConfig.tokenize
+        monkeypatch.setattr(
+            TokenizerConfig,
+            "tokenize",
+            lambda self, session: calls.append(session.session_id)
+            or real(self, session),
+        )
+        return calls
+
+    def test_repeated_calls_tokenize_each_session_once(self, monkeypatch):
+        clear_distance_caches()
+        calls = self.count_tokenizations(monkeypatch)
+        sessions = self.make_sessions(5)
+        first = session_tokens(sessions)
+        second = session_tokens(sessions)
+        assert len(calls) == 5
+        assert first == second
+        clear_distance_caches()
+
+    def test_different_caps_are_cached_separately(self, monkeypatch):
+        clear_distance_caches()
+        calls = self.count_tokenizations(monkeypatch)
+        sessions = self.make_sessions(3)
+        session_tokens(sessions, max_tokens=10)
+        session_tokens(sessions, max_tokens=20)
+        assert len(calls) == 6
+        clear_distance_caches()
 
 
 class TestKMedoids:

@@ -30,6 +30,10 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(n_honeypots=0)
 
+    def test_invalid_worker_count_rejected(self):
+        with pytest.raises(ValueError, match="workers"):
+            SimulationConfig(workers=0)
+
     def test_scaled(self):
         config = SimulationConfig(scale=1e-3)
         assert config.scaled(1_000_000) == 1000
@@ -75,6 +79,32 @@ class TestDatasetBuilder:
         clear_cache()
         b = build_dataset(config)
         assert a is not b
+
+    def test_cache_key_covers_every_dataset_field(self):
+        """Regression: the deployment fields shape the dataset, so a
+        cached build of another deployment must never stand in."""
+        base = SimulationConfig(
+            seed=7, scale=1e-4, start=date(2023, 1, 1), end=date(2023, 1, 14)
+        )
+        cached = build_dataset(base)
+        for change in (
+            {"n_countries": 20},
+            {"n_honeypot_ases": 40},
+            {"session_timeout_s": 60.0},
+        ):
+            assert build_dataset(base.replace(**change)) is not cached
+        twenty = base.replace(n_countries=20)
+        fresh = build_dataset(twenty, use_cache=False)
+        assert build_dataset(twenty).database.digest() == (
+            fresh.database.digest()
+        )
+        assert fresh.database.digest() != cached.database.digest()
+
+    def test_execution_knobs_share_the_cached_dataset(self):
+        config = SimulationConfig(
+            seed=79, scale=1e-4, start=date(2022, 6, 1), end=date(2022, 6, 3)
+        )
+        assert build_dataset(config.replace(workers=2)) is build_dataset(config)
 
     def test_clustering_cached(self, dataset):
         assert dataset.clustering() is dataset.clustering()

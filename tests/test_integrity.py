@@ -1,4 +1,4 @@
-"""Data-integrity layer: checksums, manifests, quarantine, verify, crashes.
+"""Data-integrity layer: checksums, manifests, quarantine, verify.
 
 The load-bearing guarantees:
 
@@ -8,15 +8,12 @@ The load-bearing guarantees:
 * a corrupted checkpoint generation is detected and resume falls back
   to the newest valid generation (or a fresh start) with an identical
   final digest;
-* injected worker crashes — up to every attempt of every shard — never
-  change the parallel engine's digest;
 * ``repro verify`` passes on clean or fully-explained trees and fails
   on trees with unexplained damage.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 from datetime import date
@@ -37,10 +34,9 @@ from repro.faults.corruption import (
     build_checkpoint_corruptor,
     build_log_corruptor,
     corrupt_file,
-    crash_point,
 )
 from repro.faults.coverage import integrity_note
-from repro.faults.plan import FaultProfile, IntegrityFaults
+from repro.faults.plan import IntegrityFaults
 from repro.honeynet.io import (
     collector_accounting_for_recovery,
     read_jsonl,
@@ -238,16 +234,6 @@ class TestCorruptors:
         path.write_text("x" * 100)
         assert not never.maybe_corrupt(path, key=738000)
         assert path.read_text() == "x" * 100
-
-    def test_crash_point_schedule(self):
-        always = IntegrityFaults(worker_crash_probability=1.0)
-        point = crash_point(always, seed=1, shard_index=0, attempt=0, days=10)
-        assert point is not None and 0 <= point < 10
-        assert crash_point(always, 1, 0, 0, 10) == point  # deterministic
-        assert crash_point(always, 1, 0, 1, 10) is not None  # retries re-roll
-        assert crash_point(IntegrityFaults(), 1, 0, 0, 10) is None
-        assert crash_point(None, 1, 0, 0, 10) is None
-        assert crash_point(always, 1, 0, 0, 0) is None
 
 
 class TestRecovery:
@@ -461,43 +447,6 @@ class TestCheckpointGenerations:
                 generation.write_text("garbage")
         resumed = run_simulation(config, checkpoint_path=checkpoint, resume=True)
         assert resumed.database.digest() == uninterrupted.database.digest()
-
-
-def crashy_profile(probability: float = 1.0) -> FaultProfile:
-    """The paper profile plus guaranteed worker crashes."""
-    return dataclasses.replace(
-        FaultProfile.paper(),
-        name="crashy",
-        integrity=IntegrityFaults(worker_crash_probability=probability),
-    )
-
-
-class TestCrashTolerance:
-    def test_forced_crashes_fall_back_to_serial_identically(self):
-        """p=1.0 kills every attempt of every shard; the engine must
-        retry, exhaust the bounded retries, run every shard serially in
-        the parent — and still produce the serial digest."""
-        from repro import telemetry
-
-        config = SimulationConfig(
-            seed=33, scale=1e-4, faults=crashy_profile(), **SHORT_WINDOW
-        )
-        serial = run_simulation(config)
-        with telemetry.collecting() as registry:
-            parallel = run_simulation(config, workers=2)
-        assert parallel.database.digest() == serial.database.digest()
-        fallbacks = registry.counters["parallel.serial_fallbacks"]
-        assert fallbacks >= 2  # every shard fell back
-        # Each shard burned its full retry budget before giving up.
-        assert registry.counters["parallel.worker_crashes"] == 3 * fallbacks
-
-    def test_crash_free_profile_never_crashes(self):
-        from repro import telemetry
-
-        config = SimulationConfig(seed=33, scale=1e-4, **SHORT_WINDOW)
-        with telemetry.collecting() as registry:
-            run_simulation(config, workers=2)
-        assert "parallel.worker_crashes" not in registry.counters
 
 
 class TestVerify:

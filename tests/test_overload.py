@@ -1,23 +1,19 @@
-"""Overload robustness: admission control, load-shedding, the watchdog.
+"""Overload robustness: admission control and load-shedding.
 
-Three layers of coverage:
+Two layers of coverage:
 
 * unit — the admission gate's verdicts, the deadline policy, the flood
   presets, and the collector's extended conservation accounting;
-* differential — under flood the parallel engine must still equal the
-  serial one byte for byte, whatever the worker count, and a flood that
-  is switched *off* must leave every pre-overload byte (digest,
-  fingerprint, checkpoint counters section) untouched;
-* watchdog — injected hangs are survived via the retry → serial
-  fallback ladder, and a hard deadline is honoured even when the
-  fallback itself stalls.
+* differential — under flood a checkpointed, resumed run must equal the
+  uninterrupted one byte for byte, and a flood that is switched *off*
+  must leave every pre-overload byte (digest, fingerprint, checkpoint
+  counters section) untouched and emit no overload metrics.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import time
 from datetime import date
 
 import pytest
@@ -32,7 +28,7 @@ from repro.faults.checkpoint import (
     save_checkpoint,
 )
 from repro.faults.coverage import CoverageError, overload_note, validate_coverage
-from repro.faults.plan import FaultProfile, FloodFaults, IntegrityFaults
+from repro.faults.plan import FaultProfile, FloodFaults
 from repro.honeynet.collector import Collector
 from repro.honeypot.cowrie import DEFAULT_SESSION_TIMEOUT_S, CowrieHoneypot
 from repro.honeypot.session import CommandRecord, FileEvent, FileOp
@@ -44,7 +40,7 @@ from repro.overload.admission import (
     build_admission_controller,
     record_priority,
 )
-from repro.overload.watchdog import DeadlinePolicy, ShardDeadlineExceeded
+from repro.overload.watchdog import DeadlinePolicy
 from repro.util.rng import RngTree
 from tests.conftest import make_record, short_fault_config
 
@@ -53,6 +49,13 @@ from tests.conftest import make_record, short_fault_config
 #: reproducing exactly this, or every old checkpoint becomes unreadable.
 PRE_OVERLOAD_FINGERPRINT = (
     "215c3cecf9f28eaaac6326435e568e4ed7c3a452c33ed057c9546d67be3a9b81"
+)
+
+#: ``config_fingerprint`` of the default config under the ``none``
+#: profile, pinned alongside the paper one: retiring the worker-crash
+#: knob must leave none/paper checkpoints readable.
+NONE_PROFILE_FINGERPRINT = (
+    "3b8e4d3274dd14c0bb1634c57cae6d675b8a3c464b9cf0d418c274d3e8e189d1"
 )
 
 
@@ -162,6 +165,10 @@ class TestConfigFingerprint:
     def test_pre_overload_fingerprint_pinned(self):
         assert config_fingerprint(DEFAULT_CONFIG) == PRE_OVERLOAD_FINGERPRINT
 
+    def test_none_profile_fingerprint_pinned(self):
+        config = DEFAULT_CONFIG.replace(faults=FaultProfile.none())
+        assert config_fingerprint(config) == NONE_PROFILE_FINGERPRINT
+
     def test_active_flood_changes_fingerprint(self):
         flooded = DEFAULT_CONFIG.replace(
             faults=dataclasses.replace(
@@ -171,12 +178,8 @@ class TestConfigFingerprint:
         assert config_fingerprint(flooded) != PRE_OVERLOAD_FINGERPRINT
 
     def test_execution_knobs_do_not_change_fingerprint(self):
-        tweaked = DEFAULT_CONFIG.replace(workers=4, shard_deadline_s=60.0)
+        tweaked = DEFAULT_CONFIG.replace(workers=4)
         assert config_fingerprint(tweaked) == PRE_OVERLOAD_FINGERPRINT
-
-    def test_shard_deadline_validated(self):
-        with pytest.raises(ValueError, match="shard_deadline_s"):
-            SimulationConfig(shard_deadline_s=0.0)
 
 
 class TestRecordPriority:
@@ -215,7 +218,8 @@ class TestAdmissionController:
 
     def test_command_coin_is_keyed_by_session_id(self):
         """The same session id gets the same verdict in any arrival
-        order — the property that makes shedding shard-independent."""
+        order — the property that makes shedding independent of the
+        stream's delivery order."""
         records = [command_record(i, f"cmd-{i}") for i in range(30)]
         gate_a = self.controller(budget=0, capacity=100)
         gate_b = self.controller(budget=0, capacity=100)
@@ -324,24 +328,8 @@ def flood_baselines():
     }
 
 
-def assert_flood_equivalent(parallel, serial):
-    assert parallel.database.digest() == serial.database.digest()
-    assert parallel.collector.accounting() == serial.collector.accounting()
-    assert parallel.collector.accounting_balanced()
-
-
-@pytest.mark.parallel
 class TestFloodDifferential:
-    """Serial ≡ parallel under flood, for every preset and worker count."""
-
-    @pytest.mark.parametrize(
-        "preset,workers", [("burst", 2), ("burst", 4), ("storm", 2)]
-    )
-    def test_digest_identical_to_serial(
-        self, flood_baselines, preset, workers
-    ):
-        parallel = run_simulation(flood_config(preset), workers=workers)
-        assert_flood_equivalent(parallel, flood_baselines[preset])
+    """Flood presets engage the gate, and resume reproduces the bytes."""
 
     def test_burst_actually_sheds(self, flood_baselines):
         collector = flood_baselines["burst"].collector
@@ -358,24 +346,14 @@ class TestFloodDifferential:
         checkpoint = tmp_path / "flood.ckpt"
         run_simulation(
             config,
-            workers=2,
             checkpoint_path=checkpoint,
             checkpoint_every_days=7,
             stop_after=date(2023, 10, 2),
         )
-        resumed = run_simulation(
-            config, workers=2, checkpoint_path=checkpoint, resume=True
-        )
+        resumed = run_simulation(config, checkpoint_path=checkpoint, resume=True)
         assert resumed.database.digest() == (
             flood_baselines["burst"].database.digest()
         )
-
-    def test_watchdog_off_path_is_byte_identical(self, flood_baselines):
-        """A generous deadline changes nothing about the bytes."""
-        parallel = run_simulation(
-            flood_config("burst").replace(shard_deadline_s=600.0), workers=2
-        )
-        assert_flood_equivalent(parallel, flood_baselines["burst"])
 
 
 class TestFloodOffIsByteIdentical:
@@ -418,6 +396,44 @@ class TestFloodOffIsByteIdentical:
         )
 
 
+class TestFloodOffShedPath:
+    """Flood-off runs execute zero overload instrumentation."""
+
+    @pytest.mark.parametrize("profile", ("none", "paper"))
+    def test_no_overload_metrics_without_flood(self, profile):
+        from repro import telemetry
+
+        config = short_fault_config(profile).replace(
+            start=date(2023, 9, 15), end=date(2023, 9, 21)
+        )
+        with telemetry.collecting() as registry:
+            result = run_simulation(config)
+        assert result.collector.admission is None  # no gate, no coins
+        counters = registry.export()["counters"]
+        overload = [k for k in counters if k.startswith("overload.")]
+        assert overload == []
+        assert result.collector.admitted == 0
+        assert result.collector.shed == 0
+        assert result.collector.deferred == 0
+
+    def test_flood_on_does_emit_overload_metrics(self):
+        from repro import telemetry
+
+        base = short_fault_config("stress").replace(
+            start=date(2023, 9, 15), end=date(2023, 9, 21)
+        )
+        config = base.replace(
+            faults=dataclasses.replace(
+                base.faults, flood=FloodFaults.from_name("burst")
+            )
+        )
+        with telemetry.collecting() as registry:
+            result = run_simulation(config)
+        assert result.collector.admission is not None
+        counters = registry.export()["counters"]
+        assert counters.get("overload.admitted", 0) > 0
+
+
 class TestWatchdogPolicy:
     def test_soft_deadline_is_a_fraction_of_hard(self):
         policy = DeadlinePolicy(hard_s=10.0)
@@ -437,121 +453,19 @@ class TestWatchdogPolicy:
         assert policy.hard_s == 42.0
 
 
-def hang_config(
-    end: date = date(2023, 3, 4),
-    crash_probability: float = 0.0,
-    hang_seconds: float = 0.05,
-    **config_kwargs,
-) -> SimulationConfig:
-    """A tiny window whose every shard attempt hangs (and maybe crashes)."""
-    return SimulationConfig(
-        seed=5,
-        scale=1e-4,
-        start=date(2023, 3, 1),
-        end=end,
-        faults=dataclasses.replace(
-            FaultProfile.none(),
-            integrity=IntegrityFaults(
-                worker_crash_probability=crash_probability,
-                worker_hang_probability=1.0,
-                worker_hang_seconds=hang_seconds,
-            ),
-        ),
-        **config_kwargs,
-    )
-
-
-@pytest.mark.parallel
-class TestWatchdog:
-    def test_hung_shards_fall_back_to_serial(self):
-        """Certain hangs on every attempt — including the final shard —
-        still produce the serial bytes via the fallback ladder."""
-        from repro import telemetry
-
-        config = hang_config()
-        serial = run_simulation(config)
-        with telemetry.collecting() as registry:
-            parallel = run_simulation(config, workers=2)
-        assert parallel.database.digest() == serial.database.digest()
-        counters = registry.export()["counters"]
-        assert counters["parallel.worker_hangs"] >= 1
-        assert counters["parallel.serial_fallbacks"] >= 1
-
-    def test_hang_during_serial_fallback_hard_deadline_still_fires(self):
-        """The fallback is below the ladder: its hard breach is terminal."""
-        from repro import telemetry
-
-        config = hang_config(hang_seconds=1.5, shard_deadline_s=0.4)
-        started = time.monotonic()
-        with telemetry.collecting() as registry:
-            with pytest.raises(ShardDeadlineExceeded):
-                run_simulation(config, workers=2)
-        elapsed = time.monotonic() - started
-        # 3 pooled attempts + the fallback, each bounded by the 0.4s
-        # hard deadline, plus pool startup/teardown — nowhere near the
-        # 1.5s-per-attempt the stalls would cost unsupervised.
-        assert elapsed < 30.0
-        counters = registry.export()["counters"]
-        assert counters["overload.watchdog.soft_breaches"] >= 1
-        assert counters["overload.watchdog.hard_breaches"] >= 1
-
-    def test_watchdog_cancels_hung_attempts(self):
-        """With a deadline shorter than the stall, attempts are cancelled
-        (not waited out) and the fallback still reproduces the bytes —
-        the stall is shorter than the deadline here, so the fallback's
-        own stall fits inside its deadline window."""
-        from repro import telemetry
-
-        config = hang_config(hang_seconds=2.0, shard_deadline_s=8.0)
-        serial = run_simulation(config.replace(shard_deadline_s=None))
-        with telemetry.collecting() as registry:
-            parallel = run_simulation(config, workers=2)
-        assert parallel.database.digest() == serial.database.digest()
-        counters = registry.export()["counters"]
-        # Each 2s stall trips the 4s soft deadline? No — soft is half of
-        # 8s = 4s, and a shard is a two-day sim plus one 2s stall, well
-        # inside it.  The hangs surface as WorkerHang deaths instead.
-        assert counters["parallel.worker_hangs"] >= 1
-        assert counters["parallel.serial_fallbacks"] >= 1
-        assert "overload.watchdog.hard_breaches" not in counters
-
-    def test_hang_and_crash_cofire_on_the_same_shard(self):
-        """Both faults certain on every attempt: whichever fires first,
-        the ladder still lands on the serial bytes."""
-        config = hang_config(crash_probability=1.0)
-        serial = run_simulation(config)
-        parallel = run_simulation(config, workers=2)
-        assert parallel.database.digest() == serial.database.digest()
-
-    def test_healthy_run_with_deadline_has_no_breaches(self, serial_baselines):
-        from repro import telemetry
-
-        config = short_fault_config("paper").replace(shard_deadline_s=600.0)
-        with telemetry.collecting() as registry:
-            parallel = run_simulation(config, workers=2)
-        assert parallel.database.digest() == (
-            serial_baselines["paper"].database.digest()
-        )
-        counters = registry.export()["counters"]
-        assert not any(key.startswith("overload.watchdog") for key in counters)
-
-
 class TestOverloadProperties:
-    """Hypothesis sweeps over flood intensity and worker count."""
+    """Hypothesis sweeps over flood intensity."""
 
     @given(
         budget=st.integers(min_value=0, max_value=250),
         shed_probability=st.sampled_from([0.0, 0.5, 1.0]),
-        workers=st.sampled_from([1, 2]),
     )
     @settings(max_examples=6, deadline=None)
-    def test_conservation_law_under_flood(
-        self, budget, shed_probability, workers
-    ):
+    def test_conservation_law_under_flood(self, budget, shed_probability):
         config = tiny_flood_config(
             budget=budget, shed_probability=shed_probability
         )
-        result = run_simulation(config, workers=workers)
+        result = run_simulation(config)
         collector = result.collector
         assert collector.accounting_balanced()
         assert collector.admitted == (
@@ -567,22 +481,6 @@ class TestOverloadProperties:
             + accounting["quarantined"]
             + accounting["shed"]
         )
-
-    @given(
-        seed=st.integers(min_value=0, max_value=2**16),
-        workers=st.sampled_from([2, 3]),
-    )
-    @settings(max_examples=5, deadline=None)
-    def test_shedding_is_order_independent_across_shard_merges(
-        self, seed, workers
-    ):
-        """However the window is sharded, the shed ledger — and every
-        byte — matches the serial run: admission is per-day pure."""
-        config = tiny_flood_config(seed=seed)
-        serial = run_simulation(config)
-        parallel = run_simulation(config, workers=workers)
-        assert parallel.database.digest() == serial.database.digest()
-        assert parallel.collector.accounting() == serial.collector.accounting()
 
 
 class TestVerifyAudit:
@@ -682,8 +580,3 @@ class TestCliWiring:
     def test_flood_defaults_off(self):
         config = self.parse("--fault-profile", "paper")
         assert config.faults.flood.inert
-        assert config.shard_deadline_s is None
-
-    def test_shard_deadline_flag(self):
-        config = self.parse("--shard-deadline-s", "120")
-        assert config.shard_deadline_s == 120.0

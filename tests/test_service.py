@@ -4,11 +4,10 @@ Four layers of proof that attaching the service cannot move a byte and
 that its overload behaviour is a pure function of its inputs:
 
 * **Attachment differential** — a snapshot publisher attached to the
-  supervised stream (or folding a finished parallel run) leaves
-  digests, conservation accounting and checkpoint bytes byte-identical
-  to the detached runs, across {none, paper, stress} × {serial,
-  2 workers}; live-folded and store-built snapshots agree on every
-  aggregate.
+  supervised stream leaves digests, conservation accounting and
+  checkpoint bytes byte-identical to the detached runs, across
+  {none, paper, stress}; live-folded, finished-run-folded and
+  store-built snapshots agree on every aggregate.
 * **Overload ladder** — each rung (validation, per-client token
   buckets, queue-depth admission gate, per-request deadlines, the
   service↔store breaker with stale-serve degradation) is exercised in
@@ -34,7 +33,7 @@ from datetime import date
 import pytest
 
 from repro import telemetry
-from repro.attackers.orchestrator import _export_store, run_simulation
+from repro.attackers.orchestrator import _export_store
 from repro.faults.checkpoint import load_latest_checkpoint
 from repro.faults.service import (
     RequestFaultPlan,
@@ -59,8 +58,7 @@ from repro.service import (
 )
 from repro.store import SqliteStore, index_path_for
 from repro.stream import CLOSED, OPEN, StreamPolicy, run_stream
-from tests.conftest import PROFILES, short_fault_config
-from tests.test_parallel import assert_equivalent
+from tests.conftest import PROFILES, assert_equivalent, short_fault_config
 from tests.test_stream import chaos_config
 
 pytestmark = pytest.mark.service
@@ -167,19 +165,18 @@ class TestServiceAttachmentDifferential:
         assert latest.ledger == result.stream.ledger_verdict
 
     @pytest.mark.parametrize("profile", PROFILES)
-    def test_publisher_attached_two_workers_is_digest_neutral(
+    def test_publish_result_folds_the_live_aggregates(
         self, serial_baselines, published_runs, profile
     ):
-        parallel = run_simulation(short_fault_config(profile), workers=2)
-        publisher = SnapshotPublisher()
-        snapshot = publish_result(publisher, parallel)
-        assert_equivalent(parallel, serial_baselines[profile])
-        # Aggregates agree across creation paths (serial live fold vs
-        # parallel end-state fold); digests are per-path encodings.
-        serial_latest = published_runs[profile][0].latest
-        assert dict(snapshot.by_day) == dict(serial_latest.by_day)
-        assert dict(snapshot.by_label) == dict(serial_latest.by_label)
-        assert snapshot.sessions == serial_latest.sessions
+        snapshot = publish_result(
+            SnapshotPublisher(), serial_baselines[profile]
+        )
+        # Aggregates agree across creation paths (live day-boundary
+        # fold vs finished-run fold); digests are per-path encodings.
+        live = published_runs[profile][0].latest
+        assert dict(snapshot.by_day) == dict(live.by_day)
+        assert dict(snapshot.by_label) == dict(live.by_label)
+        assert snapshot.sessions == live.sessions
 
     def test_checkpoint_bytes_identical_with_publisher_attached(
         self, tmp_path

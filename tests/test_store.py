@@ -6,7 +6,7 @@ The load-bearing guarantees:
   answers — for every filter, on every backend path;
 * enabling the store changes nothing: dataset digests, conservation
   accounting and checkpoint bytes are identical with and without a
-  ``store_dir``, serial and parallel;
+  ``store_dir``;
 * every ``IndexCorruptor`` mode (bit-flipped page, truncated file,
   silently dropped rows) is detected before a wrong answer can escape,
   consumers degrade to the scan fallback with identical outputs, and
@@ -458,23 +458,6 @@ class TestStoreNeutrality:
         result = run_simulation(config, store_dir=tmp_path)
         store = ResilientArtifactStore(tmp_path)
         assert store.database().digest() == result.database.digest()
-        store.close()
-
-
-@pytest.mark.parallel
-class TestStoreNeutralityParallel:
-    @pytest.mark.parametrize("workers", (2, 4))
-    def test_parallel_store_digest_identical(
-        self, tmp_path, workers, serial_baselines
-    ):
-        base = serial_baselines["stress"]
-        stored = run_simulation(
-            short_fault_config("stress"), workers=workers, store_dir=tmp_path
-        )
-        assert stored.database.digest() == base.database.digest()
-        assert stored.collector.accounting() == base.collector.accounting()
-        store = ResilientArtifactStore(tmp_path)
-        assert store.database().digest() == base.database.digest()
         store.close()
 
 

@@ -5,9 +5,9 @@ that its robustness layer is deterministic:
 
 * **Replay differential** — a *supervised* fault-free stream produces
   digests, conservation accounting and checkpoint bytes identical to
-  the batch engines across {none, paper, stress} × {flood off, burst}
-  × {serial, 2 workers}.  (The serial batch engine itself *is* the
-  stream engine under ``StreamPolicy.replay`` — one code path.)
+  the batch engine across {none, paper, stress} × {flood off, burst}.
+  (The batch engine itself *is* the stream engine under
+  ``StreamPolicy.replay`` — one code path.)
 * **Seeded fault determinism** — under the ``chaos`` stream fault
   domain, the same seed reproduces the same breaker and mode-ladder
   transition timelines, the same digests, and a mid-run interrupt
@@ -15,7 +15,7 @@ that its robustness layer is deterministic:
 * **Checkpoint stream section** — degraded supervision state rides the
   checkpoint as an optional checksummed section: tampering is caught,
   pristine checkpoints stay byte-identical to batch checkpoints, and
-  the batch engines refuse to resume a degraded stream checkpoint.
+  batch replay refuses to resume a degraded stream checkpoint.
 * **Properties** (hypothesis) — queue-depth-driven backpressure keeps
   the extended conservation law (``admitted == stored + deduplicated``
   with terminal shed/defer buckets), shedding verdicts under critical
@@ -76,8 +76,12 @@ from repro.stream import (
 )
 from repro.overload.watchdog import DeadlinePolicy
 from repro.util.rng import RngTree
-from tests.conftest import PROFILES, make_record, short_fault_config
-from tests.test_parallel import assert_equivalent
+from tests.conftest import (
+    PROFILES,
+    assert_equivalent,
+    make_record,
+    short_fault_config,
+)
 
 pytestmark = pytest.mark.stream
 
@@ -124,7 +128,7 @@ def chaos_run():
 
 
 # ----------------------------------------------------------------------
-# replay differential: stream ≡ batch, serial and parallel
+# replay differential: stream ≡ batch
 # ----------------------------------------------------------------------
 
 
@@ -140,11 +144,6 @@ class TestStreamReplayDifferential:
         assert stream.stream.mode == MODE_FULL
         assert stream.stream.transitions == []
         assert stream.stream.ledger_days == stream.stream.days
-
-    @pytest.mark.parametrize("key", MATRIX, ids=lambda k: "-".join(k))
-    def test_two_workers_equal_supervised_stream(self, stream_runs, key):
-        parallel = run_simulation(matrix_config(*key), workers=2)
-        assert_equivalent(parallel, stream_runs[key])
 
     def test_batch_serial_result_has_no_stream_report(self, batch_runs):
         for result in batch_runs.values():
@@ -304,17 +303,6 @@ class TestStreamInterruptResume:
         with pytest.raises(ValueError, match="degraded stream state"):
             run_simulation(
                 chaos_config(),
-                checkpoint_path=degraded_checkpoint,
-                resume=True,
-            )
-
-    def test_parallel_engine_refuses_degraded_checkpoint(
-        self, degraded_checkpoint
-    ):
-        with pytest.raises(ValueError, match="parallel batch engine"):
-            run_simulation(
-                chaos_config(),
-                workers=2,
                 checkpoint_path=degraded_checkpoint,
                 resume=True,
             )

@@ -1,15 +1,10 @@
 """Telemetry layer: unit behaviour + the determinism differential suite.
 
-Two contracts are enforced here:
-
-* **Observational only** — enabling telemetry changes nothing about
-  the pipeline's outputs: the default-config run still produces the
-  golden digest, short runs are byte-identical on vs off, and the
-  registry never appears in fingerprints or cache keys.
-* **Merge equivalence** — shard-local registries merged in shard order
-  reproduce the serial run's counters and histogram buckets exactly
-  (float sums up to summation order), for every fault profile and
-  worker count.
+The contract enforced here is **observational only**: enabling
+telemetry changes nothing about the pipeline's outputs — the
+default-config run still produces the golden digest, short runs are
+byte-identical on vs off, and the registry never appears in
+fingerprints or cache keys.
 """
 
 from __future__ import annotations
@@ -22,11 +17,9 @@ from repro import telemetry
 from repro.attackers.orchestrator import run_simulation
 from repro.config import DEFAULT_CONFIG
 from repro.telemetry.metrics import (
-    BACKOFF_BOUNDS,
     VOLUME_BOUNDS,
     Histogram,
     MetricsRegistry,
-    SpanStats,
 )
 from repro.telemetry.report import (
     TELEMETRY_VERSION,
@@ -70,24 +63,6 @@ class TestHistogram:
         with pytest.raises(ValueError, match="strictly increasing"):
             Histogram(())
 
-    def test_merge_requires_identical_layout(self):
-        with pytest.raises(ValueError, match="bucket layouts"):
-            Histogram((0, 1)).merge(Histogram((0, 2)))
-
-    def test_merge_equals_concatenated_observation(self):
-        a, b, c = (Histogram(BACKOFF_BOUNDS) for _ in range(3))
-        for value in (0.1, 0.5, 2.0):
-            a.observe(value)
-            c.observe(value)
-        for value in (4.0, 100.0):
-            b.observe(value)
-            c.observe(value)
-        a.merge(b)
-        assert a.counts == c.counts
-        assert a.count == c.count
-        assert a.sum == pytest.approx(c.sum)
-        assert (a.min, a.max) == (c.min, c.max)
-
     def test_roundtrip(self):
         histogram = Histogram((0, 1))
         histogram.observe(0.5)
@@ -108,21 +83,6 @@ class TestRegistry:
         assert registry.gauges == {"g": 2.0}
         assert registry.histograms["h"].count == 1
 
-    def test_merge_sums_counters_and_keeps_last_gauge(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.count("x", 2)
-        b.count("x", 3)
-        b.count("y")
-        a.gauge("g", 1.0)
-        b.gauge("g", 9.0)
-        a.record_span("s", 0.5)
-        b.record_span("s", 1.5)
-        a.merge(b)
-        assert a.counters == {"x": 5, "y": 1}
-        assert a.gauges == {"g": 9.0}
-        assert a.spans["s"].count == 2
-        assert a.spans["s"].max_s == 1.5
-
     def test_export_roundtrip(self):
         registry = MetricsRegistry()
         registry.count("c", 7)
@@ -130,15 +90,6 @@ class TestRegistry:
         registry.record_span("outer/inner", 0.01)
         restored = MetricsRegistry.from_export(registry.export())
         assert restored.export() == registry.export()
-
-    def test_merge_export_matches_merge(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.count("c")
-        b.count("c", 2)
-        b.observe("h", 1)
-        a.merge_export(b.export())
-        assert a.counters["c"] == 3
-        assert a.histograms["h"].count == 1
 
 
 class TestSpans:
@@ -160,16 +111,6 @@ class TestSpans:
                 raise RuntimeError("x")
         assert registry.spans["boom"].count == 1
         assert registry._span_stack == []
-
-    def test_span_stats_merge(self):
-        a = SpanStats()
-        a.record(1.0)
-        b = SpanStats()
-        b.record(3.0)
-        a.merge(b)
-        assert a.count == 2
-        assert a.total_s == pytest.approx(4.0)
-        assert (a.min_s, a.max_s) == (1.0, 3.0)
 
 
 class TestDisabled:
@@ -211,10 +152,9 @@ class TestComparableView:
     def test_filters_engine_prefixes_and_timings(self):
         registry = MetricsRegistry()
         registry.count("sim.days", 3)
-        registry.count("parallel.shards", 2)
-        registry.count("collector.absorb.batches", 2)
         registry.count("checkpoint.saves", 1)
-        registry.gauge("parallel.workers", 2)
+        registry.count("stream.days", 3)
+        registry.gauge("sim.stored_sessions", 2)
         registry.observe("sim.sessions_per_day", 10)
         registry.record_span("sim.run", 1.0)
         view = telemetry.comparable_view(registry.export())
@@ -281,67 +221,6 @@ class TestObservational:
         with telemetry.collecting():
             on = config_fingerprint(config)
         assert on == off
-
-
-def _comparable(registry) -> dict:
-    return telemetry.comparable_view(registry.export())
-
-
-def _assert_comparable_equal(parallel_view: dict, serial_view: dict) -> None:
-    assert parallel_view["counters"] == serial_view["counters"]
-    assert set(parallel_view["histograms"]) == set(serial_view["histograms"])
-    for name, serial_data in serial_view["histograms"].items():
-        parallel_data = parallel_view["histograms"][name]
-        # Bucket counts are integer sums → exact; the running sum is a
-        # float fold, equal only up to summation order.
-        assert parallel_data["counts"] == serial_data["counts"]
-        assert parallel_data["count"] == serial_data["count"]
-        assert parallel_data["sum"] == pytest.approx(serial_data["sum"])
-        assert parallel_data["min"] == serial_data["min"]
-        assert parallel_data["max"] == serial_data["max"]
-
-
-@pytest.mark.parallel
-class TestMergeEquivalence:
-    """Sharded telemetry merged in shard order ≡ serial telemetry."""
-
-    @pytest.fixture(scope="class")
-    def serial_registries(self):
-        registries = {}
-        for profile in PROFILES:
-            with telemetry.collecting() as registry:
-                run_simulation(short_fault_config(profile))
-            registries[profile] = registry
-        return registries
-
-    @pytest.mark.parametrize("profile", PROFILES)
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_counters_and_histograms_match_serial(
-        self, serial_registries, profile, workers
-    ):
-        with telemetry.collecting() as registry:
-            run_simulation(short_fault_config(profile), workers=workers)
-        _assert_comparable_equal(
-            _comparable(registry), _comparable(serial_registries[profile])
-        )
-
-    def test_worker_spans_align_with_serial_paths(self, serial_registries):
-        config = short_fault_config("paper")
-        n_days = (config.end - config.start).days + 1
-        with telemetry.collecting() as registry:
-            run_simulation(config, workers=2)
-        assert registry.spans["sim.run/sim.day"].count == n_days
-        assert serial_registries["paper"].spans["sim.run/sim.day"].count == (
-            n_days
-        )
-        assert registry.counters["parallel.shards"] >= 2
-        assert registry.gauges["parallel.workers"] == 2
-
-    def test_parallel_run_without_telemetry_ships_no_exports(self):
-        # telemetry off in the parent → workers must not collect either.
-        result = run_simulation(short_fault_config("none"), workers=2)
-        assert telemetry.active() is None
-        assert result.database.digest()
 
 
 class TestCliTelemetry:

@@ -1,14 +1,25 @@
-"""Deterministic RNG trees and sampling helpers."""
+"""Deterministic RNG trees, sampling helpers and batched draws."""
 
 from __future__ import annotations
 
 import random
+from datetime import date
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.rng import RngTree, derive_seed, poisson, weighted_choice
+from repro.attackers.base import Bot
+from repro.attackers.orchestrator import _route_draws
+from repro.util.rng import (
+    RngTree,
+    batched_random,
+    batched_randrange,
+    batched_uniform,
+    derive_seed,
+    poisson,
+    weighted_choice,
+)
 
 
 class TestDeriveSeed:
@@ -110,3 +121,90 @@ class TestWeightedChoice:
     def test_all_zero_raises(self):
         with pytest.raises(ValueError):
             weighted_choice(random.Random(0), [("a", 0.0)])
+
+
+class TestRngBatching:
+    """Per-day batched draws ≡ per-session draw sequences.
+
+    The serial hot path batches its draws (``_route_draws``,
+    ``RngTree.rand_for``/``coin``, the ``batched_*`` helpers); each must
+    reproduce the per-session sequence exactly, for arbitrary counts.
+    """
+
+    @given(st.integers(), st.integers(0, 500))
+    @settings(max_examples=50)
+    def test_batched_random_matches_sequence(self, seed, n):
+        a, b = random.Random(seed), random.Random(seed)
+        assert batched_random(a, n) == [b.random() for _ in range(n)]
+        assert a.random() == b.random()  # generator state advanced equally
+
+    @given(st.integers(), st.integers(0, 500))
+    @settings(max_examples=50)
+    def test_batched_uniform_matches_sequence(self, seed, n):
+        a, b = random.Random(seed), random.Random(seed)
+        assert batched_uniform(a, n, 0.0, 86_400.0) == [
+            b.uniform(0.0, 86_400.0) for _ in range(n)
+        ]
+
+    @given(st.integers(), st.integers(0, 500), st.integers(1, 97))
+    @settings(max_examples=50)
+    def test_batched_randrange_matches_sequence(self, seed, n, stop):
+        a, b = random.Random(seed), random.Random(seed)
+        assert batched_randrange(a, n, stop) == [
+            b.randrange(stop) for _ in range(n)
+        ]
+
+    @given(st.integers(0, 2**32), st.text(max_size=10))
+    @settings(max_examples=50)
+    def test_rand_for_equals_child_rand(self, seed, name):
+        tree = RngTree(seed).child("x")
+        assert tree.rand_for(name).random() == tree.child(name).rand().random()
+
+    @given(st.integers(0, 2**32), st.text(max_size=10))
+    @settings(max_examples=50)
+    def test_coin_is_first_child_draw(self, seed, name):
+        tree = RngTree(seed)
+        assert tree.coin(name) == tree.child(name).rand().random()
+
+    @given(st.integers(0, 2**32), st.integers(0, 400), st.integers(1, 40))
+    @settings(max_examples=50)
+    def test_route_draws_match_per_session_calls(self, seed, n, fleet_size):
+        """The batched route stream is the interleaved per-session one."""
+
+        class _Probe(Bot):
+            def __init__(self):  # no activity model needed here
+                self.name = "probe"
+
+        bot = _Probe()
+        day = date(2023, 1, 1)
+        batched_rng = random.Random(seed)
+        indices, seconds = _route_draws(bot, batched_rng, n, fleet_size, day)
+        reference = random.Random(seed)
+        for i in range(n):
+            assert indices[i] == bot.choose_honeypot_index(
+                reference, fleet_size
+            )
+            assert seconds[i] == bot.start_seconds(reference, day)
+        # Post-batch generator state is identical too.
+        assert batched_rng.random() == reference.random()
+
+    @given(st.integers(0, 2**32), st.integers(0, 100))
+    @settings(max_examples=30)
+    def test_route_draws_respect_overridden_hooks(self, seed, n):
+        class _Biased(Bot):
+            def __init__(self):
+                self.name = "biased"
+
+            def choose_honeypot_index(self, rng, fleet_size):
+                return min(rng.randrange(fleet_size), 1)
+
+            def start_seconds(self, rng, day):
+                return rng.uniform(0, 3600)
+
+        bot = _Biased()
+        day = date(2023, 1, 1)
+        indices, seconds = _route_draws(bot, random.Random(seed), n, 16, day)
+        reference = random.Random(seed)
+        for i in range(n):
+            assert indices[i] == bot.choose_honeypot_index(reference, 16)
+            assert seconds[i] == bot.start_seconds(reference, day)
