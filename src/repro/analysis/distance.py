@@ -13,9 +13,10 @@ from repro.analysis.tokenizer import DEFAULT_TOKENIZER, TokenizerConfig
 from repro.honeypot.session import SessionRecord
 
 
-#: Cap on tokens per session fed to the O(len²) distance computation.
-#: Keeps pathological sessions (e.g. hundred-command proxy abuse) from
-#: dominating runtime while preserving their behavioural prefix.
+#: Cap on tokens per session fed to the distance computation: only a
+#: session's behavioural prefix is compared.  The cap shapes the
+#: distances, and through them the clustering and every figure built on
+#: it, so it is part of the method, not a runtime guard.
 MAX_TOKENS_PER_SESSION = 120
 
 #: Distinct (fingerprint, session, cap) entries kept in the
@@ -157,7 +158,7 @@ def distance_matrix(
     differential oracle.  ``mode="lsh"`` routes through the
     MinHash/LSH candidate prefilter (:mod:`repro.analysis.sketch`):
     only candidate-bucket pairs (plus bounds-pinned pairs) pay the
-    O(len²) DP, pruned pairs hold a sound upper bound, and below the
+    DLD kernel, pruned pairs hold a sound upper bound, and below the
     sketch activation floor the result is the exact matrix bit for
     bit.  Pass ``sketch=SketchConfig(...)`` to override the prefilter
     parameters.
@@ -165,8 +166,9 @@ def distance_matrix(
     ``workers > 1`` evaluates the pair work in chunks on a process
     pool (:mod:`repro.parallel.distance`); every pair is the same pure
     function either way, so the matrix is identical at any worker
-    count.  Tiny inputs fall back to serial — the pool costs more than
-    the DP below a few hundred pairs.
+    count.  Inputs under ``MIN_PAIRS_FOR_POOL`` pairs fall back to
+    serial — below several thousand pairs the pool costs more than the
+    pair work.
     """
     if mode == "lsh":
         from repro.analysis.sketch import (

@@ -1,10 +1,11 @@
 """MinHash/LSH candidate pruning for the token-DLD clustering.
 
-The paper's clustering pipeline pays the O(len²) Damerau-Levenshtein
-DP for every pair of *distinct* token sequences — m·(m-1)/2 DPs, which
-is fine at the paper's 2e-5 scale and fatal at production scale.  This
-module adds a sketch-based prefilter in the style of Shamsi et al.
-("Measuring and Clustering Network Attackers", PAPERS.md):
+The paper's clustering pipeline pays one Damerau-Levenshtein
+computation for every pair of *distinct* token sequences — m·(m-1)/2
+of them, which is fine at the paper's 2e-5 scale and fatal at
+production scale.  This module adds a sketch-based prefilter in the
+style of Shamsi et al. ("Measuring and Clustering Network Attackers",
+PAPERS.md):
 
 1. Every distinct token sequence gets a **MinHash signature** over its
    token w-shingles — ``num_perm`` independent 64-bit permutations of

@@ -824,6 +824,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     serial_matrix, serial_dld_s = timed_matrix(1)
     parallel_matrix, parallel_dld_s = timed_matrix(workers)
     matrix_match = bool(np.array_equal(serial_matrix, parallel_matrix))
+    # Below MIN_PAIRS_FOR_POOL the "parallel" build is serial too, and
+    # matrix_match would compare serial with serial: record the chunks.
+    clear_distance_caches()
+    with telemetry.collecting() as registry:
+        distance_matrix(tokens, workers=workers)
+    pool_chunks = registry.counters.get("parallel.dld.chunks", 0)
 
     # Flood scenario: the same window under the burst flood preset.  The
     # flood run generates an order of magnitude more sessions than the
@@ -869,6 +875,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "serial_s": round(serial_dld_s, 4),
             "parallel_s": round(parallel_dld_s, 4),
             "speedup": round(serial_dld_s / parallel_dld_s, 3),
+            "pool_chunks": pool_chunks,
             "matrix_match": matrix_match,
         },
         "flood": {
@@ -907,8 +914,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(
         f"DLD matrix: {serial_dld_s:.3f}s -> {parallel_dld_s:.3f}s "
         f"({report['dld_matrix']['speedup']:.2f}x, "
-        f"{report['dld_matrix']['pairs']} pairs, "
-        f"bit-identical: {matrix_match})"
+        f"{report['dld_matrix']['pairs']} pairs in {pool_chunks} pool "
+        f"chunks, bit-identical: {matrix_match})"
     )
     print(
         f"telemetry:  {tele['off_s']:.3f}s -> {tele['on_s']:.3f}s "
@@ -1449,8 +1456,9 @@ def build_parser() -> argparse.ArgumentParser:
         "and flood runs (median), DLD and sketch builds (best-of)",
     )
     bench.add_argument(
-        "--dld-sample", type=int, default=400, metavar="N",
-        help="command sessions sampled for the DLD matrix timing",
+        "--dld-sample", type=int, default=1600, metavar="N",
+        help="command sessions sampled for the DLD matrix timing "
+        "(enough distinct sequences that the pool engages)",
     )
     bench.add_argument(
         "--enforce", action="store_true",

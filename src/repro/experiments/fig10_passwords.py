@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 
 from repro.analysis.logins import (
     FIGURE10_PASSWORDS,
@@ -16,8 +17,6 @@ from repro.util.timeutils import from_epoch
 
 def _monthly_correlation(per_month, password_a: str, password_b: str) -> float:
     """Pearson correlation of two passwords' monthly series."""
-    from scipy.stats import pearsonr
-
     months = sorted(per_month)
     series_a = [per_month[m].get(password_a, 0) for m in months]
     series_b = [per_month[m].get(password_b, 0) for m in months]
@@ -25,7 +24,7 @@ def _monthly_correlation(per_month, password_a: str, password_b: str) -> float:
         return 0.0
     if len(set(series_a)) == 1 or len(set(series_b)) == 1:
         return 0.0
-    return float(pearsonr(series_a, series_b).statistic)
+    return float(np.corrcoef(series_a, series_b)[0, 1])
 
 
 @register

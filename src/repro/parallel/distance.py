@@ -24,8 +24,11 @@ import numpy as np
 from repro import telemetry
 
 #: Pairs below this threshold are not worth a process pool: the fork +
-#: pickle overhead exceeds the DP work.  Callers fall back to serial.
-MIN_PAIRS_FOR_POOL = 256
+#: pickle overhead exceeds the pair work.  Callers fall back to serial.
+#: Sized from 2-worker measurements on a 2-CPU host (command-session
+#: samples at scale 1e-4, best of 5): 0.86-0.97x at ~4,700 pairs,
+#: 0.98-1.18x at 6,800-7,750 and 1.20-1.32x at 9,200-12,200.
+MIN_PAIRS_FOR_POOL = 8_000
 
 #: Chunks per worker: more chunks smooth the skew between cheap pairs
 #: (short scout sequences) and expensive ones (long loader chains).

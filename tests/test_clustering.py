@@ -12,6 +12,7 @@ from datetime import date
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.analysis.clusterselect import cluster_with_selection, elbow_point, select_k
 from repro.analysis.distance import (
     clear_distance_caches,
@@ -21,6 +22,7 @@ from repro.analysis.distance import (
 )
 from repro.analysis.dld import normalized_dld
 from repro.analysis.kmedoids import kmedoids, silhouette_score
+from repro.parallel.distance import CHUNKS_PER_WORKER
 
 
 def two_group_matrix(n_per_group: int = 6, gap: float = 1.0) -> np.ndarray:
@@ -133,41 +135,50 @@ def _random_token_sequences(count: int, seed: int) -> list[list[str]]:
     ]
 
 
+def _pooled_matrix(tokens: list[list[str]], workers: int = 2):
+    """The ``workers``-process matrix and the pool chunks it submitted
+    (0 when the pair count fell back to serial)."""
+    clear_distance_caches()
+    with telemetry.collecting() as registry:
+        matrix = distance_matrix(tokens, workers=workers)
+    return matrix, registry.counters.get("parallel.dld.chunks", 0)
+
+
 class TestDistanceMatrixParallel:
     def test_chunked_pool_matches_serial_bit_for_bit(self):
-        # 80 distinct-ish sequences → thousands of pairs, over the
-        # MIN_PAIRS_FOR_POOL threshold, so the pool path really runs.
-        tokens = _random_token_sequences(80, seed=5)
+        # 156 distinct sequences: 12,090 pairs, over MIN_PAIRS_FOR_POOL.
+        tokens = _random_token_sequences(160, seed=5)
         clear_distance_caches()
         serial = distance_matrix(tokens)
-        clear_distance_caches()
-        parallel = distance_matrix(tokens, workers=2)
+        parallel, chunks = _pooled_matrix(tokens)
+        assert chunks == 2 * CHUNKS_PER_WORKER
         assert np.array_equal(serial, parallel)
 
     def test_matrix_matches_naive_loop(self):
-        tokens = _random_token_sequences(30, seed=9)
-        clear_distance_caches()
-        matrix = distance_matrix(tokens, workers=2)
+        tokens = _random_token_sequences(140, seed=9)
+        matrix, chunks = _pooled_matrix(tokens)
+        assert chunks == 2 * CHUNKS_PER_WORKER
         for i, a in enumerate(tokens):
             for j, b in enumerate(tokens):
                 assert matrix[i, j] == normalized_dld(a, b)
 
     def test_tiny_inputs_skip_the_pool(self):
         tokens = _random_token_sequences(6, seed=1)
-        clear_distance_caches()
-        assert np.array_equal(
-            distance_matrix(tokens, workers=4), distance_matrix(tokens)
-        )
+        matrix, chunks = _pooled_matrix(tokens, workers=4)
+        assert chunks == 0
+        assert np.array_equal(matrix, distance_matrix(tokens))
 
-    def test_clustering_sample_matches(self, serial_baselines):
+    def test_clustering_sample_matches(self, dataset):
+        # 1,600 of the default dataset's command sessions hold 200
+        # distinct sequences: 19,900 pairs.
         sessions = sample_sessions(
-            serial_baselines["paper"].database.command_sessions(), 150, seed=7
+            dataset.database.command_sessions(), 1600, seed=7
         )
         tokens = session_tokens(sessions)
         clear_distance_caches()
         serial = distance_matrix(tokens)
-        clear_distance_caches()
-        parallel = distance_matrix(tokens, workers=2)
+        parallel, chunks = _pooled_matrix(tokens)
+        assert chunks == 2 * CHUNKS_PER_WORKER
         assert np.array_equal(serial, parallel)
 
 

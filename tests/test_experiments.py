@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import random
 
 from repro.experiments.base import REGISTRY
+from repro.experiments.fig10_passwords import _monthly_correlation
 from repro.experiments.runner import load_all_experiments, render_report
 
 EXPECTED_IDS = {
@@ -167,3 +169,40 @@ class TestShapes:
         assert "58 regex + 1 fallback = 59" in text
         coverage = float(text.split("coverage: ")[1].split("%")[0])
         assert coverage > 97.0  # paper: >99%
+
+
+class TestFig10Correlation:
+    """fig10's monthly Pearson r against scipy's ``pearsonr``."""
+
+    @staticmethod
+    def per_month(series_a, series_b):
+        return {
+            f"m{index:02d}": {"a": a, "b": b}
+            for index, (a, b) in enumerate(zip(series_a, series_b))
+        }
+
+    def test_matches_pearsonr(self):
+        from scipy.stats import pearsonr
+
+        rng = random.Random(10)
+        for _ in range(200):
+            months = rng.randrange(3, 34)
+            series_a = [rng.randrange(0, 40) for _ in range(months)]
+            series_b = [rng.randrange(0, 40) for _ in range(months)]
+            if len(set(series_a)) == 1 or len(set(series_b)) == 1:
+                continue
+            expected = pearsonr(series_a, series_b).statistic
+            measured = _monthly_correlation(
+                self.per_month(series_a, series_b), "a", "b"
+            )
+            assert abs(measured - expected) <= 1e-12
+
+    def test_undefined_correlations_are_zero(self):
+        for series_a, series_b in (
+            ([1, 2], [2, 1]),  # fewer than three months
+            ([0, 0, 0], [1, 2, 3]),  # one password never seen
+            ([4, 4, 4], [1, 2, 3]),  # constant series
+        ):
+            per_month = self.per_month(series_a, series_b)
+            assert _monthly_correlation(per_month, "a", "b") == 0.0
+            assert _monthly_correlation(per_month, "b", "a") == 0.0

@@ -1,16 +1,18 @@
 """Deeper property-based tests on core data structures.
 
 Includes a brute-force reference implementation of the restricted
-Damerau-Levenshtein distance to cross-check the optimized DP, invariant
+Damerau-Levenshtein distance to cross-check the bit-parallel kernel, invariant
 checks for K-medoids outputs, and a stateful model test of the fake
 filesystem.
 """
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -46,12 +48,93 @@ def reference_dld(a: tuple[str, ...], b: tuple[str, ...]) -> int:
 
 _tokens = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=8)
 
+#: 40 symbols give sparse bitmasks and few matches; the 2- and 4-symbol
+#: alphabets give dense ones.
+_WIDE_ALPHABET = [f"t{index}" for index in range(40)]
+
+#: Where a bit-vector kernel breaks: one bit, either side of a 64-bit
+#: word, the session token cap and past it.
+_EDGE_LENGTHS = (1, 63, 64, 65, 120, 130)
+
+
+def _long_tokens(alphabet: list[str]) -> st.SearchStrategy[list[str]]:
+    """Sequences of 0–130 tokens, the length drawn uniformly."""
+    return st.integers(min_value=0, max_value=130).flatmap(
+        lambda n: st.lists(st.sampled_from(alphabet), min_size=n, max_size=n)
+    )
+
+
+def _assert_matches_reference(a: list[str], b: list[str]) -> None:
+    expected = reference_dld(tuple(a), tuple(b))
+    assert damerau_levenshtein(a, b) == expected
+    assert damerau_levenshtein(b, a) == expected
+
+
+def _edited(tokens: list[str], rng: random.Random, edits: int) -> list[str]:
+    """``tokens`` after ``edits`` random substitutions, insertions,
+    deletions and adjacent transpositions."""
+    out = list(tokens)
+    for _ in range(edits):
+        kind = rng.randrange(4)
+        if kind == 0 and out:
+            out[rng.randrange(len(out))] = rng.choice(_WIDE_ALPHABET)
+        elif kind == 1:
+            out.insert(rng.randrange(len(out) + 1), rng.choice(_WIDE_ALPHABET))
+        elif kind == 2 and out:
+            del out[rng.randrange(len(out))]
+        elif kind == 3 and len(out) >= 2:
+            i = rng.randrange(len(out) - 1)
+            out[i], out[i + 1] = out[i + 1], out[i]
+    return out
+
 
 class TestDldAgainstReference:
     @given(_tokens, _tokens)
     @settings(max_examples=250)
     def test_matches_reference(self, a, b):
         assert damerau_levenshtein(a, b) == reference_dld(tuple(a), tuple(b))
+
+    @given(_long_tokens(["a", "b", "c", "d"]), _long_tokens(["a", "b", "c", "d"]))
+    @settings(max_examples=40, deadline=None)
+    def test_long_sequences_match_reference(self, a, b):
+        _assert_matches_reference(a, b)
+
+    @given(_long_tokens(_WIDE_ALPHABET), _long_tokens(_WIDE_ALPHABET))
+    @settings(max_examples=40, deadline=None)
+    def test_wide_alphabet_matches_reference(self, a, b):
+        _assert_matches_reference(a, b)
+
+    @given(_long_tokens(_WIDE_ALPHABET), st.integers(0, 12), st.randoms())
+    @settings(max_examples=40, deadline=None)
+    def test_near_copies_match_reference(self, a, edits, rng):
+        # Random pairs sit near the upper bound; a few edits away from a
+        # copy, transpositions and matches land at every bit position.
+        _assert_matches_reference(a, _edited(a, rng, edits))
+
+    @pytest.mark.parametrize("length", _EDGE_LENGTHS)
+    def test_edge_lengths_match_reference(self, length):
+        rng = random.Random(length)
+        for other in _EDGE_LENGTHS + (0, length - 1, length + 1):
+            for alphabet in (["a", "b"], _WIDE_ALPHABET):
+                a = [rng.choice(alphabet) for _ in range(length)]
+                b = [rng.choice(alphabet) for _ in range(other)]
+                _assert_matches_reference(a, b)
+            a = [rng.choice(_WIDE_ALPHABET) for _ in range(length)]
+            _assert_matches_reference(a, _edited(a, rng, 1 + other % 7))
+
+    @pytest.mark.parametrize("length", _EDGE_LENGTHS)
+    def test_all_equal_tokens(self, length):
+        for other in _EDGE_LENGTHS + (0,):
+            _assert_matches_reference(["x"] * length, ["x"] * other)
+            _assert_matches_reference(["x"] * length, ["y"] * other)
+
+    def test_transposition_at_every_position(self):
+        tokens = _WIDE_ALPHABET * 3 + _WIDE_ALPHABET[:10]  # no equal neighbours
+        for i in range(len(tokens) - 1):
+            swapped = list(tokens)
+            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+            assert damerau_levenshtein(tokens, swapped) == 1
+            assert damerau_levenshtein(swapped, tokens) == 1
 
     def test_transposition_cases(self):
         # classic OSA cases

@@ -295,10 +295,14 @@ class TestSketchMatrixContract:
         assert not approx.pruned[1, 0]
 
     def test_serial_equals_two_workers(self):
-        corpus = synthetic_token_corpus(260, seed=6)
+        # 16,018 candidate pairs, over MIN_PAIRS_FOR_POOL.
+        corpus = synthetic_token_corpus(600, seed=6)
         config = SketchConfig(min_sequences=0)
         serial = sketch_distance_matrix(corpus, config, workers=1)
-        parallel = sketch_distance_matrix(corpus, config, workers=2)
+        clear_distance_caches()  # forked workers must not inherit the values
+        with telemetry.collecting() as registry:
+            parallel = sketch_distance_matrix(corpus, config, workers=2)
+        assert registry.counters.get("parallel.dld.candidate_chunks", 0) > 0
         assert np.array_equal(serial.values, parallel.values)
         assert np.array_equal(serial.pruned, parallel.pruned)
         assert serial.candidate_pairs == parallel.candidate_pairs
