@@ -30,6 +30,12 @@ _LOADER_LINES = (
 
 
 def test_honeypot_session_throughput(benchmark):
+    """Fifty sessions replaying the same five loader lines.
+
+    After the first session every line is a hit in the shell's parse
+    and URI memos, so this times execution of memoized parses, not the
+    tokenizer.
+    """
     honeypot = CowrieHoneypot(honeypot_id="hp", ip="192.0.2.1")
     intent = ConnectionIntent(
         client_ip="1.1.1.1",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from repro.util.rng import weighted_choice
+from repro.util.rng import WeightedTable
 
 #: Passwords offered with ``root`` by ordinary command bots / intruders.
 #: All of these are accepted by the honeypot policy (anything but the
@@ -60,13 +60,17 @@ SCOUT_CREDENTIALS: list[tuple[tuple[str, str], float]] = [
 ]
 
 
+_ROOT_PASSWORD_TABLE = WeightedTable(ROOT_PASSWORDS)
+_SCOUT_CREDENTIAL_TABLE = WeightedTable(SCOUT_CREDENTIALS)
+
+
 def root_credential(rng: random.Random) -> tuple[str, str]:
     """A ``root`` + dictionary-password pair (usually accepted)."""
-    password = weighted_choice(rng, ROOT_PASSWORDS)
+    password = _ROOT_PASSWORD_TABLE.pick(rng)
     return ("root", str(password))
 
 
 def scout_credential(rng: random.Random) -> tuple[str, str]:
     """A credential pair that the honeypot policy rejects."""
-    pair = weighted_choice(rng, SCOUT_CREDENTIALS)
+    pair = _SCOUT_CREDENTIAL_TABLE.pick(rng)
     return tuple(pair)  # type: ignore[return-value]

@@ -29,7 +29,7 @@ from repro.config import SimulationConfig
 from repro.net.asn import ASRecord, ASType
 from repro.net.ipv4 import int_to_ip
 from repro.net.population import BasePopulation
-from repro.util.rng import RngTree
+from repro.util.rng import RngTree, WeightedTable
 
 
 class HostArchetype(str, Enum):
@@ -78,9 +78,6 @@ class StorageHost:
     intervals: list[tuple[date, date]]
     traffic_weight: float
 
-    def is_active(self, day: date) -> bool:
-        return any(start <= day <= end for start, end in self.intervals)
-
     @property
     def first_active(self) -> date:
         return min(start for start, _ in self.intervals)
@@ -114,8 +111,15 @@ class StorageInfrastructure:
         self.down_as_fraction = 36 / 388
         self.ases: list[ASRecord] = []
         self.hosts: list[StorageHost] = []
-        self._active_cache: dict[date, list[StorageHost]] = {}
         self._build(rng)
+        self._calendar = self._build_calendar()
+        self._day_tables = {
+            day: _traffic_table(hosts) for day, hosts in self._calendar.items()
+        }
+        self._fallback_table = _traffic_table(
+            [host for host in self.hosts if host.archetype == HostArchetype.LONGLIVED]
+            or self.hosts
+        )
 
     @property
     def n_hosts(self) -> int:
@@ -151,6 +155,21 @@ class StorageInfrastructure:
                 for intervals in group:
                     self._add_host(rng, record, plan, intervals)
                 index += len(group)
+
+    def _build_calendar(self) -> dict[date, list[StorageHost]]:
+        """Day -> hosts active that day, in ``self.hosts`` order, from
+        one pass over every host's intervals."""
+        calendar: dict[date, list[StorageHost]] = {}
+        one_day = timedelta(days=1)
+        for host in self.hosts:
+            for start, end in host.intervals:
+                day = start
+                while day <= end:
+                    active = calendar.setdefault(day, [])
+                    if not active or active[-1] is not host:
+                        active.append(host)
+                    day += one_day
+        return calendar
 
     #: The appendix-E anomaly: a late-2023 wave of storage ASes labelled
     #: "Other" (unlabelled/corporate) that on manual inspection all
@@ -299,36 +318,25 @@ class StorageInfrastructure:
     # selection
     # ------------------------------------------------------------------
     def active_hosts(self, day: date) -> list[StorageHost]:
-        cached = self._active_cache.get(day)
-        if cached is None:
-            cached = [host for host in self.hosts if host.is_active(day)]
-            self._active_cache[day] = cached
-        return cached
+        """Hosts serving on ``day``, in ``self.hosts`` order."""
+        return self._calendar.get(day, [])
 
     def pick_host(self, rng: random.Random, day: date) -> StorageHost:
         """Traffic-weighted choice among hosts active on ``day``.
 
-        Falls back to the nearest campaign host if the calendar has a
-        hole (attackers always have somewhere to host).
+        Falls back to the campaign hosts if the calendar has a hole
+        (attackers always have somewhere to host).
         """
-        candidates = self.active_hosts(day)
-        if not candidates:
-            candidates = [
-                host
-                for host in self.hosts
-                if host.archetype == HostArchetype.LONGLIVED
-            ] or self.hosts
-        total = sum(host.traffic_weight for host in candidates)
-        point = rng.random() * total
-        cumulative = 0.0
-        for host in candidates:
-            cumulative += host.traffic_weight
-            if point <= cumulative:
-                return host
-        return candidates[-1]
+        if self.active_hosts(day):
+            return self._day_tables[day].pick(rng)
+        return self._fallback_table.pick(rng)
 
     def host_by_ip(self, ip: str) -> StorageHost | None:
         for host in self.hosts:
             if host.ip == ip:
                 return host
         return None
+
+
+def _traffic_table(hosts: list[StorageHost]) -> WeightedTable:
+    return WeightedTable((host, host.traffic_weight) for host in hosts)

@@ -8,12 +8,13 @@ category (section 5).
 from __future__ import annotations
 
 import codecs
+from collections.abc import Sequence
 
 from repro.honeypot.shell.context import CommandResult, ShellContext
 
 
-def cmd_echo(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
-    args = argv[1:]
+def cmd_echo(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
+    args = list(argv[1:])
     interpret_escapes = False
     newline = True
     while args and args[0] in ("-e", "-n", "-en", "-ne", "-E"):
@@ -31,7 +32,7 @@ def cmd_echo(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     return CommandResult(output=text + ("\n" if newline else ""))
 
 
-def cmd_uname(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_uname(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     profile = ctx.profile
     fields = {
         "s": profile.kernel_name,
@@ -60,11 +61,11 @@ def cmd_uname(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     return CommandResult(output=" ".join(selected) + "\n")
 
 
-def cmd_nproc(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_nproc(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     return CommandResult(output=f"{ctx.profile.cpus}\n")
 
 
-def cmd_lscpu(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_lscpu(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     lines = [
         "Architecture:        x86_64",
         f"CPU(s):              {ctx.profile.cpus}",
@@ -74,7 +75,7 @@ def cmd_lscpu(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     return CommandResult(output="\n".join(lines) + "\n")
 
 
-def cmd_free(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_free(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     total = ctx.profile.mem_total_kb
     used = total // 3
     lines = [
@@ -85,11 +86,11 @@ def cmd_free(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     return CommandResult(output="\n".join(lines) + "\n")
 
 
-def cmd_whoami(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_whoami(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     return CommandResult(output=ctx.user + "\n")
 
 
-def cmd_id(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_id(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     if ctx.user == "root":
         return CommandResult(output="uid=0(root) gid=0(root) groups=0(root)\n")
     return CommandResult(
@@ -97,7 +98,7 @@ def cmd_id(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     )
 
 
-def cmd_w(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_w(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     lines = [
         " 12:01:33 up 62 days,  4:01,  1 user,  load average: 0.01, 0.03, 0.00",
         "USER     TTY      FROM             LOGIN@   IDLE   JCPU   PCPU WHAT",
@@ -106,13 +107,13 @@ def cmd_w(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     return CommandResult(output="\n".join(lines) + "\n")
 
 
-def cmd_uptime(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_uptime(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     return CommandResult(
         output=" 12:01:33 up 62 days,  4:01,  1 user,  load average: 0.01, 0.03, 0.00\n"
     )
 
 
-def cmd_ps(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_ps(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     lines = [
         "  PID TTY          TIME CMD",
         "    1 ?        00:00:04 systemd",
@@ -123,17 +124,17 @@ def cmd_ps(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     return CommandResult(output="\n".join(lines) + "\n")
 
 
-def cmd_top(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_top(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     return CommandResult(
         output="top - 12:01:33 up 62 days,  1 user,  load average: 0.01, 0.03, 0.00\n"
     )
 
 
-def cmd_history(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_history(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     return CommandResult(output="")
 
 
-def cmd_df(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_df(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     lines = [
         "Filesystem     1K-blocks    Used Available Use% Mounted on",
         "/dev/sda1       20509264 3735548  15708988  20% /",
@@ -141,7 +142,7 @@ def cmd_df(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     return CommandResult(output="\n".join(lines) + "\n")
 
 
-def cmd_which(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_which(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     from repro.honeypot.shell.registry import default_registry
 
     names = argv[1:]
@@ -150,11 +151,11 @@ def cmd_which(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     return CommandResult(output="\n".join(found) + ("\n" if found else ""), success=bool(found))
 
 
-def cmd_hostname(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_hostname(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     return CommandResult(output=ctx.profile.hostname + "\n")
 
 
-def cmd_ifconfig(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_ifconfig(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     lines = [
         "eth0: flags=4163<UP,BROADCAST,RUNNING,MULTICAST>  mtu 1500",
         "        inet 10.0.0.23  netmask 255.255.255.0  broadcast 10.0.0.255",
@@ -162,7 +163,7 @@ def cmd_ifconfig(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResul
     return CommandResult(output="\n".join(lines) + "\n")
 
 
-def cmd_cat(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_cat(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     paths = [arg for arg in argv[1:] if not arg.startswith("-")]
     if not paths:
         return CommandResult(output=stdin)
@@ -179,7 +180,7 @@ def cmd_cat(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     return CommandResult(output="".join(chunks), success=success)
 
 
-def cmd_ls(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_ls(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     paths = [arg for arg in argv[1:] if not arg.startswith("-")] or [ctx.cwd]
     entries: list[str] = []
     for path in paths:
@@ -196,7 +197,7 @@ def cmd_ls(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     return CommandResult(output="\n".join(entries) + ("\n" if entries else ""))
 
 
-def cmd_grep(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_grep(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     args = [arg for arg in argv[1:] if not arg.startswith("-")]
     if not args:
         return CommandResult(output="", success=False)
@@ -212,15 +213,28 @@ def cmd_grep(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     )
 
 
-def cmd_head(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def _invalid_line_count(command: str, value: str) -> CommandResult:
+    """GNU's reply to a line count that is not a number."""
+    return CommandResult(
+        output=f"{command}: invalid number of lines: '{value}'\n", success=False
+    )
+
+
+def cmd_head(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     count = 10
     args = list(argv[1:])
     while args and args[0].startswith("-"):
         flag = args.pop(0)
         if flag == "-n" and args:
-            count = int(args.pop(0))
-        elif flag[1:].isdigit():
-            count = int(flag[1:])
+            value = args.pop(0)
+        elif flag[1:].isdecimal():
+            value = flag[1:]
+        else:
+            continue
+        try:
+            count = int(value)
+        except ValueError:
+            return _invalid_line_count("head", value)
     text = stdin
     if args:
         content = ctx.fs.read(ctx.resolve(args[0]))
@@ -229,15 +243,21 @@ def cmd_head(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     return CommandResult(output="\n".join(lines) + ("\n" if lines else ""))
 
 
-def cmd_tail(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_tail(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     count = 10
     args = list(argv[1:])
     while args and args[0].startswith("-"):
         flag = args.pop(0)
         if flag == "-n" and args:
-            count = int(args.pop(0))
-        elif flag[1:].isdigit():
-            count = int(flag[1:])
+            value = args.pop(0)
+        elif flag[1:].isdecimal():
+            value = flag[1:]
+        else:
+            continue
+        try:
+            count = int(value)
+        except ValueError:
+            return _invalid_line_count("tail", value)
     text = stdin
     if args:
         content = ctx.fs.read(ctx.resolve(args[0]))
@@ -246,13 +266,13 @@ def cmd_tail(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     return CommandResult(output="\n".join(lines) + ("\n" if lines else ""))
 
 
-def cmd_wc(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_wc(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     lines = stdin.splitlines()
     words = stdin.split()
     return CommandResult(output=f"{len(lines)} {len(words)} {len(stdin)}\n")
 
 
-def cmd_awk(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_awk(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     """Minimal awk: supports '{print $N,$M;}' field selection."""
     program = next((arg for arg in argv[1:] if "{" in arg), None)
     if program is None or "print" not in program:
@@ -266,7 +286,7 @@ def cmd_awk(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
         for spec in fields:
             if spec == "$0":
                 selected.append(line)
-            elif spec.startswith("$") and spec[1:].isdigit():
+            elif spec.startswith("$") and spec[1:].isdecimal():
                 index = int(spec[1:]) - 1
                 selected.append(columns[index] if 0 <= index < len(columns) else "")
             else:
@@ -277,12 +297,12 @@ def cmd_awk(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     )
 
 
-def cmd_sort(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_sort(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     lines = sorted(stdin.splitlines())
     return CommandResult(output="\n".join(lines) + ("\n" if lines else ""))
 
 
-def cmd_uniq(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_uniq(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     seen_previous: str | None = None
     kept: list[str] = []
     for line in stdin.splitlines():
@@ -292,17 +312,17 @@ def cmd_uniq(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     return CommandResult(output="\n".join(kept) + ("\n" if kept else ""))
 
 
-def cmd_tr(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_tr(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     if len(argv) >= 3:
         return CommandResult(output=stdin.replace(argv[1], argv[2]))
     return CommandResult(output=stdin)
 
 
-def cmd_cut(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_cut(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     return CommandResult(output=stdin)
 
 
-def cmd_cd(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_cd(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     target = argv[1] if len(argv) > 1 else ctx.env.get("HOME", "/root")
     resolved = ctx.resolve(target)
     if ctx.fs.is_dir(resolved):
@@ -313,11 +333,11 @@ def cmd_cd(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     )
 
 
-def cmd_pwd(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_pwd(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     return CommandResult(output=ctx.cwd + "\n")
 
 
-def cmd_export(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_export(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     for arg in argv[1:]:
         name, equals, value = arg.partition("=")
         if equals:
@@ -325,7 +345,7 @@ def cmd_export(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     return CommandResult(output="")
 
 
-def cmd_crontab(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_crontab(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     spool = "/var/spool/cron/root"
     args = argv[1:]
     if args and args[0] == "-l":
@@ -355,18 +375,18 @@ def cmd_crontab(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult
     return CommandResult(output="")
 
 
-def cmd_noop(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_noop(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     return CommandResult(output="")
 
 
-def cmd_true(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_true(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     return CommandResult(output="", success=True)
 
 
-def cmd_false(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_false(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     return CommandResult(output="", success=False)
 
 
-def cmd_exit(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_exit(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     ctx.exited = True
     return CommandResult(output="")

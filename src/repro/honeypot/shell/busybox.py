@@ -10,6 +10,8 @@ exactly that reply, which is why the probe sessions still count as
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.honeypot.shell.context import CommandResult, ShellContext
 
 #: Applets our busybox knows how to forward to real handlers.
@@ -25,7 +27,7 @@ USAGE = (
 )
 
 
-def cmd_busybox(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_busybox(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     if len(argv) < 2:
         return CommandResult(output=USAGE)
     applet = argv[1]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.honeypot.session import CommandRecord
 from repro.honeypot.shell.context import CommandResult, ShellContext
 from repro.honeypot.shell.parser import ParseError, Pipeline, SimpleCommand, parse_line
@@ -112,7 +114,7 @@ class ShellEngine:
         )
 
 
-def run_wrapped(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def run_wrapped(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     """Run ``argv`` as a wrapped command (``nohup``/``sudo`` bodies)."""
     if not argv:
         return CommandResult(output="")
@@ -122,6 +124,6 @@ def run_wrapped(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult
     ctx._wrap_depth = depth + 1
     try:
         engine = ShellEngine(ctx)
-        return engine._run_simple(SimpleCommand(argv=list(argv)), stdin)
+        return engine._run_simple(SimpleCommand(argv=tuple(argv)), stdin)
     finally:
         ctx._wrap_depth = depth

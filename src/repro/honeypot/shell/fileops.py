@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.honeypot.session import FileOp
 from repro.honeypot.shell.context import CommandResult, ShellContext
 
@@ -23,14 +25,14 @@ def _expand_glob(ctx: ShellContext, pattern: str) -> list[str]:
     ]
 
 
-def cmd_mkdir(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_mkdir(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     targets = [arg for arg in argv[1:] if not arg.startswith("-")]
     for target in targets:
         ctx.fs.mkdirs(ctx.resolve(target))
     return CommandResult(output="")
 
 
-def cmd_rm(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_rm(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     flags = [arg for arg in argv[1:] if arg.startswith("-")]
     recursive = any("r" in flag or "R" in flag for flag in flags)
     targets = [arg for arg in argv[1:] if not arg.startswith("-")]
@@ -49,7 +51,7 @@ def cmd_rm(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     return CommandResult(output="", success=success)
 
 
-def cmd_chmod(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_chmod(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     targets = [
         arg
         for arg in argv[1:]
@@ -71,7 +73,7 @@ def _looks_like_mode(token: str) -> bool:
     )
 
 
-def cmd_mv(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_mv(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     args = [arg for arg in argv[1:] if not arg.startswith("-")]
     if len(args) < 2:
         return CommandResult(output="mv: missing file operand\n", success=False)
@@ -89,7 +91,7 @@ def cmd_mv(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     return CommandResult(output="")
 
 
-def cmd_cp(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_cp(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     args = [arg for arg in argv[1:] if not arg.startswith("-")]
     if len(args) < 2:
         return CommandResult(output="cp: missing file operand\n", success=False)
@@ -106,7 +108,7 @@ def cmd_cp(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     return CommandResult(output="")
 
 
-def cmd_touch(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_touch(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     targets = [arg for arg in argv[1:] if not arg.startswith("-")]
     for target in targets:
         resolved = ctx.resolve(target)
@@ -115,7 +117,7 @@ def cmd_touch(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     return CommandResult(output="")
 
 
-def cmd_dd(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_dd(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     options = dict(
         arg.split("=", 1) for arg in argv[1:] if "=" in arg and not arg.startswith("-")
     )
@@ -138,13 +140,14 @@ def cmd_dd(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     if destination:
         ctx.write_file(destination, content)
         return CommandResult(output="1+0 records in\n1+0 records out\n")
-    preview = content[: int(block_size) if block_size.isdigit() else 512]
+    length = int(block_size) if block_size.isdecimal() else 512
+    preview = content[:length]
     return CommandResult(
         output=preview.decode("utf-8", "replace") + "\n1+0 records in\n1+0 records out\n"
     )
 
 
-def cmd_sed(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_sed(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     in_place = any(arg.startswith("-i") for arg in argv[1:])
     file_args = [
         arg for arg in argv[1:] if not arg.startswith("-") and "/" in arg and "s/" != arg[:2]
@@ -157,17 +160,17 @@ def cmd_sed(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     return CommandResult(output=stdin)
 
 
-def cmd_chattr(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_chattr(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     return CommandResult(output="")
 
 
-def cmd_ln(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_ln(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     return CommandResult(output="")
 
 
-def cmd_tar(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_tar(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     return CommandResult(output="")
 
 
-def cmd_gunzip(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_gunzip(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     return CommandResult(output="")

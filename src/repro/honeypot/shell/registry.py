@@ -7,13 +7,13 @@ real Cowrie limitation the paper shows attackers exploiting.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable, Sequence
 
 from repro.honeypot.shell import builtins, fileops, system, transfer
 from repro.honeypot.shell.busybox import cmd_busybox
 from repro.honeypot.shell.context import CommandResult, ShellContext
 
-Handler = Callable[[ShellContext, list[str], str], CommandResult]
+Handler = Callable[[ShellContext, Sequence[str], str], CommandResult]
 
 _REGISTRY: dict[str, Handler] | None = None
 

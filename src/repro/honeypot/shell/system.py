@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import base64
 import binascii
+from collections.abc import Sequence
 
 from repro.honeypot.shell.context import CommandResult, ShellContext
 from repro.util.hashing import short_hash
 
 
-def cmd_passwd(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_passwd(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     """``passwd`` — the mdrfckr bot locks victims out with this."""
     new_password = stdin.splitlines()[0] if stdin else "hunter2"
     ctx.root_password = new_password
@@ -18,7 +19,7 @@ def cmd_passwd(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     )
 
 
-def cmd_chpasswd(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_chpasswd(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     for line in stdin.splitlines():
         user, _, password = line.partition(":")
         if user == "root" and password:
@@ -26,14 +27,14 @@ def cmd_chpasswd(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResul
     return CommandResult(output="")
 
 
-def cmd_openssl(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_openssl(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     if len(argv) > 1 and argv[1] == "passwd":
         material = argv[-1] if len(argv) > 2 else (stdin or "x")
         return CommandResult(output=f"$1$salt${short_hash(material, 22)}\n")
     return CommandResult(output="")
 
 
-def cmd_base64(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_base64(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     decode = any(arg in ("-d", "--decode") for arg in argv[1:])
     payload = stdin
     file_args = [arg for arg in argv[1:] if not arg.startswith("-")]
@@ -52,51 +53,51 @@ def cmd_base64(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     return CommandResult(output=encoded + "\n")
 
 
-def cmd_pkill(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_pkill(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     return CommandResult(output="")
 
 
-def cmd_kill(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_kill(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     return CommandResult(output="")
 
 
-def cmd_killall(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_killall(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     return CommandResult(output="")
 
 
-def cmd_service(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_service(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     return CommandResult(output="")
 
 
-def cmd_systemctl(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_systemctl(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     return CommandResult(output="")
 
 
-def cmd_iptables(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_iptables(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     return CommandResult(output="")
 
 
-def cmd_ulimit(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_ulimit(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     return CommandResult(output="unlimited\n")
 
 
-def cmd_sleep(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_sleep(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     return CommandResult(output="")
 
 
-def cmd_sync(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_sync(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     return CommandResult(output="")
 
 
-def cmd_apt(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_apt(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     return CommandResult(output="Reading package lists... Done\n")
 
 
-def cmd_yum(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_yum(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     return CommandResult(output="Loaded plugins: fastestmirror\n")
 
 
-def cmd_perl(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_perl(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     """``perl script`` is an exec attempt; ``perl -e`` is inline."""
     args = [arg for arg in argv[1:] if not arg.startswith("-")]
     inline = any(arg == "-e" for arg in argv[1:])
@@ -105,7 +106,7 @@ def cmd_perl(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     return ctx.execute_file(args[0])
 
 
-def cmd_python(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_python(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     args = [arg for arg in argv[1:] if not arg.startswith("-")]
     inline = any(arg == "-c" for arg in argv[1:])
     if inline or not args:
@@ -113,20 +114,20 @@ def cmd_python(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     return ctx.execute_file(args[0])
 
 
-def cmd_nohup(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_nohup(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     """``nohup cmd`` — defer to the engine for the wrapped command."""
     from repro.honeypot.shell.engine import run_wrapped
 
     return run_wrapped(ctx, argv[1:], stdin)
 
 
-def cmd_sudo(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_sudo(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     from repro.honeypot.shell.engine import run_wrapped
 
     return run_wrapped(ctx, argv[1:], stdin)
 
 
-def cmd_sh(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_sh(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     """``sh script`` executes a file; ``sh -c "..."`` runs inline."""
     from repro.honeypot.shell.engine import ShellEngine
 

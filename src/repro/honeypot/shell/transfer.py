@@ -14,6 +14,8 @@ deployed Cowrie cannot capture files transferred with them (the paper's
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.honeypot.shell.context import CommandResult, ShellContext
 
 
@@ -29,7 +31,7 @@ def _fetch(ctx: ShellContext, url: str) -> bytes | None:
     return ctx.remote_files.get(url)
 
 
-def cmd_wget(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_wget(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     output_path: str | None = None
     quiet = False
     urls: list[str] = []
@@ -72,7 +74,7 @@ def cmd_wget(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     return CommandResult(output="".join(outputs), success=success)
 
 
-def cmd_curl(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_curl(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     output_path: str | None = None
     remote_name = False
     urls: list[str] = []
@@ -123,7 +125,7 @@ def cmd_curl(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     return CommandResult(output="".join(outputs), success=success)
 
 
-def cmd_tftp(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_tftp(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     host: str | None = None
     filename: str | None = None
     args = list(argv[1:])
@@ -162,7 +164,7 @@ def cmd_tftp(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     return CommandResult(output="")
 
 
-def cmd_ftpget(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_ftpget(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     cleaned: list[str] = []
     flags_with_value = {"-u", "-p", "-P"}
     index = 1
@@ -190,7 +192,7 @@ def cmd_ftpget(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
     return CommandResult(output="")
 
 
-def cmd_ftp(ctx: ShellContext, argv: list[str], stdin: str) -> CommandResult:
+def cmd_ftp(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     hosts = [arg for arg in argv[1:] if not arg.startswith("-")]
     if hosts:
         ctx.record_uri(f"ftp://{hosts[0]}/")

@@ -1,7 +1,7 @@
 """Shared utilities: deterministic RNG trees, calendar math, text tables."""
 
 from repro.util.hashing import sha256_hex, short_hash
-from repro.util.rng import RngTree, derive_seed, poisson, weighted_choice
+from repro.util.rng import RngTree, WeightedTable, derive_seed, poisson
 from repro.util.text import ascii_bar, ascii_series, format_table, human_count, percentage
 from repro.util.timeutils import (
     add_months,
@@ -21,9 +21,9 @@ from repro.util.timeutils import (
 
 __all__ = [
     "RngTree",
+    "WeightedTable",
     "derive_seed",
     "poisson",
-    "weighted_choice",
     "sha256_hex",
     "short_hash",
     "ascii_bar",

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Iterable
 
 
@@ -141,16 +143,33 @@ def poisson(rng: random.Random, lam: float) -> int:
     return k
 
 
-def weighted_choice(rng: random.Random, weighted: Iterable[tuple[object, float]]) -> object:
-    """Choose one item from ``(item, weight)`` pairs."""
-    pairs = [(item, weight) for item, weight in weighted if weight > 0]
-    if not pairs:
-        raise ValueError("no items with positive weight")
-    total = sum(weight for _, weight in pairs)
-    point = rng.random() * total
-    cumulative = 0.0
-    for item, weight in pairs:
-        cumulative += weight
-        if point <= cumulative:
-            return item
-    return pairs[-1][0]
+class WeightedTable:
+    """A weighted choice over fixed ``(item, weight)`` pairs, built once.
+
+    Holds the items with positive weight, their running cumulative
+    weights and the total, so a draw is one ``rng.random()`` and a
+    bisection.  It picks exactly what a linear scan picks: the total is
+    the built-in ``sum`` over the same weights in the same order (from
+    Python 3.12 that sum is compensated, so it need not equal the last
+    cumulative value), the cumulative values come from the same
+    left-to-right additions from ``0.0``, ``bisect_left`` finds the
+    first item with ``point <= cumulative``, and a point beyond the last
+    cumulative value picks the last item.
+    """
+
+    __slots__ = ("items", "cumulative", "total")
+
+    def __init__(self, weighted: Iterable[tuple[object, float]]) -> None:
+        pairs = [(item, weight) for item, weight in weighted if weight > 0]
+        if not pairs:
+            raise ValueError("no items with positive weight")
+        weights = [weight for _, weight in pairs]
+        self.items = tuple(item for item, _ in pairs)
+        self.cumulative = tuple(accumulate(weights, initial=0.0))[1:]
+        self.total = sum(weights)
+
+    def pick(self, rng: random.Random) -> object:
+        """One item, drawn with a single ``rng.random()``."""
+        index = bisect_left(self.cumulative, rng.random() * self.total)
+        items = self.items
+        return items[index] if index < len(items) else items[-1]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
 
@@ -202,3 +202,92 @@ class TestStorageInfrastructure:
                 for earlier, later in zip(host.intervals, host.intervals[1:])
             ]
             assert all(gap >= 120 for gap in gaps)
+
+
+def is_active(host, day: date) -> bool:
+    """The per-host interval check the storage calendar replaced."""
+    return any(start <= day <= end for start, end in host.intervals)
+
+
+def interval_scan(infra) -> dict[date, list]:
+    """Day -> active hosts by scanning every host's intervals, for every
+    day from 30 before the window to 30 after the last interval."""
+    start = infra.config.start - timedelta(days=30)
+    end = max(infra.config.end, *(host.last_active for host in infra.hosts))
+    days = (end - start).days + 31
+    return {
+        day: [host for host in infra.hosts if is_active(host, day)]
+        for day in (start + timedelta(days=n) for n in range(days))
+    }
+
+
+def linear_scan_pick(infra, rng, candidates):
+    """``pick_host`` before the calendar: fall back when no host is
+    active, then walk the cumulative traffic weights (the oracle)."""
+    if not candidates:
+        candidates = [
+            host
+            for host in infra.hosts
+            if host.archetype == HostArchetype.LONGLIVED
+        ] or infra.hosts
+    total = sum(host.traffic_weight for host in candidates)
+    point = rng.random() * total
+    cumulative = 0.0
+    for host in candidates:
+        cumulative += host.traffic_weight
+        if point <= cumulative:
+            return host
+    return candidates[-1]
+
+
+class TestStorageCalendar:
+    """The day -> active-hosts calendar built at construction against
+    the per-day interval scan it replaced."""
+
+    @pytest.fixture(scope="class")
+    def infra(self, population):
+        return StorageInfrastructure(DEFAULT_CONFIG, population, RngTree(5))
+
+    @pytest.fixture(scope="class")
+    def scanned(self, infra):
+        return interval_scan(infra)
+
+    def test_active_hosts_match_the_interval_scan(self, infra, scanned):
+        for day, expected in scanned.items():
+            assert infra.active_hosts(day) == expected
+        assert sum(not hosts for hosts in scanned.values()) >= 60
+        comebacks = [host for host in infra.hosts if len(host.intervals) > 1]
+        assert comebacks
+        for host in comebacks:
+            for start, end in host.intervals[1:]:
+                assert host in infra.active_hosts(start)
+                assert host in infra.active_hosts(end)
+
+    def test_pick_host_matches_the_linear_scan(self, infra, scanned):
+        days = list(scanned)
+        rng, oracle_rng = random.Random(17), random.Random(17)
+        fallbacks = 0
+        for draw in range(12_000):
+            day = days[(draw * 7) % len(days)]
+            fallbacks += not scanned[day]
+            assert infra.pick_host(rng, day) is linear_scan_pick(
+                infra, oracle_rng, scanned[day]
+            )
+        assert rng.getstate() == oracle_rng.getstate()
+        assert fallbacks > 500
+
+    def test_schedules_overrunning_a_short_window(self, population):
+        config = DEFAULT_CONFIG.replace(
+            start=date(2022, 3, 1), end=date(2022, 3, 10)
+        )
+        infra = StorageInfrastructure(config, population, RngTree(5))
+        scanned = interval_scan(infra)
+        assert max(scanned) > config.end + timedelta(days=30)
+        for day, expected in scanned.items():
+            assert infra.active_hosts(day) == expected
+        rng, oracle_rng = random.Random(4), random.Random(4)
+        for day in scanned:
+            assert infra.pick_host(rng, day) is linear_scan_pick(
+                infra, oracle_rng, scanned[day]
+            )
+        assert rng.getstate() == oracle_rng.getstate()

@@ -254,6 +254,51 @@ class TestPaperEquivalence:
         ]
 
 
+#: Dataset digests (stored, dropped) beyond the golden config.  They
+#: guard the hot-path caches that must stay digest-neutral: the shell
+#: parse memo, the storage-host calendar and the weighted-draw tables.
+SHORT_WINDOW_DIGESTS = {
+    "none": (
+        "43bc123ade1418f86eb1709a5b73f7f01bf289cb2ea98b61abf57bc8bf3a980a",
+        2403,
+        0,
+    ),
+    "stress": (
+        "e95e5f4b8089a068f5ba039393b1026fc4ce8628ea25805aa97af009b8e87239",
+        2263,
+        140,
+    ),
+}
+#: Scale 1e-4 over the benchmark harness's smoke window, seed 7.
+SMOKE_WINDOW_DIGEST = (
+    "7e97a5bb48b4e99d341160f0b60cfaba019ded38180d2f23b3459523932dcc57",
+    880,
+    0,
+)
+
+
+def digest_and_counts(result) -> tuple[str, int, int]:
+    collector = result.collector
+    return result.database.digest(), len(collector.sessions), collector.dropped
+
+
+class TestDigestPins:
+    """Pins beyond the golden config, for other fault profiles, a denser
+    scale and another season."""
+
+    @pytest.mark.parametrize("profile", sorted(SHORT_WINDOW_DIGESTS))
+    def test_short_window_profile(self, serial_baselines, profile):
+        assert digest_and_counts(serial_baselines[profile]) == (
+            SHORT_WINDOW_DIGESTS[profile]
+        )
+
+    def test_dense_smoke_window(self):
+        config = SimulationConfig(
+            seed=7, scale=1e-4, start=date(2023, 1, 1), end=date(2023, 1, 14)
+        )
+        assert digest_and_counts(run_simulation(config)) == SMOKE_WINDOW_DIGEST
+
+
 class TestCheckpointResume:
     def config(self, faults=None):
         return SimulationConfig(

