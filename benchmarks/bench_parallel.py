@@ -1,20 +1,17 @@
-"""Day-loop and DLD-pool benchmarks: the serial day loop over two
-months, serial vs chunked DLD matrix.
+"""Serial baselines: the day loop over two months and the DLD matrix
+over 300 random sequences.
 
-These quantify what ``--workers N`` buys for the DLD pair pool.  Speedup
-depends on core count, so no thresholds are asserted here — the pool
-bench instead asserts the *equivalence* contract (bit-identical
-matrix), which must hold on any machine.  The ``repro bench`` CLI
-subcommand is the headline harness; these keep the comparison visible
-in the regular pytest-benchmark table alongside the per-figure benches.
+Every stage of the pipeline runs in one process (see
+``docs/parallelism.md`` for the measurements behind that), so these
+keep the two largest serial costs visible in the regular
+pytest-benchmark table alongside the per-figure benches.  The
+``repro bench`` CLI subcommand is the headline harness.
 """
 
 from __future__ import annotations
 
 import random
 from datetime import date
-
-import numpy as np
 
 from repro.analysis.distance import clear_distance_caches, distance_matrix
 from repro.attackers.orchestrator import run_simulation
@@ -51,15 +48,3 @@ def test_dld_matrix_300_serial(benchmark):
     matrix = benchmark.pedantic(build, rounds=3, iterations=1)
     assert matrix.shape == (300, 300)
 
-
-def test_dld_matrix_300_two_workers(benchmark):
-    tokens = _token_sequences(300)
-    clear_distance_caches()
-    serial = distance_matrix(tokens)
-
-    def build():
-        clear_distance_caches()
-        return distance_matrix(tokens, workers=2)
-
-    matrix = benchmark.pedantic(build, rounds=3, iterations=1)
-    assert np.array_equal(matrix, serial)

@@ -291,7 +291,7 @@ def check_lsh_recall(seed: int, corpus_size: int) -> None:
     )
 
     corpus = synthetic_token_corpus(corpus_size, seed=seed)
-    exact = distance_matrix(corpus, workers=4)
+    exact = distance_matrix(corpus)
     upper = np.triu_indices(len(corpus), k=1)
     close = exact[upper] <= LSH_CLOSE_THRESHOLD
     total_close = int(close.sum())
@@ -307,7 +307,7 @@ def check_lsh_recall(seed: int, corpus_size: int) -> None:
             min_sequences=0,
         )
         clear_sketch_caches()
-        approx = sketch_distance_matrix(corpus, config=config, workers=4)
+        approx = sketch_distance_matrix(corpus, config=config)
         measured = ~approx.pruned[upper]
         recall = float(measured[close].mean()) if total_close else 1.0
         is_default = bands == DEFAULT_SKETCH_CONFIG.bands

@@ -108,29 +108,16 @@ def pair_distance(
 
 
 def exact_compact_matrix(
-    distinct: list[tuple[str, ...]],
-    workers: int = 1,
-    fingerprint: str = DEFAULT_TOKENIZER.fingerprint,
+    distinct: list[tuple[str, ...]], fingerprint: str
 ) -> np.ndarray:
     """The exact m×m matrix over *distinct* sequences (the oracle core).
 
     Shared by the exact pipeline and the sketch path's below-floor
     bypass, so "exact mode" is one code path with one set of bits.
-    ``workers > 1`` chunks the upper triangle over a process pool when
-    the pair count justifies it; the result is identical either way.
+    Pair values are cached under ``fingerprint``, the tokenizer
+    configuration that produced the sequences.
     """
     m = len(distinct)
-    total_pairs = m * (m - 1) // 2
-    if workers > 1:
-        from repro.parallel.distance import (
-            MIN_PAIRS_FOR_POOL,
-            compact_distance_matrix_parallel,
-        )
-
-        if total_pairs >= MIN_PAIRS_FOR_POOL:
-            return compact_distance_matrix_parallel(
-                distinct, workers, fingerprint=fingerprint
-            )
     compact = np.zeros((m, m), dtype=np.float64)
     for i in range(m):
         for j in range(i + 1, m):
@@ -142,7 +129,6 @@ def exact_compact_matrix(
 
 def distance_matrix(
     token_sequences: list[list[str]],
-    workers: int = 1,
     mode: str = "exact",
     sketch=None,
     tokenizer: TokenizerConfig = DEFAULT_TOKENIZER,
@@ -162,13 +148,6 @@ def distance_matrix(
     sketch activation floor the result is the exact matrix bit for
     bit.  Pass ``sketch=SketchConfig(...)`` to override the prefilter
     parameters.
-
-    ``workers > 1`` evaluates the pair work in chunks on a process
-    pool (:mod:`repro.parallel.distance`); every pair is the same pure
-    function either way, so the matrix is identical at any worker
-    count.  Inputs under ``MIN_PAIRS_FOR_POOL`` pairs fall back to
-    serial — below several thousand pairs the pool costs more than the
-    pair work.
     """
     if mode == "lsh":
         from repro.analysis.sketch import (
@@ -177,7 +156,7 @@ def distance_matrix(
         )
 
         return sketch_distance_matrix(
-            token_sequences, sketch or DEFAULT_SKETCH_CONFIG, workers=workers
+            token_sequences, sketch or DEFAULT_SKETCH_CONFIG, tokenizer
         ).values
     if mode != "exact":
         raise ValueError(f"unknown distance mode: {mode!r}")
@@ -197,9 +176,7 @@ def distance_matrix(
             registry.count("dld.sequences", len(keys))
             registry.count("dld.distinct_sequences", m)
             registry.count("dld.pairs", total_pairs)
-        compact = exact_compact_matrix(
-            distinct, workers, fingerprint=tokenizer.fingerprint
-        )
+        compact = exact_compact_matrix(distinct, tokenizer.fingerprint)
         mapping = np.array([index_of[key] for key in keys])
         return compact[np.ix_(mapping, mapping)]
 

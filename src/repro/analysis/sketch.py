@@ -26,17 +26,16 @@ PAPERS.md):
 **Exactness contract.**  Below :attr:`SketchConfig.min_sequences`
 distinct sequences the sketch machinery is pure overhead — the DP is
 cheap and the approximation risk buys nothing — so the sketch path
-*bypasses* to the exact matrix, bit for bit (the same idiom as
-``MIN_PAIRS_FOR_POOL`` in :mod:`repro.parallel.distance`).  The
-paper-scale pipeline (≤ ``CLUSTER_SAMPLE_LIMIT`` = 400 sessions) is
-always below the floor, which is how ``--mode lsh`` reproduces the
-exact-mode cluster assignments and figure digests byte for byte at
-paper scale; the differential suite (tests/test_cluster_differential.py)
+*bypasses* to the exact matrix, bit for bit.  The paper-scale
+pipeline (≤ ``CLUSTER_SAMPLE_LIMIT`` = 400 sessions) is always below
+the floor, which is how ``--mode lsh`` reproduces the exact-mode
+cluster assignments and figure digests byte for byte at paper scale;
+the differential suite (tests/test_cluster_differential.py)
 additionally pins the *pruned* regime against the exact oracle with
 the floor forced to zero.
 
-Telemetry (all deterministic functions of config + data, so serial and
-pooled builds agree exactly — see docs/observability.md):
+Telemetry (all deterministic functions of config + data — see
+docs/observability.md):
 
 * ``sketch.matrix_builds`` / ``sketch.bypassed`` — activations vs
   below-floor exact fallbacks.
@@ -60,6 +59,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.analysis.dld import dld_bounds
+from repro.analysis.tokenizer import DEFAULT_TOKENIZER, TokenizerConfig
 
 #: Value substituted for a pruned pair: the trivial normalized-DLD
 #: upper bound (the DP result divided by ``max(len)`` never exceeds 1).
@@ -352,7 +352,7 @@ def _expand(
 def sketch_distance_matrix(
     token_sequences: list[list[str]] | list[tuple[str, ...]],
     config: SketchConfig = DEFAULT_SKETCH_CONFIG,
-    workers: int = 1,
+    tokenizer: TokenizerConfig = DEFAULT_TOKENIZER,
 ) -> ApproxDistanceMatrix:
     """The LSH-pruned normalized-DLD matrix over token sequences.
 
@@ -361,15 +361,10 @@ def sketch_distance_matrix(
     value via the same :func:`~repro.analysis.distance.pair_distance`
     the exact pipeline uses; every other pair is recorded as a pruned
     upper-bound entry.  Below the activation floor the exact matrix is
-    returned unchanged (see the module docstring).
-
-    ``workers > 1`` evaluates candidate pairs on a process pool: the
-    signatures are computed once here in the parent, and the workers
-    receive only the distinct sequences (once, via the pool
-    initializer) plus compact pair-index arrays — never re-tokenized
-    text, never sketches they don't need.
+    returned unchanged (see the module docstring).  Measured values are
+    cached under ``tokenizer``'s fingerprint, like the exact pipeline's.
     """
-    from repro.analysis.distance import exact_compact_matrix
+    from repro.analysis.distance import exact_compact_matrix, pair_distance
 
     with telemetry.span("sketch.matrix"):
         keys, distinct, index_of = _dedup(token_sequences)
@@ -380,7 +375,7 @@ def sketch_distance_matrix(
         if m < config.min_sequences:
             if registry is not None:
                 registry.count("sketch.bypassed")
-            compact = exact_compact_matrix(distinct, workers)
+            compact = exact_compact_matrix(distinct, tokenizer.fingerprint)
             return ApproxDistanceMatrix(
                 values=_expand(compact, keys, index_of),
                 pruned=np.zeros((n, n), dtype=bool),
@@ -421,7 +416,10 @@ def sketch_distance_matrix(
 
         measured = candidates + pinned
         with telemetry.span("sketch.candidate_dp"):
-            values = _measured_values(distinct, measured, workers)
+            values = [
+                pair_distance(distinct[i], distinct[j], tokenizer.fingerprint)
+                for i, j in measured
+            ]
         for (i, j), value in zip(measured, values):
             compact[i, j] = value
             compact[j, i] = value
@@ -456,28 +454,6 @@ def sketch_distance_matrix(
             mode="lsh",
             config=config,
         )
-
-
-def _measured_values(
-    distinct: list[tuple[str, ...]],
-    pairs: list[tuple[int, int]],
-    workers: int,
-) -> np.ndarray:
-    """Exact values for the given distinct-index pairs, serial or pooled."""
-    from repro.analysis.distance import pair_distance
-
-    if workers > 1:
-        from repro.parallel.distance import (
-            MIN_PAIRS_FOR_POOL,
-            candidate_values_parallel,
-        )
-
-        if len(pairs) >= MIN_PAIRS_FOR_POOL:
-            return candidate_values_parallel(distinct, pairs, workers)
-    return np.array(
-        [pair_distance(distinct[i], distinct[j]) for i, j in pairs],
-        dtype=np.float64,
-    )
 
 
 # ---------------------------------------------------------------------------

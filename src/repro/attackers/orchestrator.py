@@ -489,8 +489,7 @@ def run_simulation(
 
     The window runs through the stream engine's day loop
     (:mod:`repro.stream`) with supervision bypassed — the batch path
-    *is* the stream path.  ``config.workers`` does not change the
-    simulation; it only sizes the DLD pair pool of later analysis.
+    *is* the stream path.
 
     ``store_dir``, when set, additionally writes the finished dataset as
     an indexed artifact tree (JSONL shards + ``index.sqlite``,

@@ -8,10 +8,9 @@ Subcommands:
 * ``report``      — regenerate the EXPERIMENTS.md comparison document.
 * ``faults``      — simulate under a fault profile and print the
   resilience report (fault plan, collector accounting, coverage).
-* ``bench``       — time the DLD matrix serial vs the pair pool,
-  telemetry on-vs-off overhead of the day loop, the flood shed path,
-  the sketch prefilter and the query service, and optionally record
-  the numbers as JSON.
+* ``bench``       — time the telemetry on-vs-off overhead of the day
+  loop, the flood shed path, the sketch prefilter and the query
+  service, and optionally record the numbers as JSON.
 * ``telemetry``   — run the pipeline with telemetry enabled and print
   the run report (see docs/observability.md).
 * ``verify``      — audit a dataset/checkpoint tree (manifests,
@@ -32,9 +31,7 @@ default ``paper`` models exactly the deployment the paper describes.
 ``--flood-profile {off,burst,storm}`` layers the overload fault domain
 (scan floods + admission control with deterministic load shedding) on
 top of whatever fault profile is active; ``off`` (the default) is
-byte-identical to the pre-overload pipeline.  ``--workers N`` sizes the
-process pool of the pairwise DLD matrix (see docs/parallelism.md); the
-simulation is serial at any N and the output is identical at any N.
+byte-identical to the pre-overload pipeline.
 ``--telemetry [PATH]`` collects metrics/spans for the run and writes
 them as JSON — purely observational, outputs are byte-identical with it
 on or off.
@@ -74,13 +71,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "(see docs/fault-model.md)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=DEFAULT_CONFIG.workers,
-        help="processes for the pairwise DLD pool (1 = serial; the "
-        "simulation is serial at any N; see docs/parallelism.md)",
-    )
-    parser.add_argument(
         "--telemetry",
         type=Path,
         nargs="?",
@@ -101,12 +91,7 @@ def _config(args: argparse.Namespace) -> SimulationConfig:
         faults = dataclasses.replace(
             faults, flood=FloodFaults.from_name(flood_name)
         )
-    return SimulationConfig(
-        scale=args.scale,
-        seed=args.seed,
-        faults=faults,
-        workers=getattr(args, "workers", 1),
-    )
+    return SimulationConfig(scale=args.scale, seed=args.seed, faults=faults)
 
 
 def _telemetry_meta(args: argparse.Namespace) -> dict:
@@ -117,7 +102,6 @@ def _telemetry_meta(args: argparse.Namespace) -> dict:
         "scale": getattr(args, "scale", DEFAULT_CONFIG.scale),
         "fault_profile": getattr(args, "fault_profile", "paper"),
         "flood_profile": getattr(args, "flood_profile", "off"),
-        "workers": getattr(args, "workers", 1),
     }
 
 
@@ -714,35 +698,26 @@ def _service_bench(serial_result, config) -> dict:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Time the serial day loop's costs and the DLD pair pool.
+    """Time the serial day loop's costs, the sketch and the service.
 
     Records telemetry on-vs-off overhead of the day loop over
-    interleaved pairs, the shed path's cost per generated session under
-    the burst flood, and the DLD distance matrix serial vs ``--workers``
-    processes, verifying digest/bit equality while at it.  With
-    ``--json PATH`` the numbers land in a machine-readable file.  With
-    ``--enforce`` the run additionally fails on regression-floor
-    violations (:func:`check_bench_floors`) — the CI smoke runs this
-    so a telemetry-overhead, sketch or service regression breaks the
-    build.
+    interleaved pairs (verifying the two digests match), the shed
+    path's cost per generated session under the burst flood, the sketch
+    prefilter and the query service; ``--sketch-only`` measures the
+    sketch alone and simulates nothing.  With ``--json PATH`` the
+    numbers land in a machine-readable file.  With ``--enforce`` the
+    run additionally fails on regression-floor violations
+    (:func:`check_bench_floors`) — the CI smoke runs this so a
+    telemetry-overhead, sketch or service regression breaks the build.
     """
     import json
     import os
     import statistics
     import time
 
-    import numpy as np
-
-    from repro.analysis.distance import (
-        clear_distance_caches,
-        distance_matrix,
-        sample_sessions,
-        session_tokens,
-    )
     from repro.attackers.orchestrator import run_simulation
 
-    workers = max(2, args.workers)
-    config = _config(args).replace(workers=1)
+    config = _config(args)
 
     def best_of(fn, repeat):
         elapsed = []
@@ -753,132 +728,71 @@ def cmd_bench(args: argparse.Namespace) -> int:
             elapsed.append(time.perf_counter() - started)
         return value, min(elapsed)
 
-    if args.sketch_only:
-        # The cluster-differential CI smoke: only the sketch scenario,
-        # with its floors enforceable, no simulation runs.
-        report = {
-            "workers": workers,
-            "cpu_count": os.cpu_count(),
-            "scale": config.scale,
-            "seed": config.seed,
-            "fault_profile": config.faults.name,
-            "repeat": args.repeat,
-            "sketch": _sketch_bench(args, config, best_of),
-        }
-        violations = check_bench_floors(report)
-        report["enforcement"] = {
-            "enforced": bool(args.enforce),
-            "sketch_speedup_floor": SKETCH_SPEEDUP_FLOOR,
-            "sketch_ratio_bar": SKETCH_RATIO_BAR,
-            "sketch_recall_floor": SKETCH_RECALL_FLOOR,
-            "violations": violations,
-        }
-        _print_sketch_bench(report["sketch"])
-        for violation in violations:
-            marker = "FAIL" if args.enforce else "warn"
-            print(f"{marker}: {violation}")
-        if args.json is not None:
-            args.json.write_text(json.dumps(report, indent=2) + "\n")
-            print(f"wrote {args.json}")
-        return 1 if args.enforce and violations else 0
-
-    # Day-loop runs are interleaved telemetry-off / telemetry-on, and the
-    # overhead is the median of the per-pair on/off ratios, so drift of
-    # the machine between timing blocks cancels within each pair.
-    from repro import telemetry
-
-    def run_instrumented():
-        with telemetry.collecting():
-            return run_simulation(config)
-
-    off_times: list[float] = []
-    on_times: list[float] = []
-    for _ in range(args.repeat):
-        serial_result, elapsed = best_of(lambda: run_simulation(config), 1)
-        off_times.append(elapsed)
-        telemetry_result, elapsed = best_of(run_instrumented, 1)
-        on_times.append(elapsed)
-    overhead_pcts = [
-        (on / off - 1.0) * 100 for off, on in zip(off_times, on_times)
-    ]
-    telemetry_match = (
-        serial_result.database.digest() == telemetry_result.database.digest()
-    )
-
-    sessions = sample_sessions(
-        serial_result.database.command_sessions(),
-        args.dld_sample,
-        seed=config.seed,
-    )
-    clear_distance_caches()
-    tokens = session_tokens(sessions)
-    distinct = len({tuple(sequence) for sequence in tokens})
-
-    def timed_matrix(n_workers):
-        def build():
-            clear_distance_caches()
-            return distance_matrix(tokens, workers=n_workers)
-
-        return best_of(build, args.repeat)
-
-    serial_matrix, serial_dld_s = timed_matrix(1)
-    parallel_matrix, parallel_dld_s = timed_matrix(workers)
-    matrix_match = bool(np.array_equal(serial_matrix, parallel_matrix))
-    # Below MIN_PAIRS_FOR_POOL the "parallel" build is serial too, and
-    # matrix_match would compare serial with serial: record the chunks.
-    clear_distance_caches()
-    with telemetry.collecting() as registry:
-        distance_matrix(tokens, workers=workers)
-    pool_chunks = registry.counters.get("parallel.dld.chunks", 0)
-
-    # Flood scenario: the same window under the burst flood preset.  The
-    # flood run generates an order of magnitude more sessions than the
-    # quiet one, so both are compared per generated session.
-    import dataclasses as _dataclasses
-
-    flood_config = config.replace(
-        faults=_dataclasses.replace(
-            config.faults, flood=FloodFaults.from_name("burst")
-        )
-    )
-    flood_times: list[float] = []
-    for _ in range(args.repeat):
-        flood_result, elapsed = best_of(lambda: run_simulation(flood_config), 1)
-        flood_times.append(elapsed)
-    flood_accounting = flood_result.collector.accounting()
-    flood_generated = flood_accounting["generated"]
-    quiet_generated = serial_result.collector.generated
-    quiet_us = statistics.median(off_times) / quiet_generated * 1e6
-    flood_us = statistics.median(flood_times) / flood_generated * 1e6
-
     report = {
-        "workers": workers,
         "cpu_count": os.cpu_count(),
         "scale": config.scale,
         "seed": config.seed,
         "fault_profile": config.faults.name,
         "repeat": args.repeat,
-        "sessions": len(serial_result.database),
-        "telemetry": {
+    }
+    if not args.sketch_only:
+        # Day-loop runs are interleaved telemetry-off / telemetry-on, and
+        # the overhead is the median of the per-pair on/off ratios, so
+        # drift of the machine between timing blocks cancels within each
+        # pair.
+        from repro import telemetry
+
+        def run_instrumented():
+            with telemetry.collecting():
+                return run_simulation(config)
+
+        off_times: list[float] = []
+        on_times: list[float] = []
+        for _ in range(args.repeat):
+            serial_result, elapsed = best_of(
+                lambda: run_simulation(config), 1
+            )
+            off_times.append(elapsed)
+            telemetry_result, elapsed = best_of(run_instrumented, 1)
+            on_times.append(elapsed)
+        overhead_pcts = [
+            (on / off - 1.0) * 100 for off, on in zip(off_times, on_times)
+        ]
+
+        # Flood scenario: the same window under the burst flood preset.
+        # The flood run generates an order of magnitude more sessions
+        # than the quiet one, so both are compared per generated session.
+        import dataclasses as _dataclasses
+
+        flood_config = config.replace(
+            faults=_dataclasses.replace(
+                config.faults, flood=FloodFaults.from_name("burst")
+            )
+        )
+        flood_times: list[float] = []
+        for _ in range(args.repeat):
+            flood_result, elapsed = best_of(
+                lambda: run_simulation(flood_config), 1
+            )
+            flood_times.append(elapsed)
+        flood_accounting = flood_result.collector.accounting()
+        flood_generated = flood_accounting["generated"]
+        quiet_generated = serial_result.collector.generated
+        quiet_us = statistics.median(off_times) / quiet_generated * 1e6
+        flood_us = statistics.median(flood_times) / flood_generated * 1e6
+
+        report["sessions"] = len(serial_result.database)
+        report["telemetry"] = {
             "pairs": len(overhead_pcts),
             "off_s": round(statistics.median(off_times), 4),
             "on_s": round(statistics.median(on_times), 4),
             "overhead_pct": round(statistics.median(overhead_pcts), 2),
             "overhead_min_pct": round(min(overhead_pcts), 2),
             "overhead_max_pct": round(max(overhead_pcts), 2),
-            "digest_match": telemetry_match,
-        },
-        "dld_matrix": {
-            "sequences": len(tokens),
-            "distinct_sequences": distinct,
-            "pairs": distinct * (distinct - 1) // 2,
-            "serial_s": round(serial_dld_s, 4),
-            "parallel_s": round(parallel_dld_s, 4),
-            "speedup": round(serial_dld_s / parallel_dld_s, 3),
-            "pool_chunks": pool_chunks,
-            "matrix_match": matrix_match,
-        },
-        "flood": {
+            "digest_match": serial_result.database.digest()
+            == telemetry_result.database.digest(),
+        }
+        report["flood"] = {
             "profile": "burst",
             "serial_s": round(statistics.median(flood_times), 4),
             "generated": flood_generated,
@@ -892,11 +806,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "quiet_us_per_generated": round(quiet_us, 2),
             "us_per_generated": round(flood_us, 2),
             "us_per_generated_ratio": round(flood_us / quiet_us, 3),
-        },
-    }
+        }
     if args.sketch_sample > 0:
         report["sketch"] = _sketch_bench(args, config, best_of)
-    report["service"] = _service_bench(serial_result, config)
+    if not args.sketch_only:
+        report["service"] = _service_bench(serial_result, config)
+
     violations = check_bench_floors(
         report, telemetry_bar_pct=args.telemetry_bar
     )
@@ -909,57 +824,58 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "service_cache_floor": SERVICE_CACHE_FLOOR,
         "violations": violations,
     }
-    tele = report["telemetry"]
-    print(f"== bench: serial day loop, DLD pool at {workers} workers ==")
-    print(
-        f"DLD matrix: {serial_dld_s:.3f}s -> {parallel_dld_s:.3f}s "
-        f"({report['dld_matrix']['speedup']:.2f}x, "
-        f"{report['dld_matrix']['pairs']} pairs in {pool_chunks} pool "
-        f"chunks, bit-identical: {matrix_match})"
-    )
-    print(
-        f"telemetry:  {tele['off_s']:.3f}s -> {tele['on_s']:.3f}s "
-        f"({tele['overhead_pct']:+.1f}% median overhead over "
-        f"{tele['pairs']} pairs, range [{tele['overhead_min_pct']:+.1f}, "
-        f"{tele['overhead_max_pct']:+.1f}], digest match: {telemetry_match})"
-    )
-    print(
-        f"flood:      {flood_us:.1f} us/generated session vs "
-        f"{quiet_us:.1f} quiet ({flood_us / quiet_us:.2f}x; "
-        f"{flood_accounting['shed']} shed of {flood_generated})"
-    )
-    if "sketch" in report:
-        _print_sketch_bench(report["sketch"])
-    service = report["service"]
-    print(
-        f"service:    {service['repeated']['requests_per_s']:.0f} req/s on "
-        f"repeated-query load (cache hit ratio "
-        f"{service['repeated']['cache_hit_ratio']:.3f}); breaker-open: "
-        f"{service['breaker_open']['stale_served']} stale-served, "
-        f"{service['breaker_open']['unserved']} unserved"
-    )
+    _print_bench(report)
     for violation in violations:
         marker = "FAIL" if args.enforce else "warn"
         print(f"{marker}: {violation}")
     if args.json is not None:
         args.json.write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {args.json}")
-    healthy = matrix_match and telemetry_match
     if args.enforce and violations:
         return 1
+    healthy = report.get("telemetry", {}).get("digest_match", True)
     return 0 if healthy else 1
 
 
-def _print_sketch_bench(sketch: dict) -> None:
-    print(
-        f"sketch:     {sketch['sketch_s']:.3f}s pruned vs "
-        f"{sketch['exact_estimated_s']:.3f}s exact (extrapolated from "
-        f"{sketch['sampled_pairs']} sampled pairs) = "
-        f"{sketch['speedup']:.2f}x at {sketch['distinct_sequences']} "
-        f"distinct; candidate ratio {sketch['candidate_ratio']:.4f}, "
-        f"close-pair recall {sketch['close_pair_recall']:.4f} "
-        f"(d <= {sketch['close_threshold']})"
-    )
+def _print_bench(report: dict) -> None:
+    """One line per measured block of a ``repro bench`` report."""
+    tele = report.get("telemetry")
+    if tele:
+        print(
+            f"telemetry:  {tele['off_s']:.3f}s -> {tele['on_s']:.3f}s "
+            f"({tele['overhead_pct']:+.1f}% median overhead over "
+            f"{tele['pairs']} pairs, range [{tele['overhead_min_pct']:+.1f}, "
+            f"{tele['overhead_max_pct']:+.1f}], digest match: "
+            f"{tele['digest_match']})"
+        )
+    flood = report.get("flood")
+    if flood:
+        print(
+            f"flood:      {flood['us_per_generated']:.1f} us/generated "
+            f"session vs {flood['quiet_us_per_generated']:.1f} quiet "
+            f"({flood['us_per_generated_ratio']:.2f}x; {flood['shed']} "
+            f"shed of {flood['generated']})"
+        )
+    sketch = report.get("sketch")
+    if sketch:
+        print(
+            f"sketch:     {sketch['sketch_s']:.3f}s pruned vs "
+            f"{sketch['exact_estimated_s']:.3f}s exact (extrapolated from "
+            f"{sketch['sampled_pairs']} sampled pairs) = "
+            f"{sketch['speedup']:.2f}x at {sketch['distinct_sequences']} "
+            f"distinct; candidate ratio {sketch['candidate_ratio']:.4f}, "
+            f"close-pair recall {sketch['close_pair_recall']:.4f} "
+            f"(d <= {sketch['close_threshold']})"
+        )
+    service = report.get("service")
+    if service:
+        print(
+            f"service:    {service['repeated']['requests_per_s']:.0f} req/s "
+            f"on repeated-query load (cache hit ratio "
+            f"{service['repeated']['cache_hit_ratio']:.3f}); breaker-open: "
+            f"{service['breaker_open']['stale_served']} stale-served, "
+            f"{service['breaker_open']['unserved']} unserved"
+        )
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
@@ -1409,10 +1325,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("--scale", type=float, default=BENCH_CONFIG.scale)
     report.add_argument("--seed", type=int, default=BENCH_CONFIG.seed)
-    report.add_argument(
-        "--workers", type=int, default=DEFAULT_CONFIG.workers,
-        help="processes for the pairwise DLD pool (1 = serial)",
-    )
     report.add_argument("--out", type=Path, default=Path("EXPERIMENTS.md"))
     report.add_argument(
         "--telemetry", type=Path, nargs="?", const=Path("telemetry.json"),
@@ -1442,8 +1354,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = commands.add_parser(
         "bench",
-        help="time telemetry overhead, the flood shed path and the DLD "
-        "pair pool",
+        help="time telemetry overhead, the flood shed path, the sketch "
+        "prefilter and the query service",
     )
     _add_common(bench)
     bench.add_argument(
@@ -1453,12 +1365,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--repeat", type=int, default=1,
         help="iterations per timing: interleaved off/on telemetry pairs "
-        "and flood runs (median), DLD and sketch builds (best-of)",
-    )
-    bench.add_argument(
-        "--dld-sample", type=int, default=1600, metavar="N",
-        help="command sessions sampled for the DLD matrix timing "
-        "(enough distinct sequences that the pool engages)",
+        "and flood runs (median), sketch builds (best-of)",
     )
     bench.add_argument(
         "--enforce", action="store_true",

@@ -62,15 +62,6 @@ class SimulationConfig:
             paper's deployment — only the October 2023 outage, no
             sensor churn, a lossless collection path — and reproduces
             the pre-fault-model pipeline byte for byte.
-        workers: process count for the pairwise DLD pool
-            (:mod:`repro.parallel.distance`).  ``1`` (the default)
-            builds the distance matrices serially; ``N > 1`` chunks
-            their pair work over ``N`` processes.  The simulation day
-            loop is serial at every value.  The matrices are
-            bit-identical at every worker count, so this knob trades
-            wall-clock for cores, never correctness — it is
-            deliberately excluded from checkpoint fingerprints and
-            dataset cache keys.
     """
 
     seed: int = 7
@@ -83,7 +74,6 @@ class SimulationConfig:
     session_timeout_s: float = DEFAULT_SESSION_TIMEOUT_S
     include_telnet: bool = True
     faults: FaultProfile = field(default_factory=FaultProfile.paper)
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.scale <= 0:
@@ -92,8 +82,6 @@ class SimulationConfig:
             raise ValueError("start must not be after end")
         if self.n_honeypots < 1:
             raise ValueError("need at least one honeypot")
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
 
     def scaled(self, paper_count: float) -> float:
         """Return ``paper_count`` scaled to this configuration."""

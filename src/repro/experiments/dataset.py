@@ -167,14 +167,10 @@ class Dataset:
                 if mode == "lsh":
                     from repro.analysis.sketch import sketch_distance_matrix
 
-                    approx = sketch_distance_matrix(
-                        tokens, workers=self.config.workers
-                    )
+                    approx = sketch_distance_matrix(tokens)
                     matrix = approx.values
                 else:
-                    matrix = distance_matrix(
-                        tokens, workers=self.config.workers, mode=mode
-                    )
+                    matrix = distance_matrix(tokens, mode=mode)
                 result, selection = cluster_with_selection(
                     matrix, seed=self.config.seed
                 )

@@ -127,9 +127,7 @@ class ExtAblationTokenizer(Experiment):
         ):
             tokens = session_tokens(sessions, tokenizer=tokenizer)
             distinct = len({tuple(t) for t in tokens})
-            matrix = distance_matrix(
-                tokens, workers=dataset.config.workers, tokenizer=tokenizer
-            )
+            matrix = distance_matrix(tokens, tokenizer=tokenizer)
             result, selection = cluster_with_selection(
                 matrix, seed=dataset.config.seed
             )

@@ -55,9 +55,7 @@ class Fig14CategoryDld(Experiment):
             start = len(flat)
             flat.extend(exemplars[category])
             spans[category] = range(start, len(flat))
-        pairwise = distance_matrix(
-            flat, workers=dataset.config.workers, mode=dataset.cluster_mode
-        )
+        pairwise = distance_matrix(flat, mode=dataset.cluster_mode)
         rows = []
         matrix: dict[tuple[str, str], float] = {}
         for a in categories:

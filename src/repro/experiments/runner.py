@@ -83,10 +83,6 @@ def main() -> None:
     parser.add_argument("--scale", type=float, default=DEFAULT_CONFIG.scale)
     parser.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed)
     parser.add_argument(
-        "--workers", type=int, default=DEFAULT_CONFIG.workers,
-        help="processes for the pairwise DLD pool (1 = serial)",
-    )
-    parser.add_argument(
         "--only", nargs="*", default=None, help="experiment ids to run"
     )
     parser.add_argument(
@@ -94,9 +90,7 @@ def main() -> None:
         help="collect run telemetry and write it as JSON",
     )
     args = parser.parse_args()
-    config = SimulationConfig(
-        scale=args.scale, seed=args.seed, workers=args.workers
-    )
+    config = SimulationConfig(scale=args.scale, seed=args.seed)
     load_all_experiments()
     registry = telemetry.enable() if args.telemetry else None
     try:
@@ -112,7 +106,6 @@ def main() -> None:
             "command": "experiments.runner",
             "seed": config.seed,
             "scale": config.scale,
-            "workers": config.workers,
         }
         telemetry.write_telemetry_json(args.telemetry, registry, meta=meta)
         print(f"wrote {args.telemetry}")

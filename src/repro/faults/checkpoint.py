@@ -118,7 +118,6 @@ def config_fingerprint(config: "SimulationConfig") -> str:
     # FloodFaults is declared repr=False on FaultProfile, so an inert
     # flood keeps the payload — and every pre-overload fingerprint —
     # unchanged; an active flood shapes the dataset and must mismatch.
-    # (workers is an execution knob: excluded.)
     if not config.faults.flood.inert:
         payload["flood"] = repr(config.faults.flood)
     return sha256_hex(json.dumps(payload, sort_keys=True))

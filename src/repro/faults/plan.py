@@ -237,8 +237,8 @@ class IntegrityFaults:
     enabling corruption cannot change what a fault-free run would have
     produced.  The index field is declared ``repr=False``: index damage
     only degrades queries to the scan path — the recovered output is
-    byte-identical — so, like the ``workers`` knob, it stays out of
-    ``repr(profile)`` and therefore out of checkpoint fingerprints.
+    byte-identical — so it stays out of ``repr(profile)`` and
+    therefore out of checkpoint fingerprints.
 
     ``worker_crash_probability`` is a retired knob kept as the constant
     0.0: it is part of ``repr(profile)``, which

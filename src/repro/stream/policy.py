@@ -1,13 +1,13 @@
 """The stream engine's execution policy: supervision knobs + faults.
 
 A :class:`StreamPolicy` is deliberately *not* part of
-:class:`~repro.config.SimulationConfig`: like the ``workers`` knob it
-describes how a run executes, never what data it produces on the
-healthy path, so it stays out of config fingerprints and dataset
-cache keys.  The batch serial engine is literally
-the stream engine under :meth:`StreamPolicy.replay` (supervision
-bypassed, zero per-event overhead); the live service mode runs under
-:meth:`StreamPolicy.live` or a faulted variant.
+:class:`~repro.config.SimulationConfig`: it describes how a run
+executes, never what data it produces on the healthy path, so it stays
+out of config fingerprints and dataset cache keys.  The batch serial
+engine is literally the stream engine under
+:meth:`StreamPolicy.replay` (supervision bypassed, zero per-event
+overhead); the live service mode runs under :meth:`StreamPolicy.live`
+or a faulted variant.
 
 The one exception to digest-neutrality is spelled out in
 :mod:`repro.faults.stream`: active stream faults plus an attached

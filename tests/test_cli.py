@@ -93,7 +93,6 @@ class TestCommands:
 class TestBenchFloors:
     def _report(self, overhead=1.0, unserved=0):
         return {
-            "workers": 2,
             "cpu_count": 4,
             "telemetry": {"overhead_pct": overhead, "digest_match": True},
             "service": {

@@ -5,9 +5,9 @@ pinned against it:
 
 * ``mode="lsh"`` reproduces the exact-mode distance matrix, cluster
   labels, medoid sets and the Figure 5/6/14 artifact digests
-  bit-identically at paper scale, across the {none, paper, stress}
-  fault profiles and across {serial, 2 workers} — the activation-floor
-  contract of :mod:`repro.analysis.sketch` made observable.
+  bit-identically at paper scale and across the {none, paper, stress}
+  fault profiles — the activation-floor contract of
+  :mod:`repro.analysis.sketch` made observable.
 * The online assign-or-spawn clusterer replays the batch sample as a
   stream; its divergence from the batch K-medoids labels is pinned
   with a committed golden (pair agreement ≥ the floor, exact golden
@@ -104,32 +104,19 @@ class TestExactVsLsh:
                 sha256_hex(experiment.run(sibling).to_json())
             ), f"{experiment_id} digest diverged under mode=lsh"
 
+    def test_paper_scale_matrix_equals_clustering_matrix(self, dataset):
+        tokens = dataset.clustering().tokens
+        for mode in ("exact", "lsh"):
+            assert np.array_equal(
+                distance_matrix(tokens, mode=mode), dataset.clustering().matrix
+            )
+
     def test_lsh_clustering_reports_bypass_telemetry(self, dataset):
         sibling = lsh_sibling(dataset)
         with telemetry.collecting() as registry:
             clustering = sibling.clustering()
         assert clustering.mode == "lsh"
         assert registry.counters["sketch.bypassed"] == 1
-
-
-class TestSerialVsWorkers:
-    @pytest.mark.parametrize("profile", PROFILES)
-    @pytest.mark.parametrize("mode", ("exact", "lsh"))
-    def test_matrix_identical_at_two_workers(
-        self, profile_datasets, profile, mode
-    ):
-        tokens = profile_datasets[profile].clustering().tokens
-        serial = distance_matrix(tokens, workers=1, mode=mode)
-        parallel = distance_matrix(tokens, workers=2, mode=mode)
-        assert np.array_equal(serial, parallel)
-
-    def test_paper_scale_matrix_identical_at_two_workers(self, dataset):
-        tokens = dataset.clustering().tokens
-        for mode in ("exact", "lsh"):
-            serial = distance_matrix(tokens, workers=1, mode=mode)
-            parallel = distance_matrix(tokens, workers=2, mode=mode)
-            assert np.array_equal(serial, parallel)
-            assert np.array_equal(serial, dataset.clustering().matrix)
 
 
 class TestOnlineReplay:

@@ -1,7 +1,8 @@
 """Distance matrices, K-medoids, model selection, cluster labelling.
 
-The DLD pair pool (``distance_matrix(..., workers=N)``) must produce the
-serial matrix bit for bit; ``TestDistanceMatrixParallel`` pins that.
+The distance layer's caches are keyed by tokenizer fingerprint, so two
+tokenizer configs never serve each other's entries in either distance
+mode; ``TestTokenizerCacheKeying`` pins that.
 """
 
 from __future__ import annotations
@@ -12,17 +13,16 @@ from datetime import date
 import numpy as np
 import pytest
 
-from repro import telemetry
 from repro.analysis.clusterselect import cluster_with_selection, elbow_point, select_k
 from repro.analysis.distance import (
     clear_distance_caches,
     distance_matrix,
-    sample_sessions,
     session_tokens,
 )
 from repro.analysis.dld import normalized_dld
 from repro.analysis.kmedoids import kmedoids, silhouette_score
-from repro.parallel.distance import CHUNKS_PER_WORKER
+from repro.analysis.sketch import SketchConfig, synthetic_token_corpus
+from repro.analysis.tokenizer import RAW_TOKENIZER
 
 
 def two_group_matrix(n_per_group: int = 6, gap: float = 1.0) -> np.ndarray:
@@ -34,6 +34,15 @@ def two_group_matrix(n_per_group: int = 6, gap: float = 1.0) -> np.ndarray:
         matrix[block, block] = 0.05
     np.fill_diagonal(matrix, 0.0)
     return matrix
+
+
+def _random_token_sequences(count: int, seed: int) -> list[list[str]]:
+    rng = random.Random(seed)
+    vocabulary = ["cd", "/tmp", "wget", "<url>", "chmod", "777", "rm", "echo"]
+    return [
+        [rng.choice(vocabulary) for _ in range(rng.randrange(0, 24))]
+        for _ in range(count)
+    ]
 
 
 class TestDistanceMatrix:
@@ -58,6 +67,14 @@ class TestDistanceMatrix:
         matrix = distance_matrix([["a"], ["a"], ["b"]])
         assert matrix[0, 1] == 0.0
         assert matrix[0, 2] > 0
+
+    def test_matrix_matches_naive_loop(self):
+        tokens = _random_token_sequences(140, seed=9)
+        clear_distance_caches()
+        matrix = distance_matrix(tokens)
+        for i, a in enumerate(tokens):
+            for j, b in enumerate(tokens):
+                assert matrix[i, j] == normalized_dld(a, b)
 
 
 class TestTokenizerCacheKeying:
@@ -117,6 +134,32 @@ class TestTokenizerCacheKeying:
         other = _cached_pair_distance.cache_info()
         assert other.misses == hit.misses + 1  # distinct entry, no hit
 
+    @pytest.mark.parametrize(
+        "mode, sketch",
+        [
+            ("exact", None),
+            ("lsh", None),
+            ("lsh", SketchConfig(min_sequences=0)),
+        ],
+        ids=["exact", "lsh", "lsh-pruned"],
+    )
+    def test_matrix_caches_pairs_under_its_tokenizer(self, mode, sketch):
+        # "lsh" below the activation floor takes the exact bypass;
+        # "lsh-pruned" measures LSH candidate pairs.  Either way, a
+        # raw-tokenizer build must leave nothing a default build can hit.
+        from repro.analysis.distance import _cached_pair_distance
+
+        corpus = synthetic_token_corpus(60, seed=3)
+        clear_distance_caches()
+        distance_matrix(
+            corpus, mode=mode, sketch=sketch, tokenizer=RAW_TOKENIZER
+        )
+        before = _cached_pair_distance.cache_info()
+        distance_matrix(corpus)
+        after = _cached_pair_distance.cache_info()
+        assert after.hits == before.hits
+        assert after.misses - before.misses == 60 * 59 // 2
+
     def test_fingerprint_covers_the_knobs(self):
         from repro.analysis.tokenizer import DEFAULT_TOKENIZER, RAW_TOKENIZER, TokenizerConfig
 
@@ -124,62 +167,6 @@ class TestTokenizerCacheKeying:
         assert TokenizerConfig(normalize=True).fingerprint == (
             DEFAULT_TOKENIZER.fingerprint
         )
-
-
-def _random_token_sequences(count: int, seed: int) -> list[list[str]]:
-    rng = random.Random(seed)
-    vocabulary = ["cd", "/tmp", "wget", "<url>", "chmod", "777", "rm", "echo"]
-    return [
-        [rng.choice(vocabulary) for _ in range(rng.randrange(0, 24))]
-        for _ in range(count)
-    ]
-
-
-def _pooled_matrix(tokens: list[list[str]], workers: int = 2):
-    """The ``workers``-process matrix and the pool chunks it submitted
-    (0 when the pair count fell back to serial)."""
-    clear_distance_caches()
-    with telemetry.collecting() as registry:
-        matrix = distance_matrix(tokens, workers=workers)
-    return matrix, registry.counters.get("parallel.dld.chunks", 0)
-
-
-class TestDistanceMatrixParallel:
-    def test_chunked_pool_matches_serial_bit_for_bit(self):
-        # 156 distinct sequences: 12,090 pairs, over MIN_PAIRS_FOR_POOL.
-        tokens = _random_token_sequences(160, seed=5)
-        clear_distance_caches()
-        serial = distance_matrix(tokens)
-        parallel, chunks = _pooled_matrix(tokens)
-        assert chunks == 2 * CHUNKS_PER_WORKER
-        assert np.array_equal(serial, parallel)
-
-    def test_matrix_matches_naive_loop(self):
-        tokens = _random_token_sequences(140, seed=9)
-        matrix, chunks = _pooled_matrix(tokens)
-        assert chunks == 2 * CHUNKS_PER_WORKER
-        for i, a in enumerate(tokens):
-            for j, b in enumerate(tokens):
-                assert matrix[i, j] == normalized_dld(a, b)
-
-    def test_tiny_inputs_skip_the_pool(self):
-        tokens = _random_token_sequences(6, seed=1)
-        matrix, chunks = _pooled_matrix(tokens, workers=4)
-        assert chunks == 0
-        assert np.array_equal(matrix, distance_matrix(tokens))
-
-    def test_clustering_sample_matches(self, dataset):
-        # 1,600 of the default dataset's command sessions hold 200
-        # distinct sequences: 19,900 pairs.
-        sessions = sample_sessions(
-            dataset.database.command_sessions(), 1600, seed=7
-        )
-        tokens = session_tokens(sessions)
-        clear_distance_caches()
-        serial = distance_matrix(tokens)
-        parallel, chunks = _pooled_matrix(tokens)
-        assert chunks == 2 * CHUNKS_PER_WORKER
-        assert np.array_equal(serial, parallel)
 
 
 class TestTokenizeOnce:

@@ -30,10 +30,6 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(n_honeypots=0)
 
-    def test_invalid_worker_count_rejected(self):
-        with pytest.raises(ValueError, match="workers"):
-            SimulationConfig(workers=0)
-
     def test_scaled(self):
         config = SimulationConfig(scale=1e-3)
         assert config.scaled(1_000_000) == 1000
@@ -99,12 +95,6 @@ class TestDatasetBuilder:
             fresh.database.digest()
         )
         assert fresh.database.digest() != cached.database.digest()
-
-    def test_execution_knobs_share_the_cached_dataset(self):
-        config = SimulationConfig(
-            seed=79, scale=1e-4, start=date(2022, 6, 1), end=date(2022, 6, 3)
-        )
-        assert build_dataset(config.replace(workers=2)) is build_dataset(config)
 
     def test_clustering_cached(self, dataset):
         assert dataset.clustering() is dataset.clustering()

@@ -177,10 +177,6 @@ class TestConfigFingerprint:
         )
         assert config_fingerprint(flooded) != PRE_OVERLOAD_FINGERPRINT
 
-    def test_execution_knobs_do_not_change_fingerprint(self):
-        tweaked = DEFAULT_CONFIG.replace(workers=4)
-        assert config_fingerprint(tweaked) == PRE_OVERLOAD_FINGERPRINT
-
 
 class TestRecordPriority:
     def test_noop_is_lowest(self):

@@ -21,7 +21,6 @@ from repro.analysis.distance import clear_distance_caches, distance_matrix
 from repro.analysis.dld import damerau_levenshtein, dld_bounds, normalized_dld
 from repro.analysis.kmedoids import kmedoids, silhouette_score
 from repro.honeypot.fs import FakeFilesystem
-from repro.parallel.distance import chunk_spans, pair_at, row_offsets
 
 
 def reference_dld(a: tuple[str, ...], b: tuple[str, ...]) -> int:
@@ -209,37 +208,8 @@ class TestDldMetricProperties:
         )
 
 
-_matrix_sizes = st.integers(min_value=0, max_value=40)
-
-
-class TestChunkGeometry:
-    """The linear-index ↔ (i, j) mapping behind the chunked matrix."""
-
-    @given(_matrix_sizes)
-    @settings(max_examples=100)
-    def test_pair_at_enumerates_upper_triangle_in_order(self, m):
-        offsets = row_offsets(m)
-        total = m * (m - 1) // 2
-        expected = [(i, j) for i in range(m) for j in range(i + 1, m)]
-        assert [pair_at(k, offsets) for k in range(total)] == expected
-
-    @given(
-        st.integers(min_value=0, max_value=10_000),
-        st.integers(min_value=1, max_value=64),
-    )
-    @settings(max_examples=150)
-    def test_chunk_spans_partition_the_pair_range(self, total, chunks):
-        spans = chunk_spans(total, chunks)
-        assert all(start < stop for start, stop in spans)
-        if total == 0:
-            assert spans == []
-            return
-        assert spans[0][0] == 0
-        assert spans[-1][1] == total
-        for (_, stop), (start, _) in zip(spans, spans[1:]):
-            assert start == stop
-        sizes = [stop - start for start, stop in spans]
-        assert max(sizes) - min(sizes) <= 1
+class TestDistanceMatrixProperties:
+    """The deduplicating matrix build against a naive double loop."""
 
     @given(st.lists(_tokens, min_size=1, max_size=8))
     @settings(max_examples=50, deadline=None)

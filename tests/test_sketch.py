@@ -294,19 +294,6 @@ class TestSketchMatrixContract:
         assert approx.values[1, 0] == 1.0
         assert not approx.pruned[1, 0]
 
-    def test_serial_equals_two_workers(self):
-        # 16,018 candidate pairs, over MIN_PAIRS_FOR_POOL.
-        corpus = synthetic_token_corpus(600, seed=6)
-        config = SketchConfig(min_sequences=0)
-        serial = sketch_distance_matrix(corpus, config, workers=1)
-        clear_distance_caches()  # forked workers must not inherit the values
-        with telemetry.collecting() as registry:
-            parallel = sketch_distance_matrix(corpus, config, workers=2)
-        assert registry.counters.get("parallel.dld.candidate_chunks", 0) > 0
-        assert np.array_equal(serial.values, parallel.values)
-        assert np.array_equal(serial.pruned, parallel.pruned)
-        assert serial.candidate_pairs == parallel.candidate_pairs
-
     def test_telemetry_counts_pair_disposition(self):
         corpus = synthetic_token_corpus(150, seed=7)
         config = SketchConfig(min_sequences=0)
