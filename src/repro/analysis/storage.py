@@ -90,27 +90,35 @@ def client_storage_flows(
     return flows
 
 
-def flow_graph(flows: Counter):
-    """Figure 7's Sankey as a weighted bipartite digraph (networkx).
+def flow_graph(flows: Counter) -> dict[str, dict[str, int]]:
+    """Figure 7's Sankey as a weighted bipartite digraph.
 
-    Nodes are ``client:<type>`` and ``storage:<type>``; edge weights are
-    observation counts, with a ``same_ip`` attribute carrying the count
-    of flows where the storage IP equals the client IP.
+    Maps ``client:<type>`` to ``{storage:<type>: count}``; the counts
+    add up the same-IP and different-IP flows.  Sources and targets keep
+    first-seen order, so iterating lists edges grouped by source.
     """
-    import networkx as nx
-
-    graph = nx.DiGraph()
-    for (client_type, storage_type, same), count in flows.items():
-        source = f"client:{client_type}"
+    graph: dict[str, dict[str, int]] = {}
+    for (client_type, storage_type, _), count in flows.items():
+        targets = graph.setdefault(f"client:{client_type}", {})
         target = f"storage:{storage_type}"
-        if graph.has_edge(source, target):
-            graph[source][target]["weight"] += count
-            graph[source][target]["same_ip"] += count if same else 0
-        else:
-            graph.add_edge(
-                source, target, weight=count, same_ip=count if same else 0
-            )
+        targets[target] = targets.get(target, 0) + count
     return graph
+
+
+def heaviest_edge(graph: dict[str, dict[str, int]]) -> tuple[str, str, int]:
+    """The heaviest ``(source, target, count)`` edge of :func:`flow_graph`.
+
+    Ties go to the first edge in source-grouped order, not in insertion
+    order.
+    """
+    return max(
+        (
+            (source, target, count)
+            for source, targets in graph.items()
+            for target, count in targets.items()
+        ),
+        key=lambda edge: edge[2],
+    )
 
 
 def same_ip_fraction(observations: list[DownloadObservation]) -> float:

@@ -256,15 +256,19 @@ class ExtBaselineClustering(Experiment):
                 f"{kmedoids_result.inertia:.1f}",
             ]
         )
-        for method in ("average", "complete", "single"):
-            result = hierarchical_cluster(matrix, k, method=method)
+        hierarchical = {
+            method: hierarchical_cluster(matrix, k, method=method)
+            for method in ("average", "complete", "single")
+        }
+        for method, result in hierarchical.items():
             name = f"hierarchical/{method}"
             silhouettes[name] = silhouette_score(matrix, result.labels)
             rows.append(
                 [name, k, f"{silhouettes[name]:.3f}", f"{result.inertia:.1f}"]
             )
-        average = hierarchical_cluster(matrix, k, method="average")
-        agreement = pair_agreement(kmedoids_result.labels, average.labels)
+        agreement = pair_agreement(
+            kmedoids_result.labels, hierarchical["average"].labels
+        )
         notes = [
             f"pairwise (Rand) agreement between k-medoids and "
             f"hierarchical/average at k={k}: {agreement:.2f}",

@@ -8,6 +8,7 @@ from repro.analysis.storage import (
     client_storage_flows,
     download_observations,
     flow_graph,
+    heaviest_edge,
     same_ip_fraction,
 )
 from repro.experiments.base import Experiment, register
@@ -42,15 +43,12 @@ class Fig07Sankey(Experiment):
         cloudy = (
             storage_types.get("Hosting", 0) + storage_types.get("CDN", 0)
         ) / total
-        graph = flow_graph(flows)
-        heaviest = max(
-            graph.edges(data=True), key=lambda edge: edge[2]["weight"]
-        )
+        source, target, weight = heaviest_edge(flow_graph(flows))
         notes = [
             f"storage IP differs from client IP in {different:.0%} of "
             "download observations (paper: 80%)",
-            f"heaviest Sankey edge: {heaviest[0]} → {heaviest[1]} "
-            f"({heaviest[2]['weight']} observations) — the ISP/NSP→Hosting "
+            f"heaviest Sankey edge: {source} → {target} "
+            f"({weight} observations) — the ISP/NSP→Hosting "
             "flow the paper's figure shows widest",
             f"client side dominated by ISP/NSP: "
             f"{client_types.get('ISP/NSP', 0) / total:.0%} (paper: most)",

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro.experiments.base import REGISTRY
 from repro.experiments.fig10_passwords import _monthly_correlation
 from repro.experiments.runner import load_all_experiments, render_report
@@ -182,7 +184,7 @@ class TestFig10Correlation:
         }
 
     def test_matches_pearsonr(self):
-        from scipy.stats import pearsonr
+        pearsonr = pytest.importorskip("scipy.stats").pearsonr
 
         rng = random.Random(10)
         for _ in range(200):

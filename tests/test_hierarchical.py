@@ -1,4 +1,10 @@
-"""Hierarchical-clustering baseline and the flow graph."""
+"""Hierarchical-clustering baseline and the flow graph.
+
+The linkage is a numpy port of scipy's algorithms, so scipy is the
+reference here: heights and every ``maxclust`` partition must equal
+scipy's, ties included.  Those tests skip where scipy is not installed;
+the runtime never imports it.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +12,20 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.analysis.hierarchical import hierarchical_cluster, pair_agreement
+from repro.analysis.hierarchical import (
+    METHODS,
+    cut,
+    hierarchical_cluster,
+    linkage,
+    pair_agreement,
+)
 from repro.analysis.kmedoids import kmedoids
-from repro.analysis.storage import flow_graph
+from repro.analysis.storage import flow_graph, heaviest_edge
+from repro.config import SimulationConfig
+from repro.experiments.dataset import build_dataset
 
 
 def two_group_matrix(n_per_group: int = 6, gap: float = 1.0) -> np.ndarray:
@@ -20,6 +36,88 @@ def two_group_matrix(n_per_group: int = 6, gap: float = 1.0) -> np.ndarray:
         matrix[block, block] = 0.05
     np.fill_diagonal(matrix, 0.0)
     return matrix
+
+
+def symmetric(n: int, cells: list[float]) -> np.ndarray:
+    """A distance matrix whose upper triangle is ``cells``, row by row."""
+    matrix = np.zeros((n, n))
+    matrix[np.triu_indices(n, 1)] = cells
+    return matrix + matrix.T
+
+
+def partition(labels) -> list[int]:
+    """Labels renumbered by first appearance: equal partitions compare equal."""
+    first: dict[int, int] = {}
+    return [first.setdefault(label, len(first)) for label in np.asarray(labels).tolist()]
+
+
+@pytest.fixture(scope="module")
+def scipy_hierarchy():
+    return pytest.importorskip("scipy.cluster.hierarchy")
+
+
+def assert_matches_scipy(hierarchy, matrix: np.ndarray) -> None:
+    """Heights and the ``maxclust`` partition at every k equal scipy's."""
+    n = len(matrix)
+    condensed = matrix[np.triu_indices(n, 1)]
+    for method in METHODS:
+        reference = hierarchy.linkage(condensed, method=method)
+        pairs, heights = linkage(matrix, method)
+        assert np.array_equal(heights, reference[:, 2]), method
+        for k in range(1, n + 1):
+            expected = hierarchy.fcluster(reference, t=k, criterion="maxclust")
+            assert partition(cut(pairs, heights, k)) == partition(expected), (
+                method,
+                k,
+            )
+
+
+@st.composite
+def tie_heavy_matrices(draw):
+    """Every off-diagonal cell is one of at most 6 distinct values."""
+    n = draw(st.integers(2, 24))
+    values = draw(
+        st.lists(st.floats(0, 1), min_size=1, max_size=6, unique=True)
+    )
+    size = n * (n - 1) // 2
+    cells = draw(st.lists(st.sampled_from(values), min_size=size, max_size=size))
+    return symmetric(n, cells)
+
+
+@st.composite
+def dld_like_matrices(draw):
+    """Cells are ``a/b`` ratios, as edit counts over token lengths are."""
+    n = draw(st.integers(2, 24))
+    ratio = st.integers(1, 12).flatmap(
+        lambda longer: st.integers(0, longer).map(lambda edits: edits / longer)
+    )
+    size = n * (n - 1) // 2
+    return symmetric(n, draw(st.lists(ratio, min_size=size, max_size=size)))
+
+
+class TestAgainstScipy:
+    @given(matrix=tie_heavy_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_tie_heavy_matrices(self, scipy_hierarchy, matrix):
+        assert_matches_scipy(scipy_hierarchy, matrix)
+
+    @given(matrix=dld_like_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_dld_like_matrices(self, scipy_hierarchy, matrix):
+        assert_matches_scipy(scipy_hierarchy, matrix)
+
+    def test_seed7_clustering_matrix(self, scipy_hierarchy, dataset):
+        clustering = dataset.clustering()
+        assert clustering.matrix.shape == (117, 117)
+        assert clustering.result.k == 11
+        assert_matches_scipy(scipy_hierarchy, clustering.matrix)
+
+    @pytest.mark.cluster
+    def test_seed7_clustering_matrix_at_1e4(self, scipy_hierarchy):
+        clustering = build_dataset(SimulationConfig(seed=7, scale=1e-4)).clustering()
+        assert clustering.matrix.shape == (400, 400)
+        assert clustering.result.k == 8
+        assert_matches_scipy(scipy_hierarchy, clustering.matrix)
 
 
 class TestHierarchical:
@@ -37,7 +135,7 @@ class TestHierarchical:
 
     def test_methods(self):
         matrix = two_group_matrix()
-        for method in ("average", "complete", "single"):
+        for method in METHODS:
             result = hierarchical_cluster(matrix, 2, method=method)
             assert result.k == 2
 
@@ -46,11 +144,34 @@ class TestHierarchical:
         result = hierarchical_cluster(matrix, 1)
         assert set(result.labels.tolist()) == {0}
 
+    def test_k_n_is_all_singletons(self):
+        matrix = two_group_matrix(3)
+        result = hierarchical_cluster(matrix, 6)
+        assert result.labels.tolist() == list(range(6))
+
+    def test_tied_merges_go_in_together(self):
+        # All six pairs tie: "at most 2 clusters" applies every merge.
+        matrix = symmetric(4, [1.0] * 6)
+        for method in METHODS:
+            assert hierarchical_cluster(matrix, 2, method=method).k == 1
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             hierarchical_cluster(np.zeros((2, 3)), 1)
         with pytest.raises(ValueError):
             hierarchical_cluster(two_group_matrix(2), 0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_non_finite_distance_raises(self, value, method):
+        matrix = two_group_matrix()
+        matrix[0, 7] = matrix[7, 0] = value
+        with pytest.raises(ValueError, match="finite"):
+            hierarchical_cluster(matrix, 2, method=method)
+
+    def test_unsupported_method_raises(self):
+        with pytest.raises(ValueError, match="ward"):
+            hierarchical_cluster(two_group_matrix(), 2, method="ward")
 
     def test_medoids_are_members(self):
         matrix = two_group_matrix()
@@ -92,16 +213,36 @@ class TestFlowGraph:
                 ("Hosting", "CDN", False): 3,
             }
         )
-        graph = flow_graph(flows)
-        assert graph["client:ISP/NSP"]["storage:Hosting"]["weight"] == 12
-        assert graph["client:ISP/NSP"]["storage:Hosting"]["same_ip"] == 2
-        assert graph.number_of_edges() == 2
+        assert flow_graph(flows) == {
+            "client:ISP/NSP": {"storage:Hosting": 12},
+            "client:Hosting": {"storage:CDN": 3},
+        }
 
     def test_bipartite(self):
         flows = Counter({("ISP/NSP", "Hosting", False): 1})
         graph = flow_graph(flows)
-        assert all(node.startswith("client:") or node.startswith("storage:")
-                   for node in graph.nodes)
+        assert all(source.startswith("client:") for source in graph)
+        assert all(
+            target.startswith("storage:")
+            for targets in graph.values()
+            for target in targets
+        )
+
+    def test_heaviest_edge_ties_go_to_the_first_source(self):
+        # Edges are listed grouped by source, as networkx's DiGraph did:
+        # ISP/NSP→Other is inserted after Hosting→CDN but wins the tie.
+        flows = Counter(
+            {
+                ("ISP/NSP", "Hosting", False): 5,
+                ("Hosting", "CDN", False): 7,
+                ("ISP/NSP", "Other", False): 7,
+            }
+        )
+        assert heaviest_edge(flow_graph(flows)) == (
+            "client:ISP/NSP",
+            "storage:Other",
+            7,
+        )
 
 
 class TestBaselineExperiment:
