@@ -18,21 +18,14 @@ log corruption + index corruption):
    FAIL (unexplained damage is never waved through);
 5. a flood leg: the same stress window under the `storm` flood preset
    — the extended conservation law must balance with `shed > 0`;
-6. a long-corpus LSH recall leg: the exact DLD matrix over a
-   `--lsh-corpus`-sized synthetic corpus is the oracle for a
-   recall-vs-candidate-ratio sweep across LSH band counts — every
-   measured sketch entry must equal the exact value bit for bit, and
-   the shipped default config must hold ≥ 0.99 close-pair recall at a
-   < 0.25 candidate ratio (the tuning claim in
-   `repro.analysis.sketch` made falsifiable nightly);
-7. a stream-chaos leg: the supervised stream engine under elevated
+6. a stream-chaos leg: the supervised stream engine under elevated
    stream faults (`chaos` preset) on top of the storm flood — two runs
    of the same seed must produce identical digests *and* identical
    breaker/mode-ladder timelines, the conservation ledger (including
    the extended `admitted == stored + deduplicated` law) must balance,
    a mid-run interrupt must resume to the same final digest, and a
    fault-free supervised replay must stay byte-identical to batch;
-8. a stream-serve leg: the same chaos stream with a snapshot publisher
+7. a stream-serve leg: the same chaos stream with a snapshot publisher
    attached and a live query burst fired at every published day
    boundary — digests and accounting must stay byte-identical to the
    detached run, and a full chaos-profile service load test over the
@@ -60,8 +53,6 @@ from datetime import date
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
 from repro import telemetry
 from repro.attackers.orchestrator import run_simulation
 from repro.config import SimulationConfig
@@ -74,15 +65,6 @@ from repro.util.rng import RngTree
 #: A window long enough to cross the paper outage and several churn
 #: events, short enough for a nightly job.
 SOAK_WINDOW = dict(start=date(2023, 8, 1), end=date(2023, 11, 15))
-
-#: Normalized DLD below which a pair counts as "close" for the LSH
-#: recall sweep — matches the bench leg (`repro bench --sketch-sample`).
-LSH_CLOSE_THRESHOLD = 0.3
-
-#: Floors the *default* sketch config must hold on the long corpus
-#: (the tuning claim documented on `DEFAULT_SKETCH_CONFIG`).
-LSH_RECALL_FLOOR = 0.99
-LSH_RATIO_BAR = 0.25
 
 
 def fail(message: str) -> None:
@@ -100,8 +82,6 @@ class SoakContext:
 
     config: SimulationConfig
     work: Path
-    seed: int
-    lsh_corpus: int
     _reference: object = field(default=None, repr=False)
 
     @property
@@ -274,62 +254,6 @@ def check_index_resilience(reference, work: Path) -> None:
             fail(f"post-repair answers diverged under {mode}")
         if healed_source != "index":
             fail(f"post-repair tree still not serving from the index ({mode})")
-
-
-def check_lsh_recall(seed: int, corpus_size: int) -> None:
-    """LSH leg: recall-vs-ratio sweep on a long synthetic corpus, with
-    the exact DLD matrix as the oracle.  Every measured sketch entry
-    must equal the exact value bit for bit for *every* band count; the
-    shipped default must additionally hold the recall/ratio floors."""
-    from repro.analysis.distance import distance_matrix
-    from repro.analysis.sketch import (
-        DEFAULT_SKETCH_CONFIG,
-        SketchConfig,
-        clear_sketch_caches,
-        sketch_distance_matrix,
-        synthetic_token_corpus,
-    )
-
-    corpus = synthetic_token_corpus(corpus_size, seed=seed)
-    exact = distance_matrix(corpus)
-    upper = np.triu_indices(len(corpus), k=1)
-    close = exact[upper] <= LSH_CLOSE_THRESHOLD
-    total_close = int(close.sum())
-    print(
-        f"lsh recall: {len(corpus)} sequences, {total_close} close pairs "
-        f"(DLD <= {LSH_CLOSE_THRESHOLD})"
-    )
-    for bands in (16, 32, 64):
-        config = SketchConfig(
-            num_perm=DEFAULT_SKETCH_CONFIG.num_perm,
-            bands=bands,
-            shingle_size=DEFAULT_SKETCH_CONFIG.shingle_size,
-            min_sequences=0,
-        )
-        clear_sketch_caches()
-        approx = sketch_distance_matrix(corpus, config=config)
-        measured = ~approx.pruned[upper]
-        recall = float(measured[close].mean()) if total_close else 1.0
-        is_default = bands == DEFAULT_SKETCH_CONFIG.bands
-        print(
-            f"  bands={bands}: candidate_ratio={approx.candidate_ratio:.3f} "
-            f"close_recall={recall:.4f}{' (default)' if is_default else ''}"
-        )
-        if not np.array_equal(exact[~approx.pruned], approx.values[~approx.pruned]):
-            fail(f"measured sketch entries diverged from exact at bands={bands}")
-        if not np.all(approx.values[approx.pruned] >= exact[approx.pruned]):
-            fail(f"a pruned entry is not an upper bound at bands={bands}")
-        if is_default:
-            if recall < LSH_RECALL_FLOOR:
-                fail(
-                    f"default config close-pair recall {recall:.4f} below "
-                    f"{LSH_RECALL_FLOOR}"
-                )
-            if approx.candidate_ratio >= LSH_RATIO_BAR:
-                fail(
-                    f"default config candidate ratio "
-                    f"{approx.candidate_ratio:.3f} at/above {LSH_RATIO_BAR}"
-                )
 
 
 def check_mangled_tree_fails(reference, work: Path) -> None:
@@ -522,11 +446,6 @@ leg("export")(lambda ctx: check_export_recovery(ctx.config, ctx.reference, ctx.w
 leg("store")(lambda ctx: check_index_resilience(ctx.reference, ctx.work))
 leg("mangled")(lambda ctx: check_mangled_tree_fails(ctx.reference, ctx.work))
 leg("flood")(lambda ctx: check_flood_overload(ctx.config))
-leg("lsh")(
-    lambda ctx: check_lsh_recall(ctx.seed, ctx.lsh_corpus)
-    if ctx.lsh_corpus
-    else print("lsh leg skipped (--lsh-corpus 0)")
-)
 leg("stream-chaos")(lambda ctx: check_stream_chaos(ctx.config, ctx.work))
 leg("stream-serve")(lambda ctx: check_stream_serve(ctx.config, ctx.work))
 
@@ -538,10 +457,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--keep", type=Path, default=None, metavar="DIR",
         help="keep work artifacts in DIR instead of a temp directory",
-    )
-    parser.add_argument(
-        "--lsh-corpus", type=int, default=2500, metavar="N",
-        help="synthetic corpus size for the LSH recall sweep (0 skips it)",
     )
     parser.add_argument(
         "--only", choices=sorted(LEGS), default=None, metavar="LEG",
@@ -568,9 +483,7 @@ def main(argv: list[str] | None = None) -> int:
 
     work = args.keep or Path(tempfile.mkdtemp(prefix="soak-"))
     work.mkdir(parents=True, exist_ok=True)
-    ctx = SoakContext(
-        config=config, work=work, seed=args.seed, lsh_corpus=args.lsh_corpus
-    )
+    ctx = SoakContext(config=config, work=work)
     selected = [args.only] if args.only else list(LEGS)
     try:
         for name in selected:

@@ -107,30 +107,8 @@ def pair_distance(
     return _cached_pair_distance(fingerprint, a, b)
 
 
-def exact_compact_matrix(
-    distinct: list[tuple[str, ...]], fingerprint: str
-) -> np.ndarray:
-    """The exact m×m matrix over *distinct* sequences (the oracle core).
-
-    Shared by the exact pipeline and the sketch path's below-floor
-    bypass, so "exact mode" is one code path with one set of bits.
-    Pair values are cached under ``fingerprint``, the tokenizer
-    configuration that produced the sequences.
-    """
-    m = len(distinct)
-    compact = np.zeros((m, m), dtype=np.float64)
-    for i in range(m):
-        for j in range(i + 1, m):
-            value = pair_distance(distinct[i], distinct[j], fingerprint)
-            compact[i, j] = value
-            compact[j, i] = value
-    return compact
-
-
 def distance_matrix(
     token_sequences: list[list[str]],
-    mode: str = "exact",
-    sketch=None,
     tokenizer: TokenizerConfig = DEFAULT_TOKENIZER,
 ) -> np.ndarray:
     """Symmetric normalized-DLD matrix (zeros on the diagonal).
@@ -138,28 +116,10 @@ def distance_matrix(
     Identical token sequences are deduplicated internally so the O(n²)
     DLD work only runs once per distinct behaviour — bot traffic is
     heavily repetitive, which makes this the difference between seconds
-    and hours at realistic sample sizes.
-
-    ``mode="exact"`` (the default) computes every distinct pair — the
-    differential oracle.  ``mode="lsh"`` routes through the
-    MinHash/LSH candidate prefilter (:mod:`repro.analysis.sketch`):
-    only candidate-bucket pairs (plus bounds-pinned pairs) pay the
-    DLD kernel, pruned pairs hold a sound upper bound, and below the
-    sketch activation floor the result is the exact matrix bit for
-    bit.  Pass ``sketch=SketchConfig(...)`` to override the prefilter
-    parameters.
+    and hours at realistic sample sizes.  Every distinct pair is then
+    measured in one serial loop, its value cached under the fingerprint
+    of ``tokenizer``, the configuration that produced the sequences.
     """
-    if mode == "lsh":
-        from repro.analysis.sketch import (
-            DEFAULT_SKETCH_CONFIG,
-            sketch_distance_matrix,
-        )
-
-        return sketch_distance_matrix(
-            token_sequences, sketch or DEFAULT_SKETCH_CONFIG, tokenizer
-        ).values
-    if mode != "exact":
-        raise ValueError(f"unknown distance mode: {mode!r}")
     with telemetry.span("dld.matrix"):
         keys = [tuple(seq) for seq in token_sequences]
         distinct: list[tuple[str, ...]] = []
@@ -176,8 +136,14 @@ def distance_matrix(
             registry.count("dld.sequences", len(keys))
             registry.count("dld.distinct_sequences", m)
             registry.count("dld.pairs", total_pairs)
-        compact = exact_compact_matrix(distinct, tokenizer.fingerprint)
-        mapping = np.array([index_of[key] for key in keys])
+        fingerprint = tokenizer.fingerprint
+        compact = np.zeros((m, m), dtype=np.float64)
+        for i in range(m):
+            for j in range(i + 1, m):
+                value = pair_distance(distinct[i], distinct[j], fingerprint)
+                compact[i, j] = value
+                compact[j, i] = value
+        mapping = np.array([index_of[key] for key in keys], dtype=np.intp)
         return compact[np.ix_(mapping, mapping)]
 
 

@@ -9,8 +9,10 @@ Subcommands:
 * ``faults``      — simulate under a fault profile and print the
   resilience report (fault plan, collector accounting, coverage).
 * ``bench``       — time the telemetry on-vs-off overhead of the day
-  loop, the flood shed path, the sketch prefilter and the query
-  service, and optionally record the numbers as JSON.
+  loop, the flood shed path and the query service, and optionally
+  record the numbers as JSON.
+* ``cluster``     — run the exact clustering stage on its own and print
+  the cluster profiles (see docs/clustering.md).
 * ``telemetry``   — run the pipeline with telemetry enabled and print
   the run report (see docs/observability.md).
 * ``verify``      — audit a dataset/checkpoint tree (manifests,
@@ -52,6 +54,14 @@ FAULT_PROFILES = ("none", "paper", "stress")
 
 #: Preset names accepted by ``--flood-profile``.
 FLOOD_PROFILES = ("off", "burst", "storm")
+
+
+def _positive_int(text: str) -> int:
+    """An argparse ``type`` for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -466,13 +476,6 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
 
 #: Default regression floors for ``repro bench --enforce``.
 TELEMETRY_BAR_PCT = 5.0
-#: Floors for the sketch-prefilter scenario (single-process pruning
-#: wins, so they apply at any core count): the pruned matrix must beat
-#: the extrapolated exact build ≥5×, keep the candidate ratio under
-#: 0.25, and retain ≥95% of the DLD-close pairs in the measured set.
-SKETCH_SPEEDUP_FLOOR = 5.0
-SKETCH_RATIO_BAR = 0.25
-SKETCH_RECALL_FLOOR = 0.95
 #: Floors for the query-service scenario: repeated-query load must hit
 #: the read-through cache at least this often, and no request may go
 #: unserved (outside the ok/rejected/stale contract) while a snapshot
@@ -483,19 +486,14 @@ SERVICE_CACHE_FLOOR = 0.9
 def check_bench_floors(
     report: dict,
     telemetry_bar_pct: float = TELEMETRY_BAR_PCT,
-    sketch_speedup_floor: float = SKETCH_SPEEDUP_FLOOR,
-    sketch_ratio_bar: float = SKETCH_RATIO_BAR,
-    sketch_recall_floor: float = SKETCH_RECALL_FLOOR,
     service_cache_floor: float = SERVICE_CACHE_FLOOR,
 ) -> list[str]:
     """Regression-floor violations in a bench report (empty = healthy).
 
     Floors guard the perf trajectory: telemetry overhead on the day
     loop (the median of the interleaved off/on pairs), and — when the
-    report has the blocks — the LSH prefilter's speedup, candidate
-    ratio and close-pair recall, and the query service's cache hit
-    ratio and unserved count.  Every floor applies at any core count
-    (pruning wins are single-process).
+    report has the block — the query service's cache hit ratio and
+    unserved count.
     """
     violations: list[str] = []
     overhead = report.get("telemetry", {}).get("overhead_pct", 0.0)
@@ -504,27 +502,6 @@ def check_bench_floors(
             f"telemetry overhead {overhead:.2f}% exceeds the "
             f"{telemetry_bar_pct:.2f}% bar"
         )
-    sketch = report.get("sketch")
-    if sketch:
-        speedup = sketch.get("speedup", 0.0)
-        if speedup < sketch_speedup_floor:
-            violations.append(
-                f"sketch speedup {speedup:.2f}x at "
-                f"{sketch.get('distinct_sequences')} distinct sequences "
-                f"is below the {sketch_speedup_floor:.2f}x floor"
-            )
-        ratio = sketch.get("candidate_ratio", 0.0)
-        if ratio >= sketch_ratio_bar:
-            violations.append(
-                f"sketch candidate ratio {ratio:.4f} is not below the "
-                f"{sketch_ratio_bar:.2f} bar"
-            )
-        recall = sketch.get("close_pair_recall", 1.0)
-        if recall < sketch_recall_floor:
-            violations.append(
-                f"sketch close-pair recall {recall:.4f} is below the "
-                f"{sketch_recall_floor:.2f} floor"
-            )
     service = report.get("service")
     if service:
         ratio = service.get("repeated", {}).get("cache_hit_ratio", 1.0)
@@ -542,88 +519,6 @@ def check_bench_floors(
                     "contract)"
                 )
     return violations
-
-
-def _sketch_bench(args, config, best_of) -> dict:
-    """The sketch-prefilter bench block (see ``repro bench --help``).
-
-    Builds the LSH-pruned matrix over ``--sketch-sample`` distinct
-    synthetic sequences (the floor-forced pruned regime — at this size
-    the full exact build would dominate the bench, which is the point),
-    then *extrapolates* the exact build time from a seeded sample of
-    pairs timed through the same ``pair_distance``.  Recall is measured
-    on the sampled pairs: of those whose exact distance is ≤ the close
-    threshold, how many did the prefilter keep.
-    """
-    import random
-    import time
-
-    from repro.analysis.distance import clear_distance_caches, pair_distance
-    from repro.analysis.sketch import (
-        SketchConfig,
-        clear_sketch_caches,
-        sketch_distance_matrix,
-        synthetic_token_corpus,
-    )
-
-    n = args.sketch_sample
-    close_threshold = 0.3
-    pair_sample_target = 30_000
-    corpus = synthetic_token_corpus(n, seed=config.seed)
-    keys = [tuple(sequence) for sequence in corpus]
-    sketch_config = SketchConfig(min_sequences=0)
-
-    def build():
-        clear_distance_caches()
-        clear_sketch_caches()
-        return sketch_distance_matrix(corpus, sketch_config)
-
-    approx, sketch_s = best_of(build, args.repeat)
-    total_pairs = n * (n - 1) // 2
-
-    rng = random.Random(config.seed)
-    sample = sorted(
-        {
-            (min(i, j), max(i, j))
-            for i, j in (
-                (rng.randrange(n), rng.randrange(n))
-                for _ in range(pair_sample_target)
-            )
-            if i != j
-        }
-    )
-    clear_distance_caches()
-    started = time.perf_counter()
-    exact_values = [pair_distance(keys[i], keys[j]) for i, j in sample]
-    sample_s = time.perf_counter() - started
-    per_pair_s = sample_s / len(sample)
-    exact_estimated_s = per_pair_s * total_pairs
-
-    close = [
-        (i, j)
-        for (i, j), value in zip(sample, exact_values)
-        if value <= close_threshold
-    ]
-    kept = sum(1 for i, j in close if not approx.pruned[i, j])
-    recall = kept / len(close) if close else 1.0
-
-    return {
-        "distinct_sequences": n,
-        "pairs": total_pairs,
-        "num_perm": sketch_config.num_perm,
-        "bands": sketch_config.bands,
-        "shingle_size": sketch_config.shingle_size,
-        "candidate_pairs": approx.candidate_pairs,
-        "pruned_pairs": approx.pruned_pairs,
-        "candidate_ratio": round(approx.candidate_ratio, 4),
-        "sketch_s": round(sketch_s, 4),
-        "sampled_pairs": len(sample),
-        "exact_estimated_s": round(exact_estimated_s, 4),
-        "speedup": round(exact_estimated_s / sketch_s, 3),
-        "close_threshold": close_threshold,
-        "close_pairs_sampled": len(close),
-        "close_pair_recall": round(recall, 4),
-    }
 
 
 def _service_bench(serial_result, config) -> dict:
@@ -698,35 +593,32 @@ def _service_bench(serial_result, config) -> dict:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Time the serial day loop's costs, the sketch and the service.
+    """Time the serial day loop's costs and the query service.
 
     Records telemetry on-vs-off overhead of the day loop over
     interleaved pairs (verifying the two digests match), the shed
-    path's cost per generated session under the burst flood, the sketch
-    prefilter and the query service; ``--sketch-only`` measures the
-    sketch alone and simulates nothing.  With ``--json PATH`` the
-    numbers land in a machine-readable file.  With ``--enforce`` the
-    run additionally fails on regression-floor violations
-    (:func:`check_bench_floors`) — the CI smoke runs this so a
-    telemetry-overhead, sketch or service regression breaks the build.
+    path's cost per generated session under the burst flood, and the
+    query service.  With ``--json PATH`` the numbers land in a
+    machine-readable file.  With ``--enforce`` the run additionally
+    fails on regression-floor violations (:func:`check_bench_floors`)
+    — the CI smoke runs this so a telemetry-overhead or service
+    regression breaks the build.
     """
+    import dataclasses
     import json
     import os
     import statistics
     import time
 
+    from repro import telemetry
     from repro.attackers.orchestrator import run_simulation
 
     config = _config(args)
 
-    def best_of(fn, repeat):
-        elapsed = []
-        value = None
-        for _ in range(repeat):
-            started = time.perf_counter()
-            value = fn()
-            elapsed.append(time.perf_counter() - started)
-        return value, min(elapsed)
+    def timed(fn):
+        started = time.perf_counter()
+        value = fn()
+        return value, time.perf_counter() - started
 
     report = {
         "cpu_count": os.cpu_count(),
@@ -735,82 +627,70 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "fault_profile": config.faults.name,
         "repeat": args.repeat,
     }
-    if not args.sketch_only:
-        # Day-loop runs are interleaved telemetry-off / telemetry-on, and
-        # the overhead is the median of the per-pair on/off ratios, so
-        # drift of the machine between timing blocks cancels within each
-        # pair.
-        from repro import telemetry
+    # Day-loop runs are interleaved telemetry-off / telemetry-on, and
+    # the overhead is the median of the per-pair on/off ratios, so
+    # drift of the machine between timing blocks cancels within each
+    # pair.
+    def run_instrumented():
+        with telemetry.collecting():
+            return run_simulation(config)
 
-        def run_instrumented():
-            with telemetry.collecting():
-                return run_simulation(config)
+    off_times: list[float] = []
+    on_times: list[float] = []
+    for _ in range(args.repeat):
+        serial_result, elapsed = timed(lambda: run_simulation(config))
+        off_times.append(elapsed)
+        telemetry_result, elapsed = timed(run_instrumented)
+        on_times.append(elapsed)
+    overhead_pcts = [
+        (on / off - 1.0) * 100 for off, on in zip(off_times, on_times)
+    ]
 
-        off_times: list[float] = []
-        on_times: list[float] = []
-        for _ in range(args.repeat):
-            serial_result, elapsed = best_of(
-                lambda: run_simulation(config), 1
-            )
-            off_times.append(elapsed)
-            telemetry_result, elapsed = best_of(run_instrumented, 1)
-            on_times.append(elapsed)
-        overhead_pcts = [
-            (on / off - 1.0) * 100 for off, on in zip(off_times, on_times)
-        ]
-
-        # Flood scenario: the same window under the burst flood preset.
-        # The flood run generates an order of magnitude more sessions
-        # than the quiet one, so both are compared per generated session.
-        import dataclasses as _dataclasses
-
-        flood_config = config.replace(
-            faults=_dataclasses.replace(
-                config.faults, flood=FloodFaults.from_name("burst")
-            )
+    # Flood scenario: the same window under the burst flood preset.
+    # The flood run generates an order of magnitude more sessions
+    # than the quiet one, so both are compared per generated session.
+    flood_config = config.replace(
+        faults=dataclasses.replace(
+            config.faults, flood=FloodFaults.from_name("burst")
         )
-        flood_times: list[float] = []
-        for _ in range(args.repeat):
-            flood_result, elapsed = best_of(
-                lambda: run_simulation(flood_config), 1
-            )
-            flood_times.append(elapsed)
-        flood_accounting = flood_result.collector.accounting()
-        flood_generated = flood_accounting["generated"]
-        quiet_generated = serial_result.collector.generated
-        quiet_us = statistics.median(off_times) / quiet_generated * 1e6
-        flood_us = statistics.median(flood_times) / flood_generated * 1e6
+    )
+    flood_times: list[float] = []
+    for _ in range(args.repeat):
+        flood_result, elapsed = timed(lambda: run_simulation(flood_config))
+        flood_times.append(elapsed)
+    flood_accounting = flood_result.collector.accounting()
+    flood_generated = flood_accounting["generated"]
+    quiet_generated = serial_result.collector.generated
+    quiet_us = statistics.median(off_times) / quiet_generated * 1e6
+    flood_us = statistics.median(flood_times) / flood_generated * 1e6
 
-        report["sessions"] = len(serial_result.database)
-        report["telemetry"] = {
-            "pairs": len(overhead_pcts),
-            "off_s": round(statistics.median(off_times), 4),
-            "on_s": round(statistics.median(on_times), 4),
-            "overhead_pct": round(statistics.median(overhead_pcts), 2),
-            "overhead_min_pct": round(min(overhead_pcts), 2),
-            "overhead_max_pct": round(max(overhead_pcts), 2),
-            "digest_match": serial_result.database.digest()
-            == telemetry_result.database.digest(),
-        }
-        report["flood"] = {
-            "profile": "burst",
-            "serial_s": round(statistics.median(flood_times), 4),
-            "generated": flood_generated,
-            "admitted": flood_accounting["admitted"],
-            "deferred": flood_accounting["deferred"],
-            "shed": flood_accounting["shed"],
-            "shed_fraction": round(
-                flood_accounting["shed"] / max(flood_generated, 1), 4
-            ),
-            "quiet_generated": quiet_generated,
-            "quiet_us_per_generated": round(quiet_us, 2),
-            "us_per_generated": round(flood_us, 2),
-            "us_per_generated_ratio": round(flood_us / quiet_us, 3),
-        }
-    if args.sketch_sample > 0:
-        report["sketch"] = _sketch_bench(args, config, best_of)
-    if not args.sketch_only:
-        report["service"] = _service_bench(serial_result, config)
+    report["sessions"] = len(serial_result.database)
+    report["telemetry"] = {
+        "pairs": len(overhead_pcts),
+        "off_s": round(statistics.median(off_times), 4),
+        "on_s": round(statistics.median(on_times), 4),
+        "overhead_pct": round(statistics.median(overhead_pcts), 2),
+        "overhead_min_pct": round(min(overhead_pcts), 2),
+        "overhead_max_pct": round(max(overhead_pcts), 2),
+        "digest_match": serial_result.database.digest()
+        == telemetry_result.database.digest(),
+    }
+    report["flood"] = {
+        "profile": "burst",
+        "serial_s": round(statistics.median(flood_times), 4),
+        "generated": flood_generated,
+        "admitted": flood_accounting["admitted"],
+        "deferred": flood_accounting["deferred"],
+        "shed": flood_accounting["shed"],
+        "shed_fraction": round(
+            flood_accounting["shed"] / max(flood_generated, 1), 4
+        ),
+        "quiet_generated": quiet_generated,
+        "quiet_us_per_generated": round(quiet_us, 2),
+        "us_per_generated": round(flood_us, 2),
+        "us_per_generated_ratio": round(flood_us / quiet_us, 3),
+    }
+    report["service"] = _service_bench(serial_result, config)
 
     violations = check_bench_floors(
         report, telemetry_bar_pct=args.telemetry_bar
@@ -818,9 +698,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     report["enforcement"] = {
         "enforced": bool(args.enforce),
         "telemetry_bar_pct": args.telemetry_bar,
-        "sketch_speedup_floor": SKETCH_SPEEDUP_FLOOR,
-        "sketch_ratio_bar": SKETCH_RATIO_BAR,
-        "sketch_recall_floor": SKETCH_RECALL_FLOOR,
         "service_cache_floor": SERVICE_CACHE_FLOOR,
         "violations": violations,
     }
@@ -833,63 +710,42 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"wrote {args.json}")
     if args.enforce and violations:
         return 1
-    healthy = report.get("telemetry", {}).get("digest_match", True)
-    return 0 if healthy else 1
+    return 0 if report["telemetry"]["digest_match"] else 1
 
 
 def _print_bench(report: dict) -> None:
     """One line per measured block of a ``repro bench`` report."""
-    tele = report.get("telemetry")
-    if tele:
-        print(
-            f"telemetry:  {tele['off_s']:.3f}s -> {tele['on_s']:.3f}s "
-            f"({tele['overhead_pct']:+.1f}% median overhead over "
-            f"{tele['pairs']} pairs, range [{tele['overhead_min_pct']:+.1f}, "
-            f"{tele['overhead_max_pct']:+.1f}], digest match: "
-            f"{tele['digest_match']})"
-        )
-    flood = report.get("flood")
-    if flood:
-        print(
-            f"flood:      {flood['us_per_generated']:.1f} us/generated "
-            f"session vs {flood['quiet_us_per_generated']:.1f} quiet "
-            f"({flood['us_per_generated_ratio']:.2f}x; {flood['shed']} "
-            f"shed of {flood['generated']})"
-        )
-    sketch = report.get("sketch")
-    if sketch:
-        print(
-            f"sketch:     {sketch['sketch_s']:.3f}s pruned vs "
-            f"{sketch['exact_estimated_s']:.3f}s exact (extrapolated from "
-            f"{sketch['sampled_pairs']} sampled pairs) = "
-            f"{sketch['speedup']:.2f}x at {sketch['distinct_sequences']} "
-            f"distinct; candidate ratio {sketch['candidate_ratio']:.4f}, "
-            f"close-pair recall {sketch['close_pair_recall']:.4f} "
-            f"(d <= {sketch['close_threshold']})"
-        )
-    service = report.get("service")
-    if service:
-        print(
-            f"service:    {service['repeated']['requests_per_s']:.0f} req/s "
-            f"on repeated-query load (cache hit ratio "
-            f"{service['repeated']['cache_hit_ratio']:.3f}); breaker-open: "
-            f"{service['breaker_open']['stale_served']} stale-served, "
-            f"{service['breaker_open']['unserved']} unserved"
-        )
+    tele = report["telemetry"]
+    print(
+        f"telemetry:  {tele['off_s']:.3f}s -> {tele['on_s']:.3f}s "
+        f"({tele['overhead_pct']:+.1f}% median overhead over "
+        f"{tele['pairs']} pairs, range [{tele['overhead_min_pct']:+.1f}, "
+        f"{tele['overhead_max_pct']:+.1f}], digest match: "
+        f"{tele['digest_match']})"
+    )
+    flood = report["flood"]
+    print(
+        f"flood:      {flood['us_per_generated']:.1f} us/generated "
+        f"session vs {flood['quiet_us_per_generated']:.1f} quiet "
+        f"({flood['us_per_generated_ratio']:.2f}x; {flood['shed']} "
+        f"shed of {flood['generated']})"
+    )
+    service = report["service"]
+    print(
+        f"service:    {service['repeated']['requests_per_s']:.0f} req/s "
+        f"on repeated-query load (cache hit ratio "
+        f"{service['repeated']['cache_hit_ratio']:.3f}); breaker-open: "
+        f"{service['breaker_open']['stale_served']} stale-served, "
+        f"{service['breaker_open']['unserved']} unserved"
+    )
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    """Run the clustering stage on its own, exact or LSH-pruned.
+    """Run the clustering stage on its own and print the cluster profiles.
 
-    ``--mode lsh`` routes the distance matrix through the MinHash/LSH
-    prefilter (identical results below the sketch activation floor —
-    which the default sample limit always is; see docs/clustering.md).
-    ``--online`` additionally replays the same token stream through the
-    incremental assign-or-spawn clusterer and reports its pair
-    agreement (Rand index) with the batch labels.
-    ``--report-agreement`` trains the TF-IDF->LogReg fast-path
-    classifier against the 59 regex rules and prints the agreement
-    report.
+    The stage is the one the experiments use: sample the file sessions,
+    build the exact token-DLD matrix, select k and run K-medoids (see
+    docs/clustering.md).
     """
     import json
 
@@ -902,10 +758,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         if args.sample_limit is not None
         else CLUSTER_SAMPLE_LIMIT
     )
-    clustering = dataset.clustering(sample_limit=sample_limit, mode=args.mode)
+    clustering = dataset.clustering(sample_limit=sample_limit)
     distinct = len({tuple(t) for t in clustering.tokens})
     out: dict = {
-        "mode": clustering.mode,
         "sessions": len(clustering.sessions),
         "distinct_sequences": distinct,
         "chosen_k": clustering.selection.chosen_k,
@@ -920,8 +775,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         ],
     }
     print(
-        f"== cluster: mode={clustering.mode}, "
-        f"{len(clustering.sessions)} sessions "
+        f"== cluster: {len(clustering.sessions)} sessions "
         f"({distinct} distinct), k={clustering.selection.chosen_k} =="
     )
     rows = [
@@ -934,53 +788,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         for profile in clustering.profiles[:12]
     ]
     print(format_table(["rank", "sessions", "avg tokens", "families"], rows))
-    approx = clustering.approx
-    if approx is not None:
-        out["sketch"] = {
-            "candidate_pairs": approx.candidate_pairs,
-            "pinned_pairs": approx.pinned_pairs,
-            "pruned_pairs": approx.pruned_pairs,
-            "candidate_ratio": round(approx.candidate_ratio, 4),
-            "exact": approx.exact,
-        }
-        print(
-            f"sketch: {approx.candidate_pairs} candidate + "
-            f"{approx.pinned_pairs} pinned + {approx.pruned_pairs} pruned "
-            f"pairs (ratio {approx.candidate_ratio:.4f}, "
-            f"exact={approx.exact})"
-        )
-
-    if args.online:
-        from repro.analysis.online import OnlineClusterer, pair_agreement
-
-        clusterer = OnlineClusterer()
-        online_labels = clusterer.replay(clustering.tokens)
-        agreement = pair_agreement(online_labels, clustering.result.labels)
-        out["online"] = {
-            "clusters": len(clusterer.clusters),
-            "batch_k": clustering.result.k,
-            "pair_agreement": round(agreement, 4),
-        }
-        print(
-            f"online replay: {len(clusterer.clusters)} clusters vs "
-            f"batch k={clustering.result.k}, pair agreement "
-            f"(Rand) {agreement:.4f}"
-        )
-
-    if args.report_agreement:
-        from repro.analysis.fastpath import FastPathClassifier, agreement_report
-
-        sessions = dataset.database.command_sessions()
-        fastpath = FastPathClassifier.train(sessions)
-        report = agreement_report(fastpath, sessions)
-        out["fastpath"] = {
-            "total": report.total,
-            "agreeing": report.agreeing,
-            "agreement": round(report.agreement, 4),
-            "disagreements": len(report.disagreements),
-        }
-        print(report.render())
-
     if args.json is not None:
         args.json.write_text(json.dumps(out, indent=2) + "\n")
         print(f"wrote {args.json}")
@@ -998,7 +805,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
     degraded supervision section resumes seamlessly here, where the
     batch engines would refuse it.
     """
-    import dataclasses
     from datetime import date as _date
 
     from repro.attackers.orchestrator import run_simulation
@@ -1007,8 +813,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
     config = _config(args)
     policy = StreamPolicy.from_name(args.stream_profile)
-    if args.online and policy.supervised:
-        policy = dataclasses.replace(policy, online_clustering=True)
     result = run_stream(
         config,
         policy=policy,
@@ -1051,8 +855,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
             f"heartbeats: {report.heartbeat_soft_breaches} soft, "
             f"{report.heartbeat_hard_breaches} hard breaches"
         )
-        if report.online_clusters is not None:
-            print(f"online clusters: {report.online_clusters}")
         if report.transitions:
             print()
             print("== degraded-mode timeline ==")
@@ -1354,8 +1156,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = commands.add_parser(
         "bench",
-        help="time telemetry overhead, the flood shed path, the sketch "
-        "prefilter and the query service",
+        help="time telemetry overhead, the flood shed path and the query "
+        "service",
     )
     _add_common(bench)
     bench.add_argument(
@@ -1365,7 +1167,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--repeat", type=int, default=1,
         help="iterations per timing: interleaved off/on telemetry pairs "
-        "and flood runs (median), sketch builds (best-of)",
+        "and flood runs (median)",
     )
     bench.add_argument(
         "--enforce", action="store_true",
@@ -1377,47 +1179,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="maximum median telemetry overhead percentage "
         f"(default {TELEMETRY_BAR_PCT})",
     )
-    bench.add_argument(
-        "--sketch-sample", type=int, default=2000, metavar="N",
-        help="distinct synthetic sequences for the LSH-prefilter "
-        "scenario (0 disables it; default 2000)",
-    )
-    bench.add_argument(
-        "--sketch-only", action="store_true",
-        help="run only the sketch-prefilter scenario (the "
-        "cluster-differential CI smoke)",
-    )
     bench.set_defaults(func=cmd_bench)
 
     cluster = commands.add_parser(
         "cluster",
-        help="run the clustering stage (exact or LSH-pruned), optionally "
-        "with the online clusterer and the fast-path agreement report",
+        help="run the exact clustering stage and print the cluster profiles",
     )
     _add_common(cluster)
     cluster.add_argument(
-        "--mode", choices=("exact", "lsh"), default="exact",
-        help="distance pipeline: every pair (exact) or MinHash/LSH "
-        "candidate pruning (lsh; see docs/clustering.md)",
-    )
-    cluster.add_argument(
-        "--sample-limit", type=int, default=None, metavar="N",
-        help="max sessions fed to the clustering stage "
+        "--sample-limit", type=_positive_int, default=None, metavar="N",
+        help="max sessions fed to the clustering stage, at least 1 "
         "(default: the pipeline's CLUSTER_SAMPLE_LIMIT)",
     )
     cluster.add_argument(
-        "--online", action="store_true",
-        help="also replay the sample through the incremental "
-        "assign-or-spawn clusterer and report batch agreement",
-    )
-    cluster.add_argument(
-        "--report-agreement", action="store_true",
-        help="train the TF-IDF->LogReg fast path against the regex "
-        "rules and print the agreement report",
-    )
-    cluster.add_argument(
         "--json", type=Path, default=None, metavar="PATH",
-        help="write the cluster/agreement summary as JSON",
+        help="write the cluster summary as JSON",
     )
     cluster.set_defaults(func=cmd_cluster)
 
@@ -1474,11 +1250,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="live",
         help="stream policy preset: replay (batch, unsupervised), "
         "live (supervised, fault-free), chaos (elevated stream faults)",
-    )
-    stream.add_argument(
-        "--online", action="store_true",
-        help="feed stored command sessions through the incremental "
-        "clusterer as they arrive (supervised profiles only)",
     )
     stream.add_argument(
         "--checkpoint", type=Path, default=None,

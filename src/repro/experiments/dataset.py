@@ -57,11 +57,6 @@ class Clustering:
     result: ClusteringResult
     selection: KSelection
     profiles: list[ClusterProfile]
-    #: Which distance pipeline produced ``matrix`` ("exact" or "lsh").
-    mode: str = "exact"
-    #: The sketch-path record (pruned mask, candidate counts) when
-    #: ``mode == "lsh"``; None on the exact path.
-    approx: object = None
 
 
 @dataclass
@@ -72,11 +67,6 @@ class Dataset:
     abuse: AbuseDatasets
     killnet_ips: set[str]
     shadowserver: CompromisedSshReport
-    #: Distance pipeline for the clustering stage: "exact" runs every
-    #: distinct pair (the differential oracle), "lsh" routes through the
-    #: MinHash/LSH prefilter (bit-identical below the sketch activation
-    #: floor — which paper scale always is; see repro.analysis.sketch).
-    cluster_mode: str = "exact"
     _clusterings: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -141,21 +131,9 @@ class Dataset:
                 selected.append(session)
         return selected
 
-    def clustering(
-        self,
-        sample_limit: int = CLUSTER_SAMPLE_LIMIT,
-        mode: str | None = None,
-    ) -> Clustering:
-        """Tokenize, measure, select k and cluster (cached per mode).
-
-        ``mode`` defaults to the dataset's :attr:`cluster_mode`; both
-        modes of the same dataset can coexist in the cache, which is
-        what the exact-vs-LSH differential tests exercise.
-        """
-        if mode is None:
-            mode = self.cluster_mode
-        key = (mode, sample_limit)
-        if key not in self._clusterings:
+    def clustering(self, sample_limit: int = CLUSTER_SAMPLE_LIMIT) -> Clustering:
+        """Tokenize, measure, select k and cluster (cached per limit)."""
+        if sample_limit not in self._clusterings:
             with telemetry.span("dataset.clustering"), telemetry.profile(
                 "clustering"
             ):
@@ -163,31 +141,22 @@ class Dataset:
                     self.file_sessions(), sample_limit, seed=self.config.seed
                 )
                 tokens = session_tokens(sessions)
-                approx = None
-                if mode == "lsh":
-                    from repro.analysis.sketch import sketch_distance_matrix
-
-                    approx = sketch_distance_matrix(tokens)
-                    matrix = approx.values
-                else:
-                    matrix = distance_matrix(tokens, mode=mode)
+                matrix = distance_matrix(tokens)
                 result, selection = cluster_with_selection(
                     matrix, seed=self.config.seed
                 )
                 profiles = profile_clusters(
                     result, sessions, tokens, self.abuse
                 )
-                self._clusterings[key] = Clustering(
+                self._clusterings[sample_limit] = Clustering(
                     sessions=sessions,
                     tokens=tokens,
                     matrix=matrix,
                     result=result,
                     selection=selection,
                     profiles=profiles,
-                    mode=mode,
-                    approx=approx,
                 )
-        return self._clusterings[key]
+        return self._clusterings[sample_limit]
 
 
 #: The SHA-256 the honeypot records for the installed mdrfckr key file.

@@ -45,17 +45,15 @@ class Fig14CategoryDld(Experiment):
         categories = sorted(exemplars)
         # One distance_matrix call over the flattened exemplars (instead
         # of per-pair normalized_dld): same division, same floats, but
-        # the pair work flows through the shared pipeline — its caches,
-        # its telemetry, and the dataset's cluster_mode (exact or lsh;
-        # the exemplar grid sits far below the sketch activation floor,
-        # so both modes produce identical bits here).
+        # the pair work flows through the shared pipeline — its caches
+        # and its telemetry.
         flat: list[list[str]] = []
         spans: dict[str, range] = {}
         for category in categories:
             start = len(flat)
             flat.extend(exemplars[category])
             spans[category] = range(start, len(flat))
-        pairwise = distance_matrix(flat, mode=dataset.cluster_mode)
+        pairwise = distance_matrix(flat)
         rows = []
         matrix: dict[tuple[str, str], float] = {}
         for a in categories:

