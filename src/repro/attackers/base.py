@@ -9,7 +9,7 @@ from the simulation seed, the bot name and the date.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 
 from repro.attackers.activity import ActivityModel
@@ -19,7 +19,7 @@ from repro.attackers.malware import MalwareFactory
 from repro.config import SimulationConfig
 from repro.honeypot.session import ConnectionIntent, Protocol
 from repro.net.population import BasePopulation
-from repro.util.rng import RngTree, poisson
+from repro.util.rng import RngTree, SeedPrefix, poisson
 
 #: Default SSH client banners rotated by bots.
 DEFAULT_SSH_VERSIONS = (
@@ -40,6 +40,22 @@ class BotContext:
     infrastructure: StorageInfrastructure
     malware: MalwareFactory
     tree: RngTree
+    #: One seed prefix per (stream kind, bot name), built on first use.
+    _prefixes: dict[tuple[str, str], SeedPrefix] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def stream(self, kind: str, bot: str, ordinal: int) -> random.Random:
+        """A fresh generator for one bot-day stream.
+
+        The same state as ``tree.child(kind, bot, ordinal).rand()``; the
+        ``(kind, bot)`` head of the path is hashed once per run.
+        """
+        key = (kind, bot)
+        prefix = self._prefixes.get(key)
+        if prefix is None:
+            prefix = self._prefixes[key] = self.tree.prefix(kind, bot)
+        return prefix.rand(ordinal)
 
 
 class Bot:
@@ -79,7 +95,7 @@ class Bot:
             return 0
         if self.min_expected_per_day > 0:
             expected = max(expected, self.min_expected_per_day)
-        rng = ctx.tree.child("count", self.name, day.toordinal()).rand()
+        rng = ctx.stream("count", self.name, day.toordinal())
         return poisson(rng, expected)
 
     def sessions_for_day(self, ctx: BotContext, day: date) -> list[ConnectionIntent]:
@@ -87,7 +103,7 @@ class Bot:
         count = self.session_count(ctx, day)
         if count == 0:
             return []
-        rng = ctx.tree.child("intents", self.name, day.toordinal()).rand()
+        rng = ctx.stream("intents", self.name, day.toordinal())
         return [self.build_intent(ctx, day, rng, index) for index in range(count)]
 
     # ------------------------------------------------------------------

@@ -292,7 +292,7 @@ def simulate_day(
         if not intents:
             continue
         active_bots += 1
-        route_rng = context.tree.rand_for("route", bot.name, ordinal)
+        route_rng = context.stream("route", bot.name, ordinal)
         if batch_routes:
             indices, seconds = _route_draws(
                 bot, route_rng, len(intents), fleet_size, day

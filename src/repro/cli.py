@@ -42,6 +42,7 @@ on or off.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from datetime import date
 from pathlib import Path
@@ -64,8 +65,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """An argparse ``type`` for multipliers that must be finite and above 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {value}"
+        )
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scale", type=float, default=DEFAULT_CONFIG.scale)
+    parser.add_argument(
+        "--scale", type=_positive_float, default=DEFAULT_CONFIG.scale
+    )
     parser.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed)
     parser.add_argument(
         "--fault-profile",
@@ -1125,7 +1138,9 @@ def build_parser() -> argparse.ArgumentParser:
     report = commands.add_parser(
         "report", help="regenerate EXPERIMENTS.md"
     )
-    report.add_argument("--scale", type=float, default=BENCH_CONFIG.scale)
+    report.add_argument(
+        "--scale", type=_positive_float, default=BENCH_CONFIG.scale
+    )
     report.add_argument("--seed", type=int, default=BENCH_CONFIG.seed)
     report.add_argument("--out", type=Path, default=Path("EXPERIMENTS.md"))
     report.add_argument(

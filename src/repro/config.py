@@ -11,6 +11,7 @@ ratios, shares and trends, which are preserved at any scale.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from datetime import date
 
@@ -76,8 +77,10 @@ class SimulationConfig:
     faults: FaultProfile = field(default_factory=FaultProfile.paper)
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(
+                f"scale must be a positive finite number, got {self.scale}"
+            )
         if self.start > self.end:
             raise ValueError("start must not be after end")
         if self.n_honeypots < 1:

@@ -10,11 +10,12 @@ deaggregated into /24s for the Figure 8(b) size analysis.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 
-from repro.net.ipv4 import MAX_IPV4, Prefix, is_reserved, slash24_base
+from repro.net.ipv4 import MAX_IPV4, Prefix, is_reserved
 
 
 class ASType(str, Enum):
@@ -104,11 +105,19 @@ class PrefixAllocator:
 
 
 class ASRegistry:
-    """All ASes known to the simulation, with (ip, date) attribution."""
+    """All ASes known to the simulation, with (ip, date) attribution.
+
+    Announced blocks are kept as three parallel lists sorted by first
+    address: first address, last address and ASN.  The allocator hands
+    out disjoint, /24-aligned blocks, so the block holding an address,
+    if any, is the last one starting at or below it.
+    """
 
     def __init__(self) -> None:
         self._records: dict[int, ASRecord] = {}
-        self._by_slash24: dict[int, int] = {}
+        self._block_starts: list[int] = []
+        self._block_lasts: list[int] = []
+        self._block_asns: list[int] = []
         self._allocator = PrefixAllocator()
         self._next_asn = 64500
 
@@ -149,13 +158,20 @@ class ASRegistry:
         )
         self._records[asn] = record
         for prefix in prefixes:
-            for base in prefix.slash24_bases():
-                self._by_slash24[base] = asn
+            index = bisect_right(self._block_starts, prefix.network)
+            self._block_starts.insert(index, prefix.network)
+            self._block_lasts.insert(
+                index, prefix.network + prefix.num_addresses - 1
+            )
+            self._block_asns.insert(index, asn)
         return record
 
     def lookup_asn(self, address: int) -> int | None:
         """Map an IP integer to its announcing ASN (date-agnostic)."""
-        return self._by_slash24.get(slash24_base(address))
+        index = bisect_right(self._block_starts, address) - 1
+        if index >= 0 and address <= self._block_lasts[index]:
+            return self._block_asns[index]
+        return None
 
     def lookup(self, address: int) -> ASRecord | None:
         asn = self.lookup_asn(address)

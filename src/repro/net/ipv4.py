@@ -1,8 +1,9 @@
 """Minimal IPv4 arithmetic used throughout the simulator.
 
 We avoid the stdlib ``ipaddress`` module on hot paths: sessions carry
-plain dotted-quad strings and the AS registry indexes /24 blocks by
-integer base, which keeps lookups to a dict access.
+plain dotted-quad strings and the AS registry keeps its announced
+blocks as integer ranges sorted by first address, which keeps lookups
+to one bisection.
 """
 
 from __future__ import annotations

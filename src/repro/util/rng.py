@@ -16,14 +16,49 @@ from itertools import accumulate
 from typing import Iterable
 
 
+def _feed(hasher, names: Iterable[object]):
+    """Append names to a stream path's SHA-256 state and return the state.
+
+    With :func:`_path_hasher` and :func:`_seed_of` this is the one byte
+    encoding of a stream path ``(master, *names)``: the master seed's
+    decimal text, then ``"\\x00" + str(name)`` per name, all UTF-8.
+    """
+    for name in names:
+        hasher.update(b"\x00" + str(name).encode("utf-8"))
+    return hasher
+
+
+def _path_hasher(master: int, names: Iterable[object]):
+    """The SHA-256 state of the stream path ``(master, *names)``."""
+    return _feed(hashlib.sha256(str(master).encode("utf-8")), names)
+
+
+def _seed_of(hasher) -> int:
+    """The seed of a hashed path: its digest's first 8 bytes, big-endian."""
+    return int.from_bytes(hasher.digest()[:8], "big")
+
+
 def derive_seed(master: int, *names: object) -> int:
     """Derive a 64-bit seed from a master seed and a path of names."""
-    hasher = hashlib.sha256()
-    hasher.update(str(master).encode("utf-8"))
-    for name in names:
-        hasher.update(b"\x00")
-        hasher.update(str(name).encode("utf-8"))
-    return int.from_bytes(hasher.digest()[:8], "big")
+    return _seed_of(_path_hasher(master, names))
+
+
+class SeedPrefix:
+    """The hashed head of a stream path, for many streams that share it.
+
+    ``tree.prefix(*head).rand(tail)`` is ``tree.child(*head, tail).rand()``:
+    the head is hashed once, and each call copies that SHA-256 state,
+    appends only the tail and seeds a fresh generator.
+    """
+
+    __slots__ = ("_hasher",)
+
+    def __init__(self, master: int, names: Iterable[object]) -> None:
+        self._hasher = _path_hasher(master, names)
+
+    def rand(self, name: object) -> random.Random:
+        """Return a fresh ``random.Random`` for the path ``head + (name,)``."""
+        return random.Random(_seed_of(_feed(self._hasher.copy(), (name,))))
 
 
 class RngTree:
@@ -66,6 +101,15 @@ class RngTree:
         profiles.
         """
         return random.Random(derive_seed(self._seed, *self._path, *names))
+
+    def prefix(self, *names: object) -> SeedPrefix:
+        """The seed prefix of ``child(*names)``, for streams below it.
+
+        ``prefix(*names).rand(tail)`` equals ``child(*names, tail).rand()``
+        and hashes ``names`` once instead of on every call; the day loop
+        keeps one per (stream kind, bot) for its per-day streams.
+        """
+        return SeedPrefix(self._seed, (*self._path, *names))
 
     def coin(self, *names: object) -> float:
         """One deterministic float in ``[0, 1)`` from the child stream.

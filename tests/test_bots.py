@@ -87,6 +87,17 @@ class TestCategoryMapping:
         assert DEFAULT_CLASSIFIER.classify_text(text) == EXPECTED_CATEGORY[bot_name]
 
 
+class TestBotDayStreams:
+    def test_streams_equal_tree_children(self, context, fleet):
+        first = date(2023, 5, 1).toordinal()
+        for bot in fleet:
+            for ordinal in range(first, first + 60):
+                for kind in ("count", "intents", "route"):
+                    stream = context.stream(kind, bot.name, ordinal)
+                    child = context.tree.child(kind, bot.name, ordinal)
+                    assert stream.getstate() == child.rand().getstate()
+
+
 class TestVolumeScaling:
     def test_session_count_scales_with_config(self, context, fleet):
         bot = find_bot(fleet, "echo_OK")

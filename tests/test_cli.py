@@ -60,6 +60,13 @@ class TestParser:
             build_parser().parse_args(["cluster", "--sample-limit", limit])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("command", ["stats", "report"])
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+    def test_scale_not_positive_finite_is_a_usage_error(self, command, scale):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, "--scale", scale])
+        assert excinfo.value.code == 2
+
 
 class TestCommands:
     def test_stats_command(self, capsys, dataset):

@@ -17,10 +17,9 @@ class TestSimulationConfig:
         assert DEFAULT_CONFIG.end == date(2024, 8, 31)
 
     def test_scale_validation(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(scale=0)
-        with pytest.raises(ValueError):
-            SimulationConfig(scale=-1)
+        for scale in (0, -1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SimulationConfig(scale=scale)
 
     def test_window_validation(self):
         with pytest.raises(ValueError):

@@ -8,9 +8,11 @@ from datetime import date
 import pytest
 
 from repro.net.asn import ASRegistry, ASType, PrefixAllocator
-from repro.net.ipv4 import ip_to_int, is_reserved
+from repro.net.ipv4 import MAX_IPV4, ip_to_int, is_reserved, slash24_base
+from repro.net.population import build_base_population
 from repro.net.routing import count_slash24, deaggregate, size_bucket
 from repro.net.whois import HistoricalWhois
+from repro.util.rng import RngTree
 
 
 @pytest.fixture
@@ -85,6 +87,40 @@ class TestRegistry:
         assert record.is_announcing(date(2021, 6, 1))
         assert not record.is_announcing(date(2022, 6, 1))
         assert not record.is_announcing(date(2019, 6, 1))
+
+
+class TestBlockTable:
+    """``lookup_asn``'s bisection agrees with the per-/24 map it replaced."""
+
+    @pytest.fixture(scope="class")
+    def population_registry(self):
+        return build_base_population(RngTree(7).child("net"), 65).registry
+
+    def test_matches_slash24_oracle(self, population_registry):
+        registry = population_registry
+        oracle = {
+            base: record.asn
+            for record in registry.records
+            for prefix in record.prefixes
+            for base in prefix.slash24_bases()
+        }
+        probes = []
+        for record in registry.records:
+            for prefix in record.prefixes:
+                first = prefix.network
+                last = first + prefix.num_addresses - 1
+                probes += [first - 1, first, last, last + 1]
+        # about a third of the random probes fall inside announced space
+        top = 2 * max(probes)
+        rng = random.Random(7)
+        probes += [rng.randint(0, top) for _ in range(10_000)]
+        for address in probes:
+            expected = oracle.get(slash24_base(address))
+            assert registry.lookup_asn(address) == expected, address
+
+    def test_edges_of_the_address_space(self, population_registry):
+        for address in (-1, 0, MAX_IPV4):
+            assert population_registry.lookup(address) is None
 
 
 class TestRouting:

@@ -6,7 +6,7 @@ import random
 from datetime import date
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.attackers.base import Bot
@@ -36,6 +36,12 @@ class TestDeriveSeed:
     def test_path_concatenation_is_not_ambiguous(self):
         # ("ab",) must differ from ("a", "b")
         assert derive_seed(7, "ab") != derive_seed(7, "a", "b")
+
+    def test_pinned_value(self):
+        # the byte encoding of a stream path is part of every digest
+        assert derive_seed(7, "bots", "count", "mdrfckr", 738641) == (
+            0x8B1B61E35DCB9790
+        )
 
     @given(st.integers(), st.text(max_size=20))
     @settings(max_examples=50)
@@ -205,8 +211,9 @@ class TestRngBatching:
     """Per-day batched draws ≡ per-session draw sequences.
 
     The serial hot path batches its draws (``_route_draws``,
-    ``RngTree.rand_for``/``coin``, the ``batched_*`` helpers); each must
-    reproduce the per-session sequence exactly, for arbitrary counts.
+    ``RngTree.rand_for``/``prefix``/``coin``, the ``batched_*``
+    helpers); each must reproduce the per-session sequence exactly, for
+    arbitrary counts.
     """
 
     @given(st.integers(), st.integers(0, 500))
@@ -232,11 +239,18 @@ class TestRngBatching:
             b.randrange(stop) for _ in range(n)
         ]
 
-    @given(st.integers(0, 2**32), st.text(max_size=10))
+    @given(
+        st.integers(),
+        st.lists(st.text(max_size=10), max_size=3),
+        st.one_of(st.integers(), st.text(max_size=10)),
+    )
+    @example(-7, ["bots", "zähler", "ボット"], 738641)
     @settings(max_examples=50)
-    def test_rand_for_equals_child_rand(self, seed, name):
+    def test_rand_for_equals_child_rand(self, seed, head, tail):
         tree = RngTree(seed).child("x")
-        assert tree.rand_for(name).random() == tree.child(name).rand().random()
+        reference = tree.child(*head, tail).rand()
+        assert tree.rand_for(*head, tail).getstate() == reference.getstate()
+        assert tree.prefix(*head).rand(tail).getstate() == reference.getstate()
 
     @given(st.integers(0, 2**32), st.text(max_size=10))
     @settings(max_examples=50)
