@@ -49,8 +49,13 @@ def select_k(
     candidates: list[int] | None = None,
     seed: int = 0,
 ) -> KSelection:
-    """Run K-medoids across candidate ks and pick the best."""
+    """Run K-medoids across candidate ks and pick the best.
+
+    An empty sample (a 0×0 matrix) has no candidates and selects k = 0.
+    """
     n = matrix.shape[0]
+    if n == 0:
+        return KSelection([], [], [], elbow_k=0, silhouette_k=0, chosen_k=0)
     if candidates is None:
         upper = max(2, min(n - 1, 24))
         candidates = sorted({max(2, round(k)) for k in np.linspace(2, upper, 8)})

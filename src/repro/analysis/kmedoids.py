@@ -59,10 +59,17 @@ def _seed_medoids(matrix: np.ndarray, k: int, rng: random.Random) -> list[int]:
 def kmedoids(
     matrix: np.ndarray, k: int, seed: int = 0, max_iter: int = 50
 ) -> ClusteringResult:
-    """Cluster ``n`` points given their ``n×n`` distance matrix."""
+    """Cluster ``n`` points given their ``n×n`` distance matrix.
+
+    No points (``n = 0``) take ``k = 0`` and give the empty clustering.
+    """
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ValueError("distance matrix must be square")
+    if n == k == 0:
+        return ClusteringResult(
+            labels=np.zeros(0, dtype=np.intp), medoids=[], inertia=0.0
+        )
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
     rng = random.Random(seed)
@@ -90,26 +97,32 @@ def kmedoids(
 
 
 def silhouette_score(matrix: np.ndarray, labels: np.ndarray) -> float:
-    """Mean silhouette coefficient from a distance matrix."""
+    """Mean silhouette coefficient from a distance matrix.
+
+    Each cluster's member indices are found once.  Every per-point sum
+    is the same 1-D reduction over the same elements in the same order
+    as masking the row would give, and a mean is that sum divided by
+    the count, as ``ndarray.mean`` computes it, so the score is exact
+    to the bit.  A 2-D ``axis=1`` reduction would not be.
+    """
     n = matrix.shape[0]
-    unique = np.unique(labels)
+    unique, cluster_of = np.unique(labels, return_inverse=True)
     if unique.size < 2 or unique.size >= n:
         return 0.0
+    members = [np.flatnonzero(labels == cluster) for cluster in unique]
     scores = np.zeros(n)
     for i in range(n):
-        own = labels[i]
-        own_mask = labels == own
-        own_count = int(own_mask.sum())
-        if own_count <= 1:
-            scores[i] = 0.0
+        own = int(cluster_of[i])
+        own_members = members[own]
+        if own_members.size <= 1:
             continue
-        a = matrix[i, own_mask].sum() / (own_count - 1)
+        row = matrix[i]
+        a = row[own_members].sum() / (own_members.size - 1)
         b = np.inf
-        for other in unique:
-            if other == own:
-                continue
-            other_mask = labels == other
-            b = min(b, float(matrix[i, other_mask].mean()))
+        for cluster, other_members in enumerate(members):
+            if cluster != own:
+                mean = row[other_members].sum() / other_members.size
+                b = min(b, float(mean))
         denominator = max(a, b)
         scores[i] = 0.0 if denominator == 0 else (b - a) / denominator
     return float(scores.mean())

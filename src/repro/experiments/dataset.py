@@ -46,6 +46,11 @@ from repro.util.rng import RngTree
 #: Max sessions fed to the O(n²) clustering stage.
 CLUSTER_SAMPLE_LIMIT = 400
 
+#: The note of a clustering experiment whose dataset has no file
+#: session (a tiny scale or a short window): the clustering is empty,
+#: with k = 0.
+NOTHING_TO_CLUSTER = "nothing to cluster: the dataset has no file sessions (k = 0)"
+
 
 @dataclass
 class Clustering:

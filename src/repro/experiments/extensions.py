@@ -32,6 +32,7 @@ from repro.analysis.mdrfckr_case import (
 from repro.analysis.regexrules import RULES
 from repro.analysis.tokenizer import DEFAULT_TOKENIZER, RAW_TOKENIZER
 from repro.experiments.base import Experiment, register
+from repro.experiments.dataset import NOTHING_TO_CLUSTER
 from repro.honeypot.cowrie import CowrieHoneypot
 from repro.honeypot.stateful import StatefulCowrieHoneypot, probe_detects_honeypot
 
@@ -110,9 +111,12 @@ class ExtAblationTokenizer(Experiment):
     SAMPLE = 150
 
     def run(self, dataset):
+        headers = ["tokenization", "distinct sequences", "chosen k", "silhouette"]
         sessions = sample_sessions(
             dataset.file_sessions(), self.SAMPLE, seed=dataset.config.seed
         )
+        if not sessions:
+            return self.result(headers, [], [NOTHING_TO_CLUSTER])
         from repro.analysis.distance import session_tokens
 
         rows = []
@@ -145,11 +149,7 @@ class ExtAblationTokenizer(Experiment):
             f"silhouette with normalization {normalized[2]:.3f} vs raw "
             f"{raw[2]:.3f} (higher = tighter clusters)",
         ]
-        return self.result(
-            ["tokenization", "distinct sequences", "chosen k", "silhouette"],
-            rows,
-            notes,
-        )
+        return self.result(headers, rows, notes)
 
 
 @register
@@ -240,7 +240,10 @@ class ExtBaselineClustering(Experiment):
         from repro.analysis.hierarchical import hierarchical_cluster, pair_agreement
         from repro.analysis.kmedoids import kmedoids
 
+        headers = ["method", "k", "silhouette", "inertia"]
         clustering = dataset.clustering()
+        if not clustering.sessions:
+            return self.result(headers, [], [NOTHING_TO_CLUSTER])
         matrix = clustering.matrix
         k = clustering.result.k
         rows = []
@@ -275,9 +278,7 @@ class ExtBaselineClustering(Experiment):
             "the methods converge on the same dominant behaviours — the "
             "paper's clusters are not an artefact of the K-Means choice",
         ]
-        return self.result(
-            ["method", "k", "silhouette", "inertia"], rows, notes
-        )
+        return self.result(headers, rows, notes)
 
 
 @register

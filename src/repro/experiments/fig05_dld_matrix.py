@@ -6,6 +6,7 @@ import numpy as np
 
 from repro.analysis.clusterlabel import sorted_distance_matrix
 from repro.experiments.base import Experiment, register
+from repro.experiments.dataset import NOTHING_TO_CLUSTER
 
 
 @register
@@ -17,7 +18,10 @@ class Fig05DldMatrix(Experiment):
     paper_reference = "Figure 5"
 
     def run(self, dataset):
+        headers = ["cluster", "sessions", "avg tokens", "within-dist", "families"]
         clustering = dataset.clustering()
+        if not clustering.sessions:
+            return self.result(headers, [], [NOTHING_TO_CLUSTER])
         profiles = clustering.profiles
         rows = []
         for profile in profiles:
@@ -59,9 +63,4 @@ class Fig05DldMatrix(Experiment):
             title="cluster-sorted normalized DLD matrix "
             "(block diagonal = tight clusters):",
         )
-        return self.result(
-            ["cluster", "sessions", "avg tokens", "within-dist", "families"],
-            rows,
-            notes,
-            extra_text=heatmap,
-        )
+        return self.result(headers, rows, notes, extra_text=heatmap)

@@ -6,6 +6,7 @@ from collections import Counter, defaultdict
 
 from repro.analysis.monthly import session_month
 from repro.experiments.base import Experiment, register
+from repro.experiments.dataset import NOTHING_TO_CLUSTER
 from repro.util.timeutils import parse_month
 
 
@@ -18,7 +19,12 @@ class Fig06ClustersOverTime(Experiment):
     paper_reference = "Figure 6"
 
     def run(self, dataset):
+        headers = ["month", "file sessions", "top clusters"]
         clustering = dataset.clustering()
+        if not clustering.sessions:
+            return self.result(
+                headers, [], [NOTHING_TO_CLUSTER, *dataset.coverage_notes()]
+            )
         top5 = sorted(clustering.profiles, key=lambda p: -p.size)[:5]
         top_ids = {p.raw_index: p for p in top5}
         per_month: dict[str, Counter] = defaultdict(Counter)
@@ -67,4 +73,4 @@ class Fig06ClustersOverTime(Experiment):
                 "(paper: spring-2024 resurgence)"
             )
         notes.extend(dataset.coverage_notes())
-        return self.result(["month", "file sessions", "top clusters"], rows, notes)
+        return self.result(headers, rows, notes)

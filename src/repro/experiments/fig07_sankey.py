@@ -23,10 +23,17 @@ class Fig07Sankey(Experiment):
     paper_reference = "Figure 7"
 
     def run(self, dataset):
+        headers = ["client AS type", "storage AS type", "flow", "observations"]
         observations = download_observations(
             dataset.database.command_sessions()
         )
         flows = client_storage_flows(observations, dataset.whois)
+        if not flows:
+            return self.result(
+                headers,
+                [],
+                ["no flows: no command session fetched from an IPv4 host"],
+            )
         rows = [
             [client, storage, "same-ip" if same else "different", count]
             for (client, storage, same), count in sorted(
@@ -59,8 +66,4 @@ class Fig07Sankey(Experiment):
             f"clients: {len({o.client_ip for o in observations})} "
             "(paper: 3k vs 32k — one order of magnitude)",
         ]
-        return self.result(
-            ["client AS type", "storage AS type", "flow", "observations"],
-            rows,
-            notes,
-        )
+        return self.result(headers, rows, notes)

@@ -137,13 +137,34 @@ def dataset() -> Dataset:
     return build_dataset(DEFAULT_CONFIG)
 
 
-@pytest.fixture(scope="session")
-def results(dataset):
-    """All experiment results over the shared dataset."""
+def run_all_experiments(dataset: Dataset) -> dict:
+    """Every registered experiment's result over ``dataset``."""
     from repro.experiments.base import REGISTRY, get_experiment
 
     load_all_experiments()
     return {eid: get_experiment(eid).run(dataset) for eid in REGISTRY}
+
+
+@pytest.fixture(scope="session")
+def results(dataset):
+    """All experiment results over the shared dataset."""
+    return run_all_experiments(dataset)
+
+
+@pytest.fixture(scope="session")
+def dataset_5x() -> Dataset:
+    """The full-window dataset at 5x the default density (seed 7, 1e-4).
+
+    Its clustering sample is full (400 sessions) and it classifies five
+    times the sessions of ``dataset`` (shared, read-only).
+    """
+    return build_dataset(SimulationConfig(seed=7, scale=1e-4))
+
+
+@pytest.fixture(scope="session")
+def results_5x(dataset_5x):
+    """All experiment results over ``dataset_5x``."""
+    return run_all_experiments(dataset_5x)
 
 
 @pytest.fixture(scope="session")

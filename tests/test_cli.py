@@ -118,6 +118,16 @@ class TestCommands:
         )
         assert "mode" not in payload
 
+    def test_cluster_json_with_no_file_sessions(self, tmp_path, capsys):
+        path = tmp_path / "cluster.json"
+        code = main(["cluster", "--scale", "1e-7", "--json", str(path)])
+        assert code == 0
+        assert "k=0" in capsys.readouterr().out
+        payload = json.loads(path.read_text())
+        assert payload["sessions"] == 0
+        assert payload["chosen_k"] == 0
+        assert payload["clusters"] == []
+
 
 class TestBenchFloors:
     def _report(self, overhead=1.0, unserved=0):

@@ -2,7 +2,9 @@
 
 The distance layer's caches are keyed by tokenizer fingerprint, so two
 tokenizer configs never serve each other's entries;
-``TestTokenizerCacheKeying`` pins that.
+``TestTokenizerCacheKeying`` pins that.  ``silhouette_score`` is checked
+for exact equality against ``_reference_silhouette``, the per-point
+masking loop it replaced.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.clusterselect import cluster_with_selection, elbow_point, select_k
 from repro.analysis.distance import (
@@ -22,6 +26,7 @@ from repro.analysis.distance import (
 from repro.analysis.dld import normalized_dld
 from repro.analysis.kmedoids import kmedoids, silhouette_score
 from repro.analysis.tokenizer import RAW_TOKENIZER
+from tests.test_hierarchical import dld_like_matrices
 
 
 def two_group_matrix(n_per_group: int = 6, gap: float = 1.0) -> np.ndarray:
@@ -260,6 +265,75 @@ class TestKMedoids:
         assert np.array_equal(a.labels, b.labels)
 
 
+def _reference_silhouette(matrix: np.ndarray, labels: np.ndarray) -> float:
+    """The silhouette as first written: two boolean masks per point."""
+    n = matrix.shape[0]
+    unique = np.unique(labels)
+    if unique.size < 2 or unique.size >= n:
+        return 0.0
+    scores = np.zeros(n)
+    for i in range(n):
+        own = labels[i]
+        own_mask = labels == own
+        own_count = int(own_mask.sum())
+        if own_count <= 1:
+            scores[i] = 0.0
+            continue
+        a = matrix[i, own_mask].sum() / (own_count - 1)
+        b = np.inf
+        for other in unique:
+            if other == own:
+                continue
+            other_mask = labels == other
+            b = min(b, float(matrix[i, other_mask].mean()))
+        denominator = max(a, b)
+        scores[i] = 0.0 if denominator == 0 else (b - a) / denominator
+    return float(scores.mean())
+
+
+#: Label values that are neither contiguous nor start at zero.
+SPARSE_LABELS = (-4, 0, 3, 7, 8, 41)
+
+
+@st.composite
+def labelled_matrices(draw):
+    """A tie-heavy DLD-like matrix with arbitrary (often singleton) labels."""
+    matrix = draw(dld_like_matrices())
+    n = matrix.shape[0]
+    labels = draw(
+        st.lists(st.sampled_from(SPARSE_LABELS), min_size=n, max_size=n)
+    )
+    return matrix, np.array(labels)
+
+
+class TestSilhouetteAgainstReference:
+    @given(case=labelled_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_dld_like_matrices(self, case):
+        matrix, labels = case
+        assert silhouette_score(matrix, labels) == _reference_silhouette(
+            matrix, labels
+        )
+
+    def test_singletons_and_sparse_labels(self):
+        matrix = two_group_matrix(4)
+        matrix[3, :] = matrix[:, 3] = 0.5
+        matrix[3, 3] = 0.0
+        labels = np.array([7, 7, 7, -4, 41, 41, 41, 3])
+        score = silhouette_score(matrix, labels)
+        assert score == _reference_silhouette(matrix, labels)
+        assert 0.0 < score < 1.0
+
+    def test_every_candidate_k_on_the_seed7_matrix(self, dataset):
+        clustering = dataset.clustering()
+        matrix = clustering.matrix
+        assert matrix.shape == (117, 117)
+        selection = clustering.selection
+        for k, silhouette in zip(selection.candidates, selection.silhouettes):
+            labels = kmedoids(matrix, k, seed=dataset.config.seed).labels
+            assert silhouette == _reference_silhouette(matrix, labels)
+
+
 class TestSilhouette:
     def test_high_for_separated_groups(self):
         matrix = two_group_matrix()
@@ -298,6 +372,20 @@ class TestSelection:
         matrix = two_group_matrix(2)
         selection = select_k(matrix, seed=0)
         assert 2 <= selection.chosen_k < 4
+
+    def test_empty_sample_is_a_clustering_with_k_zero(self):
+        result, selection = cluster_with_selection(np.zeros((0, 0)))
+        assert selection.chosen_k == 0
+        assert selection.candidates == []
+        assert result.k == 0
+        assert result.labels.shape == (0,)
+        assert result.inertia == 0.0
+
+    def test_k_zero_needs_an_empty_matrix(self):
+        with pytest.raises(ValueError):
+            kmedoids(np.zeros((0, 0)), 1)
+        with pytest.raises(ValueError):
+            kmedoids(np.zeros((1, 1)), 0)
 
 
 class TestClusterLabelling:

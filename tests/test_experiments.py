@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import random
+from datetime import date
 
 import pytest
 
+from repro.config import SimulationConfig
 from repro.experiments.base import REGISTRY
+from repro.experiments.dataset import NOTHING_TO_CLUSTER, build_dataset
 from repro.experiments.fig10_passwords import _monthly_correlation
 from repro.experiments.runner import load_all_experiments, render_report
+from tests.conftest import run_all_experiments
 
 EXPECTED_IDS = {
     "table_stats", "fig01", "fig02", "fig03a", "fig03b", "fig04a", "fig04b",
@@ -35,6 +39,44 @@ class TestRegistry:
         report = render_report(results)
         for eid in EXPECTED_IDS:
             assert eid in report
+
+
+#: The experiments built on a clustering of the file sessions.
+CLUSTERING_IDS = (
+    "fig05", "fig06", "ext_ablation_tokenizer", "ext_baseline_clustering",
+)
+
+
+class TestSparseDatasets:
+    """Datasets without a file session: every experiment still runs."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SimulationConfig(seed=7, scale=1e-7),
+            SimulationConfig(
+                seed=7, start=date(2022, 1, 1), end=date(2022, 1, 2)
+            ),
+        ],
+        ids=["scale-1e-7", "two-day-window"],
+    )
+    def test_every_experiment_runs(self, config):
+        dataset = build_dataset(config)
+        assert dataset.file_sessions() == []
+        results = run_all_experiments(dataset)
+        assert set(results) == EXPECTED_IDS
+        for eid in CLUSTERING_IDS:
+            assert results[eid].rows == []
+            assert NOTHING_TO_CLUSTER in results[eid].notes
+        assert dataset.clustering().selection.chosen_k == 0
+
+    def test_no_download_flows(self):
+        dataset = build_dataset(
+            SimulationConfig(seed=7, start=date(2022, 1, 1), end=date(2022, 1, 2))
+        )
+        result = REGISTRY["fig07"]().run(dataset)
+        assert result.rows == []
+        assert result.notes[0].startswith("no flows")
 
 
 def note_text(results, eid: str) -> str:

@@ -24,8 +24,6 @@ from repro.analysis.hierarchical import (
 )
 from repro.analysis.kmedoids import kmedoids
 from repro.analysis.storage import flow_graph, heaviest_edge
-from repro.config import SimulationConfig
-from repro.experiments.dataset import build_dataset
 
 
 def two_group_matrix(n_per_group: int = 6, gap: float = 1.0) -> np.ndarray:
@@ -113,8 +111,8 @@ class TestAgainstScipy:
         assert_matches_scipy(scipy_hierarchy, clustering.matrix)
 
     @pytest.mark.cluster
-    def test_seed7_clustering_matrix_at_1e4(self, scipy_hierarchy):
-        clustering = build_dataset(SimulationConfig(seed=7, scale=1e-4)).clustering()
+    def test_seed7_clustering_matrix_at_1e4(self, scipy_hierarchy, dataset_5x):
+        clustering = dataset_5x.clustering()
         assert clustering.matrix.shape == (400, 400)
         assert clustering.result.k == 8
         assert_matches_scipy(scipy_hierarchy, clustering.matrix)

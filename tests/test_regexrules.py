@@ -1,12 +1,19 @@
 """Table-1 regex rules: one canonical example per category, plus
-precedence behaviour."""
+precedence behaviour and the contract of the classifier's label memo."""
 
 from __future__ import annotations
 
-import pytest
+import sys
+import threading
 
-from repro.analysis.classify import DEFAULT_CLASSIFIER
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis import classify as classify_module
+from repro.analysis.classify import DEFAULT_CLASSIFIER, CommandClassifier
 from repro.analysis.regexrules import CATEGORY_NAMES, RULES, UNKNOWN_CATEGORY, rule_by_name
+from repro.honeypot.session import CommandRecord, Protocol, SessionRecord
 
 #: category → a canonical command string it must match.
 CANONICAL = {
@@ -141,3 +148,127 @@ class TestPrecedence:
     def test_tftp_counts_as_ftp_tool(self):
         # "tftp" contains the "ftp" token, as in the paper's generic rules
         assert DEFAULT_CLASSIFIER.classify_text("tftp -g -r f h") == "gen_ftp"
+
+
+#: The rule table with the generic ``gen_*`` rules moved to the front,
+#: as ``ext_ablation_ruleorder`` builds it.
+GENERIC_FIRST = tuple(r for r in RULES if r.name.startswith("gen_")) + tuple(
+    r for r in RULES if not r.name.startswith("gen_")
+)
+
+#: Input lines: canonical examples, the empty line and free text.
+command_lines = st.one_of(
+    st.sampled_from(sorted(CANONICAL.values())), st.just(""), st.text(max_size=40)
+)
+
+sessions_lines = st.lists(st.lists(command_lines, max_size=5), max_size=12)
+
+
+def make_session(lines: list[str]) -> SessionRecord:
+    return SessionRecord(
+        session_id="s-1",
+        honeypot_id="hp-000",
+        honeypot_ip="192.0.2.1",
+        honeypot_port=22,
+        protocol=Protocol.SSH,
+        client_ip="198.51.100.7",
+        client_port=40000,
+        start=0.0,
+        end=5.0,
+        commands=[CommandRecord(raw=line, known=True) for line in lines],
+    )
+
+
+def assert_labels_match_rules(classifier: CommandClassifier, sessions) -> None:
+    for session in sessions:
+        assert classifier.classify(session) == classifier.classify_text(
+            session.command_text
+        )
+
+
+class TestLabelMemo:
+    @given(batch=sessions_lines)
+    @settings(max_examples=150, deadline=None)
+    def test_label_is_the_rules_label(self, batch):
+        sessions = [make_session(lines) for lines in batch]
+        for rules in (RULES, GENERIC_FIRST):
+            classifier = CommandClassifier(rules)
+            assert_labels_match_rules(classifier, sessions)
+            assert_labels_match_rules(classifier, sessions)
+
+    @given(batch=sessions_lines)
+    @settings(max_examples=100, deadline=None)
+    def test_label_survives_the_memo_clearing(self, batch):
+        sessions = [make_session(lines) for lines in batch]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classify_module, "LABEL_CACHE_LIMIT", 2)
+            for rules in (RULES, GENERIC_FIRST):
+                classifier = CommandClassifier(rules)
+                for session in sessions + sessions:
+                    assert classifier.classify(session) == (
+                        classifier.classify_text(session.command_text)
+                    )
+                    assert len(classifier._labels) <= 2
+
+    def test_rules_run_once_per_distinct_sequence(self):
+        classifier = CommandClassifier()
+        texts: list[str] = []
+        rules_label = classifier.classify_text
+
+        def counting(text: str) -> str:
+            texts.append(text)
+            return rules_label(text)
+
+        classifier.classify_text = counting
+        lines = [[], ["uname -a"], [], ["uname -a"], ["uname -a", "nproc"]]
+        for _ in range(3):
+            for session_lines in lines:
+                classifier.classify(make_session(session_lines))
+        assert texts == ["", "uname -a", "uname -a ; nproc"]
+
+    def test_each_rule_order_keeps_its_own_labels(self):
+        session = make_session([CANONICAL["sora_attack"]])
+        default = CommandClassifier()
+        generic_first = CommandClassifier(GENERIC_FIRST)
+        for _ in range(2):
+            assert default.classify(session) == "sora_attack"
+            assert generic_first.classify(session) == "gen_wget"
+
+    def test_replaced_commands_get_the_new_label(self):
+        session = make_session([CANONICAL["sora_attack"]])
+        classifier = CommandClassifier()
+        fields = dict(vars(session))
+        assert classifier.classify(session) == "sora_attack"
+        assert vars(session) == fields
+        session.commands = [CommandRecord(raw="uname -a", known=True)]
+        assert classifier.classify(session) == "uname_a"
+        session.commands.append(CommandRecord(raw="nproc", known=True))
+        assert classifier.classify(session) == "uname_a_nproc"
+
+    def test_threads_sharing_one_classifier_get_the_rules_labels(self):
+        lines = [[text] for text in sorted(CANONICAL.values())] + [[], ["ls"]]
+        sessions = [make_session(session_lines) for session_lines in lines]
+        expected = [CommandClassifier().classify_text(s.command_text) for s in sessions]
+        classifier = CommandClassifier()
+        mismatches: list[str] = []
+
+        def classify_all() -> None:
+            for _ in range(20):
+                for session, label in zip(sessions, expected):
+                    if classifier.classify(session) != label:
+                        mismatches.append(label)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(classify_module, "LABEL_CACHE_LIMIT", 8)
+                threads = [threading.Thread(target=classify_all) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
