@@ -61,10 +61,6 @@ def era_capture(day: date) -> float:
     return 0.28 if day < _ERA_BREAK else 0.02
 
 
-def steady_capture(probability: float) -> CaptureFn:
-    return lambda day: probability
-
-
 def random_filename(rng: random.Random) -> str:
     if rng.random() < 0.4:
         return rng.choice(NEUTRAL_FILENAMES)

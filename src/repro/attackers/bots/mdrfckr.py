@@ -121,10 +121,6 @@ class MdrfckrBot(Bot):
             floor_fraction=0.001,
         )
         super().__init__("mdrfckr", activity, self.shared_pool)
-        self._suppressed: Suppressed = activity
-
-    def in_low_activity_window(self, day: date) -> bool:
-        return self._suppressed.in_window(day)
 
     def build_intent(
         self, ctx: BotContext, day: date, rng: random.Random, index: int

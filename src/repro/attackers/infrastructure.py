@@ -125,10 +125,6 @@ class StorageInfrastructure:
     def n_hosts(self) -> int:
         return len(self.hosts)
 
-    @property
-    def n_ases(self) -> int:
-        return len(self.ases)
-
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------

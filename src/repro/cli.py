@@ -8,9 +8,6 @@ Subcommands:
 * ``report``      — regenerate the EXPERIMENTS.md comparison document.
 * ``faults``      — simulate under a fault profile and print the
   resilience report (fault plan, collector accounting, coverage).
-* ``bench``       — time the telemetry on-vs-off overhead of the day
-  loop, the flood shed path and the query service, and optionally
-  record the numbers as JSON.
 * ``cluster``     — run the exact clustering stage on its own and print
   the cluster profiles (see docs/clustering.md).
 * ``telemetry``   — run the pipeline with telemetry enabled and print
@@ -130,27 +127,37 @@ def _telemetry_meta(args: argparse.Namespace) -> dict:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     from repro.experiments.dataset import build_dataset
-    from repro.experiments.runner import get_experiment, load_all_experiments
+    from repro.experiments.runner import run_experiment
 
-    load_all_experiments()
     dataset = build_dataset(_config(args))
-    print(get_experiment("table_stats").run(dataset).render())
+    print(run_experiment("table_stats", dataset).render())
     return 0
 
 
-def cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.experiments.base import REGISTRY, get_experiment
-    from repro.experiments.dataset import build_dataset
+def _experiment_ids(args: argparse.Namespace) -> list[str] | None:
+    """The ``--only`` ids (every registered one by default), or None
+    after naming the unknown ones on stderr."""
+    from repro.experiments.base import REGISTRY
     from repro.experiments.runner import load_all_experiments
 
     load_all_experiments()
     unknown = set(args.only or []) - set(REGISTRY)
     if unknown:
         print(f"unknown experiment ids: {sorted(unknown)}", file=sys.stderr)
+        return None
+    return args.only or list(REGISTRY)
+
+
+def cmd_experiments(args: argparse.Namespace) -> int:
+    from repro.experiments.dataset import build_dataset
+    from repro.experiments.runner import run_experiment
+
+    ids = _experiment_ids(args)
+    if ids is None:
         return 2
     dataset = build_dataset(_config(args))
-    for experiment_id in args.only or list(REGISTRY):
-        result = get_experiment(experiment_id).run(dataset)
+    for experiment_id in ids:
+        result = run_experiment(experiment_id, dataset)
         print(result.render())
         if args.charts:
             from repro.reporting.figures import render_figure
@@ -164,15 +171,16 @@ def cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    from repro.experiments.base import REGISTRY, get_experiment
     from repro.experiments.dataset import build_dataset
-    from repro.experiments.runner import load_all_experiments
+    from repro.experiments.runner import run_experiment
 
-    load_all_experiments()
+    ids = _experiment_ids(args)
+    if ids is None:
+        return 2
     dataset = build_dataset(_config(args))
     args.out.mkdir(parents=True, exist_ok=True)
-    for experiment_id in args.only or list(REGISTRY):
-        result = get_experiment(experiment_id).run(dataset)
+    for experiment_id in ids:
+        result = run_experiment(experiment_id, dataset)
         if args.format == "json":
             path = args.out / f"{experiment_id}.json"
             path.write_text(result.to_json())
@@ -467,7 +475,8 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_telemetry(args: argparse.Namespace) -> int:
-    """Build the dataset with telemetry on and print the run report."""
+    """Build the dataset with telemetry on and print the run report;
+    ``--telemetry PATH`` also writes the document as JSON."""
     from repro import telemetry
     from repro.experiments.dataset import build_dataset
     from repro.experiments.runner import run_all
@@ -481,276 +490,10 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
     meta["experiments"] = args.experiments
     document = telemetry.telemetry_document(registry, meta=meta)
     print(telemetry.run_report_markdown(document))
-    if args.json is not None:
-        telemetry.write_telemetry_json(args.json, registry, meta=meta)
-        print(f"wrote {args.json}")
+    if args.telemetry is not None:
+        telemetry.write_telemetry_json(args.telemetry, registry, meta=meta)
+        print(f"wrote {args.telemetry}")
     return 0
-
-
-#: Default regression floors for ``repro bench --enforce``.
-TELEMETRY_BAR_PCT = 5.0
-#: Floors for the query-service scenario: repeated-query load must hit
-#: the read-through cache at least this often, and no request may go
-#: unserved (outside the ok/rejected/stale contract) while a snapshot
-#: exists — in any service scenario, breaker-open included.
-SERVICE_CACHE_FLOOR = 0.9
-
-
-def check_bench_floors(
-    report: dict,
-    telemetry_bar_pct: float = TELEMETRY_BAR_PCT,
-    service_cache_floor: float = SERVICE_CACHE_FLOOR,
-) -> list[str]:
-    """Regression-floor violations in a bench report (empty = healthy).
-
-    Floors guard the perf trajectory: telemetry overhead on the day
-    loop (the median of the interleaved off/on pairs), and — when the
-    report has the block — the query service's cache hit ratio and
-    unserved count.
-    """
-    violations: list[str] = []
-    overhead = report.get("telemetry", {}).get("overhead_pct", 0.0)
-    if overhead > telemetry_bar_pct:
-        violations.append(
-            f"telemetry overhead {overhead:.2f}% exceeds the "
-            f"{telemetry_bar_pct:.2f}% bar"
-        )
-    service = report.get("service")
-    if service:
-        ratio = service.get("repeated", {}).get("cache_hit_ratio", 1.0)
-        if ratio < service_cache_floor:
-            violations.append(
-                f"service cache hit ratio {ratio:.4f} on repeated-query "
-                f"load is below the {service_cache_floor:.2f} floor"
-            )
-        for scenario in ("repeated", "breaker_open"):
-            unserved = service.get(scenario, {}).get("unserved", 0)
-            if unserved:
-                violations.append(
-                    f"service scenario {scenario!r} left {unserved} "
-                    "requests unserved (outside the ok/rejected/stale "
-                    "contract)"
-                )
-    return violations
-
-
-def _service_bench(serial_result, config) -> dict:
-    """The query-service bench block (see ``repro bench --help``).
-
-    Exports the serial run to a temporary indexed store and drives two
-    seeded load scenarios against a store-backed service: repeated-query
-    load (throughput + cache hit ratio — the read-through LRU's floor)
-    and the breaker-open profile (stale-serve rate while the service↔
-    store breaker degrades to the last-good snapshot).  Both scenarios
-    record ``unserved``, which must be 0: every request resolves inside
-    the ok/rejected/stale contract.
-    """
-    import tempfile
-    import time
-
-    from repro.attackers.orchestrator import _export_store
-    from repro.faults.service import ServiceFaults
-    from repro.service import (
-        QueryService,
-        ServiceLoadModel,
-        run_load_test,
-    )
-    from repro.store import SqliteStore, index_path_for
-
-    def scenario(index, profile, **model_kwargs):
-        store = SqliteStore.open(index, read_only=True)
-        try:
-            service = QueryService(store=store, seed=config.seed)
-            model = ServiceLoadModel(
-                seed=config.seed,
-                faults=ServiceFaults.from_name(profile),
-                **model_kwargs,
-            )
-            started = time.perf_counter()
-            report = run_load_test(service, model)
-            wall_s = time.perf_counter() - started
-            return report, wall_s, service
-        finally:
-            store.close()
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-service-") as tmp:
-        store_dir = Path(tmp)
-        _export_store(serial_result, store_dir)
-        index = index_path_for(store_dir)
-        repeated, repeated_s, _ = scenario(
-            index, "off", ticks=20, requests_per_tick=32
-        )
-        breaker, breaker_s, service = scenario(
-            index, "breaker", ticks=20, requests_per_tick=8
-        )
-    return {
-        "snapshot_sessions": len(serial_result.database),
-        "repeated": {
-            "requests": repeated.total,
-            "wall_s": round(repeated_s, 4),
-            "requests_per_s": round(repeated.total / repeated_s, 1),
-            "cache_hit_ratio": round(repeated.cache_hit_ratio, 4),
-            "ok": repeated.ok,
-            "rejected": sum(repeated.rejected.values()),
-            "unserved": repeated.unserved,
-        },
-        "breaker_open": {
-            "requests": breaker.total,
-            "wall_s": round(breaker_s, 4),
-            "stale_served": breaker.stale,
-            "stale_rate": round(breaker.stale_rate, 4),
-            "breaker_trips": service.breaker.trips,
-            "unserved": breaker.unserved,
-        },
-    }
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Time the serial day loop's costs and the query service.
-
-    Records telemetry on-vs-off overhead of the day loop over
-    interleaved pairs (verifying the two digests match), the shed
-    path's cost per generated session under the burst flood, and the
-    query service.  With ``--json PATH`` the numbers land in a
-    machine-readable file.  With ``--enforce`` the run additionally
-    fails on regression-floor violations (:func:`check_bench_floors`)
-    — the CI smoke runs this so a telemetry-overhead or service
-    regression breaks the build.
-    """
-    import dataclasses
-    import json
-    import os
-    import statistics
-    import time
-
-    from repro import telemetry
-    from repro.attackers.orchestrator import run_simulation
-
-    config = _config(args)
-
-    def timed(fn):
-        started = time.perf_counter()
-        value = fn()
-        return value, time.perf_counter() - started
-
-    report = {
-        "cpu_count": os.cpu_count(),
-        "scale": config.scale,
-        "seed": config.seed,
-        "fault_profile": config.faults.name,
-        "repeat": args.repeat,
-    }
-    # Day-loop runs are interleaved telemetry-off / telemetry-on, and
-    # the overhead is the median of the per-pair on/off ratios, so
-    # drift of the machine between timing blocks cancels within each
-    # pair.
-    def run_instrumented():
-        with telemetry.collecting():
-            return run_simulation(config)
-
-    off_times: list[float] = []
-    on_times: list[float] = []
-    for _ in range(args.repeat):
-        serial_result, elapsed = timed(lambda: run_simulation(config))
-        off_times.append(elapsed)
-        telemetry_result, elapsed = timed(run_instrumented)
-        on_times.append(elapsed)
-    overhead_pcts = [
-        (on / off - 1.0) * 100 for off, on in zip(off_times, on_times)
-    ]
-
-    # Flood scenario: the same window under the burst flood preset.
-    # The flood run generates an order of magnitude more sessions
-    # than the quiet one, so both are compared per generated session.
-    flood_config = config.replace(
-        faults=dataclasses.replace(
-            config.faults, flood=FloodFaults.from_name("burst")
-        )
-    )
-    flood_times: list[float] = []
-    for _ in range(args.repeat):
-        flood_result, elapsed = timed(lambda: run_simulation(flood_config))
-        flood_times.append(elapsed)
-    flood_accounting = flood_result.collector.accounting()
-    flood_generated = flood_accounting["generated"]
-    quiet_generated = serial_result.collector.generated
-    quiet_us = statistics.median(off_times) / quiet_generated * 1e6
-    flood_us = statistics.median(flood_times) / flood_generated * 1e6
-
-    report["sessions"] = len(serial_result.database)
-    report["telemetry"] = {
-        "pairs": len(overhead_pcts),
-        "off_s": round(statistics.median(off_times), 4),
-        "on_s": round(statistics.median(on_times), 4),
-        "overhead_pct": round(statistics.median(overhead_pcts), 2),
-        "overhead_min_pct": round(min(overhead_pcts), 2),
-        "overhead_max_pct": round(max(overhead_pcts), 2),
-        "digest_match": serial_result.database.digest()
-        == telemetry_result.database.digest(),
-    }
-    report["flood"] = {
-        "profile": "burst",
-        "serial_s": round(statistics.median(flood_times), 4),
-        "generated": flood_generated,
-        "admitted": flood_accounting["admitted"],
-        "deferred": flood_accounting["deferred"],
-        "shed": flood_accounting["shed"],
-        "shed_fraction": round(
-            flood_accounting["shed"] / max(flood_generated, 1), 4
-        ),
-        "quiet_generated": quiet_generated,
-        "quiet_us_per_generated": round(quiet_us, 2),
-        "us_per_generated": round(flood_us, 2),
-        "us_per_generated_ratio": round(flood_us / quiet_us, 3),
-    }
-    report["service"] = _service_bench(serial_result, config)
-
-    violations = check_bench_floors(
-        report, telemetry_bar_pct=args.telemetry_bar
-    )
-    report["enforcement"] = {
-        "enforced": bool(args.enforce),
-        "telemetry_bar_pct": args.telemetry_bar,
-        "service_cache_floor": SERVICE_CACHE_FLOOR,
-        "violations": violations,
-    }
-    _print_bench(report)
-    for violation in violations:
-        marker = "FAIL" if args.enforce else "warn"
-        print(f"{marker}: {violation}")
-    if args.json is not None:
-        args.json.write_text(json.dumps(report, indent=2) + "\n")
-        print(f"wrote {args.json}")
-    if args.enforce and violations:
-        return 1
-    return 0 if report["telemetry"]["digest_match"] else 1
-
-
-def _print_bench(report: dict) -> None:
-    """One line per measured block of a ``repro bench`` report."""
-    tele = report["telemetry"]
-    print(
-        f"telemetry:  {tele['off_s']:.3f}s -> {tele['on_s']:.3f}s "
-        f"({tele['overhead_pct']:+.1f}% median overhead over "
-        f"{tele['pairs']} pairs, range [{tele['overhead_min_pct']:+.1f}, "
-        f"{tele['overhead_max_pct']:+.1f}], digest match: "
-        f"{tele['digest_match']})"
-    )
-    flood = report["flood"]
-    print(
-        f"flood:      {flood['us_per_generated']:.1f} us/generated "
-        f"session vs {flood['quiet_us_per_generated']:.1f} quiet "
-        f"({flood['us_per_generated_ratio']:.2f}x; {flood['shed']} "
-        f"shed of {flood['generated']})"
-    )
-    service = report["service"]
-    print(
-        f"service:    {service['repeated']['requests_per_s']:.0f} req/s "
-        f"on repeated-query load (cache hit ratio "
-        f"{service['repeated']['cache_hit_ratio']:.3f}); breaker-open: "
-        f"{service['breaker_open']['stale_served']} stale-served, "
-        f"{service['breaker_open']['unserved']} unserved"
-    )
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
@@ -1156,10 +899,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(telemetry)
     telemetry.add_argument(
-        "--json", type=Path, default=None, metavar="PATH",
-        help="also write the telemetry document as JSON",
-    )
-    telemetry.add_argument(
         "--profile", action="store_true",
         help="capture cProfile output around the simulate/clustering stages",
     )
@@ -1168,33 +907,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run every experiment (spans per experiment id)",
     )
     telemetry.set_defaults(func=cmd_telemetry)
-
-    bench = commands.add_parser(
-        "bench",
-        help="time telemetry overhead, the flood shed path and the query "
-        "service",
-    )
-    _add_common(bench)
-    bench.add_argument(
-        "--json", type=Path, default=None, metavar="PATH",
-        help="write the timing report as JSON (e.g. BENCH_parallel.json)",
-    )
-    bench.add_argument(
-        "--repeat", type=int, default=1,
-        help="iterations per timing: interleaved off/on telemetry pairs "
-        "and flood runs (median)",
-    )
-    bench.add_argument(
-        "--enforce", action="store_true",
-        help="fail (exit 1) on regression-floor violations",
-    )
-    bench.add_argument(
-        "--telemetry-bar", type=float, default=TELEMETRY_BAR_PCT,
-        metavar="PCT",
-        help="maximum median telemetry overhead percentage "
-        f"(default {TELEMETRY_BAR_PCT})",
-    )
-    bench.set_defaults(func=cmd_bench)
 
     cluster = commands.add_parser(
         "cluster",
@@ -1417,10 +1129,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     telemetry_path = getattr(args, "telemetry", None)
-    # ``bench`` measures telemetry on-vs-off itself and the ``telemetry``
-    # subcommand manages its own registry; everything else gets generic
-    # collect-and-write handling here.
-    if telemetry_path is None or args.command in ("bench", "telemetry"):
+    # The ``telemetry`` subcommand manages its own registry; everything
+    # else gets generic collect-and-write handling here.
+    if telemetry_path is None or args.command == "telemetry":
         return args.func(args)
     from repro import telemetry
 

@@ -150,5 +150,6 @@ PAPER = PaperNumbers()
 #: Default configuration used by tests and the quickstart example.
 DEFAULT_CONFIG = SimulationConfig()
 
-#: Larger configuration used by the benchmark harness.
+#: Five times the default density: ``repro report``'s default, which
+#: EXPERIMENTS.md is generated at.
 BENCH_CONFIG = SimulationConfig(scale=1e-4)

@@ -73,43 +73,3 @@ def run_all(
 def render_report(results: dict[str, ExperimentResult]) -> str:
     """One text report covering every experiment."""
     return "\n\n".join(result.render() for result in results.values())
-
-
-def main() -> None:
-    """CLI entry point: run everything and print the report."""
-    import argparse
-
-    parser = argparse.ArgumentParser(description="repro experiment runner")
-    parser.add_argument("--scale", type=float, default=DEFAULT_CONFIG.scale)
-    parser.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed)
-    parser.add_argument(
-        "--only", nargs="*", default=None, help="experiment ids to run"
-    )
-    parser.add_argument(
-        "--telemetry", type=str, default=None, metavar="PATH",
-        help="collect run telemetry and write it as JSON",
-    )
-    args = parser.parse_args()
-    config = SimulationConfig(scale=args.scale, seed=args.seed)
-    load_all_experiments()
-    registry = telemetry.enable() if args.telemetry else None
-    try:
-        dataset = build_dataset(config)
-        ids = args.only or list(REGISTRY)
-        results = {eid: run_experiment(eid, dataset) for eid in ids}
-    finally:
-        if registry is not None:
-            telemetry.disable()
-    print(render_report(results))
-    if registry is not None:
-        meta = {
-            "command": "experiments.runner",
-            "seed": config.seed,
-            "scale": config.scale,
-        }
-        telemetry.write_telemetry_json(args.telemetry, registry, meta=meta)
-        print(f"wrote {args.telemetry}")
-
-
-if __name__ == "__main__":
-    main()

@@ -108,7 +108,7 @@ def experiments_markdown(
     header = [
         "# EXPERIMENTS — paper vs. measured",
         "",
-        "Regenerated by `python -m repro.reporting.generate` "
+        "Regenerated by `repro report` "
         "(every table and figure of the paper's evaluation).",
         "",
         f"Run configuration: `seed={config.seed}`, `scale={config.scale}` "

@@ -111,7 +111,8 @@ class LoadTestReport:
     stale: int = 0
     rejected: dict[str, int] = field(default_factory=dict)
     #: Requests that resolved to anything outside the contract — must
-    #: be zero while any snapshot exists (the bench floor).
+    #: be zero while any snapshot exists (asserted by the ``service``
+    #: marker tests).
     unserved: int = 0
     cache_hit_ratio: float = 0.0
     stale_rate: float = 0.0

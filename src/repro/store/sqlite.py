@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 import sqlite3
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro import telemetry
 from repro.store.base import (
@@ -334,8 +334,3 @@ class SqliteStore(ArtifactStore):
 
     def close(self) -> None:
         self._connection.close()
-
-
-def iter_index_rows(store: SqliteStore) -> Iterable[IndexRow]:
-    """All rows of an open store (the audit's row stream)."""
-    return store.rows()

@@ -137,34 +137,6 @@ class RngTree:
         return self.rand().choice(items)
 
 
-def batched_random(rng: random.Random, n: int) -> list[float]:
-    """Draw ``n`` floats from ``rng`` in one pass.
-
-    Sequence-equivalent to ``[rng.random() for _ in range(n)]`` — the
-    generator state advances identically — but the method is bound once,
-    which matters when the day loop batches thousands of draws.
-    """
-    draw = rng.random
-    return [draw() for _ in range(n)]
-
-
-def batched_uniform(
-    rng: random.Random, n: int, low: float, high: float
-) -> list[float]:
-    """Draw ``n`` uniforms in ``[low, high)``; sequence-equivalent to
-    ``[rng.uniform(low, high) for _ in range(n)]``."""
-    draw = rng.random
-    span = high - low
-    return [low + draw() * span for _ in range(n)]
-
-
-def batched_randrange(rng: random.Random, n: int, stop: int) -> list[int]:
-    """Draw ``n`` integers in ``[0, stop)``; sequence-equivalent to
-    ``[rng.randrange(stop) for _ in range(n)]``."""
-    draw = rng.randrange
-    return [draw(stop) for _ in range(n)]
-
-
 def poisson(rng: random.Random, lam: float) -> int:
     """Sample a Poisson-distributed count.
 

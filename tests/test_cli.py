@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, check_bench_floors, main
+from repro.cli import build_parser, main
 from repro.experiments.base import ExperimentResult
 
 
@@ -60,6 +60,11 @@ class TestParser:
             build_parser().parse_args(["cluster", "--sample-limit", limit])
         assert excinfo.value.code == 2
 
+    def test_telemetry_writes_through_the_common_flag_only(self):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["telemetry", "--json", "t.json"])
+        assert excinfo.value.code == 2
+
     @pytest.mark.parametrize("command", ["stats", "report"])
     @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
     def test_scale_not_positive_finite_is_a_usage_error(self, command, scale):
@@ -83,6 +88,32 @@ class TestCommands:
     def test_experiments_unknown_id(self, capsys, dataset):
         code = main(["experiments", "--only", "nope"])
         assert code == 2
+
+    def test_export_unknown_id_exits_before_building(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.experiments import dataset as dataset_module
+
+        def refuse(config):
+            raise AssertionError("built a dataset for an unknown id")
+
+        monkeypatch.setattr(dataset_module, "build_dataset", refuse)
+        out = tmp_path / "figures"
+        assert main(["export", "--only", "nope", "--out", str(out)]) == 2
+        assert "nope" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["experiments", "export"])
+    def test_experiments_run_through_the_runner(
+        self, tmp_path, monkeypatch, dataset, command
+    ):
+        """One ``experiment.<id>`` span and one ``experiments.completed``
+        count per experiment, as ``repro report --telemetry`` records."""
+        monkeypatch.chdir(tmp_path)  # export writes figures/ here
+        assert main([command, "--only", "fig01", "--telemetry", "t.json"]) == 0
+        document = json.loads((tmp_path / "t.json").read_text())
+        assert document["counters"]["experiments.completed"] == 1
+        assert "experiment.fig01" in document["spans"]
 
     def test_export_json(self, tmp_path, dataset):
         code = main(
@@ -127,34 +158,3 @@ class TestCommands:
         assert payload["sessions"] == 0
         assert payload["chosen_k"] == 0
         assert payload["clusters"] == []
-
-
-class TestBenchFloors:
-    def _report(self, overhead=1.0, unserved=0):
-        return {
-            "cpu_count": 4,
-            "telemetry": {"overhead_pct": overhead, "digest_match": True},
-            "service": {
-                "repeated": {"cache_hit_ratio": 0.95, "unserved": 0},
-                "breaker_open": {"unserved": unserved},
-            },
-        }
-
-    def test_healthy_report_passes(self):
-        assert check_bench_floors(self._report()) == []
-
-    def test_telemetry_overhead_fails(self):
-        violations = check_bench_floors(self._report(overhead=6.3))
-        assert violations and "6.30%" in violations[0]
-
-    def test_custom_floors(self):
-        report = self._report(overhead=4.0)
-        assert check_bench_floors(report) == []
-        assert check_bench_floors(report, telemetry_bar_pct=3.0)
-        assert check_bench_floors(report, service_cache_floor=0.99)
-
-    def test_both_floors_can_fail_together(self):
-        violations = check_bench_floors(
-            self._report(overhead=9.9, unserved=3)
-        )
-        assert len(violations) == 2

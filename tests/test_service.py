@@ -495,7 +495,7 @@ class TestQueryCacheAndSingleFlight:
                 )
                 assert response.outcome == "ok"
         assert service.cache.misses == 2
-        assert service.cache.hit_ratio >= 0.9  # the bench floor
+        assert service.cache.hit_ratio >= 0.9  # the cache floor
 
 
 # ----------------------------------------------------------------------
@@ -609,18 +609,34 @@ class TestLoadModelContract:
         assert service.cache.coalesced == herd_size - 1
         assert all(entry["herd"] for entry in report.entries)
 
-    def test_breaker_profile_degrades_to_stale_not_errors(self, store):
+    @pytest.mark.parametrize("seed", [7, 11, 33])
+    def test_repeated_load_model_meets_the_cache_floor(self, store, seed):
+        """At least 90 % of a repeated-query load is answered without a
+        store query of its own (cache hits and coalesced waits), and every
+        request resolves inside the contract."""
         model = ServiceLoadModel(
-            seed=33,
-            ticks=15,
-            requests_per_tick=8,
-            faults=ServiceFaults.from_name("breaker"),
+            seed=seed,
+            ticks=20,
+            requests_per_tick=32,
+            faults=ServiceFaults.from_name("off"),
         )
-        service = QueryService(store=store, seed=33)
-        report = run_load_test(service, model)
+        report = run_load_test(QueryService(store=store, seed=seed), model)
+        assert report.cache_hit_ratio >= 0.9
         assert report.unserved == 0
-        assert report.stale > 0
-        assert service.breaker.trips >= 1
+
+    def test_breaker_profile_degrades_to_stale_not_errors(self, store):
+        for ticks in (15, 20):
+            model = ServiceLoadModel(
+                seed=33,
+                ticks=ticks,
+                requests_per_tick=8,
+                faults=ServiceFaults.from_name("breaker"),
+            )
+            service = QueryService(store=store, seed=33)
+            report = run_load_test(service, model)
+            assert report.unserved == 0, ticks
+            assert report.stale > 0, ticks
+            assert service.breaker.trips >= 1, ticks
 
     def test_slowloris_profile_is_deadline_rejected(self, store):
         model = ServiceLoadModel(

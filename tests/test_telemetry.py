@@ -250,7 +250,7 @@ class TestCliTelemetry:
         from repro.cli import main
 
         path = tmp_path / "tele.json"
-        assert main(["telemetry", "--json", str(path)]) == 0
+        assert main(["telemetry", "--telemetry", str(path)]) == 0
         out = capsys.readouterr().out
         assert "# Telemetry run report" in out
         assert "## Counters" in out

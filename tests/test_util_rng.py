@@ -15,9 +15,6 @@ from repro.attackers.dictionary import ROOT_PASSWORDS, SCOUT_CREDENTIALS
 from repro.util.rng import (
     RngTree,
     WeightedTable,
-    batched_random,
-    batched_randrange,
-    batched_uniform,
     derive_seed,
     poisson,
 )
@@ -211,33 +208,9 @@ class TestRngBatching:
     """Per-day batched draws ≡ per-session draw sequences.
 
     The serial hot path batches its draws (``_route_draws``,
-    ``RngTree.rand_for``/``prefix``/``coin``, the ``batched_*``
-    helpers); each must reproduce the per-session sequence exactly, for
-    arbitrary counts.
+    ``RngTree.rand_for``/``prefix``/``coin``); each must reproduce the
+    per-session sequence exactly, for arbitrary counts.
     """
-
-    @given(st.integers(), st.integers(0, 500))
-    @settings(max_examples=50)
-    def test_batched_random_matches_sequence(self, seed, n):
-        a, b = random.Random(seed), random.Random(seed)
-        assert batched_random(a, n) == [b.random() for _ in range(n)]
-        assert a.random() == b.random()  # generator state advanced equally
-
-    @given(st.integers(), st.integers(0, 500))
-    @settings(max_examples=50)
-    def test_batched_uniform_matches_sequence(self, seed, n):
-        a, b = random.Random(seed), random.Random(seed)
-        assert batched_uniform(a, n, 0.0, 86_400.0) == [
-            b.uniform(0.0, 86_400.0) for _ in range(n)
-        ]
-
-    @given(st.integers(), st.integers(0, 500), st.integers(1, 97))
-    @settings(max_examples=50)
-    def test_batched_randrange_matches_sequence(self, seed, n, stop):
-        a, b = random.Random(seed), random.Random(seed)
-        assert batched_randrange(a, n, stop) == [
-            b.randrange(stop) for _ in range(n)
-        ]
 
     @given(
         st.integers(),
