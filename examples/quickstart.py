@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 
 from repro import SimulationConfig, build_dataset
-from repro.experiments.runner import get_experiment, load_all_experiments
+from repro.experiments.runner import run_experiment
 
 
 def main() -> None:
@@ -32,9 +32,8 @@ def main() -> None:
         f"{len(db.unique_hashes())} unique file hashes\n"
     )
 
-    load_all_experiments()
     for experiment_id in ("table_stats", "fig01", "fig02"):
-        result = get_experiment(experiment_id).run(dataset)
+        result = run_experiment(experiment_id, dataset)
         print(result.render())
         print()
 

@@ -13,7 +13,8 @@ bucket, so the accounting identity
     generated == stored + dropped_outage + dropped_sensor_down
                  + dead_lettered + deduplicated + quarantined + shed
 
-holds at all times (:meth:`Collector.accounting_balanced`).  The
+holds at all times (:func:`conservation_imbalance`, stated once for the
+live collector and for ``repro verify``'s checkpoint audit).  The
 ``quarantined`` bucket is always zero during simulation — it exists for
 collectors restored from recovered artifacts
 (:func:`repro.honeynet.io.recover_jsonl`), where records lost to
@@ -39,6 +40,36 @@ from repro.util.timeutils import epoch_ordinal
 #: Drop reasons understood by :meth:`Collector.record_drop`.
 DROP_OUTAGE = "outage"
 DROP_SENSOR_DOWN = "sensor_down"
+
+
+def conservation_imbalance(accounting: dict[str, int]) -> str | None:
+    """Check the conservation law over an accounting dict.
+
+    ``accounting`` has the keys of :meth:`Collector.accounting` (absent
+    keys count as zero).  Returns a description of the imbalance, or
+    ``None`` when every generated record sits in exactly one terminal
+    bucket.
+    """
+    generated = accounting.get("generated", 0)
+    accounted = sum(
+        accounting.get(bucket, 0)
+        for bucket in (
+            "stored",
+            "dropped_outage",
+            "dropped_sensor_down",
+            "dead_lettered",
+            "deduplicated",
+            "quarantined",
+            "shed",
+        )
+    )
+    if generated == accounted:
+        return None
+    return (
+        f"generated {generated} != {accounted} accounted "
+        f"(stored + dropped + dead-lettered + deduplicated + "
+        f"quarantined + shed)"
+    )
 
 
 @dataclass
@@ -270,15 +301,7 @@ class Collector:
 
     def accounting_balanced(self) -> bool:
         """Check the conservation law over the collection boundary."""
-        return self.generated == (
-            len(self.sessions)
-            + self.dropped_outage
-            + self.dropped_sensor_down
-            + self.dead_lettered
-            + self.deduplicated
-            + self.quarantined
-            + self.shed
-        )
+        return conservation_imbalance(self.accounting()) is None
 
     def restore(
         self,

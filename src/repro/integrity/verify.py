@@ -11,9 +11,10 @@ repair, a corrupt checkpoint generation with a valid older one) or
 unexplained discrepancy and fails the audit — ``repro verify`` exits
 non-zero.
 
-Import note: :mod:`repro.honeynet.io` and :mod:`repro.faults.checkpoint`
-are imported lazily inside the audit functions — both import this
-package's siblings at module level.
+Import note: :mod:`repro.honeynet.io`, :mod:`repro.honeynet.collector`
+and :mod:`repro.faults.checkpoint` are imported lazily inside the audit
+functions — they sit above this package, and the first and last import
+its siblings at module level.
 """
 
 from __future__ import annotations
@@ -371,9 +372,7 @@ def _audit_index(path: Path, relative: str, audit: IntegrityAudit) -> None:
       consumers answer via the shard-scan fallback.
     """
     # Lazy: repro.store composes analysis/honeynet, which sit above us.
-    from repro.honeynet.io import recover_jsonl
-    from repro.store.base import index_rows
-    from repro.store.builder import shard_paths
+    from repro.store.builder import recover_tree
     from repro.store.sqlite import SqliteStore, StoreError
 
     repair_hint = (
@@ -407,19 +406,8 @@ def _audit_index(path: Path, relative: str, audit: IntegrityAudit) -> None:
     finally:
         store.close()
 
-    expected: dict[str, object] = {}
-    lost = 0
-    seen: set[str] = set()
-    records = []
-    for shard in shard_paths(path.parent):
-        recovered = recover_jsonl(shard)  # scan-only: no store writes
-        lost += recovered.report.lost
-        fresh = [r for r in recovered.records if r.session_id not in seen]
-        seen.update(r.session_id for r in fresh)
-        records.extend(fresh)
-        for row in index_rows(fresh, source=shard.name):
-            expected[row.session_id] = row
-
+    tree = recover_tree(path.parent)  # scan-only: no store writes
+    expected = {row.session_id: row for row in tree.rows}
     missing = len(expected.keys() - actual.keys())
     extra = len(actual.keys() - expected.keys())
     mismatched = sum(
@@ -440,14 +428,14 @@ def _audit_index(path: Path, relative: str, audit: IntegrityAudit) -> None:
         )
         return
     if extra:
-        if extra <= lost:
+        if extra <= tree.lost:
             audit.findings.append(
                 Finding(
                     relative,
                     "index",
                     "quarantined",
                     f"{extra} index rows outlive records the shards lost "
-                    f"({lost} lost) — the index records what the writer "
+                    f"({tree.lost} lost) — the index records what the writer "
                     "meant; shard damage is accounted separately",
                 )
             )
@@ -458,7 +446,7 @@ def _audit_index(path: Path, relative: str, audit: IntegrityAudit) -> None:
                 "index",
                 "failed",
                 f"{extra} foreign index rows with no shard record and "
-                f"only {lost} shard losses to explain them — {repair_hint}",
+                f"only {tree.lost} shard losses to explain them — {repair_hint}",
             )
         )
         return
@@ -473,10 +461,8 @@ def _audit_index(path: Path, relative: str, audit: IntegrityAudit) -> None:
             )
         )
         return
-    if lost == 0 and meta.content_digest:
-        from repro.store.base import content_digest
-
-        if meta.content_digest != content_digest(records):
+    if tree.lost == 0 and meta.content_digest:
+        if meta.content_digest != tree.meta().content_digest:
             audit.findings.append(
                 Finding(
                     relative,
@@ -497,42 +483,11 @@ def _audit_index(path: Path, relative: str, audit: IntegrityAudit) -> None:
     )
 
 
-def _conservation_imbalance(counters: dict[str, int]) -> str | None:
-    """Check the collection conservation law over checkpoint counters.
-
-    Every record offered to the collection boundary must sit in exactly
-    one terminal bucket, shed included:
-
-        generated == stored + dropped_outage + dropped_sensor_down
-                     + dead_lettered + deduplicated + quarantined + shed
-
-    Returns a description of the imbalance, or ``None`` when the books
-    balance.  A checkpoint that passes its checksums but fails this is
-    an unexplained discrepancy — bytes intact, accounting broken.
-    """
-    generated = counters.get("generated", 0)
-    accounted = (
-        counters.get("stored", 0)
-        + counters.get("dropped_outage", 0)
-        + counters.get("dropped_sensor_down", 0)
-        + counters.get("dead_lettered", 0)
-        + counters.get("deduplicated", 0)
-        + counters.get("quarantined", 0)
-        + counters.get("shed", 0)
-    )
-    if generated == accounted:
-        return None
-    return (
-        f"generated {generated} != {accounted} accounted "
-        f"(stored + dropped + dead-lettered + deduplicated + "
-        f"quarantined + shed)"
-    )
-
-
 def _audit_checkpoint_group(
     checkpoint_base: Path, members: list[Path], base: Path, audit: IntegrityAudit
 ) -> None:
     from repro.faults.checkpoint import audit_checkpoint, read_checkpoint_counters
+    from repro.honeynet.collector import conservation_imbalance
 
     members = sorted(members, key=_generation_rank)
     problems = {member: audit_checkpoint(member) for member in members}
@@ -547,7 +502,7 @@ def _audit_checkpoint_group(
             if member == newest_valid:
                 counters = read_checkpoint_counters(member)
                 if counters is not None:
-                    imbalance = _conservation_imbalance(counters)
+                    imbalance = conservation_imbalance(counters)
                     if imbalance is None:
                         audit.records_shed += counters.get("shed", 0)
             if imbalance is not None:

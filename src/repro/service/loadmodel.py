@@ -115,6 +115,7 @@ class LoadTestReport:
     #: marker tests).
     unserved: int = 0
     cache_hit_ratio: float = 0.0
+    cache_lookup_hit_ratio: float = 0.0
     stale_rate: float = 0.0
 
     def digest(self) -> str:
@@ -149,6 +150,7 @@ class LoadTestReport:
             "rejected": dict(sorted(self.rejected.items())),
             "unserved": self.unserved,
             "cache_hit_ratio": round(self.cache_hit_ratio, 4),
+            "cache_lookup_hit_ratio": round(self.cache_lookup_hit_ratio, 4),
             "stale_rate": round(self.stale_rate, 4),
             "ledger_digest": self.digest(),
         }
@@ -316,6 +318,7 @@ class ServiceLoadModel:
                 )
             service.advance(self.tick_advance_s)
         report.cache_hit_ratio = service.cache.hit_ratio
+        report.cache_lookup_hit_ratio = service.cache.lookup_hit_ratio
         report.stale_rate = (
             report.stale / report.total if report.total else 0.0
         )

@@ -3,11 +3,10 @@
 JSONL shards with manifests (:mod:`repro.honeynet.io`) are crash-safe
 but unqueryable at scale — answering "sessions from this IP on that
 day" means parsing every line ever written.  This package adds a
-pluggable :class:`~repro.store.base.ArtifactStore` interface with a
-SQLite backend that indexes ``(day, sensor_id, client_ip,
-session_hash, protocol, rule_label)`` at export time, so the paper's
-per-IP / per-day / per-category lookups become index queries instead of
-full scans.
+SQLite index (:class:`~repro.store.sqlite.SqliteStore`) over ``(day,
+sensor_id, client_ip, session_hash, protocol, rule_label)``, built at
+export time, so the paper's per-IP / per-day / per-category lookups
+become index queries instead of full scans.
 
 The store is robustness-first, because a second persistence surface is
 a second thing that can corrupt or desync:
@@ -20,12 +19,15 @@ a second thing that can corrupt or desync:
 * the first build is atomic (temp file + fsync + rename) and reads run
   in WAL mode, so a killed build never leaves a half-written index;
 * every query consumer degrades to a full scan of the shards when the
-  index is absent or damaged (:mod:`repro.store.resilient`), counted
-  loudly on the ``store.fallback`` telemetry counter — never a crash,
-  never a wrong answer;
-* ``repro verify`` cross-checks index rows against the recovered shard
-  records and ``repro verify --rebuild-index`` reconstructs a damaged
-  index from verified shards (:func:`~repro.store.builder.rebuild_index`).
+  index is absent or damaged (:mod:`repro.store.resilient`), answering
+  with the same SQL over an in-memory copy of the recovered rows and
+  counted loudly on the ``store.fallback`` telemetry counter — never a
+  crash, never a wrong answer;
+* one function reads a tree's shards
+  (:func:`~repro.store.builder.recover_tree`): the fallback, ``repro
+  verify``'s cross-check of index rows against the shard records, and
+  ``repro verify --rebuild-index``'s reconstruction of a damaged index
+  (:func:`~repro.store.builder.rebuild_index`) all see the same records.
 
 Layering: ``store`` composes ``analysis`` (rule labels), ``honeynet``
 (shard IO) and ``integrity`` — it sits at the ``experiments`` layer;
@@ -38,7 +40,6 @@ from __future__ import annotations
 from repro.store.base import (
     INDEX_FILE_NAME,
     STORE_SCHEMA_VERSION,
-    ArtifactStore,
     IndexRow,
     StaleIndexError,
     StoreError,
@@ -48,18 +49,19 @@ from repro.store.base import (
     snapshot_aggregates,
 )
 from repro.store.builder import (
+    RecoveredTree,
     export_indexed_tree,
     index_path_for,
-    load_tree_records,
     rebuild_index,
+    recover_tree,
 )
 from repro.store.resilient import ResilientArtifactStore
 from repro.store.sqlite import SqliteStore
 
 __all__ = [
-    "ArtifactStore",
     "INDEX_FILE_NAME",
     "IndexRow",
+    "RecoveredTree",
     "ResilientArtifactStore",
     "STORE_SCHEMA_VERSION",
     "SqliteStore",
@@ -70,7 +72,7 @@ __all__ = [
     "export_indexed_tree",
     "index_path_for",
     "index_rows",
-    "load_tree_records",
     "rebuild_index",
+    "recover_tree",
     "snapshot_aggregates",
 ]

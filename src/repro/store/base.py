@@ -1,22 +1,17 @@
-"""The store interface and the row schema every backend indexes.
+"""The row schema every index holds, and the errors a store raises.
 
-An :class:`ArtifactStore` answers the lookups the paper's longitudinal
-analyses are built from — per-day, per-sensor, per-client-IP,
-per-rule-label session counts and id sets — without parsing the JSONL
-shards.  One :class:`IndexRow` is written per session at export time;
-the row carries a content hash of the record it summarizes, so an index
-row and its ground-truth record can be cross-checked artifact by
-artifact (``repro verify``'s index-audit pass).
-
-The interface is deliberately small and backend-agnostic: SQLite today
-(:mod:`repro.store.sqlite`), columnar backends later, both behind the
-same filters.
+A store answers the lookups the paper's longitudinal analyses are built
+from — per-day, per-sensor, per-client-IP, per-rule-label session
+counts and id sets — without parsing the JSONL shards.  One
+:class:`IndexRow` is written per session at export time; the row
+carries a content hash of the record it summarizes, so an index row and
+its ground-truth record can be cross-checked artifact by artifact
+(``repro verify``'s index-audit pass).
 """
 
 from __future__ import annotations
 
 import json
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from datetime import date
 from typing import Iterable, Sequence
@@ -105,53 +100,6 @@ class IndexRow:
     seq: int  #: the record's sequence number within that shard
 
 
-class ArtifactStore(ABC):
-    """Query surface over an index of session records.
-
-    ``filters`` accepted by the query methods are equality constraints
-    on :data:`INDEX_COLUMNS` (``day`` also accepts a :class:`date`,
-    ``protocol`` an enum value).  Implementations raise
-    :class:`StoreError` for any backend failure — callers that must not
-    crash wrap the store in
-    :class:`~repro.store.resilient.ResilientArtifactStore`.
-    """
-
-    @abstractmethod
-    def meta(self) -> StoreMeta:
-        """The index's self-description."""
-
-    @abstractmethod
-    def count(self, **filters: object) -> int:
-        """Number of indexed sessions matching ``filters``."""
-
-    @abstractmethod
-    def session_ids(self, **filters: object) -> list[str]:
-        """Matching session ids, sorted (deterministic)."""
-
-    @abstractmethod
-    def rows(self, **filters: object) -> list[IndexRow]:
-        """Matching rows, sorted by ``(source, seq)``."""
-
-    @abstractmethod
-    def distinct(self, column: str, **filters: object) -> list[str]:
-        """Sorted distinct values of ``column`` among matching rows."""
-
-    @abstractmethod
-    def count_by(self, column: str, **filters: object) -> dict[str, int]:
-        """Matching-session counts grouped by ``column``."""
-
-    @abstractmethod
-    def close(self) -> None:
-        """Release backend resources (idempotent)."""
-
-    def __enter__(self) -> "ArtifactStore":
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        self.close()
-        return False
-
-
 def normalize_filters(filters: dict) -> dict[str, str]:
     """Validate filter names and coerce values to their column strings."""
     cleaned: dict[str, str] = {}
@@ -169,7 +117,7 @@ def normalize_filters(filters: dict) -> dict[str, str]:
     return cleaned
 
 
-def snapshot_aggregates(store: "ArtifactStore") -> dict:
+def snapshot_aggregates(store) -> dict:
     """The headline aggregates a service snapshot is built from.
 
     One ``count_by`` per axis (the paper's per-day and per-label

@@ -3,13 +3,15 @@
 An *indexed artifact tree* is a directory holding one or more JSONL
 session shards (each with its sidecar manifest) plus one
 ``index.sqlite`` summarizing every record in them.  The shards are the
-ground truth; the index is derived and disposable —
-:func:`rebuild_index` reconstructs it from whatever the shards can
-still prove, which is the ``repro verify --rebuild-index`` repair path.
+ground truth; the index is derived and disposable.  :func:`recover_tree`
+is the one reading of the shards, and :func:`rebuild_index`
+reconstructs the index from it — the ``repro verify --rebuild-index``
+repair path.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -19,6 +21,7 @@ from repro.integrity.quarantine import QUARANTINE_DIR_NAME
 from repro.store.base import (
     INDEX_FILE_NAME,
     STORE_SCHEMA_VERSION,
+    IndexRow,
     StoreMeta,
     content_digest,
     index_rows,
@@ -45,31 +48,55 @@ def shard_paths(root: Path | str) -> list[Path]:
     )
 
 
-def load_tree_records(
-    root: Path | str,
-) -> tuple[list[SessionRecord], int]:
+@dataclass(frozen=True)
+class RecoveredTree:
+    """Everything an artifact tree's shards can still prove."""
+
+    #: Shard name order; each session id once, at its first occurrence.
+    records: list[SessionRecord]
+    #: One index row per record, ``(source, seq)`` pointing at its shard.
+    rows: list[IndexRow]
+    #: Records the shards lost (corrupt or missing lines).
+    lost: int
+
+    def meta(self) -> StoreMeta:
+        """The meta of an index rebuilt from these records: no config
+        fingerprint (the shards cannot prove one) and their content
+        digest — a costly pass, so computed only on demand."""
+        return StoreMeta(
+            schema_version=STORE_SCHEMA_VERSION,
+            config_fingerprint="",
+            content_digest=content_digest(self.records),
+            record_count=len(self.rows),
+        )
+
+
+def recover_tree(root: Path | str) -> RecoveredTree:
     """Recover every record the tree's shards can still prove.
 
-    Lenient, scan-only (no quarantine writes): damaged lines are
-    skipped, duplicates deduplicated, order repaired — exactly the
-    ground-truth view ``repro verify`` audits against.  Returns the
-    records (shard name order, deduplicated across shards by session
-    id) and the number of records the shards lost.
+    The one reading of a tree — the rebuild, the scan fallback and
+    ``repro verify``'s index audit all see exactly this.  Lenient,
+    scan-only (no quarantine writes): damaged lines are skipped,
+    duplicated lines dropped, order repaired; a session id seen twice,
+    in one shard or across shards, keeps its first record.
     """
     from repro.honeynet.io import recover_jsonl
 
     records: list[SessionRecord] = []
+    rows: list[IndexRow] = []
     seen: set[str] = set()
     lost = 0
     for shard in shard_paths(root):
         recovered = recover_jsonl(shard)
         lost += recovered.report.lost
+        fresh = []
         for record in recovered.records:
-            if record.session_id in seen:
-                continue
-            seen.add(record.session_id)
-            records.append(record)
-    return records, lost
+            if record.session_id not in seen:
+                seen.add(record.session_id)
+                fresh.append(record)
+        rows.extend(index_rows(fresh, source=shard.name))
+        records.extend(fresh)
+    return RecoveredTree(records, rows, lost)
 
 
 def build_index(
@@ -132,42 +159,18 @@ def rebuild_index(root: Path | str) -> tuple[Path, int]:
     """Reconstruct a tree's index from its verified shards.
 
     The repair path behind ``repro verify --rebuild-index``: recover
-    every record the shards can prove, rebuild the rows, and atomically
-    replace whatever index file was there (corrupt, stale or absent).
-    The rebuilt meta carries no config fingerprint — the shards alone
-    cannot prove one — but its content digest matches the recovered
-    records exactly, so the next audit passes iff the rebuild is
-    faithful.  Returns the index path and the indexed record count.
+    the tree (:func:`recover_tree`) and atomically replace whatever
+    index file was there (corrupt, stale or absent).  The rebuilt meta's
+    content digest matches the recovered records exactly, so the next
+    audit passes iff the rebuild is faithful.  Returns the index path
+    and the indexed record count.
     """
     root = Path(root)
-    shards = shard_paths(root)
-    if not shards:
+    if not shard_paths(root):
         raise FileNotFoundError(f"no JSONL shards under {root} to rebuild from")
-    from repro.honeynet.io import recover_jsonl
-
     index_path = index_path_for(root)
-    # Per-shard rows keep (source, seq) pointing at real lines; records
-    # duplicated across shards keep their first shard's row.
-    all_rows = []
-    all_records: list[SessionRecord] = []
-    seen: set[str] = set()
     with telemetry.span("store.rebuild"):
-        for shard in shards:
-            recovered = recover_jsonl(shard)
-            fresh = [
-                record
-                for record in recovered.records
-                if record.session_id not in seen
-            ]
-            seen.update(record.session_id for record in fresh)
-            all_rows.extend(index_rows(fresh, source=shard.name))
-            all_records.extend(fresh)
-        meta = StoreMeta(
-            schema_version=STORE_SCHEMA_VERSION,
-            config_fingerprint="",
-            content_digest=content_digest(all_records),
-            record_count=len(all_rows),
-        )
+        tree = recover_tree(root)
         # A corrupt index may not be openable at all; remove leftovers
         # (including WAL sidecars) so the atomic build starts clean.
         for leftover in (
@@ -175,8 +178,7 @@ def rebuild_index(root: Path | str) -> tuple[Path, int]:
             index_path.with_name(index_path.name + "-shm"),
         ):
             leftover.unlink(missing_ok=True)
-        store = SqliteStore.build(index_path, all_rows, meta)
-        store.close()
+        SqliteStore.build(index_path, tree.rows, tree.meta()).close()
     telemetry.count("store.rebuilds")
-    telemetry.count("store.rebuild.rows", len(all_rows))
-    return index_path, len(all_rows)
+    telemetry.count("store.rebuild.rows", len(tree.rows))
+    return index_path, len(tree.rows)

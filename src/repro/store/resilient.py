@@ -5,40 +5,34 @@ actually holds.  It answers from ``index.sqlite`` while the index is
 present, intact and matches expectations; the moment any store
 operation fails — absent file, failed ``quick_check``, stale
 fingerprint or digest, a query error mid-flight — it degrades to the
-ground truth: a lenient scan of the JSONL shards, from which the same
-rows are recomputed in memory.  The switch is one-way for the lifetime
-of the wrapper, counted loudly on the ``store.fallback`` telemetry
-counter, and invisible to callers except through :attr:`source`.
+ground truth: the shards are recovered once
+(:func:`repro.store.builder.recover_tree`) and their rows loaded into
+an in-memory copy of the index (:meth:`SqliteStore.in_memory`).  The
+switch is one-way for the lifetime of the wrapper, counted loudly on
+the ``store.fallback`` telemetry counter, and invisible to callers
+except through :attr:`source`.
 
-Because scan rows are computed by the same
-:func:`repro.store.base.index_rows` that built the index, a fallback
-answer is never *different* from a healthy-index answer over the same
-surviving records — degraded means slower, not wrong.
+Because the fallback's rows come from the same recovery that rebuilds
+an index, and are queried by the same SQL, a fallback answer is never
+*different* from a healthy-index answer over the same surviving
+records — degraded means slower, not wrong.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from repro import telemetry
-from repro.store.base import (
-    STORE_SCHEMA_VERSION,
-    ArtifactStore,
-    IndexRow,
-    StoreError,
-    StoreMeta,
-    content_digest,
-    index_rows,
-    normalize_filters,
-)
-from repro.store.builder import index_path_for, shard_paths
+from repro.store.base import IndexRow, StoreError, StoreMeta
+from repro.store.builder import RecoveredTree, index_path_for, recover_tree
 from repro.store.sqlite import SqliteStore
 
-_SCAN_COLUMNS = frozenset(IndexRow.__dataclass_fields__)
+_T = TypeVar("_T")
 
 
-class ResilientArtifactStore(ArtifactStore):
-    """An :class:`ArtifactStore` over an artifact tree that cannot fail.
+class ResilientArtifactStore:
+    """:class:`SqliteStore`'s queries over an artifact tree, never failing.
 
     ``expected_fingerprint`` / ``expected_digest`` are forwarded to
     :meth:`SqliteStore.open`'s staleness gates; a mismatch triggers the
@@ -56,10 +50,9 @@ class ResilientArtifactStore(ArtifactStore):
         self.root = Path(root)
         self._expected_fingerprint = expected_fingerprint
         self._expected_digest = expected_digest
+        #: The index file, or after fallback the in-memory copy.
         self._store: SqliteStore | None = None
-        self._opened = False
-        self._cached_rows: list[IndexRow] | None = None
-        self._cached_records: list | None = None
+        self._tree: RecoveredTree | None = None
         self.fallback_reason: str | None = None
 
     # -- mode management ----------------------------------------------
@@ -74,11 +67,8 @@ class ResilientArtifactStore(ArtifactStore):
             return "index"
         return "unopened"
 
-    def _index(self) -> SqliteStore | None:
-        if self.fallback_reason is not None:
-            return None
-        if not self._opened:
-            self._opened = True
+    def _answering(self) -> SqliteStore:
+        if self._store is None and self.fallback_reason is None:
             try:
                 self._store = SqliteStore.open(
                     index_path_for(self.root),
@@ -87,130 +77,61 @@ class ResilientArtifactStore(ArtifactStore):
                 )
             except StoreError as error:
                 self._fall_back(error)
+        if self._store is None:
+            tree = self._recovered()
+            self._store = SqliteStore.in_memory(tree.rows, tree.meta())
         return self._store
 
     def _fall_back(self, error: StoreError) -> None:
-        if self._store is not None:
-            self._store.close()
-            self._store = None
+        self.close()
         self.fallback_reason = error.reason or "unknown"
         telemetry.count("store.fallback")
         telemetry.count(f"store.fallback.{self.fallback_reason}")
 
-    def _scan(self) -> list[IndexRow]:
-        """Recover the shards once and recompute the rows in memory."""
-        if self._cached_rows is None:
-            from repro.honeynet.io import recover_jsonl
-
+    def _recovered(self) -> RecoveredTree:
+        """Recover the shards once."""
+        if self._tree is None:
             with telemetry.span("store.scan"):
-                rows: list[IndexRow] = []
-                records: list = []
-                seen: set[str] = set()
-                for shard in shard_paths(self.root):
-                    recovered = recover_jsonl(shard)
-                    fresh = [
-                        record
-                        for record in recovered.records
-                        if record.session_id not in seen
-                    ]
-                    seen.update(record.session_id for record in fresh)
-                    rows.extend(index_rows(fresh, source=shard.name))
-                    records.extend(fresh)
-                self._cached_rows = rows
-                self._cached_records = records
-        return self._cached_rows
+                self._tree = recover_tree(self.root)
+        return self._tree
 
-    def _query(self, method: str, scan, *args, **filters):
-        store = self._index()
-        if store is not None:
-            try:
-                return getattr(store, method)(*args, **filters)
-            except StoreError as error:
-                self._fall_back(error)
-        return scan(*args, **filters)
+    def _ask(self, query: Callable[[SqliteStore], _T]) -> _T:
+        try:
+            return query(self._answering())
+        except StoreError as error:
+            self._fall_back(error)
+        return query(self._answering())
 
-    # -- ArtifactStore surface ----------------------------------------
+    # -- the queries ----------------------------------------------------
 
     def meta(self) -> StoreMeta:
-        return self._query("meta", self._scan_meta)
+        return self._ask(lambda store: store.meta())
 
     def count(self, **filters: object) -> int:
-        return self._query("count", self._scan_count, **filters)
+        return self._ask(lambda store: store.count(**filters))
 
     def session_ids(self, **filters: object) -> list[str]:
-        return self._query("session_ids", self._scan_session_ids, **filters)
+        return self._ask(lambda store: store.session_ids(**filters))
 
     def rows(self, **filters: object) -> list[IndexRow]:
-        return self._query("rows", self._scan_rows, **filters)
+        return self._ask(lambda store: store.rows(**filters))
 
     def distinct(self, column: str, **filters: object) -> list[str]:
-        return self._query("distinct", self._scan_distinct, column, **filters)
+        return self._ask(lambda store: store.distinct(column, **filters))
 
     def count_by(self, column: str, **filters: object) -> dict[str, int]:
-        return self._query("count_by", self._scan_count_by, column, **filters)
+        return self._ask(lambda store: store.count_by(column, **filters))
 
     def close(self) -> None:
         if self._store is not None:
             self._store.close()
             self._store = None
 
-    # -- the scan implementations (same semantics as SQLite) ----------
-
-    def _match(self, filters: dict) -> list[IndexRow]:
-        cleaned = normalize_filters(filters)
-        rows = self._scan()
-        if not cleaned:
-            return list(rows)
-        return [
-            row
-            for row in rows
-            if all(
-                getattr(row, column) == value
-                for column, value in cleaned.items()
-            )
-        ]
-
-    def _scan_meta(self) -> StoreMeta:
-        rows = self._scan()
-        return StoreMeta(
-            schema_version=STORE_SCHEMA_VERSION,
-            config_fingerprint="",
-            content_digest=content_digest(self._cached_records or []),
-            record_count=len(rows),
-        )
-
-    def _scan_count(self, **filters: object) -> int:
-        return len(self._match(filters))
-
-    def _scan_session_ids(self, **filters: object) -> list[str]:
-        return sorted(row.session_id for row in self._match(filters))
-
-    def _scan_rows(self, **filters: object) -> list[IndexRow]:
-        return sorted(self._match(filters), key=lambda r: (r.source, r.seq))
-
-    def _scan_distinct(self, column: str, **filters: object) -> list[str]:
-        self._check_column(column)
-        return sorted({getattr(row, column) for row in self._match(filters)})
-
-    def _scan_count_by(self, column: str, **filters: object) -> dict[str, int]:
-        self._check_column(column)
-        counts: dict[str, int] = {}
-        for row in self._match(filters):
-            value = getattr(row, column)
-            counts[value] = counts.get(value, 0) + 1
-        return {value: counts[value] for value in sorted(counts)}
-
-    def _check_column(self, column: str) -> None:
-        if column not in _SCAN_COLUMNS:
-            known = ", ".join(sorted(_SCAN_COLUMNS))
-            raise ValueError(f"unknown index column {column!r} (known: {known})")
-
     # -- extras --------------------------------------------------------
 
     def records(self):
-        """The surviving ground-truth records (scan path, cached)."""
-        self._scan()
-        return list(self._cached_records or [])
+        """The surviving ground-truth records (recovered once, cached)."""
+        return list(self._recovered().records)
 
     def database(self):
         """A :class:`~repro.honeynet.database.SessionDatabase` over the

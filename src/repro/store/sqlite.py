@@ -1,4 +1,4 @@
-"""The SQLite backend: WAL reads, single-writer atomic builds.
+"""The SQLite index: WAL reads, single-writer atomic builds.
 
 The index is one SQLite file with two tables:
 
@@ -16,7 +16,8 @@ index intact or the new one complete.  The file is switched to WAL
 journal mode before the rename so subsequent readers never block each
 other.  After the build the store is append-closed: there is no update
 path, only rebuild-from-shards
-(:func:`repro.store.builder.rebuild_index`).
+(:func:`repro.store.builder.rebuild_index`).  The scan fallback queries
+an in-memory copy (:meth:`SqliteStore.in_memory`) with the same SQL.
 
 Every backend failure (unreadable file, failed ``quick_check``,
 missing or foreign meta) is normalized to
@@ -36,7 +37,6 @@ from repro import telemetry
 from repro.store.base import (
     INDEX_COLUMNS,
     STORE_SCHEMA_VERSION,
-    ArtifactStore,
     IndexRow,
     StaleIndexError,
     StoreError,
@@ -78,13 +78,55 @@ def _fsync_path(path: Path) -> None:
         os.close(descriptor)
 
 
-class SqliteStore(ArtifactStore):
-    """A read-only view over one built index file."""
+def _populate(
+    connection: sqlite3.Connection, rows: Sequence[IndexRow], meta: StoreMeta
+) -> None:
+    """Create the schema, then insert the rows and meta in one transaction."""
+    connection.executescript(_SCHEMA)
+    with connection:
+        connection.executemany(
+            "INSERT INTO sessions VALUES (?,?,?,?,?,?,?,?,?)",
+            (
+                (
+                    row.session_id, row.day, row.sensor_id,
+                    row.client_ip, row.session_hash, row.protocol,
+                    row.rule_label, row.source, row.seq,
+                )
+                for row in rows
+            ),
+        )
+        connection.executemany(
+            "INSERT INTO store_meta VALUES (?, ?)",
+            [
+                ("schema_version", str(meta.schema_version)),
+                ("config_fingerprint", meta.config_fingerprint),
+                ("content_digest", meta.content_digest),
+                ("record_count", str(meta.record_count)),
+            ],
+        )
+
+
+class SqliteStore:
+    """A read-only view over one built index.
+
+    ``filters`` accepted by the query methods are equality constraints
+    on :data:`~repro.store.base.INDEX_COLUMNS` (``day`` also accepts a
+    :class:`~datetime.date`, ``protocol`` an enum value).  Every failure
+    raises :class:`StoreError` — callers that must not crash hold a
+    :class:`~repro.store.resilient.ResilientArtifactStore` instead.
+    """
 
     def __init__(self, path: Path, connection: sqlite3.Connection) -> None:
         self.path = path
         self._connection = connection
         self._meta: StoreMeta | None = None
+
+    def __enter__(self) -> "SqliteStore":
+        return self
+
+    def __exit__(self, *exc_info: object) -> bool:
+        self.close()
+        return False
 
     # -- construction --------------------------------------------------
 
@@ -104,28 +146,7 @@ class SqliteStore(ArtifactStore):
         with telemetry.span("store.build"):
             connection = sqlite3.connect(temp)
             try:
-                connection.executescript(_SCHEMA)
-                with connection:
-                    connection.executemany(
-                        "INSERT INTO sessions VALUES (?,?,?,?,?,?,?,?,?)",
-                        (
-                            (
-                                row.session_id, row.day, row.sensor_id,
-                                row.client_ip, row.session_hash, row.protocol,
-                                row.rule_label, row.source, row.seq,
-                            )
-                            for row in rows
-                        ),
-                    )
-                    connection.executemany(
-                        "INSERT INTO store_meta VALUES (?, ?)",
-                        [
-                            ("schema_version", str(meta.schema_version)),
-                            ("config_fingerprint", meta.config_fingerprint),
-                            ("content_digest", meta.content_digest),
-                            ("record_count", str(meta.record_count)),
-                        ],
-                    )
+                _populate(connection, rows, meta)
                 # Persist WAL journal mode in the file header so readers
                 # of the final file get concurrent non-blocking reads.
                 connection.execute("PRAGMA journal_mode=WAL")
@@ -136,6 +157,16 @@ class SqliteStore(ArtifactStore):
         telemetry.count("store.builds")
         telemetry.count("store.build.rows", len(rows))
         return cls.open(path)
+
+    @classmethod
+    def in_memory(
+        cls, rows: Sequence[IndexRow], meta: StoreMeta
+    ) -> "SqliteStore":
+        """An index over ``rows`` held in memory: the scan fallback's
+        query engine, with the same schema and SQL as a file index."""
+        connection = sqlite3.connect(":memory:")
+        _populate(connection, rows, meta)
+        return cls(Path(":memory:"), connection)
 
     @classmethod
     def open(
@@ -176,6 +207,7 @@ class SqliteStore(ArtifactStore):
                 f"cannot open index: {error}", path=path, reason="unreadable"
             ) from error
         store = cls(path, connection)
+        # Every gate that fails closes the connection in one place.
         try:
             verdict = connection.execute("PRAGMA quick_check").fetchone()
             if verdict is None or verdict[0] != "ok":
@@ -185,6 +217,41 @@ class SqliteStore(ArtifactStore):
                     reason="integrity-check-failed",
                 )
             meta = store.meta()
+            if meta.schema_version != STORE_SCHEMA_VERSION:
+                raise StoreError(
+                    f"unsupported index schema version {meta.schema_version} "
+                    f"(supported: {STORE_SCHEMA_VERSION})",
+                    path=path,
+                    reason="unsupported-schema",
+                )
+            # Self-check: the meta row count pins what the build inserted,
+            # so silently dropped rows (a healthy-looking database that
+            # desynced from its shards) are caught before the first query.
+            actual_rows = connection.execute(
+                "SELECT COUNT(*) FROM sessions"
+            ).fetchone()[0]
+            if actual_rows != meta.record_count:
+                raise StoreError(
+                    f"index holds {actual_rows} rows but store_meta promises "
+                    f"{meta.record_count} (rows dropped or foreign)",
+                    path=path,
+                    reason="row-count-mismatch",
+                )
+            if (
+                expected_fingerprint is not None
+                and meta.config_fingerprint != expected_fingerprint
+            ):
+                raise StaleIndexError(
+                    "index was built for a different configuration",
+                    path=path,
+                    reason="fingerprint-mismatch",
+                )
+            if expected_digest is not None and meta.content_digest != expected_digest:
+                raise StaleIndexError(
+                    "index content digest does not match the expected dataset",
+                    path=path,
+                    reason="digest-mismatch",
+                )
         except sqlite3.Error as error:
             connection.close()
             raise StoreError(
@@ -193,51 +260,6 @@ class SqliteStore(ArtifactStore):
         except StoreError:
             connection.close()
             raise
-        if meta.schema_version != STORE_SCHEMA_VERSION:
-            connection.close()
-            raise StoreError(
-                f"unsupported index schema version {meta.schema_version} "
-                f"(supported: {STORE_SCHEMA_VERSION})",
-                path=path,
-                reason="unsupported-schema",
-            )
-        # Self-check: the meta row count pins what the build inserted,
-        # so silently dropped rows (a healthy-looking database that
-        # desynced from its shards) are caught before the first query.
-        try:
-            actual_rows = connection.execute(
-                "SELECT COUNT(*) FROM sessions"
-            ).fetchone()[0]
-        except sqlite3.Error as error:
-            connection.close()
-            raise StoreError(
-                f"unreadable index: {error}", path=path, reason="unreadable"
-            ) from error
-        if actual_rows != meta.record_count:
-            connection.close()
-            raise StoreError(
-                f"index holds {actual_rows} rows but store_meta promises "
-                f"{meta.record_count} (rows dropped or foreign)",
-                path=path,
-                reason="row-count-mismatch",
-            )
-        if (
-            expected_fingerprint is not None
-            and meta.config_fingerprint != expected_fingerprint
-        ):
-            connection.close()
-            raise StaleIndexError(
-                "index was built for a different configuration",
-                path=path,
-                reason="fingerprint-mismatch",
-            )
-        if expected_digest is not None and meta.content_digest != expected_digest:
-            connection.close()
-            raise StaleIndexError(
-                "index content digest does not match the expected dataset",
-                path=path,
-                reason="digest-mismatch",
-            )
         telemetry.count("store.opens")
         return store
 
@@ -262,6 +284,7 @@ class SqliteStore(ArtifactStore):
             ) from error
 
     def meta(self) -> StoreMeta:
+        """The index's self-description."""
         if self._meta is None:
             try:
                 pairs = dict(
@@ -284,6 +307,7 @@ class SqliteStore(ArtifactStore):
         return self._meta
 
     def count(self, **filters: object) -> int:
+        """Number of indexed sessions matching ``filters``."""
         clause, parameters = self._where(filters)
         cursor = self._execute(
             f"SELECT COUNT(*) FROM sessions{clause}", parameters
@@ -291,6 +315,7 @@ class SqliteStore(ArtifactStore):
         return int(cursor.fetchone()[0])
 
     def session_ids(self, **filters: object) -> list[str]:
+        """Matching session ids, sorted (deterministic)."""
         clause, parameters = self._where(filters)
         cursor = self._execute(
             f"SELECT session_id FROM sessions{clause} ORDER BY session_id",
@@ -299,6 +324,7 @@ class SqliteStore(ArtifactStore):
         return [row[0] for row in cursor.fetchall()]
 
     def rows(self, **filters: object) -> list[IndexRow]:
+        """Matching rows, sorted by ``(source, seq)``."""
         clause, parameters = self._where(filters)
         cursor = self._execute(
             "SELECT session_id, day, sensor_id, client_ip, session_hash, "
@@ -309,6 +335,7 @@ class SqliteStore(ArtifactStore):
         return [IndexRow(*row) for row in cursor.fetchall()]
 
     def distinct(self, column: str, **filters: object) -> list[str]:
+        """Sorted distinct values of ``column`` among matching rows."""
         self._check_column(column)
         clause, parameters = self._where(filters)
         cursor = self._execute(
@@ -318,6 +345,7 @@ class SqliteStore(ArtifactStore):
         return [row[0] for row in cursor.fetchall()]
 
     def count_by(self, column: str, **filters: object) -> dict[str, int]:
+        """Matching-session counts grouped by ``column``."""
         self._check_column(column)
         clause, parameters = self._where(filters)
         cursor = self._execute(

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+from repro import telemetry
 
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -25,6 +28,17 @@ class TestExamples:
         assert result.returncode == 0, result.stderr
         assert "Dataset statistics" in result.stdout
         assert "echo_OK" in result.stdout
+
+    def test_quickstart_runs_experiments_through_the_runner(
+        self, monkeypatch, capsys
+    ):
+        # In-process, so the example's telemetry is visible: each of its
+        # three experiments must be recorded as a completed run.
+        monkeypatch.setattr(sys, "argv", ["quickstart.py", "--scale", "1e-5"])
+        with telemetry.collecting() as registry:
+            runpy.run_path(str(EXAMPLES / "quickstart.py"), run_name="__main__")
+        assert registry.counters.get("experiments.completed", 0) == 3
+        assert "Dataset statistics" in capsys.readouterr().out
 
     def test_honeypot_shell_demo(self):
         result = run_example("honeypot_shell_demo.py")

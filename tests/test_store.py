@@ -40,8 +40,8 @@ from repro.store import (
     StoreError,
     export_indexed_tree,
     index_path_for,
-    load_tree_records,
     rebuild_index,
+    recover_tree,
 )
 from repro.store.base import content_digest, index_rows, normalize_filters
 from repro.util.rng import RngTree
@@ -136,12 +136,22 @@ class TestSqliteStore:
         assert info.value.reason == "row-count-mismatch"
 
     def test_filter_validation(self, tmp_path):
-        root, _ = make_tree(tmp_path, count=3)
-        with SqliteStore.open(index_path_for(root)) as store:
+        root, _ = make_tree(tmp_path / "healthy", count=3)
+        damaged, _ = make_tree(tmp_path / "damaged", count=3)
+        index_path_for(damaged).write_bytes(b"not a database at all")
+        # The index and the scan fallback reject the same columns.
+        fallback = ResilientArtifactStore(damaged)
+        for store in (SqliteStore.open(index_path_for(root)), fallback):
             with pytest.raises(ValueError, match="unknown index column"):
                 store.count(bogus="x")
             with pytest.raises(ValueError, match="unknown index column"):
                 store.count_by("bogus")
+            with pytest.raises(ValueError, match="unknown index column"):
+                store.count_by("seq")
+            with pytest.raises(ValueError, match="unknown index column"):
+                store.distinct("seq")
+            store.close()
+        assert fallback.source == "scan"
 
     def test_normalize_filters_coerces(self):
         from repro.honeypot.session import Protocol
@@ -258,9 +268,9 @@ class TestResilientFallback:
         store = ResilientArtifactStore(root)
         assert store.database().digest() == SessionDatabase(sessions).digest()
         store.close()
-        loaded, lost = load_tree_records(root)
-        assert lost == 0
-        assert [r.session_id for r in loaded] == [
+        tree = recover_tree(root)
+        assert tree.lost == 0
+        assert [r.session_id for r in tree.records] == [
             s.session_id for s in sessions
         ]
 
@@ -296,6 +306,29 @@ class TestRebuild:
         assert rows == len(sessions)
         with SqliteStore.open(index_path_for(tmp_path)) as store:
             assert store.count() == len(sessions)
+
+    def test_session_id_repeated_within_a_shard_counts_once(self, tmp_path):
+        from repro.cli import main
+        from repro.honeynet.io import write_jsonl
+
+        root, sessions = make_tree(tmp_path, count=5)
+        # A second shard carries one new session on sequence numbers 0
+        # and 1: a redelivery the line sequence cannot deduplicate.
+        repeat = make_record(1_700_000_000.0, session_id="s-repeat")
+        write_jsonl([repeat, repeat], root / "tail.jsonl")
+        expected = len(sessions) + 1
+        # The old index misses the new session, so the audit flags it
+        # and the rebuild repairs it.
+        assert main(["verify", str(root), "--rebuild-index"]) == 0
+        assert rebuild_index(root)[1] == expected
+        assert len(recover_tree(root).records) == expected
+        with SqliteStore.open(index_path_for(root)) as store:
+            assert store.count() == expected
+        index_path_for(root).unlink()
+        fallback = ResilientArtifactStore(root)
+        assert fallback.count() == expected
+        assert fallback.source == "scan"
+        fallback.close()
 
 
 class TestVerifyIndexAudit:
