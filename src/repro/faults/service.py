@@ -32,27 +32,27 @@ Like the other fault modules, this one must not import
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.util.rng import RngTree
 
-#: Probability fields checked by :meth:`ServiceFaults.__post_init__`
-#: and :attr:`ServiceFaults.inert`.
-_PROBABILITY_FIELDS = (
-    "slow_loris_probability",
-    "disconnect_probability",
-    "herd_probability",
-    "malformed_probability",
-    "store_error_probability",
-)
+#: Virtual seconds a slow-loris client holds its request before reading.
+SLOW_LORIS_STALL_S = 6.0
+#: Consecutive store reads that fail once a store-error run starts.
+STORE_ERROR_RUN = 4
+#: Store-error runs start at a request ordinal in
+#: ``[0, ONSET_WINDOW_REQUESTS)`` of their tick.
+ONSET_WINDOW_REQUESTS = 8
 
 
 @dataclass(frozen=True)
 class ServiceFaults:
     """Declarative client/serving fault configuration for one load test.
 
+    Every field is a probability:
+
     * ``slow_loris_probability`` — each request independently stalls
-      for ``slow_loris_stall_s`` virtual seconds before it can be
+      for :data:`SLOW_LORIS_STALL_S` virtual seconds before it can be
       answered; a stall past the request deadline is cancelled and
       rejected (``deadline``).
     * ``disconnect_probability`` — each request's client vanishes
@@ -60,50 +60,39 @@ class ServiceFaults:
       contractual response (the write is what fails), counted as a
       disconnect in the ledger.
     * ``herd_probability`` — each tick independently hosts a
-      thundering-herd burst: ``herd_clients`` concurrent clients all
-      issuing the *same* query (the single-flight cache's stampede),
-      with arrival offsets drawn through the
+      thundering-herd burst: a crowd of concurrent clients
+      (:data:`repro.service.loadmodel.HERD_CLIENTS`) all issuing the
+      *same* query (the single-flight cache's stampede), with arrival
+      offsets drawn through the
       :class:`~repro.faults.flood.FloodGenerator` reused as the API
       load model.
     * ``malformed_probability`` — each request independently mutates
       into a malformed query (unknown kind / unknown filter column);
       the service must reject it, never crash on it.
     * ``store_error_probability`` — each tick independently hosts a
-      seeded run of ``store_error_run`` consecutive failing store
+      seeded run of :data:`STORE_ERROR_RUN` consecutive failing store
       reads, starting at a seeded request ordinal — the breaker-open
       scenario.
     """
 
     slow_loris_probability: float = 0.0
-    slow_loris_stall_s: float = 6.0
     disconnect_probability: float = 0.0
     herd_probability: float = 0.0
-    herd_clients: int = 16
     malformed_probability: float = 0.0
     store_error_probability: float = 0.0
-    store_error_run: int = 4
-    onset_window_requests: int = 8
 
     def __post_init__(self) -> None:
-        for name in _PROBABILITY_FIELDS:
-            value = getattr(self, name)
+        for item in fields(self):
+            value = getattr(self, item.name)
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.slow_loris_stall_s < 0:
-            raise ValueError("slow_loris_stall_s must be non-negative")
-        if self.herd_clients < 1:
-            raise ValueError("herd_clients must be at least 1")
-        if self.store_error_run < 1:
-            raise ValueError("store_error_run must be at least 1")
-        if self.onset_window_requests < 1:
-            raise ValueError("onset_window_requests must be at least 1")
+                raise ValueError(
+                    f"{item.name} must be in [0, 1], got {value}"
+                )
 
     @property
     def inert(self) -> bool:
         """True when no service fault can ever engage."""
-        return all(
-            getattr(self, name) == 0.0 for name in _PROBABILITY_FIELDS
-        )
+        return not any(getattr(self, item.name) for item in fields(self))
 
     @classmethod
     def from_name(cls, name: str) -> "ServiceFaults":
@@ -115,23 +104,16 @@ class ServiceFaults:
         """
         presets = {
             "off": cls,
-            "slowloris": lambda: cls(
-                slow_loris_probability=0.4, slow_loris_stall_s=6.0
-            ),
+            "slowloris": lambda: cls(slow_loris_probability=0.4),
             "disconnect": lambda: cls(disconnect_probability=0.3),
-            "herd": lambda: cls(herd_probability=0.5, herd_clients=16),
-            "breaker": lambda: cls(
-                store_error_probability=0.5, store_error_run=4
-            ),
+            "herd": lambda: cls(herd_probability=0.5),
+            "breaker": lambda: cls(store_error_probability=0.5),
             "chaos": lambda: cls(
                 slow_loris_probability=0.15,
-                slow_loris_stall_s=6.0,
                 disconnect_probability=0.1,
                 herd_probability=0.3,
-                herd_clients=16,
                 malformed_probability=0.1,
                 store_error_probability=0.2,
-                store_error_run=4,
             ),
         }
         try:
@@ -211,8 +193,8 @@ def compile_tick_plan(
     if faults.store_error_probability > 0.0:
         rng = tree.rand_for(tick, "store-error")
         if rng.random() < faults.store_error_probability:
-            error_at = rng.randrange(faults.onset_window_requests)
-            error_run = faults.store_error_run
+            error_at = rng.randrange(ONSET_WINDOW_REQUESTS)
+            error_run = STORE_ERROR_RUN
     if not herd and error_at is None:
         return INERT_TICK_PLAN
     return TickServicePlan(
@@ -237,7 +219,7 @@ def compile_request_plan(
             tree.coin(tick, ordinal, "slowloris")
             < faults.slow_loris_probability
         ):
-            stall = faults.slow_loris_stall_s
+            stall = SLOW_LORIS_STALL_S
     disconnect = False
     if faults.disconnect_probability > 0.0:
         disconnect = (

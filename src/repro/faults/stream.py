@@ -37,77 +37,65 @@ Like the other fault modules, this one must not import
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date
 from typing import Sequence
 
 from repro.util.rng import RngTree
 
-#: Probability fields checked by :meth:`StreamFaults.__post_init__` and
-#: :attr:`StreamFaults.inert`.
-_PROBABILITY_FIELDS = (
-    "stall_probability",
-    "partition_probability",
-    "analysis_error_probability",
-    "clock_skew_probability",
-)
+#: Virtual seconds a stalled analysis consumer stays down.
+STALL_VIRTUAL_S = 3.0
+#: Most sensors one day's partition takes away.
+PARTITION_MAX_SENSORS = 3
+#: Consecutive analysis events that fail once an error run starts.
+ANALYSIS_ERROR_RUN = 4
+#: Largest heartbeat clock skew, in virtual seconds.
+CLOCK_SKEW_MAX_S = 20.0
+#: Stall and error-run onsets are drawn from ``[0, ONSET_WINDOW_EVENTS)``.
+ONSET_WINDOW_EVENTS = 200
 
 
 @dataclass(frozen=True)
 class StreamFaults:
     """Declarative stream-fault configuration for one supervised run.
 
-    * ``stall_probability`` — each day the analysis consumer stalls
-      with this probability, starting at a seeded event ordinal and
-      lasting ``stall_virtual_s`` virtual seconds; arrivals pile into
-      the inter-stage queue meanwhile.
-    * ``partition_probability`` — each day up to
-      ``partition_max_sensors`` seeded sensors partition away; their
-      records buffer sensor-side and replay in order before day close.
-    * ``analysis_error_probability`` — each day the analysis stage
-      throws on a seeded run of ``analysis_error_run`` consecutive
-      events, which is what trips the analysis circuit breaker.
-    * ``clock_skew_probability`` — each day the supervision clock skews
-      by a seeded offset up to ``clock_skew_max_s`` virtual seconds,
+    Every field is a per-day probability:
+
+    * ``stall_probability`` — the analysis consumer stalls, starting at
+      a seeded event ordinal and lasting :data:`STALL_VIRTUAL_S` virtual
+      seconds; arrivals pile into the inter-stage queue meanwhile.
+    * ``partition_probability`` — up to :data:`PARTITION_MAX_SENSORS`
+      seeded sensors partition away; their records buffer sensor-side
+      and replay in order before day close.
+    * ``analysis_error_probability`` — the analysis stage throws on a
+      seeded run of :data:`ANALYSIS_ERROR_RUN` consecutive events,
+      which is what trips the analysis circuit breaker.
+    * ``clock_skew_probability`` — the supervision clock skews by a
+      seeded offset up to :data:`CLOCK_SKEW_MAX_S` virtual seconds,
       aging every heartbeat the supervisor reads.
 
-    Onset ordinals are drawn uniformly in ``[0, onset_window_events)``;
+    Onset ordinals are drawn uniformly in ``[0, ONSET_WINDOW_EVENTS)``;
     a day with fewer events than the drawn onset simply does not host
     that fault (short days are quiet days — deterministically so).
     """
 
     stall_probability: float = 0.0
-    stall_virtual_s: float = 3.0
     partition_probability: float = 0.0
-    partition_max_sensors: int = 3
     analysis_error_probability: float = 0.0
-    analysis_error_run: int = 4
     clock_skew_probability: float = 0.0
-    clock_skew_max_s: float = 20.0
-    onset_window_events: int = 200
 
     def __post_init__(self) -> None:
-        for name in _PROBABILITY_FIELDS:
-            value = getattr(self, name)
+        for item in fields(self):
+            value = getattr(self, item.name)
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.stall_virtual_s < 0:
-            raise ValueError("stall_virtual_s must be non-negative")
-        if self.partition_max_sensors < 1:
-            raise ValueError("partition_max_sensors must be at least 1")
-        if self.analysis_error_run < 1:
-            raise ValueError("analysis_error_run must be at least 1")
-        if self.clock_skew_max_s < 0:
-            raise ValueError("clock_skew_max_s must be non-negative")
-        if self.onset_window_events < 1:
-            raise ValueError("onset_window_events must be at least 1")
+                raise ValueError(
+                    f"{item.name} must be in [0, 1], got {value}"
+                )
 
     @property
     def inert(self) -> bool:
         """True when no stream fault can ever engage."""
-        return all(
-            getattr(self, name) == 0.0 for name in _PROBABILITY_FIELDS
-        )
+        return not any(getattr(self, item.name) for item in fields(self))
 
     @classmethod
     def from_name(cls, name: str) -> "StreamFaults":
@@ -121,13 +109,9 @@ class StreamFaults:
             "off": cls,
             "chaos": lambda: cls(
                 stall_probability=0.3,
-                stall_virtual_s=3.0,
                 partition_probability=0.25,
-                partition_max_sensors=3,
                 analysis_error_probability=0.3,
-                analysis_error_run=4,
                 clock_skew_probability=0.2,
-                clock_skew_max_s=20.0,
             ),
         }
         try:
@@ -191,28 +175,26 @@ def compile_day_plan(
     if faults.stall_probability > 0.0:
         rng = tree.rand_for(ordinal, "stall")
         if rng.random() < faults.stall_probability:
-            stall_at = rng.randrange(faults.onset_window_events)
-            stall_s = faults.stall_virtual_s
+            stall_at = rng.randrange(ONSET_WINDOW_EVENTS)
+            stall_s = STALL_VIRTUAL_S
     partitioned: frozenset[str] = frozenset()
     if faults.partition_probability > 0.0 and sensor_ids:
         rng = tree.rand_for(ordinal, "partition")
         if rng.random() < faults.partition_probability:
-            k = rng.randint(
-                1, min(faults.partition_max_sensors, len(sensor_ids))
-            )
+            k = rng.randint(1, min(PARTITION_MAX_SENSORS, len(sensor_ids)))
             partitioned = frozenset(rng.sample(list(sensor_ids), k))
     error_at: int | None = None
     error_run = 0
     if faults.analysis_error_probability > 0.0:
         rng = tree.rand_for(ordinal, "analysis")
         if rng.random() < faults.analysis_error_probability:
-            error_at = rng.randrange(faults.onset_window_events)
-            error_run = faults.analysis_error_run
+            error_at = rng.randrange(ONSET_WINDOW_EVENTS)
+            error_run = ANALYSIS_ERROR_RUN
     skew = 0.0
     if faults.clock_skew_probability > 0.0:
         rng = tree.rand_for(ordinal, "skew")
         if rng.random() < faults.clock_skew_probability:
-            skew = rng.random() * faults.clock_skew_max_s
+            skew = rng.random() * CLOCK_SKEW_MAX_S
     return DayStreamPlan(
         stall_at_event=stall_at,
         stall_virtual_s=stall_s,

@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro import telemetry
 from repro.honeypot.session import (
@@ -52,7 +52,7 @@ from repro.integrity.manifest import (
     Manifest,
     ManifestError,
     build_manifest,
-    file_manifest,
+    data_manifest,
     read_manifest,
     write_manifest,
 )
@@ -212,32 +212,43 @@ def write_jsonl(
     return document.lines
 
 
-def iter_jsonl(path: Path | str) -> Iterator[SessionRecord]:
-    """Stream session records from a JSONL file, strictly."""
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise SessionLogError(
-                    "invalid JSON",
-                    path=path,
-                    line=line_number,
-                    reason="invalid-json",
-                ) from error
-            try:
-                yield session_from_dict(payload)
-            except SessionLogError as error:
-                raise SessionLogError(
-                    str(error),
-                    path=path,
-                    line=line_number,
-                    reason=error.reason,
-                ) from error
+def _split_lines(data: bytes) -> list[bytes]:
+    """A file's physical lines: split on ``\\n`` only, as the manifest
+    counts them, with no empty slot after a final newline."""
+    lines = data.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    return lines
+
+
+def _parse_line(raw: bytes) -> tuple[int | None, SessionRecord] | None:
+    """One physical line as ``(seq, record)``, or None when it is blank.
+
+    The one line parser of both read modes.  A line that is not UTF-8,
+    not JSON or not a JSON object is ``invalid-json``; a record that
+    fails :func:`session_from_dict` keeps that function's reason.
+    Raises :class:`SessionLogError` without path or line context — the
+    caller knows both.
+    """
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise SessionLogError(
+            "line is not valid UTF-8", reason="invalid-json"
+        ) from error
+    if not text.strip():
+        return None
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as error:
+        raise SessionLogError("invalid JSON", reason="invalid-json") from error
+    if not isinstance(payload, dict):
+        raise SessionLogError(
+            "line is not a JSON object", reason="invalid-json"
+        )
+    record = session_from_dict(payload)
+    sequence = payload.get(SEQ_KEY)
+    return (sequence if isinstance(sequence, int) else None), record
 
 
 def read_jsonl(
@@ -257,29 +268,39 @@ def read_jsonl(
     directory next to the file).
     """
     path = Path(path)
-    if mode == "strict":
-        records = list(iter_jsonl(path))
-        try:
-            expected = read_manifest(path)
-        except ManifestError as error:
-            raise SessionLogError(
-                str(error), path=path, reason="manifest-unreadable"
-            ) from error
-        if expected is not None:
-            actual = file_manifest(path)
-            if (actual.lines, actual.sha256) != (expected.lines, expected.sha256):
-                raise SessionLogError(
-                    "file content diverges from its manifest "
-                    f"({actual.lines} lines on disk, {expected.lines} promised)",
-                    path=path,
-                    reason="manifest-mismatch",
-                )
-        return records
     if mode == "lenient":
         if quarantine is None:
             quarantine = path.parent / QUARANTINE_DIR_NAME
         return recover_jsonl(path, quarantine=quarantine).records
-    raise ValueError(f"unknown read mode: {mode!r}")
+    if mode != "strict":
+        raise ValueError(f"unknown read mode: {mode!r}")
+    data = path.read_bytes()
+    records: list[SessionRecord] = []
+    for line_number, raw in enumerate(_split_lines(data), start=1):
+        try:
+            parsed = _parse_line(raw)
+        except SessionLogError as error:
+            raise SessionLogError(
+                str(error), path=path, line=line_number, reason=error.reason
+            ) from error
+        if parsed is not None:
+            records.append(parsed[1])
+    try:
+        expected = read_manifest(path)
+    except ManifestError as error:
+        raise SessionLogError(
+            str(error), path=path, reason="manifest-unreadable"
+        ) from error
+    if expected is not None:
+        actual = data_manifest(data)
+        if (actual.lines, actual.sha256) != (expected.lines, expected.sha256):
+            raise SessionLogError(
+                "file content diverges from its manifest "
+                f"({actual.lines} lines on disk, {expected.lines} promised)",
+                path=path,
+                reason="manifest-mismatch",
+            )
+    return records
 
 
 # ----------------------------------------------------------------------
@@ -346,6 +367,9 @@ class RecoveredLog:
     records: list[SessionRecord]
     report: RecoveryReport
     quarantine: QuarantineStore | None = field(default=None, repr=False)
+    #: Each record's sequence number, in step with ``records``: the one
+    #: its line carries, or its position for legacy lines without one.
+    seqs: list[int] = field(default_factory=list)
 
 
 def recover_jsonl(
@@ -377,45 +401,30 @@ def recover_jsonl(
     if expected is not None:
         report.manifest_lines = expected.lines
 
-    bad: list[tuple[int, str, str]] = []  # (line_number, reason, raw)
+    bad: list[tuple[int, str, bytes]] = []  # (line_number, reason, raw)
     kept: list[tuple[int | None, SessionRecord]] = []  # (seq, record)
-    text = path.read_text(encoding="utf-8")
-    raw_lines = text.split("\n")
-    if raw_lines and raw_lines[-1] == "":
-        raw_lines.pop()
+    data = path.read_bytes()
+    raw_lines = _split_lines(data)
     report.physical_lines = len(raw_lines)
     for line_number, raw in enumerate(raw_lines, start=1):
-        if not raw.strip():
+        try:
+            parsed = _parse_line(raw)
+        except SessionLogError as error:
+            bad.append((line_number, error.reason or "malformed-record", raw))
+            continue
+        if parsed is None:
             report.blank_lines += 1
             continue
-        reason: str | None = None
-        payload = None
-        try:
-            payload = json.loads(raw)
-        except json.JSONDecodeError:
-            reason = "invalid-json"
-        if reason is None and not isinstance(payload, dict):
-            reason = "invalid-json"
-        record = None
-        if reason is None:
-            try:
-                record = session_from_dict(payload)
-            except SessionLogError as error:
-                reason = error.reason or "malformed-record"
-        if reason is not None:
-            bad.append((line_number, reason, raw))
-            continue
-        sequence = payload.get(SEQ_KEY)
-        kept.append((sequence if isinstance(sequence, int) else None, record))
+        kept.append(parsed)
         report.parsed += 1
 
-    records = _order_records(kept, report)
+    records, seqs = _order_records(kept, report)
     if expected is not None:
         seen = {seq for seq, _ in kept if seq is not None}
         report.missing_seqs = tuple(
             seq for seq in range(expected.lines) if seq not in seen
         )
-        actual = file_manifest(path)
+        actual = data_manifest(data)
         report.manifest_match = (
             (actual.lines, actual.sha256) == (expected.lines, expected.sha256)
         )
@@ -440,13 +449,18 @@ def recover_jsonl(
         telemetry.count("integrity.recovered_reordered", report.reordered)
     if report.lost:
         telemetry.count("integrity.lost_records", report.lost)
-    return RecoveredLog(records=records, report=report, quarantine=store)
+    return RecoveredLog(
+        records=records, report=report, quarantine=store, seqs=seqs
+    )
 
 
 def _order_records(
     kept: list[tuple[int | None, SessionRecord]], report: RecoveryReport
-) -> list[SessionRecord]:
-    """Dedup and re-sort surviving records, updating the report."""
+) -> tuple[list[SessionRecord], list[int]]:
+    """Dedup and re-sort surviving records, updating the report.
+
+    Returns the records and, in step with them, their sequence numbers.
+    """
     if kept and all(seq is not None for seq, _ in kept):
         by_seq: dict[int, SessionRecord] = {}
         previous = -1
@@ -458,7 +472,8 @@ def _order_records(
                 report.duplicates += 1
             else:
                 by_seq[seq] = record
-        return [by_seq[seq] for seq in sorted(by_seq)]
+        seqs = sorted(by_seq)
+        return [by_seq[seq] for seq in seqs], seqs
     # Legacy lines without sequence numbers: keep file order, dedup by
     # session id (the collector's identity key).
     seen_ids: set[str] = set()
@@ -469,7 +484,7 @@ def _order_records(
             continue
         seen_ids.add(record.session_id)
         records.append(record)
-    return records
+    return records, list(range(len(records)))
 
 
 def collector_accounting_for_recovery(report: RecoveryReport) -> dict[str, int]:
@@ -504,7 +519,6 @@ __all__ = [
     "SEQ_KEY",
     "SessionLogError",
     "collector_accounting_for_recovery",
-    "iter_jsonl",
     "read_jsonl",
     "recover_jsonl",
     "session_from_dict",

@@ -62,13 +62,17 @@ def build_manifest(lines: Iterable[str]) -> Manifest:
     return Manifest(lines=count, sha256=digest.hexdigest())
 
 
-def file_manifest(path: Path | str) -> Manifest:
-    """Manifest of the bytes actually on disk at ``path``."""
-    data = Path(path).read_bytes()
+def data_manifest(data: bytes) -> Manifest:
+    """Manifest of a file's raw bytes."""
     lines = data.count(b"\n")
     if data and not data.endswith(b"\n"):
         lines += 1  # truncated final line still occupies a line slot
     return Manifest(lines=lines, sha256=hashlib.sha256(data).hexdigest())
+
+
+def file_manifest(path: Path | str) -> Manifest:
+    """Manifest of the bytes actually on disk at ``path``."""
+    return data_manifest(Path(path).read_bytes())
 
 
 def write_manifest(data_path: Path | str, manifest: Manifest) -> Path:

@@ -66,17 +66,24 @@ class QuarantineStore:
         path: Path | str,
         line: int | None,
         reason: str,
-        raw: str,
+        raw: bytes | str,
         seq: int | None = None,
     ) -> QuarantineEntry:
-        """Append one entry; returns it."""
+        """Append one entry; returns it.
+
+        ``raw`` may be the line's bytes: the checksum covers them
+        exactly, and bytes that are not UTF-8 are stored escaped.
+        """
+        text = raw if isinstance(raw, str) else raw.decode(
+            "utf-8", "backslashreplace"
+        )
         entry = QuarantineEntry(
             source=Path(path).name,
             path=str(path),
             line=line,
             seq=seq,
             reason=reason,
-            raw=raw[:RAW_LIMIT],
+            raw=text[:RAW_LIMIT],
             raw_sha256=sha256_hex(raw),
         )
         self.root.mkdir(parents=True, exist_ok=True)
@@ -106,23 +113,6 @@ class QuarantineStore:
         for entry in self.entries():
             counts[entry.reason] = counts.get(entry.reason, 0) + 1
         return counts
-
-    def covers(
-        self, source: str, *, line: int | None = None, seq: int | None = None
-    ) -> bool:
-        """Is the given discrepancy accounted for by some entry?
-
-        Matches by source file name plus the physical line number and/or
-        the sequence number — whichever the caller knows.
-        """
-        for entry in self.entries():
-            if entry.source != source:
-                continue
-            if line is not None and entry.line == line:
-                return True
-            if seq is not None and entry.seq == seq:
-                return True
-        return False
 
     def __len__(self) -> int:
         return len(self.entries())

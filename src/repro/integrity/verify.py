@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -184,6 +185,18 @@ def audit_tree(
     else:
         store = QuarantineStore.discover(base)
 
+    # The quarantine index is read once; every lost line is then looked
+    # up by (source, line) or (source, seq).
+    entries: list[QuarantineEntry] = []
+    quarantine_error: Exception | None = None
+    if store is not None:
+        try:
+            entries = store.entries()
+        except (json.JSONDecodeError, TypeError, ValueError) as error:
+            quarantine_error = error
+    covered_lines = {(entry.source, entry.line) for entry in entries}
+    covered_seqs = {(entry.source, entry.seq) for entry in entries}
+
     audit = IntegrityAudit(root=str(root))
     files = sorted(p for p in root.rglob("*") if p.is_file()) if root.is_dir() else [root]
 
@@ -220,7 +233,7 @@ def audit_tree(
             checkpoint_groups.setdefault(checkpoint_base, []).append(path)
             continue
         if path.suffix == ".jsonl":
-            _audit_jsonl(path, relative, store, audit)
+            _audit_jsonl(path, relative, covered_lines, covered_seqs, audit)
             continue
         if path.suffix == ".sqlite":
             _audit_index(path, relative, audit)
@@ -229,7 +242,7 @@ def audit_tree(
         _audit_checkpoint_group(checkpoint_base, members, base, audit)
 
     if store is not None:
-        _audit_quarantine(store, base, audit)
+        _audit_quarantine(store, entries, quarantine_error, base, audit)
 
     telemetry.count("integrity.verify.runs")
     telemetry.count("integrity.verify.artifacts", len(audit.findings))
@@ -241,7 +254,8 @@ def audit_tree(
 def _audit_jsonl(
     path: Path,
     relative: str,
-    store: QuarantineStore | None,
+    covered_lines: set[tuple[str, int | None]],
+    covered_seqs: set[tuple[str, int | None]],
     audit: IntegrityAudit,
 ) -> None:
     from repro.honeynet.io import recover_jsonl
@@ -326,11 +340,9 @@ def _audit_jsonl(
             )
         )
         return
-    covered = store is not None and all(
-        store.covers(path.name, line=line) for line, _ in report.bad_lines
-    ) and all(
-        store.covers(path.name, seq=seq) for seq in report.missing_seqs
-    )
+    covered = all(
+        (path.name, line) in covered_lines for line, _ in report.bad_lines
+    ) and all((path.name, seq) in covered_seqs for seq in report.missing_seqs)
     if covered:
         audit.findings.append(
             Finding(
@@ -542,7 +554,11 @@ def _audit_checkpoint_group(
 
 
 def _audit_quarantine(
-    store: QuarantineStore, base: Path, audit: IntegrityAudit
+    store: QuarantineStore,
+    entries: list[QuarantineEntry],
+    error: Exception | None,
+    base: Path,
+    audit: IntegrityAudit,
 ) -> None:
     try:
         relative = str(store.index.relative_to(base))
@@ -550,9 +566,7 @@ def _audit_quarantine(
         relative = str(store.index)
     if not store.index.exists():
         return
-    try:
-        entries: list[QuarantineEntry] = store.entries()
-    except (json.JSONDecodeError, TypeError, ValueError) as error:
+    if error is not None:
         audit.findings.append(
             Finding(
                 relative, "quarantine", "failed", f"corrupt index: {error}"
@@ -560,7 +574,7 @@ def _audit_quarantine(
         )
         return
     audit.quarantine_entries = len(entries)
-    reasons = store.counts_by_reason()
+    reasons = Counter(entry.reason for entry in entries)
     summary = ", ".join(
         f"{count}× {reason}" for reason, count in sorted(reasons.items())
     ) or "empty"

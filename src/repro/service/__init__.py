@@ -11,7 +11,7 @@ lookups, behind the full overload-protection ladder:
 * read-through LRU cache keyed ``(snapshot_version, query_fingerprint)``
   with single-flight stampede suppression (:mod:`repro.service.cache`);
 * per-client token buckets, bounded request queue feeding an admission
-  gate, per-request deadlines with cancellation, and a service↔store
+  gate, request deadlines with cancellation, and a service↔store
   circuit breaker that degrades to the last-good snapshot marked
   ``stale`` (:mod:`repro.service.core`);
 * a seeded load model (:mod:`repro.service.loadmodel`) driving the

@@ -15,8 +15,8 @@ overload-protection ladder, every rung on the *virtual* clock:
    the stream engine's backpressure levels: ``HIGH`` rejects
    low-priority queries, ``CRITICAL`` serves the status endpoint only,
    a full queue rejects outright;
-4. **per-request deadlines with cancellation** — a slow-loris stall
-   that would overrun the deadline cancels the in-flight task and
+4. **request deadlines with cancellation** — a slow-loris stall that
+   would overrun :data:`DEADLINE_S` cancels the in-flight task and
    rejects with ``deadline``;
 5. **service↔store circuit breaker**
    (:class:`repro.stream.breaker.CircuitBreaker`, seeded probe
@@ -73,14 +73,22 @@ OUTCOME_REJECTED = "rejected"
 OUTCOME_STALE = "stale"
 OUTCOMES = (OUTCOME_OK, OUTCOME_REJECTED, OUTCOME_STALE)
 
+#: Virtual seconds the service clock advances per handled request.
+TICK_S = 0.05
+#: Virtual seconds a request may stall before it is cancelled.
+DEADLINE_S = 2.0
+
 
 @dataclass(frozen=True)
 class ServicePolicy:
-    """Every knob of the overload ladder, in one frozen value.
+    """The overload ladder's budgets, in one frozen value.
 
     A load test is a pure function of ``(seed, config, policy)``; the
     policy is this object plus the :class:`ServiceFaults` the load
-    model drives, so ``repr()`` of both pins the run.
+    model drives, so ``repr()`` of both pins the run.  The request
+    deadline (:data:`DEADLINE_S`), the clock tick (:data:`TICK_S`) and
+    the store breaker's thresholds (:class:`CircuitBreaker`'s defaults)
+    are the same under every policy.
     """
 
     cache_capacity: int = 256
@@ -88,11 +96,6 @@ class ServicePolicy:
     high_watermark: int = 48
     rate_per_s: float = 50.0
     burst: float = 20.0
-    deadline_s: float = 2.0
-    tick_s: float = 0.05
-    breaker_failure_threshold: int = 3
-    breaker_recovery_s: float = 4.0
-    breaker_max_backoff_s: float = 64.0
 
     @classmethod
     def from_name(cls, name: str) -> "ServicePolicy":
@@ -106,7 +109,6 @@ class ServicePolicy:
                 high_watermark=6,
                 rate_per_s=2.0,
                 burst=4.0,
-                deadline_s=2.0,
             ),
         }
         try:
@@ -126,8 +128,6 @@ class Request:
     kind: str
     params: Mapping[str, object] = field(default_factory=dict)
     priority: str = PRIORITY_LOW
-    #: Per-request deadline override (virtual seconds), or None.
-    deadline_s: float | None = None
 
 
 @dataclass(frozen=True)
@@ -192,11 +192,7 @@ class QueryService:
             high_watermark=self.policy.high_watermark,
         )
         self.breaker = CircuitBreaker(
-            stage="store",
-            tree=tree.child("breaker"),
-            failure_threshold=self.policy.breaker_failure_threshold,
-            recovery_s=self.policy.breaker_recovery_s,
-            max_backoff_s=self.policy.breaker_max_backoff_s,
+            stage="store", tree=tree.child("breaker")
         )
         self.cache = QueryCache(self.policy.cache_capacity)
         self._now = 0.0
@@ -297,7 +293,7 @@ class QueryService:
         the real frontend calls with defaults.
         """
         self._event += 1
-        self._now += self.policy.tick_s
+        self._now += TICK_S
         started = self._now
         self.requests += 1
         telemetry.count("service.requests")
@@ -324,15 +320,10 @@ class QueryService:
                     return self._reject("critical-load")
                 if level == LEVEL_HIGH and request.priority == PRIORITY_LOW:
                     return self._reject("load-shed")
-                deadline = (
-                    request.deadline_s
-                    if request.deadline_s is not None
-                    else self.policy.deadline_s
-                )
                 work = asyncio.ensure_future(
                     self._answer(request, plan, store_error)
                 )
-                if plan.stall_s > deadline:
+                if plan.stall_s > DEADLINE_S:
                     # The stall's virtual duration is known up front, so
                     # the overrun verdict is deterministic: cancel the
                     # in-flight task and reject.

@@ -74,6 +74,14 @@ _QUERY_POOL: tuple[tuple[str, dict], ...] = (
 #: The one hot query every herd client stampedes.
 _HOT_QUERY: tuple[str, dict] = (KIND_COUNT_BY, {"by": "rule_label"})
 
+#: Clients in one thundering-herd burst (the flood generator's burst
+#: size).
+HERD_CLIENTS = 16
+
+#: Virtual seconds the service clock advances between ticks (token
+#: refill).
+TICK_ADVANCE_S = 1.0
+
 #: What a malformed request mutates into: unknown kind, then unknown
 #: filter column, alternating on the ordinal.
 _MALFORMED = (
@@ -165,8 +173,6 @@ class ServiceLoadModel:
     ticks: int = 20
     requests_per_tick: int = 8
     faults: ServiceFaults = field(default_factory=ServiceFaults)
-    #: Virtual seconds the clock advances between ticks (token refill).
-    tick_advance_s: float = 1.0
 
     def schedule(self) -> list[PlannedRequest]:
         """Compile the full request schedule — every draw happens here,
@@ -175,7 +181,7 @@ class ServiceLoadModel:
         herd_generator = FloodGenerator(
             faults=FloodFaults(
                 burst_probability=1.0,
-                burst_sessions=self.faults.herd_clients,
+                burst_sessions=HERD_CLIENTS,
             ),
             tree=tree.child("herd"),
         )
@@ -316,7 +322,7 @@ class ServiceLoadModel:
                         "disconnected": slot.disconnect,
                     }
                 )
-            service.advance(self.tick_advance_s)
+            service.advance(TICK_ADVANCE_S)
         report.cache_hit_ratio = service.cache.hit_ratio
         report.cache_lookup_hit_ratio = service.cache.lookup_hit_ratio
         report.stale_rate = (

@@ -157,31 +157,33 @@ def content_digest(sessions: Iterable[SessionRecord]) -> str:
     return SessionDatabase(list(sessions)).digest()
 
 
-def index_rows(
-    sessions: Sequence[SessionRecord], source: str
-) -> list[IndexRow]:
-    """The index rows for one shard's clean record sequence.
+def index_row(session: SessionRecord, source: str, seq: int) -> IndexRow:
+    """The index row for one record living at ``(source, seq)``.
 
-    ``seq`` mirrors the shard's line sequence numbers (enumeration
-    order), so a row points straight back at its ground-truth line.
     Rule labels come from the Table-1 classifier — computed once here at
     export time instead of per analysis run.
     """
     from repro.analysis.classify import DEFAULT_CLASSIFIER
 
-    rows: list[IndexRow] = []
-    for seq, session in enumerate(sessions):
-        rows.append(
-            IndexRow(
-                session_id=session.session_id,
-                day=epoch_date(session.start).isoformat(),
-                sensor_id=session.honeypot_id,
-                client_ip=session.client_ip,
-                session_hash=record_hash(session),
-                protocol=session.protocol.value,
-                rule_label=DEFAULT_CLASSIFIER.classify(session),
-                source=source,
-                seq=seq,
-            )
-        )
-    return rows
+    return IndexRow(
+        session_id=session.session_id,
+        day=epoch_date(session.start).isoformat(),
+        sensor_id=session.honeypot_id,
+        client_ip=session.client_ip,
+        session_hash=record_hash(session),
+        protocol=session.protocol.value,
+        rule_label=DEFAULT_CLASSIFIER.classify(session),
+        source=source,
+        seq=seq,
+    )
+
+
+def index_rows(
+    sessions: Sequence[SessionRecord], source: str
+) -> list[IndexRow]:
+    """The index rows for one shard's clean record sequence, as written:
+    ``seq`` is each record's position, which is its line's ``seq``."""
+    return [
+        index_row(session, source, seq)
+        for seq, session in enumerate(sessions)
+    ]

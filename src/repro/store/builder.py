@@ -12,6 +12,7 @@ repair path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -24,6 +25,7 @@ from repro.store.base import (
     IndexRow,
     StoreMeta,
     content_digest,
+    index_row,
     index_rows,
 )
 from repro.store.sqlite import SqliteStore
@@ -54,10 +56,21 @@ class RecoveredTree:
 
     #: Shard name order; each session id once, at its first occurrence.
     records: list[SessionRecord]
-    #: One index row per record, ``(source, seq)`` pointing at its shard.
-    rows: list[IndexRow]
+    #: In step with ``records``: the shard name and line ``seq`` each
+    #: record was read from.
+    origins: list[tuple[str, int]]
     #: Records the shards lost (corrupt or missing lines).
     lost: int
+
+    @cached_property
+    def rows(self) -> list[IndexRow]:
+        """One index row per record, ``(source, seq)`` pointing at its
+        line — classifying and hashing every record, so built on first
+        use only."""
+        return [
+            index_row(record, source, seq)
+            for record, (source, seq) in zip(self.records, self.origins)
+        ]
 
     def meta(self) -> StoreMeta:
         """The meta of an index rebuilt from these records: no config
@@ -67,7 +80,7 @@ class RecoveredTree:
             schema_version=STORE_SCHEMA_VERSION,
             config_fingerprint="",
             content_digest=content_digest(self.records),
-            record_count=len(self.rows),
+            record_count=len(self.records),
         )
 
 
@@ -83,20 +96,18 @@ def recover_tree(root: Path | str) -> RecoveredTree:
     from repro.honeynet.io import recover_jsonl
 
     records: list[SessionRecord] = []
-    rows: list[IndexRow] = []
+    origins: list[tuple[str, int]] = []
     seen: set[str] = set()
     lost = 0
     for shard in shard_paths(root):
         recovered = recover_jsonl(shard)
         lost += recovered.report.lost
-        fresh = []
-        for record in recovered.records:
+        for seq, record in zip(recovered.seqs, recovered.records):
             if record.session_id not in seen:
                 seen.add(record.session_id)
-                fresh.append(record)
-        rows.extend(index_rows(fresh, source=shard.name))
-        records.extend(fresh)
-    return RecoveredTree(records, rows, lost)
+                records.append(record)
+                origins.append((shard.name, seq))
+    return RecoveredTree(records, origins, lost)
 
 
 def build_index(

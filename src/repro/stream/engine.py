@@ -13,7 +13,7 @@ Around that pipeline sits the supervision layer
 (:mod:`repro.stream.supervisor`): per-stage circuit breakers with
 seeded probe schedules, a bounded inter-stage queue whose depth feeds
 backpressure into the admission controller, heartbeat monitoring
-against a :class:`~repro.overload.watchdog.DeadlinePolicy`, the
+against soft and hard deadlines, the
 ``full → analysis-deferred → shed-only`` degraded-mode ladder, and
 crash recovery that resumes the stream — supervision state included —
 from the newest valid checkpoint generation.
@@ -28,17 +28,18 @@ the batch loop's — which is why stream digests, accounting and
 checkpoint bytes are byte-identical to the batch engine
 (``tests/test_stream.py`` pins the matrix).
 
-All supervision timing runs on a *virtual* clock that advances a fixed
-tick per pushed event; stall durations, probe backoffs, heartbeat
-deadlines and clock skews are measured on it, never on wall time, so
-breaker and ladder timelines are a pure function of ``(seed, policy)``.
+All supervision timing runs on a *virtual* clock that advances
+:data:`TICK_S` per pushed event; stall durations, probe backoffs,
+heartbeat deadlines and clock skews are measured on it, never on wall
+time, so breaker and ladder timelines are a pure function of
+``(seed, policy)``.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -76,6 +77,9 @@ from repro.util.timeutils import days_between, month_key
 # this module IS the serial simulation engine (batch = replay).
 logger = logging.getLogger("repro.simulation")
 
+#: Virtual seconds the stream clock advances per pushed event.
+TICK_S = 0.05
+
 
 class StreamIntegrityError(RuntimeError):
     """The rolling conservation ledger caught an accounting violation."""
@@ -87,19 +91,16 @@ class RollingLedger:
 
     Every day boundary re-checks the conservation law (and, with an
     admission gate attached, the extended law
-    ``admitted == stored + deduplicated``) and folds the day's counter
-    deltas into a running coverage view — a violation raises
-    :class:`StreamIntegrityError` on the day it happens, not at the end
-    of a month-long run.
+    ``admitted == stored + deduplicated``) and reads the collector's
+    coverage — a violation raises :class:`StreamIntegrityError` on the
+    day it happens, not at the end of a month-long run.
     """
 
     days: int = 0
-    #: Last audited absolute accounting (for delta computation).
-    last: dict[str, int] = field(default_factory=dict)
-    #: Cumulative per-bucket deltas observed since the ledger started.
-    totals: dict[str, int] = field(default_factory=dict)
     #: ISO date of the newest audited boundary, or None before the first.
     last_day: str | None = None
+    #: Stored fraction of everything generated, as of the newest audit.
+    coverage_rate: float = 1.0
 
     def audit(self, collector: Collector, day: date) -> None:
         if not collector.accounting_balanced():
@@ -107,30 +108,18 @@ class RollingLedger:
                 f"conservation law violated at day boundary {day}: "
                 f"{collector.accounting()}"
             )
+        stored = len(collector.sessions)
         if collector.admission is not None:
-            stored = len(collector.sessions)
             if collector.admitted != stored + collector.deduplicated:
                 raise StreamIntegrityError(
                     "extended conservation law violated at day boundary "
                     f"{day}: admitted={collector.admitted} != "
                     f"stored={stored} + deduplicated={collector.deduplicated}"
                 )
-        current = collector.accounting()
-        for key, value in current.items():
-            delta = value - self.last.get(key, 0)
-            if delta:
-                self.totals[key] = self.totals.get(key, 0) + delta
-        self.last = current
+        generated = collector.generated
+        self.coverage_rate = stored / generated if generated else 1.0
         self.days += 1
         self.last_day = day.isoformat()
-
-    @property
-    def coverage_rate(self) -> float:
-        """Stored fraction of everything generated since the ledger began."""
-        generated = self.totals.get("generated", 0)
-        if not generated:
-            return 1.0
-        return self.totals.get("stored", 0) / generated
 
     def verdict(self) -> dict:
         """The latest day-boundary audit verdict, as the status endpoint
@@ -153,22 +142,14 @@ class RollingLedger:
         return {
             "days": self.days,
             "last_day": self.last_day,
-            "last": dict(self.last),
-            "totals": dict(self.totals),
+            "coverage_rate": self.coverage_rate,
         }
 
     def restore(self, payload: dict) -> None:
         self.days = int(payload["days"])
         last_day = payload.get("last_day")
         self.last_day = str(last_day) if last_day is not None else None
-        self.last = {
-            str(key): int(value)
-            for key, value in payload.get("last", {}).items()
-        }
-        self.totals = {
-            str(key): int(value)
-            for key, value in payload.get("totals", {}).items()
-        }
+        self.coverage_rate = float(payload["coverage_rate"])
 
 
 @dataclass
@@ -223,13 +204,7 @@ class StreamSubstrate:
         if policy.supervised:
             tree = base.tree.child("stream")
             self.supervisor = StreamSupervisor.build(
-                tree,
-                queue_capacity=policy.queue_capacity,
-                high_watermark=policy.effective_high_watermark,
-                failure_threshold=policy.breaker_failure_threshold,
-                recovery_s=policy.breaker_recovery_s,
-                max_backoff_s=policy.breaker_max_backoff_s,
-                heartbeat_policy=policy.heartbeat_policy(),
+                tree, queue_capacity=policy.queue_capacity
             )
             self._sensor_ids = tuple(
                 sorted(
@@ -240,7 +215,6 @@ class StreamSubstrate:
             if not policy.faults.inert:
                 self._fault_tree = tree.child("faults")
         # virtual clock + per-day fault state
-        self._tick = policy.tick_s
         self._now = 0.0
         self._ordinal = 0
         self._event = 0
@@ -283,7 +257,7 @@ class StreamSubstrate:
             return False
         self._event += 1
         event = self._event
-        self._now += self._tick
+        self._now += TICK_S
         now = self._now
         day = self._ordinal
         if self._stall_at is not None and event >= self._stall_at:
@@ -332,13 +306,11 @@ class StreamSubstrate:
                 supervisor.recover("ingest-probe-succeeded", day, event)
                 self._sync_admission()
         heartbeat = supervisor.heartbeat
-        if heartbeat is not None:
-            heartbeat.beat(STAGE_INGEST, now - self._skew)
+        heartbeat.beat(STAGE_INGEST, now - self._skew)
         if stored:
             self._analysis_stage(now, day, event)
-        if heartbeat is not None:
-            heartbeat.beat(STAGE_ANALYSIS, now - self._skew)
-            self._check_heartbeats(now, day, event)
+        heartbeat.beat(STAGE_ANALYSIS, now - self._skew)
+        self._check_heartbeats(now, day, event)
         return stored
 
     def _analysis_stage(self, now: float, day: int, event: int) -> None:
@@ -400,11 +372,8 @@ class StreamSubstrate:
 
     def _check_heartbeats(self, now: float, day: int, event: int) -> None:
         supervisor = self.supervisor
-        heartbeat = supervisor.heartbeat
-        if heartbeat is None:
-            return
         for stage in STAGES:
-            if heartbeat.check(stage, now) == BEAT_HARD:
+            if supervisor.heartbeat.check(stage, now) == BEAT_HARD:
                 supervisor.breakers[stage].trip(
                     now, day, event, "heartbeat-hard"
                 )
@@ -441,9 +410,7 @@ class StreamSubstrate:
         self._partition_buffer = []
         if self._skew:
             self._skew_days += 1
-        heartbeat = self.supervisor.heartbeat
-        if heartbeat is not None:
-            heartbeat.reset(self._now - self._skew)
+        self.supervisor.heartbeat.reset(self._now - self._skew)
         self._sync_admission()
 
     def _drain_day(self, day: date) -> None:
@@ -492,7 +459,8 @@ class StreamSubstrate:
     def _stream_telemetry_state(self) -> list[tuple[str, int]]:
         supervisor = self.supervisor
         queue = supervisor.queue
-        state = [
+        heartbeat = supervisor.heartbeat
+        return [
             ("stream.days", self._days_seen),
             ("stream.events", self._event_total),
             ("stream.queue.pushed", queue.pushed),
@@ -506,16 +474,9 @@ class StreamSubstrate:
             ("stream.analysis.errors", self._analysis_errors),
             ("stream.skew.days", self._skew_days),
             ("stream.ledger.days_balanced", self.ledger.days),
+            ("stream.heartbeat.soft_breaches", heartbeat.soft_breaches),
+            ("stream.heartbeat.hard_breaches", heartbeat.hard_breaches),
         ]
-        heartbeat = supervisor.heartbeat
-        if heartbeat is not None:
-            state.append(
-                ("stream.heartbeat.soft_breaches", heartbeat.soft_breaches)
-            )
-            state.append(
-                ("stream.heartbeat.hard_breaches", heartbeat.hard_breaches)
-            )
-        return state
 
     def _flush_stream_telemetry(self) -> None:
         """Emit per-day deltas of the stream counters (batch-granular,
@@ -601,12 +562,8 @@ class StreamSubstrate:
             analysis_observed=self._analysis_observed,
             analysis_deferred=self._analysis_deferred,
             analysis_errors=self._analysis_errors,
-            heartbeat_soft_breaches=(
-                heartbeat.soft_breaches if heartbeat is not None else 0
-            ),
-            heartbeat_hard_breaches=(
-                heartbeat.hard_breaches if heartbeat is not None else 0
-            ),
+            heartbeat_soft_breaches=heartbeat.soft_breaches,
+            heartbeat_hard_breaches=heartbeat.hard_breaches,
             skew_days=self._skew_days,
             ledger_days=self.ledger.days,
             coverage_rate=self.ledger.coverage_rate,

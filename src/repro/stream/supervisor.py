@@ -2,10 +2,9 @@
 
 The supervisor owns the robustness state machine around the stream
 engine's pipeline: one circuit breaker per stage, the bounded
-inter-stage queue, a heartbeat monitor grading stage liveness with a
-:class:`~repro.overload.watchdog.DeadlinePolicy` (against
-*virtual* time, so supervision is deterministic), and the explicit
-degraded-mode ladder::
+inter-stage queue, a heartbeat monitor grading stage liveness against
+soft and hard deadlines (on *virtual* time, so supervision is
+deterministic), and the explicit degraded-mode ladder::
 
     full  →  analysis-deferred  →  shed-only
 
@@ -33,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import telemetry
-from repro.overload.watchdog import DeadlinePolicy
 from repro.stream.breaker import CLOSED, CircuitBreaker
 from repro.stream.queues import BoundedStreamQueue
 from repro.util.rng import RngTree
@@ -59,6 +57,13 @@ STAGES = (STAGE_INGEST, STAGE_ANALYSIS)
 BEAT_OK = "ok"
 BEAT_SOFT = "soft"
 BEAT_HARD = "hard"
+
+#: Heartbeat staleness, in virtual seconds, that is worth a warning
+#: (soft) and that marks the stage failed (hard).  A crashed stage
+#: announces itself; a hung one just stops, and a slow stage is not yet
+#: a dead one.
+HEARTBEAT_SOFT_S = 4.0
+HEARTBEAT_HARD_S = 8.0
 
 
 @dataclass(frozen=True)
@@ -93,17 +98,16 @@ class ModeTransition:
 
 @dataclass
 class HeartbeatMonitor:
-    """Stage liveness against virtual time, via the watchdog's policy.
+    """Stage liveness against virtual time.
 
     Each processed event beats its stage; :meth:`check` grades the
-    staleness of the last beat against the soft/hard deadlines of a
-    :class:`~repro.overload.watchdog.DeadlinePolicy`.  Breaches are
-    counted once per *episode* (per escalation since the last healthy
-    check), not once per event, so a skewed day yields one soft and one
-    hard alarm — deterministic and bounded.
+    staleness of the last beat against :data:`HEARTBEAT_SOFT_S` and
+    :data:`HEARTBEAT_HARD_S`.  Breaches are counted once per *episode*
+    (per escalation since the last healthy check), not once per event,
+    so a skewed day yields one soft and one hard alarm — deterministic
+    and bounded.
     """
 
-    policy: DeadlinePolicy
     beats: dict[str, float] = field(default_factory=dict)
     soft_breaches: int = 0
     hard_breaches: int = 0
@@ -125,9 +129,9 @@ class HeartbeatMonitor:
         repeated checks inside one episode return None.
         """
         staleness = now - self.beats.get(stage, now)
-        if staleness >= self.policy.hard_s:
+        if staleness >= HEARTBEAT_HARD_S:
             level = BEAT_HARD
-        elif staleness >= self.policy.soft_s:
+        elif staleness >= HEARTBEAT_SOFT_S:
             level = BEAT_SOFT
         else:
             level = BEAT_OK
@@ -148,48 +152,28 @@ class HeartbeatMonitor:
 class StreamSupervisor:
     """Owns breakers, queue, heartbeats and the mode ladder for one run."""
 
-    tree: RngTree
     queue: BoundedStreamQueue
     breakers: dict[str, CircuitBreaker]
-    heartbeat: HeartbeatMonitor | None
+    heartbeat: HeartbeatMonitor = field(default_factory=HeartbeatMonitor)
     mode: str = MODE_FULL
     transitions: list[ModeTransition] = field(default_factory=list)
 
     @classmethod
-    def build(
-        cls,
-        tree: RngTree,
-        *,
-        queue_capacity: int,
-        high_watermark: int,
-        failure_threshold: int,
-        recovery_s: float,
-        max_backoff_s: float,
-        heartbeat_policy: DeadlinePolicy | None,
-    ) -> "StreamSupervisor":
+    def build(cls, tree: RngTree, *, queue_capacity: int) -> "StreamSupervisor":
+        """A fresh supervisor: the queue's high watermark is half its
+        capacity, and each stage's breaker keeps its default thresholds
+        and draws its probe schedule from ``tree``."""
         breaker_tree = tree.child("breaker")
         return cls(
-            tree=tree,
             queue=BoundedStreamQueue(
                 name="ingest-analysis",
                 capacity=queue_capacity,
-                high_watermark=high_watermark,
+                high_watermark=max(1, queue_capacity // 2),
             ),
             breakers={
-                stage: CircuitBreaker(
-                    stage=stage,
-                    tree=breaker_tree,
-                    failure_threshold=failure_threshold,
-                    recovery_s=recovery_s,
-                    max_backoff_s=max_backoff_s,
-                )
+                stage: CircuitBreaker(stage=stage, tree=breaker_tree)
                 for stage in STAGES
             },
-            heartbeat=(
-                HeartbeatMonitor(heartbeat_policy)
-                if heartbeat_policy is not None
-                else None
-            ),
         )
 
     # ------------------------------------------------------------------

@@ -161,16 +161,35 @@ class TestQuarantine:
         }
 
     def test_covers_by_line_and_seq(self, tmp_path):
-        store = QuarantineStore(tmp_path / "q")
-        store.add(path="/tmp/data.jsonl", line=3, reason="invalid-json", raw="x")
-        store.add(
-            path="/tmp/data.jsonl", line=None, seq=7, reason="missing-line",
-            raw="",
-        )
-        assert store.covers("data.jsonl", line=3)
-        assert store.covers("data.jsonl", seq=7)
-        assert not store.covers("data.jsonl", line=4)
-        assert not store.covers("other.jsonl", line=3)
+        """The audit explains a lost record when an entry from the same
+        source names its line (corrupt lines) or its seq (missing
+        lines), and only then."""
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        path = tree / "data.jsonl"
+        write_jsonl(records(10), path)
+        lines = path.read_text().splitlines()
+        lines[2] = "{oops"  # line 3, which carried seq 2
+        del lines[7]  # the line carrying seq 7
+        path.write_text("".join(line + "\n" for line in lines))
+
+        covering = [(3, None), (None, 2), (None, 7)]  # (line, seq)
+        cases = [
+            ("data.jsonl", covering, "quarantined"),
+            ("data.jsonl", [(4, None), (None, 2), (None, 7)], "failed"),
+            ("data.jsonl", covering[:2], "failed"),  # seq 7 unexplained
+            ("other.jsonl", covering, "failed"),  # another file's entries
+        ]
+        for index, (source, entries, expected) in enumerate(cases):
+            store = QuarantineStore(tmp_path / f"q{index}")
+            for line, seq in entries:
+                store.add(
+                    path=f"/elsewhere/{source}", line=line, seq=seq,
+                    reason="invalid-json", raw="x",
+                )
+            audit = audit_tree(tree, quarantine=store)
+            statuses = {f.path: f.status for f in audit.findings}
+            assert statuses["data.jsonl"] == expected, (source, entries)
 
     def test_discover(self, tmp_path):
         assert QuarantineStore.discover(tmp_path) is None
@@ -183,7 +202,6 @@ class TestQuarantine:
         assert len(store) == 0
         assert store.entries() == []
         assert store.counts_by_reason() == {}
-        assert not store.covers("data.jsonl", line=1)
         # Reopening an untouched store is identical — no index file is
         # created until the first add, so discover() still finds nothing.
         reloaded = QuarantineStore(tmp_path / "quarantine")
@@ -355,6 +373,28 @@ class TestRecovery:
             f"s-{i:04d}" for i in range(5)
         ]
         assert recovered.report.duplicates == 1
+
+    def test_non_utf8_byte_is_quarantined_not_fatal(self, tmp_path):
+        """One byte with its high bit set spoils one line, not the read."""
+        path = tmp_path / "flipped.jsonl"
+        write_jsonl(records(20), path)
+        data = bytearray(path.read_bytes())
+        lines = bytes(data).split(b"\n")
+        index = sum(len(line) + 1 for line in lines[:4]) + len(lines[4]) // 2
+        data[index] |= 0x80  # inside line 5
+        path.write_bytes(bytes(data))
+        recovered = recover_jsonl(path)
+        report = recovered.report
+        assert report.bad_lines == ((5, "invalid-json"),)
+        assert report.recovered == 19
+        assert report.conservation_balanced()
+        assert len(read_jsonl(path, mode="lenient")) == 19
+        store = QuarantineStore(tmp_path / "quarantine")
+        bad = [e for e in store.entries() if e.reason == "invalid-json"]
+        assert [entry.line for entry in bad] == [5]
+        from repro.util.hashing import sha256_hex
+
+        assert bad[0].raw_sha256 == sha256_hex(bytes(data).split(b"\n")[4])
 
     def test_integrity_note(self):
         assert integrity_note(0, 100) is None
@@ -530,6 +570,20 @@ class TestVerify:
         audit = audit_tree(path)
         assert audit.ok and len(audit.findings) == 1
 
+    def test_audit_reads_the_quarantine_once(self, tmp_path, monkeypatch):
+        self.make_tree(tmp_path, corrupt=True, recover=True)
+        calls = []
+        entries = QuarantineStore.entries
+
+        def counting(store):
+            calls.append(store.index)
+            return entries(store)
+
+        monkeypatch.setattr(QuarantineStore, "entries", counting)
+        audit = audit_tree(tmp_path)
+        assert audit.ok and audit.records_lost > 1
+        assert len(calls) == 1
+
     def test_to_json_round_trips(self, tmp_path):
         self.make_tree(tmp_path)
         payload = json.loads(audit_tree(tmp_path).to_json())
@@ -549,6 +603,18 @@ class TestVerifyCli:
         assert main(["verify", str(tmp_path / "absent")]) == 2
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" in out
+
+    def test_non_utf8_byte_fails_without_a_traceback(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "data.jsonl"
+        write_jsonl(records(20), path)
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] |= 0x80
+        path.write_bytes(bytes(data))
+        assert main(["verify", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert any(line.startswith("FAIL") for line in out.splitlines())
 
     def test_json_export(self, tmp_path, capsys):
         from repro.cli import main

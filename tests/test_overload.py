@@ -40,7 +40,6 @@ from repro.overload.admission import (
     build_admission_controller,
     record_priority,
 )
-from repro.overload.watchdog import DeadlinePolicy
 from repro.util.rng import RngTree
 from tests.conftest import make_record, short_fault_config
 
@@ -428,25 +427,6 @@ class TestFloodOffShedPath:
         assert result.collector.admission is not None
         counters = registry.export()["counters"]
         assert counters.get("overload.admitted", 0) > 0
-
-
-class TestWatchdogPolicy:
-    def test_soft_deadline_is_a_fraction_of_hard(self):
-        policy = DeadlinePolicy(hard_s=10.0)
-        assert policy.soft_s == 5.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="hard_s"):
-            DeadlinePolicy(hard_s=0.0)
-        with pytest.raises(ValueError, match="soft_fraction"):
-            DeadlinePolicy(hard_s=1.0, soft_fraction=0.0)
-        with pytest.raises(ValueError, match="soft_fraction"):
-            DeadlinePolicy(hard_s=1.0, soft_fraction=1.5)
-
-    def test_from_deadline(self):
-        assert DeadlinePolicy.from_deadline(None) is None
-        policy = DeadlinePolicy.from_deadline(42)
-        assert policy.hard_s == 42.0
 
 
 class TestOverloadProperties:

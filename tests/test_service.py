@@ -59,7 +59,7 @@ from repro.service import (
 from repro.store import SqliteStore, index_path_for
 from repro.stream import CLOSED, OPEN, StreamPolicy, run_stream
 from tests.conftest import PROFILES, assert_equivalent, short_fault_config
-from tests.test_stream import chaos_config
+from tests.test_stream import chaos_config, sha256_json
 
 pytestmark = pytest.mark.service
 
@@ -272,7 +272,7 @@ class TestLedgerVerdictSurfacing:
         assert 0.0 < verdict["coverage_rate"] <= 1.0
 
     def test_checkpoint_carries_ledger_and_resume_keeps_continuity(
-        self, tmp_path
+        self, tmp_path, chaos_published
     ):
         config = chaos_config()
         ckpt = tmp_path / "ck.json"
@@ -285,6 +285,7 @@ class TestLedgerVerdictSurfacing:
         assert rejected == []
         assert loaded is not None and loaded.stream is not None
         carried = loaded.stream["ledger"]
+        assert carried.keys() == {"days", "last_day", "coverage_rate"}
         assert carried["days"] > 0
         assert carried["last_day"] is not None
         resumed = run_stream(
@@ -297,6 +298,13 @@ class TestLedgerVerdictSurfacing:
         assert resumed.stream.ledger_verdict["days"] == total_days
         assert resumed.stream.ledger_verdict["last_day"] == (
             config.end.isoformat()
+        )
+        # Coverage included, the resumed verdict is the uninterrupted
+        # run's (the publisher only observes).
+        _, uninterrupted = chaos_published
+        assert (
+            resumed.stream.ledger_verdict
+            == uninterrupted.stream.ledger_verdict
         )
 
 
@@ -505,10 +513,7 @@ class TestQueryCacheAndSingleFlight:
 
 class TestBreakerDegradation:
     async def test_store_failures_open_breaker_then_recover(self, store):
-        policy = ServicePolicy(
-            breaker_failure_threshold=2, breaker_recovery_s=1.0
-        )
-        service = QueryService(store=store, policy=policy, seed=5)
+        service = QueryService(store=store, seed=5)
         first = await service.handle(
             Request("a", "count"), store_error=True
         )
@@ -516,10 +521,12 @@ class TestBreakerDegradation:
         assert first.reason == "store-error"
         assert first.stale and first.version == 1
         assert first.payload is not None  # degraded, not empty-handed
-        second = await service.handle(
-            Request("b", "count"), store_error=True
-        )
-        assert second.outcome == "stale"
+        assert service.breaker.state == CLOSED
+        for client in ("b", "b2"):
+            failed = await service.handle(
+                Request(client, "count"), store_error=True
+            )
+            assert failed.outcome == "stale"
         assert service.breaker.state == OPEN
         assert service.breaker.trips == 1
         # While open, even healthy requests are answered from the
@@ -534,7 +541,7 @@ class TestBreakerDegradation:
         )
         assert unanswerable.outcome == "stale"
         assert unanswerable.payload is None
-        assert service.store_errors == 2
+        assert service.store_errors == 3
         # Past the backoff the seeded probe half-opens, the healthy
         # store answers, and the breaker closes again.
         service.advance(30.0)
@@ -544,7 +551,7 @@ class TestBreakerDegradation:
 
     async def test_stale_responses_name_the_version_served(self, store):
         service = QueryService(store=store, seed=5)
-        for index in range(service.policy.breaker_failure_threshold):
+        for index in range(service.breaker.failure_threshold):
             response = await service.handle(
                 Request(f"c{index}", "count"), store_error=True
             )
@@ -598,7 +605,7 @@ class TestLoadModelContract:
             seed=3,
             ticks=1,
             requests_per_tick=0,  # the herd is the whole tick
-            faults=ServiceFaults(herd_probability=1.0, herd_clients=12),
+            faults=ServiceFaults(herd_probability=1.0),
         )
         herd_size = len(model.schedule())
         assert herd_size > 1
@@ -686,6 +693,42 @@ class TestLoadModelContract:
             name.startswith("service.")
             for name in comparable["counters"]
         )
+
+
+#: One SHA-256 per service fault profile × policy over the load test's
+#: request-outcome ledger plus the service's health counters (seed 33,
+#: 15 ticks).  ``LoadTestReport.digest()`` also hashes the ``repr`` of
+#: the faults and the policy, so it moves with their fields by design
+#: and is not what is pinned here.
+LOAD_TEST_PINS = {
+    ("off", "default"): "aca10fec31073376aec044fda4d7b9c8994d6ad694d98b110b921e8a1d39ed39",
+    ("off", "strict"): "dcc0b11d923282ca5a7dbc63e381c27812eac8c13ed3207900bc1c99fed31a10",
+    ("slowloris", "default"): "ba12063a5c32963839fd2dc5c4dccbb1fe29e23a75e4da20d104b00db05a766f",
+    ("slowloris", "strict"): "870140c5adae5bcef34cdd1fd2b83ea3729f1f992e0184924e43174969029243",
+    ("disconnect", "default"): "b83daa3a35b37d39b5324913410f71a74da2d2ef721a2409d39819ff63247d62",
+    ("disconnect", "strict"): "d78666891a23d725de3c6904d7c82dd3c3ebd7597be9acd733e3ce11a12bf05f",
+    ("herd", "default"): "0782965e72682ac13a9c23761f4978d9201aebd510d9eaac04d4ab3ee5e3e8c2",
+    ("herd", "strict"): "b9adcad3b8c01502ee5451ae9643537a6ca0168a5ffa5b0d0821c9a090050b9e",
+    ("breaker", "default"): "957815642844b9c41b69508a8d5c98765141fbb2adaf948b5462ff418b4b362e",
+    ("breaker", "strict"): "34312e29d8422b5a3d19032c3d7087d56730df1083b368934fa79a81bbb47d33",
+    ("chaos", "default"): "a73c053eeffb3cd68ba78f4b54717b32e5d8cae6995e060643e729d89562cbb2",
+    ("chaos", "strict"): "cb018c4c1effd18b37919d491f26d858e765291935e4b8c2c0aa44bdc8b273d3",
+}
+
+
+class TestLoadTestPins:
+    @pytest.mark.parametrize("policy_name", ("default", "strict"))
+    @pytest.mark.parametrize("profile", SERVICE_PROFILES)
+    def test_ledger_and_health_are_pinned(self, store, profile, policy_name):
+        service = QueryService(
+            store=store, policy=ServicePolicy.from_name(policy_name), seed=33
+        )
+        model = ServiceLoadModel(
+            seed=33, ticks=15, faults=ServiceFaults.from_name(profile)
+        )
+        report = run_load_test(service, model)
+        payload = {"entries": report.entries, "health": service.health()}
+        assert sha256_json(payload) == LOAD_TEST_PINS[(profile, policy_name)]
 
 
 # ----------------------------------------------------------------------

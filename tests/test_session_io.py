@@ -97,6 +97,25 @@ class TestErrorHandling:
         assert caught.value.reason == "invalid-json"
         assert caught.value.line == 1
 
+    def test_strict_read_rejects_a_json_value_that_is_not_an_object(
+        self, tmp_path
+    ):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(SessionLogError) as caught:
+            read_jsonl(path)
+        assert caught.value.reason == "invalid-json"
+        assert caught.value.line == 1
+
+    def test_strict_read_rejects_a_non_utf8_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"v": \xff}\n')
+        with pytest.raises(SessionLogError) as caught:
+            read_jsonl(path)
+        assert caught.value.reason == "invalid-json"
+        assert caught.value.line == 1
+        assert isinstance(caught.value.__cause__, SessionLogError)
+
     def test_version_error_reason(self):
         with pytest.raises(SessionLogError) as caught:
             session_from_dict({"v": 999})

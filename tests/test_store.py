@@ -275,6 +275,48 @@ class TestResilientFallback:
         ]
 
 
+class TestRecoveredRows:
+    def test_rows_carry_the_seq_of_their_line(self, tmp_path):
+        root, _ = make_tree(tmp_path, count=5)
+        shard = root / "sessions.jsonl"
+        lines = shard.read_text().splitlines()
+        del lines[1]  # the seq-1 line
+        shard.write_text("".join(line + "\n" for line in lines))
+        line_seq = {
+            payload["session_id"]: payload["seq"]
+            for payload in map(json.loads, lines)
+        }
+        rebuild_index(root)
+        with SqliteStore.open(index_path_for(root)) as store:
+            rows = store.rows()
+        assert sorted(row.session_id for row in rows) == sorted(line_seq)
+        assert {row.session_id: row.seq for row in rows} == line_seq
+
+    def test_records_classify_nothing(self, tmp_path, monkeypatch):
+        from repro.analysis.classify import DEFAULT_CLASSIFIER
+
+        root, sessions = make_tree(tmp_path)
+        index_path_for(root).unlink()
+        classified = []
+        monkeypatch.setattr(
+            DEFAULT_CLASSIFIER, "classify", classified.append
+        )
+        store = ResilientArtifactStore(root)
+        assert len(store.records()) == len(sessions)
+        assert store.database().digest() == SessionDatabase(sessions).digest()
+        assert classified == []
+
+    def test_fallback_survives_a_non_utf8_byte(self, tmp_path):
+        root, sessions = make_tree(tmp_path)
+        shard = root / "sessions.jsonl"
+        data = bytearray(shard.read_bytes())
+        data[len(data) // 2] |= 0x80
+        shard.write_bytes(bytes(data))
+        store = ResilientArtifactStore(root)
+        assert len(store.records()) == len(sessions) - 1
+        store.close()
+
+
 class TestRebuild:
     def test_rebuild_restores_queryability(self, tmp_path):
         root, sessions = make_tree(tmp_path)

@@ -29,6 +29,7 @@ Marked ``stream`` so CI can run this suite as its own job leg
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from datetime import date
 from pathlib import Path
@@ -74,7 +75,6 @@ from repro.stream import (
     StreamSupervisor,
     run_stream,
 )
-from repro.overload.watchdog import DeadlinePolicy
 from repro.util.rng import RngTree
 from tests.conftest import (
     PROFILES,
@@ -192,6 +192,28 @@ class TestStreamReplayDifferential:
         )
 
 
+#: SHA-256 over the chaos run's dataset digest, its conservation
+#: accounting and its full :class:`StreamReport` (every mode and
+#: breaker transition, counter and ledger verdict): what supervision
+#: and shedding produce must not move when their code is restructured.
+CHAOS_RUN_PIN = "f5acfe9e08ec27b617e356f5d5130724d861d4368139f2a1589752d84b480cc8"
+
+
+def sha256_json(payload) -> str:
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+class TestSupervisionPin:
+    def test_chaos_run_outputs_are_pinned(self, chaos_run):
+        payload = {
+            "digest": chaos_run.database.digest(),
+            "accounting": chaos_run.collector.accounting(),
+            "stream": dataclasses.asdict(chaos_run.stream),
+        }
+        assert sha256_json(payload) == CHAOS_RUN_PIN
+
+
 # ----------------------------------------------------------------------
 # seeded stream faults: determinism + the full ladder
 # ----------------------------------------------------------------------
@@ -253,10 +275,7 @@ class TestStreamFaultDeterminism:
         tree = RngTree(7).child("stream", "faults")
         day = date(2023, 10, 2)
         chaos = StreamFaults.from_name("chaos")
-        stall_only = StreamFaults(
-            stall_probability=chaos.stall_probability,
-            stall_virtual_s=chaos.stall_virtual_s,
-        )
+        stall_only = StreamFaults(stall_probability=chaos.stall_probability)
         full_plan = compile_day_plan(chaos, tree, day, sensors)
         stall_plan = compile_day_plan(stall_only, tree, day, sensors)
         assert full_plan.stall_at_event == stall_plan.stall_at_event
@@ -597,15 +616,7 @@ class TestQueueProperties:
 
 
 def _supervisor():
-    return StreamSupervisor.build(
-        RngTree(3).child("stream"),
-        queue_capacity=8,
-        high_watermark=4,
-        failure_threshold=2,
-        recovery_s=2.0,
-        max_backoff_s=16.0,
-        heartbeat_policy=DeadlinePolicy.from_deadline(8.0),
-    )
+    return StreamSupervisor.build(RngTree(3).child("stream"), queue_capacity=8)
 
 
 class TestSupervisorLadder:
@@ -663,7 +674,7 @@ class TestSupervisorLadder:
 
 class TestHeartbeatEpisodes:
     def test_breaches_counted_once_per_episode(self):
-        monitor = HeartbeatMonitor(DeadlinePolicy.from_deadline(8.0))
+        monitor = HeartbeatMonitor()
         monitor.reset(0.0)
         assert monitor.check("ingest", 1.0) is None
         assert monitor.check("ingest", 5.0) == "soft"
