@@ -58,7 +58,8 @@ from repro.attackers.orchestrator import run_simulation
 from repro.config import SimulationConfig
 from repro.faults.corruption import build_log_corruptor, corrupt_file
 from repro.faults.plan import FaultProfile
-from repro.honeynet.io import read_jsonl, recover_jsonl, write_jsonl
+from repro.honeynet.io import recover_jsonl, write_jsonl
+from repro.integrity.quarantine import QUARANTINE_DIR_NAME
 from repro.integrity.verify import audit_tree
 from repro.util.rng import RngTree
 
@@ -144,11 +145,12 @@ def check_export_recovery(config: SimulationConfig, reference, work: Path) -> No
         RngTree(config.seed).child("faults", "integrity", "log", path.name),
     )
     write_jsonl(reference.database.sessions, path, corruptor=corruptor)
-    report = recover_jsonl(path).report
-    read_jsonl(path, mode="lenient")  # populate the quarantine store
+    recovered = recover_jsonl(path, quarantine=export_dir / QUARANTINE_DIR_NAME)
+    report = recovered.report
     print(
         f"export: {report.recovered} recovered, {report.duplicates} duplicates "
-        f"dropped, {report.reordered} reordered, {report.lost} quarantined"
+        f"dropped, {report.reordered} reordered, {report.quarantined} corrupt "
+        f"lines, {report.lost} records lost"
     )
     if not report.conservation_balanced():
         fail("recovery conservation accounting does not balance")
@@ -156,8 +158,13 @@ def check_export_recovery(config: SimulationConfig, reference, work: Path) -> No
     print(audit.render())
     if not audit.ok:
         fail("recovered export tree failed verification")
-    if audit.records_lost != audit.quarantine_entries:
-        fail("quarantine store does not cover every lost record")
+    entries = recovered.quarantine.entries()
+    missing = [entry for entry in entries if entry.reason == "missing-line"]
+    if audit.records_lost != len(missing):
+        fail("records lost != missing-line quarantine entries")
+    corrupt = [entry.line for entry in entries if entry.reason != "missing-line"]
+    if corrupt != [line for line, _ in report.bad_lines]:
+        fail("a corrupt line has no quarantine entry of its own")
 
 
 def check_flood_overload(config: SimulationConfig) -> None:

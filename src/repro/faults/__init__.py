@@ -38,7 +38,6 @@ direction is ``faults → config → everything else``.
 
 from repro.faults.checkpoint import (
     CheckpointError,
-    audit_checkpoint,
     config_fingerprint,
     has_checkpoint,
     load_checkpoint,
@@ -106,7 +105,6 @@ __all__ = [
     "SensorDowntime",
     "ServiceFaults",
     "TransportFaults",
-    "audit_checkpoint",
     "build_channel",
     "build_checkpoint_corruptor",
     "build_coverage_report",

@@ -138,6 +138,12 @@ class Checkpoint:
     #: supervised checkpoints taken in the pristine state.
     stream: dict | None = None
 
+    @property
+    def accounting(self) -> dict[str, int]:
+        """The conservation-law counters: every counter (absent ones as
+        0) plus ``stored``, the size of the sessions section."""
+        return {**self.counters, "stored": len(self.sessions)}
+
 
 def checkpoint_generations(path: Path | str) -> list[Path]:
     """Candidate files for ``path``'s rotation scheme, newest first."""
@@ -311,42 +317,17 @@ def _checkpoint_from_document(document: dict, path: Path | str) -> Checkpoint:
         ) from error
 
 
-def audit_checkpoint(path: Path | str) -> str | None:
-    """Structural validity of one checkpoint file, without a config.
+def read_checkpoint(path: Path | str) -> Checkpoint:
+    """Read, validate and deserialize one checkpoint file, without a config.
 
-    Returns ``None`` when the file parses, passes every section and
-    record checksum, and deserializes; otherwise the problem as text.
-    Used by ``repro verify``, which audits trees it has no
+    Raises :class:`CheckpointError` unless the file parses, passes
+    every section and record checksum, and deserializes.  Used by
+    ``repro verify``, which audits trees it has no
     :class:`~repro.config.SimulationConfig` for.
     """
-    try:
-        document = _read_document(path)
-        _validate_document(document, path)
-        _checkpoint_from_document(document, path)
-    except CheckpointError as error:
-        return str(error)
-    return None
-
-
-def read_checkpoint_counters(path: Path | str) -> dict[str, int] | None:
-    """The accounting counters of one checkpoint, without a config.
-
-    Returns the counter dict (every known key, absent ones as 0) plus a
-    ``stored`` entry derived from the sessions section, or ``None`` when
-    the file fails structural validation.  Used by ``repro verify`` to
-    audit the conservation law — including shed totals — over
-    checkpoint trees it has no :class:`~repro.config.SimulationConfig`
-    for.
-    """
-    try:
-        document = _read_document(path)
-        _validate_document(document, path)
-        checkpoint = _checkpoint_from_document(document, path)
-    except CheckpointError:
-        return None
-    counters = dict(checkpoint.counters)
-    counters["stored"] = len(checkpoint.sessions)
-    return counters
+    document = _read_document(path)
+    _validate_document(document, path)
+    return _checkpoint_from_document(document, path)
 
 
 def load_checkpoint(path: Path | str, config: "SimulationConfig") -> Checkpoint:

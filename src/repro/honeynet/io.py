@@ -327,6 +327,8 @@ class RecoveryReport:
     missing_seqs: tuple[int, ...] = ()
     manifest_lines: int | None = None
     manifest_match: bool | None = None
+    #: Why a sidecar manifest that exists could not be read.
+    manifest_error: ManifestError | None = None
 
     @property
     def quarantined(self) -> int:
@@ -339,14 +341,12 @@ class RecoveryReport:
 
     @property
     def lost(self) -> int:
-        """Records that could not be recovered at all."""
-        return self.quarantined + self.missing
-
-    @property
-    def lossless(self) -> bool:
-        """True when every written record was recovered (damage, if
-        any, was limited to duplicates and reordering)."""
-        return self.lost == 0
+        """Records that could not be recovered, each counted once: the
+        sequence numbers the manifest promised that no line carries or,
+        without a manifest, the corrupt lines."""
+        if self.manifest_lines is not None:
+            return self.missing
+        return self.quarantined
 
     def conservation_balanced(self) -> bool:
         """Line-level conservation over the recovery boundary."""
@@ -396,8 +396,9 @@ def recover_jsonl(
     report = RecoveryReport(path=str(path))
     try:
         expected = read_manifest(path)
-    except ManifestError:
-        expected = None  # noted via manifest_match=None; data still recovered
+    except ManifestError as error:
+        expected = None
+        report.manifest_error = error
     if expected is not None:
         report.manifest_lines = expected.lines
 
@@ -492,8 +493,8 @@ def collector_accounting_for_recovery(report: RecoveryReport) -> dict[str, int]:
 
     Treats the written file as the generation boundary: every line the
     writer meant to persist is either recovered, deduplicated, or
-    quarantined (mangled lines and missing lines both count as
-    quarantined losses), so
+    quarantined (each lost record once, as :attr:`RecoveryReport.lost`
+    counts it), so
 
         generated == stored + deduplicated + quarantined
 

@@ -9,7 +9,7 @@ conservation law extended to disk: every discrepancy must either be
 repair, a corrupt checkpoint generation with a valid older one) or
 *explained* (quarantined with provenance).  Anything else is an
 unexplained discrepancy and fails the audit — ``repro verify`` exits
-non-zero.
+non-zero.  Each artifact is read from disk once per audit.
 
 Import note: :mod:`repro.honeynet.io`, :mod:`repro.honeynet.collector`
 and :mod:`repro.faults.checkpoint` are imported lazily inside the audit
@@ -23,15 +23,20 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
+from typing import TYPE_CHECKING, Callable
 
 from repro import telemetry
-from repro.integrity.manifest import ManifestError, is_manifest, manifest_path
+from repro.integrity.manifest import is_manifest
 from repro.integrity.quarantine import (
     QUARANTINE_DIR_NAME,
     QuarantineEntry,
     QuarantineStore,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - imported lazily, see the module note
+    from repro.honeynet.io import RecoveredLog
 
 #: Trailing generation suffix of rotated checkpoint files (``.1``, ``.2``).
 _GENERATION_SUFFIX = re.compile(r"\.(\d+)$")
@@ -176,6 +181,8 @@ def audit_tree(
     ``quarantine`` overrides store discovery (default: the
     ``quarantine/`` directory under ``root``, when present).
     """
+    from repro.honeynet.io import recover_jsonl
+
     root = Path(root)
     base = root if root.is_dir() else root.parent
     if isinstance(quarantine, QuarantineStore):
@@ -196,6 +203,13 @@ def audit_tree(
             quarantine_error = error
     covered_lines = {(entry.source, entry.line) for entry in entries}
     covered_seqs = {(entry.source, entry.seq) for entry in entries}
+
+    @cache  # one recovery per shard: its own audit and its index's
+    def recover(shard: Path) -> RecoveredLog | OSError:
+        try:
+            return recover_jsonl(shard)  # scan-only: no store writes
+        except OSError as error:
+            return error
 
     audit = IntegrityAudit(root=str(root))
     files = sorted(p for p in root.rglob("*") if p.is_file()) if root.is_dir() else [root]
@@ -233,10 +247,10 @@ def audit_tree(
             checkpoint_groups.setdefault(checkpoint_base, []).append(path)
             continue
         if path.suffix == ".jsonl":
-            _audit_jsonl(path, relative, covered_lines, covered_seqs, audit)
+            _audit_jsonl(recover(path), relative, covered_lines, covered_seqs, audit)
             continue
         if path.suffix == ".sqlite":
-            _audit_index(path, relative, audit)
+            _audit_index(path, relative, recover, audit)
 
     for checkpoint_base, members in sorted(checkpoint_groups.items()):
         _audit_checkpoint_group(checkpoint_base, members, base, audit)
@@ -252,40 +266,27 @@ def audit_tree(
 
 
 def _audit_jsonl(
-    path: Path,
+    recovered: RecoveredLog | OSError,
     relative: str,
     covered_lines: set[tuple[str, int | None]],
     covered_seqs: set[tuple[str, int | None]],
     audit: IntegrityAudit,
 ) -> None:
-    from repro.honeynet.io import recover_jsonl
-
-    try:
-        recovered = recover_jsonl(path)  # scan-only: no store writes
-    except OSError as error:
+    if isinstance(recovered, OSError):
         audit.findings.append(
-            Finding(relative, "dataset", "failed", f"unreadable: {error}")
+            Finding(relative, "dataset", "failed", f"unreadable: {recovered}")
         )
         return
     report = recovered.report
     audit.records_verified += report.recovered
     audit.records_lost += report.lost
 
-    manifest_problem = False
-    if manifest_path(path).exists() and report.manifest_lines is None:
-        try:
-            from repro.integrity.manifest import read_manifest
-
-            read_manifest(path)
-        except ManifestError:
-            manifest_problem = True
-
     pristine = (
         not report.lost
         and not report.duplicates
         and not report.reordered
         and report.manifest_match is not False
-        and not manifest_problem
+        and report.manifest_error is None
     )
     if pristine:
         suffix = (
@@ -299,7 +300,7 @@ def _audit_jsonl(
             )
         )
         return
-    if manifest_problem:
+    if report.manifest_error is not None:
         status = "recovered" if report.lost == 0 else "failed"
         audit.findings.append(
             Finding(
@@ -328,7 +329,7 @@ def _audit_jsonl(
             )
         )
         return
-    if report.lost == 0:
+    if not report.bad_lines and not report.missing_seqs:
         audit.findings.append(
             Finding(
                 relative,
@@ -340,9 +341,10 @@ def _audit_jsonl(
             )
         )
         return
+    source = Path(report.path).name
     covered = all(
-        (path.name, line) in covered_lines for line, _ in report.bad_lines
-    ) and all((path.name, seq) in covered_seqs for seq in report.missing_seqs)
+        (source, line) in covered_lines for line, _ in report.bad_lines
+    ) and all((source, seq) in covered_seqs for seq in report.missing_seqs)
     if covered:
         audit.findings.append(
             Finding(
@@ -367,24 +369,32 @@ def _audit_jsonl(
         )
 
 
-def _audit_index(path: Path, relative: str, audit: IntegrityAudit) -> None:
-    """Cross-check an ``index.sqlite`` against its shard ground truth.
+def _audit_index(
+    path: Path,
+    relative: str,
+    recover: Callable[[Path], RecoveredLog | OSError],
+    audit: IntegrityAudit,
+) -> None:
+    """Cross-check an ``index.sqlite`` against its shard ground truth:
+    the shards beside it, as ``recover`` read them, merged by
+    :func:`repro.store.builder.merge_shards`.
 
     The index is derived data, so a failed index finding never means
     data loss — it means the accelerator is unusable or lying.  Verdicts:
 
-    * ``ok`` — every index row matches a recovered shard record (id and
-      content hash), nothing is missing, and the stored meta agrees;
+    * ``ok`` — every index row equals its recovered shard record's row
+      in every field, nothing is missing, and the stored meta agrees;
     * ``quarantined`` — the index holds rows for records its shards
-      demonstrably *lost* (the index, like the manifest, records what
-      the writer meant — shard damage is the explained discrepancy);
+      demonstrably *lost*, every record of an unreadable shard included
+      (the index, like the manifest, records what the writer meant —
+      shard damage is the explained discrepancy);
     * ``failed`` — the index is unopenable, desynced (rows missing or
-      mismatched), carries foreign rows, or self-inconsistent meta.
-      Repairable with ``repro verify --rebuild-index``; until then,
+      differing in any field), carries foreign rows, or self-inconsistent
+      meta.  Repairable with ``repro verify --rebuild-index``; until then,
       consumers answer via the shard-scan fallback.
     """
     # Lazy: repro.store composes analysis/honeynet, which sit above us.
-    from repro.store.builder import recover_tree
+    from repro.store.builder import merge_shards, shard_paths
     from repro.store.sqlite import SqliteStore, StoreError
 
     repair_hint = (
@@ -418,14 +428,17 @@ def _audit_index(path: Path, relative: str, audit: IntegrityAudit) -> None:
     finally:
         store.close()
 
-    tree = recover_tree(path.parent)  # scan-only: no store writes
+    readings = [(shard.name, recover(shard)) for shard in shard_paths(path.parent)]
+    unreadable = {name for name, reading in readings if isinstance(reading, OSError)}
+    tree = merge_shards(pair for pair in readings if pair[0] not in unreadable)
+    lost = tree.lost + sum(row.source in unreadable for row in actual.values())
     expected = {row.session_id: row for row in tree.rows}
     missing = len(expected.keys() - actual.keys())
     extra = len(actual.keys() - expected.keys())
     mismatched = sum(
         1
         for session_id in expected.keys() & actual.keys()
-        if expected[session_id].session_hash != actual[session_id].session_hash
+        if expected[session_id] != actual[session_id]
     )
     if missing or mismatched:
         audit.findings.append(
@@ -440,14 +453,14 @@ def _audit_index(path: Path, relative: str, audit: IntegrityAudit) -> None:
         )
         return
     if extra:
-        if extra <= tree.lost:
+        if extra <= lost:
             audit.findings.append(
                 Finding(
                     relative,
                     "index",
                     "quarantined",
                     f"{extra} index rows outlive records the shards lost "
-                    f"({tree.lost} lost) — the index records what the writer "
+                    f"({lost} lost) — the index records what the writer "
                     "meant; shard damage is accounted separately",
                 )
             )
@@ -458,7 +471,7 @@ def _audit_index(path: Path, relative: str, audit: IntegrityAudit) -> None:
                 "index",
                 "failed",
                 f"{extra} foreign index rows with no shard record and "
-                f"only {tree.lost} shard losses to explain them — {repair_hint}",
+                f"only {lost} shard losses to explain them — {repair_hint}",
             )
         )
         return
@@ -473,7 +486,7 @@ def _audit_index(path: Path, relative: str, audit: IntegrityAudit) -> None:
             )
         )
         return
-    if tree.lost == 0 and meta.content_digest:
+    if lost == 0 and meta.content_digest:
         if meta.content_digest != tree.meta().content_digest:
             audit.findings.append(
                 Finding(
@@ -498,25 +511,46 @@ def _audit_index(path: Path, relative: str, audit: IntegrityAudit) -> None:
 def _audit_checkpoint_group(
     checkpoint_base: Path, members: list[Path], base: Path, audit: IntegrityAudit
 ) -> None:
-    from repro.faults.checkpoint import audit_checkpoint, read_checkpoint_counters
+    from repro.faults.checkpoint import CheckpointError, read_checkpoint
     from repro.honeynet.collector import conservation_imbalance
 
     members = sorted(members, key=_generation_rank)
-    problems = {member: audit_checkpoint(member) for member in members}
+    readings: dict[Path, dict[str, int] | CheckpointError] = {}
+    for member in members:
+        try:
+            readings[member] = read_checkpoint(member).accounting
+        except CheckpointError as error:
+            readings[member] = error
     newest_valid = next(
-        (member for member in members if problems[member] is None), None
+        (member for member in members if isinstance(readings[member], dict)), None
     )
     for member in members:
         relative = str(member.relative_to(base))
-        problem = problems[member]
-        if problem is None:
-            imbalance = None
-            if member == newest_valid:
-                counters = read_checkpoint_counters(member)
-                if counters is not None:
-                    imbalance = conservation_imbalance(counters)
-                    if imbalance is None:
-                        audit.records_shed += counters.get("shed", 0)
+        reading = readings[member]
+        if isinstance(reading, CheckpointError):
+            if newest_valid is not None:
+                audit.findings.append(
+                    Finding(
+                        relative,
+                        "checkpoint",
+                        "recovered",
+                        f"corrupt generation ({reading}); resume covered by "
+                        f"{newest_valid.name}",
+                    )
+                )
+            else:
+                audit.findings.append(
+                    Finding(
+                        relative,
+                        "checkpoint",
+                        "failed",
+                        f"corrupt with no valid generation to fall back to "
+                        f"({reading})",
+                    )
+                )
+            continue
+        if member == newest_valid:
+            imbalance = conservation_imbalance(reading)
             if imbalance is not None:
                 audit.findings.append(
                     Finding(
@@ -528,29 +562,10 @@ def _audit_checkpoint_group(
                     )
                 )
                 continue
-            audit.findings.append(
-                Finding(relative, "checkpoint", "ok", "all checksums verified")
-            )
-        elif newest_valid is not None:
-            audit.findings.append(
-                Finding(
-                    relative,
-                    "checkpoint",
-                    "recovered",
-                    f"corrupt generation ({problem}); resume covered by "
-                    f"{newest_valid.name}",
-                )
-            )
-        else:
-            audit.findings.append(
-                Finding(
-                    relative,
-                    "checkpoint",
-                    "failed",
-                    f"corrupt with no valid generation to fall back to "
-                    f"({problem})",
-                )
-            )
+            audit.records_shed += reading.get("shed", 0)
+        audit.findings.append(
+            Finding(relative, "checkpoint", "ok", "all checksums verified")
+        )
 
 
 def _audit_quarantine(

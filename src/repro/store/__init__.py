@@ -23,8 +23,8 @@ a second thing that can corrupt or desync:
   with the same SQL over an in-memory copy of the recovered rows and
   counted loudly on the ``store.fallback`` telemetry counter — never a
   crash, never a wrong answer;
-* one function reads a tree's shards
-  (:func:`~repro.store.builder.recover_tree`): the fallback, ``repro
+* one rule merges a tree's shards
+  (:func:`~repro.store.builder.merge_shards`): the fallback, ``repro
   verify``'s cross-check of index rows against the shard records, and
   ``repro verify --rebuild-index``'s reconstruction of a damaged index
   (:func:`~repro.store.builder.rebuild_index`) all see the same records.

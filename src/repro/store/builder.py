@@ -4,9 +4,9 @@ An *indexed artifact tree* is a directory holding one or more JSONL
 session shards (each with its sidecar manifest) plus one
 ``index.sqlite`` summarizing every record in them.  The shards are the
 ground truth; the index is derived and disposable.  :func:`recover_tree`
-is the one reading of the shards, and :func:`rebuild_index`
-reconstructs the index from it — the ``repro verify --rebuild-index``
-repair path.
+reads the shards and :func:`merge_shards` holds the one rule that
+merges them; :func:`rebuild_index` reconstructs the index from that
+reading — the ``repro verify --rebuild-index`` repair path.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro import telemetry
+from repro.honeynet.io import RecoveredLog, recover_jsonl, write_jsonl
 from repro.honeypot.session import SessionRecord
 from repro.integrity.quarantine import QUARANTINE_DIR_NAME
 from repro.store.base import (
@@ -39,14 +40,14 @@ def index_path_for(root: Path | str) -> Path:
 def shard_paths(root: Path | str) -> list[Path]:
     """The JSONL shards an index at ``root`` covers, in name order.
 
-    Only shards directly under ``root`` count; the quarantine store's
-    own JSONL index is provenance, not session data.
+    Only regular files directly under ``root`` count; the quarantine
+    store's own JSONL index is provenance, not session data.
     """
     root = Path(root)
     return sorted(
         path
         for path in root.glob("*.jsonl")
-        if QUARANTINE_DIR_NAME not in path.parts
+        if QUARANTINE_DIR_NAME not in path.parts and path.is_file()
     )
 
 
@@ -59,7 +60,7 @@ class RecoveredTree:
     #: In step with ``records``: the shard name and line ``seq`` each
     #: record was read from.
     origins: list[tuple[str, int]]
-    #: Records the shards lost (corrupt or missing lines).
+    #: Records the shards lost, each counted once.
     lost: int
 
     @cached_property
@@ -84,30 +85,32 @@ class RecoveredTree:
         )
 
 
-def recover_tree(root: Path | str) -> RecoveredTree:
-    """Recover every record the tree's shards can still prove.
-
-    The one reading of a tree — the rebuild, the scan fallback and
-    ``repro verify``'s index audit all see exactly this.  Lenient,
-    scan-only (no quarantine writes): damaged lines are skipped,
-    duplicated lines dropped, order repaired; a session id seen twice,
-    in one shard or across shards, keeps its first record.
-    """
-    from repro.honeynet.io import recover_jsonl
-
+def merge_shards(shards: Iterable[tuple[str, RecoveredLog]]) -> RecoveredTree:
+    """Merge ``(shard name, recovery)`` pairs, in name order: a session
+    id seen twice, in one shard or across shards, keeps its first record."""
     records: list[SessionRecord] = []
     origins: list[tuple[str, int]] = []
     seen: set[str] = set()
     lost = 0
-    for shard in shard_paths(root):
-        recovered = recover_jsonl(shard)
+    for name, recovered in shards:
         lost += recovered.report.lost
         for seq, record in zip(recovered.seqs, recovered.records):
             if record.session_id not in seen:
                 seen.add(record.session_id)
                 records.append(record)
-                origins.append((shard.name, seq))
+                origins.append((name, seq))
     return RecoveredTree(records, origins, lost)
+
+
+def recover_tree(root: Path | str) -> RecoveredTree:
+    """Recover every record the tree's shards can still prove: each
+    shard recovered leniently and scan-only (no quarantine writes), then
+    :func:`merge_shards`.  The rebuild and the scan fallback see exactly
+    this; ``repro verify`` merges the recoveries its shard audit made.
+    """
+    return merge_shards(
+        (shard.name, recover_jsonl(shard)) for shard in shard_paths(root)
+    )
 
 
 def build_index(
@@ -146,8 +149,6 @@ def export_indexed_tree(
     damages the index; both model faults *after* a faithful write).
     Returns the index path.
     """
-    from repro.honeynet.io import write_jsonl
-
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     write_jsonl(sessions, root / shard_name, corruptor=corruptor)

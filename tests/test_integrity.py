@@ -266,7 +266,7 @@ class TestRecovery:
         assert [s.session_id for s in recovered.records] == [
             s.session_id for s in originals
         ]
-        assert report.lossless and report.lost == 0
+        assert report.lost == 0
         assert report.duplicates == report.reordered == 0
         assert report.manifest_match is True
         assert report.conservation_balanced()
@@ -290,11 +290,30 @@ class TestRecovery:
         assert report.recovered + report.missing == len(originals)
         assert report.lost > 0  # NASTY at 120 lines always mangles some
         assert report.conservation_balanced()
-        # Quarantine provenance matches the report exactly.
-        assert len(store) == report.lost
-        reasons = store.counts_by_reason()
-        assert sum(reasons.values()) == report.lost
-        assert reasons.get("missing-line", 0) == report.missing
+        # Quarantine provenance matches the report exactly: one
+        # missing-line entry per lost record, one entry per corrupt line.
+        entries = store.entries()
+        missing = [e.seq for e in entries if e.reason == "missing-line"]
+        corrupt = [e.line for e in entries if e.reason != "missing-line"]
+        assert len(missing) == report.lost == report.missing
+        assert missing == list(report.missing_seqs)
+        assert corrupt == [line for line, _ in report.bad_lines]
+
+    def test_a_truncated_line_is_one_lost_record(self, tmp_path):
+        path = tmp_path / "cut.jsonl"
+        write_jsonl(records(20), path)
+        lines = path.read_text().splitlines()
+        lines[7] = lines[7][:40]
+        path.write_text("".join(line + "\n" for line in lines))
+        report = recover_jsonl(path).report
+        # The corrupt line and the seq it carried are one record.
+        assert (report.quarantined, report.missing, report.lost) == (1, 1, 1)
+        assert collector_accounting_for_recovery(report)["generated"] == 20
+        # Without a manifest no seq is known to be missing: the corrupt
+        # line itself is the loss.
+        manifest_path(path).unlink()
+        report = recover_jsonl(path).report
+        assert (report.quarantined, report.missing, report.lost) == (1, 0, 1)
 
     def test_duplicates_and_reorders_are_lossless(self, tmp_path):
         path = tmp_path / "shuffled.jsonl"
@@ -307,7 +326,7 @@ class TestRecovery:
         )
         recovered = recover_jsonl(path)
         report = recovered.report
-        assert report.lossless
+        assert report.lost == 0
         assert report.duplicates > 0 and report.reordered > 0
         assert [s.session_id for s in recovered.records] == [
             s.session_id for s in originals
@@ -515,13 +534,29 @@ class TestVerify:
         assert "FAIL" in audit.render()
 
     def test_recovered_tree_passes_with_quarantine(self, tmp_path):
-        self.make_tree(tmp_path, corrupt=True, recover=True)
+        path = self.make_tree(tmp_path, corrupt=True, recover=True)
         audit = audit_tree(tmp_path)
         assert audit.ok
         assert audit.records_lost > 0
-        assert audit.quarantine_entries == audit.records_lost
+        # One missing-line entry per lost record, one entry per corrupt line.
+        reasons = QuarantineStore(tmp_path / "quarantine").counts_by_reason()
+        assert reasons.pop("missing-line") == audit.records_lost
+        assert sum(reasons.values()) == recover_jsonl(path).report.quarantined
         statuses = {f.path: f.status for f in audit.findings}
         assert statuses["data.jsonl"] == "quarantined"
+
+    def test_an_uncovered_corrupt_line_fails_though_nothing_is_lost(
+        self, tmp_path
+    ):
+        path = self.make_tree(tmp_path)
+        lines = path.read_text().splitlines()
+        lines.insert(4, lines[3][:40])  # a truncated copy of line 4
+        path.write_text("".join(line + "\n" for line in lines))
+        assert recover_jsonl(path).report.lost == 0
+        assert not audit_tree(tmp_path).ok
+        read_jsonl(path, mode="lenient")
+        audit = audit_tree(tmp_path)
+        assert audit.ok and audit.records_lost == 0
 
     def test_mangling_a_clean_file_fails_the_manifest(self, tmp_path):
         path = self.make_tree(tmp_path)
@@ -533,7 +568,8 @@ class TestVerify:
         audit = audit_tree(tmp_path)
         assert not audit.ok  # manifest promised 80 lines, disk has 81
 
-    def test_checkpoint_generations_audited_as_group(self, tmp_path):
+    def save_generations(self, tmp_path):
+        """Three checkpoint generations under ``tmp_path``; returns the newest."""
         config = SimulationConfig(seed=33, scale=1e-4, **SHORT_WINDOW)
         result = run_simulation(config)
         path = tmp_path / "run.ckpt"
@@ -542,6 +578,10 @@ class TestVerify:
                 path, config, date(2023, 10, 1 + offset),
                 result.honeynet, result.collector,
             )
+        return path
+
+    def test_checkpoint_generations_audited_as_group(self, tmp_path):
+        path = self.save_generations(tmp_path)
         assert audit_tree(tmp_path).ok
         corrupt_file(path, random.Random(4))
         audit = audit_tree(tmp_path)
@@ -583,6 +623,45 @@ class TestVerify:
         audit = audit_tree(tmp_path)
         assert audit.ok and audit.records_lost > 1
         assert len(calls) == 1
+
+    def test_audit_reads_every_artifact_once(self, tmp_path, monkeypatch):
+        from collections import Counter
+        from pathlib import Path
+
+        from repro.store import export_indexed_tree
+
+        export_indexed_tree(records(20), tmp_path)
+        self.save_generations(tmp_path)
+        reads = Counter()
+        read_bytes, read_text = Path.read_bytes, Path.read_text
+
+        def counting_bytes(path):
+            reads[path.name] += 1
+            return read_bytes(path)
+
+        def counting_text(path, *args, **kwargs):
+            reads[path.name] += 1
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_bytes", counting_bytes)
+        monkeypatch.setattr(Path, "read_text", counting_text)
+        for _ in range(2):
+            reads.clear()
+            audit = audit_tree(tmp_path)
+            assert audit.ok
+            assert {f.kind for f in audit.findings} == {
+                "dataset", "index", "checkpoint",
+            }
+            assert reads == {
+                name: 1
+                for name in (
+                    "sessions.jsonl",
+                    "sessions.jsonl.manifest.json",
+                    "run.ckpt",
+                    "run.ckpt.1",
+                    "run.ckpt.2",
+                )
+            }
 
     def test_to_json_round_trips(self, tmp_path):
         self.make_tree(tmp_path)

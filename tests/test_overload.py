@@ -24,7 +24,7 @@ from repro.attackers.orchestrator import run_simulation
 from repro.config import DEFAULT_CONFIG, SimulationConfig
 from repro.faults.checkpoint import (
     config_fingerprint,
-    read_checkpoint_counters,
+    read_checkpoint,
     save_checkpoint,
 )
 from repro.faults.coverage import CoverageError, overload_note, validate_coverage
@@ -378,7 +378,7 @@ class TestFloodOffIsByteIdentical:
             checkpoint_every_days=10,
             stop_after=date(2023, 10, 2),
         )
-        counters = read_checkpoint_counters(checkpoint)
+        counters = read_checkpoint(checkpoint).accounting
         assert counters["shed"] > 0
         assert counters["generated"] == (
             counters["stored"]

@@ -395,6 +395,57 @@ class TestVerifyIndexAudit:
         assert main(["verify", str(root), "--rebuild-index"]) == 0
         assert main(["verify", str(root)]) == 0
 
+    def test_a_rewritten_row_fails_the_audit(self, tmp_path):
+        from repro.cli import main
+        from repro.integrity.verify import audit_tree
+
+        root, sessions = make_tree(tmp_path)
+        # Every gate at open still passes: the row count and the meta are
+        # untouched, only one row lies about its session.
+        with sqlite3.connect(index_path_for(root)) as connection:
+            connection.execute(
+                "UPDATE sessions SET rule_label = 'tampered', day = "
+                "'1999-01-01' WHERE session_id = ?",
+                (sessions[3].session_id,),
+            )
+        connection.close()
+        findings = [f for f in audit_tree(root).findings if f.kind == "index"]
+        assert [f.status for f in findings] == ["failed"]
+        assert "1 content-mismatched" in findings[0].detail
+        assert main(["verify", str(root)]) == 2
+        assert main(["verify", str(root), "--rebuild-index"]) == 0
+        assert main(["verify", str(root)]) == 0
+        with SqliteStore.open(index_path_for(root)) as store:
+            assert store.count(rule_label="tampered") == 0
+
+    def test_an_unreadable_shard_is_one_finding(self, tmp_path, monkeypatch):
+        from pathlib import Path
+
+        from repro.cli import main
+        from repro.integrity.verify import audit_tree
+
+        root, _ = make_tree(tmp_path)
+        # A directory named like a shard is not a shard.
+        (root / "broken.jsonl").mkdir()
+        assert main(["verify", str(root)]) == 0
+        read_bytes = Path.read_bytes
+
+        def unreadable(path):
+            if path.name == "sessions.jsonl":
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", unreadable)
+        audit = audit_tree(root)
+        failed = audit.unexplained()
+        assert [(f.path, f.kind) for f in failed] == [
+            ("sessions.jsonl", "dataset")
+        ]
+        assert "unreadable" in failed[0].detail
+        index = next(f for f in audit.findings if f.kind == "index")
+        assert index.status == "quarantined"
+        assert main(["verify", str(root)]) == 1
+
     def test_data_damage_still_exits_1(self, tmp_path):
         from repro.cli import main
 
