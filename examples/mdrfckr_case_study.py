@@ -16,7 +16,9 @@ import argparse
 from collections import Counter
 
 from repro import SimulationConfig, build_dataset
+from repro.analysis.logins import rows_with_password
 from repro.analysis.mdrfckr_case import (
+    CAMPAIGN_PASSWORD,
     base64_uploader_ips,
     c2_ips_from_cleanups,
     correlate_events,
@@ -38,16 +40,18 @@ def main() -> None:
     args = parser.parse_args()
 
     dataset = build_dataset(SimulationConfig(scale=args.scale, seed=args.seed))
-    ssh = dataset.database.ssh_sessions()
-    commands = dataset.database.command_sessions()
+    ssh = dataset.table.ssh
 
-    actor = mdrfckr_sessions(commands)
+    actor = mdrfckr_sessions(dataset.table.commands)
     initial, variant = split_variants(actor)
     print(f"mdrfckr sessions: {len(actor)} "
           f"({len(initial)} initial, {len(variant)} variant) "
-          f"from {len({s.client_ip for s in actor})} client IPs")
+          f"from {len({s.client_ip for s in actor.sessions})} client IPs")
 
-    overlap = ip_overlap_with_campaign(actor, ssh)
+    campaign = [
+        ssh.sessions[row] for row in rows_with_password(ssh.login, CAMPAIGN_PASSWORD)
+    ]
+    overlap = ip_overlap_with_campaign(actor.sessions, campaign)
     print(f"client-IP overlap with the 3245gs5662d34 campaign: {overlap:.1%}")
 
     activity = daily_activity(actor)
@@ -67,7 +71,7 @@ def main() -> None:
     c2 = sorted(c2_ips_from_cleanups(decoded))
     print(f"C2 IPs referenced by cleanup scripts: {c2}")
 
-    killnet_overlap = {s.client_ip for s in actor} & dataset.killnet_ips
+    killnet_overlap = {s.client_ip for s in actor.sessions} & dataset.killnet_ips
     print(f"\nKillnet proxy-list overlap: {len(killnet_overlap)} IPs")
     key_hash = sha256_hex(MDRFCKR_KEY)
     print(

@@ -18,7 +18,6 @@ from repro import SimulationConfig, build_dataset
 from repro.analysis.storage import (
     AGE_BUCKETS,
     SIZE_BUCKETS,
-    download_observations,
     infrastructure_observations,
     monthly_age_buckets,
     reappearance_after,
@@ -36,7 +35,7 @@ def main() -> None:
     args = parser.parse_args()
 
     dataset = build_dataset(SimulationConfig(scale=args.scale, seed=args.seed))
-    observations = download_observations(dataset.database.command_sessions())
+    observations = dataset.download_observations()
     infra = infrastructure_observations(observations)
     print(
         f"download observations: {len(observations)} "

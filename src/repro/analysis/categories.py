@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from enum import Enum
 
-from repro.honeypot.session import SessionRecord
+from repro.honeypot.session import LoginAttempt, SessionRecord
 
 
 class SessionCategory(str, Enum):
@@ -23,20 +23,23 @@ class SessionCategory(str, Enum):
     COMMAND_EXECUTION = "Command Execution"
 
 
-def categorize(session: SessionRecord) -> SessionCategory:
-    """Classify one session."""
+def categorize(
+    session: SessionRecord, login: LoginAttempt | None
+) -> SessionCategory:
+    """Classify one session whose accepted login attempt is ``login``
+    (``session.successful_login``: the session table's login column)."""
     if not session.logins:
         return SessionCategory.SCANNING
-    if not session.login_succeeded:
+    if login is None:
         return SessionCategory.SCOUTING
     if not session.executed_commands:
         return SessionCategory.INTRUSION
     return SessionCategory.COMMAND_EXECUTION
 
 
-def category_counts(sessions: list[SessionRecord]) -> Counter:
-    """Counts per category over a session collection."""
-    counts: Counter = Counter()
-    for session in sessions:
-        counts[categorize(session)] += 1
-    return counts
+def category_counts(
+    sessions: list[SessionRecord], logins: list[LoginAttempt | None]
+) -> Counter:
+    """Counts per category over sessions and their aligned accepted
+    logins."""
+    return Counter(map(categorize, sessions, logins))

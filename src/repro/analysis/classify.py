@@ -18,8 +18,6 @@ key, so two threads racing on one classifier can only repeat work.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-
 from repro.analysis.regexrules import RULES, UNKNOWN_CATEGORY, CategoryRule
 from repro.honeypot.session import SessionRecord
 
@@ -58,27 +56,12 @@ class CommandClassifier:
             self._labels[key] = label
         return label
 
-    def counts(self, sessions: list[SessionRecord]) -> Counter:
-        """Category histogram over many sessions."""
-        histogram: Counter = Counter()
-        for session in sessions:
-            histogram[self.classify(session)] += 1
-        return histogram
 
-    def group(self, sessions: list[SessionRecord]) -> dict[str, list[SessionRecord]]:
-        """Sessions grouped by category."""
-        groups: dict[str, list[SessionRecord]] = defaultdict(list)
-        for session in sessions:
-            groups[self.classify(session)].append(session)
-        return dict(groups)
-
-    def coverage(self, sessions: list[SessionRecord]) -> float:
-        """Fraction of sessions matched by a non-fallback rule."""
-        if not sessions:
-            return 0.0
-        histogram = self.counts(sessions)
-        unknown = histogram.get(UNKNOWN_CATEGORY, 0)
-        return 1.0 - unknown / len(sessions)
+def label_coverage(labels: list[str]) -> float:
+    """Fraction of labels given by a non-fallback rule."""
+    if not labels:
+        return 0.0
+    return 1.0 - labels.count(UNKNOWN_CATEGORY) / len(labels)
 
 
 #: Module-level default classifier (rules are immutable).

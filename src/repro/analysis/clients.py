@@ -8,7 +8,7 @@ These helpers summarize both.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.honeypot.session import SessionRecord
@@ -21,17 +21,6 @@ def banner_distribution(sessions: list[SessionRecord]) -> Counter:
         if session.ssh_version:
             counts[session.ssh_version] += 1
     return counts
-
-
-def banners_by_category(
-    sessions: list[SessionRecord], classify
-) -> dict[str, Counter]:
-    """Banner distribution per command category."""
-    result: dict[str, Counter] = defaultdict(Counter)
-    for session in sessions:
-        if session.ssh_version:
-            result[classify(session)][session.ssh_version] += 1
-    return dict(result)
 
 
 @dataclass

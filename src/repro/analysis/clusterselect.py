@@ -7,7 +7,7 @@ at any scale (90 would over-fragment a scaled-down sample).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +24,14 @@ class KSelection:
     elbow_k: int
     silhouette_k: int
     chosen_k: int
+    #: The clustering at each candidate k, aligned with ``candidates``.
+    results: list[ClusteringResult] = field(default_factory=list, repr=False)
+
+    @property
+    def chosen_silhouette(self) -> float:
+        """The silhouette of the clustering at ``chosen_k`` (a nonempty
+        sample's)."""
+        return self.silhouettes[self.candidates.index(self.chosen_k)]
 
 
 def elbow_point(candidates: list[int], inertias: list[float]) -> int:
@@ -62,12 +70,9 @@ def select_k(
     candidates = [k for k in candidates if 2 <= k < n]
     if not candidates:
         candidates = [min(2, n)]
-    inertias: list[float] = []
-    silhouettes: list[float] = []
-    for k in candidates:
-        result = kmedoids(matrix, k, seed=seed)
-        inertias.append(result.inertia)
-        silhouettes.append(silhouette_score(matrix, result.labels))
+    results = [kmedoids(matrix, k, seed=seed) for k in candidates]
+    inertias = [result.inertia for result in results]
+    silhouettes = [silhouette_score(matrix, result.labels) for result in results]
     elbow_k = elbow_point(candidates, inertias)
     silhouette_k = candidates[int(np.argmax(silhouettes))]
     # convergence rule: prefer the elbow unless silhouette strongly
@@ -84,13 +89,22 @@ def select_k(
         elbow_k=elbow_k,
         silhouette_k=silhouette_k,
         chosen_k=chosen,
+        results=results,
     )
 
 
 def cluster_with_selection(
     matrix: np.ndarray, candidates: list[int] | None = None, seed: int = 0
 ) -> tuple[ClusteringResult, KSelection]:
-    """Select k, then return the final clustering at the chosen k."""
+    """Select k, then return the clustering at the chosen k.
+
+    The chosen k is one of the candidates, so its clustering is the one
+    :func:`select_k` already computed (K-medoids is deterministic in
+    the matrix, k and seed).  An empty sample gives the empty
+    clustering, with k = 0.
+    """
     selection = select_k(matrix, candidates, seed=seed)
-    result = kmedoids(matrix, selection.chosen_k, seed=seed)
-    return result, selection
+    if not selection.candidates:
+        return kmedoids(matrix, 0, seed=seed), selection
+    chosen = selection.candidates.index(selection.chosen_k)
+    return selection.results[chosen], selection

@@ -63,11 +63,3 @@ def command_visibility(
         unknown_lines=unknown,
         top_unknown_commands=unknown_names.most_common(top_n),
     )
-
-
-def uncapturable_transfer_sessions(sessions: list[SessionRecord]) -> int:
-    """Sessions invoking transfer tools the honeypot cannot emulate."""
-    pattern = re.compile(r"(?:^|[;&|]\s*)(scp|rsync|sftp)\b")
-    return sum(
-        1 for s in sessions if pattern.search(s.command_text)
-    )

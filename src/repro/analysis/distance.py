@@ -147,11 +147,20 @@ def distance_matrix(
         return compact[np.ix_(mapping, mapping)]
 
 
+def sample_rows(n: int, limit: int, seed: int = 0) -> list[int]:
+    """Deterministic uniform sample of ``limit`` positions out of ``n``.
+
+    ``random.Random.sample`` draws positions alone, so the rows picked
+    here are the positions :func:`sample_sessions` picks from ``n``
+    sessions.
+    """
+    if n <= limit:
+        return list(range(n))
+    return random.Random(seed).sample(range(n), limit)
+
+
 def sample_sessions(
     sessions: list[SessionRecord], limit: int, seed: int = 0
 ) -> list[SessionRecord]:
     """Deterministic uniform sample (the paper clusters a sample too)."""
-    if len(sessions) <= limit:
-        return list(sessions)
-    rng = random.Random(seed)
-    return rng.sample(sessions, limit)
+    return [sessions[row] for row in sample_rows(len(sessions), limit, seed)]

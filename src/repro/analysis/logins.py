@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from typing import Iterable
 
-from repro.honeypot.session import SessionRecord
+from repro.analysis.table import SshRows
+from repro.honeypot.session import LoginAttempt
 from repro.net.whois import HistoricalWhois
-from repro.util.timeutils import epoch_date, month_key
 
 #: The five passwords Figure 10 tracks.
 FIGURE10_PASSWORDS = (
@@ -19,32 +20,25 @@ FIGURE10_PASSWORDS = (
 )
 
 
-def successful_login_password(session: SessionRecord) -> str | None:
-    """Password of the accepted login attempt, if any."""
-    attempt = session.successful_login
-    return attempt.password if attempt else None
-
-
 def monthly_password_counts(
-    sessions: list[SessionRecord],
+    months: Iterable[str], logins: Iterable[LoginAttempt | None]
 ) -> dict[str, Counter]:
-    """Per month: intrusion sessions per successful password."""
+    """Per month: intrusion sessions per successful password, from one
+    month and one accepted login (or ``None``) per session."""
     result: dict[str, Counter] = defaultdict(Counter)
-    for session in sessions:
-        password = successful_login_password(session)
-        if password is None:
-            continue
-        result[month_key(epoch_date(session.start))][password] += 1
+    for month, login in zip(months, logins):
+        if login is not None:
+            result[month][login.password] += 1
     return dict(result)
 
 
-def top_passwords(sessions: list[SessionRecord], n: int = 5) -> list[tuple[str, int]]:
+def top_passwords(
+    logins: Iterable[LoginAttempt | None], n: int = 5
+) -> list[tuple[str, int]]:
     """Overall top-n successful-login passwords."""
-    totals: Counter = Counter()
-    for session in sessions:
-        password = successful_login_password(session)
-        if password is not None:
-            totals[password] += 1
+    totals: Counter = Counter(
+        login.password for login in logins if login is not None
+    )
     return totals.most_common(n)
 
 
@@ -62,27 +56,25 @@ class DefaultAccountStats:
 
 
 def default_account_stats(
-    sessions: list[SessionRecord],
+    ssh: SshRows,
     username: str,
     whois: HistoricalWhois,
 ) -> DefaultAccountStats:
     """Stats for sessions that tried the given default username."""
     matched = [
-        s
-        for s in sessions
-        if any(attempt.username == username for attempt in s.logins)
+        row
+        for row, session in enumerate(ssh.sessions)
+        if any(attempt.username == username for attempt in session.logins)
     ]
-    successes = [s for s in matched if s.login_succeeded]
-    silent = [s for s in successes if not s.executed_commands]
-    ips = {s.client_ip for s in matched}
+    successes = [row for row in matched if ssh.login[row] is not None]
+    silent = [row for row in successes if not ssh.sessions[row].commands]
+    ips = {ssh.sessions[row].client_ip for row in matched}
     asns = set()
-    for session in matched:
-        result = whois.lookup(session.client_ip, epoch_date(session.start))
+    for row in matched:
+        result = whois.lookup(ssh.sessions[row].client_ip, ssh.day[row])
         if result is not None:
             asns.add(result.asn)
-    monthly: Counter = Counter()
-    for session in matched:
-        monthly[month_key(epoch_date(session.start))] += 1
+    monthly = Counter(ssh.month[row] for row in matched)
     return DefaultAccountStats(
         username=username,
         sessions=len(matched),
@@ -94,10 +86,12 @@ def default_account_stats(
     )
 
 
-def sessions_with_password(
-    sessions: list[SessionRecord], password: str
-) -> list[SessionRecord]:
-    """Sessions whose accepted login used the given password."""
+def rows_with_password(
+    logins: Iterable[LoginAttempt | None], password: str
+) -> list[int]:
+    """Rows whose accepted login used the given password."""
     return [
-        s for s in sessions if successful_login_password(s) == password
+        row
+        for row, login in enumerate(logins)
+        if login is not None and login.password == password
     ]

@@ -15,9 +15,8 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import date, timedelta
 
-from repro.analysis.classify import DEFAULT_CLASSIFIER
-from repro.analysis.logins import sessions_with_password
-from repro.analysis.monthly import daily_counts, session_day
+from repro.analysis.monthly import daily_counts
+from repro.analysis.table import CommandRows, take
 from repro.events import DOCUMENTED_EVENTS, ExternalEvent
 from repro.honeypot.session import SessionRecord
 
@@ -28,11 +27,12 @@ _BASE64_LINE = re.compile(r"echo\s+([A-Za-z0-9+/=]{24,})\s*\|\s*base64\s+-d")
 _PKILL_IP = re.compile(r"pkill\s+-9\s+-f\s+((?:\d{1,3}\.){3}\d{1,3})")
 
 
-def mdrfckr_sessions(sessions: list[SessionRecord]) -> list[SessionRecord]:
-    """All sessions the Table-1 classifier attributes to mdrfckr."""
-    return [
-        s for s in sessions if DEFAULT_CLASSIFIER.classify(s) == "mdrfckr"
-    ]
+def mdrfckr_sessions(commands: CommandRows) -> CommandRows:
+    """The command rows the Table-1 classifier attributes to mdrfckr."""
+    return take(
+        commands,
+        (row for row, label in enumerate(commands.label) if label == "mdrfckr"),
+    )
 
 
 def is_variant(session: SessionRecord) -> bool:
@@ -42,27 +42,21 @@ def is_variant(session: SessionRecord) -> bool:
     return "hosts.deny" in text and "chpasswd" not in text
 
 
-def split_variants(
-    sessions: list[SessionRecord],
-) -> tuple[list[SessionRecord], list[SessionRecord]]:
-    """(initial, variant) partition of mdrfckr sessions."""
-    initial: list[SessionRecord] = []
-    variant: list[SessionRecord] = []
-    for session in sessions:
-        (variant if is_variant(session) else initial).append(session)
-    return initial, variant
+def split_variants(rows: CommandRows) -> tuple[CommandRows, CommandRows]:
+    """(initial, variant) partition of mdrfckr rows."""
+    initial: list[int] = []
+    variant: list[int] = []
+    for row, session in enumerate(rows.sessions):
+        (variant if is_variant(session) else initial).append(row)
+    return take(rows, initial), take(rows, variant)
 
 
-def daily_activity(
-    sessions: list[SessionRecord],
-) -> dict[date, tuple[int, int]]:
+def daily_activity(rows: CommandRows) -> dict[date, tuple[int, int]]:
     """Per day: (session count, unique client IPs) — Figure 12."""
-    per_day_sessions = daily_counts(sessions)
+    per_day_sessions = daily_counts(rows.day)
     per_day_ips: dict[date, set[str]] = {}
-    for session in sessions:
-        per_day_ips.setdefault(session_day(session), set()).add(
-            session.client_ip
-        )
+    for day, session in zip(rows.day, rows.sessions):
+        per_day_ips.setdefault(day, set()).add(session.client_ip)
     return {
         day: (count, len(per_day_ips.get(day, set())))
         for day, count in per_day_sessions.items()
@@ -70,10 +64,11 @@ def daily_activity(
 
 
 def ip_overlap_with_campaign(
-    mdrfckr: list[SessionRecord], all_sessions: list[SessionRecord]
+    mdrfckr: list[SessionRecord], campaign: list[SessionRecord]
 ) -> float:
-    """|IPs(mdrfckr) ∩ IPs(3245gs5662d34)| / |IPs(3245gs5662d34)|."""
-    campaign = sessions_with_password(all_sessions, CAMPAIGN_PASSWORD)
+    """|IPs(mdrfckr) ∩ IPs(campaign)| / |IPs(campaign)|, where the
+    campaign is the sessions that logged in with
+    :data:`CAMPAIGN_PASSWORD`."""
     campaign_ips = {s.client_ip for s in campaign}
     if not campaign_ips:
         return 0.0
@@ -104,10 +99,10 @@ def classify_script(body: str) -> str:
     return "other"
 
 
-def decode_base64_uploads(sessions: list[SessionRecord]) -> list[DecodedScript]:
-    """Find and decode every base64-piped script in the sessions."""
+def decode_base64_uploads(rows: CommandRows) -> list[DecodedScript]:
+    """Find and decode every base64-piped script in the rows' sessions."""
     decoded: list[DecodedScript] = []
-    for session in sessions:
+    for session, day in zip(rows.sessions, rows.day):
         for record in session.commands:
             match = _BASE64_LINE.search(record.raw)
             if match is None:
@@ -122,7 +117,7 @@ def decode_base64_uploads(sessions: list[SessionRecord]) -> list[DecodedScript]:
                 DecodedScript(
                     session_id=session.session_id,
                     client_ip=session.client_ip,
-                    day=session_day(session),
+                    day=day,
                     kind=classify_script(body),
                     body=body,
                     c2_ips=tuple(_PKILL_IP.findall(body)),

@@ -4,43 +4,37 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from datetime import date
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.honeypot.session import SessionRecord
 from repro.util.timeutils import epoch_date, month_key
 
 
-def session_month(session: SessionRecord) -> str:
-    return month_key(epoch_date(session.start))
-
-
 def session_day(session: SessionRecord) -> date:
+    """The UTC calendar day a session started on."""
     return epoch_date(session.start)
 
 
-def monthly_counts(sessions: Iterable[SessionRecord]) -> dict[str, int]:
-    """Sessions per month key."""
-    counts: Counter = Counter()
-    for session in sessions:
-        counts[session_month(session)] += 1
-    return dict(counts)
+def session_month(session: SessionRecord) -> str:
+    return month_key(session_day(session))
 
 
-def daily_counts(sessions: Iterable[SessionRecord]) -> dict[date, int]:
-    counts: Counter = Counter()
-    for session in sessions:
-        counts[session_day(session)] += 1
-    return dict(counts)
+def monthly_counts(months: Iterable[str]) -> dict[str, int]:
+    """Sessions per month key, from one month per session."""
+    return dict(Counter(months))
 
 
-def monthly_groups(
-    sessions: Iterable[SessionRecord],
-    key: Callable[[SessionRecord], str],
-) -> dict[str, Counter]:
-    """month → Counter(key value → sessions)."""
+def daily_counts(days: Iterable[date]) -> dict[date, int]:
+    """Sessions per day, from one day per session."""
+    return dict(Counter(days))
+
+
+def monthly_groups(pairs: Iterable[tuple[str, str]]) -> dict[str, Counter]:
+    """month → Counter(key → sessions), from one ``(month, key)`` pair
+    per session."""
     grouped: dict[str, Counter] = defaultdict(Counter)
-    for session in sessions:
-        grouped[session_month(session)][key(session)] += 1
+    for month, key in pairs:
+        grouped[month][key] += 1
     return dict(grouped)
 
 
@@ -71,14 +65,13 @@ def overall_shares(per_month: dict[str, Counter]) -> dict[str, float]:
     return {name: count / grand_total for name, count in totals.items()}
 
 
-def daily_box_stats(
-    sessions: Iterable[SessionRecord],
-) -> dict[str, dict[str, float]]:
-    """Per month: min/q1/median/q3/max of the daily session counts.
+def daily_box_stats(days: Iterable[date]) -> dict[str, dict[str, float]]:
+    """Per month: min/q1/median/q3/max of the daily session counts,
+    from one day per session.
 
     This is the data behind Figure 1's monthly boxplots.
     """
-    per_day = daily_counts(sessions)
+    per_day = daily_counts(days)
     per_month_days: dict[str, list[int]] = defaultdict(list)
     for day, count in per_day.items():
         per_month_days[month_key(day)].append(count)

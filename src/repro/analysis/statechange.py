@@ -9,7 +9,8 @@ whose commands only gather information are non-state-changing.
 Within state-changing sessions, the paper splits on whether a *file
 execution* was attempted (Figure 3(b) vs 3(a)), and — for execution
 attempts — whether the executed file was ever actually present
-(Figure 4(a) vs 4(b)).
+(Figure 4(a) vs 4(b)).  A session that *loaded a payload* is the
+clustering input of section 6.
 """
 
 from __future__ import annotations
@@ -86,3 +87,19 @@ def exec_outcome(session: SessionRecord) -> ExecOutcome | None:
     if not saw_exec:
         return None
     return ExecOutcome.FILE_EXISTS if saw_present else ExecOutcome.FILE_MISSING
+
+
+def loads_payload(session: SessionRecord) -> bool:
+    """Whether the session loaded a payload (the clustering input).
+
+    A payload load is either a captured transfer (wget/curl/tftp/
+    ftpget artifact) or a shell-written file that the session then
+    executed (echo-hex droppers).  Plain configuration writes — e.g.
+    the mdrfckr authorized_keys install — are not payload loads.
+    """
+    if session.transfer_hashes():
+        return True
+    return any(
+        event.op == FileOp.EXECUTE and event.sha256
+        for event in session.file_events
+    )

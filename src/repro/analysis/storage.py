@@ -16,7 +16,7 @@ from datetime import date, timedelta
 from repro.net.asn import ASType
 from repro.net.whois import HistoricalWhois
 from repro.honeypot.session import SessionRecord
-from repro.util.timeutils import epoch_date, month_key
+from repro.util.timeutils import month_key
 
 _HOST_PATTERN = re.compile(r"^[a-z+]+://([^/:]+)")
 _IPV4_PATTERN = re.compile(r"^(?:\d{1,3}\.){3}\d{1,3}$")
@@ -40,10 +40,11 @@ class DownloadObservation:
 
 
 def download_observations(
-    sessions: list[SessionRecord],
+    sessions: list[SessionRecord], days: list[date]
 ) -> list[DownloadObservation]:
     """Sessions with download commands, with their storage IPs.
 
+    ``days`` holds each session's day, aligned with ``sessions``.
     Following the paper ("IP addresses involved in download commands"),
     every session whose commands reference an IPv4-hosted URI counts,
     whether or not the fetch succeeded; captured hashes are attached
@@ -51,18 +52,20 @@ def download_observations(
     one observation per host.
     """
     observations: list[DownloadObservation] = []
-    for session in sessions:
-        hashes = tuple(sorted(set(session.transfer_hashes())))
+    for session, day in zip(sessions, days):
         hosts: list[str] = []
         for uri in session.uris:
             host = uri_host(uri)
             if host and _IPV4_PATTERN.match(host) and host not in hosts:
                 hosts.append(host)
+        if not hosts:
+            continue
+        hashes = tuple(sorted(set(session.transfer_hashes())))
         for host in hosts:
             observations.append(
                 DownloadObservation(
                     session_id=session.session_id,
-                    day=epoch_date(session.start),
+                    day=day,
                     client_ip=session.client_ip,
                     storage_ip=host,
                     hashes=hashes,

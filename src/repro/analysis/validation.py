@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from repro.analysis.classify import DEFAULT_CLASSIFIER, CommandClassifier
 from repro.attackers.labels import EXPECTED_CATEGORY
 from repro.honeypot.session import SessionRecord
 
@@ -43,25 +42,26 @@ class ValidationReport:
 
 def validate_classifier(
     sessions: list[SessionRecord],
-    classifier: CommandClassifier = DEFAULT_CLASSIFIER,
+    labels: list[str],
     expected: dict[str, str] | None = None,
 ) -> ValidationReport:
     """Compare classifier output with the per-bot expected categories.
 
-    Sessions from bots without an expectation entry are skipped (they
-    are either commandless or intentionally unmapped).
+    ``labels`` holds the classifier's label of each session, aligned
+    with ``sessions`` (the session table's label column).  Sessions from
+    bots without an expectation entry are skipped (they are either
+    commandless or intentionally unmapped).
     """
     expected = expected if expected is not None else EXPECTED_CATEGORY
     confusion: Counter = Counter()
     per_category: dict[str, list[int]] = defaultdict(lambda: [0, 0])
     agreements = 0
     total = 0
-    for session in sessions:
+    for session, got in zip(sessions, labels):
         label = session.bot_label or ""
         want = expected.get(label)
         if want is None:
             continue
-        got = classifier.classify(session)
         confusion[(want, got)] += 1
         per_category[want][1] += 1
         total += 1

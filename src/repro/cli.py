@@ -383,8 +383,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     Exit codes: ``0`` — clean (every discrepancy recovered or
     explained); ``1`` — unexplained *data* damage; ``2`` — the path does
     not exist, or only derived index artifacts failed (ground truth
-    intact: consumers run via scan fallback, and ``--rebuild-index``
-    repairs it — which re-audits and returns 0 on success).
+    intact: consumers fall back to the shard scan when the index no
+    longer opens and keep answering from it when it does, as each index
+    finding says, and ``--rebuild-index`` repairs it — which re-audits
+    and returns 0 on success).
     """
     from repro.integrity.verify import audit_tree
 

@@ -2,9 +2,10 @@
 
 One call produces the synthetic honeynet recording *and* every external
 substrate the analyses join against (abuse feeds, Killnet list,
-Shadowserver report).  Expensive derived products (the clustering) are
-computed lazily and cached on the dataset.  Datasets are cached per
-configuration so a test session or benchmark run only simulates once.
+Shadowserver report).  Derived products (the session table, the
+download observations, the clustering) are computed lazily and cached
+on the dataset.  Datasets are cached per configuration so a test
+session or benchmark run only simulates once.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from repro.analysis.distance import (
     session_tokens,
 )
 from repro.analysis.kmedoids import ClusteringResult
+from repro.analysis.storage import DownloadObservation, download_observations
+from repro.analysis.table import SessionTable, build_session_table
 from repro.attackers.bots.mdrfckr import MDRFCKR_KEY
 from repro.attackers.bots.named_campaigns import RAPPERBOT_KEY
 from repro.attackers.orchestrator import SimulationResult, run_simulation
@@ -72,6 +75,10 @@ class Dataset:
     abuse: AbuseDatasets
     killnet_ips: set[str]
     shadowserver: CompromisedSshReport
+    _table: SessionTable | None = field(default=None, repr=False)
+    _observations: list[DownloadObservation] | None = field(
+        default=None, repr=False
+    )
     _clusterings: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -114,27 +121,37 @@ class Dataset:
                 notes.append(note)
         return notes
 
-    def file_sessions(self) -> list[SessionRecord]:
-        """Sessions in which a payload was loaded (the clustering input).
+    @property
+    def table(self) -> SessionTable:
+        """Every per-session fact the experiments share (built once).
 
-        A payload load is either a captured transfer (wget/curl/tftp/
-        ftpget artifact) or a shell-written file that the session then
-        executed (echo-hex droppers).  Plain configuration writes — e.g.
-        the mdrfckr authorized_keys install — are not payload loads.
+        See :mod:`repro.analysis.table`.  The dataset's database is
+        fixed once built, so the table never goes stale.
         """
-        from repro.honeypot.session import FileOp
+        if self._table is None:
+            with telemetry.span("dataset.table"):
+                self._table = build_session_table(self.database)
+        return self._table
 
-        selected: list[SessionRecord] = []
-        for session in self.database.command_sessions():
-            if session.transfer_hashes():
-                selected.append(session)
-                continue
-            if any(
-                event.op == FileOp.EXECUTE and event.sha256
-                for event in session.file_events
-            ):
-                selected.append(session)
-        return selected
+    def download_observations(self) -> list[DownloadObservation]:
+        """The command sessions' (session, storage IP) observations
+        (Figures 7-9 and 17), computed once."""
+        if self._observations is None:
+            commands = self.table.commands
+            self._observations = download_observations(
+                commands.sessions, commands.day
+            )
+        return self._observations
+
+    def file_sessions(self) -> list[SessionRecord]:
+        """Sessions in which a payload was loaded (the clustering input,
+        :func:`~repro.analysis.statechange.loads_payload`)."""
+        commands = self.table.commands
+        return [
+            session
+            for session, payload in zip(commands.sessions, commands.payload)
+            if payload
+        ]
 
     def clustering(self, sample_limit: int = CLUSTER_SAMPLE_LIMIT) -> Clustering:
         """Tokenize, measure, select k and cluster (cached per limit)."""

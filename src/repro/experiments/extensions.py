@@ -19,16 +19,16 @@ from __future__ import annotations
 from collections import Counter
 
 
-from repro.analysis.classify import CommandClassifier, DEFAULT_CLASSIFIER
+from repro.analysis.classify import CommandClassifier, label_coverage
 from repro.analysis.clusterselect import cluster_with_selection
 from repro.analysis.distance import distance_matrix, sample_sessions
 from repro.analysis.kmedoids import silhouette_score
 from repro.analysis.mdrfckr_case import (
     correlate_events,
-    daily_activity,
     detect_low_activity_windows,
     mdrfckr_sessions,
 )
+from repro.analysis.monthly import daily_counts
 from repro.analysis.regexrules import RULES
 from repro.analysis.tokenizer import DEFAULT_TOKENIZER, RAW_TOKENIZER
 from repro.experiments.base import Experiment, register
@@ -132,10 +132,10 @@ class ExtAblationTokenizer(Experiment):
             tokens = session_tokens(sessions, tokenizer=tokenizer)
             distinct = len({tuple(t) for t in tokens})
             matrix = distance_matrix(tokens, tokenizer=tokenizer)
-            result, selection = cluster_with_selection(
+            _, selection = cluster_with_selection(
                 matrix, seed=dataset.config.seed
             )
-            silhouette = silhouette_score(matrix, result.labels)
+            silhouette = selection.chosen_silhouette
             stats[name] = (distinct, selection.chosen_k, silhouette)
             rows.append(
                 [name, distinct, selection.chosen_k, f"{silhouette:.3f}"]
@@ -163,7 +163,8 @@ class ExtValidationConfusion(Experiment):
     def run(self, dataset):
         from repro.analysis.validation import validate_classifier
 
-        report = validate_classifier(dataset.database.command_sessions())
+        commands = dataset.table.commands
+        report = validate_classifier(commands.sessions, commands.label)
         rows = [
             [category, correct, total, f"{correct / total:.1%}"]
             for category, (correct, total) in sorted(
@@ -238,7 +239,6 @@ class ExtBaselineClustering(Experiment):
 
     def run(self, dataset):
         from repro.analysis.hierarchical import hierarchical_cluster, pair_agreement
-        from repro.analysis.kmedoids import kmedoids
 
         headers = ["method", "k", "silhouette", "inertia"]
         clustering = dataset.clustering()
@@ -248,10 +248,8 @@ class ExtBaselineClustering(Experiment):
         k = clustering.result.k
         rows = []
         silhouettes = {}
-        kmedoids_result = kmedoids(matrix, k, seed=dataset.config.seed)
-        silhouettes["k-medoids (paper)"] = silhouette_score(
-            matrix, kmedoids_result.labels
-        )
+        kmedoids_result = clustering.result
+        silhouettes["k-medoids (paper)"] = clustering.selection.chosen_silhouette
         rows.append(
             [
                 "k-medoids (paper)", k,
@@ -290,16 +288,15 @@ class ExtAblationRuleOrder(Experiment):
     paper_reference = "section 5 / Table 1"
 
     def run(self, dataset):
-        sessions = dataset.database.command_sessions()
-        baseline = DEFAULT_CLASSIFIER
+        commands = dataset.table.commands
+        sessions = commands.sessions
         generic_rules = tuple(r for r in RULES if r.name.startswith("gen_"))
         specific_rules = tuple(r for r in RULES if not r.name.startswith("gen_"))
         shuffled = CommandClassifier(generic_rules + specific_rules)
+        reordered_labels = [shuffled.classify(session) for session in sessions]
         changed = 0
         absorbed: Counter = Counter()
-        for session in sessions:
-            original = baseline.classify(session)
-            reordered = shuffled.classify(session)
+        for original, reordered in zip(commands.label, reordered_labels):
             if original != reordered:
                 changed += 1
                 absorbed[(original, reordered)] += 1
@@ -307,7 +304,9 @@ class ExtAblationRuleOrder(Experiment):
             [original, reordered, count]
             for (original, reordered), count in absorbed.most_common(12)
         ]
-        coverage_same = baseline.coverage(sessions) == shuffled.coverage(sessions)
+        coverage_same = label_coverage(commands.label) == label_coverage(
+            reordered_labels
+        )
         notes = [
             f"{changed}/{len(sessions)} sessions "
             f"({changed / max(1, len(sessions)):.1%}) change category when "
@@ -332,10 +331,7 @@ class ExtAblationDetection(Experiment):
     THRESHOLDS = (0.02, 0.05, 0.08, 0.2, 0.5)
 
     def run(self, dataset):
-        sessions = mdrfckr_sessions(dataset.database.command_sessions())
-        per_day = {
-            day: count for day, (count, _) in daily_activity(sessions).items()
-        }
+        per_day = daily_counts(mdrfckr_sessions(dataset.table.commands).day)
         rows = []
         best = None
         for threshold in self.THRESHOLDS:

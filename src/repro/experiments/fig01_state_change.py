@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.analysis.monthly import daily_box_stats
-from repro.analysis.statechange import StateClass, state_class
+from repro.analysis.statechange import StateClass
 from repro.config import PAPER
 from repro.experiments.base import Experiment, register
 from repro.util.timeutils import parse_month
@@ -18,12 +18,16 @@ class Fig01StateChange(Experiment):
     paper_reference = "Figure 1"
 
     def run(self, dataset):
-        commands = dataset.database.command_sessions()
+        commands = dataset.table.commands
         changing = [
-            s for s in commands if state_class(s) != StateClass.NON_STATE
+            day
+            for day, state in zip(commands.day, commands.state)
+            if state is not StateClass.NON_STATE
         ]
         stable = [
-            s for s in commands if state_class(s) == StateClass.NON_STATE
+            day
+            for day, state in zip(commands.day, commands.state)
+            if state is StateClass.NON_STATE
         ]
         changing_stats = daily_box_stats(changing)
         stable_stats = daily_box_stats(stable)

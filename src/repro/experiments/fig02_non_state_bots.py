@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from repro.analysis.classify import DEFAULT_CLASSIFIER
 from repro.analysis.monthly import monthly_groups, overall_shares, top_n_shares
-from repro.analysis.statechange import StateClass, state_class
+from repro.analysis.statechange import StateClass
 from repro.experiments.base import Experiment, register
 
 
@@ -17,12 +16,14 @@ class Fig02NonStateBots(Experiment):
     paper_reference = "Figure 2"
 
     def run(self, dataset):
-        sessions = [
-            s
-            for s in dataset.database.command_sessions()
-            if state_class(s) == StateClass.NON_STATE
-        ]
-        per_month = monthly_groups(sessions, DEFAULT_CLASSIFIER.classify)
+        commands = dataset.table.commands
+        per_month = monthly_groups(
+            (month, label)
+            for month, label, state in zip(
+                commands.month, commands.label, commands.state
+            )
+            if state is StateClass.NON_STATE
+        )
         top3 = top_n_shares(per_month, 3)
         rows = []
         for month in sorted(top3):

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from repro.analysis.classify import DEFAULT_CLASSIFIER
 from repro.analysis.monthly import monthly_groups, overall_shares, top_n_shares
-from repro.analysis.statechange import StateClass, state_class
+from repro.analysis.statechange import StateClass
 from repro.config import PAPER
 from repro.experiments.base import Experiment, register
 from repro.util.timeutils import parse_month
@@ -13,15 +12,15 @@ from repro.util.timeutils import parse_month
 class _StateModBase(Experiment):
     wanted_class: StateClass
 
-    def sessions(self, dataset):
-        return [
-            s
-            for s in dataset.database.command_sessions()
-            if state_class(s) == self.wanted_class
-        ]
-
-    def table(self, sessions):
-        per_month = monthly_groups(sessions, DEFAULT_CLASSIFIER.classify)
+    def table(self, dataset):
+        commands = dataset.table.commands
+        per_month = monthly_groups(
+            (month, label)
+            for month, label, state in zip(
+                commands.month, commands.label, commands.state
+            )
+            if state is self.wanted_class
+        )
         top3 = top_n_shares(per_month, 3)
         rows = []
         for month in sorted(per_month):
@@ -45,8 +44,8 @@ class Fig03aFileModifiers(_StateModBase):
     wanted_class = StateClass.STATE_NO_EXEC
 
     def run(self, dataset):
-        sessions = self.sessions(dataset)
-        per_month, rows = self.table(sessions)
+        per_month, rows = self.table(dataset)
+        total = sum(sum(counter.values()) for counter in per_month.values())
         shares = overall_shares(per_month)
         notes = [
             f"mdrfckr share: {shares.get('mdrfckr', 0.0):.1%} (paper: >90%)",
@@ -54,7 +53,7 @@ class Fig03aFileModifiers(_StateModBase):
             f"{sum(c.get('curl_maxred', 0) for c in per_month.values())} "
             f"(paper: ~{PAPER.curl_maxred_sessions:,} at full scale, "
             "Jan-Apr 2024 only)",
-            f"total: {len(sessions)} (paper {PAPER.state_no_exec_sessions:,} "
+            f"total: {total} (paper {PAPER.state_no_exec_sessions:,} "
             "at full scale)",
         ]
         return self.result(
@@ -72,8 +71,7 @@ class Fig03bFileExec(_StateModBase):
     wanted_class = StateClass.STATE_EXEC
 
     def run(self, dataset):
-        sessions = self.sessions(dataset)
-        per_month, rows = self.table(sessions)
+        per_month, rows = self.table(dataset)
         shares = overall_shares(per_month)
         top3 = sorted(shares.items(), key=lambda kv: -kv[1])[:3]
         bbox_unlabelled_months = sorted(

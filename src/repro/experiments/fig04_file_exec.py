@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from repro.analysis.classify import DEFAULT_CLASSIFIER
 from repro.analysis.monthly import monthly_groups, top_n_shares
-from repro.analysis.statechange import ExecOutcome, exec_outcome
+from repro.analysis.statechange import ExecOutcome
 from repro.config import PAPER
 from repro.experiments.base import Experiment, register
 from repro.util.timeutils import parse_month
@@ -13,15 +12,15 @@ from repro.util.timeutils import parse_month
 class _ExecOutcomeBase(Experiment):
     wanted: ExecOutcome
 
-    def sessions(self, dataset):
-        return [
-            s
-            for s in dataset.database.command_sessions()
-            if exec_outcome(s) == self.wanted
-        ]
-
-    def monthly_table(self, sessions):
-        per_month = monthly_groups(sessions, DEFAULT_CLASSIFIER.classify)
+    def monthly_table(self, dataset):
+        commands = dataset.table.commands
+        per_month = monthly_groups(
+            (month, label)
+            for month, label, outcome in zip(
+                commands.month, commands.label, commands.outcome
+            )
+            if outcome is self.wanted
+        )
         top3 = top_n_shares(per_month, 3)
         rows = []
         for month in sorted(per_month):
@@ -32,7 +31,8 @@ class _ExecOutcomeBase(Experiment):
             while len(cells) < 5:
                 cells.append("-")
             rows.append(cells)
-        return per_month, rows
+        total = sum(sum(counter.values()) for counter in per_month.values())
+        return per_month, rows, total
 
 
 @register
@@ -45,8 +45,7 @@ class Fig04aFileExists(_ExecOutcomeBase):
     wanted = ExecOutcome.FILE_EXISTS
 
     def run(self, dataset):
-        sessions = self.sessions(dataset)
-        per_month, rows = self.monthly_table(sessions)
+        per_month, rows, total = self.monthly_table(dataset)
         early = [m for m in per_month if parse_month(m).year <= 2022]
         late = [m for m in per_month if parse_month(m).year >= 2023]
 
@@ -58,7 +57,7 @@ class Fig04aFileExists(_ExecOutcomeBase):
         early_rate = mean_volume(early)
         late_rate = mean_volume(late)
         notes = [
-            f"total file-exists sessions: {len(sessions)} "
+            f"total file-exists sessions: {total} "
             f"(paper {PAPER.exec_file_exists_sessions:,} at full scale)",
             f"monthly volume collapse: {early_rate:.0f}/mo (2022) → "
             f"{late_rate:.0f}/mo (2023+); paper: >100k/mo → ~5k/mo "
@@ -80,18 +79,13 @@ class Fig04bFileMissing(_ExecOutcomeBase):
     wanted = ExecOutcome.FILE_MISSING
 
     def run(self, dataset):
-        sessions = self.sessions(dataset)
-        per_month, rows = self.monthly_table(sessions)
-        exists_total = len(
-            [
-                s
-                for s in dataset.database.command_sessions()
-                if exec_outcome(s) == ExecOutcome.FILE_EXISTS
-            ]
+        per_month, rows, total = self.monthly_table(dataset)
+        exists_total = dataset.table.commands.outcome.count(
+            ExecOutcome.FILE_EXISTS
         )
-        ratio = len(sessions) / exists_total if exists_total else float("inf")
+        ratio = total / exists_total if exists_total else float("inf")
         notes = [
-            f"total file-missing sessions: {len(sessions)} "
+            f"total file-missing sessions: {total} "
             f"(paper {PAPER.exec_file_missing_sessions:,} at full scale)",
             f"missing:exists ratio {ratio:.1f} (paper "
             f"{PAPER.exec_file_missing_sessions / PAPER.exec_file_exists_sessions:.1f})",

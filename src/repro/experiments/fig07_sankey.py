@@ -6,7 +6,6 @@ from collections import Counter
 
 from repro.analysis.storage import (
     client_storage_flows,
-    download_observations,
     flow_graph,
     heaviest_edge,
     same_ip_fraction,
@@ -24,9 +23,7 @@ class Fig07Sankey(Experiment):
 
     def run(self, dataset):
         headers = ["client AS type", "storage AS type", "flow", "observations"]
-        observations = download_observations(
-            dataset.database.command_sessions()
-        )
+        observations = dataset.download_observations()
         flows = client_storage_flows(observations, dataset.whois)
         if not flows:
             return self.result(

@@ -7,7 +7,6 @@ from collections import Counter
 from repro.analysis.storage import (
     AGE_BUCKETS,
     SIZE_BUCKETS,
-    download_observations,
     infrastructure_observations,
     monthly_age_buckets,
     monthly_size_buckets,
@@ -27,7 +26,7 @@ class Fig08aAsAge(Experiment):
 
     def run(self, dataset):
         observations = infrastructure_observations(
-            download_observations(dataset.database.command_sessions())
+            dataset.download_observations()
         )
         per_month = monthly_age_buckets(observations, dataset.whois)
         rows = []
@@ -65,7 +64,7 @@ class Fig08bAsSize(Experiment):
 
     def run(self, dataset):
         observations = infrastructure_observations(
-            download_observations(dataset.database.command_sessions())
+            dataset.download_observations()
         )
         per_month = monthly_size_buckets(observations, dataset.whois)
         rows = []

@@ -6,7 +6,6 @@ from collections import Counter
 
 from repro.analysis.storage import (
     DURATION_CLASSES,
-    download_observations,
     infrastructure_observations,
     reappearance_after,
     recall_distribution,
@@ -32,7 +31,7 @@ class Fig09StorageActivity(Experiment):
 
     def run(self, dataset):
         observations = infrastructure_observations(
-            download_observations(dataset.database.command_sessions())
+            dataset.download_observations()
         )
         rows = []
         summaries: dict[str, Counter] = {}

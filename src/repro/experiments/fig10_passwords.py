@@ -7,7 +7,7 @@ import numpy as np
 from repro.analysis.logins import (
     FIGURE10_PASSWORDS,
     monthly_password_counts,
-    sessions_with_password,
+    rows_with_password,
     top_passwords,
 )
 from repro.config import PAPER
@@ -36,9 +36,8 @@ class Fig10Passwords(Experiment):
     paper_reference = "Figure 10"
 
     def run(self, dataset):
-        ssh = dataset.database.ssh_sessions()
-        logged_in = [s for s in ssh if s.login_succeeded]
-        per_month = monthly_password_counts(logged_in)
+        ssh = dataset.table.ssh
+        per_month = monthly_password_counts(ssh.month, ssh.login)
         rows = []
         for month in sorted(per_month):
             counter = per_month[month]
@@ -46,8 +45,11 @@ class Fig10Passwords(Experiment):
                 [month]
                 + [counter.get(pw, 0) for pw in FIGURE10_PASSWORDS]
             )
-        overall = top_passwords(logged_in, 5)
-        campaign = sessions_with_password(logged_in, "3245gs5662d34")
+        overall = top_passwords(ssh.login, 5)
+        campaign = [
+            ssh.sessions[row]
+            for row in rows_with_password(ssh.login, "3245gs5662d34")
+        ]
         campaign_first = (
             from_epoch(min(s.start for s in campaign)).isoformat()
             if campaign

@@ -16,7 +16,7 @@ class Fig11CowrieDefaults(Experiment):
     paper_reference = "Figure 11"
 
     def run(self, dataset):
-        ssh = dataset.database.ssh_sessions()
+        ssh = dataset.table.ssh
         phil = default_account_stats(ssh, "phil", dataset.whois)
         richard = default_account_stats(ssh, "richard", dataset.whois)
         months = sorted(set(phil.monthly) | set(richard.monthly))

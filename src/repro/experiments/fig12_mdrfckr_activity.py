@@ -27,8 +27,9 @@ class Fig12MdrfckrActivity(Experiment):
     paper_reference = "Figure 12 + section 10"
 
     def run(self, dataset):
-        sessions = mdrfckr_sessions(dataset.database.command_sessions())
-        activity = daily_activity(sessions)
+        mdrfckr = mdrfckr_sessions(dataset.table.commands)
+        sessions = mdrfckr.sessions
+        activity = daily_activity(mdrfckr)
         monthly: dict[str, list[tuple[int, int]]] = {}
         for day, (count, ips) in activity.items():
             monthly.setdefault(month_key(day), []).append((count, ips))
@@ -44,7 +45,7 @@ class Fig12MdrfckrActivity(Experiment):
         per_day = {day: count for day, (count, _) in activity.items()}
         windows = detect_low_activity_windows(per_day)
         correlation = correlate_events(windows)
-        decoded = decode_base64_uploads(sessions)
+        decoded = decode_base64_uploads(mdrfckr)
         uploader_ips = base64_uploader_ips(decoded)
         kinds = sorted({script.kind for script in decoded})
         c2 = c2_ips_from_cleanups(decoded)

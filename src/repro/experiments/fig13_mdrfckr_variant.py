@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis.logins import sessions_with_password
+from repro.analysis.logins import rows_with_password
 from repro.analysis.mdrfckr_case import (
     CAMPAIGN_PASSWORD,
     ip_overlap_with_campaign,
@@ -10,6 +10,7 @@ from repro.analysis.mdrfckr_case import (
     split_variants,
 )
 from repro.analysis.monthly import monthly_counts
+from repro.analysis.table import take
 from repro.config import PAPER
 from repro.experiments.base import Experiment, register
 
@@ -23,15 +24,13 @@ class Fig13MdrfckrVariant(Experiment):
     paper_reference = "Figure 13"
 
     def run(self, dataset):
-        ssh = dataset.database.ssh_sessions()
-        mdrfckr = mdrfckr_sessions(dataset.database.command_sessions())
+        ssh = dataset.table.ssh
+        mdrfckr = mdrfckr_sessions(dataset.table.commands)
         initial, variant = split_variants(mdrfckr)
-        campaign = sessions_with_password(
-            [s for s in ssh if s.login_succeeded], CAMPAIGN_PASSWORD
-        )
-        initial_monthly = monthly_counts(initial)
-        variant_monthly = monthly_counts(variant)
-        campaign_monthly = monthly_counts(campaign)
+        campaign = take(ssh, rows_with_password(ssh.login, CAMPAIGN_PASSWORD))
+        initial_monthly = monthly_counts(initial.month)
+        variant_monthly = monthly_counts(variant.month)
+        campaign_monthly = monthly_counts(campaign.month)
         months = sorted(
             set(initial_monthly) | set(variant_monthly) | set(campaign_monthly)
         )
@@ -46,7 +45,7 @@ class Fig13MdrfckrVariant(Experiment):
         ]
         variant_months = sorted(variant_monthly)
         campaign_months = sorted(campaign_monthly)
-        overlap = ip_overlap_with_campaign(mdrfckr, ssh)
+        overlap = ip_overlap_with_campaign(mdrfckr.sessions, campaign.sessions)
         active_ratio_months = [
             m
             for m in months

@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.classify import DEFAULT_CLASSIFIER
-from repro.analysis.distance import (
-    distance_matrix,
-    sample_sessions,
-    session_tokens,
-)
+from repro.analysis.distance import distance_matrix, sample_rows, session_tokens
 from repro.experiments.base import Experiment, register
 
 #: Scout categories the paper shows as a separate (top-left) block.
@@ -29,14 +24,12 @@ class Fig14CategoryDld(Experiment):
     paper_reference = "Figure 14 (appendix B)"
 
     def run(self, dataset):
-        sessions = sample_sessions(
-            dataset.database.command_sessions(), 1500, seed=dataset.config.seed
-        )
+        commands = dataset.table.commands
         by_category: dict[str, list] = {}
-        for session in sessions:
-            by_category.setdefault(
-                DEFAULT_CLASSIFIER.classify(session), []
-            ).append(session)
+        for row in sample_rows(len(commands), 1500, seed=dataset.config.seed):
+            by_category.setdefault(commands.label[row], []).append(
+                commands.sessions[row]
+            )
         # one mean token sequence sample per category (up to 3 exemplars)
         exemplars: dict[str, list[list[str]]] = {}
         for category, members in by_category.items():

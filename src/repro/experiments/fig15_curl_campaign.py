@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.analysis.classify import DEFAULT_CLASSIFIER
 from repro.analysis.monthly import monthly_counts
 from repro.analysis.storage import uri_host
+from repro.analysis.table import take
 from repro.config import PAPER
 from repro.experiments.base import Experiment, register
 
@@ -20,11 +20,16 @@ class Fig15CurlCampaign(Experiment):
     paper_reference = "Figure 15 + appendix C"
 
     def run(self, dataset):
-        sessions = [
-            s
-            for s in dataset.database.command_sessions()
-            if DEFAULT_CLASSIFIER.classify(s) == "curl_maxred"
-        ]
+        commands = dataset.table.commands
+        campaign = take(
+            commands,
+            (
+                row
+                for row, label in enumerate(commands.label)
+                if label == "curl_maxred"
+            ),
+        )
+        sessions = campaign.sessions
         request_count = sum(
             sum(1 for c in s.commands if c.raw.startswith("curl ")) for s in sessions
         )
@@ -46,7 +51,7 @@ class Fig15CurlCampaign(Experiment):
                     methods["GET"] += 1
                 elif "-X POST" in command.raw:
                     methods["POST"] += 1
-        per_month = monthly_counts(sessions)
+        per_month = monthly_counts(campaign.month)
         rows = [
             [month, per_month[month]] for month in sorted(per_month)
         ]

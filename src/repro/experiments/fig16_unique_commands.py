@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from repro.analysis.monthly import session_month
-from repro.analysis.statechange import ExecOutcome, exec_outcome
+from repro.analysis.statechange import ExecOutcome
 from repro.experiments.base import Experiment, register
 
 
@@ -20,8 +19,10 @@ class Fig16UniqueCommands(Experiment):
     def run(self, dataset):
         unique_exists: dict[str, set[str]] = defaultdict(set)
         unique_missing: dict[str, set[str]] = defaultdict(set)
-        for session in dataset.database.command_sessions():
-            outcome = exec_outcome(session)
+        commands = dataset.table.commands
+        for session, month, outcome in zip(
+            commands.sessions, commands.month, commands.outcome
+        ):
             if outcome is None:
                 continue
             bucket = (
@@ -29,7 +30,7 @@ class Fig16UniqueCommands(Experiment):
                 if outcome == ExecOutcome.FILE_EXISTS
                 else unique_missing
             )
-            bucket[session_month(session)].add(session.command_text)
+            bucket[month].add(session.command_text)
         months = sorted(set(unique_exists) | set(unique_missing))
         rows = [
             [

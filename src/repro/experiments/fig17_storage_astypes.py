@@ -5,7 +5,6 @@ from __future__ import annotations
 from collections import Counter
 
 from repro.analysis.storage import (
-    download_observations,
     infrastructure_observations,
     monthly_as_types,
 )
@@ -24,7 +23,7 @@ class Fig17StorageAsTypes(Experiment):
 
     def run(self, dataset):
         observations = infrastructure_observations(
-            download_observations(dataset.database.command_sessions())
+            dataset.download_observations()
         )
         per_month = monthly_as_types(observations, dataset.whois)
         rows = []

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro.analysis.classify import DEFAULT_CLASSIFIER
+from collections import Counter
+
+from repro.analysis.classify import label_coverage
 from repro.analysis.regexrules import RULES, UNKNOWN_CATEGORY
 from repro.config import PAPER
 from repro.experiments.base import Experiment, register
@@ -17,8 +19,8 @@ class Table1Regex(Experiment):
     paper_reference = "Table 1 + section 5"
 
     def run(self, dataset):
-        commands = dataset.database.command_sessions()
-        counts = DEFAULT_CLASSIFIER.counts(commands)
+        labels = dataset.table.commands.label
+        counts = Counter(labels)
         rows = [
             [rule.name, rule.pattern.pattern, counts.get(rule.name, 0)]
             for rule in RULES
@@ -26,14 +28,14 @@ class Table1Regex(Experiment):
         rows.append(
             [UNKNOWN_CATEGORY, "(fallback)", counts.get(UNKNOWN_CATEGORY, 0)]
         )
-        coverage = DEFAULT_CLASSIFIER.coverage(commands)
+        coverage = label_coverage(labels)
         matched_categories = sum(
             1 for rule in RULES if counts.get(rule.name, 0) > 0
         )
         notes = [
             f"rule count: {len(RULES)} regex + 1 fallback = "
             f"{len(RULES) + 1} (paper: {PAPER.regex_categories})",
-            f"coverage: {coverage:.2%} of {len(commands)} command sessions "
+            f"coverage: {coverage:.2%} of {len(labels)} command sessions "
             "matched a rule (paper: >99% of 162M)",
             f"categories with traffic in this run: {matched_categories}",
         ]

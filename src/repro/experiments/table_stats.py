@@ -19,8 +19,9 @@ class DatasetStats(Experiment):
     def run(self, dataset):
         db = dataset.database
         total = len(db)
-        ssh = db.ssh_sessions()
-        counts = category_counts(ssh)
+        ssh_rows = dataset.table.ssh
+        ssh = ssh_rows.sessions
+        counts = category_counts(ssh, ssh_rows.login)
         scale = dataset.config.scale
         rows = [
             ["total sessions", total, PAPER.total_sessions,

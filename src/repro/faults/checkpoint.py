@@ -20,7 +20,12 @@ Since format version 2 the checkpoint is also *self-verifying* and
 * every serialized session record carries a content checksum, and every
   top-level section (counters, honeypot counters, sessions, dead
   letters) carries a section checksum — a bit-flip that still parses as
-  JSON is detected, not resumed from;
+  JSON is detected, not resumed from.  Since version 3 the header
+  (``v``, ``fingerprint``, ``next_day``) is sealed too, under
+  ``checksums["header"]`` and checked before the sections: a flipped
+  ``next_day`` would otherwise resume a day the run already holds, and
+  a flipped fingerprint is a damaged generation to skip, not a foreign
+  configuration;
 * each save rotates the previous generations (``run.ckpt`` →
   ``run.ckpt.1`` → ``run.ckpt.2``, keeping :data:`CHECKPOINT_GENERATIONS`
   files), and :func:`load_latest_checkpoint` resumes from the newest
@@ -53,8 +58,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.honeynet.collector import Collector
     from repro.honeynet.deployment import Honeynet
 
-#: Format version written into every checkpoint.
-CHECKPOINT_VERSION = 2
+#: Format version written into every checkpoint.  Version 3 seals the
+#: header; older files are rejected as ``unsupported-version``.
+CHECKPOINT_VERSION = 3
 
 #: How many checkpoint generations are kept on disk (newest first:
 #: ``path``, ``path.1``, ``path.2``).
@@ -79,14 +85,18 @@ _OVERLOAD_COUNTER_KEYS = ("admitted", "shed", "deferred")
 #: Document sections covered by per-section checksums.
 _SECTIONS = ("honeypot_counters", "counters", "sessions", "dead_letters")
 
+#: Top-level fields sealed together under ``checksums["header"]``.
+_HEADER = ("v", "fingerprint", "next_day")
+
 
 class CheckpointError(ValueError):
     """Raised for malformed, incompatible or mismatched checkpoints.
 
     Carries the offending ``path`` and a stable ``reason`` slug
-    (``unreadable``, ``unsupported-version``, ``section-checksum``,
-    ``config-mismatch``, ``malformed``) so recovery code can tell a
-    corrupt generation (skippable) from a config mismatch (fatal).
+    (``unreadable``, ``unsupported-version``, ``header-checksum``,
+    ``section-checksum``, ``config-mismatch``, ``malformed``) so
+    recovery code can tell a corrupt generation (skippable) from a
+    config mismatch (fatal).
     """
 
     def __init__(
@@ -212,13 +222,19 @@ def save_checkpoint(
     }
     if stream_state is not None:
         sections["stream"] = stream_state
-    document = {
+    header = {
         "v": CHECKPOINT_VERSION,
         "fingerprint": config_fingerprint(config),
         "next_day": next_day.isoformat(),
+    }
+    document = {
+        **header,
         "checksums": {
-            name: section_checksum(section)
-            for name, section in sections.items()
+            "header": section_checksum(header),
+            **{
+                name: section_checksum(section)
+                for name, section in sections.items()
+            },
         },
         **sections,
     }
@@ -264,6 +280,14 @@ def _validate_document(document: dict, path: Path | str) -> None:
             f"malformed checkpoint: missing section checksums in {path}",
             path=path,
             reason="malformed",
+        )
+    header = {name: document.get(name) for name in _HEADER}
+    if section_checksum(header) != checksums.get("header"):
+        raise CheckpointError(
+            f"checkpoint header (v, fingerprint, next_day) failed its "
+            f"checksum in {path}",
+            path=path,
+            reason="header-checksum",
         )
     for name in _SECTIONS:
         if name not in document:

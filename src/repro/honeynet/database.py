@@ -115,12 +115,6 @@ class SessionDatabase:
         """Generic filtered view over SSH sessions."""
         return [s for s in self.ssh_sessions() if predicate(s)]
 
-    def with_downloads(self) -> list[SessionRecord]:
-        """Sessions in which a file was actually loaded (hash recorded)."""
-        return [
-            s for s in self.command_sessions() if s.download_hashes()
-        ]
-
     def digest(self) -> str:
         """SHA-256 over the canonical JSON of every stored session.
 

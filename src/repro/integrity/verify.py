@@ -41,6 +41,14 @@ if TYPE_CHECKING:  # pragma: no cover - imported lazily, see the module note
 #: Trailing generation suffix of rotated checkpoint files (``.1``, ``.2``).
 _GENERATION_SUFFIX = re.compile(r"\.(\d+)$")
 
+#: The first bytes of every checkpoint generation: the writer puts
+#: ``v`` and ``fingerprint`` first.  (A shard line starts with ``v`` and
+#: ``session_id``; a ``verify --json`` report with ``findings``.)
+_CHECKPOINT_HEAD = re.compile(rb'\{"v": \d+, "fingerprint": "')
+
+#: Bytes read from a file to recognise a checkpoint generation.
+_SNIFF_BYTES = 64
+
 #: Version of the audit report schema (``repro verify --json``).  Bumped
 #: whenever the JSON shape changes incompatibly, so downstream tooling
 #: can evolve against a stable field instead of sniffing keys.
@@ -95,8 +103,11 @@ class IntegrityAudit:
         """True when everything *except* index artifacts is explained.
 
         An audit with ``data_ok and index_damaged`` found only derived
-        damage: the ground truth is intact, consumers degrade to the
-        scan path, and ``--rebuild-index`` restores a clean audit.
+        damage: the ground truth is intact and ``--rebuild-index``
+        restores a clean audit.  Until then consumers fall back to the
+        shard scan only where ``SqliteStore.open`` refuses the index; an
+        index that opens keeps answering (each index finding says
+        which).
         """
         return all(
             f.explained for f in self.findings if f.kind != "index"
@@ -157,14 +168,28 @@ class IntegrityAudit:
         )
 
 
-def _checkpoint_base(path: Path) -> Path | None:
-    """The generation-group base for a checkpoint file, if it is one."""
-    name = path.name
-    match = _GENERATION_SUFFIX.search(name)
-    stem = name[: match.start()] if match else name
-    if ".ckpt" in stem or stem.startswith("ckpt"):
-        return path.with_name(stem)
-    return None
+def _generation_base(path: Path) -> Path:
+    """``path`` without its generation suffix (``ck.json.2`` → ``ck.json``)."""
+    match = _GENERATION_SUFFIX.search(path.name)
+    return path.with_name(path.name[: match.start()]) if match else path
+
+
+def _is_checkpoint(path: Path) -> bool:
+    """Is ``path`` a checkpoint generation, by its name or its first bytes?
+
+    ``--checkpoint`` takes any name, so the name rule (``*.ckpt*``,
+    ``ckpt*``) only covers the conventional ones; the rest are
+    recognised by the writer's fixed first bytes.
+    """
+    name = _generation_base(path).name
+    if ".ckpt" in name or name.startswith("ckpt"):
+        return True
+    try:
+        with path.open("rb") as handle:
+            head = handle.read(_SNIFF_BYTES)
+    except OSError:
+        return False
+    return _CHECKPOINT_HEAD.match(head) is not None
 
 
 def _generation_rank(path: Path) -> int:
@@ -212,13 +237,30 @@ def audit_tree(
             return error
 
     audit = IntegrityAudit(root=str(root))
-    files = sorted(p for p in root.rglob("*") if p.is_file()) if root.is_dir() else [root]
+    files = [
+        path
+        for path in (
+            sorted(p for p in root.rglob("*") if p.is_file())
+            if root.is_dir()
+            else [root]
+        )
+        # the quarantine store is audited separately below
+        if QUARANTINE_DIR_NAME not in path.relative_to(base).parts[:-1]
+    ]
+    # A generation group is every file whose base some recognised
+    # generation shares, so a head file damaged past recognition still
+    # joins its group through its ``.1``/``.2`` siblings.
+    checkpoint_bases = {
+        _generation_base(path)
+        for path in files
+        if not path.name.endswith(".tmp")
+        and not is_manifest(path)
+        and _is_checkpoint(path)
+    }
 
     checkpoint_groups: dict[Path, list[Path]] = {}
     for path in files:
         relative = str(path.relative_to(base))
-        if QUARANTINE_DIR_NAME in path.relative_to(base).parts[:-1]:
-            continue  # the store is audited separately below
         if path.name.endswith(".tmp"):
             audit.findings.append(
                 Finding(
@@ -242,8 +284,8 @@ def audit_tree(
                     )
                 )
             continue
-        checkpoint_base = _checkpoint_base(path)
-        if checkpoint_base is not None:
+        checkpoint_base = _generation_base(path)
+        if checkpoint_base in checkpoint_bases:
             checkpoint_groups.setdefault(checkpoint_base, []).append(path)
             continue
         if path.suffix == ".jsonl":
@@ -390,8 +432,12 @@ def _audit_index(
       shard damage is the explained discrepancy);
     * ``failed`` — the index is unopenable, desynced (rows missing or
       differing in any field), carries foreign rows, or self-inconsistent
-      meta.  Repairable with ``repro verify --rebuild-index``; until then,
-      consumers answer via the shard-scan fallback.
+      meta.  Repairable with ``repro verify --rebuild-index``.  Each
+      finding's hint says what consumers do until then, as
+      :class:`~repro.store.ResilientArtifactStore` does it: fall back to
+      the shard scan when ``SqliteStore.open`` refuses the index (or a
+      read of it fails), keep answering from it when it opens.  Vetting
+      row content at open would cost a full scan per open.
     """
     # Lazy: repro.store composes analysis/honeynet, which sit above us.
     from repro.store.builder import merge_shards, shard_paths
@@ -399,6 +445,11 @@ def _audit_index(
 
     repair_hint = (
         "consumers fall back to shard scan; repair with --rebuild-index"
+    )
+    # Damage SqliteStore.open does not vet: the index still serves.
+    serving_hint = (
+        "the index still opens, so consumers keep answering from it; "
+        "repair with --rebuild-index"
     )
     try:
         store = SqliteStore.open(path)
@@ -448,7 +499,7 @@ def _audit_index(
                 "failed",
                 f"index desynced from shards ({missing} rows missing, "
                 f"{mismatched} content-mismatched of {len(expected)} "
-                f"expected) — {repair_hint}",
+                f"expected) — {serving_hint}",
             )
         )
         return
@@ -471,7 +522,7 @@ def _audit_index(
                 "index",
                 "failed",
                 f"{extra} foreign index rows with no shard record and "
-                f"only {lost} shard losses to explain them — {repair_hint}",
+                f"only {lost} shard losses to explain them — {serving_hint}",
             )
         )
         return
@@ -494,7 +545,7 @@ def _audit_index(
                     "index",
                     "failed",
                     "index content digest does not match the shard "
-                    f"ground truth (stale or foreign index) — {repair_hint}",
+                    f"ground truth (stale or foreign index) — {serving_hint}",
                 )
             )
             return

@@ -52,20 +52,20 @@ FAIL = LoginAttempt("root", "root", False)
 
 class TestCategories:
     def test_scanning(self):
-        assert categorize(session()) == SessionCategory.SCANNING
+        assert categorize(session(), None) == SessionCategory.SCANNING
 
     def test_scouting(self):
-        assert categorize(session(logins=[FAIL])) == SessionCategory.SCOUTING
+        assert categorize(session(logins=[FAIL]), None) == SessionCategory.SCOUTING
 
     def test_intrusion(self):
-        assert categorize(session(logins=[FAIL, OK])) == SessionCategory.INTRUSION
+        assert categorize(session(logins=[FAIL, OK]), OK) == SessionCategory.INTRUSION
 
     def test_command_execution(self):
         record = session(logins=[OK], commands=["uname -a"])
-        assert categorize(record) == SessionCategory.COMMAND_EXECUTION
+        assert categorize(record, OK) == SessionCategory.COMMAND_EXECUTION
 
     def test_counts(self):
-        counts = category_counts([session(), session(logins=[OK])])
+        counts = category_counts([session(), session(logins=[OK])], [None, OK])
         assert counts[SessionCategory.SCANNING] == 1
         assert counts[SessionCategory.INTRUSION] == 1
 

@@ -8,7 +8,6 @@ import pytest
 
 from repro.analysis.clients import (
     banner_distribution,
-    banners_by_category,
     gini_coefficient,
     sensor_coverage,
 )
@@ -55,11 +54,6 @@ class TestBanners:
 
     def test_none_skipped(self):
         assert banner_distribution([session("a", None)]) == Counter()
-
-    def test_by_category(self):
-        sessions = [session("a"), session("b", "SSH-2.0-PUTTY")]
-        grouped = banners_by_category(sessions, lambda s: s.honeypot_id)
-        assert grouped["a"]["SSH-2.0-Go"] == 1
 
 
 class TestSensorCoverage:

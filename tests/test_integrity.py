@@ -23,6 +23,7 @@ import pytest
 from repro.attackers.orchestrator import run_simulation
 from repro.config import SimulationConfig
 from repro.faults.checkpoint import (
+    CheckpointError,
     checkpoint_generations,
     load_checkpoint,
     load_latest_checkpoint,
@@ -460,6 +461,41 @@ class TestCheckpointGenerations:
         assert checkpoint.next_day == date(2023, 10, 2)
         assert len(rejected) == 1 and "unreadable" in rejected[0]
 
+    def test_rewritten_next_day_fails_header_checksum(self, tmp_path):
+        path, config = self.saved(tmp_path, times=3)
+        document = json.loads(path.read_text())
+        assert document["next_day"] == "2023-10-03"
+        document["next_day"] = "2023-10-02"  # would re-simulate a held day
+        path.write_text(json.dumps(document))
+        checkpoint, rejected = load_latest_checkpoint(path, config)
+        assert checkpoint is not None
+        assert checkpoint.next_day == date(2023, 10, 2)  # from run.ckpt.1
+        assert len(rejected) == 1 and "header" in rejected[0]
+        assert "checksum" in rejected[0]
+        statuses = {f.path: f.status for f in audit_tree(tmp_path).findings}
+        assert statuses["run.ckpt"] == "recovered"
+        assert statuses["run.ckpt.1"] == "ok"
+
+    def test_rewritten_fingerprint_is_skipped_not_fatal(self, tmp_path):
+        path, config = self.saved(tmp_path, times=2)
+        document = json.loads(path.read_text())
+        document["fingerprint"] = "0" * len(document["fingerprint"])
+        path.write_text(json.dumps(document))
+        checkpoint, rejected = load_latest_checkpoint(path, config)
+        assert checkpoint is not None
+        assert checkpoint.next_day == date(2023, 10, 1)
+        assert len(rejected) == 1 and "header" in rejected[0]
+
+    def test_version_2_files_are_unsupported(self, tmp_path):
+        path, config = self.saved(tmp_path, times=1)
+        document = json.loads(path.read_text())
+        document["v"] = 2
+        del document["checksums"]["header"]
+        path.write_text(json.dumps(document))
+        with pytest.raises(CheckpointError) as caught:
+            load_checkpoint(path, config)
+        assert caught.value.reason == "unsupported-version"
+
     def test_bitflip_fails_section_checksum(self, tmp_path):
         path, config = self.saved(tmp_path, times=2)
         document = json.loads(path.read_text())
@@ -592,6 +628,30 @@ class TestVerify:
         for generation in checkpoint_generations(path):
             generation.write_text("garbage")
         assert not audit_tree(tmp_path).ok
+
+    def test_checkpoints_found_whatever_their_name(self, tmp_path):
+        config = SimulationConfig(seed=33, scale=1e-4, **SHORT_WINDOW)
+        result = run_simulation(config)
+        path = tmp_path / "work" / "ck.json"
+        for offset in range(3):
+            save_checkpoint(
+                path, config, date(2023, 10, 1 + offset),
+                result.honeynet, result.collector,
+            )
+        report = audit_tree(tmp_path)
+        (tmp_path / "work" / "audit.json").write_text(report.to_json())
+        kinds = {f.path: f.kind for f in audit_tree(tmp_path).findings}
+        assert kinds == {
+            "work/ck.json": "checkpoint",
+            "work/ck.json.1": "checkpoint",
+            "work/ck.json.2": "checkpoint",
+        }
+        path.write_text("garbage")  # the head joins through its siblings
+        audit = audit_tree(tmp_path)
+        assert audit.ok
+        statuses = {f.path: f.status for f in audit.findings}
+        assert statuses["work/ck.json"] == "recovered"
+        assert statuses["work/ck.json.1"] == "ok"
 
     def test_leftover_tmp_is_flagged_not_fatal(self, tmp_path):
         self.make_tree(tmp_path)

@@ -8,10 +8,11 @@ from repro.analysis.logins import (
     FIGURE10_PASSWORDS,
     default_account_stats,
     monthly_password_counts,
-    sessions_with_password,
-    successful_login_password,
+    rows_with_password,
     top_passwords,
 )
+from repro.analysis.table import build_session_table
+from repro.honeynet.database import SessionDatabase
 from repro.honeypot.session import (
     CommandRecord,
     LoginAttempt,
@@ -42,39 +43,53 @@ def session(
     )
 
 
+def ssh_rows(records):
+    """The session table's SSH rows over ``records``."""
+    return build_session_table(SessionDatabase(records)).ssh
+
+
 class TestPasswordCounts:
     def test_successful_password_extracted(self):
         record = session(
             [LoginAttempt("root", "bad", False), LoginAttempt("root", "good", True)]
         )
-        assert successful_login_password(record) == "good"
+        assert ssh_rows([record]).login[0].password == "good"
 
     def test_failed_session_none(self):
         record = session([LoginAttempt("root", "root", False)])
-        assert successful_login_password(record) is None
+        assert ssh_rows([record]).login == [None]
 
     def test_monthly_counts(self):
-        sessions = [
-            session([LoginAttempt("root", "1234", True)], date(2023, 1, 5)),
-            session([LoginAttempt("root", "1234", True)], date(2023, 1, 6)),
-            session([LoginAttempt("root", "admin", True)], date(2023, 2, 5)),
-        ]
-        counts = monthly_password_counts(sessions)
+        rows = ssh_rows(
+            [
+                session([LoginAttempt("root", "1234", True)], date(2023, 1, 5)),
+                session([LoginAttempt("root", "1234", True)], date(2023, 1, 6)),
+                session([LoginAttempt("root", "admin", True)], date(2023, 2, 5)),
+                session([LoginAttempt("root", "1234", False)], date(2023, 2, 6)),
+            ]
+        )
+        counts = monthly_password_counts(rows.month, rows.login)
         assert counts["2023-01"]["1234"] == 2
-        assert counts["2023-02"]["admin"] == 1
+        assert counts["2023-02"] == {"admin": 1}
 
     def test_top_passwords(self):
-        sessions = [
-            session([LoginAttempt("root", "a", True)]),
-            session([LoginAttempt("root", "a", True)], date(2023, 1, 11)),
-            session([LoginAttempt("root", "b", True)], date(2023, 1, 12)),
-        ]
-        assert top_passwords(sessions, 1) == [("a", 2)]
+        rows = ssh_rows(
+            [
+                session([LoginAttempt("root", "a", True)]),
+                session([LoginAttempt("root", "a", True)], date(2023, 1, 11)),
+                session([LoginAttempt("root", "b", True)], date(2023, 1, 12)),
+            ]
+        )
+        assert top_passwords(rows.login, 1) == [("a", 2)]
 
     def test_sessions_with_password(self):
         match = session([LoginAttempt("root", "3245gs5662d34", True)])
         other = session([LoginAttempt("root", "x", True)], date(2023, 1, 11))
-        assert sessions_with_password([match, other], "3245gs5662d34") == [match]
+        rows = ssh_rows([match, other])
+        assert [
+            rows.sessions[row]
+            for row in rows_with_password(rows.login, "3245gs5662d34")
+        ] == [match]
 
     def test_figure10_password_list(self):
         assert "3245gs5662d34" in FIGURE10_PASSWORDS
@@ -83,7 +98,7 @@ class TestPasswordCounts:
 
 class TestDefaultAccountStats:
     def test_stats(self, dataset):
-        ssh = dataset.database.ssh_sessions()
+        ssh = dataset.table.ssh
         phil = default_account_stats(ssh, "phil", dataset.whois)
         assert phil.sessions > 0
         assert phil.successes == phil.sessions  # phil always accepted
@@ -92,7 +107,7 @@ class TestDefaultAccountStats:
         assert phil.unique_ases > 3
 
     def test_richard_never_succeeds(self, dataset):
-        ssh = dataset.database.ssh_sessions()
+        ssh = dataset.table.ssh
         richard = default_account_stats(ssh, "richard", dataset.whois)
         assert richard.sessions > 0
         assert richard.successes == 0
@@ -100,6 +115,6 @@ class TestDefaultAccountStats:
 
     def test_unknown_username_empty(self, dataset):
         stats = default_account_stats(
-            dataset.database.ssh_sessions(), "nosuchuser", dataset.whois
+            dataset.table.ssh, "nosuchuser", dataset.whois
         )
         assert stats.sessions == 0

@@ -16,7 +16,9 @@ from repro.analysis.mdrfckr_case import (
     mdrfckr_sessions,
     split_variants,
 )
+from repro.analysis.table import build_session_table
 from repro.events import DOCUMENTED_EVENTS, event_windows
+from repro.honeynet.database import SessionDatabase
 from repro.honeypot.session import (
     CommandRecord,
     LoginAttempt,
@@ -40,6 +42,11 @@ def session(commands: tuple[str, ...], when=date(2022, 5, 1)) -> SessionRecord:
         logins=[LoginAttempt("root", "x", True)],
         commands=[CommandRecord(raw=c, known=True) for c in commands],
     )
+
+
+def command_rows(records):
+    """The session table's command rows over ``records``."""
+    return build_session_table(SessionDatabase(records)).commands
 
 
 class TestEvents:
@@ -69,13 +76,14 @@ class TestVariantSplit:
     def test_split(self):
         initial = session(('echo "root:x"|chpasswd',))
         variant = session(('echo "" > /etc/hosts.deny',))
-        a, b = split_variants([initial, variant])
-        assert a == [initial] and b == [variant]
+        a, b = split_variants(command_rows([initial, variant]))
+        assert a.sessions == [initial] and b.sessions == [variant]
 
     def test_selection_by_category(self, dataset):
-        selected = mdrfckr_sessions(dataset.database.command_sessions())
-        assert selected
-        assert all("mdrfckr" in s.command_text for s in selected)
+        selected = mdrfckr_sessions(dataset.table.commands)
+        assert selected.sessions
+        assert all("mdrfckr" in s.command_text for s in selected.sessions)
+        assert set(selected.label) == {"mdrfckr"}
 
 
 class TestBase64Decoding:
@@ -89,21 +97,21 @@ class TestBase64Decoding:
         body = "#!/bin/sh\n# cleanup\npkill -9 -f 5.5.5.5\npkill -9 -f 6.6.6.6\n"
         blob = base64.b64encode(body.encode()).decode()
         record = session((f"echo {blob} | base64 -d | bash",))
-        decoded = decode_base64_uploads([record])
+        decoded = decode_base64_uploads(command_rows([record]))
         assert len(decoded) == 1
+        assert decoded[0].day == date(2022, 5, 1)
         assert decoded[0].kind == "cleanup"
         assert decoded[0].c2_ips == ("5.5.5.5", "6.6.6.6")
         assert c2_ips_from_cleanups(decoded) == {"5.5.5.5", "6.6.6.6"}
 
     def test_invalid_base64_skipped(self):
         record = session(("echo ZZZZ%%%%ZZZZZZZZZZZZZZZZZZZZZZZZ | base64 -d | bash",))
-        assert decode_base64_uploads([record]) == []
+        assert decode_base64_uploads(command_rows([record])) == []
 
     def test_dataset_c2_matches_ground_truth(self, dataset):
         from repro.attackers.bots.mdrfckr import C2_INFRASTRUCTURE
 
-        selected = mdrfckr_sessions(dataset.database.command_sessions())
-        decoded = decode_base64_uploads(selected)
+        decoded = decode_base64_uploads(mdrfckr_sessions(dataset.table.commands))
         c2 = c2_ips_from_cleanups(decoded)
         assert c2 == {ip for ip, _ in C2_INFRASTRUCTURE}
 

@@ -13,41 +13,24 @@ from repro.analysis.monthly import (
     overall_shares,
     top_n_shares,
 )
-from repro.honeypot.session import Protocol, SessionRecord
-from repro.util.timeutils import to_epoch
-
-
-def session(when: date, second: float = 0.0, label: str = "a") -> SessionRecord:
-    return SessionRecord(
-        session_id=f"{when}-{second}-{label}",
-        honeypot_id="hp",
-        honeypot_ip="192.0.2.1",
-        honeypot_port=22,
-        protocol=Protocol.SSH,
-        client_ip="1.1.1.1",
-        client_port=1,
-        start=to_epoch(when, second),
-        end=to_epoch(when, second) + 1,
-        bot_label=label,
-    )
 
 
 class TestCounts:
     def test_monthly_counts(self):
-        sessions = [session(date(2022, 1, 1)), session(date(2022, 1, 2)), session(date(2022, 2, 1))]
-        assert monthly_counts(sessions) == {"2022-01": 2, "2022-02": 1}
+        assert monthly_counts(["2022-01", "2022-01", "2022-02"]) == {
+            "2022-01": 2,
+            "2022-02": 1,
+        }
 
     def test_daily_counts(self):
-        sessions = [session(date(2022, 1, 1)), session(date(2022, 1, 1), 60)]
-        assert daily_counts(sessions) == {date(2022, 1, 1): 2}
+        assert daily_counts([date(2022, 1, 1), date(2022, 1, 1)]) == {
+            date(2022, 1, 1): 2
+        }
 
     def test_monthly_groups(self):
-        sessions = [
-            session(date(2022, 1, 1), label="x"),
-            session(date(2022, 1, 2), label="x"),
-            session(date(2022, 1, 3), label="y"),
-        ]
-        grouped = monthly_groups(sessions, lambda s: s.bot_label)
+        grouped = monthly_groups(
+            [("2022-01", "x"), ("2022-01", "x"), ("2022-01", "y")]
+        )
         assert grouped["2022-01"] == Counter({"x": 2, "y": 1})
 
 
@@ -75,11 +58,10 @@ class TestShares:
 
 class TestBoxStats:
     def test_quantiles(self):
-        sessions = []
+        days = []
         for day, count in ((1, 1), (2, 2), (3, 3), (4, 4), (5, 5)):
-            for second in range(count):
-                sessions.append(session(date(2022, 1, day), second))
-        stats = daily_box_stats(sessions)["2022-01"]
+            days.extend([date(2022, 1, day)] * count)
+        stats = daily_box_stats(days)["2022-01"]
         assert stats["min"] == 1
         assert stats["max"] == 5
         assert stats["median"] == 3
@@ -89,5 +71,5 @@ class TestBoxStats:
         assert stats["days"] == 5
 
     def test_single_day(self):
-        stats = daily_box_stats([session(date(2022, 1, 1))])["2022-01"]
+        stats = daily_box_stats([date(2022, 1, 1)])["2022-01"]
         assert stats["min"] == stats["max"] == 1

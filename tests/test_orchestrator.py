@@ -38,11 +38,13 @@ class TestDeterminism:
 
 class TestStructure:
     def test_all_categories_present(self, tiny_result):
-        counts = category_counts(tiny_result.database.ssh_sessions())
+        ssh = tiny_result.database.ssh_sessions()
+        counts = category_counts(ssh, [s.successful_login for s in ssh])
         assert set(counts) == set(SessionCategory)
 
     def test_scouting_dominates(self, tiny_result):
-        counts = category_counts(tiny_result.database.ssh_sessions())
+        ssh = tiny_result.database.ssh_sessions()
+        counts = category_counts(ssh, [s.successful_login for s in ssh])
         assert counts[SessionCategory.SCOUTING] == max(counts.values())
 
     def test_telnet_present_by_default(self, tiny_result):

@@ -10,10 +10,10 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.categories import SessionCategory, category_counts
-from repro.analysis.classify import DEFAULT_CLASSIFIER
+from repro.analysis.classify import label_coverage
 from repro.analysis.logins import top_passwords
 from repro.analysis.monthly import monthly_groups, overall_shares
-from repro.analysis.statechange import ExecOutcome, StateClass, exec_outcome, state_class
+from repro.analysis.statechange import ExecOutcome, StateClass
 from repro.analysis.validation import validate_classifier
 from repro.config import DEFAULT_CONFIG
 from repro.experiments.dataset import build_dataset
@@ -26,7 +26,8 @@ def alt_dataset():
 
 class TestSeedRobustness:
     def test_category_ordering(self, alt_dataset):
-        counts = category_counts(alt_dataset.database.ssh_sessions())
+        ssh = alt_dataset.table.ssh
+        counts = category_counts(ssh.sessions, ssh.login)
         assert counts[SessionCategory.SCOUTING] == max(counts.values())
         assert (
             counts[SessionCategory.COMMAND_EXECUTION]
@@ -34,48 +35,46 @@ class TestSeedRobustness:
         )
 
     def test_echo_ok_dominates_non_state(self, alt_dataset):
-        sessions = [
-            s
-            for s in alt_dataset.database.command_sessions()
-            if state_class(s) == StateClass.NON_STATE
-        ]
+        commands = alt_dataset.table.commands
         shares = overall_shares(
-            monthly_groups(sessions, DEFAULT_CLASSIFIER.classify)
+            monthly_groups(
+                (month, label)
+                for month, label, state in zip(
+                    commands.month, commands.label, commands.state
+                )
+                if state is StateClass.NON_STATE
+            )
         )
         assert shares.get("echo_ok", 0.0) > 0.7
 
     def test_mdrfckr_dominates_state_no_exec(self, alt_dataset):
-        sessions = [
-            s
-            for s in alt_dataset.database.command_sessions()
-            if state_class(s) == StateClass.STATE_NO_EXEC
-        ]
+        commands = alt_dataset.table.commands
         shares = overall_shares(
-            monthly_groups(sessions, DEFAULT_CLASSIFIER.classify)
+            monthly_groups(
+                (month, label)
+                for month, label, state in zip(
+                    commands.month, commands.label, commands.state
+                )
+                if state is StateClass.STATE_NO_EXEC
+            )
         )
         assert shares.get("mdrfckr", 0.0) > 0.7
 
     def test_missing_exceeds_exists(self, alt_dataset):
-        outcomes = [
-            exec_outcome(s) for s in alt_dataset.database.command_sessions()
-        ]
+        outcomes = alt_dataset.table.commands.outcome
         missing = outcomes.count(ExecOutcome.FILE_MISSING)
         exists = outcomes.count(ExecOutcome.FILE_EXISTS)
         assert missing > exists
 
     def test_campaign_password_prominent(self, alt_dataset):
-        logged_in = [
-            s for s in alt_dataset.database.ssh_sessions() if s.login_succeeded
-        ]
-        top = dict(top_passwords(logged_in, 5))
+        top = dict(top_passwords(alt_dataset.table.ssh.login, 5))
         assert "3245gs5662d34" in top
 
     def test_classifier_agreement(self, alt_dataset):
-        report = validate_classifier(alt_dataset.database.command_sessions())
+        commands = alt_dataset.table.commands
+        report = validate_classifier(commands.sessions, commands.label)
         assert report.accuracy > 0.99
 
     def test_coverage(self, alt_dataset):
-        coverage = DEFAULT_CLASSIFIER.coverage(
-            alt_dataset.database.command_sessions()
-        )
+        coverage = label_coverage(alt_dataset.table.commands.label)
         assert coverage > 0.97

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -34,8 +35,10 @@ class TestRoundTrip:
         path = tmp_path / "cmd.jsonl"
         write_jsonl(sessions, path)
         reloaded = SessionDatabase(read_jsonl(path))
-        original_counts = DEFAULT_CLASSIFIER.counts(sessions)
-        reloaded_counts = DEFAULT_CLASSIFIER.counts(reloaded.command_sessions())
+        original_counts = Counter(map(DEFAULT_CLASSIFIER.classify, sessions))
+        reloaded_counts = Counter(
+            map(DEFAULT_CLASSIFIER.classify, reloaded.command_sessions())
+        )
         assert original_counts == reloaded_counts
 
     def test_hashes_survive(self, dataset, tmp_path):

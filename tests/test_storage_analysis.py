@@ -77,19 +77,20 @@ class TestObservations:
 
     def test_failed_download_still_observed(self):
         session = self.make_session(["http://1.2.3.4/f"])
-        observations = download_observations([session])
+        observations = download_observations([session], [date(2022, 5, 1)])
         assert len(observations) == 1
         assert observations[0].hashes == ()
+        assert observations[0].day == date(2022, 5, 1)
 
     def test_domain_hosts_ignored(self):
         session = self.make_session(["https://shop.ru.invalid/"])
-        assert download_observations([session]) == []
+        assert download_observations([session], [date(2022, 5, 1)]) == []
 
     def test_distinct_hosts_one_each(self):
         session = self.make_session(
             ["http://1.2.3.4/f", "tftp://1.2.3.4/f", "http://5.6.7.8/g"]
         )
-        observations = download_observations([session])
+        observations = download_observations([session], [date(2022, 5, 1)])
         assert {o.storage_ip for o in observations} == {"1.2.3.4", "5.6.7.8"}
         assert len(observations) == 2
 
@@ -175,9 +176,7 @@ class TestActivityAndRecall:
 
 class TestEndToEnd:
     def test_dataset_observations_sane(self, dataset):
-        observations = download_observations(
-            dataset.database.command_sessions()
-        )
+        observations = dataset.download_observations()
         assert observations
         infra_ips = {h.ip for h in dataset.simulation.infrastructure.hosts}
         clients = {o.client_ip for o in observations}

@@ -418,6 +418,39 @@ class TestVerifyIndexAudit:
         with SqliteStore.open(index_path_for(root)) as store:
             assert store.count(rule_label="tampered") == 0
 
+    def test_each_index_finding_says_who_falls_back(self, tmp_path):
+        import random
+
+        from repro.integrity.verify import audit_tree
+        from repro.store import ResilientArtifactStore
+
+        def index_finding(root):
+            [finding] = [f for f in audit_tree(root).findings if f.kind == "index"]
+            return finding.detail
+
+        # A rewritten row passes every gate at open: the index serves.
+        served, sessions = make_tree(tmp_path / "served")
+        with sqlite3.connect(index_path_for(served)) as connection:
+            connection.execute(
+                "UPDATE sessions SET rule_label = 'tampered' WHERE session_id = ?",
+                (sessions[3].session_id,),
+            )
+        connection.close()
+        assert "consumers keep answering from it" in index_finding(served)
+        assert "fall back" not in index_finding(served)
+        store = ResilientArtifactStore(served)
+        assert store.count(rule_label="tampered") == 1
+        assert store.source == "index"
+        store.close()
+        # Dropped rows fail the row-count gate at open: consumers fall back.
+        refused, _ = make_tree(tmp_path / "refused")
+        corrupt_index(index_path_for(refused), "drop-rows", random.Random(3))
+        assert "consumers fall back to shard scan" in index_finding(refused)
+        store = ResilientArtifactStore(refused)
+        store.count()
+        assert store.source == "scan"
+        store.close()
+
     def test_an_unreadable_shard_is_one_finding(self, tmp_path, monkeypatch):
         from pathlib import Path
 

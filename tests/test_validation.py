@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.analysis.classify import DEFAULT_CLASSIFIER
 from repro.analysis.validation import validate_classifier
 from repro.attackers.labels import COMMANDLESS_BOTS, EXPECTED_CATEGORY
 from repro.honeypot.session import (
@@ -29,26 +30,30 @@ def session(bot_label: str, text: str) -> SessionRecord:
     )
 
 
+def labels(sessions: list[SessionRecord]) -> list[str]:
+    return [DEFAULT_CLASSIFIER.classify(s) for s in sessions]
+
+
 class TestValidateClassifier:
     def test_perfect_agreement(self):
         sessions = [
             session("echo_OK", r'echo -e "\x6F\x6B"'),
             session("uname_a", "uname -a"),
         ]
-        report = validate_classifier(sessions)
+        report = validate_classifier(sessions, labels(sessions))
         assert report.total == 2
         assert report.accuracy == 1.0
         assert report.misclassified() == []
 
     def test_disagreement_recorded(self):
         sessions = [session("echo_OK", "wget http://h/f")]
-        report = validate_classifier(sessions)
+        report = validate_classifier(sessions, labels(sessions))
         assert report.accuracy == 0.0
         assert report.misclassified() == [(("echo_ok", "gen_wget"), 1)]
 
     def test_unmapped_bots_skipped(self):
         sessions = [session("not-a-real-bot", "uname -a")]
-        report = validate_classifier(sessions)
+        report = validate_classifier(sessions, labels(sessions))
         assert report.total == 0
         assert report.accuracy == 0.0
 
@@ -58,7 +63,7 @@ class TestValidateClassifier:
             session("uname_a", "uname -a"),
             session("uname_a", "something else"),
         ]
-        report = validate_classifier(sessions)
+        report = validate_classifier(sessions, labels(sessions))
         assert report.per_category["uname_a"] == (2, 3)
 
 
@@ -74,7 +79,8 @@ class TestLabelTable:
 
 class TestDatasetValidation:
     def test_high_agreement_on_dataset(self, dataset):
-        report = validate_classifier(dataset.database.command_sessions())
+        commands = dataset.table.commands
+        report = validate_classifier(commands.sessions, commands.label)
         assert report.total > 1000
         assert report.accuracy > 0.99
 
