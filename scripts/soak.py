@@ -31,6 +31,12 @@ log corruption + index corruption):
    detached run, and a full chaos-profile service load test over the
    run's exported store must resolve every request contractually
    (zero unserved) and replay to an identical request-outcome ledger.
+8. a shell-memo leg: every session of the full window at seeds 7, 11
+   and 23, under the `paper` and `stress` profiles, must equal a replay
+   of its intent through a memo-less twin of its sensor (record, URIs
+   and file events), and one seed's intents replayed in order through
+   one persistent filesystem must give the same records with and
+   without the line memo.
 
 Every numbered item is a registered *leg* — `--only <leg>` runs one in
 isolation (see `--list-legs`).  Exit code 0 only when every executed
@@ -39,6 +45,7 @@ locally:
 
     PYTHONPATH=src python scripts/soak.py --scale 1e-4
     PYTHONPATH=src python scripts/soak.py --only stream-chaos
+    PYTHONPATH=src python scripts/soak.py --only shell-memo
 """
 
 from __future__ import annotations
@@ -62,6 +69,14 @@ from repro.honeynet.io import recover_jsonl, write_jsonl
 from repro.integrity.quarantine import QUARANTINE_DIR_NAME
 from repro.integrity.verify import audit_tree
 from repro.util.rng import RngTree
+
+#: The repository root: the shell-memo leg imports the memo-less
+#: reference honeypot from ``tests/shell_reference.py``.
+ROOT = Path(__file__).resolve().parents[1]
+
+#: Seeds and fault profiles the shell-memo leg replays.
+MEMO_SEEDS = (7, 11, 23)
+MEMO_PROFILES = ("paper", "stress")
 
 #: A window long enough to cross the paper outage and several churn
 #: events, short enough for a nightly job.
@@ -443,6 +458,39 @@ def check_stream_serve(config: SimulationConfig, work: Path) -> None:
         fail("same-seed service load test replayed to a different ledger")
 
 
+def check_shell_memo(scale: float) -> None:
+    """Shell-memo leg: the per-sensor line memo must not change one
+    record, over whole windows and over one persistent filesystem."""
+    sys.path.insert(0, str(ROOT))
+    from tests.shell_reference import memo_differential, stateful_differential
+
+    stateful_input = None
+    for seed in MEMO_SEEDS:
+        for profile in MEMO_PROFILES:
+            config = SimulationConfig(
+                seed=seed, scale=scale, faults=FaultProfile.from_name(profile)
+            )
+            result, handled, mismatches = memo_differential(config)
+            entries = sum(len(hp._line_memo) for hp in result.honeynet.honeypots)
+            print(
+                f"shell memo: seed {seed}, {profile}: {len(handled)} sessions "
+                f"replayed, {len(mismatches)} differ, {entries} memo entries"
+            )
+            if mismatches:
+                fail(f"memoized records differ from the replay: {mismatches[:5]}")
+            if not entries:
+                fail("the line memo stored no line")
+            if stateful_input is None:
+                stateful_input = handled
+    entries, mismatches = stateful_differential(stateful_input)
+    print(
+        f"shell memo, one persistent filesystem: {len(stateful_input)} "
+        f"sessions, {len(mismatches)} differ, {entries} memo entries at the end"
+    )
+    if mismatches:
+        fail(f"stateful memoized records differ from the replay: {mismatches[:5]}")
+
+
 # ----------------------------------------------------------------------
 # leg registry (execution order == registration order)
 # ----------------------------------------------------------------------
@@ -455,6 +503,7 @@ leg("mangled")(lambda ctx: check_mangled_tree_fails(ctx.reference, ctx.work))
 leg("flood")(lambda ctx: check_flood_overload(ctx.config))
 leg("stream-chaos")(lambda ctx: check_stream_chaos(ctx.config, ctx.work))
 leg("stream-serve")(lambda ctx: check_stream_serve(ctx.config, ctx.work))
+leg("shell-memo")(lambda ctx: check_shell_memo(ctx.config.scale))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.analysis.table import SshRows
 from repro.honeypot.session import LoginAttempt
@@ -57,15 +57,26 @@ class DefaultAccountStats:
 
 def default_account_stats(
     ssh: SshRows,
-    username: str,
+    usernames: Sequence[str],
     whois: HistoricalWhois,
+) -> dict[str, DefaultAccountStats]:
+    """Stats for the sessions that tried each given default username,
+    from one pass over the SSH sessions' login attempts."""
+    matched: dict[str, list[int]] = {username: [] for username in usernames}
+    for row, session in enumerate(ssh.sessions):
+        for attempt in session.logins:
+            rows = matched.get(attempt.username)
+            if rows is not None and (not rows or rows[-1] != row):
+                rows.append(row)
+    return {
+        username: _account_stats(ssh, username, rows, whois)
+        for username, rows in matched.items()
+    }
+
+
+def _account_stats(
+    ssh: SshRows, username: str, matched: list[int], whois: HistoricalWhois
 ) -> DefaultAccountStats:
-    """Stats for sessions that tried the given default username."""
-    matched = [
-        row
-        for row, session in enumerate(ssh.sessions)
-        if any(attempt.username == username for attempt in session.logins)
-    ]
     successes = [row for row in matched if ssh.login[row] is not None]
     silent = [row for row in successes if not ssh.sessions[row].commands]
     ips = {ssh.sessions[row].client_ip for row in matched}

@@ -16,9 +16,10 @@ class Fig11CowrieDefaults(Experiment):
     paper_reference = "Figure 11"
 
     def run(self, dataset):
-        ssh = dataset.table.ssh
-        phil = default_account_stats(ssh, "phil", dataset.whois)
-        richard = default_account_stats(ssh, "richard", dataset.whois)
+        stats = default_account_stats(
+            dataset.table.ssh, ("phil", "richard"), dataset.whois
+        )
+        phil, richard = stats["phil"], stats["richard"]
         months = sorted(set(phil.monthly) | set(richard.monthly))
         rows = [
             [month, phil.monthly.get(month, 0), richard.monthly.get(month, 0)]

@@ -5,24 +5,37 @@ sessions; each session gets a fresh copy (the paper notes attackers
 exploit exactly this statelessness, e.g. by writing a file and checking
 for it in a later session).  Files carry content so the honeypot can
 hash whatever the intruder writes or downloads.
+
+A filesystem changes only through its methods, and each method that
+changes it extends :attr:`FakeFilesystem.fingerprint`, a SHA-256 hash
+chain over the changes made since the skeleton.  Two filesystems with
+the same fingerprint therefore hold the same files and directories,
+which is what lets the honeypot reuse the result of a read-only line.
 """
 
 from __future__ import annotations
 
+import hashlib
 import posixpath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from repro.util.hashing import sha256_hex
 
 
-@dataclass
+@dataclass(frozen=True)
 class FileNode:
-    """One regular file."""
+    """One regular file.
+
+    Frozen, so nodes can be shared between filesystems (the skeleton's
+    are) and no handler can change one behind the fingerprint's back:
+    a write or ``chmod`` replaces the node.
+    """
 
     content: bytes = b""
     executable: bool = False
 
-    @property
+    @cached_property
     def sha256(self) -> str:
         return sha256_hex(self.content)
 
@@ -56,16 +69,30 @@ BASELINE_DIRS = (
     "/proc/self", "/root", "/root/.ssh", "/home", "/home/phil", "/dev",
 )
 
+#: The skeleton's nodes, built once: every fresh filesystem copies this
+#: dict, and the frozen nodes themselves are shared.
+_SKELETON: dict[str, FileNode] = {
+    path: FileNode(content=content, executable=path.startswith("/bin"))
+    for path, content in BASELINE_FILES.items()
+}
+
+#: The fingerprint of an unchanged skeleton.
+PRISTINE = bytes(32)
+
 
 class FakeFilesystem:
     """An in-memory Unix-ish filesystem with the Cowrie skeleton."""
 
     def __init__(self) -> None:
-        self._files: dict[str, FileNode] = {
-            path: FileNode(content=content, executable=path.startswith("/bin"))
-            for path, content in BASELINE_FILES.items()
-        }
+        self._files: dict[str, FileNode] = dict(_SKELETON)
         self._dirs: set[str] = set(BASELINE_DIRS)
+        self.fingerprint = PRISTINE
+
+    def _changed(self, op: str, path: str, detail: str = "") -> None:
+        """Extend the fingerprint chain by one effective change."""
+        self.fingerprint = hashlib.sha256(
+            self.fingerprint + repr((op, path, detail)).encode()
+        ).digest()
 
     @staticmethod
     def normalize(path: str, cwd: str = "/") -> str:
@@ -100,17 +127,20 @@ class FakeFilesystem:
         existing = self._files.get(path)
         if existing is None:
             node = FileNode(content=content)
-            self._files[path] = node
-            return node, True
-        if append:
-            existing.content += content
+        elif append:
+            node = replace(existing, content=existing.content + content)
         else:
-            existing.content = content
-        return existing, False
+            node = replace(existing, content=content)
+        self._files[path] = node
+        self._changed("write", path, node.sha256)
+        return node, existing is None
 
     def delete(self, path: str) -> bool:
         """Remove a file; returns whether it existed."""
-        return self._files.pop(path, None) is not None
+        if self._files.pop(path, None) is None:
+            return False
+        self._changed("delete", path)
+        return True
 
     def delete_tree(self, path: str) -> list[str]:
         """Remove a directory tree (``rm -rf``); returns deleted files."""
@@ -118,24 +148,32 @@ class FakeFilesystem:
         doomed = [p for p in self._files if p == path or p.startswith(prefix)]
         for victim in doomed:
             del self._files[victim]
-        self._dirs = {
+        kept = {
             d for d in self._dirs if not (d != "/" and (d == path or d.startswith(prefix)))
         }
+        if doomed or len(kept) != len(self._dirs):
+            self._dirs = kept
+            self._changed("delete_tree", path)
         return doomed
 
     def mkdirs(self, path: str) -> None:
         """Create a directory and its ancestors."""
+        before = len(self._dirs)
         cursor = path
         while cursor and cursor != "/":
             self._dirs.add(cursor)
             cursor = posixpath.dirname(cursor)
         self._dirs.add("/")
+        if len(self._dirs) != before:
+            self._changed("mkdirs", path)
 
     def chmod_exec(self, path: str) -> bool:
         node = self._files.get(path)
         if node is None:
             return False
-        node.executable = True
+        if not node.executable:
+            self._files[path] = replace(node, executable=True)
+            self._changed("chmod", path)
         return True
 
     def listdir(self, path: str) -> list[str]:

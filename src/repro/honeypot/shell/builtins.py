@@ -244,7 +244,10 @@ def cmd_head(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResul
 
 
 def cmd_tail(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
+    """GNU ``tail``: ``-n K`` (or ``-n -K``) keeps the last K lines and
+    ``-n +K`` starts at line K."""
     count = 10
+    from_start = False
     args = list(argv[1:])
     while args and args[0].startswith("-"):
         flag = args.pop(0)
@@ -255,14 +258,17 @@ def cmd_tail(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResul
         else:
             continue
         try:
-            count = int(value)
+            count = abs(int(value))
         except ValueError:
             return _invalid_line_count("tail", value)
+        from_start = value.startswith("+")
     text = stdin
     if args:
         content = ctx.fs.read(ctx.resolve(args[0]))
         text = content.decode("utf-8", "replace") if content is not None else ""
-    lines = text.splitlines()[-count:]
+    lines = text.splitlines()
+    first = count - 1 if from_start else len(lines) - count
+    lines = lines[max(first, 0) :]
     return CommandResult(output="\n".join(lines) + ("\n" if lines else ""))
 
 

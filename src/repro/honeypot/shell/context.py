@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 from repro.honeypot.fs import FakeFilesystem
@@ -35,8 +36,14 @@ class ShellContext:
     """Mutable state of one interactive session.
 
     Command handlers read/write the filesystem, record URIs and file
-    events, and consult ``remote_files`` — the content the outside world
+    events, and ask :meth:`fetch` for the content the outside world
     would serve the honeypot for a given URL during this session.
+
+    Two inputs belong to the session alone: ``remote_files`` and the
+    ``entropy`` behind ``/dev/urandom``.  Handlers reach them only
+    through :meth:`fetch` and :meth:`random_bytes`, which set
+    ``session_bound``, so the honeypot knows a line's result cannot be
+    reused by another session.
     """
 
     def __init__(
@@ -63,6 +70,19 @@ class ShellContext:
         self.file_events: list[FileEvent] = []
         self.root_password: str | None = None
         self.exited = False
+        self.session_bound = False
+
+    def fetch(self, url: str) -> bytes | None:
+        """What the network returns for ``url`` during this session."""
+        self.session_bound = True
+        return self.remote_files.get(url)
+
+    def random_bytes(self, source: str, destination: str | None) -> bytes:
+        """This session's reproducible read of a random device."""
+        self.session_bound = True
+        return hashlib.sha256(
+            f"{self.entropy}:{source}:{destination}".encode("utf-8")
+        ).digest()
 
     def resolve(self, path: str) -> str:
         """Resolve a path against the current working directory."""

@@ -126,11 +126,7 @@ def cmd_dd(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     destination = options.get("of")
     content = b"\x00" * 64
     if source and "urandom" in source or source == "/dev/random":
-        import hashlib
-
-        content = hashlib.sha256(
-            f"{ctx.entropy}:{source}:{destination}".encode("utf-8")
-        ).digest()
+        content = ctx.random_bytes(source, destination)
     elif source:
         read = ctx.fs.read(ctx.resolve(source))
         if read is not None:

@@ -6,6 +6,7 @@ attacks").  In the simulation, what the outside world would serve is in
 ``ctx.remote_files``; a URL absent from it behaves like an unreachable
 or refusing server, so no artifact (and no hash) is recorded — this is
 how loader campaigns whose infrastructure ignores honeypots appear.
+Every lookup goes through :meth:`ShellContext.fetch`.
 
 ``scp``/``rsync``/``sftp`` are deliberately *not* registered: the
 deployed Cowrie cannot capture files transferred with them (the paper's
@@ -24,11 +25,6 @@ def _basename_from_url(url: str) -> str:
     path = path.split("?", 1)[0]
     name = path.rsplit("/", 1)[-1]
     return name or "index.html"
-
-
-def _fetch(ctx: ShellContext, url: str) -> bytes | None:
-    """What the network returns for ``url`` during this session."""
-    return ctx.remote_files.get(url)
 
 
 def cmd_wget(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
@@ -58,7 +54,7 @@ def cmd_wget(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResul
     success = True
     for url in urls:
         ctx.record_uri(url)
-        content = _fetch(ctx, url)
+        content = ctx.fetch(url)
         if content is None:
             outputs.append(f"wget: unable to resolve host address\n")
             success = False
@@ -111,7 +107,7 @@ def cmd_curl(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResul
     success = True
     for url in urls:
         ctx.record_uri(url)
-        content = _fetch(ctx, url)
+        content = ctx.fetch(url)
         if content is None:
             outputs.append(f"curl: (7) Failed to connect\n")
             success = False
@@ -157,7 +153,7 @@ def cmd_tftp(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResul
         return CommandResult(output="tftp: usage error\n", success=False)
     url = f"tftp://{host}/{filename}"
     ctx.record_uri(url)
-    content = _fetch(ctx, url)
+    content = ctx.fetch(url)
     if content is None:
         return CommandResult(output="tftp: timeout\n", success=False)
     ctx.write_file(filename, content, source="transfer")
@@ -185,7 +181,7 @@ def cmd_ftpget(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandRes
     remote = cleaned[2] if len(cleaned) > 2 else cleaned[1]
     url = f"ftp://{host}/{remote.lstrip('/')}"
     ctx.record_uri(url)
-    content = _fetch(ctx, url)
+    content = ctx.fetch(url)
     if content is None:
         return CommandResult(output="ftpget: connection refused\n", success=False)
     ctx.write_file(local, content, source="transfer")

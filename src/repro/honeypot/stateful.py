@@ -12,6 +12,8 @@ sensor (optionally per client IP), so the marker written in one session
 is still there in the next — at the cost of cross-contamination
 between attackers, which is why the class also supports periodic
 resets (a real deployment would snapshot/rollback on a schedule).
+A persistent filesystem keeps its fingerprint chain across sessions,
+so the line memo's key still names the exact state a line ran in.
 """
 
 from __future__ import annotations

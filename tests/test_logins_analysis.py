@@ -99,7 +99,7 @@ class TestPasswordCounts:
 class TestDefaultAccountStats:
     def test_stats(self, dataset):
         ssh = dataset.table.ssh
-        phil = default_account_stats(ssh, "phil", dataset.whois)
+        phil = default_account_stats(ssh, ("phil",), dataset.whois)["phil"]
         assert phil.sessions > 0
         assert phil.successes == phil.sessions  # phil always accepted
         assert phil.silent_fraction > 0.7
@@ -108,13 +108,27 @@ class TestDefaultAccountStats:
 
     def test_richard_never_succeeds(self, dataset):
         ssh = dataset.table.ssh
-        richard = default_account_stats(ssh, "richard", dataset.whois)
+        richard = default_account_stats(ssh, ("richard",), dataset.whois)["richard"]
         assert richard.sessions > 0
         assert richard.successes == 0
         assert richard.silent_fraction == 0.0
 
     def test_unknown_username_empty(self, dataset):
         stats = default_account_stats(
-            dataset.table.ssh, "nosuchuser", dataset.whois
+            dataset.table.ssh, ("nosuchuser",), dataset.whois
         )
-        assert stats.sessions == 0
+        assert stats["nosuchuser"].sessions == 0
+
+    def test_one_pass_serves_every_name(self, dataset):
+        ssh = dataset.table.ssh
+        names = ("phil", "richard", "root")
+        together = default_account_stats(ssh, names, dataset.whois)
+        assert list(together) == list(names)
+        for name in names:
+            tried = sum(
+                any(attempt.username == name for attempt in session.logins)
+                for session in ssh.sessions
+            )
+            assert together[name].sessions == tried > 0
+            alone = default_account_stats(ssh, (name,), dataset.whois)
+            assert together[name] == alone[name]

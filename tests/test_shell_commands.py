@@ -221,3 +221,20 @@ class TestHostileArguments:
         assert record.output == f"{name}: invalid number of lines: 'x'\n"
         result = engine.run_line(f"{name} -n x /etc/passwd && echo ran")
         assert "ran" not in result.output
+
+    @pytest.mark.parametrize(
+        "option, expected",
+        [
+            ("-n 0", ""),
+            ("-n +2", "b\nc\nd\ne\n"),
+            ("-n +0", "a\nb\nc\nd\ne\n"),
+            ("-n -1", "e\n"),
+            ("-n 2", "d\ne\n"),
+            ("-2", "d\ne\n"),
+            ("-n 9", "a\nb\nc\nd\ne\n"),
+        ],
+    )
+    def test_tail_line_counts_follow_gnu(self, option, expected):
+        engine = ShellEngine(ShellContext())
+        record = engine.run_line(f'echo -e "a\\nb\\nc\\nd\\ne" | tail {option}')
+        assert record.output == expected

@@ -15,6 +15,7 @@ from repro.honeypot.shell.parser import (
     Redirect,
     parse_line,
 )
+from tests.shell_reference import reference_tokenize
 
 
 def argvs(line: str) -> list[tuple[str, ...]]:
@@ -214,3 +215,45 @@ class TestParseMemo:
         for _ in range(3):
             with pytest.raises(ParseError):
                 parse_line(line)
+
+
+def assert_tokenizes_like_reference(line: str) -> None:
+    """The segment tokenizer splits ``line`` as the character loop does,
+    and rejects exactly the lines the loop rejects."""
+    try:
+        expected = reference_tokenize(line)
+    except ParseError:
+        with pytest.raises(ParseError):
+            parser._tokenize(line)
+        return
+    assert parser._tokenize(line) == expected
+
+
+class TestSegmentTokenizer:
+    @given(
+        st.text(
+            alphabet=st.sampled_from(list("ab2 \t\\'\";|<>&\n$x=")),
+            max_size=80,
+        )
+    )
+    @settings(max_examples=500)
+    def test_generated_lines(self, line):
+        assert_tokenizes_like_reference(line)
+
+    def test_every_line_of_the_seed_7_runs(self, dataset, dataset_5x):
+        lines = {
+            command.raw
+            for data in (dataset, dataset_5x)
+            for session in data.database.command_sessions()
+            for command in session.commands
+        }
+        assert len(lines) > 10_000
+        for line in lines:
+            assert_tokenizes_like_reference(line)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["echo \\", "a\\", "2>x", "a2>x", '"x"2>y', "''2>y", "2>>f", "a'b\\\"c'd"],
+    )
+    def test_edges(self, line):
+        assert_tokenizes_like_reference(line)
