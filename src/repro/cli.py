@@ -316,15 +316,49 @@ def cmd_faults(args: argparse.Namespace) -> int:
         from repro.honeynet.io import write_jsonl
         from repro.util.rng import RngTree
 
+        sessions = result.database.sessions
         corruptor = build_log_corruptor(
             profile.integrity,
             RngTree(config.seed).child(
                 "faults", "integrity", "log", args.export.name
             ),
         )
-        count = write_jsonl(
-            result.database.sessions, args.export, corruptor=corruptor
-        )
+        if args.index:
+            from repro.faults.corruption import (
+                build_index_corruptor,
+                corrupt_index,
+            )
+            from repro.store.builder import export_indexed_tree
+
+            index_path = export_indexed_tree(
+                sessions,
+                args.export.parent,
+                shard_name=args.export.name,
+                config=config,
+                corruptor=corruptor,
+            )
+            # Damaged here, not through export_indexed_tree (which
+            # returns only the path): the printed line names the mode.
+            index_tree = RngTree(config.seed).child(
+                "faults", "integrity", "index", args.export.name
+            )
+            if args.corrupt_index is not None:
+                # Forced damage for smoke tests: always applied, with
+                # seeded byte choices so reruns damage identically.
+                corrupt_index(
+                    index_path, args.corrupt_index, index_tree.rand_for("forced")
+                )
+                applied = args.corrupt_index
+            else:
+                index_corruptor = build_index_corruptor(
+                    profile.integrity, index_tree
+                )
+                applied = index_corruptor and index_corruptor.maybe_corrupt(
+                    index_path, key=0
+                )
+        else:
+            write_jsonl(sessions, args.export, corruptor=corruptor)
+        count = len(sessions)
         print()
         flavor = (
             "with injected corruption (recover via lenient read / "
@@ -332,45 +366,11 @@ def cmd_faults(args: argparse.Namespace) -> int:
         )
         print(f"exported {count} records to {args.export} (+manifest), {flavor}")
         if args.index:
-            from repro.faults.checkpoint import config_fingerprint
-            from repro.faults.corruption import (
-                build_index_corruptor,
-                corrupt_index,
-            )
-            from repro.store.builder import build_index, index_path_for
-
-            store = build_index(
-                result.database.sessions,
-                index_path_for(args.export.parent),
-                source=args.export.name,
-                config_fingerprint=config_fingerprint(config),
-            )
-            rows = store.count()
-            store.close()
-            index_path = index_path_for(args.export.parent)
-            applied = None
-            if args.corrupt_index is not None:
-                # Forced damage for smoke tests: always applied, with
-                # seeded byte choices so reruns damage identically.
-                rng = RngTree(config.seed).child(
-                    "faults", "integrity", "index", args.export.name, "forced"
-                ).rand()
-                corrupt_index(index_path, args.corrupt_index, rng)
-                applied = args.corrupt_index
-            else:
-                index_corruptor = build_index_corruptor(
-                    profile.integrity,
-                    RngTree(config.seed).child(
-                        "faults", "integrity", "index", args.export.name
-                    ),
-                )
-                if index_corruptor is not None:
-                    applied = index_corruptor.maybe_corrupt(index_path, key=0)
             flavor = (
                 f"then damaged ({applied}; repair via repro verify "
                 "--rebuild-index)" if applied else "clean"
             )
-            print(f"indexed {rows} records into {index_path}, {flavor}")
+            print(f"indexed {count} records into {index_path}, {flavor}")
 
     print()
     print(f"dataset digest: {result.database.digest()}")

@@ -211,15 +211,6 @@ class Collector:
             return False
         return self.admit(record)
 
-    def ingest_many(self, records: Iterable[SessionRecord]) -> int:
-        """Ingest a batch (any iterable); returns how many were stored."""
-        ingest = self.ingest
-        stored = 0
-        for record in records:
-            if ingest(record):
-                stored += 1
-        return stored
-
     # ------------------------------------------------------------------
     # batch-granularity telemetry
     # ------------------------------------------------------------------

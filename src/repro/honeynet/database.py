@@ -14,25 +14,23 @@ value and are never mutated again.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
-from collections import defaultdict
-from datetime import date
 
 from repro.honeypot.session import Protocol, SessionRecord
-from repro.util.timeutils import epoch_date, month_key
+
+
+def database_order(session: SessionRecord) -> tuple[float, str]:
+    """The sort key of database order: start time, then session id."""
+    return session.start, session.session_id
 
 
 class SessionDatabase:
     """Query layer over a fixed collection of session records."""
 
     def __init__(self, sessions: list[SessionRecord]) -> None:
-        self._sessions = sorted(sessions, key=lambda s: (s.start, s.session_id))
+        self._sessions = sorted(sessions, key=database_order)
         self._ssh: list[SessionRecord] | None = None
         self._commands: list[SessionRecord] | None = None
-        self._by_month: dict[str, list[SessionRecord]] | None = None
-        self._by_day: dict[date, list[SessionRecord]] | None = None
         # Re-entrant: command_sessions' build calls ssh_sessions under
         # the same lock.
         self._build_lock = threading.RLock()
@@ -79,63 +77,21 @@ class SessionDatabase:
                     ]
         return self._commands
 
-    def by_month(self) -> dict[str, list[SessionRecord]]:
-        """SSH sessions grouped by ``YYYY-MM`` month key."""
-        if self._by_month is None:
-            with self._build_lock:
-                if self._by_month is None:
-                    grouped: dict[str, list[SessionRecord]] = defaultdict(list)
-                    for session in self.ssh_sessions():
-                        grouped[month_key(epoch_date(session.start))].append(
-                            session
-                        )
-                    self._by_month = dict(grouped)
-        return self._by_month
-
-    def by_day(self) -> dict[date, list[SessionRecord]]:
-        """SSH sessions grouped by UTC calendar day."""
-        if self._by_day is None:
-            with self._build_lock:
-                if self._by_day is None:
-                    grouped: dict[date, list[SessionRecord]] = defaultdict(list)
-                    for session in self.ssh_sessions():
-                        grouped[epoch_date(session.start)].append(session)
-                    self._by_day = dict(grouped)
-        return self._by_day
-
     def unique_client_ips(self) -> set[str]:
         """Distinct client IPs across SSH sessions."""
         return {s.client_ip for s in self.ssh_sessions()}
 
-    def months(self) -> list[str]:
-        """Sorted month keys with at least one SSH session."""
-        return sorted(self.by_month())
-
-    def filter(self, predicate) -> list[SessionRecord]:
-        """Generic filtered view over SSH sessions."""
-        return [s for s in self.ssh_sessions() if predicate(s)]
-
     def digest(self) -> str:
-        """SHA-256 over the canonical JSON of every stored session.
+        """The dataset digest: SHA-256 over every stored session's
+        canonical bytes, both protocols, in database order.
 
-        The digest covers all sessions (both protocols) in database
-        order, so two runs produced the same dataset iff their digests
-        match — the equivalence check behind the fault-model and
+        Two runs produced the same dataset iff their digests match —
+        the equivalence check behind the fault-model and
         checkpoint/resume guarantees.
         """
-        from repro.honeynet.io import session_to_dict
+        from repro.honeynet.io import dataset_digest, record_bytes
 
-        hasher = hashlib.sha256()
-        for session in self._sessions:
-            hasher.update(
-                json.dumps(
-                    session_to_dict(session),
-                    sort_keys=True,
-                    separators=(",", ":"),
-                ).encode("utf-8")
-            )
-            hasher.update(b"\n")
-        return hasher.hexdigest()
+        return dataset_digest(map(record_bytes, self._sessions))
 
     def unique_hashes(self) -> set[str]:
         """All distinct file hashes ever recorded (downloads/writes)."""

@@ -26,13 +26,15 @@ provenance (:mod:`repro.integrity.quarantine`) so the loss shows up in
 conservation accounting instead of vanishing.
 
 The checksum lives in the line *envelope*, not in
-:func:`session_to_dict` itself: the dataset digest
-(:meth:`repro.honeynet.database.SessionDatabase.digest`) hashes the
-record dict and must not change shape.
+:func:`session_to_dict` itself: a record's canonical bytes
+(:func:`record_bytes`) encode the record dict alone, and the record
+hash, the dataset digest (:func:`dataset_digest`) and every index row
+start from them, so the dict must not change shape.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,7 +49,12 @@ from repro.honeypot.session import (
     Protocol,
     SessionRecord,
 )
-from repro.integrity.checksums import RECORD_CHECKSUM_KEY, seal, verify_seal
+from repro.integrity.checksums import (
+    RECORD_CHECKSUM_KEY,
+    canonical_json,
+    seal,
+    verify_seal,
+)
 from repro.integrity.manifest import (
     Manifest,
     ManifestError,
@@ -127,6 +134,26 @@ def session_to_dict(session: SessionRecord) -> dict:
         "timed_out": session.timed_out,
         "bot_label": session.bot_label,
     }
+
+
+def record_bytes(session: SessionRecord) -> bytes:
+    """A record's canonical bytes: :func:`session_to_dict` as sorted-key,
+    compact JSON.  Every hash of a record's content starts here."""
+    return canonical_json(session_to_dict(session)).encode("utf-8")
+
+
+def dataset_digest(encodings: Iterable[bytes]) -> str:
+    """SHA-256 over records' canonical bytes, each followed by a newline.
+
+    Over a dataset's records in database order (``start``, then
+    ``session_id``) this is the dataset digest: two runs produced the
+    same dataset iff their digests match.
+    """
+    hasher = hashlib.sha256()
+    for data in encodings:
+        hasher.update(data)
+        hasher.update(b"\n")
+    return hasher.hexdigest()
 
 
 def session_from_dict(payload: dict) -> SessionRecord:
@@ -520,7 +547,9 @@ __all__ = [
     "SEQ_KEY",
     "SessionLogError",
     "collector_accounting_for_recovery",
+    "dataset_digest",
     "read_jsonl",
+    "record_bytes",
     "recover_jsonl",
     "session_from_dict",
     "session_to_dict",

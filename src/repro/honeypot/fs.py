@@ -80,6 +80,11 @@ _SKELETON: dict[str, FileNode] = {
 PRISTINE = bytes(32)
 
 
+def home_of(user: str) -> str:
+    """The home directory the emulated host gives ``user``."""
+    return "/root" if user == "root" else f"/home/{user}"
+
+
 class FakeFilesystem:
     """An in-memory Unix-ish filesystem with the Cowrie skeleton."""
 
@@ -95,10 +100,13 @@ class FakeFilesystem:
         ).digest()
 
     @staticmethod
-    def normalize(path: str, cwd: str = "/") -> str:
-        """Resolve a possibly relative path against ``cwd``."""
+    def normalize(path: str, cwd: str = "/", home: str = "/root") -> str:
+        """Resolve a possibly relative path against ``cwd``, after
+        expanding a leading ``~`` to ``home`` and ``~name`` to that
+        user's home."""
         if path.startswith("~"):
-            path = "/root" + path[1:]
+            name, slash, rest = path[1:].partition("/")
+            path = (home_of(name) if name else home) + slash + rest
         if not path.startswith("/"):
             path = posixpath.join(cwd, path)
         normalized = posixpath.normpath(path)
@@ -120,8 +128,13 @@ class FakeFilesystem:
     def get(self, path: str) -> FileNode | None:
         return self._files.get(path)
 
-    def write(self, path: str, content: bytes, append: bool = False) -> tuple[FileNode, bool]:
-        """Write a file; returns ``(node, created)``."""
+    def write(
+        self, path: str, content: bytes, append: bool = False
+    ) -> tuple[FileNode, bool] | None:
+        """Write a file; returns ``(node, created)``, or None when
+        ``path`` is a directory, which is left as it was."""
+        if path in self._dirs:
+            return None
         parent = posixpath.dirname(path) or "/"
         self.mkdirs(parent)
         existing = self._files.get(path)

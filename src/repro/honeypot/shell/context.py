@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from repro.honeypot.fs import FakeFilesystem
+from repro.honeypot.fs import FakeFilesystem, home_of
 from repro.honeypot.session import FileEvent, FileOp
 
 
@@ -58,7 +58,7 @@ class ShellContext:
         self.entropy = entropy  # per-session seed for /dev/urandom reads
         self.profile = profile or HostProfile()
         self.user = user
-        self.cwd = "/root" if user == "root" else f"/home/{user}"
+        self.cwd = home_of(user)
         self.env: dict[str, str] = {
             "HOME": self.cwd,
             "SHELL": "/bin/bash",
@@ -85,8 +85,9 @@ class ShellContext:
         ).digest()
 
     def resolve(self, path: str) -> str:
-        """Resolve a path against the current working directory."""
-        return self.fs.normalize(path, self.cwd)
+        """Resolve a path against the current working directory, and a
+        leading ``~`` against ``$HOME``."""
+        return self.fs.normalize(path, self.cwd, self.env["HOME"])
 
     def record_uri(self, uri: str) -> None:
         """Record a URI exactly once per session occurrence."""
@@ -105,14 +106,22 @@ class ShellContext:
         content: bytes,
         append: bool = False,
         source: str = "shell",
-    ) -> None:
-        """Write through to the fs and record the create/modify event."""
+    ) -> bool:
+        """Write through to the fs and record the create/modify event.
+
+        Returns False, writing and recording nothing, when ``path`` is
+        a directory.
+        """
         resolved = self.resolve(path)
         if resolved.startswith("/dev/"):
-            return
-        node, created = self.fs.write(resolved, content, append=append)
+            return True
+        written = self.fs.write(resolved, content, append=append)
+        if written is None:
+            return False
+        node, created = written
         op = FileOp.CREATE if created else FileOp.MODIFY
         self.record_event(resolved, op, node.sha256, source=source)
+        return True
 
     def delete_file(self, path: str) -> bool:
         """Delete through to the fs, recording the event if it existed."""

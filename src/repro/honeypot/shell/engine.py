@@ -80,15 +80,18 @@ class ShellEngine:
             redirect = stage.redirects[-1] if stage.redirects else None
             if redirect is not None:
                 target = self.context.expand(redirect.target)
-                if target not in ("/dev/null",):
+                written = target == "/dev/null" or self.context.write_file(
+                    target,
                     # latin-1 keeps binary payloads written through the
                     # shell byte-exact (echo -e / base64 -d droppers)
-                    self.context.write_file(
-                        target,
-                        result.output.encode("latin-1", "replace"),
-                        append=(redirect.op == ">>"),
-                    )
-                result = CommandResult(output="", success=result.success, known=result.known)
+                    result.output.encode("latin-1", "replace"),
+                    append=(redirect.op == ">>"),
+                )
+                result = CommandResult(
+                    output="" if written else f"-bash: {target}: Is a directory\n",
+                    success=result.success and written,
+                    known=result.known,
+                )
             stdin = result.output
         return result
 

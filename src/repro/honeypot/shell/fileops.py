@@ -86,7 +86,12 @@ def cmd_mv(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
         )
     if ctx.fs.is_dir(destination):
         destination = destination.rstrip("/") + "/" + source.rsplit("/", 1)[-1]
-    ctx.write_file(destination, content)
+    if not ctx.write_file(destination, content):
+        return CommandResult(
+            output=f"mv: cannot overwrite directory '{destination}' "
+            "with non-directory\n",
+            success=False,
+        )
     ctx.delete_file(source)
     return CommandResult(output="")
 

@@ -25,9 +25,14 @@ RECORD_CHECKSUM_KEY = "sha"
 CHECKSUM_LENGTH = 16
 
 
+#: The one sorted-key, compact JSON encoder: built once, not per call.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(payload: Any) -> str:
-    """The stable serialization every checksum is computed over."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """The stable serialization every checksum and content hash is
+    computed over."""
+    return _CANONICAL.encode(payload)
 
 
 def payload_checksum(payload: dict) -> str:

@@ -483,7 +483,8 @@ def _audit_index(
     unreadable = {name for name, reading in readings if isinstance(reading, OSError)}
     tree = merge_shards(pair for pair in readings if pair[0] not in unreadable)
     lost = tree.lost + sum(row.source in unreadable for row in actual.values())
-    expected = {row.session_id: row for row in tree.rows}
+    rows, rebuilt = tree.index
+    expected = {row.session_id: row for row in rows}
     missing = len(expected.keys() - actual.keys())
     extra = len(actual.keys() - expected.keys())
     mismatched = sum(
@@ -538,7 +539,7 @@ def _audit_index(
         )
         return
     if lost == 0 and meta.content_digest:
-        if meta.content_digest != tree.meta().content_digest:
+        if meta.content_digest != rebuilt.content_digest:
             audit.findings.append(
                 Finding(
                     relative,

@@ -33,7 +33,6 @@ from typing import Callable, Mapping
 
 from repro import telemetry
 from repro.stream.supervisor import MODE_FULL
-from repro.util.timeutils import epoch_date
 
 
 @dataclass(frozen=True)
@@ -126,16 +125,16 @@ class SnapshotPublisher:
         return self._latest.version if self._latest is not None else 0
 
     def _fold(self, sessions) -> None:
-        """Fold not-yet-seen sessions into the rolling aggregates."""
-        from repro.analysis.classify import DEFAULT_CLASSIFIER
-        from repro.store.base import record_hash
+        """Fold not-yet-seen sessions into the rolling aggregates, each
+        with the facts its index row would carry."""
+        from repro.honeynet.io import record_bytes
+        from repro.store.base import record_facts
 
         for session in sessions:
-            day_key = epoch_date(session.start).isoformat()
-            self._by_day[day_key] = self._by_day.get(day_key, 0) + 1
-            label = DEFAULT_CLASSIFIER.classify(session)
+            day, label, digest = record_facts(session, record_bytes(session))
+            self._by_day[day] = self._by_day.get(day, 0) + 1
             self._by_label[label] = self._by_label.get(label, 0) + 1
-            self._hasher.update(record_hash(session).encode("ascii"))
+            self._hasher.update(digest.encode("ascii"))
 
     def publish_day(
         self,

@@ -44,8 +44,6 @@ from repro.store.base import (
     StaleIndexError,
     StoreError,
     StoreMeta,
-    content_digest,
-    index_rows,
     snapshot_aggregates,
 )
 from repro.store.builder import (
@@ -68,10 +66,8 @@ __all__ = [
     "StaleIndexError",
     "StoreError",
     "StoreMeta",
-    "content_digest",
     "export_indexed_tree",
     "index_path_for",
-    "index_rows",
     "rebuild_index",
     "recover_tree",
     "snapshot_aggregates",

@@ -11,10 +11,9 @@ its ground-truth record can be cross-checked artifact by artifact
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.honeypot.session import SessionRecord
 from repro.util.hashing import sha256_hex
@@ -79,8 +78,8 @@ class StoreMeta:
     #: an index rebuilt from shards alone).
     config_fingerprint: str
     #: Dataset digest over the indexed records —
-    #: :meth:`repro.honeynet.database.SessionDatabase.digest` of exactly
-    #: the sessions the rows summarize.
+    #: :func:`repro.honeynet.io.dataset_digest` of exactly the sessions
+    #: the rows summarize, in database order.
     content_digest: str
     record_count: int
 
@@ -93,7 +92,7 @@ class IndexRow:
     day: str  #: UTC calendar day of the session start, ISO format
     sensor_id: str  #: the honeypot that recorded the session
     client_ip: str
-    session_hash: str  #: sha256 of the record's canonical JSON
+    session_hash: str  #: sha256 of the record's canonical bytes
     protocol: str
     rule_label: str  #: Table-1 category (first-match-wins, 59 rules)
     source: str  #: shard file name the ground-truth record lives in
@@ -134,56 +133,65 @@ def snapshot_aggregates(store) -> dict:
     }
 
 
-def record_hash(session: SessionRecord) -> str:
-    """Content hash of one record — exactly the dataset digest's
-    per-record hashing (canonical sorted-key JSON of the session dict),
-    so a row/record mismatch means the *content* diverged, not the
-    serialization."""
-    from repro.honeynet.io import session_to_dict
-
-    return sha256_hex(
-        json.dumps(
-            session_to_dict(session), sort_keys=True, separators=(",", ":")
-        )
-    )
-
-
-def content_digest(sessions: Iterable[SessionRecord]) -> str:
-    """The dataset digest of ``sessions`` (database order), as stored in
-    ``store_meta`` — equal to ``SessionDatabase(sessions).digest()`` so
-    index meta and in-memory database can be compared directly."""
-    from repro.honeynet.database import SessionDatabase
-
-    return SessionDatabase(list(sessions)).digest()
-
-
-def index_row(session: SessionRecord, source: str, seq: int) -> IndexRow:
-    """The index row for one record living at ``(source, seq)``.
-
-    Rule labels come from the Table-1 classifier — computed once here at
-    export time instead of per analysis run.
-    """
+def record_facts(session: SessionRecord, data: bytes) -> tuple[str, str, str]:
+    """A record's UTC start day (ISO), Table-1 rule label and content
+    hash: the SHA-256 hex of ``data``, its canonical bytes
+    (:func:`repro.honeynet.io.record_bytes`).  Index rows and the live
+    snapshot's fold both take their facts from here."""
     from repro.analysis.classify import DEFAULT_CLASSIFIER
 
-    return IndexRow(
-        session_id=session.session_id,
-        day=epoch_date(session.start).isoformat(),
-        sensor_id=session.honeypot_id,
-        client_ip=session.client_ip,
-        session_hash=record_hash(session),
-        protocol=session.protocol.value,
-        rule_label=DEFAULT_CLASSIFIER.classify(session),
-        source=source,
-        seq=seq,
+    return (
+        epoch_date(session.start).isoformat(),
+        DEFAULT_CLASSIFIER.classify(session),
+        sha256_hex(data),
     )
 
 
-def index_rows(
-    sessions: Sequence[SessionRecord], source: str
-) -> list[IndexRow]:
-    """The index rows for one shard's clean record sequence, as written:
-    ``seq`` is each record's position, which is its line's ``seq``."""
-    return [
-        index_row(session, source, seq)
-        for seq, session in enumerate(sessions)
-    ]
+def index_contents(
+    records: Sequence[SessionRecord],
+    origins: Sequence[tuple[str, int]],
+    config_fingerprint: str = "",
+) -> tuple[list[IndexRow], StoreMeta]:
+    """The rows and meta of an index over ``records``.
+
+    ``origins`` holds each record's ``(source, seq)``: the shard and
+    line its row points at.  One pass in database order
+    (:func:`~repro.honeynet.database.database_order`) encodes each
+    record once, and those bytes give both its row's facts and the
+    meta's content digest; the rows come out in that order.
+    """
+    from repro.honeynet.database import database_order
+    from repro.honeynet.io import dataset_digest, record_bytes
+
+    rows: list[IndexRow] = []
+
+    def encode(entry: tuple[SessionRecord, tuple[str, int]]) -> bytes:
+        record, (source, seq) = entry
+        data = record_bytes(record)
+        day, label, digest = record_facts(record, data)
+        rows.append(
+            IndexRow(
+                session_id=record.session_id,
+                day=day,
+                sensor_id=record.honeypot_id,
+                client_ip=record.client_ip,
+                session_hash=digest,
+                protocol=record.protocol.value,
+                rule_label=label,
+                source=source,
+                seq=seq,
+            )
+        )
+        return data
+
+    entries = sorted(
+        zip(records, origins), key=lambda entry: database_order(entry[0])
+    )
+    content_digest = dataset_digest(map(encode, entries))
+    meta = StoreMeta(
+        schema_version=STORE_SCHEMA_VERSION,
+        config_fingerprint=config_fingerprint,
+        content_digest=content_digest,
+        record_count=len(rows),
+    )
+    return rows, meta

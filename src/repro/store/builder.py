@@ -20,15 +20,7 @@ from repro import telemetry
 from repro.honeynet.io import RecoveredLog, recover_jsonl, write_jsonl
 from repro.honeypot.session import SessionRecord
 from repro.integrity.quarantine import QUARANTINE_DIR_NAME
-from repro.store.base import (
-    INDEX_FILE_NAME,
-    STORE_SCHEMA_VERSION,
-    IndexRow,
-    StoreMeta,
-    content_digest,
-    index_row,
-    index_rows,
-)
+from repro.store.base import INDEX_FILE_NAME, IndexRow, StoreMeta, index_contents
 from repro.store.sqlite import SqliteStore
 
 
@@ -64,25 +56,12 @@ class RecoveredTree:
     lost: int
 
     @cached_property
-    def rows(self) -> list[IndexRow]:
-        """One index row per record, ``(source, seq)`` pointing at its
-        line — classifying and hashing every record, so built on first
-        use only."""
-        return [
-            index_row(record, source, seq)
-            for record, (source, seq) in zip(self.records, self.origins)
-        ]
-
-    def meta(self) -> StoreMeta:
-        """The meta of an index rebuilt from these records: no config
-        fingerprint (the shards cannot prove one) and their content
-        digest — a costly pass, so computed only on demand."""
-        return StoreMeta(
-            schema_version=STORE_SCHEMA_VERSION,
-            config_fingerprint="",
-            content_digest=content_digest(self.records),
-            record_count=len(self.records),
-        )
+    def index(self) -> tuple[list[IndexRow], StoreMeta]:
+        """The rows and meta of an index rebuilt from these records, each
+        row pointing at its record's line, and no config fingerprint
+        (the shards cannot prove one) — one pass that classifies and
+        hashes every record, so built on first use only."""
+        return index_contents(self.records, self.origins)
 
 
 def merge_shards(shards: Iterable[tuple[str, RecoveredLog]]) -> RecoveredTree:
@@ -113,24 +92,6 @@ def recover_tree(root: Path | str) -> RecoveredTree:
     )
 
 
-def build_index(
-    sessions: Sequence[SessionRecord],
-    path: Path | str,
-    *,
-    source: str,
-    config_fingerprint: str = "",
-) -> SqliteStore:
-    """Build the index for one shard's clean record sequence."""
-    rows = index_rows(sessions, source=source)
-    meta = StoreMeta(
-        schema_version=STORE_SCHEMA_VERSION,
-        config_fingerprint=config_fingerprint,
-        content_digest=content_digest(sessions),
-        record_count=len(rows),
-    )
-    return SqliteStore.build(path, rows, meta)
-
-
 def export_indexed_tree(
     sessions: Sequence[SessionRecord],
     root: Path | str,
@@ -158,10 +119,9 @@ def export_indexed_tree(
 
         fingerprint = config_fingerprint(config)
     index_path = index_path_for(root)
-    store = build_index(
-        sessions, index_path, source=shard_name, config_fingerprint=fingerprint
-    )
-    store.close()
+    origins = [(shard_name, seq) for seq in range(len(sessions))]
+    rows, meta = index_contents(sessions, origins, fingerprint)
+    SqliteStore.build(index_path, rows, meta).close()
     if index_corruptor is not None:
         index_corruptor.maybe_corrupt(index_path, key=0)
     return index_path
@@ -190,7 +150,8 @@ def rebuild_index(root: Path | str) -> tuple[Path, int]:
             index_path.with_name(index_path.name + "-shm"),
         ):
             leftover.unlink(missing_ok=True)
-        SqliteStore.build(index_path, tree.rows, tree.meta()).close()
+        rows, meta = tree.index
+        SqliteStore.build(index_path, rows, meta).close()
     telemetry.count("store.rebuilds")
-    telemetry.count("store.rebuild.rows", len(tree.rows))
-    return index_path, len(tree.rows)
+    telemetry.count("store.rebuild.rows", len(rows))
+    return index_path, len(rows)

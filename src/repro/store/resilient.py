@@ -78,8 +78,7 @@ class ResilientArtifactStore:
             except StoreError as error:
                 self._fall_back(error)
         if self._store is None:
-            tree = self._recovered()
-            self._store = SqliteStore.in_memory(tree.rows, tree.meta())
+            self._store = SqliteStore.in_memory(*self._recovered().index)
         return self._store
 
     def _fall_back(self, error: StoreError) -> None:

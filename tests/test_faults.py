@@ -138,15 +138,6 @@ class TestCollectorAccounting:
         assert collector.ingest(other)
         assert collector.accounting_balanced()
 
-    def test_ingest_many_accepts_any_iterable(self):
-        collector = Collector()
-        stored = collector.ingest_many(
-            make_record(to_epoch(date(2022, 5, 1), i), session_id=f"s-{i}")
-            for i in range(3)
-        )
-        assert stored == 3
-        assert collector.generated == 3
-
     def test_outage_precomputed_as_ordinals(self):
         collector = Collector(
             outages=(OutageWindow(date(2022, 1, 1), date(2022, 1, 2)),)

@@ -93,13 +93,6 @@ class TestCollector:
         assert not collector.ingest(make_session(to_epoch(date(2022, 1, 2))))
         assert collector.ingest(make_session(to_epoch(date(2022, 1, 3))))
 
-    def test_ingest_many(self):
-        collector = Collector()
-        stored = collector.ingest_many(
-            [make_session(to_epoch(date(2022, 5, 1), i)) for i in range(3)]
-        )
-        assert stored == 3
-
     def test_duplicate_session_ids_deduplicated(self):
         collector = Collector()
         record = make_session(to_epoch(date(2022, 5, 1)), session_id="dup")
@@ -136,26 +129,10 @@ class TestSessionDatabase:
         db = self.make_db()
         assert len(db.command_sessions()) == 1
 
-    def test_by_month(self):
-        db = self.make_db()
-        months = db.by_month()
-        assert len(months["2022-01"]) == 2
-        assert len(months["2022-02"]) == 1
-        assert db.months() == ["2022-01", "2022-02"]
-
-    def test_by_day(self):
-        db = self.make_db()
-        assert len(db.by_day()[date(2022, 1, 10)]) == 1
-
     def test_unique_client_ips(self):
         db = self.make_db()
         assert db.unique_client_ips() == {"1.1.1.1", "2.2.2.2"}
 
-    def test_filter(self):
-        db = self.make_db()
-        assert len(db.filter(lambda s: s.login_succeeded)) == 2
-
     def test_empty_database(self):
         db = SessionDatabase([])
         assert db.unique_hashes() == set()
-        assert db.months() == []

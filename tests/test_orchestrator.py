@@ -81,17 +81,17 @@ class TestStructure:
 
 class TestOutage:
     def test_outage_days_empty(self, dataset):
-        by_day = dataset.database.by_day()
-        assert OUTAGE_START not in by_day
-        assert OUTAGE_END not in by_day
+        days = set(dataset.table.ssh.day)
+        assert OUTAGE_START not in days
+        assert OUTAGE_END not in days
         assert dataset.simulation.collector.dropped > 0
 
     def test_surrounding_days_active(self, dataset):
         from datetime import timedelta
 
-        by_day = dataset.database.by_day()
-        assert (OUTAGE_START - timedelta(days=1)) in by_day
-        assert (OUTAGE_END + timedelta(days=1)) in by_day
+        days = set(dataset.table.ssh.day)
+        assert (OUTAGE_START - timedelta(days=1)) in days
+        assert (OUTAGE_END + timedelta(days=1)) in days
 
 
 class TestExtraBots:

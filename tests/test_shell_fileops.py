@@ -157,3 +157,69 @@ class TestMiscOps:
 
     def test_chattr_noop(self, engine):
         assert engine.run_line("chattr -ia /root/.ssh").known
+
+
+class TestHomeExpansion:
+    def test_tilde_is_the_users_home(self):
+        engine = ShellEngine(ShellContext(user="phil"))
+        assert engine.run_line("cd ~; pwd").output == "/home/phil\n"
+        assert engine.run_line("cd /tmp; cd; pwd").output == "/home/phil\n"
+
+    def test_tilde_write_lands_in_the_users_home(self):
+        ctx = ShellContext(user="phil")
+        ShellEngine(ctx).run_line("echo k >> ~/.ssh/authorized_keys")
+        [event] = ctx.file_events
+        assert (event.path, event.op) == (
+            "/home/phil/.ssh/authorized_keys",
+            FileOp.CREATE,
+        )
+
+    def test_tilde_follows_home_variable(self, ctx, engine):
+        engine.run_line("HOME=/tmp")
+        assert ctx.resolve("~/x") == "/tmp/x"
+
+    def test_tilde_name_is_that_users_home(self):
+        ctx = ShellContext(user="phil")
+        assert ctx.resolve("~phil/x") == "/home/phil/x"
+        assert ctx.resolve("~root") == "/root"
+        assert ShellContext().resolve("~phil") == "/home/phil"
+
+    def test_root_resolves_as_before(self, ctx):
+        assert ctx.resolve("~") == ctx.cwd == "/root"
+        assert ctx.resolve("~/.ssh") == ctx.cwd + "/.ssh"
+
+
+class TestDirectoryWrites:
+    def test_redirect_to_a_directory_fails(self, ctx, engine):
+        fingerprint = ctx.fs.fingerprint
+        record = engine.run_line("echo x > /tmp || echo failed")
+        assert record.output == "-bash: /tmp: Is a directory\nfailed\n"
+        assert ctx.file_events == []
+        assert ctx.fs.fingerprint == fingerprint
+        assert ctx.fs.is_dir("/tmp") and not ctx.fs.is_file("/tmp")
+
+    def test_append_to_a_directory_fails(self, ctx, engine):
+        record = engine.run_line("cd /tmp; echo x >> .")
+        assert record.output == "-bash: .: Is a directory\n"
+        assert not ctx.fs.is_file("/tmp")
+
+    def test_filesystem_refuses_a_directory_path(self):
+        fs = FakeFilesystem()
+        assert fs.write("/tmp", b"x") is None
+        assert not fs.is_file("/tmp")
+        assert fs.fingerprint == FakeFilesystem().fingerprint
+
+    def test_mv_onto_a_directory_keeps_the_source(self, ctx, engine):
+        engine.run_line("mkdir -p /tmp/d/a; echo x > /tmp/a")
+        events = list(ctx.file_events)
+        record = engine.run_line("mv /tmp/a /tmp/d")
+        assert record.output == (
+            "mv: cannot overwrite directory '/tmp/d/a' with non-directory\n"
+        )
+        assert ctx.fs.read("/tmp/a") == b"x\n"
+        assert ctx.file_events == events
+
+    def test_touch_leaves_a_directory_alone(self, ctx, engine):
+        engine.run_line("touch /tmp")
+        assert ctx.file_events == []
+        assert not ctx.fs.is_file("/tmp")

@@ -43,7 +43,7 @@ from repro.store import (
     rebuild_index,
     recover_tree,
 )
-from repro.store.base import content_digest, index_rows, normalize_filters
+from repro.store.base import index_contents, normalize_filters
 from repro.util.rng import RngTree
 from tests.conftest import PROFILES, make_record, short_fault_config
 
@@ -621,9 +621,7 @@ class TestStoreNeutrality:
 
 
 class TestSessionDatabaseRaceSafety:
-    @pytest.mark.parametrize(
-        "method", ("ssh_sessions", "command_sessions", "by_month", "by_day")
-    )
+    @pytest.mark.parametrize("method", ("ssh_sessions", "command_sessions"))
     def test_concurrent_first_queries_build_once(self, method):
         database = SessionDatabase(records(50))
         barrier = threading.Barrier(8)
@@ -647,10 +645,10 @@ class TestSessionDatabaseRaceSafety:
         import pickle
 
         database = SessionDatabase(records(5))
-        database.by_day()
+        database.ssh_sessions()
         clone = pickle.loads(pickle.dumps(database))
         assert clone.digest() == database.digest()
-        assert clone.by_day() == database.by_day()
+        assert clone.ssh_sessions() == database.ssh_sessions()
 
 
 class TestStoreTelemetry:
@@ -681,16 +679,23 @@ class TestStoreTelemetry:
 
 class TestIndexRowSemantics:
     def test_index_rows_match_classifier_and_day(self):
-        sessions = records(4)
-        rows = index_rows(sessions, source="x.jsonl")
+        sessions = records(4)[::-1]
+        origins = [("x.jsonl", seq) for seq in range(len(sessions))]
+        rows, _ = index_contents(sessions, origins)
         from repro.analysis.classify import DEFAULT_CLASSIFIER
         from repro.util.timeutils import epoch_date
 
-        for row, session in zip(rows, sessions):
+        by_id = {row.session_id: row for row in rows}
+        for seq, session in enumerate(sessions):
+            row = by_id[session.session_id]
+            assert (row.source, row.seq) == ("x.jsonl", seq)
             assert row.day == epoch_date(session.start).isoformat()
             assert row.rule_label == DEFAULT_CLASSIFIER.classify(session)
             assert row.sensor_id == session.honeypot_id
 
     def test_content_digest_matches_database_digest(self):
-        sessions = records(6)
-        assert content_digest(sessions) == SessionDatabase(sessions).digest()
+        sessions = records(6)[::-1]
+        origins = [("x.jsonl", seq) for seq in range(len(sessions))]
+        _, meta = index_contents(sessions, origins)
+        assert meta.content_digest == SessionDatabase(sessions).digest()
+        assert meta.record_count == len(sessions)
