@@ -37,6 +37,10 @@ log corruption + index corruption):
    and file events), and one seed's intents replayed in order through
    one persistent filesystem must give the same records with and
    without the line memo.
+9. a dld leg: every distinct pair of every DLD matrix a reproduction
+   builds (the clustering sample, the tokenizer ablation's two builds
+   and Figure 14's exemplars) at seeds 7, 11 and 23 must equal the
+   brute-force reference distance; the leg prints the reference's time.
 
 Every numbered item is a registered *leg* — `--only <leg>` runs one in
 isolation (see `--list-legs`).  Exit code 0 only when every executed
@@ -46,6 +50,7 @@ locally:
     PYTHONPATH=src python scripts/soak.py --scale 1e-4
     PYTHONPATH=src python scripts/soak.py --only stream-chaos
     PYTHONPATH=src python scripts/soak.py --only shell-memo
+    PYTHONPATH=src python scripts/soak.py --only dld
 """
 
 from __future__ import annotations
@@ -55,14 +60,18 @@ import random
 import shutil
 import sys
 import tempfile
+import time
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from repro import telemetry
 from repro.attackers.orchestrator import run_simulation
 from repro.config import SimulationConfig
+from repro.experiments.dataset import build_dataset
 from repro.faults.corruption import build_log_corruptor, corrupt_file
 from repro.faults.plan import FaultProfile
 from repro.honeynet.io import recover_jsonl, write_jsonl
@@ -70,13 +79,17 @@ from repro.integrity.quarantine import QUARANTINE_DIR_NAME
 from repro.integrity.verify import audit_tree
 from repro.util.rng import RngTree
 
-#: The repository root: the shell-memo leg imports the memo-less
-#: reference honeypot from ``tests/shell_reference.py``.
+#: The repository root: the shell-memo and dld legs import their
+#: references from ``tests/shell_reference.py`` and
+#: ``tests/dld_reference.py``.
 ROOT = Path(__file__).resolve().parents[1]
 
 #: Seeds and fault profiles the shell-memo leg replays.
 MEMO_SEEDS = (7, 11, 23)
 MEMO_PROFILES = ("paper", "stress")
+
+#: Seeds whose reproductions' DLD matrices the dld leg checks.
+DLD_SEEDS = (7, 11, 23)
 
 #: A window long enough to cross the paper outage and several churn
 #: events, short enough for a nightly job.
@@ -491,6 +504,45 @@ def check_shell_memo(scale: float) -> None:
         fail(f"stateful memoized records differ from the replay: {mismatches[:5]}")
 
 
+def check_dld(scale: float) -> None:
+    """DLD leg: every distinct pair of every matrix a full-window
+    reproduction builds must equal the brute-force reference."""
+    sys.path.insert(0, str(ROOT))
+    from tests.dld_reference import reference_distance, reproduction_matrices
+
+    total = 0.0
+    for seed in DLD_SEEDS:
+        dataset = build_dataset(SimulationConfig(seed=seed, scale=scale))
+        for name, (tokens, matrix) in reproduction_matrices(dataset).items():
+            first: dict[tuple[str, ...], int] = {}
+            for row, seq in enumerate(tokens):
+                first.setdefault(tuple(seq), row)
+            rows = list(first.values())
+            started = time.perf_counter()
+            wrong = [
+                (a, b)
+                for i, a in enumerate(rows)
+                for b in rows[i + 1 :]
+                if matrix[a, b] != reference_distance(tokens[a], tokens[b])
+            ]
+            elapsed = time.perf_counter() - started
+            total += elapsed
+            pairs = len(rows) * (len(rows) - 1) // 2
+            print(
+                f"dld: seed {seed}, {name}: {len(rows)} distinct sequences, "
+                f"{pairs} pairs, {len(wrong)} differ, reference {elapsed:.1f} s"
+            )
+            if wrong:
+                fail(f"seed {seed} {name}: pairs differ from the reference: "
+                     f"{wrong[:5]}")
+            index = [first[tuple(seq)] for seq in tokens]
+            if np.diag(matrix).any() or not np.array_equal(
+                matrix, matrix[np.ix_(index, index)]
+            ):
+                fail(f"seed {seed} {name}: equal sequences got different rows")
+    print(f"dld: reference time {total:.1f} s")
+
+
 # ----------------------------------------------------------------------
 # leg registry (execution order == registration order)
 # ----------------------------------------------------------------------
@@ -504,6 +556,7 @@ leg("flood")(lambda ctx: check_flood_overload(ctx.config))
 leg("stream-chaos")(lambda ctx: check_stream_chaos(ctx.config, ctx.work))
 leg("stream-serve")(lambda ctx: check_stream_serve(ctx.config, ctx.work))
 leg("shell-memo")(lambda ctx: check_shell_memo(ctx.config.scale))
+leg("dld")(lambda ctx: check_dld(ctx.config.scale))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -14,7 +14,6 @@ from repro.analysis.clusterselect import (
     select_k,
 )
 from repro.analysis.distance import distance_matrix, sample_sessions, session_tokens
-from repro.analysis.dld import damerau_levenshtein, normalized_dld
 from repro.analysis.kmedoids import ClusteringResult, kmedoids, silhouette_score
 from repro.analysis.regexrules import (
     CATEGORY_NAMES,
@@ -49,8 +48,6 @@ __all__ = [
     "distance_matrix",
     "sample_sessions",
     "session_tokens",
-    "damerau_levenshtein",
-    "normalized_dld",
     "ClusteringResult",
     "kmedoids",
     "silhouette_score",

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
-from hashlib import sha256
 
 from repro.honeypot.session import SessionRecord
 
@@ -53,13 +51,6 @@ def tokenize_session(session: SessionRecord) -> list[str]:
 class TokenizerConfig:
     """Which tokenization variant produced a token sequence.
 
-    The distance-layer caches (:mod:`repro.analysis.distance`) are
-    keyed by :attr:`fingerprint`, so sequences produced under one
-    tokenizer configuration can never be served to a caller using
-    another — even when ``clear_distance_caches`` is not called
-    between configs in one process (e.g. the tokenizer ablation
-    running both variants over the same dataset).
-
     Attributes:
         normalize: apply :func:`normalize_tokens` volatile-token
             masking (the paper's robustness step).  The ablation's
@@ -67,23 +58,6 @@ class TokenizerConfig:
     """
 
     normalize: bool = False
-
-    @cached_property
-    def fingerprint(self) -> str:
-        """Content hash of the variant knobs *and* the pattern sources.
-
-        Folding the regex sources in means editing a mask pattern
-        invalidates warm caches too, not just flipping a knob.
-        """
-        material = "\x1f".join(
-            (
-                f"normalize={self.normalize}",
-                _SPLIT_PATTERN.pattern,
-                _OPAQUE_PATTERN.pattern,
-                _CRED_PATTERN.pattern,
-            )
-        )
-        return sha256(material.encode("utf-8")).hexdigest()[:16]
 
     def tokenize(self, session: SessionRecord) -> list[str]:
         """This variant's token sequence for one session."""

@@ -271,14 +271,9 @@ def simulate_day(
     """Simulate one calendar day, delivering every produced record.
 
     This is *the* inner loop, called once per day by the stream
-    engine's day loop (and so by every batch run, its replay).
-
-    With the default ``include_telnet=True`` config the routing draws
-    are batched per (bot, day) via :func:`_route_draws`; excluding
-    telnet interleaves a protocol filter between the two route draws of
-    each session, so that configuration keeps the per-session loop.
+    engine's day loop (and so by every batch run, its replay).  The
+    routing draws are batched per (bot, day) via :func:`_route_draws`.
     """
-    config = substrate.config
     honeypots = substrate.honeynet.honeypots
     fleet_size = len(honeypots)
     context = substrate.context
@@ -286,31 +281,18 @@ def simulate_day(
     ordinal = day.toordinal()
     produced = 0
     active_bots = 0
-    batch_routes = config.include_telnet
     for bot in substrate.bots:
         intents = bot.sessions_for_day(context, day)
         if not intents:
             continue
         active_bots += 1
         route_rng = context.stream("route", bot.name, ordinal)
-        if batch_routes:
-            indices, seconds = _route_draws(
-                bot, route_rng, len(intents), fleet_size, day
-            )
-            for intent, index, start in zip(intents, indices, seconds):
-                deliver(honeypots[index].handle(intent, day_epoch + start))
-            produced += len(intents)
-            continue
-        for intent in intents:
-            honeypot = honeypots[
-                bot.choose_honeypot_index(route_rng, fleet_size)
-            ]
-            if intent.protocol.value == "telnet":
-                continue
-            when = day_epoch + bot.start_seconds(route_rng, day)
-            record = honeypot.handle(intent, when)
-            deliver(record)
-            produced += 1
+        indices, seconds = _route_draws(
+            bot, route_rng, len(intents), fleet_size, day
+        )
+        for intent, index, start in zip(intents, indices, seconds):
+            deliver(honeypots[index].handle(intent, day_epoch + start))
+        produced += len(intents)
     if substrate.flood is not None:
         # Injected scan-campaign arrivals ride the same delivery path as
         # bot traffic; their rng lives under the fault subtree, so they

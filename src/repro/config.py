@@ -56,8 +56,6 @@ class SimulationConfig:
             sensor's own constant
             (:data:`repro.honeypot.cowrie.DEFAULT_SESSION_TIMEOUT_S`,
             three minutes) so config and sensor cannot drift.
-        include_telnet: also simulate the Telnet side of the honeynet
-            (the paper records it but analyses only SSH).
         faults: the fault-injection profile (see :mod:`repro.faults`).
             The default, ``FaultProfile.paper()``, models exactly the
             paper's deployment — only the October 2023 outage, no
@@ -73,7 +71,6 @@ class SimulationConfig:
     n_countries: int = 55
     n_honeypot_ases: int = 65
     session_timeout_s: float = DEFAULT_SESSION_TIMEOUT_S
-    include_telnet: bool = True
     faults: FaultProfile = field(default_factory=FaultProfile.paper)
 
     def __post_init__(self) -> None:

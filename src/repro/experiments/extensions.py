@@ -21,7 +21,7 @@ from collections import Counter
 
 from repro.analysis.classify import CommandClassifier, label_coverage
 from repro.analysis.clusterselect import cluster_with_selection
-from repro.analysis.distance import distance_matrix, sample_sessions
+from repro.analysis.distance import distance_matrix, sample_sessions, session_tokens
 from repro.analysis.kmedoids import silhouette_score
 from repro.analysis.mdrfckr_case import (
     correlate_events,
@@ -117,21 +117,15 @@ class ExtAblationTokenizer(Experiment):
         )
         if not sessions:
             return self.result(headers, [], [NOTHING_TO_CLUSTER])
-        from repro.analysis.distance import session_tokens
-
         rows = []
         stats = {}
-        # Two tokenizer configs in one process: the distance caches are
-        # keyed by tokenizer fingerprint, so the raw variant can flow
-        # through the same cached session_tokens/pair paths as the
-        # paper variant without either serving the other's entries.
         for name, tokenizer in (
             ("normalized (paper)", DEFAULT_TOKENIZER),
             ("raw tokens", RAW_TOKENIZER),
         ):
             tokens = session_tokens(sessions, tokenizer=tokenizer)
             distinct = len({tuple(t) for t in tokens})
-            matrix = distance_matrix(tokens, tokenizer=tokenizer)
+            matrix = distance_matrix(tokens)
             _, selection = cluster_with_selection(
                 matrix, seed=dataset.config.seed
             )

@@ -36,10 +36,8 @@ class Fig14CategoryDld(Experiment):
             chosen = members[:3]
             exemplars[category] = session_tokens(chosen)
         categories = sorted(exemplars)
-        # One distance_matrix call over the flattened exemplars (instead
-        # of per-pair normalized_dld): same division, same floats, but
-        # the pair work flows through the shared pipeline — its caches
-        # and its telemetry.
+        # One distance_matrix call over the flattened exemplars: every
+        # pair is measured in one batch, under the matrix telemetry.
         flat: list[list[str]] = []
         spans: dict[str, range] = {}
         for category in categories:

