@@ -50,9 +50,7 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    population = build_base_population(
-        RngTree(DEFAULT_CONFIG.seed).child("net"), DEFAULT_CONFIG.n_honeypot_ases
-    )
+    population = build_base_population(RngTree(DEFAULT_CONFIG.seed).child("net"))
     fleet = build_fleet(
         population, RngTree(DEFAULT_CONFIG.seed).child("fleet"), DEFAULT_CONFIG
     )

@@ -178,12 +178,10 @@ def build_substrate(
     so two builds from the same config are identical.
     """
     tree = RngTree(config.seed)
-    population = build_base_population(
-        tree.child("net"), n_honeypot_ases=config.n_honeypot_ases
-    )
+    population = build_base_population(tree.child("net"))
     infrastructure = StorageInfrastructure(config, population, tree.child("infra"))
     malware = MalwareFactory(tree.child("malware"))
-    honeynet = deploy_honeynet(config, population, tree.child("deploy"))
+    honeynet = deploy_honeynet(population, tree.child("deploy"))
     context = BotContext(
         config=config,
         population=population,

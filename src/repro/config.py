@@ -15,24 +15,12 @@ import math
 from dataclasses import dataclass, field
 from datetime import date
 
-from repro.faults.plan import (
-    PAPER_OUTAGE_END,
-    PAPER_OUTAGE_START,
-    FaultProfile,
-)
-from repro.honeypot.cowrie import DEFAULT_SESSION_TIMEOUT_S
+from repro.faults.plan import FaultProfile
 
 #: First day of the observation window (paper section 3.3).
 WINDOW_START = date(2021, 12, 1)
 #: Last day of the observation window (paper section 3.3).
 WINDOW_END = date(2024, 8, 31)
-
-#: The honeynet maintenance outage: no sessions recorded for 48 hours
-#: on October 8-9, 2023 (paper section 3.3).  Kept as module constants
-#: for backward compatibility; the canonical definition lives in
-#: :mod:`repro.faults.plan` and on ``FaultProfile.paper()``.
-OUTAGE_START = PAPER_OUTAGE_START
-OUTAGE_END = PAPER_OUTAGE_END
 
 
 @dataclass(frozen=True)
@@ -49,13 +37,6 @@ class SimulationConfig:
             ratio the experiments measure.
         start: first simulated day (inclusive).
         end: last simulated day (inclusive).
-        n_honeypots: fleet size (221 in the paper).
-        n_countries: number of countries hosting honeypots (55).
-        n_honeypot_ases: number of distinct ASes hosting honeypots (65).
-        session_timeout_s: honeypot-side idle timeout.  Defaults to the
-            sensor's own constant
-            (:data:`repro.honeypot.cowrie.DEFAULT_SESSION_TIMEOUT_S`,
-            three minutes) so config and sensor cannot drift.
         faults: the fault-injection profile (see :mod:`repro.faults`).
             The default, ``FaultProfile.paper()``, models exactly the
             paper's deployment — only the October 2023 outage, no
@@ -67,10 +48,6 @@ class SimulationConfig:
     scale: float = 2e-5
     start: date = WINDOW_START
     end: date = WINDOW_END
-    n_honeypots: int = 221
-    n_countries: int = 55
-    n_honeypot_ases: int = 65
-    session_timeout_s: float = DEFAULT_SESSION_TIMEOUT_S
     faults: FaultProfile = field(default_factory=FaultProfile.paper)
 
     def __post_init__(self) -> None:
@@ -80,8 +57,6 @@ class SimulationConfig:
             )
         if self.start > self.end:
             raise ValueError("start must not be after end")
-        if self.n_honeypots < 1:
-            raise ValueError("need at least one honeypot")
 
     def scaled(self, paper_count: float) -> float:
         """Return ``paper_count`` scaled to this configuration."""

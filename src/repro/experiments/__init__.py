@@ -13,7 +13,6 @@ from repro.experiments.dataset import (
     Dataset,
     build_dataset,
     clear_cache,
-    database_from_artifacts,
 )
 from repro.experiments.runner import (
     load_all_experiments,
@@ -33,7 +32,6 @@ __all__ = [
     "Dataset",
     "build_dataset",
     "clear_cache",
-    "database_from_artifacts",
     "load_all_experiments",
     "render_report",
     "run_all",

@@ -184,47 +184,26 @@ class Dataset:
 #: The SHA-256 the honeypot records for the installed mdrfckr key file.
 MDRFCKR_KEY_FILE_HASH = sha256_hex(MDRFCKR_KEY + "\n")
 
-_CACHE: dict[tuple, Dataset] = {}
+_CACHE: dict[str, Dataset] = {}
 
 
-def _cache_key(config: SimulationConfig) -> tuple:
-    """Which cached dataset ``config`` may reuse.
-
+def _cache_key(config: SimulationConfig) -> str:
+    """Which cached dataset ``config`` may reuse:
     :func:`~repro.faults.checkpoint.config_fingerprint` is the one
-    definition of the fields that shape a dataset.  ``faults`` rides
-    along whole because its ``repr=False`` knobs (index corruption)
-    still change what a cached dataset's store export writes.
-    """
-    return (config_fingerprint(config), config.faults)
+    definition of the fields that shape a dataset."""
+    return config_fingerprint(config)
 
 
-def build_dataset(
-    config: SimulationConfig,
-    use_cache: bool = True,
-    *,
-    store_dir=None,
-) -> Dataset:
-    """Simulate (or reuse) the dataset for ``config``.
-
-    ``store_dir``, when set, persists the simulated recording as an
-    indexed artifact tree (:mod:`repro.store`) under that directory —
-    a pure projection of the result, so the dataset itself is identical
-    with or without it.  A cached dataset skips the simulation but still
-    writes the tree, so the tree always exists after this call.
-    """
+def build_dataset(config: SimulationConfig, use_cache: bool = True) -> Dataset:
+    """Simulate (or reuse) the dataset for ``config``."""
     key = _cache_key(config)
     if use_cache and key in _CACHE:
         telemetry.count("dataset.cache_hits")
-        cached = _CACHE[key]
-        if store_dir is not None:
-            from repro.attackers.orchestrator import _export_store
-
-            _export_store(cached.simulation, store_dir)
-        return cached
+        return _CACHE[key]
     with telemetry.span("dataset.build"):
         telemetry.count("dataset.builds")
         with telemetry.span("dataset.simulate"), telemetry.profile("simulate"):
-            simulation = run_simulation(config, store_dir=store_dir)
+            simulation = run_simulation(config)
         # Refuse to analyse a dataset whose instrument was mostly dark
         # or mostly shedding; every figure downstream assumes the gaps
         # are annotatable, not dominant.
@@ -265,18 +244,3 @@ def build_dataset(
 def clear_cache() -> None:
     """Drop all cached datasets (mainly for tests)."""
     _CACHE.clear()
-
-
-def database_from_artifacts(root):
-    """Load a :class:`~repro.honeynet.database.SessionDatabase` from a
-    persisted artifact tree (the ``store_dir`` of an earlier run).
-
-    Robust by construction: the records come from the lenient shard-scan
-    path (damaged lines quarantine-skipped, duplicates dropped, order
-    repaired), never from the index — so a corrupt or stale
-    ``index.sqlite`` can slow this down but never change the answer.
-    """
-    from repro.store import ResilientArtifactStore
-
-    with telemetry.span("dataset.load_artifacts"):
-        return ResilientArtifactStore(root).database()

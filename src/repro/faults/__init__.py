@@ -82,7 +82,6 @@ from repro.faults.plan import (
 from repro.faults.transport import (
     DirectChannel,
     ResilientChannel,
-    RetryPolicy,
     build_channel,
 )
 
@@ -100,7 +99,6 @@ __all__ = [
     "IntegrityFaults",
     "OutageWindow",
     "ResilientChannel",
-    "RetryPolicy",
     "SERVICE_PROFILES",
     "SensorDowntime",
     "ServiceFaults",

@@ -47,10 +47,11 @@ from repro.integrity.checksums import seal, section_checksum
 from repro.util.fsio import atomic_write_text
 from repro.util.hashing import sha256_hex
 
-# NOTE: repro.honeynet.io is imported inside the (de)serialization
-# functions: importing it at module level would run the repro.honeynet
-# package __init__, which reaches repro.config — and repro.config
-# imports this package to embed FaultProfile.
+# NOTE: repro.honeynet is imported inside the functions that need it
+# (its io module, the deployment constants): importing it at module
+# level would run the repro.honeynet package __init__, which reaches
+# repro.config — and repro.config imports this package to embed
+# FaultProfile.
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.config import SimulationConfig
@@ -113,17 +114,21 @@ class CheckpointError(ValueError):
 
 def config_fingerprint(config: "SimulationConfig") -> str:
     """A stable digest of every config field that shapes the dataset."""
+    from repro.honeynet.deployment import N_COUNTRIES, N_HONEYPOTS
+    from repro.honeypot.cowrie import DEFAULT_SESSION_TIMEOUT_S
+    from repro.net.population import N_HONEYPOT_ASES
+
     payload = {
         "seed": config.seed,
         "scale": config.scale,
         "start": config.start.isoformat(),
         "end": config.end.isoformat(),
-        "n_honeypots": config.n_honeypots,
-        "n_countries": config.n_countries,
-        "n_honeypot_ases": config.n_honeypot_ases,
-        "session_timeout_s": config.session_timeout_s,
-        # Telnet is always simulated; the key stays so that every
-        # fingerprint written before it was fixed stays valid.
+        # The deployment and Telnet are fixed; their keys stay so that
+        # every fingerprint written while they were settable stays valid.
+        "n_honeypots": N_HONEYPOTS,
+        "n_countries": N_COUNTRIES,
+        "n_honeypot_ases": N_HONEYPOT_ASES,
+        "session_timeout_s": DEFAULT_SESSION_TIMEOUT_S,
         "include_telnet": True,
         "faults": repr(config.faults),
     }

@@ -125,21 +125,13 @@ class IndexCorruptor:
     Like every corruptor, decisions come from a seed-derived
     :class:`~repro.util.rng.RngTree` keyed by artifact, so the same seed
     damages the same index the same way every run, and a zero
-    probability leaves fault-free runs untouched.  ``mode=None`` lets
-    the stream pick; a fixed mode makes the damage reproducible by name
-    (the CLI's ``--index-mode``).
+    probability leaves fault-free runs untouched.  The stream picks the
+    mode; :func:`corrupt_index` applies a named one (the CLI's
+    ``--corrupt-index``).
     """
 
     probability: float
     tree: RngTree
-    mode: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.mode is not None and self.mode not in INDEX_CORRUPTION_MODES:
-            known = ", ".join(INDEX_CORRUPTION_MODES)
-            raise ValueError(
-                f"unknown index corruption mode {self.mode!r} (known: {known})"
-            )
 
     def maybe_corrupt(self, path: Path | str, key: int | str) -> str | None:
         """Corrupt the index at ``path`` with the configured probability.
@@ -151,7 +143,7 @@ class IndexCorruptor:
         rng = self.tree.child(key).rand()
         if rng.random() >= self.probability:
             return None
-        mode = self.mode or rng.choice(INDEX_CORRUPTION_MODES)
+        mode = rng.choice(INDEX_CORRUPTION_MODES)
         corrupt_index(Path(path), mode, rng)
         telemetry.count("store.corruptions")
         telemetry.count(f"store.corruptions.{mode}")
@@ -160,6 +152,11 @@ class IndexCorruptor:
 
 def corrupt_index(path: Path, mode: str, rng: random.Random) -> None:
     """Apply one named damage mode to the index file at ``path``."""
+    if mode not in INDEX_CORRUPTION_MODES:
+        known = ", ".join(INDEX_CORRUPTION_MODES)
+        raise ValueError(
+            f"unknown index corruption mode {mode!r} (known: {known})"
+        )
     if mode == "drop-rows":
         import sqlite3
 
@@ -235,11 +232,11 @@ def build_checkpoint_corruptor(
 
 
 def build_index_corruptor(
-    faults: IntegrityFaults | None, tree: RngTree, *, mode: str | None = None
+    faults: IntegrityFaults | None, tree: RngTree
 ) -> IndexCorruptor | None:
     """An index corruptor for one run, or None when inert."""
     if faults is None or faults.index_corruption_probability <= 0.0:
         return None
     return IndexCorruptor(
-        probability=faults.index_corruption_probability, tree=tree, mode=mode
+        probability=faults.index_corruption_probability, tree=tree
     )

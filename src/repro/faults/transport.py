@@ -31,35 +31,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.honeynet.collector import Collector
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Capped exponential backoff with equal jitter."""
-
-    max_attempts: int = 4
-    base_s: float = 0.5
-    cap_s: float = 30.0
-    jitter: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
-        if self.base_s < 0 or self.cap_s < self.base_s:
-            raise ValueError("need 0 <= base_s <= cap_s")
-
-    @classmethod
-    def from_faults(cls, faults: TransportFaults) -> "RetryPolicy":
-        return cls(
-            max_attempts=faults.max_attempts,
-            base_s=faults.backoff_base_s,
-            cap_s=faults.backoff_cap_s,
-        )
-
-    def backoff_s(self, attempt: int, rng: random.Random) -> float:
-        """Delay before retrying after failed attempt ``attempt`` (1-based)."""
-        raw = min(self.cap_s, self.base_s * 2 ** (attempt - 1))
-        return raw * (1.0 - self.jitter + self.jitter * rng.random())
+#: Equal jitter: a retry waits a uniform draw from the upper
+#: ``BACKOFF_JITTER`` share of its capped exponential delay.
+BACKOFF_JITTER = 0.5
 
 
 @dataclass
@@ -93,23 +67,18 @@ class ResilientChannel:
 
     Every record gets its own random stream keyed by session id, so
     transport faults are deterministic under the master seed and
-    independent of delivery order.
+    independent of delivery order.  ``faults`` sets the attempts and the
+    capped exponential backoff; :data:`BACKOFF_JITTER` jitters it.
     """
 
     def __init__(
-        self,
-        collector: "Collector",
-        faults: TransportFaults,
-        tree: RngTree,
-        policy: RetryPolicy | None = None,
+        self, collector: "Collector", faults: TransportFaults, tree: RngTree
     ) -> None:
         self.collector = collector
         self.faults = faults
-        self.policy = policy or RetryPolicy.from_faults(faults)
         self.stats = ChannelStats()
         self._tree = tree
-        self._flushed_attempts = 0
-        self._flushed_delivered = 0
+        self._flushed: dict[str, int] = {}
 
     def deliver(self, record: SessionRecord) -> bool:
         """Deliver one record; returns True iff it ended up stored."""
@@ -123,7 +92,7 @@ class ResilientChannel:
         faults = self.faults
         registry = telemetry.active()
         fail_below = faults.failure_probability + faults.corruption_probability
-        for attempt in range(1, self.policy.max_attempts + 1):
+        for attempt in range(1, faults.max_attempts + 1):
             self.stats.attempts += 1
             roll = rng.random()
             if roll < faults.corruption_probability:
@@ -150,9 +119,9 @@ class ResilientChannel:
                             registry.count("transport.duplicate_deliveries")
                         collector.ingest(record)
                 return stored
-            if attempt < self.policy.max_attempts:
+            if attempt < faults.max_attempts:
                 collector.retried += 1
-                backoff = self.policy.backoff_s(attempt, rng)
+                backoff = self.backoff_s(attempt, rng)
                 self.stats.simulated_backoff_s += backoff
                 if registry is not None:
                     registry.count("transport.retries")
@@ -161,6 +130,12 @@ class ResilientChannel:
                     )
         collector.dead_letter(record)
         return False
+
+    def backoff_s(self, attempt: int, rng: random.Random) -> float:
+        """Delay before retrying after failed attempt ``attempt`` (1-based)."""
+        faults = self.faults
+        raw = min(faults.backoff_cap_s, faults.backoff_base_s * 2 ** (attempt - 1))
+        return raw * (1.0 - BACKOFF_JITTER + BACKOFF_JITTER * rng.random())
 
     def flush_telemetry(self) -> None:
         """Emit attempt/delivery counter deltas since the last flush.
@@ -174,16 +149,13 @@ class ResilientChannel:
         stay inline — they fire only on fault rolls.
         """
         stats = self.stats
-        registry = telemetry.active()
-        if registry is not None:
-            attempts = stats.attempts - self._flushed_attempts
-            if attempts:
-                registry.count("transport.attempts", attempts)
-            delivered = stats.delivered - self._flushed_delivered
-            if delivered:
-                registry.count("transport.delivered", delivered)
-        self._flushed_attempts = stats.attempts
-        self._flushed_delivered = stats.delivered
+        telemetry.flush_counts(
+            self._flushed,
+            (
+                ("transport.attempts", stats.attempts),
+                ("transport.delivered", stats.delivered),
+            ),
+        )
 
 
 def build_channel(

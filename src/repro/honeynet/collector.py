@@ -119,7 +119,7 @@ class Collector:
         self._seen_ids = {record.session_id for record in self.sessions}
         # Pre-seeded state was never offered through this collector's
         # hot path, so it must not be re-counted on the first flush.
-        self._mark_telemetry_flushed()
+        self._flushed = dict(self._telemetry_state())
 
     # ------------------------------------------------------------------
     # delivery primitives (used by the transport channel)
@@ -238,33 +238,9 @@ class Collector:
         )
 
     def flush_telemetry(self) -> None:
-        """Emit counter deltas since the last flush to the registry.
-
-        The final registry totals equal what per-record instrumentation
-        would have produced, but the hot path pays one dictionary update
-        per *day*, not per record.
-        No-op while telemetry is disabled (the snapshot then tracks the
-        would-have-been-flushed values so a later enable never
-        re-counts history).
-        """
-        registry = telemetry.active()
-        flushed = self._flushed
-        for name, current in self._telemetry_state():
-            delta = current - flushed.get(name, 0)
-            if delta:
-                if registry is not None:
-                    registry.count(name, delta)
-                flushed[name] = current
-
-    def _mark_telemetry_flushed(self) -> None:
-        """Advance the snapshot without emitting anything.
-
-        Used when counters change by means that were already accounted
-        elsewhere: pre-seeded sessions and checkpoint restores (the
-        originating run counted them).
-        """
-        for name, current in self._telemetry_state():
-            self._flushed[name] = current
+        """Emit counter deltas since the last flush to the registry
+        (:func:`repro.telemetry.flush_counts`)."""
+        telemetry.flush_counts(self._flushed, self._telemetry_state())
 
     # ------------------------------------------------------------------
     # accounting
@@ -316,5 +292,4 @@ class Collector:
         self.deferred = counters.get("deferred", 0)
         # Restored counters were already emitted by the run that wrote
         # the checkpoint; re-seed the snapshot so they aren't re-counted.
-        self._flushed = {}
-        self._mark_telemetry_flushed()
+        self._flushed = dict(self._telemetry_state())

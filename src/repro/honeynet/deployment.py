@@ -9,12 +9,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.config import SimulationConfig
 from repro.honeypot.cowrie import CowrieHoneypot
-from repro.honeypot.shell.context import HostProfile
 from repro.net.ipv4 import int_to_ip
 from repro.net.population import BasePopulation
 from repro.util.rng import RngTree
+
+#: Sensors in the fleet (paper section 3.1).
+N_HONEYPOTS = 221
+
+#: Countries hosting them (paper section 3.1).
+N_COUNTRIES = 55
 
 _HOSTNAMES = (
     "svr04", "ns3", "db01", "app-srv", "media-box", "cam-gw", "router",
@@ -43,28 +47,26 @@ class Honeynet:
         return self._index[honeypot_id]
 
 
-def deploy_honeynet(
-    config: SimulationConfig, population: BasePopulation, rng_tree: RngTree
-) -> Honeynet:
-    """Place ``config.n_honeypots`` sensors across countries and ASes."""
+def deploy_honeynet(population: BasePopulation, rng_tree: RngTree) -> Honeynet:
+    """Place the :data:`N_HONEYPOTS` sensors across :data:`N_COUNTRIES`
+    countries and every honeypot-hosting AS of ``population``."""
     rng = rng_tree.child("deployment").rand()
     from repro.net.geo import pick_countries
 
-    countries = pick_countries(rng, config.n_countries)
+    countries = pick_countries(rng, N_COUNTRIES)
     honeypots: list[CowrieHoneypot] = []
-    host_ases = population.honeypot_ases[: config.n_honeypot_ases]
-    for index in range(config.n_honeypots):
+    host_ases = population.honeypot_ases
+    for index in range(N_HONEYPOTS):
         record = host_ases[index % len(host_ases)]
         address = record.random_ip(rng)
-        profile = HostProfile(hostname=rng.choice(_HOSTNAMES) + f"-{index:03d}")
+        hostname = rng.choice(_HOSTNAMES) + f"-{index:03d}"
         honeypots.append(
             CowrieHoneypot(
                 honeypot_id=f"hp-{index:03d}",
                 ip=int_to_ip(address),
                 country=countries[index % len(countries)],
                 asn=record.asn,
-                profile=profile,
-                timeout_s=config.session_timeout_s,
+                hostname=hostname,
             )
         )
     return Honeynet(honeypots=honeypots, countries=countries)

@@ -17,9 +17,9 @@ Exports are self-verifying at three layers:
 * the write itself is atomic (temp + fsync + rename), so a killed
   export never leaves a half-written dataset.
 
-Reading is strict by default — any damage raises
+Reading is strict — any damage makes :func:`read_jsonl` raise
 :class:`SessionLogError` with path/line/reason context.  The lenient
-mode (:func:`recover_jsonl`) instead reconstructs everything
+read (:func:`recover_jsonl`) instead reconstructs everything
 recoverable: duplicated lines are dropped by sequence number, reordered
 lines are re-sorted, and every unrecoverable line is quarantined with
 provenance (:mod:`repro.integrity.quarantine`) so the loss shows up in
@@ -63,7 +63,7 @@ from repro.integrity.manifest import (
     read_manifest,
     write_manifest,
 )
-from repro.integrity.quarantine import QUARANTINE_DIR_NAME, QuarantineStore
+from repro.integrity.quarantine import QuarantineStore
 from repro.util.fsio import atomic_write_text
 
 #: Format version written into every line.
@@ -214,7 +214,6 @@ def write_jsonl(
     path: Path | str,
     *,
     corruptor=None,
-    manifest: bool = True,
 ) -> int:
     """Write sessions to a JSONL file; returns the clean record count.
 
@@ -233,8 +232,7 @@ def write_jsonl(
     document = build_manifest(lines)
     written = corruptor.corrupt_lines(lines) if corruptor is not None else lines
     atomic_write_text(path, "".join(line + "\n" for line in written))
-    if manifest:
-        write_manifest(path, document)
+    write_manifest(path, document)
     telemetry.count("integrity.records_written", document.lines)
     return document.lines
 
@@ -251,9 +249,10 @@ def _split_lines(data: bytes) -> list[bytes]:
 def _parse_line(raw: bytes) -> tuple[int | None, SessionRecord] | None:
     """One physical line as ``(seq, record)``, or None when it is blank.
 
-    The one line parser of both read modes.  A line that is not UTF-8,
-    not JSON or not a JSON object is ``invalid-json``; a record that
-    fails :func:`session_from_dict` keeps that function's reason.
+    The one line parser of the strict and the lenient read.  A line
+    that is not UTF-8, not JSON or not a JSON object is
+    ``invalid-json``; a record that fails :func:`session_from_dict`
+    keeps that function's reason.
     Raises :class:`SessionLogError` without path or line context — the
     caller knows both.
     """
@@ -278,29 +277,14 @@ def _parse_line(raw: bytes) -> tuple[int | None, SessionRecord] | None:
     return (sequence if isinstance(sequence, int) else None), record
 
 
-def read_jsonl(
-    path: Path | str,
-    *,
-    mode: str = "strict",
-    quarantine: Path | str | QuarantineStore | None = None,
-) -> list[SessionRecord]:
+def read_jsonl(path: Path | str) -> list[SessionRecord]:
     """Load all session records from a JSONL file.
 
-    ``mode="strict"`` (the default) raises :class:`SessionLogError` on
-    the first damaged line and, when a sidecar manifest exists, on any
-    divergence between the manifest and the bytes on disk.
-
-    ``mode="lenient"`` recovers instead: see :func:`recover_jsonl`.
-    Damaged lines land in ``quarantine`` (default: a ``quarantine/``
-    directory next to the file).
+    Raises :class:`SessionLogError` on the first damaged line and, when
+    a sidecar manifest exists, on any divergence between the manifest
+    and the bytes on disk.  :func:`recover_jsonl` recovers instead.
     """
     path = Path(path)
-    if mode == "lenient":
-        if quarantine is None:
-            quarantine = path.parent / QUARANTINE_DIR_NAME
-        return recover_jsonl(path, quarantine=quarantine).records
-    if mode != "strict":
-        raise ValueError(f"unknown read mode: {mode!r}")
     data = path.read_bytes()
     records: list[SessionRecord] = []
     for line_number, raw in enumerate(_split_lines(data), start=1):

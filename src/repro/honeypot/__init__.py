@@ -1,6 +1,5 @@
 """Cowrie-like medium-interaction SSH/Telnet honeypot."""
 
-from repro.honeypot.auth import DEFAULT_POLICY, CredentialPolicy
 from repro.honeypot.cowrie import MAX_LINES_PER_SESSION, CowrieHoneypot
 from repro.honeypot.fs import FakeFilesystem, FileNode
 from repro.honeypot.session import (
@@ -23,8 +22,6 @@ __all__ = [
     "StatefulCowrieHoneypot",
     "consistency_probe_pair",
     "probe_detects_honeypot",
-    "DEFAULT_POLICY",
-    "CredentialPolicy",
     "CowrieHoneypot",
     "MAX_LINES_PER_SESSION",
     "FakeFilesystem",

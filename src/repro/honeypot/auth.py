@@ -1,4 +1,4 @@
-"""Authentication policy of the honeynet's Cowrie deployment.
+"""Authentication rule of the honeynet's Cowrie deployment.
 
 Paper section 3.2: password authentication as ``root`` with *any*
 password except the literal string ``"root"`` is accepted; public keys
@@ -11,30 +11,15 @@ logins fail on this version.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+#: The one password ``root`` may not log in with.
+ROOT_REJECTED_PASSWORD = "root"
+
+#: Cowrie's default account on the deployed version; any password works.
+DEFAULT_ACCOUNT = "phil"
 
 
-@dataclass(frozen=True)
-class CredentialPolicy:
-    """Decides which (username, password) pairs are accepted."""
-
-    root_rejected_passwords: frozenset[str] = frozenset({"root"})
-    default_accounts: frozenset[str] = frozenset({"phil"})
-    legacy_accounts: frozenset[str] = frozenset({"richard"})
-
-    def accepts(self, username: str, password: str) -> bool:
-        """Return whether a login with these credentials succeeds."""
-        if username == "root":
-            return password not in self.root_rejected_passwords
-        if username in self.default_accounts:
-            return True
-        return False
-
-    def is_fingerprint_username(self, username: str) -> bool:
-        """Whether the username is a Cowrie default used for honeypot
-        fingerprinting (current or legacy)."""
-        return username in self.default_accounts or username in self.legacy_accounts
-
-
-#: The policy every honeypot in the fleet runs.
-DEFAULT_POLICY = CredentialPolicy()
+def accepts(username: str, password: str) -> bool:
+    """Whether a login with these credentials succeeds on every sensor."""
+    if username == "root":
+        return password != ROOT_REJECTED_PASSWORD
+    return username == DEFAULT_ACCOUNT

@@ -11,7 +11,7 @@ probe for).
 Bots replay the same scripts for months, so each sensor keeps a memo of
 the lines it has emulated.  A line's record depends only on the shell
 state it runs in — user, working directory, environment and filesystem
-(the profile is constant per sensor) — plus what the session alone can
+(the hostname is constant per sensor) — plus what the session alone can
 see: the files the network serves it and its ``/dev/urandom``.  A
 line whose first run changed no shell state, recorded no file event
 and read nothing session-bound is stored under (that state, line); a
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from repro.honeypot.auth import DEFAULT_POLICY, CredentialPolicy
+from repro.honeypot.auth import accepts
 from repro.honeypot.session import (
     CommandRecord,
     ConnectionIntent,
@@ -33,7 +33,7 @@ from repro.honeypot.session import (
     Protocol,
     SessionRecord,
 )
-from repro.honeypot.shell.context import HostProfile, ShellContext
+from repro.honeypot.shell.context import DEFAULT_HOSTNAME, ShellContext
 from repro.honeypot.shell.engine import ShellEngine
 from repro.util.hashing import short_hash
 
@@ -42,9 +42,11 @@ from repro.util.hashing import short_hash
 MAX_LINES_PER_SESSION = 300
 
 #: The honeypot-side idle timeout (paper section 3.1: three minutes).
-#: Canonical definition — ``SimulationConfig.session_timeout_s`` derives
-#: its default from this constant so the two cannot drift.
 DEFAULT_SESSION_TIMEOUT_S = 180.0
+
+#: The ports every sensor serves SSH and Telnet on.
+SSH_PORT = 22
+TELNET_PORT = 23
 
 #: Entries one sensor's line memo holds before it is cleared.  At seed 7
 #: the fullest sensor memo holds 64 entries at scale 1e-4 (10,083 over
@@ -72,11 +74,7 @@ class CowrieHoneypot:
     ip: str
     country: str = "ZZ"
     asn: int = 0
-    ssh_port: int = 22
-    telnet_port: int = 23
-    policy: CredentialPolicy = field(default_factory=lambda: DEFAULT_POLICY)
-    profile: HostProfile = field(default_factory=HostProfile)
-    timeout_s: float = DEFAULT_SESSION_TIMEOUT_S
+    hostname: str = DEFAULT_HOSTNAME
     _counter: int = field(default=0, repr=False)
     _line_memo: dict[tuple[_State, str], tuple[CommandRecord, tuple[str, ...]]] = (
         field(default_factory=dict, init=False, repr=False, compare=False)
@@ -88,7 +86,7 @@ class CowrieHoneypot:
         """Fresh per-session shell state (Cowrie is stateless)."""
         return ShellContext(
             user=user,
-            profile=self.profile,
+            hostname=self.hostname,
             remote_files=intent.remote_file_map(),
             entropy=session_id,
         )
@@ -102,7 +100,7 @@ class CowrieHoneypot:
         logins: list[LoginAttempt] = []
         logged_in_user: str | None = None
         for username, password in intent.credentials:
-            accepted = self.policy.accepts(username, password)
+            accepted = accepts(username, password)
             logins.append(LoginAttempt(username, password, accepted))
             if accepted:
                 logged_in_user = username
@@ -119,11 +117,11 @@ class CowrieHoneypot:
             uris = context.uris
             file_events = context.file_events
 
-        timed_out = intent.hold_open or intent.duration_s >= self.timeout_s
-        duration = self.timeout_s if timed_out else intent.duration_s
-        port = (
-            self.ssh_port if intent.protocol == Protocol.SSH else self.telnet_port
+        timed_out = (
+            intent.hold_open or intent.duration_s >= DEFAULT_SESSION_TIMEOUT_S
         )
+        duration = DEFAULT_SESSION_TIMEOUT_S if timed_out else intent.duration_s
+        port = SSH_PORT if intent.protocol == Protocol.SSH else TELNET_PORT
         return SessionRecord(
             session_id=session_id,
             honeypot_id=self.honeypot_id,

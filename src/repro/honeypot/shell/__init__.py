@@ -1,6 +1,6 @@
 """Emulated Unix shell: parser, command registry, execution engine."""
 
-from repro.honeypot.shell.context import CommandResult, HostProfile, ShellContext
+from repro.honeypot.shell.context import CommandResult, ShellContext
 from repro.honeypot.shell.engine import ShellEngine
 from repro.honeypot.shell.parser import (
     ParseError,
@@ -14,7 +14,6 @@ from repro.honeypot.shell.registry import default_registry, resolve_path_command
 
 __all__ = [
     "CommandResult",
-    "HostProfile",
     "ShellContext",
     "ShellEngine",
     "ParseError",

@@ -12,6 +12,16 @@ from collections.abc import Sequence
 
 from repro.honeypot.shell.context import CommandResult, ShellContext
 
+#: What every sensor's ``uname``, ``nproc``, ``lscpu`` and ``free``
+#: report; only the hostname differs from sensor to sensor.
+KERNEL_NAME = "Linux"
+KERNEL_RELEASE = "4.19.0-21-amd64"
+KERNEL_VERSION = "#1 SMP Debian 4.19.249-2 (2022-06-30)"
+MACHINE = "x86_64"
+HARDWARE_PLATFORM = "GNU/Linux"
+CPUS = 2
+MEM_TOTAL_KB = 2_048_000
+
 
 def cmd_echo(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     args = list(argv[1:])
@@ -33,20 +43,19 @@ def cmd_echo(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResul
 
 
 def cmd_uname(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
-    profile = ctx.profile
     fields = {
-        "s": profile.kernel_name,
-        "n": profile.hostname,
-        "r": profile.kernel_release,
-        "v": profile.kernel_version,
-        "m": profile.machine,
-        "i": profile.machine,
+        "s": KERNEL_NAME,
+        "n": ctx.hostname,
+        "r": KERNEL_RELEASE,
+        "v": KERNEL_VERSION,
+        "m": MACHINE,
+        "i": MACHINE,
         "p": "unknown",
-        "o": profile.hardware_platform,
+        "o": HARDWARE_PLATFORM,
     }
     flags = [arg for arg in argv[1:] if arg.startswith("-")]
     if not flags:
-        return CommandResult(output=profile.kernel_name + "\n")
+        return CommandResult(output=KERNEL_NAME + "\n")
     # real uname prints selected fields in its own fixed order,
     # regardless of the order the flags were given in
     requested: set[str] = set()
@@ -62,13 +71,13 @@ def cmd_uname(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResu
 
 
 def cmd_nproc(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
-    return CommandResult(output=f"{ctx.profile.cpus}\n")
+    return CommandResult(output=f"{CPUS}\n")
 
 
 def cmd_lscpu(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     lines = [
         "Architecture:        x86_64",
-        f"CPU(s):              {ctx.profile.cpus}",
+        f"CPU(s):              {CPUS}",
         "Model name:          Intel(R) Xeon(R) CPU E5-2650 v4 @ 2.20GHz",
         "Thread(s) per core:  1",
     ]
@@ -76,7 +85,7 @@ def cmd_lscpu(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResu
 
 
 def cmd_free(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
-    total = ctx.profile.mem_total_kb
+    total = MEM_TOTAL_KB
     used = total // 3
     lines = [
         "              total        used        free",
@@ -152,7 +161,7 @@ def cmd_which(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResu
 
 
 def cmd_hostname(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
-    return CommandResult(output=ctx.profile.hostname + "\n")
+    return CommandResult(output=ctx.hostname + "\n")
 
 
 def cmd_ifconfig(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
@@ -334,9 +343,11 @@ def cmd_cd(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     if ctx.fs.is_dir(resolved):
         ctx.cwd = resolved
         return CommandResult(output="")
-    return CommandResult(
-        output=f"-bash: cd: {target}: No such file or directory\n", success=False
-    )
+    if ctx.fs.is_file(resolved):
+        reason = "Not a directory"
+    else:
+        reason = "No such file or directory"
+    return CommandResult(output=f"-bash: cd: {target}: {reason}\n", success=False)
 
 
 def cmd_pwd(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
@@ -364,20 +375,19 @@ def cmd_crontab(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandRe
     if args and args[0] == "-r":
         ctx.delete_file(spool)
         return CommandResult(output="")
-    if args and args[0] == "-":
-        ctx.write_file(spool, stdin.encode("utf-8"))
-        return CommandResult(output="")
-    if args:
+    if args and args[0] != "-":
         content = ctx.fs.read(ctx.resolve(args[0]))
         if content is None:
             return CommandResult(
                 output=f"crontab: {args[0]}: No such file or directory\n",
                 success=False,
             )
-        ctx.write_file(spool, content)
+    elif args or stdin:
+        content = stdin.encode("utf-8")
+    else:
         return CommandResult(output="")
-    if stdin:
-        ctx.write_file(spool, stdin.encode("utf-8"))
+    if error := ctx.write_file(spool, content):
+        return CommandResult(output=f"crontab: {spool}: {error}\n", success=False)
     return CommandResult(output="")
 
 

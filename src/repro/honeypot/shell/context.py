@@ -9,18 +9,8 @@ from repro.honeypot.fs import FakeFilesystem, home_of
 from repro.honeypot.session import FileEvent, FileOp
 
 
-@dataclass(frozen=True)
-class HostProfile:
-    """Identity the emulated host presents (uname, hostname, ...)."""
-
-    hostname: str = "svr04"
-    kernel_name: str = "Linux"
-    kernel_release: str = "4.19.0-21-amd64"
-    kernel_version: str = "#1 SMP Debian 4.19.249-2 (2022-06-30)"
-    machine: str = "x86_64"
-    hardware_platform: str = "GNU/Linux"
-    cpus: int = 2
-    mem_total_kb: int = 2_048_000
+#: The hostname of a sensor built without one.
+DEFAULT_HOSTNAME = "svr04"
 
 
 @dataclass
@@ -49,14 +39,14 @@ class ShellContext:
     def __init__(
         self,
         fs: FakeFilesystem | None = None,
-        profile: HostProfile | None = None,
+        hostname: str = DEFAULT_HOSTNAME,
         user: str = "root",
         remote_files: dict[str, bytes] | None = None,
         entropy: str = "",
     ) -> None:
         self.fs = fs or FakeFilesystem()
         self.entropy = entropy  # per-session seed for /dev/urandom reads
-        self.profile = profile or HostProfile()
+        self.hostname = hostname
         self.user = user
         self.cwd = home_of(user)
         self.env: dict[str, str] = {

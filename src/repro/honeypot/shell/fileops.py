@@ -155,7 +155,11 @@ def cmd_dd(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResult:
     elif stdin:
         content = stdin.encode("utf-8")
     if destination:
-        ctx.write_file(destination, content)
+        if error := ctx.write_file(destination, content):
+            return CommandResult(
+                output=f"dd: failed to open '{destination}': {error}\n",
+                success=False,
+            )
         return CommandResult(output="1+0 records in\n1+0 records out\n")
     length = int(block_size) if block_size.isdecimal() else 512
     preview = content[:length]

@@ -114,7 +114,7 @@ def cmd_curl(ctx: ShellContext, argv: Sequence[str], stdin: str) -> CommandResul
             success = False
             continue
         error = None
-        if output_path and output_path not in ("-", "/dev/null"):
+        if output_path and output_path != "-":
             error = ctx.write_file(output_path, content, source="transfer")
         elif remote_name:
             error = ctx.write_file(_basename_from_url(url), content, source="transfer")

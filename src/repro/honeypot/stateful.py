@@ -72,7 +72,7 @@ class StatefulCowrieHoneypot(CowrieHoneypot):
         return ShellContext(
             fs=self._filesystem_for(intent, self._now),
             user=user,
-            profile=self.profile,
+            hostname=self.hostname,
             remote_files=intent.remote_file_map(),
             entropy=session_id,
         )

@@ -27,6 +27,9 @@ CLIENT_AS_PLAN: list[tuple[ASType, int, tuple[int, int], float]] = [
     (ASType.CDN, 10, (256, 4096), 0.02),
 ]
 
+#: ASes hosting the honeynet's sensors (paper section 3.1).
+N_HONEYPOT_ASES = 65
+
 
 @dataclass
 class BasePopulation:
@@ -55,9 +58,7 @@ def _log_uniform(rng: random.Random, low: int, high: int) -> int:
     return int(round(math.exp(rng.uniform(math.log(low), math.log(high)))))
 
 
-def build_base_population(
-    rng_tree: RngTree, n_honeypot_ases: int = 65
-) -> BasePopulation:
+def build_base_population(rng_tree: RngTree) -> BasePopulation:
     """Create the registry with client and honeypot AS populations."""
     registry = ASRegistry()
     rng = rng_tree.child("population").rand()
@@ -85,7 +86,7 @@ def build_base_population(
             name=f"AS-HONEYNET-HOST-{index}",
             country=random_country(rng),
         )
-        for index in range(n_honeypot_ases)
+        for index in range(N_HONEYPOT_ASES)
     ]
     return BasePopulation(
         registry=registry,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.config import SimulationConfig
 from repro.experiments.base import ExperimentResult
+from repro.honeynet.deployment import N_HONEYPOTS
 
 #: Per-experiment paper-side summary lines for the comparison document.
 PAPER_EXPECTATIONS: dict[str, str] = {
@@ -113,7 +114,7 @@ def experiments_markdown(
         "",
         f"Run configuration: `seed={config.seed}`, `scale={config.scale}` "
         f"(measured counts are ≈ scale × paper counts), window "
-        f"{config.start} … {config.end}, {config.n_honeypots} honeypots.",
+        f"{config.start} … {config.end}, {N_HONEYPOTS} honeypots.",
         "",
         "Absolute numbers are not expected to match — the substrate is a "
         "synthetic honeynet at a reduced scale.  The comparisons below "

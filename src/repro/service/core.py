@@ -87,8 +87,8 @@ class ServicePolicy:
     policy is this object plus the :class:`ServiceFaults` the load
     model drives, so ``repr()`` of both pins the run.  The request
     deadline (:data:`DEADLINE_S`), the clock tick (:data:`TICK_S`) and
-    the store breaker's thresholds (:class:`CircuitBreaker`'s defaults)
-    are the same under every policy.
+    the store breaker's thresholds (the :mod:`repro.stream.breaker`
+    constants) are the same under every policy.
     """
 
     cache_capacity: int = 256

@@ -23,6 +23,14 @@ CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
 
+#: Consecutive failures that open a closed breaker.
+FAILURE_THRESHOLD = 3
+
+#: Virtual seconds before the first half-open probe (before jitter);
+#: each further trip doubles it, up to :data:`MAX_BACKOFF_S`.
+RECOVERY_S = 4.0
+MAX_BACKOFF_S = 64.0
+
 
 @dataclass(frozen=True)
 class BreakerTransition:
@@ -58,19 +66,16 @@ class BreakerTransition:
 class CircuitBreaker:
     """One stage's breaker; all timing in virtual seconds.
 
-    ``failure_threshold`` consecutive failures open the breaker; while
-    open, :meth:`allow` refuses work until the seeded probe instant,
-    then admits exactly one half-open probe.  A successful probe closes
-    the breaker; a failed one re-opens it with doubled backoff (capped
-    at ``max_backoff_s``).  :meth:`trip` force-opens from any state —
-    the heartbeat monitor's hard-breach hook.
+    :data:`FAILURE_THRESHOLD` consecutive failures open the breaker;
+    while open, :meth:`allow` refuses work until the seeded probe
+    instant, then admits exactly one half-open probe.  A successful
+    probe closes the breaker; a failed one re-opens it with doubled
+    backoff (capped at :data:`MAX_BACKOFF_S`).  :meth:`trip` force-opens
+    from any state — the heartbeat monitor's hard-breach hook.
     """
 
     stage: str
     tree: RngTree
-    failure_threshold: int = 3
-    recovery_s: float = 4.0
-    max_backoff_s: float = 64.0
     state: str = CLOSED
     failures: int = 0
     trips: int = 0
@@ -84,10 +89,7 @@ class CircuitBreaker:
         ``(stage, trips)`` child stream into ``[0.5, 1.5)`` of the base —
         deterministic per (seed, stage, trip), never wall-clock.
         """
-        base = min(
-            self.recovery_s * (2 ** max(self.trips - 1, 0)),
-            self.max_backoff_s,
-        )
+        base = min(RECOVERY_S * (2 ** max(self.trips - 1, 0)), MAX_BACKOFF_S)
         return base * (0.5 + self.tree.coin(self.stage, self.trips))
 
     def _transition(
@@ -129,7 +131,7 @@ class CircuitBreaker:
             self._open(now, "probe-failed", day, event)
         elif self.state == CLOSED:
             self.failures += 1
-            if self.failures >= self.failure_threshold:
+            if self.failures >= FAILURE_THRESHOLD:
                 self._open(now, reason, day, event)
 
     def trip(self, now: float, day: int, event: int, reason: str) -> None:

@@ -450,7 +450,7 @@ class StreamSubstrate:
         self.ledger.audit(self.collector, day)
         self._days_seen += 1
         self._event_total += self._event
-        self._flush_stream_telemetry()
+        telemetry.flush_counts(self._tel_flushed, self._stream_telemetry_state())
         self._emit_gauges()
 
     # ------------------------------------------------------------------
@@ -477,18 +477,6 @@ class StreamSubstrate:
             ("stream.heartbeat.soft_breaches", heartbeat.soft_breaches),
             ("stream.heartbeat.hard_breaches", heartbeat.hard_breaches),
         ]
-
-    def _flush_stream_telemetry(self) -> None:
-        """Emit per-day deltas of the stream counters (batch-granular,
-        mirroring :meth:`Collector.flush_telemetry`)."""
-        registry = telemetry.active()
-        flushed = self._tel_flushed
-        for name, current in self._stream_telemetry_state():
-            delta = current - flushed.get(name, 0)
-            if delta:
-                if registry is not None:
-                    registry.count(name, delta)
-                flushed[name] = current
 
     def _emit_gauges(self) -> None:
         """Live overload gauges at the day boundary (timing-class data:

@@ -40,8 +40,7 @@ class StreamPolicy:
 
     The heartbeat deadlines, breaker thresholds and virtual clock tick
     are constants of :mod:`repro.stream.supervisor`,
-    :class:`~repro.stream.breaker.CircuitBreaker` and
-    :mod:`repro.stream.engine`.
+    :mod:`repro.stream.breaker` and :mod:`repro.stream.engine`.
     """
 
     supervised: bool = True

@@ -34,6 +34,8 @@ any layer may use it).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from repro.telemetry.metrics import (
     BACKOFF_BOUNDS,
     SECONDS_BOUNDS,
@@ -65,6 +67,7 @@ __all__ = [
     "active",
     "collecting",
     "count",
+    "flush_counts",
     "gauge",
     "observe",
     "span",
@@ -151,6 +154,28 @@ def count(name: str, n: int = 1) -> None:
     registry = _ACTIVE
     if registry is not None:
         registry.count(name, n)
+
+
+def flush_counts(
+    flushed: dict[str, int], state: Iterable[tuple[str, int]]
+) -> None:
+    """Emit each counter's growth since ``flushed``, then advance it.
+
+    ``state`` holds ``(metric name, current value)`` pairs of counters a
+    hot path keeps as plain attributes; ``flushed`` is its owner's
+    snapshot of what was already emitted (seed it with the current
+    values to keep pre-existing counts out).  Flushed at day
+    boundaries, the totals equal per-record emission at one dictionary
+    update per counter per day.  The snapshot advances while telemetry
+    is off too, so a later enable never counts history again.
+    """
+    registry = _ACTIVE
+    for name, current in state:
+        delta = current - flushed.get(name, 0)
+        if delta:
+            if registry is not None:
+                registry.count(name, delta)
+            flushed[name] = current
 
 
 def gauge(name: str, value: float) -> None:

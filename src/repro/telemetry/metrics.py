@@ -31,8 +31,9 @@ SECONDS_BOUNDS = (
     0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0
 )
 
-#: Simulated transport backoff delays in seconds (see RetryPolicy:
-#: base 0.5s doubling to a 30s cap, with equal jitter).
+#: Simulated transport backoff delays in seconds (see
+#: ``ResilientChannel.backoff_s``: base 0.5s doubling to a 30s cap,
+#: with equal jitter).
 BACKOFF_BOUNDS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 60.0)
 
 
@@ -77,16 +78,6 @@ class Histogram:
             "max": self.max,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Histogram":
-        histogram = cls(tuple(data["bounds"]))
-        histogram.counts = list(data["counts"])
-        histogram.count = data["count"]
-        histogram.sum = data["sum"]
-        histogram.min = data["min"]
-        histogram.max = data["max"]
-        return histogram
-
 
 @dataclass
 class SpanStats:
@@ -112,15 +103,6 @@ class SpanStats:
             "min_s": self.min_s,
             "max_s": self.max_s,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SpanStats":
-        return cls(
-            count=data["count"],
-            total_s=data["total_s"],
-            min_s=data["min_s"],
-            max_s=data["max_s"],
-        )
 
 
 @dataclass
@@ -181,19 +163,3 @@ class MetricsRegistry:
             },
             "profiles": dict(self.profiles),
         }
-
-    @classmethod
-    def from_export(cls, export: dict) -> "MetricsRegistry":
-        registry = cls()
-        registry.counters = dict(export.get("counters", {}))
-        registry.gauges = dict(export.get("gauges", {}))
-        registry.histograms = {
-            name: Histogram.from_dict(data)
-            for name, data in export.get("histograms", {}).items()
-        }
-        registry.spans = {
-            path: SpanStats.from_dict(data)
-            for path, data in export.get("spans", {}).items()
-        }
-        registry.profiles = dict(export.get("profiles", {}))
-        return registry

@@ -93,7 +93,7 @@ class TestKillnet:
     def test_overlap_with_actor_pool(self):
         from repro.net.population import build_base_population
 
-        population = build_base_population(RngTree(4).child("net"), 65)
+        population = build_base_population(RngTree(4).child("net"))
         actor_ips = [f"172.2.3.{i}" for i in range(1, 40)]
         killnet = build_killnet_list(actor_ips, population, RngTree(4))
         overlap = killnet & set(actor_ips)
@@ -103,7 +103,7 @@ class TestKillnet:
     def test_empty_pool(self):
         from repro.net.population import build_base_population
 
-        population = build_base_population(RngTree(4).child("net"), 65)
+        population = build_base_population(RngTree(4).child("net"))
         killnet = build_killnet_list([], population, RngTree(4))
         assert killnet  # still a list, just noise
 

@@ -18,7 +18,7 @@ from repro.util.rng import RngTree
 
 @pytest.fixture(scope="module")
 def population():
-    return build_base_population(RngTree(5).child("net"), 65)
+    return build_base_population(RngTree(5).child("net"))
 
 
 class TestClientIPPool:

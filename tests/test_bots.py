@@ -28,7 +28,7 @@ from repro.util.rng import RngTree
 @pytest.fixture(scope="module")
 def context():
     tree = RngTree(13)
-    population = build_base_population(tree.child("net"), 65)
+    population = build_base_population(tree.child("net"))
     return BotContext(
         config=DEFAULT_CONFIG,
         population=population,
@@ -247,13 +247,13 @@ class TestHoneypotHunters:
         assert silent >= 80
 
     def test_richard_always_fails_policy(self, context, fleet):
-        from repro.honeypot.auth import DEFAULT_POLICY
+        from repro.honeypot.auth import accepts
 
         bot = find_bot(fleet, "richard_scanner")
         intent = bot.build_intent(context, date(2023, 5, 10), random.Random(0), 0)
         username, password = intent.credentials[0]
         assert username == "richard"
-        assert not DEFAULT_POLICY.accepts(username, password)
+        assert not accepts(username, password)
 
 
 class TestTvBox:

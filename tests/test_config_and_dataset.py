@@ -8,11 +8,14 @@ import pytest
 
 from repro.config import DEFAULT_CONFIG, PAPER, SimulationConfig
 from repro.experiments.dataset import build_dataset, clear_cache
+from repro.faults.plan import FaultProfile
+from repro.honeynet.deployment import N_COUNTRIES, N_HONEYPOTS
+from repro.net.population import N_HONEYPOT_ASES
 
 
 class TestSimulationConfig:
     def test_defaults(self):
-        assert DEFAULT_CONFIG.n_honeypots == 221
+        assert (N_HONEYPOTS, N_COUNTRIES, N_HONEYPOT_ASES) == (221, 55, 65)
         assert DEFAULT_CONFIG.start == date(2021, 12, 1)
         assert DEFAULT_CONFIG.end == date(2024, 8, 31)
 
@@ -24,10 +27,6 @@ class TestSimulationConfig:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             SimulationConfig(start=date(2023, 1, 1), end=date(2022, 1, 1))
-
-    def test_honeypot_validation(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(n_honeypots=0)
 
     def test_scaled(self):
         config = SimulationConfig(scale=1e-3)
@@ -76,21 +75,22 @@ class TestDatasetBuilder:
         assert a is not b
 
     def test_cache_key_covers_every_dataset_field(self):
-        """Regression: the deployment fields shape the dataset, so a
-        cached build of another deployment must never stand in."""
+        """Regression: every config field shapes the dataset, so a
+        cached build of another config must never stand in."""
         base = SimulationConfig(
             seed=7, scale=1e-4, start=date(2023, 1, 1), end=date(2023, 1, 14)
         )
         cached = build_dataset(base)
         for change in (
-            {"n_countries": 20},
-            {"n_honeypot_ases": 40},
-            {"session_timeout_s": 60.0},
+            {"seed": 8},
+            {"scale": 2e-4},
+            {"end": date(2023, 1, 13)},
+            {"faults": FaultProfile.from_name("stress")},
         ):
             assert build_dataset(base.replace(**change)) is not cached
-        twenty = base.replace(n_countries=20)
-        fresh = build_dataset(twenty, use_cache=False)
-        assert build_dataset(twenty).database.digest() == (
+        other = base.replace(seed=8)
+        fresh = build_dataset(other, use_cache=False)
+        assert build_dataset(other).database.digest() == (
             fresh.database.digest()
         )
         assert fresh.database.digest() != cached.database.digest()

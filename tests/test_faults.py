@@ -39,9 +39,9 @@ from repro.faults.plan import (
     compile_fault_plan,
 )
 from repro.faults.transport import (
+    BACKOFF_JITTER,
     DirectChannel,
     ResilientChannel,
-    RetryPolicy,
     build_channel,
 )
 from repro.honeynet.collector import Collector
@@ -211,10 +211,16 @@ class TestTransport:
         assert outcomes[0] == outcomes[1]
 
     def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(max_attempts=8, base_s=1.0, cap_s=4.0, jitter=0.0)
+        _, channel = self.fresh(
+            failure_probability=0.5,
+            max_attempts=8,
+            backoff_base_s=1.0,
+            backoff_cap_s=4.0,
+        )
         rng = RngTree(1).rand()
-        delays = [policy.backoff_s(attempt, rng) for attempt in range(1, 6)]
-        assert delays == [1.0, 2.0, 4.0, 4.0, 4.0]
+        for attempt, raw in zip(range(1, 7), (1.0, 2.0, 4.0, 4.0, 4.0, 4.0)):
+            delay = channel.backoff_s(attempt, rng)
+            assert (1.0 - BACKOFF_JITTER) * raw <= delay <= raw
 
 
 class TestPaperEquivalence:

@@ -29,7 +29,7 @@ from repro.util.rng import RngTree
 @pytest.fixture(scope="module")
 def context():
     tree = RngTree(31)
-    population = build_base_population(tree.child("net"), 65)
+    population = build_base_population(tree.child("net"))
     return BotContext(
         config=DEFAULT_CONFIG,
         population=population,

@@ -6,7 +6,7 @@ from datetime import date
 
 import pytest
 
-from repro.config import DEFAULT_CONFIG, OUTAGE_START
+from repro.faults.plan import PAPER_OUTAGE_START
 from repro.honeynet.collector import Collector, OutageWindow
 from repro.honeynet.database import SessionDatabase
 from repro.honeynet.deployment import deploy_honeynet
@@ -47,8 +47,8 @@ def make_session(
 class TestDeployment:
     def test_fleet_shape(self):
         tree = RngTree(7)
-        population = build_base_population(tree.child("net"), 65)
-        net = deploy_honeynet(DEFAULT_CONFIG, population, tree.child("deploy"))
+        population = build_base_population(tree.child("net"))
+        net = deploy_honeynet(population, tree.child("deploy"))
         assert len(net) == 221
         assert len({hp.honeypot_id for hp in net.honeypots}) == 221
         assert len({hp.ip for hp in net.honeypots}) >= 200
@@ -57,8 +57,8 @@ class TestDeployment:
 
     def test_by_id(self):
         tree = RngTree(7)
-        population = build_base_population(tree.child("net"), 65)
-        net = deploy_honeynet(DEFAULT_CONFIG, population, tree.child("deploy"))
+        population = build_base_population(tree.child("net"))
+        net = deploy_honeynet(population, tree.child("deploy"))
         assert net.by_id("hp-000").honeypot_id == "hp-000"
         with pytest.raises(KeyError):
             net.by_id("hp-999")
@@ -66,8 +66,8 @@ class TestDeployment:
     def test_deterministic_under_seed(self):
         def build():
             tree = RngTree(7)
-            population = build_base_population(tree.child("net"), 65)
-            return deploy_honeynet(DEFAULT_CONFIG, population, tree.child("deploy"))
+            population = build_base_population(tree.child("net"))
+            return deploy_honeynet(population, tree.child("deploy"))
 
         assert [hp.ip for hp in build().honeypots] == [
             hp.ip for hp in build().honeypots
@@ -82,7 +82,7 @@ class TestCollector:
 
     def test_outage_drops(self):
         collector = Collector()
-        assert not collector.ingest(make_session(to_epoch(OUTAGE_START, 3600)))
+        assert not collector.ingest(make_session(to_epoch(PAPER_OUTAGE_START, 3600)))
         assert collector.dropped == 1
         assert collector.sessions == []
 

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.honeypot.auth import DEFAULT_POLICY, CredentialPolicy
-from repro.honeypot.cowrie import MAX_LINES_PER_SESSION, CowrieHoneypot
+from repro.honeypot.auth import accepts
+from repro.honeypot.cowrie import (
+    DEFAULT_SESSION_TIMEOUT_S,
+    MAX_LINES_PER_SESSION,
+    CowrieHoneypot,
+)
 from repro.honeypot.session import ConnectionIntent, FileOp, Protocol
 from repro.honeypot import uri
 from repro.honeypot.uri import extract_uris
@@ -31,16 +35,7 @@ class TestCredentialPolicy:
         ],
     )
     def test_policy_matrix(self, username, password, expected):
-        assert DEFAULT_POLICY.accepts(username, password) is expected
-
-    def test_fingerprint_usernames(self):
-        assert DEFAULT_POLICY.is_fingerprint_username("phil")
-        assert DEFAULT_POLICY.is_fingerprint_username("richard")
-        assert not DEFAULT_POLICY.is_fingerprint_username("root")
-
-    def test_custom_policy(self):
-        policy = CredentialPolicy(default_accounts=frozenset())
-        assert not policy.accepts("phil", "x")
+        assert accepts(username, password) is expected
 
 
 class TestSessionHandling:
@@ -103,7 +98,7 @@ class TestSessionHandling:
         intent = ConnectionIntent(client_ip="1.1.1.1", duration_s=10_000)
         record = honeypot.handle(intent, 0.0)
         assert record.timed_out
-        assert record.duration_s == honeypot.timeout_s
+        assert record.duration_s == DEFAULT_SESSION_TIMEOUT_S
 
     def test_line_cap(self, honeypot):
         intent = ConnectionIntent(

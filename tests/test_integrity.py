@@ -352,21 +352,11 @@ class TestRecovery:
         collector.sessions.extend(records(report.recovered))
         assert collector.accounting_balanced()
 
-    def test_read_jsonl_lenient_quarantines_next_to_file(self, tmp_path):
-        path = tmp_path / "d.jsonl"
-        write_jsonl(
-            records(80),
-            path,
-            corruptor=LogCorruptor(NASTY, RngTree(13).child("z")),
-        )
-        loaded = read_jsonl(path, mode="lenient")
-        assert 0 < len(loaded) <= 80
-        assert (tmp_path / "quarantine" / "quarantine.jsonl").exists()
-
     def test_read_jsonl_lenient_tolerates_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        assert read_jsonl(path, mode="lenient") == []
+        quarantine = tmp_path / "quarantine"
+        assert recover_jsonl(path, quarantine=quarantine).records == []
         recovered = recover_jsonl(path)
         assert recovered.records == [] and recovered.report.lost == 0
 
@@ -381,7 +371,7 @@ class TestRecovery:
         # Without the sidecar there is no expected line count, so the
         # report cannot vouch for completeness — but nothing is lost.
         assert recovered.report.manifest_lines is None
-        assert read_jsonl(path, mode="lenient") == recovered.records
+        assert read_jsonl(path) == recovered.records
 
     def test_legacy_lines_without_seq_recover_in_file_order(self, tmp_path):
         path = tmp_path / "legacy.jsonl"
@@ -408,8 +398,9 @@ class TestRecovery:
         assert report.bad_lines == ((5, "invalid-json"),)
         assert report.recovered == 19
         assert report.conservation_balanced()
-        assert len(read_jsonl(path, mode="lenient")) == 19
-        store = QuarantineStore(tmp_path / "quarantine")
+        quarantine = tmp_path / "quarantine"
+        assert len(recover_jsonl(path, quarantine=quarantine).records) == 19
+        store = QuarantineStore(quarantine)
         bad = [e for e in store.entries() if e.reason == "invalid-json"]
         assert [entry.line for entry in bad] == [5]
         from repro.util.hashing import sha256_hex
@@ -552,7 +543,7 @@ class TestVerify:
         )
         write_jsonl(records(80), path, corruptor=corruptor)
         if recover:
-            read_jsonl(path, mode="lenient")
+            recover_jsonl(path, quarantine=tmp_path / "quarantine")
         return path
 
     def test_clean_tree_passes(self, tmp_path):
@@ -590,7 +581,7 @@ class TestVerify:
         path.write_text("".join(line + "\n" for line in lines))
         assert recover_jsonl(path).report.lost == 0
         assert not audit_tree(tmp_path).ok
-        read_jsonl(path, mode="lenient")
+        recover_jsonl(path, quarantine=tmp_path / "quarantine")
         audit = audit_tree(tmp_path)
         assert audit.ok and audit.records_lost == 0
 

@@ -94,7 +94,7 @@ class TestBlockTable:
 
     @pytest.fixture(scope="class")
     def population_registry(self):
-        return build_base_population(RngTree(7).child("net"), 65).registry
+        return build_base_population(RngTree(7).child("net")).registry
 
     def test_matches_slash24_oracle(self, population_registry):
         registry = population_registry

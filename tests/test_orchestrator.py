@@ -4,11 +4,10 @@ from __future__ import annotations
 
 from datetime import date
 
-import pytest
-
 from repro.analysis.categories import SessionCategory, category_counts
 from repro.attackers.orchestrator import run_simulation
-from repro.config import OUTAGE_END, OUTAGE_START, SimulationConfig
+from repro.config import SimulationConfig
+from repro.faults.plan import PAPER_OUTAGE_END, PAPER_OUTAGE_START
 from repro.honeypot.session import Protocol
 from repro.util.timeutils import epoch_date
 
@@ -72,16 +71,16 @@ class TestStructure:
 class TestOutage:
     def test_outage_days_empty(self, dataset):
         days = set(dataset.table.ssh.day)
-        assert OUTAGE_START not in days
-        assert OUTAGE_END not in days
+        assert PAPER_OUTAGE_START not in days
+        assert PAPER_OUTAGE_END not in days
         assert dataset.simulation.collector.dropped > 0
 
     def test_surrounding_days_active(self, dataset):
         from datetime import timedelta
 
         days = set(dataset.table.ssh.day)
-        assert (OUTAGE_START - timedelta(days=1)) in days
-        assert (OUTAGE_END + timedelta(days=1)) in days
+        assert (PAPER_OUTAGE_START - timedelta(days=1)) in days
+        assert (PAPER_OUTAGE_END + timedelta(days=1)) in days
 
 
 class TestExtraBots:

@@ -31,7 +31,12 @@ from repro.faults.coverage import CoverageError, overload_note, validate_coverag
 from repro.faults.plan import FaultProfile, FloodFaults
 from repro.honeynet.collector import Collector
 from repro.honeypot.cowrie import DEFAULT_SESSION_TIMEOUT_S, CowrieHoneypot
-from repro.honeypot.session import CommandRecord, FileEvent, FileOp
+from repro.honeypot.session import (
+    CommandRecord,
+    ConnectionIntent,
+    FileEvent,
+    FileOp,
+)
 from repro.overload.admission import (
     ADMIT,
     DEFER,
@@ -106,17 +111,15 @@ def file_record(start: float, session_id: str, honeypot_id: str = "hp-000"):
 
 
 class TestSessionTimeoutConstant:
-    """Satellite: one canonical 180s constant, config derives from it."""
+    """One canonical 180 s constant bounds every session."""
 
     def test_single_source_of_truth(self):
         assert DEFAULT_SESSION_TIMEOUT_S == 180.0
-        field = CowrieHoneypot.__dataclass_fields__["timeout_s"]
-        assert field.default == DEFAULT_SESSION_TIMEOUT_S
-        assert SimulationConfig().session_timeout_s == DEFAULT_SESSION_TIMEOUT_S
-
-    def test_config_tracks_honeypot_constant(self):
-        config_field = SimulationConfig.__dataclass_fields__["session_timeout_s"]
-        assert config_field.default is DEFAULT_SESSION_TIMEOUT_S
+        record = CowrieHoneypot("hp", "192.0.2.1").handle(
+            ConnectionIntent(client_ip="198.51.100.1", hold_open=True), 0.0
+        )
+        assert record.timed_out
+        assert record.duration_s == DEFAULT_SESSION_TIMEOUT_S
 
 
 class TestFloodFaults:

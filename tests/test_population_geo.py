@@ -15,7 +15,7 @@ from repro.util.rng import RngTree
 
 @pytest.fixture(scope="module")
 def population():
-    return build_base_population(RngTree(2).child("net"), 65)
+    return build_base_population(RngTree(2).child("net"))
 
 
 class TestGeo:
@@ -75,8 +75,8 @@ class TestBasePopulation:
             assert record.asn in population.registry
 
     def test_deterministic(self):
-        a = build_base_population(RngTree(2).child("net"), 65)
-        b = build_base_population(RngTree(2).child("net"), 65)
+        a = build_base_population(RngTree(2).child("net"))
+        b = build_base_population(RngTree(2).child("net"))
         assert [r.asn for r in a.client_ases] == [r.asn for r in b.client_ases]
         assert [r.registered for r in a.client_ases] == [
             r.registered for r in b.client_ases

@@ -58,6 +58,7 @@ from repro.service import (
 )
 from repro.store import SqliteStore, index_path_for
 from repro.stream import CLOSED, OPEN, StreamPolicy, run_stream
+from repro.stream.breaker import FAILURE_THRESHOLD
 from tests.conftest import PROFILES, assert_equivalent, short_fault_config
 from tests.test_stream import chaos_config, sha256_json
 
@@ -551,7 +552,7 @@ class TestBreakerDegradation:
 
     async def test_stale_responses_name_the_version_served(self, store):
         service = QueryService(store=store, seed=5)
-        for index in range(service.breaker.failure_threshold):
+        for index in range(FAILURE_THRESHOLD):
             response = await service.handle(
                 Request(f"c{index}", "count"), store_error=True
             )

@@ -13,6 +13,7 @@ from repro.honeynet.io import (
     SCHEMA_VERSION,
     SessionLogError,
     read_jsonl,
+    recover_jsonl,
     session_from_dict,
     session_to_dict,
     write_jsonl,
@@ -140,8 +141,8 @@ class TestSelfVerification:
         from repro.integrity.manifest import manifest_path
 
         path = tmp_path / "bare.jsonl"
-        write_jsonl(dataset.database.ssh_sessions()[:5], path, manifest=False)
-        assert not manifest_path(path).exists()
+        write_jsonl(dataset.database.ssh_sessions()[:5], path)
+        manifest_path(path).unlink()
         assert len(read_jsonl(path)) == 5
 
     def test_strict_read_rejects_tampered_line(self, dataset, tmp_path):
@@ -174,13 +175,8 @@ class TestSelfVerification:
         lines[1] = lines[1][:20]  # truncate one line mid-record
         path.write_text("".join(line + "\n" for line in lines))
         quarantine = tmp_path / "quarantine"
-        loaded = read_jsonl(path, mode="lenient", quarantine=quarantine)
+        loaded = recover_jsonl(path, quarantine=quarantine).records
         assert [s.session_id for s in loaded] == [
             s.session_id for i, s in enumerate(sessions) if i != 1
         ]
         assert (quarantine / "quarantine.jsonl").exists()
-
-    def test_unknown_mode_rejected(self, tmp_path):
-        (tmp_path / "x.jsonl").write_text("")
-        with pytest.raises(ValueError, match="unknown read mode"):
-            read_jsonl(tmp_path / "x.jsonl", mode="optimistic")

@@ -253,7 +253,8 @@ class TestWritesUnderAFile:
         assert not ctx.fs.is_dir("/etc/passwd/x")
 
     def test_cd_into_a_file_still_fails(self, ctx, engine):
-        engine.run_line("mkdir /etc/passwd; cd /etc/passwd")
+        record = engine.run_line("mkdir /etc/passwd; cd /etc/passwd")
+        assert record.output.endswith("-bash: cd: /etc/passwd: Not a directory\n")
         assert ctx.cwd == "/root"
 
     def test_redirect_under_a_file(self, ctx, engine):
@@ -281,6 +282,43 @@ class TestWritesUnderAFile:
         fingerprint = ctx.fs.fingerprint
         record = engine.run_line("mv /etc/issue /etc/shadow/k")
         assert record.output == "mv: cannot stat '/etc/shadow/k': Not a directory\n"
+        self.assert_unchanged(ctx, fingerprint)
+
+    def test_dd_under_a_file_or_onto_a_directory(self, ctx, engine):
+        fingerprint = ctx.fs.fingerprint
+        for target, reason in (
+            ("/etc/passwd/x", "Not a directory"),
+            ("/tmp", "Is a directory"),
+        ):
+            record = engine.run_line(
+                f"dd if=/dev/zero of={target} bs=1 count=1 || echo failed"
+            )
+            assert record.output == (
+                f"dd: failed to open '{target}': {reason}\nfailed\n"
+            )
+        self.assert_unchanged(ctx, fingerprint)
+
+    @pytest.mark.parametrize(
+        "setup,reason",
+        [
+            ("rm -rf /var/spool/cron; echo x > /var/spool/cron", "Not a directory"),
+            ("rm /var/spool/cron/root; mkdir /var/spool/cron/root", "Is a directory"),
+        ],
+        ids=["under-a-file", "onto-a-directory"],
+    )
+    def test_crontab_install_refused(self, ctx, engine, setup, reason):
+        engine.run_line(setup)
+        ctx.file_events.clear()
+        fingerprint = ctx.fs.fingerprint
+        for line in (
+            "echo '* * * * * /tmp/x' | crontab -",
+            "echo '* * * * * /tmp/x' | crontab",
+            "crontab /etc/hosts",
+        ):
+            record = engine.run_line(f"{line} || echo failed")
+            assert record.output == (
+                f"crontab: /var/spool/cron/root: {reason}\nfailed\n"
+            )
         self.assert_unchanged(ctx, fingerprint)
 
     def test_downloads_under_a_file(self):

@@ -70,6 +70,14 @@ class TestCurl:
         assert transfer_events(ctx) == []
         assert "ELF" in record.output
 
+    def test_dev_null_output_prints_nothing(self, ctx, engine):
+        record = engine.run_line(
+            "curl -s -o /dev/null http://10.9.8.7/bins.sh && echo ok"
+        )
+        assert record.output == "ok\n"
+        assert ctx.file_events == []
+        assert ctx.uris == ["http://10.9.8.7/bins.sh"]
+
     def test_failure_message(self, ctx, engine):
         record = engine.run_line("curl https://site.invalid/ -s -X GET --max-redirs 5")
         assert "Failed to connect" in record.output

@@ -7,7 +7,7 @@ The load-bearing guarantees:
 * enabling the store changes nothing: dataset digests, conservation
   accounting and checkpoint bytes are identical with and without a
   ``store_dir``;
-* every ``IndexCorruptor`` mode (bit-flipped page, truncated file,
+* every index corruption mode (bit-flipped page, truncated file,
   silently dropped rows) is detected before a wrong answer can escape,
   consumers degrade to the scan fallback with identical outputs, and
   ``repro verify --rebuild-index`` restores a clean audit.
@@ -188,21 +188,26 @@ class TestIndexCorruptor:
             damaged.append(index_path_for(root).read_bytes())
         assert damaged[0] == damaged[1]
 
-    def test_unknown_mode_rejected(self):
+    def test_unknown_mode_rejected(self, tmp_path):
+        import random
+
+        root, _ = make_tree(tmp_path)
+        path = index_path_for(root)
+        before = path.read_bytes()
         with pytest.raises(ValueError, match="unknown index corruption mode"):
-            IndexCorruptor(probability=1.0, tree=RngTree(1), mode="nuke")
+            corrupt_index(path, "nuke", random.Random(1))
+        assert path.read_bytes() == before
 
     @pytest.mark.parametrize("mode", INDEX_CORRUPTION_MODES)
     def test_every_mode_damages_and_scan_answers_survive(self, tmp_path, mode):
+        import random
+
         root, sessions = make_tree(tmp_path)
         path = index_path_for(root)
         with SqliteStore.open(path) as store:
             clean_ids = store.session_ids()
             clean_by_day = store.count_by("day")
-        corruptor = IndexCorruptor(
-            probability=1.0, tree=RngTree(5).child("index"), mode=mode
-        )
-        assert corruptor.maybe_corrupt(path, key=0) == mode
+        corrupt_index(path, mode, random.Random(5))
         # The resilient wrapper must produce identical answers — from
         # the index if the damage happened to be benign, from the scan
         # fallback otherwise.  Either way: complete, correct, no crash.

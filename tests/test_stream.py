@@ -75,6 +75,7 @@ from repro.stream import (
     StreamSupervisor,
     run_stream,
 )
+from repro.stream.breaker import MAX_BACKOFF_S
 from repro.util.rng import RngTree
 from tests.conftest import (
     PROFILES,
@@ -518,15 +519,13 @@ breaker_ops = st.lists(
 
 
 def _drive_breaker(seed, ops):
-    breaker = CircuitBreaker(
-        stage="ingest", tree=RngTree(seed).child("breaker"),
-        failure_threshold=2, recovery_s=2.0, max_backoff_s=16.0,
-    )
+    breaker = CircuitBreaker(stage="ingest", tree=RngTree(seed).child("breaker"))
     now = 0.0
     for index, op in enumerate(ops):
         now += 1.0
         if op == "wait":
-            now += 5.0
+            # past the longest probe delay (the cap, jittered up by half)
+            now += 1.5 * MAX_BACKOFF_S
             breaker.allow(now, 1, index)
         elif op == "trip":
             breaker.trip(now, 1, index, "heartbeat-hard")
@@ -570,10 +569,7 @@ class TestBreakerProperties:
     @settings(max_examples=40, deadline=None)
     def test_snapshot_restore_round_trip(self, seed, ops):
         breaker = _drive_breaker(seed, ops)
-        clone = CircuitBreaker(
-            stage="ingest", tree=RngTree(seed).child("breaker"),
-            failure_threshold=2, recovery_s=2.0, max_backoff_s=16.0,
-        )
+        clone = CircuitBreaker(stage="ingest", tree=RngTree(seed).child("breaker"))
         clone.restore(breaker.snapshot())
         assert clone.snapshot() == breaker.snapshot()
         assert clone.dirty == breaker.dirty

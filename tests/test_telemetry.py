@@ -63,13 +63,6 @@ class TestHistogram:
         with pytest.raises(ValueError, match="strictly increasing"):
             Histogram(())
 
-    def test_roundtrip(self):
-        histogram = Histogram((0, 1))
-        histogram.observe(0.5)
-        assert Histogram.from_dict(histogram.to_dict()).to_dict() == (
-            histogram.to_dict()
-        )
-
 
 class TestRegistry:
     def test_count_gauge_observe(self):
@@ -82,14 +75,6 @@ class TestRegistry:
         assert registry.counters == {"a": 5}
         assert registry.gauges == {"g": 2.0}
         assert registry.histograms["h"].count == 1
-
-    def test_export_roundtrip(self):
-        registry = MetricsRegistry()
-        registry.count("c", 7)
-        registry.observe("h", 2.5, (0.0, 5.0))
-        registry.record_span("outer/inner", 0.01)
-        restored = MetricsRegistry.from_export(registry.export())
-        assert restored.export() == registry.export()
 
 
 class TestSpans:

@@ -1,20 +1,14 @@
-"""Property tests for the telemetry histograms and export format.
+"""Property tests for the telemetry histograms.
 
-Histogram bucket placement is a pure function of (value, layout), and a
-registry survives its plain-data export unchanged.  Hypothesis sweeps
-those properties over arbitrary values and layouts.
+Histogram bucket placement is a pure function of (value, layout).
+Hypothesis sweeps that property over arbitrary values and layouts.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, strategies as st
 
-from repro.telemetry.metrics import (
-    SECONDS_BOUNDS,
-    VOLUME_BOUNDS,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.telemetry.metrics import SECONDS_BOUNDS, VOLUME_BOUNDS, Histogram
 
 finite_floats = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
@@ -46,13 +40,3 @@ class TestHistogramBucketMath:
             assert value > bounds[index - 1]
         if index < len(bounds):
             assert value <= bounds[index]
-
-
-class TestRegistryExport:
-    @given(values=st.lists(finite_floats, max_size=20), bounds=bounds_layouts)
-    def test_export_roundtrip_preserves_histograms(self, values, bounds):
-        registry = MetricsRegistry()
-        for value in values:
-            registry.observe("h", value, bounds)
-        restored = MetricsRegistry.from_export(registry.export())
-        assert restored.export() == registry.export()

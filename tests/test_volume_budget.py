@@ -18,7 +18,7 @@ from repro.util.rng import RngTree
 
 @pytest.fixture(scope="module")
 def fleet():
-    population = build_base_population(RngTree(7).child("net"), 65)
+    population = build_base_population(RngTree(7).child("net"))
     return build_fleet(population, RngTree(7).child("fleet"), DEFAULT_CONFIG)
 
 
