@@ -34,15 +34,6 @@ class AbuseDatasets:
                 return record
         return None
 
-    def is_reported_ip(self, ip: str) -> bool:
-        return self.lookup_ip(ip) is not None
-
-    def known_hashes(self) -> set[str]:
-        known: set[str] = set()
-        for feed in self.feeds:
-            known.update(feed.hash_records)
-        return known
-
     def feed(self, name: str) -> AbuseFeed:
         for feed in self.feeds:
             if feed.name == name:

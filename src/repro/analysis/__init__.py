@@ -20,7 +20,6 @@ from repro.analysis.regexrules import (
     RULES,
     UNKNOWN_CATEGORY,
     CategoryRule,
-    rule_by_name,
 )
 from repro.analysis.statechange import (
     ExecOutcome,
@@ -55,7 +54,6 @@ __all__ = [
     "RULES",
     "UNKNOWN_CATEGORY",
     "CategoryRule",
-    "rule_by_name",
     "ExecOutcome",
     "StateClass",
     "changes_state",

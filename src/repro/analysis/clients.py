@@ -32,10 +32,6 @@ class SensorCoverage:
     active_honeypots: int
     gini: float
 
-    @property
-    def busiest_honeypot(self) -> tuple[str, int]:
-        return self.sessions_per_honeypot.most_common(1)[0]
-
 
 def gini_coefficient(values: list[int]) -> float:
     """Gini inequality of a count distribution (0 = perfectly even)."""

@@ -156,10 +156,3 @@ RULES: tuple[CategoryRule, ...] = (
 CATEGORY_NAMES: tuple[str, ...] = tuple(r.name for r in RULES) + (
     UNKNOWN_CATEGORY,
 )
-
-
-def rule_by_name(name: str) -> CategoryRule:
-    for rule in RULES:
-        if rule.name == name:
-            return rule
-    raise KeyError(name)

@@ -169,7 +169,6 @@ def random_password(rng: random.Random, length: int, alphabet: str) -> str:
 
 
 ALNUM = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
-LOWER_DIGITS = "abcdefghijklmnopqrstuvwxyz0123456789"
 UPPER5 = "ABCDEFGHJKLMNPQRSTUVWXYZ"
 #: Vowel-free alphabet for generated filenames: no random name can spell
 #: a category trigger token ("sora", "dred", "ok", ...).

@@ -78,14 +78,6 @@ class StorageHost:
     intervals: list[tuple[date, date]]
     traffic_weight: float
 
-    @property
-    def first_active(self) -> date:
-        return min(start for start, _ in self.intervals)
-
-    @property
-    def last_active(self) -> date:
-        return max(end for _, end in self.intervals)
-
     def url_for(self, filename: str, scheme: str = "http") -> str:
         if scheme == "tftp":
             return f"tftp://{self.ip}/{filename}"
@@ -120,10 +112,6 @@ class StorageInfrastructure:
             [host for host in self.hosts if host.archetype == HostArchetype.LONGLIVED]
             or self.hosts
         )
-
-    @property
-    def n_hosts(self) -> int:
-        return len(self.hosts)
 
     # ------------------------------------------------------------------
     # construction
@@ -326,12 +314,6 @@ class StorageInfrastructure:
         if self.active_hosts(day):
             return self._day_tables[day].pick(rng)
         return self._fallback_table.pick(rng)
-
-    def host_by_ip(self, ip: str) -> StorageHost | None:
-        for host in self.hosts:
-            if host.ip == ip:
-                return host
-        return None
 
 
 def _traffic_table(hosts: list[StorageHost]) -> WeightedTable:

@@ -14,10 +14,17 @@ import random
 from repro.net.asn import ASType
 from repro.net.ipv4 import int_to_ip
 from repro.net.population import BasePopulation
-from repro.util.rng import RngTree
+from repro.util.rng import RngTree, WeightedTable
 
 #: Minimum pool size regardless of scale (keeps actors observable).
 MIN_POOL_SIZE = 4
+
+
+def _reuse_table(ips: list[str]) -> WeightedTable:
+    """Zipf-ish reuse weights by pool rank: a few heavy hitters, a long tail."""
+    return WeightedTable(
+        (address, 1.0 / (rank + 1) ** 0.6) for rank, address in enumerate(ips)
+    )
 
 
 class ClientIPPool:
@@ -34,7 +41,6 @@ class ClientIPPool:
         min_size: int = MIN_POOL_SIZE,
     ) -> None:
         self.name = name
-        self._population = population
         size = max(min_size, int(round(paper_ips * scale)))
         rng = rng_tree.child("ippool", name).rand()
         self._ips: list[str] = []
@@ -49,9 +55,7 @@ class ClientIPPool:
             if address not in seen:
                 seen.add(address)
                 self._ips.append(address)
-        # Zipf-ish reuse weights: a few heavy hitters, a long tail.
-        self._weights = [1.0 / (rank + 1) ** 0.6 for rank in range(size)]
-        self._total_weight = sum(self._weights)
+        self._table = _reuse_table(self._ips)
 
     def __len__(self) -> int:
         return len(self._ips)
@@ -62,13 +66,7 @@ class ClientIPPool:
 
     def pick(self, rng: random.Random) -> str:
         """Weighted pick: heavy hitters dominate like real botnets."""
-        point = rng.random() * self._total_weight
-        cumulative = 0.0
-        for address, weight in zip(self._ips, self._weights):
-            cumulative += weight
-            if point <= cumulative:
-                return address
-        return self._ips[-1]
+        return self._table.pick(rng)
 
     def pick_uniform(self, rng: random.Random) -> str:
         return rng.choice(self._ips)
@@ -94,7 +92,6 @@ class SharedPool(ClientIPPool):
         overlap: float = 0.994,
     ) -> None:
         self.name = name
-        self._population = population
         rng = rng_tree.child("ippool", name).rand()
         extra_count = max(1, int(round(len(base_pool) * (1 - overlap) / overlap)))
         extras: list[str] = []
@@ -106,5 +103,4 @@ class SharedPool(ClientIPPool):
                 seen.add(address)
                 extras.append(address)
         self._ips = base_pool.ips + extras
-        self._weights = [1.0 / (rank + 1) ** 0.6 for rank in range(len(self._ips))]
-        self._total_weight = sum(self._weights)
+        self._table = _reuse_table(self._ips)

@@ -87,10 +87,6 @@ class SimulationResult:
     stream: "StreamReport | None" = field(default=None)
 
 
-#: Signature of the optional fleet-extension hook.
-ExtraBotsFactory = "Callable[[BasePopulation, RngTree, SimulationConfig], list[Bot]]"
-
-
 def _check_bot_names(bots: list[Bot]) -> None:
     """Reject fleets with duplicate bot names, naming the offenders."""
     seen: set[str] = set()

@@ -45,13 +45,8 @@ from datetime import date
 from pathlib import Path
 
 from repro.config import BENCH_CONFIG, DEFAULT_CONFIG, SimulationConfig
-from repro.faults.plan import FaultProfile, FloodFaults
-
-#: Profile names accepted by ``--fault-profile``.
-FAULT_PROFILES = ("none", "paper", "stress")
-
-#: Preset names accepted by ``--flood-profile``.
-FLOOD_PROFILES = ("off", "burst", "storm")
+from repro.faults.coverage import CoverageError
+from repro.faults.plan import FAULT_PRESETS, FLOOD_PRESETS, FaultProfile, FloodFaults
 
 
 def _positive_int(text: str) -> int:
@@ -79,13 +74,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed)
     parser.add_argument(
         "--fault-profile",
-        choices=FAULT_PROFILES,
+        choices=FAULT_PRESETS,
         default="paper",
         help="fault-injection profile (see docs/fault-model.md)",
     )
     parser.add_argument(
         "--flood-profile",
-        choices=FLOOD_PROFILES,
+        choices=FLOOD_PRESETS,
         default="off",
         help="overload preset: scan floods + admission control "
         "(see docs/fault-model.md)",
@@ -99,6 +94,27 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         metavar="PATH",
         help="collect run telemetry and write it as JSON (default "
         "PATH: telemetry.json; see docs/observability.md)",
+    )
+
+
+def _add_checkpoint_flags(parser: argparse.ArgumentParser) -> None:
+    """``--checkpoint``, ``--checkpoint-every``, ``--resume`` and
+    ``--stop-after``, shared by ``faults`` and ``stream``."""
+    parser.add_argument(
+        "--checkpoint", type=Path, default=None,
+        help="checkpoint file to write (and resume from)",
+    )
+    parser.add_argument(
+        "--checkpoint-every", type=int, default=None, metavar="DAYS",
+        help="checkpoint cadence in simulated days (default 30)",
+    )
+    parser.add_argument(
+        "--resume", action="store_true",
+        help="resume from --checkpoint if it exists",
+    )
+    parser.add_argument(
+        "--stop-after", type=date.fromisoformat, default=None, metavar="DATE",
+        help="controlled stop after this simulated day (YYYY-MM-DD)",
     )
 
 
@@ -931,22 +947,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulate under a fault profile and print the resilience report",
     )
     _add_common(faults)
-    faults.add_argument(
-        "--checkpoint", type=Path, default=None,
-        help="checkpoint file to write (and resume from)",
-    )
-    faults.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="DAYS",
-        help="checkpoint cadence in simulated days (default 30)",
-    )
-    faults.add_argument(
-        "--resume", action="store_true",
-        help="resume from --checkpoint if it exists",
-    )
-    faults.add_argument(
-        "--stop-after", type=date.fromisoformat, default=None, metavar="DATE",
-        help="controlled stop after this simulated day (YYYY-MM-DD)",
-    )
+    _add_checkpoint_flags(faults)
     faults.add_argument(
         "--export", type=Path, default=None, metavar="PATH",
         help="write the resulting dataset as JSONL (+ sidecar manifest); "
@@ -968,6 +969,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     faults.set_defaults(func=cmd_faults)
 
+    from repro.stream.policy import STREAM_POLICY_PRESETS
+
     stream = commands.add_parser(
         "stream",
         help="run the supervised stream engine and print the "
@@ -975,27 +978,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(stream)
     stream.add_argument(
-        "--stream-profile", choices=("replay", "live", "chaos"),
+        "--stream-profile", choices=STREAM_POLICY_PRESETS,
         default="live",
         help="stream policy preset: replay (batch, unsupervised), "
         "live (supervised, fault-free), chaos (elevated stream faults)",
     )
-    stream.add_argument(
-        "--checkpoint", type=Path, default=None,
-        help="checkpoint file to write (and resume from)",
-    )
-    stream.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="DAYS",
-        help="checkpoint cadence in simulated days (default 30)",
-    )
-    stream.add_argument(
-        "--resume", action="store_true",
-        help="resume from --checkpoint if it exists",
-    )
-    stream.add_argument(
-        "--stop-after", type=date.fromisoformat, default=None, metavar="DATE",
-        help="controlled stop after this simulated day (YYYY-MM-DD)",
-    )
+    _add_checkpoint_flags(stream)
     stream.add_argument(
         "--verify-replay", action="store_true",
         help="also run the batch engine on the same config and fail "
@@ -1003,7 +991,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.set_defaults(func=cmd_stream)
 
-    from repro.faults.service import SERVICE_PROFILES
+    from repro.faults.service import SERVICE_FAULT_PRESETS
+    from repro.service.core import SERVICE_POLICY_PRESETS
 
     serve = commands.add_parser(
         "serve",
@@ -1020,7 +1009,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port (0 = pick a free one; default 8642)",
     )
     serve.add_argument(
-        "--service-policy", choices=("default", "strict"),
+        "--service-policy", choices=SERVICE_POLICY_PRESETS,
         default="default",
         help="overload-ladder preset (default: production-shaped)",
     )
@@ -1038,12 +1027,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(loadtest)
     loadtest.add_argument(
-        "--service-profile", choices=SERVICE_PROFILES, default="off",
+        "--service-profile", choices=SERVICE_FAULT_PRESETS, default="off",
         help="client fault preset (slow loris, disconnects, thundering "
         "herd, store errors, chaos; default off)",
     )
     loadtest.add_argument(
-        "--service-policy", choices=("default", "strict"),
+        "--service-policy", choices=SERVICE_POLICY_PRESETS,
         default="default",
         help="overload-ladder preset the service runs under",
     )
@@ -1131,14 +1120,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     telemetry_path = getattr(args, "telemetry", None)
-    # The ``telemetry`` subcommand manages its own registry; everything
-    # else gets generic collect-and-write handling here.
-    if telemetry_path is None or args.command == "telemetry":
-        return args.func(args)
-    from repro import telemetry
+    try:
+        # The ``telemetry`` subcommand manages its own registry;
+        # everything else gets generic collect-and-write handling here.
+        if telemetry_path is None or args.command == "telemetry":
+            return args.func(args)
+        from repro import telemetry
 
-    with telemetry.collecting() as registry:
-        status = args.func(args)
+        with telemetry.collecting() as registry:
+            status = args.func(args)
+    except CoverageError as error:
+        # The coverage guard refused the dataset (a storm flood sheds
+        # most records): a verdict on the data, not a crash.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     telemetry.write_telemetry_json(
         telemetry_path, registry, meta=_telemetry_meta(args)
     )

@@ -32,12 +32,6 @@ class ExperimentResult:
             parts.append(f"note: {note}")
         return "\n".join(parts)
 
-    def to_records(self) -> list[dict]:
-        """Rows as dictionaries keyed by the column headers."""
-        return [
-            dict(zip(self.headers, row)) for row in self.rows
-        ]
-
     def to_json(self) -> str:
         """The full result as a JSON document (for plotting elsewhere)."""
         import json

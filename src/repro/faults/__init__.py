@@ -64,7 +64,7 @@ from repro.faults.flood import (
     build_flood_generator,
 )
 from repro.faults.service import (
-    SERVICE_PROFILES,
+    SERVICE_FAULT_PRESETS,
     ServiceFaults,
     compile_request_plan,
     compile_tick_plan,
@@ -99,7 +99,7 @@ __all__ = [
     "IntegrityFaults",
     "OutageWindow",
     "ResilientChannel",
-    "SERVICE_PROFILES",
+    "SERVICE_FAULT_PRESETS",
     "SensorDowntime",
     "ServiceFaults",
     "TransportFaults",

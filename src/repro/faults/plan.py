@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from datetime import date, timedelta
 from typing import Iterable, Sequence
 
+from repro.util import preset
 from repro.util.rng import RngTree, poisson
 
 #: The honeynet maintenance outage: no sessions recorded for 48 hours
@@ -169,39 +170,33 @@ class FloodFaults:
 
     @classmethod
     def from_name(cls, name: str) -> "FloodFaults":
-        """Resolve a named flood preset (CLI ``--flood-profile``).
+        """Resolve a named flood preset (CLI ``--flood-profile``)."""
+        return preset(FLOOD_PRESETS, name, "flood profile")
 
-        ``off`` is the inert default; ``burst`` floods roughly one day
-        in four past a budget the steady background rarely reaches, so
-        shedding concentrates on flood days; ``storm`` floods most days
-        against a budget *below* the bench-scale background volume and a
-        shallow queue, so every day over-runs — exercising deferral of
-        state-carrying sessions as well as aggressive shedding.
-        """
-        presets = {
-            "off": cls,
-            "burst": lambda: cls(
-                burst_probability=0.3,
-                burst_sessions=500,
-                daily_session_budget=200,
-                sensor_queue_capacity=8,
-                shed_probability=0.4,
-            ),
-            "storm": lambda: cls(
-                burst_probability=0.7,
-                burst_sessions=1500,
-                daily_session_budget=60,
-                sensor_queue_capacity=4,
-                shed_probability=0.7,
-            ),
-        }
-        try:
-            return presets[name]()
-        except KeyError:
-            known = ", ".join(sorted(presets))
-            raise ValueError(
-                f"unknown flood profile {name!r} (known: {known})"
-            ) from None
+
+#: The flood presets.  ``off`` is the inert default; ``burst`` floods
+#: roughly one day in four past a budget the steady background rarely
+#: reaches, so shedding concentrates on flood days; ``storm`` floods most
+#: days against a budget *below* the bench-scale background volume and a
+#: shallow queue, so every day over-runs — exercising deferral of
+#: state-carrying sessions as well as aggressive shedding.
+FLOOD_PRESETS = {
+    "off": FloodFaults(),
+    "burst": FloodFaults(
+        burst_probability=0.3,
+        burst_sessions=500,
+        daily_session_budget=200,
+        sensor_queue_capacity=8,
+        shed_probability=0.4,
+    ),
+    "storm": FloodFaults(
+        burst_probability=0.7,
+        burst_sessions=1500,
+        daily_session_budget=60,
+        sensor_queue_capacity=4,
+        shed_probability=0.7,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -395,18 +390,15 @@ class FaultProfile:
     @classmethod
     def from_name(cls, name: str) -> "FaultProfile":
         """Resolve a named profile (CLI ``--fault-profile``)."""
-        profiles = {
-            "none": cls.none,
-            "paper": cls.paper,
-            "stress": cls.stress,
-        }
-        try:
-            return profiles[name]()
-        except KeyError:
-            known = ", ".join(sorted(profiles))
-            raise ValueError(
-                f"unknown fault profile {name!r} (known: {known})"
-            ) from None
+        return preset(FAULT_PRESETS, name, "fault profile")
+
+
+#: The fault profiles, by name.
+FAULT_PRESETS = {
+    "none": FaultProfile.none(),
+    "paper": FaultProfile.paper(),
+    "stress": FaultProfile.stress(),
+}
 
 
 @dataclass(frozen=True)

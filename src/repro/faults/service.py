@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from repro.util import preset
 from repro.util.rng import RngTree
 
 #: Virtual seconds a slow-loris client holds its request before reading.
@@ -96,39 +97,27 @@ class ServiceFaults:
 
     @classmethod
     def from_name(cls, name: str) -> "ServiceFaults":
-        """Resolve a named service-fault preset (CLI ``--service-profile``).
-
-        One preset per failure family, so each rung of the overload
-        ladder can be hammered in isolation, plus ``chaos`` running all
-        of them at once (the soak leg's profile).
-        """
-        presets = {
-            "off": cls,
-            "slowloris": lambda: cls(slow_loris_probability=0.4),
-            "disconnect": lambda: cls(disconnect_probability=0.3),
-            "herd": lambda: cls(herd_probability=0.5),
-            "breaker": lambda: cls(store_error_probability=0.5),
-            "chaos": lambda: cls(
-                slow_loris_probability=0.15,
-                disconnect_probability=0.1,
-                herd_probability=0.3,
-                malformed_probability=0.1,
-                store_error_probability=0.2,
-            ),
-        }
-        try:
-            return presets[name]()
-        except KeyError:
-            known = ", ".join(sorted(presets))
-            raise ValueError(
-                f"unknown service profile {name!r} (known: {known})"
-            ) from None
+        """Resolve a named service-fault preset (CLI ``--service-profile``)."""
+        return preset(SERVICE_FAULT_PRESETS, name, "service profile")
 
 
-#: Preset names accepted by :meth:`ServiceFaults.from_name`.
-SERVICE_PROFILES = (
-    "off", "slowloris", "disconnect", "herd", "breaker", "chaos",
-)
+#: The service-fault presets: one per failure family, so each rung of
+#: the overload ladder can be hammered in isolation, plus ``chaos``
+#: running all of them at once (the soak leg's profile).
+SERVICE_FAULT_PRESETS = {
+    "off": ServiceFaults(),
+    "slowloris": ServiceFaults(slow_loris_probability=0.4),
+    "disconnect": ServiceFaults(disconnect_probability=0.3),
+    "herd": ServiceFaults(herd_probability=0.5),
+    "breaker": ServiceFaults(store_error_probability=0.5),
+    "chaos": ServiceFaults(
+        slow_loris_probability=0.15,
+        disconnect_probability=0.1,
+        herd_probability=0.3,
+        malformed_probability=0.1,
+        store_error_probability=0.2,
+    ),
+}
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from dataclasses import dataclass, fields
 from datetime import date
 from typing import Sequence
 
+from repro.util import preset
 from repro.util.rng import RngTree
 
 #: Virtual seconds a stalled analysis consumer stays down.
@@ -99,28 +100,23 @@ class StreamFaults:
 
     @classmethod
     def from_name(cls, name: str) -> "StreamFaults":
-        """Resolve a named stream-fault preset (CLI ``--stream-profile``).
+        """Resolve a named stream-fault preset."""
+        return preset(STREAM_FAULT_PRESETS, name, "stream profile")
 
-        ``off`` is the inert default; ``chaos`` runs every fault kind at
-        elevated probability — most days host at least one — which is
-        what the soak leg and the determinism suite hammer on.
-        """
-        presets = {
-            "off": cls,
-            "chaos": lambda: cls(
-                stall_probability=0.3,
-                partition_probability=0.25,
-                analysis_error_probability=0.3,
-                clock_skew_probability=0.2,
-            ),
-        }
-        try:
-            return presets[name]()
-        except KeyError:
-            known = ", ".join(sorted(presets))
-            raise ValueError(
-                f"unknown stream profile {name!r} (known: {known})"
-            ) from None
+
+#: The stream-fault presets.  ``off`` is the inert default; ``chaos``
+#: runs every fault kind at elevated probability — most days host at
+#: least one — which is what the soak leg and the determinism suite
+#: hammer on.
+STREAM_FAULT_PRESETS = {
+    "off": StreamFaults(),
+    "chaos": StreamFaults(
+        stall_probability=0.3,
+        partition_probability=0.25,
+        analysis_error_probability=0.3,
+        clock_skew_probability=0.2,
+    ),
+}
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,22 @@ from repro.util.timeutils import epoch_ordinal
 DROP_OUTAGE = "outage"
 DROP_SENSOR_DOWN = "sensor_down"
 
+#: The counters a checkpoint always persists, in the order it writes them.
+PERSISTED_COUNTERS = (
+    "generated",
+    "dropped_outage",
+    "dropped_sensor_down",
+    "retried",
+    "deduplicated",
+    "dead_lettered",
+    "quarantined",
+)
+
+#: The admission-gate counters: persisted only when non-zero, so a run
+#: with no gate (or one that never engaged) writes the same checkpoint
+#: bytes as before the gate existed.
+GATE_COUNTERS = ("admitted", "shed", "deferred")
+
 
 def conservation_imbalance(accounting: dict[str, int]) -> str | None:
     """Check the conservation law over an accounting dict.
@@ -251,20 +267,14 @@ class Collector:
         return self.dropped_outage + self.dropped_sensor_down
 
     def accounting(self) -> dict[str, int]:
-        """Every counter plus the stored total, for reports and tests."""
-        return {
-            "generated": self.generated,
-            "stored": len(self.sessions),
-            "dropped_outage": self.dropped_outage,
-            "dropped_sensor_down": self.dropped_sensor_down,
-            "retried": self.retried,
-            "deduplicated": self.deduplicated,
-            "dead_lettered": self.dead_lettered,
-            "quarantined": self.quarantined,
-            "admitted": self.admitted,
-            "shed": self.shed,
-            "deferred": self.deferred,
-        }
+        """Every counter plus the stored total, for reports and tests.
+
+        ``stored`` follows ``generated`` (:data:`PERSISTED_COUNTERS`
+        starts with it); ``repro faults`` prints them in this order."""
+        accounting = {"generated": self.generated, "stored": len(self.sessions)}
+        for key in PERSISTED_COUNTERS[1:] + GATE_COUNTERS:
+            accounting[key] = getattr(self, key)
+        return accounting
 
     def accounting_balanced(self) -> bool:
         """Check the conservation law over the collection boundary."""
@@ -280,16 +290,8 @@ class Collector:
         self.sessions = list(sessions)
         self.dead_letters = list(dead_letters)
         self._seen_ids = {record.session_id for record in self.sessions}
-        self.generated = counters.get("generated", 0)
-        self.dropped_outage = counters.get("dropped_outage", 0)
-        self.dropped_sensor_down = counters.get("dropped_sensor_down", 0)
-        self.retried = counters.get("retried", 0)
-        self.deduplicated = counters.get("deduplicated", 0)
-        self.dead_lettered = counters.get("dead_lettered", 0)
-        self.quarantined = counters.get("quarantined", 0)
-        self.admitted = counters.get("admitted", 0)
-        self.shed = counters.get("shed", 0)
-        self.deferred = counters.get("deferred", 0)
+        for key in PERSISTED_COUNTERS + GATE_COUNTERS:
+            setattr(self, key, counters.get(key, 0))
         # Restored counters were already emitted by the run that wrote
         # the checkpoint; re-seed the snapshot so they aren't re-counted.
         self._flushed = dict(self._telemetry_state())

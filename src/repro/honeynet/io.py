@@ -41,6 +41,7 @@ from pathlib import Path
 from typing import Iterable
 
 from repro import telemetry
+from repro.honeynet.collector import PERSISTED_COUNTERS
 from repro.honeypot.session import (
     CommandRecord,
     FileEvent,
@@ -71,9 +72,6 @@ SCHEMA_VERSION = 1
 
 #: Envelope key carrying the line's position in the written sequence.
 SEQ_KEY = "seq"
-
-#: Envelope keys that are persistence metadata, not record content.
-ENVELOPE_KEYS = (SEQ_KEY, RECORD_CHECKSUM_KEY)
 
 
 class SessionLogError(ValueError):
@@ -511,16 +509,11 @@ def collector_accounting_for_recovery(report: RecoveryReport) -> dict[str, int]:
 
     balances by construction.
     """
-    lost = report.lost
-    return {
-        "generated": report.recovered + report.duplicates + lost,
-        "dropped_outage": 0,
-        "dropped_sensor_down": 0,
-        "retried": 0,
-        "deduplicated": report.duplicates,
-        "dead_lettered": 0,
-        "quarantined": lost,
-    }
+    counters = dict.fromkeys(PERSISTED_COUNTERS, 0)
+    counters["generated"] = report.recovered + report.duplicates + report.lost
+    counters["deduplicated"] = report.duplicates
+    counters["quarantined"] = report.lost
+    return counters
 
 
 __all__ = [

@@ -12,12 +12,14 @@ Bots replay the same scripts for months, so each sensor keeps a memo of
 the lines it has emulated.  A line's record depends only on the shell
 state it runs in — user, working directory, environment and filesystem
 (the hostname is constant per sensor) — plus what the session alone can
-see: the files the network serves it and its ``/dev/urandom``.  A
-line whose first run changed no shell state, recorded no file event
-and read nothing session-bound is stored under (that state, line); a
-later run in the same state appends the stored URIs and reuses the
-frozen record.  :meth:`ShellEngine.run_line` stays the one definition
-of a line; the memo only skips calls whose answer it already has.
+see: the files the network serves it, its ``/dev/urandom`` and the
+exit status its last line left (``$?``).  A line whose first run
+changed no shell state, recorded no file event and read nothing
+session-bound is stored under (that state, line) with the exit status
+it set; a later run in the same state appends the stored URIs, sets
+that status and reuses the frozen record.
+:meth:`ShellEngine.run_line` stays the one definition of a line; the
+memo only skips calls whose answer it already has.
 """
 
 from __future__ import annotations
@@ -76,9 +78,9 @@ class CowrieHoneypot:
     asn: int = 0
     hostname: str = DEFAULT_HOSTNAME
     _counter: int = field(default=0, repr=False)
-    _line_memo: dict[tuple[_State, str], tuple[CommandRecord, tuple[str, ...]]] = (
-        field(default_factory=dict, init=False, repr=False, compare=False)
-    )
+    _line_memo: dict[
+        tuple[_State, str], tuple[CommandRecord, tuple[str, ...], int]
+    ] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _make_context(
         self, intent: ConnectionIntent, user: str, session_id: str
@@ -159,7 +161,7 @@ class CowrieHoneypot:
             key = (state, line)
             hit = memo.get(key)
             if hit is not None:
-                record, line_uris = hit
+                record, line_uris, context.status = hit
                 context.uris.extend(line_uris)
                 commands.append(record)
                 continue
@@ -183,5 +185,7 @@ class CowrieHoneypot:
                 continue
             if len(memo) >= LINE_MEMO_LIMIT:
                 memo.clear()
-            memo[key] = (record, tuple(context.uris[uris_before:]))
+            memo[key] = (
+                record, tuple(context.uris[uris_before:]), context.status
+            )
         return commands

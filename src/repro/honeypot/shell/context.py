@@ -29,9 +29,10 @@ class ShellContext:
     events, and ask :meth:`fetch` for the content the outside world
     would serve the honeypot for a given URL during this session.
 
-    Two inputs belong to the session alone: ``remote_files`` and the
-    ``entropy`` behind ``/dev/urandom``.  Handlers reach them only
-    through :meth:`fetch` and :meth:`random_bytes`, which set
+    Three inputs belong to the session alone: ``remote_files``, the
+    ``entropy`` behind ``/dev/urandom`` and ``status``, the exit status
+    of the last pipeline (``$?``).  Handlers reach them only through
+    :meth:`fetch`, :meth:`random_bytes` and :meth:`expand`, which set
     ``session_bound``, so the honeypot knows a line's result cannot be
     reused by another session.
     """
@@ -60,6 +61,7 @@ class ShellContext:
         self.file_events: list[FileEvent] = []
         self.root_password: str | None = None
         self.exited = False
+        self.status = 0
         self.session_bound = False
 
     def fetch(self, url: str) -> bytes | None:
@@ -137,7 +139,8 @@ class ShellContext:
         return CommandResult(output="", success=True, known=True)
 
     def expand(self, token: str) -> str:
-        """Expand ``$VAR`` / ``${VAR}`` occurrences from the environment."""
+        """Expand ``$VAR`` / ``${VAR}`` occurrences from the environment,
+        and ``$?`` / ``${?}`` to the last pipeline's exit status."""
         if "$" not in token:
             return token
         result: list[str] = []
@@ -149,6 +152,11 @@ class ShellContext:
                 index += 1
                 continue
             rest = token[index + 1 :]
+            if rest.startswith(("?", "{?}")):
+                self.session_bound = True
+                result.append(str(self.status))
+                index += 2 if rest[0] == "?" else 4
+                continue
             if rest.startswith("{"):
                 closing = rest.find("}")
                 if closing > 0:

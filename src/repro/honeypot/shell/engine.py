@@ -13,6 +13,17 @@ from repro.honeypot.uri import extract_uris
 #: Recursion guard for ``sh -c`` / ``nohup`` style wrapping.
 MAX_DEPTH = 6
 
+#: bash's exit status for a command it cannot find.
+STATUS_NOT_FOUND = 127
+
+
+def exit_status(result: CommandResult) -> int:
+    """``$?`` after ``result``: 0 on success, 127 for a command the engine
+    answered ``command not found``, 1 for any other failure."""
+    if result.success:
+        return 0
+    return 1 if result.known else STATUS_NOT_FOUND
+
 
 class ShellEngine:
     """Executes input lines against a :class:`ShellContext`."""
@@ -24,12 +35,16 @@ class ShellEngine:
         """Execute one input line and return its session record.
 
         Parse failures are recorded verbatim as unknown input — the
-        honeypot never crashes on hostile syntax.
+        honeypot never crashes on hostile syntax.  Each pipeline run sets
+        the context's ``status``; a line that runs none keeps the status
+        it found, so its effect is bound to the session.
         """
-        uris_before = len(self.context.uris)
+        context = self.context
+        uris_before = len(context.uris)
         try:
             statements = parse_line(raw)
         except ParseError:
+            context.session_bound = True
             self._record_raw_uris(raw, uris_before)
             return CommandRecord(raw=raw, known=False, output="")
         outputs: list[str] = []
@@ -41,11 +56,14 @@ class ShellEngine:
             if statement.connector == "||" and previous_succeeded:
                 continue
             result = self._run_pipeline(statement.pipeline)
+            context.status = exit_status(result)
             outputs.append(result.output)
             known = known and result.known
             previous_succeeded = result.success
-            if self.context.exited:
+            if context.exited:
                 break
+        if not outputs:
+            context.session_bound = True
         self._record_raw_uris(raw, uris_before)
         return CommandRecord(raw=raw, known=known, output="".join(outputs))
 

@@ -33,7 +33,6 @@ from repro.integrity.manifest import (
     Manifest,
     ManifestError,
     build_manifest,
-    file_manifest,
     manifest_path,
     read_manifest,
     write_manifest,
@@ -65,7 +64,6 @@ __all__ = [
     "RECORD_CHECKSUM_KEY",
     "audit_tree",
     "build_manifest",
-    "file_manifest",
     "manifest_path",
     "payload_checksum",
     "read_manifest",

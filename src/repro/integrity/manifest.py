@@ -70,11 +70,6 @@ def data_manifest(data: bytes) -> Manifest:
     return Manifest(lines=lines, sha256=hashlib.sha256(data).hexdigest())
 
 
-def file_manifest(path: Path | str) -> Manifest:
-    """Manifest of the bytes actually on disk at ``path``."""
-    return data_manifest(Path(path).read_bytes())
-
-
 def write_manifest(data_path: Path | str, manifest: Manifest) -> Path:
     """Atomically write the sidecar for ``data_path``; returns its path."""
     sidecar = manifest_path(data_path)

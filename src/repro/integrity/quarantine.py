@@ -108,11 +108,5 @@ class QuarantineStore:
                 loaded.append(QuarantineEntry(**payload))
         return loaded
 
-    def counts_by_reason(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for entry in self.entries():
-            counts[entry.reason] = counts.get(entry.reason, 0) + 1
-        return counts
-
     def __len__(self) -> int:
         return len(self.entries())

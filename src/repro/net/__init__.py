@@ -1,7 +1,7 @@
 """Network substrate: IPv4 math, AS registry, historical WHOIS, geo."""
 
 from repro.net.asn import ASRecord, ASRegistry, ASType, PrefixAllocator
-from repro.net.geo import COUNTRIES, country_codes, pick_countries, random_country
+from repro.net.geo import COUNTRIES, pick_countries, random_country
 from repro.net.ipv4 import (
     MAX_IPV4,
     Prefix,
@@ -9,10 +9,9 @@ from repro.net.ipv4 import (
     ip_to_int,
     is_reserved,
     parse_prefix,
-    slash24_base,
 )
 from repro.net.population import BasePopulation, build_base_population
-from repro.net.routing import count_slash24, deaggregate, size_bucket
+from repro.net.routing import deaggregate
 from repro.net.whois import HistoricalWhois, WhoisResult
 
 __all__ = [
@@ -21,7 +20,6 @@ __all__ = [
     "ASType",
     "PrefixAllocator",
     "COUNTRIES",
-    "country_codes",
     "pick_countries",
     "random_country",
     "MAX_IPV4",
@@ -30,12 +28,9 @@ __all__ = [
     "ip_to_int",
     "is_reserved",
     "parse_prefix",
-    "slash24_base",
     "BasePopulation",
     "build_base_population",
-    "count_slash24",
     "deaggregate",
-    "size_bucket",
     "HistoricalWhois",
     "WhoisResult",
 ]

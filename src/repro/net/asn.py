@@ -181,9 +181,3 @@ class ASRegistry:
 
     def of_type(self, as_type: ASType) -> list[ASRecord]:
         return [r for r in self._records.values() if r.as_type == as_type]
-
-    def registered_between(self, start: date, end: date) -> list[ASRecord]:
-        """ASes whose registration date falls in ``[start, end]``."""
-        return [
-            r for r in self._records.values() if start <= r.registered <= end
-        ]

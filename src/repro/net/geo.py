@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import random
 
+from repro.util.rng import WeightedTable
+
 #: (ISO code, relative weight) — 60 countries so any 55-subset works.
 COUNTRIES: list[tuple[str, float]] = [
     ("US", 9.0), ("CN", 9.0), ("DE", 6.0), ("RU", 6.0), ("BR", 5.0),
@@ -25,41 +27,28 @@ COUNTRIES: list[tuple[str, float]] = [
 ]
 
 
-def country_codes() -> list[str]:
-    """All known country codes."""
-    return [code for code, _ in COUNTRIES]
-
-
 def pick_countries(rng: random.Random, count: int) -> list[str]:
-    """Choose ``count`` distinct countries, weight-biased, for placement."""
+    """Choose ``count`` distinct countries, weight-biased, for placement.
+
+    Each country is drawn from a table over the ones still unpicked.
+    """
     if count > len(COUNTRIES):
         raise ValueError(
             f"only {len(COUNTRIES)} countries available, asked for {count}"
         )
-    codes = [code for code, _ in COUNTRIES]
-    weights = [weight for _, weight in COUNTRIES]
+    pool = list(COUNTRIES)
     chosen: list[str] = []
-    pool = list(zip(codes, weights))
     for _ in range(count):
-        total = sum(w for _, w in pool)
-        point = rng.random() * total
-        cumulative = 0.0
-        for index, (code, weight) in enumerate(pool):
-            cumulative += weight
-            if point <= cumulative:
-                chosen.append(code)
-                pool.pop(index)
-                break
+        code = WeightedTable(pool).pick(rng)
+        chosen.append(code)
+        pool = [pair for pair in pool if pair[0] != code]
     return chosen
+
+
+#: Every country by client-origin weight, for :func:`random_country`.
+_COUNTRY_TABLE = WeightedTable(COUNTRIES)
 
 
 def random_country(rng: random.Random) -> str:
     """Weighted random country for a client AS."""
-    total = sum(weight for _, weight in COUNTRIES)
-    point = rng.random() * total
-    cumulative = 0.0
-    for code, weight in COUNTRIES:
-        cumulative += weight
-        if point <= cumulative:
-            return code
-    return COUNTRIES[-1][0]
+    return _COUNTRY_TABLE.pick(rng)

@@ -35,11 +35,6 @@ def int_to_ip(value: int) -> str:
     return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
 
 
-def slash24_base(value: int) -> int:
-    """Return the base address of the /24 containing ``value``."""
-    return value & ~0xFF
-
-
 @dataclass(frozen=True)
 class Prefix:
     """An IPv4 prefix (network base integer + mask length)."""

@@ -10,12 +10,12 @@ are tied to when the attacker activates them (Figure 8(a)).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date, timedelta
 
 from repro.net.asn import ASRecord, ASRegistry, ASType
 from repro.net.geo import random_country
-from repro.util.rng import RngTree
+from repro.util.rng import RngTree, WeightedTable
 
 #: (type, count, (min /24s, max /24s), share of client traffic) — the
 #: traffic share drives Figure 7's left side: clients overwhelmingly in
@@ -39,16 +39,16 @@ class BasePopulation:
     client_ases: list[ASRecord]
     client_weights: list[float]
     honeypot_ases: list[ASRecord]
+    _client_table: WeightedTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._client_table = WeightedTable(
+            zip(self.client_ases, self.client_weights)
+        )
 
     def weighted_client_as(self, rng: random.Random) -> ASRecord:
         """Pick a client AS according to the traffic-share plan."""
-        point = rng.random() * sum(self.client_weights)
-        cumulative = 0.0
-        for record, weight in zip(self.client_ases, self.client_weights):
-            cumulative += weight
-            if point <= cumulative:
-                return record
-        return self.client_ases[-1]
+        return self._client_table.pick(rng)
 
 
 def _log_uniform(rng: random.Random, low: int, high: int) -> int:

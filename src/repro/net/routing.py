@@ -6,7 +6,6 @@ comparable regardless of how aggregated their announcements are.
 
 from __future__ import annotations
 
-from repro.net.asn import ASRecord
 from repro.net.ipv4 import Prefix
 
 
@@ -20,18 +19,3 @@ def deaggregate(prefixes: list[Prefix]) -> list[Prefix]:
             )
         result.extend(Prefix(base, 24) for base in prefix.slash24_bases())
     return result
-
-
-def count_slash24(prefixes: list[Prefix]) -> int:
-    """Number of /24s covered by ``prefixes`` (no materialization)."""
-    return sum(prefix.num_slash24 for prefix in prefixes)
-
-
-def size_bucket(record: ASRecord) -> str:
-    """Figure 8(b)'s three size buckets for an AS."""
-    n = record.num_slash24
-    if n == 1:
-        return "one /24"
-    if n < 50:
-        return "less than 50 /24"
-    return "more than 50 /24"

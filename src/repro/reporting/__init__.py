@@ -1,6 +1,6 @@
 """Report rendering: markdown comparison documents, text tables."""
 
-from repro.reporting.figures import bar_chart, multi_series_chart, numeric_columns, render_figure
+from repro.reporting.figures import bar_chart, numeric_columns, render_figure
 from repro.reporting.markdown import (
     PAPER_EXPECTATIONS,
     experiments_markdown,
@@ -9,7 +9,6 @@ from repro.reporting.markdown import (
 
 __all__ = [
     "bar_chart",
-    "multi_series_chart",
     "numeric_columns",
     "render_figure",
     "PAPER_EXPECTATIONS",

@@ -79,26 +79,6 @@ def bar_chart(
     return "\n".join(lines)
 
 
-def multi_series_chart(
-    result: ExperimentResult,
-    label_column: int,
-    value_columns: list[int],
-    max_rows: int = 40,
-) -> str:
-    """Several numeric columns side by side, one bar block per column.
-
-    The per-month multi-password view of Figure 10, for example.
-    """
-    rows = result.rows[:max_rows]
-    if not rows or not value_columns:
-        return "(no data)"
-    lines = []
-    for column in value_columns:
-        lines.append(bar_chart(result, label_column, column, max_rows=max_rows))
-        lines.append("")
-    return "\n".join(lines).rstrip()
-
-
 #: Shading ramp for ASCII heatmaps (low → high values).
 _HEAT_RAMP = " .:-=+*#%@"
 

@@ -39,7 +39,6 @@ from repro.service.core import (
     OUTCOME_OK,
     OUTCOME_REJECTED,
     OUTCOME_STALE,
-    OUTCOMES,
     PRIORITY_HIGH,
     PRIORITY_LOW,
     PRIORITY_STATUS,
@@ -67,7 +66,6 @@ __all__ = [
     "OUTCOME_OK",
     "OUTCOME_REJECTED",
     "OUTCOME_STALE",
-    "OUTCOMES",
     "PRIORITY_HIGH",
     "PRIORITY_LOW",
     "PRIORITY_STATUS",

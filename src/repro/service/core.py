@@ -49,6 +49,7 @@ from repro.stream.queues import (
     LEVEL_HIGH,
     BoundedStreamQueue,
 )
+from repro.util import preset
 from repro.util.rng import RngTree
 
 #: Request priorities (the admission gate's shedding order).
@@ -71,7 +72,6 @@ GROUPABLE = INDEX_COLUMNS + ("session_id", "source")
 OUTCOME_OK = "ok"
 OUTCOME_REJECTED = "rejected"
 OUTCOME_STALE = "stale"
-OUTCOMES = (OUTCOME_OK, OUTCOME_REJECTED, OUTCOME_STALE)
 
 #: Virtual seconds the service clock advances per handled request.
 TICK_S = 0.05
@@ -99,25 +99,22 @@ class ServicePolicy:
 
     @classmethod
     def from_name(cls, name: str) -> "ServicePolicy":
-        """``default`` (production-shaped) or ``strict`` (tiny budgets,
-        the preset the overload tests clip against)."""
-        presets = {
-            "default": cls,
-            "strict": lambda: cls(
-                cache_capacity=32,
-                queue_capacity=8,
-                high_watermark=6,
-                rate_per_s=2.0,
-                burst=4.0,
-            ),
-        }
-        try:
-            return presets[name]()
-        except KeyError:
-            known = ", ".join(sorted(presets))
-            raise ValueError(
-                f"unknown service policy {name!r} (known: {known})"
-            ) from None
+        """Resolve a named policy (CLI ``--service-policy``)."""
+        return preset(SERVICE_POLICY_PRESETS, name, "service policy")
+
+
+#: The service policies: ``default`` (production-shaped) and ``strict``
+#: (tiny budgets, the preset the overload tests clip against).
+SERVICE_POLICY_PRESETS = {
+    "default": ServicePolicy(),
+    "strict": ServicePolicy(
+        cache_capacity=32,
+        queue_capacity=8,
+        high_watermark=6,
+        rate_per_s=2.0,
+        burst=4.0,
+    ),
+}
 
 
 @dataclass(frozen=True)

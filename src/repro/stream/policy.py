@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.faults.stream import StreamFaults
+from repro.util import preset
 
 
 @dataclass(frozen=True)
@@ -78,15 +79,12 @@ class StreamPolicy:
     @classmethod
     def from_name(cls, name: str) -> "StreamPolicy":
         """Resolve a named policy (CLI ``--stream-profile``)."""
-        presets = {
-            "replay": cls.replay,
-            "live": cls.live,
-            "chaos": cls.chaos,
-        }
-        try:
-            return presets[name]()
-        except KeyError:
-            known = ", ".join(sorted(presets))
-            raise ValueError(
-                f"unknown stream profile {name!r} (known: {known})"
-            ) from None
+        return preset(STREAM_POLICY_PRESETS, name, "stream profile")
+
+
+#: The stream policies, by name.
+STREAM_POLICY_PRESETS = {
+    "replay": StreamPolicy.replay(),
+    "live": StreamPolicy.live(),
+    "chaos": StreamPolicy.chaos(),
+}

@@ -18,11 +18,13 @@ deterministic), and the explicit degraded-mode ladder::
   effective budget until the breaker's probe succeeds or the day
   boundary drains the backlog.
 
-Every transition is recorded with its day ordinal, event index and
-trigger reason, and mirrored into ``stream.mode.*`` telemetry counters
-— including one ``stream.mode.timeline.<day>.<from>-><to>.<reason>``
-counter per transition, which is what the ``repro telemetry`` report's
-degraded-mode timeline section is reconstructed from.
+Every transition is recorded once, with its day ordinal, event index
+and trigger reason, in :attr:`StreamSupervisor.transitions`: the
+timeline that ``repro stream`` prints
+(:class:`~repro.stream.engine.StreamReport`), a degraded checkpoint's
+stream section carries and the status endpoint's snapshot serves.
+Telemetry only counts transitions (``stream.mode.transitions`` and
+``stream.mode.to.<mode>``).
 
 This module must not import :mod:`repro.config`.
 """
@@ -185,26 +187,22 @@ class StreamSupervisor:
         """Move to ``to_mode`` (any direction); records and counts.
 
         Returns True iff the mode actually changed.  Telemetry: every
-        transition bumps ``stream.mode.transitions`` and writes one
-        timeline counter — rare events, so they are emitted directly
-        rather than batched like the per-day counters.
+        transition bumps ``stream.mode.transitions`` and
+        ``stream.mode.to.<mode>`` — rare events, so they are emitted
+        directly rather than batched like the per-day counters.
         """
         if to_mode not in MODE_RANK:
             raise ValueError(f"unknown stream mode {to_mode!r}")
         if to_mode == self.mode:
             return False
-        transition = ModeTransition(day, event, self.mode, to_mode, reason)
-        self.transitions.append(transition)
+        self.transitions.append(
+            ModeTransition(day, event, self.mode, to_mode, reason)
+        )
         self.mode = to_mode
         registry = telemetry.active()
         if registry is not None:
             registry.count("stream.mode.transitions")
             registry.count(f"stream.mode.to.{to_mode}")
-            registry.count(
-                "stream.mode.timeline."
-                f"{transition.day}.{transition.from_mode}->"
-                f"{transition.to_mode}.{transition.reason}"
-            )
         return True
 
     def escalate(

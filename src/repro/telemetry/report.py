@@ -35,33 +35,6 @@ def write_telemetry_json(path, registry: "MetricsRegistry", meta=None) -> None:
         handle.write("\n")
 
 
-def _mode_timeline_rows(counters: dict) -> list[list]:
-    """Degraded-mode ladder transitions recovered from counter names.
-
-    The stream supervisor writes one
-    ``stream.mode.timeline.<day ordinal>.<from>-><to>.<reason>`` counter
-    per ladder transition (modes and reasons are dash-slugs, never
-    dotted), so the full timeline reconstructs from the registry alone —
-    no side-channel file to lose.
-    """
-    from datetime import date
-
-    prefix = "stream.mode.timeline."
-    rows = []
-    for name, value in counters.items():
-        if not name.startswith(prefix):
-            continue
-        try:
-            ordinal, transition, reason = name[len(prefix):].split(".")
-            day = date.fromordinal(int(ordinal)).isoformat()
-        except ValueError:
-            continue  # malformed external document; skip, don't crash
-        rows.append([day, int(ordinal), transition, reason, value])
-    rows.sort(key=lambda row: (row[1], row[2], row[3]))
-    return [[day, transition, reason, value]
-            for day, _, transition, reason, value in rows]
-
-
 def _histogram_sketch(data: dict) -> str:
     """A compact one-line rendering of a histogram's occupied buckets."""
     bounds = data["bounds"]
@@ -102,20 +75,6 @@ def run_report_markdown(document: dict) -> str:
     else:
         parts.append("(none)")
     parts.append("")
-
-    timeline = _mode_timeline_rows(counters)
-    if timeline:
-        parts.append("## Degraded-mode timeline")
-        parts.append("")
-        parts.append(
-            "Stream supervision ladder transitions, in day order "
-            "(reconstructed from `stream.mode.timeline.*` counters)."
-        )
-        parts.append("")
-        parts.append(
-            format_table(["day", "transition", "reason", "count"], timeline)
-        )
-        parts.append("")
 
     gauges = document.get("gauges", {})
     if gauges:

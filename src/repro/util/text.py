@@ -50,12 +50,3 @@ def percentage(part: float, whole: float) -> float:
     if whole == 0:
         return 0.0
     return 100.0 * part / whole
-
-
-def human_count(value: float) -> str:
-    """Format a count the way the paper's axes do (K/M suffixes)."""
-    if value >= 1_000_000:
-        return f"{value / 1_000_000:.1f}M"
-    if value >= 1_000:
-        return f"{value / 1_000:.1f}K"
-    return f"{value:.0f}"

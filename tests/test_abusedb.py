@@ -63,7 +63,7 @@ class TestFeeds:
     def test_ip_coverage_about_56_percent(self, factory):
         ips = [f"10.0.{i // 256}.{i % 256}" for i in range(800)]
         abuse = build_abuse_datasets(factory, ips)
-        reported = sum(1 for ip in ips if abuse.is_reported_ip(ip))
+        reported = sum(1 for ip in ips if abuse.lookup_ip(ip) is not None)
         assert 0.48 < reported / len(ips) < 0.64
 
     def test_unknown_lookups(self, factory):
@@ -86,7 +86,9 @@ class TestFeeds:
     def test_deterministic(self, factory):
         a = build_abuse_datasets(factory, [])
         b = build_abuse_datasets(factory, [])
-        assert a.known_hashes() == b.known_hashes()
+        assert [feed.hash_records for feed in a.feeds] == [
+            feed.hash_records for feed in b.feeds
+        ]
 
 
 class TestKillnet:

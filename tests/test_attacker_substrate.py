@@ -14,6 +14,7 @@ from repro.attackers.malware import MalwareFactory, MalwareFamily
 from repro.config import DEFAULT_CONFIG
 from repro.net.population import build_base_population
 from repro.util.rng import RngTree
+from tests.test_util_rng import linear_scan_choice
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +51,39 @@ class TestClientIPPool:
         pool = ClientIPPool("t5", population, RngTree(5), 1000, 1e-2)
         sample = pool.sample(random.Random(0), 5)
         assert len(set(sample)) == 5
+
+
+def reuse_weights(pool) -> list[tuple[str, float]]:
+    """The Zipf reuse weights by pool rank, as the scan spelled them."""
+    return [(ip, 1.0 / (rank + 1) ** 0.6) for rank, ip in enumerate(pool.ips)]
+
+
+class TestPickEqualsLinearScan:
+    """``pick`` draws what the per-draw linear scan it replaced drew,
+    from the same generator state."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 23])
+    @pytest.mark.parametrize("paper_ips", [1, 28, 40, 300])
+    def test_pool(self, population, seed, paper_ips):
+        pool = ClientIPPool(
+            f"scan-{paper_ips}", population, RngTree(seed), paper_ips, 1.0
+        )
+        weighted = reuse_weights(pool)
+        rng, oracle = random.Random(seed), random.Random(seed)
+        for _ in range(2_000):
+            assert pool.pick(rng) == linear_scan_choice(oracle, weighted)
+        assert rng.getstate() == oracle.getstate()
+
+    @pytest.mark.parametrize("seed", [0, 7, 23])
+    def test_shared_pool(self, population, seed):
+        base = ClientIPPool("scan-base", population, RngTree(seed), 60, 1.0)
+        shared = SharedPool("scan-shared", base, population, RngTree(seed))
+        weighted = reuse_weights(shared)
+        assert len(weighted) > len(base)
+        rng, oracle = random.Random(seed), random.Random(seed)
+        for _ in range(2_000):
+            assert shared.pick(rng) == linear_scan_choice(oracle, weighted)
+        assert rng.getstate() == oracle.getstate()
 
 
 class TestSharedPool:
@@ -119,7 +153,7 @@ class TestStorageInfrastructure:
         return StorageInfrastructure(DEFAULT_CONFIG, population, RngTree(5))
 
     def test_host_population(self, infra):
-        assert infra.n_hosts > 500
+        assert len(infra.hosts) > 500
         archetypes = {h.archetype for h in infra.hosts}
         assert archetypes == set(HostArchetype)
 
@@ -137,13 +171,15 @@ class TestStorageInfrastructure:
     def test_as_registered_before_first_use(self, infra):
         registry = {record.asn: record for record in infra.ases}
         for host in infra.hosts:
-            assert registry[host.asn].registered < host.first_active
+            first_active = min(start for start, _ in host.intervals)
+            assert registry[host.asn].registered < first_active
 
     def test_age_strata_present(self, infra):
         buckets = Counter()
         registry = {record.asn: record for record in infra.ases}
         for host in infra.hosts:
-            age = (host.first_active - registry[host.asn].registered).days
+            first_active = min(start for start, _ in host.intervals)
+            age = (first_active - registry[host.asn].registered).days
             if age < 365:
                 buckets["young"] += 1
             elif age < 5 * 365:
@@ -180,11 +216,6 @@ class TestStorageInfrastructure:
         host = infra.pick_host(rng, date(2021, 12, 1))
         assert host is not None
 
-    def test_host_by_ip(self, infra):
-        host = infra.hosts[0]
-        assert infra.host_by_ip(host.ip) is host
-        assert infra.host_by_ip("203.0.113.99") is None
-
     def test_ephemeral_hosts_single_day(self, infra):
         for host in infra.hosts:
             if host.archetype == HostArchetype.EPHEMERAL:
@@ -213,7 +244,10 @@ def interval_scan(infra) -> dict[date, list]:
     """Day -> active hosts by scanning every host's intervals, for every
     day from 30 before the window to 30 after the last interval."""
     start = infra.config.start - timedelta(days=30)
-    end = max(infra.config.end, *(host.last_active for host in infra.hosts))
+    end = max(
+        infra.config.end,
+        *(last for host in infra.hosts for _, last in host.intervals),
+    )
     days = (end - start).days + 31
     return {
         day: [host for host in infra.hosts if is_active(host, day)]

@@ -22,10 +22,6 @@ def sample_result():
 
 
 class TestExports:
-    def test_to_records(self, sample_result):
-        records = sample_result.to_records()
-        assert records[0] == {"month": "2022-01", "value": 5}
-
     def test_to_json_roundtrip(self, sample_result):
         payload = json.loads(sample_result.to_json())
         assert payload["experiment_id"] == "fig01"
@@ -102,6 +98,27 @@ class TestCommands:
         assert main(["export", "--only", "nope", "--out", str(out)]) == 2
         assert "nope" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", ["stats", "experiments", "export", "telemetry", "cluster"]
+    )
+    def test_refused_dataset_exits_cleanly(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        """A dataset the coverage guard refuses (as a storm flood's is)
+        ends the command with its reason and exit 2, not a traceback."""
+        from repro.experiments import dataset as dataset_module
+        from repro.faults.coverage import CoverageError
+
+        def refuse(config):
+            raise CoverageError("admission control shed 9 of 10 records (90.0%)")
+
+        monkeypatch.setattr(dataset_module, "build_dataset", refuse)
+        monkeypatch.chdir(tmp_path)  # export would write figures/ here
+        assert main([command, "--flood-profile", "storm"]) == 2
+        assert capsys.readouterr().err == (
+            "error: admission control shed 9 of 10 records (90.0%)\n"
+        )
 
     @pytest.mark.parametrize("command", ["experiments", "export"])
     def test_experiments_run_through_the_runner(

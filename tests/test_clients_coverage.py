@@ -62,7 +62,7 @@ class TestSensorCoverage:
         coverage = sensor_coverage(sessions, {"hp-0": "DE", "hp-1": "US"})
         assert coverage.active_honeypots == 2
         assert coverage.sessions_per_country["DE"] == 2
-        assert coverage.busiest_honeypot == ("hp-0", 2)
+        assert coverage.sessions_per_honeypot == Counter({"hp-0": 2, "hp-1": 1})
 
     def test_unknown_country(self):
         coverage = sensor_coverage([session("hp-9")], {})

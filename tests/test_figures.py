@@ -7,7 +7,6 @@ import pytest
 from repro.experiments.base import ExperimentResult
 from repro.reporting.figures import (
     bar_chart,
-    multi_series_chart,
     numeric_columns,
     render_figure,
 )
@@ -72,12 +71,6 @@ class TestBarChart:
     def test_empty_rows(self):
         result = ExperimentResult("x", "t", ["a", "b"], [], [])
         assert bar_chart(result, 0, 1) == "(no data)"
-
-
-class TestMultiSeries:
-    def test_two_series(self, monthly_result):
-        chart = multi_series_chart(monthly_result, 0, [1, 2])
-        assert chart.count("[fig10]") == 2
 
 
 class TestRenderFigure:

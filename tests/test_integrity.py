@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from datetime import date
 
 import pytest
@@ -54,7 +55,7 @@ from repro.integrity.checksums import (
 from repro.integrity.manifest import (
     ManifestError,
     build_manifest,
-    file_manifest,
+    data_manifest,
     manifest_path,
     read_manifest,
     write_manifest,
@@ -124,7 +125,7 @@ class TestManifest:
         manifest = build_manifest(lines)
         write_manifest(data, manifest)
         assert read_manifest(data) == manifest
-        assert file_manifest(data) == manifest
+        assert data_manifest(data.read_bytes()) == manifest
 
     def test_missing_manifest_reads_none(self, tmp_path):
         assert read_manifest(tmp_path / "x.jsonl") is None
@@ -143,7 +144,7 @@ class TestManifest:
         manifest = build_manifest(lines)
         with open(data, "a") as handle:
             handle.write('{"b":2}\n')
-        actual = file_manifest(data)
+        actual = data_manifest(data.read_bytes())
         assert (actual.lines, actual.sha256) != (manifest.lines, manifest.sha256)
 
 
@@ -156,7 +157,7 @@ class TestQuarantine:
         )
         reloaded = QuarantineStore(tmp_path / "quarantine")
         assert len(reloaded) == 2
-        assert reloaded.counts_by_reason() == {
+        assert Counter(entry.reason for entry in reloaded.entries()) == {
             "invalid-json": 1,
             "missing-line": 1,
         }
@@ -202,7 +203,6 @@ class TestQuarantine:
         store = QuarantineStore(tmp_path / "quarantine")
         assert len(store) == 0
         assert store.entries() == []
-        assert store.counts_by_reason() == {}
         # Reopening an untouched store is identical — no index file is
         # created until the first add, so discover() still finds nothing.
         reloaded = QuarantineStore(tmp_path / "quarantine")
@@ -566,7 +566,10 @@ class TestVerify:
         assert audit.ok
         assert audit.records_lost > 0
         # One missing-line entry per lost record, one entry per corrupt line.
-        reasons = QuarantineStore(tmp_path / "quarantine").counts_by_reason()
+        reasons = Counter(
+            entry.reason
+            for entry in QuarantineStore(tmp_path / "quarantine").entries()
+        )
         assert reasons.pop("missing-line") == audit.records_lost
         assert sum(reasons.values()) == recover_jsonl(path).report.quarantined
         statuses = {f.path: f.status for f in audit.findings}

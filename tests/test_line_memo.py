@@ -21,7 +21,7 @@ from repro.honeypot.session import ConnectionIntent, SessionRecord
 from repro.honeypot.shell.context import ShellContext
 from repro.honeypot.shell.engine import ShellEngine
 from repro.honeypot.stateful import StatefulCowrieHoneypot
-from tests.shell_reference import memo_differential
+from tests.shell_reference import memo_differential, twin
 
 
 @pytest.fixture
@@ -110,6 +110,22 @@ class TestStoreRule:
         stored = {line for _, line in honeypot._line_memo}
         assert "exit" not in stored
         assert "echo root:p|chpasswd" not in stored
+
+    @pytest.mark.parametrize(
+        "between", [(), ("",), ('echo "unterminated',)],
+        ids=["adjacent", "blank-line", "parse-error"],
+    )
+    def test_exit_status_is_stored_and_read_per_session(self, honeypot, between):
+        reference = twin(honeypot)
+        # the second round serves true and false from the memo; a line
+        # that runs no pipeline keeps the status, so it is not stored
+        for first in ("true", "false") * 2:
+            expected = "0\n" if first == "true" else "1\n"
+            for sensor in (honeypot, reference):
+                record = session(sensor, first, *between, "echo $?")
+                assert outputs(record)[-1] == expected
+        stored = {line for _, line in honeypot._line_memo}
+        assert stored == {"true", "false"}
 
     def test_memo_is_cleared_when_full(self, honeypot, monkeypatch):
         monkeypatch.setattr(cowrie, "LINE_MEMO_LIMIT", 3)

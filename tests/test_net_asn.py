@@ -7,10 +7,11 @@ from datetime import date
 
 import pytest
 
+from repro.analysis.storage import SIZE_BUCKETS, size_bucket_name
 from repro.net.asn import ASRegistry, ASType, PrefixAllocator
-from repro.net.ipv4 import MAX_IPV4, ip_to_int, is_reserved, slash24_base
+from repro.net.ipv4 import MAX_IPV4, ip_to_int, is_reserved
 from repro.net.population import build_base_population
-from repro.net.routing import count_slash24, deaggregate, size_bucket
+from repro.net.routing import deaggregate
 from repro.net.whois import HistoricalWhois
 from repro.util.rng import RngTree
 
@@ -64,12 +65,6 @@ class TestRegistry:
         registry.create(ASType.ISP_NSP, date(2020, 1, 1), 1)
         assert len(registry.of_type(ASType.HOSTING)) == 1
 
-    def test_registered_between(self, registry):
-        registry.create(ASType.OTHER, date(2019, 6, 1), 1)
-        registry.create(ASType.OTHER, date(2023, 6, 1), 1)
-        hits = registry.registered_between(date(2023, 1, 1), date(2024, 1, 1))
-        assert len(hits) == 1
-
     def test_unique_asns(self, registry):
         a = registry.create(ASType.CDN, date(2018, 1, 1), 1)
         b = registry.create(ASType.CDN, date(2018, 1, 1), 1)
@@ -115,7 +110,7 @@ class TestBlockTable:
         rng = random.Random(7)
         probes += [rng.randint(0, top) for _ in range(10_000)]
         for address in probes:
-            expected = oracle.get(slash24_base(address))
+            expected = oracle.get(address & ~0xFF)
             assert registry.lookup_asn(address) == expected, address
 
     def test_edges_of_the_address_space(self, population_registry):
@@ -132,15 +127,15 @@ class TestRouting:
 
     def test_count_slash24(self, registry):
         record = registry.create(ASType.OTHER, date(2020, 1, 1), 13)
-        assert count_slash24(record.prefixes) == 13
+        assert record.num_slash24 == 13
 
     def test_size_buckets(self, registry):
         one = registry.create(ASType.OTHER, date(2020, 1, 1), 1)
         small = registry.create(ASType.OTHER, date(2020, 1, 1), 49)
         big = registry.create(ASType.OTHER, date(2020, 1, 1), 50)
-        assert size_bucket(one) == "one /24"
-        assert size_bucket(small) == "less than 50 /24"
-        assert size_bucket(big) == "more than 50 /24"
+        assert size_bucket_name(one.num_slash24) == SIZE_BUCKETS[0]
+        assert size_bucket_name(small.num_slash24) == SIZE_BUCKETS[1]
+        assert size_bucket_name(big.num_slash24) == SIZE_BUCKETS[2]
 
 
 class TestHistoricalWhois:

@@ -15,7 +15,6 @@ from repro.net.ipv4 import (
     ip_to_int,
     is_reserved,
     parse_prefix,
-    slash24_base,
 )
 
 
@@ -39,9 +38,6 @@ class TestConversions:
             int_to_ip(-1)
         with pytest.raises(ValueError):
             int_to_ip(MAX_IPV4 + 1)
-
-    def test_slash24_base(self):
-        assert slash24_base(ip_to_int("10.1.2.200")) == ip_to_int("10.1.2.0")
 
 
 class TestPrefix:

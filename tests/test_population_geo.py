@@ -8,9 +8,10 @@ from collections import Counter
 import pytest
 
 from repro.net.asn import ASType
-from repro.net.geo import COUNTRIES, country_codes, pick_countries, random_country
+from repro.net.geo import COUNTRIES, pick_countries, random_country
 from repro.net.population import CLIENT_AS_PLAN, build_base_population
 from repro.util.rng import RngTree
+from tests.test_util_rng import linear_scan_choice
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +21,7 @@ def population():
 
 class TestGeo:
     def test_country_catalogue(self):
-        codes = country_codes()
+        codes = [code for code, _ in COUNTRIES]
         assert len(codes) == len(set(codes))
         assert len(codes) >= 55
         assert all(len(code) == 2 for code in codes)
@@ -40,6 +41,42 @@ class TestGeo:
         draws = Counter(random_country(rng) for _ in range(3000))
         # heavy countries should clearly outdraw light ones
         assert draws["US"] + draws["CN"] > draws.get("EE", 0) * 5
+
+
+class TestPicksEqualLinearScan:
+    """Each weighted pick draws what the per-draw linear scan it replaced
+    drew, from the same generator state."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 11, 23])
+    def test_random_country(self, seed):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        for _ in range(5_000):
+            assert random_country(rng) == linear_scan_choice(oracle, COUNTRIES)
+        assert rng.getstate() == oracle.getstate()
+
+    @pytest.mark.parametrize("seed", [0, 7, 11, 23])
+    @pytest.mark.parametrize("count", [1, 55, len(COUNTRIES)])
+    def test_pick_countries(self, seed, count):
+        oracle = random.Random(seed)
+        remaining, expected = list(COUNTRIES), []
+        for _ in range(count):
+            code = linear_scan_choice(oracle, remaining)
+            expected.append(code)
+            remaining = [pair for pair in remaining if pair[0] != code]
+        rng = random.Random(seed)
+        assert pick_countries(rng, count) == expected
+        assert rng.getstate() == oracle.getstate()
+
+    @pytest.mark.parametrize("seed", [0, 7, 11, 23])
+    def test_weighted_client_as(self, seed):
+        population = build_base_population(RngTree(seed).child("net"))
+        weighted = list(zip(population.client_ases, population.client_weights))
+        rng, oracle = random.Random(seed), random.Random(seed)
+        for _ in range(2_000):
+            assert population.weighted_client_as(rng) is linear_scan_choice(
+                oracle, weighted
+            )
+        assert rng.getstate() == oracle.getstate()
 
 
 class TestBasePopulation:

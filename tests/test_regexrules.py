@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import classify as classify_module
 from repro.analysis.classify import DEFAULT_CLASSIFIER, CommandClassifier
-from repro.analysis.regexrules import CATEGORY_NAMES, RULES, UNKNOWN_CATEGORY, rule_by_name
+from repro.analysis.regexrules import CATEGORY_NAMES, RULES, UNKNOWN_CATEGORY
 from repro.honeypot.session import CommandRecord, Protocol, SessionRecord
 
 #: category → a canonical command string it must match.
@@ -93,11 +93,6 @@ class TestRuleTable:
 
     def test_every_rule_has_canonical_example(self):
         assert set(CANONICAL) == {rule.name for rule in RULES}
-
-    def test_rule_by_name(self):
-        assert rule_by_name("mdrfckr").name == "mdrfckr"
-        with pytest.raises(KeyError):
-            rule_by_name("nope")
 
     @pytest.mark.parametrize("category", sorted(CANONICAL))
     def test_canonical_example_classifies(self, category):

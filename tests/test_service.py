@@ -37,11 +37,13 @@ from repro.attackers.orchestrator import _export_store
 from repro.faults.checkpoint import load_latest_checkpoint
 from repro.faults.service import (
     RequestFaultPlan,
-    SERVICE_PROFILES,
+    SERVICE_FAULT_PRESETS,
     ServiceFaults,
 )
 from repro.service import (
-    OUTCOMES,
+    OUTCOME_OK,
+    OUTCOME_REJECTED,
+    OUTCOME_STALE,
     PRIORITY_HIGH,
     PRIORITY_STATUS,
     QueryCache,
@@ -63,6 +65,9 @@ from tests.conftest import PROFILES, assert_equivalent, short_fault_config
 from tests.test_stream import chaos_config, sha256_json
 
 pytestmark = pytest.mark.service
+
+#: Every response outcome the service contract allows.
+OUTCOMES = (OUTCOME_OK, OUTCOME_REJECTED, OUTCOME_STALE)
 
 
 # ----------------------------------------------------------------------
@@ -572,7 +577,7 @@ class TestLoadModelContract:
         )
         assert model.schedule() == model.schedule()
 
-    @pytest.mark.parametrize("profile", SERVICE_PROFILES)
+    @pytest.mark.parametrize("profile", SERVICE_FAULT_PRESETS)
     def test_every_response_is_contractual_and_replays(
         self, store, profile
     ):
@@ -719,7 +724,7 @@ LOAD_TEST_PINS = {
 
 class TestLoadTestPins:
     @pytest.mark.parametrize("policy_name", ("default", "strict"))
-    @pytest.mark.parametrize("profile", SERVICE_PROFILES)
+    @pytest.mark.parametrize("profile", SERVICE_FAULT_PRESETS)
     def test_ledger_and_health_are_pinned(self, store, profile, policy_name):
         service = QueryService(
             store=store, policy=ServicePolicy.from_name(policy_name), seed=33

@@ -42,6 +42,30 @@ class TestConnectors:
         assert ctx.cwd == "/var/run"
 
 
+class TestExitStatus:
+    @pytest.mark.parametrize(
+        ("line", "output"),
+        [
+            ("false; echo $?", "1\n"),
+            ("true; echo $?", "0\n"),
+            (
+                'cat /nonexistent; echo "status $?"',
+                "cat: /nonexistent: No such file or directory\nstatus 1\n",
+            ),
+            (
+                "nosuchcmd; echo ${?}",
+                "-bash: nosuchcmd: command not found\n127\n",
+            ),
+        ],
+    )
+    def test_expands_to_the_last_status(self, engine, line, output):
+        assert engine.run_line(line).output == output
+
+    def test_read_on_the_next_line(self, engine):
+        engine.run_line("false")
+        assert engine.run_line("echo $?").output == "1\n"
+
+
 class TestRedirects:
     def test_create_event_with_hash(self, ctx, engine):
         engine.run_line("echo payload > /tmp/f")

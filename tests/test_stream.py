@@ -31,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from collections import Counter
 from datetime import date
 from pathlib import Path
 
@@ -254,6 +255,8 @@ class TestStreamFaultDeterminism:
         assert chaos_run.stream.ledger_days == chaos_run.stream.days
 
     def test_mode_timeline_counters_emitted(self):
+        """The ladder's counters tally the timeline: all transitions, and
+        the transitions into each rung."""
         with telemetry.collecting() as registry:
             result = run_stream(
                 chaos_config(), policy=StreamPolicy.chaos()
@@ -261,13 +264,8 @@ class TestStreamFaultDeterminism:
         counters = registry.export()["counters"]
         transitions = result.stream.transitions
         assert counters["stream.mode.transitions"] == len(transitions)
-        for transition in transitions:
-            name = (
-                f"stream.mode.timeline.{transition.day}."
-                f"{transition.from_mode}->{transition.to_mode}."
-                f"{transition.reason}"
-            )
-            assert counters[name] >= 1
+        for mode, count in Counter(t.to_mode for t in transitions).items():
+            assert counters[f"stream.mode.to.{mode}"] == count
 
     def test_day_plans_compose_independently(self):
         """Each fault kind draws its own stream: adding one knob never

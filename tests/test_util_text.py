@@ -8,7 +8,6 @@ from repro.util.text import (
     ascii_bar,
     ascii_series,
     format_table,
-    human_count,
     percentage,
 )
 
@@ -52,8 +51,3 @@ class TestNumbers:
     def test_percentage(self):
         assert percentage(1, 4) == 25.0
         assert percentage(1, 0) == 0.0
-
-    def test_human_count(self):
-        assert human_count(512) == "512"
-        assert human_count(2_500) == "2.5K"
-        assert human_count(3_000_000) == "3.0M"
