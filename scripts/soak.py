@@ -41,6 +41,13 @@ log corruption + index corruption):
    builds (the clustering sample, the tokenizer ablation's two builds
    and Figure 14's exemplars) at seeds 7, 11 and 23 must equal the
    brute-force reference distance; the leg prints the reference's time.
+10. a codec leg: every stored and dead-lettered record of the full
+   window at seeds 7, 11 and 23, under the `paper` and `stress`
+   profiles with the `burst` flood, and the same records read back from
+   a JSONL export, must have composed canonical bytes, line checksums
+   and checkpoint checksums equal to their definitions
+   (`tests/codec_reference.py`: `canonical_json` of `session_to_dict`,
+   `payload_checksum` of the sealed payload).
 
 Every numbered item is a registered *leg* — `--only <leg>` runs one in
 isolation (see `--list-legs`).  Exit code 0 only when every executed
@@ -51,11 +58,13 @@ locally:
     PYTHONPATH=src python scripts/soak.py --only stream-chaos
     PYTHONPATH=src python scripts/soak.py --only shell-memo
     PYTHONPATH=src python scripts/soak.py --only dld
+    PYTHONPATH=src python scripts/soak.py --only codec
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import random
 import shutil
 import sys
@@ -73,15 +82,15 @@ from repro.attackers.orchestrator import run_simulation
 from repro.config import SimulationConfig
 from repro.experiments.dataset import build_dataset
 from repro.faults.corruption import build_log_corruptor, corrupt_file
-from repro.faults.plan import FaultProfile
-from repro.honeynet.io import recover_jsonl, write_jsonl
+from repro.faults.plan import FaultProfile, FloodFaults
+from repro.honeynet.io import read_jsonl, recover_jsonl, write_jsonl
 from repro.integrity.quarantine import QUARANTINE_DIR_NAME
 from repro.integrity.verify import audit_tree
 from repro.util.rng import RngTree
 
-#: The repository root: the shell-memo and dld legs import their
-#: references from ``tests/shell_reference.py`` and
-#: ``tests/dld_reference.py``.
+#: The repository root: the shell-memo, dld and codec legs import their
+#: references from ``tests/shell_reference.py``,
+#: ``tests/dld_reference.py`` and ``tests/codec_reference.py``.
 ROOT = Path(__file__).resolve().parents[1]
 
 #: Seeds and fault profiles the shell-memo leg replays.
@@ -90,6 +99,11 @@ MEMO_PROFILES = ("paper", "stress")
 
 #: Seeds whose reproductions' DLD matrices the dld leg checks.
 DLD_SEEDS = (7, 11, 23)
+
+#: Seeds and fault profiles whose records the codec leg encodes; every
+#: run adds the burst flood.
+CODEC_SEEDS = (7, 11, 23)
+CODEC_PROFILES = ("paper", "stress")
 
 #: A window long enough to cross the paper outage and several churn
 #: events, short enough for a nightly job.
@@ -197,10 +211,6 @@ def check_export_recovery(config: SimulationConfig, reference, work: Path) -> No
 
 def check_flood_overload(config: SimulationConfig) -> None:
     """Overload leg: a balanced shed ledger under the storm flood."""
-    import dataclasses
-
-    from repro.faults.plan import FloodFaults
-
     flood_config = config.replace(
         faults=dataclasses.replace(
             config.faults, flood=FloodFaults.from_name("storm")
@@ -543,6 +553,48 @@ def check_dld(scale: float) -> None:
     print(f"dld: reference time {total:.1f} s")
 
 
+def check_codec(scale: float, work: Path) -> None:
+    """Codec leg: the composed bytes and checksums of every record a
+    flooded run keeps, as simulated and as read back, equal their
+    definitions."""
+    sys.path.insert(0, str(ROOT))
+    from tests.codec_reference import codec_mismatches
+
+    def mismatched(records) -> list[str]:
+        return [
+            record.session_id
+            for seq, record in enumerate(records)
+            if codec_mismatches(record, seq)
+        ]
+
+    for seed in CODEC_SEEDS:
+        for profile in CODEC_PROFILES:
+            faults = dataclasses.replace(
+                FaultProfile.from_name(profile),
+                flood=FloodFaults.from_name("burst"),
+            )
+            collector = run_simulation(
+                SimulationConfig(seed=seed, scale=scale, faults=faults)
+            ).collector
+            records = collector.sessions + collector.dead_letters
+            path = work / f"codec-{seed}-{profile}.jsonl"
+            write_jsonl(records, path)
+            read_back = read_jsonl(path)
+            wrong = mismatched(records)
+            wrong_read = mismatched(read_back)
+            print(
+                f"codec: seed {seed}, {profile}: {len(collector.sessions)} "
+                f"stored and {len(collector.dead_letters)} dead-lettered, "
+                f"{len(wrong)} differ; read back: {len(read_back)} records, "
+                f"{len(wrong_read)} differ"
+            )
+            if len(read_back) != len(records):
+                fail(f"the export of seed {seed}, {profile} lost records")
+            if wrong or wrong_read:
+                fail(f"composed bytes differ from the reference: "
+                     f"{(wrong + wrong_read)[:5]}")
+
+
 # ----------------------------------------------------------------------
 # leg registry (execution order == registration order)
 # ----------------------------------------------------------------------
@@ -557,6 +609,7 @@ leg("stream-chaos")(lambda ctx: check_stream_chaos(ctx.config, ctx.work))
 leg("stream-serve")(lambda ctx: check_stream_serve(ctx.config, ctx.work))
 leg("shell-memo")(lambda ctx: check_shell_memo(ctx.config.scale))
 leg("dld")(lambda ctx: check_dld(ctx.config.scale))
+leg("codec")(lambda ctx: check_codec(ctx.config.scale, ctx.work))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -43,7 +43,7 @@ from datetime import date
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.integrity.checksums import seal, section_checksum
+from repro.integrity.checksums import section_checksum
 from repro.util.fsio import atomic_write_text
 from repro.util.hashing import sha256_hex
 
@@ -193,7 +193,7 @@ def save_checkpoint(
     pristine supervised checkpoints stay byte-identical.
     """
     from repro.honeynet.collector import GATE_COUNTERS, PERSISTED_COUNTERS
-    from repro.honeynet.io import session_to_dict
+    from repro.honeynet.io import sealed_dict
 
     counters = {key: getattr(collector, key) for key in PERSISTED_COUNTERS}
     for key in GATE_COUNTERS:
@@ -207,10 +207,8 @@ def save_checkpoint(
             if honeypot._counter
         },
         "counters": counters,
-        "sessions": [seal(session_to_dict(s)) for s in collector.sessions],
-        "dead_letters": [
-            seal(session_to_dict(s)) for s in collector.dead_letters
-        ],
+        "sessions": [sealed_dict(s) for s in collector.sessions],
+        "dead_letters": [sealed_dict(s) for s in collector.dead_letters],
     }
     if stream_state is not None:
         sections["stream"] = stream_state

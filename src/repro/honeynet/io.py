@@ -30,6 +30,18 @@ The checksum lives in the line *envelope*, not in
 (:func:`record_bytes`) encode the record dict alone, and the record
 hash, the dataset digest (:func:`dataset_digest`) and every index row
 start from them, so the dict must not change shape.
+
+Those bytes are defined as ``canonical_json(session_to_dict(record))``
+(:mod:`repro.integrity.checksums`), but they are composed directly from
+the record's fields: a fixed template of the 17 sorted keys, each value
+rendered as :mod:`json` renders it, with no dict, key sort or encoder
+built per record.  A line's checksum is the same composition with
+``"seq":N,`` in its sorted place (between ``"protocol"`` and
+``"session_id"``), and a checkpoint record's is the composition alone
+(:func:`sealed_dict`).  A value the template does not render exactly (a
+non-finite float, a ``bool`` where an ``int`` belongs, any unexpected
+type a foreign line left in a record) sends the record through the
+definition instead, so the bytes always equal it.
 """
 
 from __future__ import annotations
@@ -37,6 +49,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from pathlib import Path
 from typing import Iterable
 
@@ -53,7 +67,7 @@ from repro.honeypot.session import (
 from repro.integrity.checksums import (
     RECORD_CHECKSUM_KEY,
     canonical_json,
-    seal,
+    text_checksum,
     verify_seal,
 )
 from repro.integrity.manifest import (
@@ -134,10 +148,105 @@ def session_to_dict(session: SessionRecord) -> dict:
     }
 
 
+#: The canonical encoder's own string renderer; it raises TypeError for
+#: anything but a ``str``.  The encoder renders a finite ``float`` by its
+#: ``repr`` and an ``int`` (no ``bool``) in decimal, which is what
+#: :func:`_compose`'s f-string does with each once its type is checked.
+_json_str = encode_basestring_ascii
+
+
+def _compose(session: SessionRecord, seq: int | None = None) -> str | None:
+    """``canonical_json`` of :func:`session_to_dict` (plus ``"seq"``
+    when ``seq`` is given), composed from the record's fields; None when
+    a value is one the template does not render exactly, so the caller
+    encodes the dict instead."""
+    start, end = session.start, session.end
+    client_port, honeypot_port = session.client_port, session.honeypot_port
+    timed_out = session.timed_out
+    if not (
+        type(start) is float
+        and type(end) is float
+        and isfinite(start)
+        and isfinite(end)
+        and type(client_port) is int
+        and type(honeypot_port) is int
+        and type(timed_out) is bool
+        and (seq is None or type(seq) is int)
+    ):
+        return None
+    label, version = session.bot_label, session.ssh_version
+    logins, commands = session.logins, session.commands
+    uris, events = session.uris, session.file_events
+    # A text field holding anything but a str raises TypeError here.
+    try:
+        bot_label = "null" if label is None else _json_str(label)
+        ssh_version = "null" if version is None else _json_str(version)
+        client_ip = _json_str(session.client_ip)
+        honeypot_id = _json_str(session.honeypot_id)
+        honeypot_ip = _json_str(session.honeypot_ip)
+        protocol = _json_str(session.protocol.value)
+        session_id = _json_str(session.session_id)
+        # The nested arrays go through the encoder itself; most records
+        # have few or none of each.
+        logins = (
+            canonical_json([[a.username, a.password, a.success] for a in logins])
+            if logins
+            else "[]"
+        )
+        commands = (
+            canonical_json([[c.raw, c.known, c.output] for c in commands])
+            if commands
+            else "[]"
+        )
+        uris = canonical_json(list(uris)) if uris else "[]"
+        events = (
+            canonical_json(
+                [[e.path, e.op.value, e.sha256, e.source] for e in events]
+            )
+            if events
+            else "[]"
+        )
+    except TypeError:
+        return None
+    # "seq" sorts between "protocol" and "session_id".
+    seq_field = "" if seq is None else f'"{SEQ_KEY}":{seq},'
+    return (
+        f'{{"bot_label":{bot_label},"client_ip":{client_ip},'
+        f'"client_port":{client_port},"commands":{commands},'
+        f'"end":{end!r},"file_events":{events},'
+        f'"honeypot_id":{honeypot_id},"honeypot_ip":{honeypot_ip},'
+        f'"honeypot_port":{honeypot_port},"logins":{logins},'
+        f'"protocol":{protocol},{seq_field}"session_id":{session_id},'
+        f'"ssh_version":{ssh_version},"start":{start!r},'
+        f'"timed_out":{"true" if timed_out else "false"},"uris":{uris},'
+        f'"v":{SCHEMA_VERSION}}}'
+    )
+
+
 def record_bytes(session: SessionRecord) -> bytes:
     """A record's canonical bytes: :func:`session_to_dict` as sorted-key,
-    compact JSON.  Every hash of a record's content starts here."""
-    return canonical_json(session_to_dict(session)).encode("utf-8")
+    compact JSON (``canonical_json``, the definition), composed directly.
+    Every hash of a record's content starts here."""
+    text = _compose(session)
+    if text is None:
+        text = canonical_json(session_to_dict(session))
+    return text.encode("utf-8")
+
+
+def sealed_dict(session: SessionRecord, seq: int | None = None) -> dict:
+    """:func:`session_to_dict` sealed with its content checksum
+    (``"sha"``): a shard line's envelope when ``seq`` is the line's
+    sequence number, which the checksum then covers too, or a checkpoint
+    record when ``seq`` is None.  The checksum equals
+    :func:`~repro.integrity.checksums.payload_checksum` of the result."""
+    payload = session_to_dict(session)
+    if seq is not None:
+        payload[SEQ_KEY] = seq
+    text = _compose(session, seq)
+    if text is None:
+        text = canonical_json(payload)
+    payload[RECORD_CHECKSUM_KEY] = text_checksum(text)
+    return payload
 
 
 def dataset_digest(encodings: Iterable[bytes]) -> str:
@@ -224,9 +333,7 @@ def write_jsonl(
     path = Path(path)
     lines: list[str] = []
     for sequence, session in enumerate(sessions):
-        envelope = session_to_dict(session)
-        envelope[SEQ_KEY] = sequence
-        lines.append(json.dumps(seal(envelope)))
+        lines.append(json.dumps(sealed_dict(session, sequence)))
     document = build_manifest(lines)
     written = corruptor.corrupt_lines(lines) if corruptor is not None else lines
     atomic_write_text(path, "".join(line + "\n" for line in written))
@@ -528,6 +635,7 @@ __all__ = [
     "read_jsonl",
     "record_bytes",
     "recover_jsonl",
+    "sealed_dict",
     "session_from_dict",
     "session_to_dict",
     "write_jsonl",

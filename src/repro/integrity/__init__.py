@@ -24,7 +24,6 @@ module reaches them lazily.
 from repro.integrity.checksums import (
     RECORD_CHECKSUM_KEY,
     payload_checksum,
-    seal,
     section_checksum,
     verify_seal,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "manifest_path",
     "payload_checksum",
     "read_manifest",
-    "seal",
     "section_checksum",
     "verify_seal",
     "write_manifest",

@@ -6,8 +6,12 @@ parses as JSON (a flipped digit, a shuffled field) is caught by the
 checksum instead of silently skewing the dataset digest.
 
 The record checksum lives in the ``"sha"`` key of the envelope dict and
-covers every *other* key, so sealing is idempotent and verification is
-independent of which extra keys (``"seq"``, …) the envelope carries.
+covers every *other* key, so verification is independent of which extra
+keys (``"seq"``, …) the envelope carries.  Writers seal a record from
+its directly composed canonical bytes
+(:func:`repro.honeynet.io.sealed_dict`); :func:`payload_checksum` over
+the parsed envelope is the definition those bytes must meet, and the
+read side verifies against it.
 """
 
 from __future__ import annotations
@@ -35,6 +39,11 @@ def canonical_json(payload: Any) -> str:
     return _CANONICAL.encode(payload)
 
 
+def text_checksum(canonical: str) -> str:
+    """The checksum of one canonical JSON text: its SHA-256, truncated."""
+    return sha256_hex(canonical)[:CHECKSUM_LENGTH]
+
+
 def payload_checksum(payload: dict) -> str:
     """Checksum of ``payload`` with its own ``"sha"`` key excluded."""
     body = {
@@ -42,13 +51,7 @@ def payload_checksum(payload: dict) -> str:
         for key, value in payload.items()
         if key != RECORD_CHECKSUM_KEY
     }
-    return sha256_hex(canonical_json(body))[:CHECKSUM_LENGTH]
-
-
-def seal(payload: dict) -> dict:
-    """Add the content checksum to ``payload`` (in place) and return it."""
-    payload[RECORD_CHECKSUM_KEY] = payload_checksum(payload)
-    return payload
+    return text_checksum(canonical_json(body))
 
 
 def verify_seal(payload: dict) -> bool:
@@ -59,4 +62,4 @@ def verify_seal(payload: dict) -> bool:
 
 def section_checksum(section: Any) -> str:
     """Checksum for one checkpoint section (any JSON-serializable value)."""
-    return sha256_hex(canonical_json(section))[:CHECKSUM_LENGTH]
+    return text_checksum(canonical_json(section))

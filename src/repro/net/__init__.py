@@ -11,7 +11,6 @@ from repro.net.ipv4 import (
     parse_prefix,
 )
 from repro.net.population import BasePopulation, build_base_population
-from repro.net.routing import deaggregate
 from repro.net.whois import HistoricalWhois, WhoisResult
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "parse_prefix",
     "BasePopulation",
     "build_base_population",
-    "deaggregate",
     "HistoricalWhois",
     "WhoisResult",
 ]

@@ -32,6 +32,7 @@ from datetime import date
 from typing import Callable, Mapping
 
 from repro import telemetry
+from repro.store.base import record_facts, snapshot_aggregates
 from repro.stream.supervisor import MODE_FULL
 
 
@@ -77,8 +78,6 @@ class Snapshot:
     @classmethod
     def from_store(cls, store) -> "Snapshot":
         """A version-1 snapshot describing an indexed artifact tree."""
-        from repro.store.base import snapshot_aggregates
-
         aggregates = snapshot_aggregates(store)
         by_day = aggregates["by_day"]
         last_day = max(by_day) if by_day else date(1970, 1, 1).isoformat()
@@ -127,14 +126,12 @@ class SnapshotPublisher:
     def _fold(self, sessions) -> None:
         """Fold not-yet-seen sessions into the rolling aggregates, each
         with the facts its index row would carry."""
-        from repro.honeynet.io import record_bytes
-        from repro.store.base import record_facts
-
-        for session in sessions:
-            day, label, digest = record_facts(session, record_bytes(session))
-            self._by_day[day] = self._by_day.get(day, 0) + 1
-            self._by_label[label] = self._by_label.get(label, 0) + 1
-            self._hasher.update(digest.encode("ascii"))
+        by_day, by_label = self._by_day, self._by_label
+        update = self._hasher.update
+        for _, day, label, digest in record_facts(sessions):
+            by_day[day] = by_day.get(day, 0) + 1
+            by_label[label] = by_label.get(label, 0) + 1
+            update(digest.encode("ascii"))
 
     def publish_day(
         self,

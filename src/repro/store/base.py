@@ -11,13 +11,13 @@ its ground-truth record can be cross-checked artifact by artifact
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from datetime import date
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.honeypot.session import SessionRecord
-from repro.util.hashing import sha256_hex
-from repro.util.timeutils import epoch_date
+from repro.util.timeutils import epoch_date, epoch_ordinal
 
 #: Version of the index schema (tables, columns, meta keys).  Bumped on
 #: any incompatible change; an index with a different version is never
@@ -133,18 +133,28 @@ def snapshot_aggregates(store) -> dict:
     }
 
 
-def record_facts(session: SessionRecord, data: bytes) -> tuple[str, str, str]:
-    """A record's UTC start day (ISO), Table-1 rule label and content
-    hash: the SHA-256 hex of ``data``, its canonical bytes
-    (:func:`repro.honeynet.io.record_bytes`).  Index rows and the live
-    snapshot's fold both take their facts from here."""
+def record_facts(
+    sessions: Iterable[SessionRecord],
+) -> Iterator[tuple[bytes, str, str, str]]:
+    """Each record's canonical bytes (:func:`repro.honeynet.io.record_bytes`)
+    with the facts its index row carries: its UTC start day (ISO), its
+    Table-1 rule label and its content hash, the SHA-256 hex of those
+    bytes.  Index rows and the live snapshot's fold both take their
+    facts from here.  A pass looks the classifier up once and renders
+    each day once, keyed by its ordinal (:func:`epoch_date` is the day
+    of that ordinal)."""
     from repro.analysis.classify import DEFAULT_CLASSIFIER
+    from repro.honeynet.io import record_bytes
 
-    return (
-        epoch_date(session.start).isoformat(),
-        DEFAULT_CLASSIFIER.classify(session),
-        sha256_hex(data),
-    )
+    classify = DEFAULT_CLASSIFIER.classify
+    days: dict[int, str] = {}
+    for session in sessions:
+        data = record_bytes(session)
+        ordinal = epoch_ordinal(session.start)
+        day = days.get(ordinal)
+        if day is None:
+            day = days[ordinal] = epoch_date(session.start).isoformat()
+        yield data, day, classify(session), hashlib.sha256(data).hexdigest()
 
 
 def index_contents(
@@ -161,14 +171,16 @@ def index_contents(
     meta's content digest; the rows come out in that order.
     """
     from repro.honeynet.database import database_order
-    from repro.honeynet.io import dataset_digest, record_bytes
+    from repro.honeynet.io import dataset_digest
 
     rows: list[IndexRow] = []
 
-    def encode(entry: tuple[SessionRecord, tuple[str, int]]) -> bytes:
+    def row(
+        entry: tuple[SessionRecord, tuple[str, int]],
+        facts: tuple[bytes, str, str, str],
+    ) -> bytes:
         record, (source, seq) = entry
-        data = record_bytes(record)
-        day, label, digest = record_facts(record, data)
+        data, day, label, digest = facts
         rows.append(
             IndexRow(
                 session_id=record.session_id,
@@ -187,7 +199,9 @@ def index_contents(
     entries = sorted(
         zip(records, origins), key=lambda entry: database_order(entry[0])
     )
-    content_digest = dataset_digest(map(encode, entries))
+    content_digest = dataset_digest(
+        map(row, entries, record_facts(record for record, _ in entries))
+    )
     meta = StoreMeta(
         schema_version=STORE_SCHEMA_VERSION,
         config_fingerprint=config_fingerprint,

@@ -8,18 +8,15 @@ from repro.util.hashing import sha256_hex, short_hash
 from repro.util.rng import RngTree, WeightedTable, derive_seed, poisson
 from repro.util.text import ascii_bar, ascii_series, format_table, percentage
 from repro.util.timeutils import (
-    add_months,
     days_between,
     days_in_month,
     epoch_date,
     first_of_month,
     from_epoch,
-    month_fraction,
     month_key,
     months_between,
     next_month,
     parse_month,
-    quarter_key,
     to_epoch,
 )
 
@@ -53,17 +50,14 @@ __all__ = [
     "ascii_series",
     "format_table",
     "percentage",
-    "add_months",
     "days_between",
     "days_in_month",
     "epoch_date",
     "first_of_month",
     "from_epoch",
-    "month_fraction",
     "month_key",
     "months_between",
     "next_month",
     "parse_month",
-    "quarter_key",
     "to_epoch",
 ]

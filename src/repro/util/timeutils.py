@@ -33,12 +33,6 @@ def next_month(day: date) -> date:
     return date(day.year, day.month + 1, 1)
 
 
-def add_months(day: date, months: int) -> date:
-    """Return the first of the month ``months`` after ``day``'s month."""
-    index = day.year * 12 + (day.month - 1) + months
-    return date(index // 12, index % 12 + 1, 1)
-
-
 def months_between(start: date, end: date) -> list[str]:
     """Return all month keys from ``start``'s to ``end``'s month inclusive."""
     if start > end:
@@ -69,21 +63,6 @@ def days_in_month(key: str) -> int:
     return (next_month(first) - first).days
 
 
-def month_fraction(key: str, start: date, end: date) -> float:
-    """Fraction of the month ``key`` that falls inside ``[start, end]``.
-
-    The first and last months of the window may be partial; rates defined
-    per month must be prorated for them.
-    """
-    first = parse_month(key)
-    last = next_month(first) - timedelta(days=1)
-    lo = max(first, start)
-    hi = min(last, end)
-    if lo > hi:
-        return 0.0
-    return ((hi - lo).days + 1) / days_in_month(key)
-
-
 def to_epoch(day: date, seconds_into_day: float = 0.0) -> float:
     """Convert a date (+offset) to a UTC POSIX timestamp."""
     moment = datetime(day.year, day.month, day.day, tzinfo=timezone.utc)
@@ -95,24 +74,23 @@ def from_epoch(timestamp: float) -> datetime:
     return datetime.fromtimestamp(timestamp, tz=timezone.utc)
 
 
-def epoch_date(timestamp: float) -> date:
-    """Return the UTC calendar date of a POSIX timestamp."""
-    return from_epoch(timestamp).date()
-
-
 #: ``date(1970, 1, 1).toordinal()`` — the POSIX epoch as an ordinal.
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 
 def epoch_ordinal(timestamp: float) -> int:
-    """``epoch_date(timestamp).toordinal()`` without datetime objects.
+    """The ordinal of the UTC calendar day a POSIX timestamp falls on.
 
-    The collector calls this once per delivered record; integer floor
-    division is an order of magnitude cheaper than the datetime path.
+    The one day function: the timestamp is floored to whole days, never
+    rounded, so ``1638835199.9999995``, half a microsecond before
+    midnight, is still 2021-12-06.  The collector calls this once per
+    delivered record, without building a date.
     """
     return _EPOCH_ORDINAL + int(timestamp // 86_400)
 
 
-def quarter_key(day: date) -> str:
-    """Return the ``YYYYQn`` quarter key used by Figure 9's x-axis."""
-    return f"{day.year:04d}Q{(day.month - 1) // 3 + 1}"
+def epoch_date(timestamp: float) -> date:
+    """The UTC calendar date of a POSIX timestamp: the day
+    :func:`epoch_ordinal` gives, so every consumer of a session's day
+    agrees with the collector's."""
+    return date.fromordinal(epoch_ordinal(timestamp))

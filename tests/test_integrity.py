@@ -43,12 +43,13 @@ from repro.honeynet.io import (
     collector_accounting_for_recovery,
     read_jsonl,
     recover_jsonl,
+    sealed_dict,
     session_to_dict,
     write_jsonl,
 )
 from repro.integrity.checksums import (
+    RECORD_CHECKSUM_KEY,
     payload_checksum,
-    seal,
     section_checksum,
     verify_seal,
 )
@@ -81,25 +82,31 @@ NASTY = IntegrityFaults(
 )
 
 
+def sealed(payload: dict) -> dict:
+    """``payload`` with its checksum added under ``"sha"``."""
+    payload[RECORD_CHECKSUM_KEY] = payload_checksum(payload)
+    return payload
+
+
 class TestChecksums:
     def test_seal_round_trips(self):
-        payload = seal({"a": 1, "b": [2, 3]})
+        payload = sealed({"a": 1, "b": [2, 3]})
         assert verify_seal(payload)
 
     def test_tamper_detected(self):
-        payload = seal({"a": 1})
+        payload = sealed({"a": 1})
         payload["a"] = 2
         assert not verify_seal(payload)
 
     def test_seal_is_idempotent(self):
-        once = seal({"x": "y"})
+        once = sealed({"x": "y"})
         digest = once["sha"]
-        assert seal(dict(once))["sha"] == digest
+        assert sealed(dict(once))["sha"] == digest
 
     def test_checksum_covers_envelope_keys(self):
         # The seal covers *every* other key, "seq" included: a swapped
         # sequence number must fail verification.
-        payload = seal({"a": 1, "seq": 4})
+        payload = sealed({"a": 1, "seq": 4})
         payload["seq"] = 5
         assert not verify_seal(payload)
 
@@ -114,7 +121,9 @@ class TestChecksums:
 
     def test_payload_checksum_excludes_sha(self):
         clean = {"k": "v"}
-        assert payload_checksum(dict(clean)) == payload_checksum(seal(dict(clean)))
+        assert payload_checksum(dict(clean)) == payload_checksum(
+            sealed(dict(clean))
+        )
 
 
 class TestManifest:
@@ -592,7 +601,7 @@ class TestVerify:
         path = self.make_tree(tmp_path)
         with open(path, "a") as handle:
             handle.write(
-                json.dumps(seal({**session_to_dict(make_record(1.0)), "seq": 80}))
+                json.dumps(sealed_dict(make_record(1.0), 80))
                 + "\n"
             )
         audit = audit_tree(tmp_path)

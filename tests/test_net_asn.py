@@ -11,7 +11,6 @@ from repro.analysis.storage import SIZE_BUCKETS, size_bucket_name
 from repro.net.asn import ASRegistry, ASType, PrefixAllocator
 from repro.net.ipv4 import MAX_IPV4, ip_to_int, is_reserved
 from repro.net.population import build_base_population
-from repro.net.routing import deaggregate
 from repro.net.whois import HistoricalWhois
 from repro.util.rng import RngTree
 
@@ -119,12 +118,6 @@ class TestBlockTable:
 
 
 class TestRouting:
-    def test_deaggregate(self, registry):
-        record = registry.create(ASType.OTHER, date(2020, 1, 1), 4)
-        slash24s = deaggregate(record.prefixes)
-        assert len(slash24s) == 4
-        assert all(p.length == 24 for p in slash24s)
-
     def test_count_slash24(self, registry):
         record = registry.create(ASType.OTHER, date(2020, 1, 1), 13)
         assert record.num_slash24 == 13

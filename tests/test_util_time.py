@@ -9,18 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util.timeutils import (
-    add_months,
     days_between,
     days_in_month,
     epoch_date,
+    epoch_ordinal,
     first_of_month,
     from_epoch,
-    month_fraction,
     month_key,
     months_between,
     next_month,
     parse_month,
-    quarter_key,
     to_epoch,
 )
 
@@ -42,12 +40,6 @@ class TestMonthKeys:
     def test_next_month_december(self):
         assert next_month(date(2021, 12, 5)) == date(2022, 1, 1)
 
-    def test_add_months(self):
-        assert add_months(date(2021, 12, 1), 3) == date(2022, 3, 1)
-        assert add_months(date(2022, 5, 20), -6) == date(2021, 11, 1)
-
-    def test_quarter_key(self):
-        assert quarter_key(date(2022, 4, 1)) == "2022Q2"
 
 
 class TestRanges:
@@ -74,16 +66,6 @@ class TestRanges:
         assert days_in_month("2024-02") == 29
         assert days_in_month("2023-02") == 28
 
-    def test_month_fraction_full(self):
-        assert month_fraction("2022-05", date(2022, 1, 1), date(2022, 12, 31)) == 1.0
-
-    def test_month_fraction_partial(self):
-        value = month_fraction("2021-12", date(2021, 12, 16), date(2022, 12, 31))
-        assert value == pytest.approx(16 / 31)
-
-    def test_month_fraction_outside(self):
-        assert month_fraction("2020-01", date(2021, 1, 1), date(2021, 2, 1)) == 0.0
-
 
 class TestEpoch:
     def test_to_epoch_midnight_utc(self):
@@ -95,3 +77,16 @@ class TestEpoch:
     @settings(max_examples=60)
     def test_epoch_roundtrip(self, day, seconds):
         assert epoch_date(to_epoch(day, seconds)) == day
+
+    def test_day_is_floored_not_rounded(self):
+        # Half a microsecond before midnight: rounding to the microsecond
+        # (as datetime.fromtimestamp does) would give the next day.
+        ts = 1638835199.9999995
+        assert epoch_date(ts) == date(2021, 12, 6)
+        assert epoch_date(ts) == date.fromordinal(epoch_ordinal(ts))
+        assert epoch_date(1638835200.0) == date(2021, 12, 7)
+
+    @given(st.floats(min_value=-1e10, max_value=1e10))
+    @settings(max_examples=200)
+    def test_date_and_ordinal_agree(self, ts):
+        assert epoch_date(ts).toordinal() == epoch_ordinal(ts)
