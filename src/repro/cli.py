@@ -105,7 +105,8 @@ def _add_checkpoint_flags(parser: argparse.ArgumentParser) -> None:
         help="checkpoint file to write (and resume from)",
     )
     parser.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="DAYS",
+        "--checkpoint-every", type=_positive_int, default=None,
+        metavar="DAYS",
         help="checkpoint cadence in simulated days (default 30)",
     )
     parser.add_argument(
@@ -621,13 +622,9 @@ def cmd_stream(args: argparse.Namespace) -> int:
             f"skewed days: {report.skew_days}"
         )
         print(
-            f"analysis: {report.analysis_observed} observed, "
-            f"{report.analysis_deferred} deferred, "
-            f"{report.analysis_errors} errors"
-        )
-        print(
-            f"heartbeats: {report.heartbeat_soft_breaches} soft, "
-            f"{report.heartbeat_hard_breaches} hard breaches"
+            f"heartbeat: {report.heartbeat_soft_breaches} soft, "
+            f"{report.heartbeat_hard_breaches} hard breaches; "
+            f"ingest breaker: {len(report.breaker_transitions)} transitions"
         )
         if report.transitions:
             print()
@@ -636,27 +633,13 @@ def cmd_stream(args: argparse.Namespace) -> int:
                 [
                     _date.fromordinal(t.day).isoformat(),
                     t.event,
-                    f"{t.from_mode} -> {t.to_mode}",
+                    f"{t.from_state} -> {t.to_state}",
                     t.reason,
                 ]
                 for t in report.transitions
             ]
             print(
                 format_table(["day", "event", "transition", "reason"], rows)
-            )
-        breaker_total = sum(
-            len(transitions)
-            for transitions in report.breaker_transitions.values()
-        )
-        if breaker_total:
-            print(
-                "breaker transitions: "
-                + ", ".join(
-                    f"{stage}={len(transitions)}"
-                    for stage, transitions in sorted(
-                        report.breaker_transitions.items()
-                    )
-                )
             )
     print()
     print(f"dataset digest: {digest}")
@@ -1037,12 +1020,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="overload-ladder preset the service runs under",
     )
     loadtest.add_argument(
-        "--days", type=int, default=None, metavar="N",
+        "--days", type=_positive_int, default=None, metavar="N",
         help="simulate only the first N days of the window for the "
         "backing store (default: the full window)",
     )
     loadtest.add_argument(
-        "--clients", type=int, default=6,
+        "--clients", type=_positive_int, default=6,
         help="distinct client ids in the load model (default 6)",
     )
     loadtest.add_argument(

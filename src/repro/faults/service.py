@@ -126,14 +126,9 @@ class TickServicePlan:
 
     #: Whether this tick hosts a thundering-herd burst.
     herd: bool = False
-    #: Request ordinal at which the store-error run starts, or None.
+    #: Request ordinal at which the run of :data:`STORE_ERROR_RUN`
+    #: failing store reads starts, or None.
     error_at_request: int | None = None
-    #: Consecutive store reads that fail once the run starts.
-    error_run: int = 0
-
-    @property
-    def inert(self) -> bool:
-        return not self.herd and self.error_at_request is None
 
 
 @dataclass(frozen=True)
@@ -144,16 +139,9 @@ class RequestFaultPlan:
     stall_s: float = 0.0
     #: The client vanishes before reading the response.
     disconnect: bool = False
-    #: The query arrives malformed (unknown kind / filter column).
+    #: The query arrives malformed (unknown kind / filter column); the
+    #: load model swaps the query when it compiles the schedule.
     malformed: bool = False
-
-    @property
-    def inert(self) -> bool:
-        return (
-            self.stall_s == 0.0
-            and not self.disconnect
-            and not self.malformed
-        )
 
 
 #: Shared inert plans: fault-free ticks/requests allocate nothing.
@@ -178,17 +166,13 @@ def compile_tick_plan(
             tree.rand_for(tick, "herd").random() < faults.herd_probability
         )
     error_at: int | None = None
-    error_run = 0
     if faults.store_error_probability > 0.0:
         rng = tree.rand_for(tick, "store-error")
         if rng.random() < faults.store_error_probability:
             error_at = rng.randrange(ONSET_WINDOW_REQUESTS)
-            error_run = STORE_ERROR_RUN
     if not herd and error_at is None:
         return INERT_TICK_PLAN
-    return TickServicePlan(
-        herd=herd, error_at_request=error_at, error_run=error_run
-    )
+    return TickServicePlan(herd=herd, error_at_request=error_at)
 
 
 def compile_request_plan(

@@ -46,8 +46,9 @@ ADMIT = "admit"
 DEFER = "defer"
 SHED = "shed"
 
-#: Backpressure levels fed in by the stream engine
-#: (:mod:`repro.stream.queues` exports the matching ``LEVEL_*`` names).
+#: The backpressure scale: what :meth:`BoundedStreamQueue.level
+#: <repro.stream.queues.BoundedStreamQueue.level>` reads off a queue's
+#: depth, and what the stream engine feeds into the gate.
 PRESSURE_NONE = 0
 PRESSURE_HIGH = 1
 PRESSURE_CRITICAL = 2

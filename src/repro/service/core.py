@@ -12,9 +12,10 @@ overload-protection ladder, every rung on the *virtual* clock:
    status endpoint is exempt, so health stays observable while a
    client is clipped;
 3. **bounded request queue → admission gate** — queue depth maps to
-   the stream engine's backpressure levels: ``HIGH`` rejects
-   low-priority queries, ``CRITICAL`` serves the status endpoint only,
-   a full queue rejects outright;
+   the backpressure scale of :mod:`repro.overload.admission`:
+   ``PRESSURE_HIGH`` rejects low-priority queries,
+   ``PRESSURE_CRITICAL`` serves the status endpoint only, a full queue
+   rejects outright;
 4. **request deadlines with cancellation** — a slow-loris stall that
    would overrun :data:`DEADLINE_S` cancels the in-flight task and
    rejects with ``deadline``;
@@ -39,16 +40,13 @@ from typing import Mapping
 
 from repro import telemetry
 from repro.faults.service import INERT_REQUEST_PLAN, RequestFaultPlan
+from repro.overload.admission import PRESSURE_CRITICAL, PRESSURE_HIGH
 from repro.overload.tokenbucket import ClientRateLimiter
 from repro.service.cache import QueryCache, query_fingerprint
 from repro.service.snapshot import Snapshot, SnapshotPublisher
 from repro.store.base import INDEX_COLUMNS, StoreError
 from repro.stream.breaker import CLOSED, CircuitBreaker
-from repro.stream.queues import (
-    LEVEL_CRITICAL,
-    LEVEL_HIGH,
-    BoundedStreamQueue,
-)
+from repro.stream.queues import BoundedStreamQueue
 from repro.util import preset
 from repro.util.rng import RngTree
 
@@ -313,9 +311,9 @@ class QueryService:
             self.queue.push(request)
             try:
                 level = self.queue.level()
-                if level == LEVEL_CRITICAL and request.kind != KIND_STATUS:
+                if level == PRESSURE_CRITICAL and request.kind != KIND_STATUS:
                     return self._reject("critical-load")
-                if level == LEVEL_HIGH and request.priority == PRIORITY_LOW:
+                if level == PRESSURE_HIGH and request.priority == PRIORITY_LOW:
                     return self._reject("load-shed")
                 work = asyncio.ensure_future(
                     self._answer(request, plan, store_error)

@@ -32,6 +32,8 @@ from datetime import date
 from repro.faults.plan import FloodFaults
 from repro.faults.flood import FloodGenerator
 from repro.faults.service import (
+    STORE_ERROR_RUN,
+    RequestFaultPlan,
     ServiceFaults,
     compile_request_plan,
     compile_tick_plan,
@@ -97,8 +99,7 @@ class PlannedRequest:
     tick: int
     ordinal: int
     request: Request
-    stall_s: float = 0.0
-    disconnect: bool = False
+    plan: RequestFaultPlan
     store_error: bool = False
     herd: bool = False
 
@@ -230,7 +231,7 @@ class ServiceLoadModel:
                     tick_plan.error_at_request is not None
                     and tick_plan.error_at_request
                     <= ordinal
-                    < tick_plan.error_at_request + tick_plan.error_run
+                    < tick_plan.error_at_request + STORE_ERROR_RUN
                 )
                 planned.append(
                     PlannedRequest(
@@ -242,8 +243,7 @@ class ServiceLoadModel:
                             params=params,
                             priority=priority,
                         ),
-                        stall_s=plan.stall_s,
-                        disconnect=plan.disconnect,
+                        plan=plan,
                         store_error=store_error,
                         herd=ordinal >= self.requests_per_tick,
                     )
@@ -252,8 +252,6 @@ class ServiceLoadModel:
 
     async def run(self, service: QueryService) -> LoadTestReport:
         """Dispatch the schedule and collect the outcome ledger."""
-        from repro.faults.service import RequestFaultPlan
-
         report = LoadTestReport(
             seed=self.seed,
             ticks=self.ticks,
@@ -272,11 +270,7 @@ class ServiceLoadModel:
                 *(
                     service.handle(
                         slot.request,
-                        plan=RequestFaultPlan(
-                            stall_s=slot.stall_s,
-                            disconnect=slot.disconnect,
-                            malformed=False,  # already applied in schedule
-                        ),
+                        plan=slot.plan,
                         store_error=slot.store_error,
                     )
                     for slot in slots
@@ -319,7 +313,7 @@ class ServiceLoadModel:
                         "version": outcome.version,
                         "stale": outcome.stale,
                         "cache": outcome.cache,
-                        "disconnected": slot.disconnect,
+                        "disconnected": slot.plan.disconnect,
                     }
                 )
             service.advance(TICK_ADVANCE_S)

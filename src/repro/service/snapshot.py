@@ -49,7 +49,8 @@ class Snapshot:
     by_label: Mapping[str, int]
     accounting: Mapping[str, int]
     mode: str = MODE_FULL
-    #: Degraded-mode timeline (mode-transition dicts) up to this boundary.
+    #: Degraded-mode timeline up to this boundary: the ingest breaker's
+    #: openings and closings, as transition dicts.
     timeline: tuple[dict, ...] = ()
     #: Latest rolling-ledger audit verdict, or None (unsupervised runs).
     ledger: Mapping[str, object] | None = None

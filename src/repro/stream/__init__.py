@@ -9,8 +9,8 @@ from repro.stream.breaker import (
     CLOSED,
     HALF_OPEN,
     OPEN,
-    BreakerTransition,
     CircuitBreaker,
+    Transition,
 )
 from repro.stream.engine import (
     RollingLedger,
@@ -20,22 +20,12 @@ from repro.stream.engine import (
     run_stream,
 )
 from repro.stream.policy import StreamPolicy
-from repro.stream.queues import (
-    LEVEL_CRITICAL,
-    LEVEL_HIGH,
-    LEVEL_OK,
-    BoundedStreamQueue,
-)
+from repro.stream.queues import BoundedStreamQueue
 from repro.stream.supervisor import (
-    MODE_ANALYSIS_DEFERRED,
     MODE_FULL,
-    MODE_RANK,
     MODE_SHED_ONLY,
-    STAGE_ANALYSIS,
     STAGE_INGEST,
-    STAGES,
     HeartbeatMonitor,
-    ModeTransition,
     StreamSupervisor,
 )
 
@@ -43,26 +33,18 @@ __all__ = [
     "CLOSED",
     "OPEN",
     "HALF_OPEN",
-    "BreakerTransition",
     "CircuitBreaker",
+    "Transition",
     "RollingLedger",
     "StreamIntegrityError",
     "StreamReport",
     "StreamSubstrate",
     "run_stream",
     "StreamPolicy",
-    "LEVEL_OK",
-    "LEVEL_HIGH",
-    "LEVEL_CRITICAL",
     "BoundedStreamQueue",
     "MODE_FULL",
-    "MODE_ANALYSIS_DEFERRED",
     "MODE_SHED_ONLY",
-    "MODE_RANK",
     "STAGE_INGEST",
-    "STAGE_ANALYSIS",
-    "STAGES",
     "HeartbeatMonitor",
-    "ModeTransition",
     "StreamSupervisor",
 ]

@@ -1,4 +1,4 @@
-"""Per-stage circuit breakers with seeded, deterministic probe schedules.
+"""Circuit breakers with seeded, deterministic probe schedules.
 
 The classic closed → open → half-open machine, with one twist that
 keeps the whole supervision layer a pure function of the seed: time is
@@ -7,7 +7,10 @@ the open-state backoff before a half-open probe is drawn from an
 ``RngTree`` stream keyed by ``(stage, trip count)`` — exponential base
 backoff with seeded jitter, so the same seed always probes at the same
 virtual instant, and two runs of the same config produce identical
-transition timelines (``tests/test_stream.py`` pins this).
+transition timelines (``tests/test_stream.py`` pins this).  Two
+breakers exist: the stream's ``ingest`` stage and the query service's
+``store``.  :class:`Transition` also records the stream's degraded-mode
+timeline, which is derived from the ingest breaker.
 
 This module must not import :mod:`repro.config`.
 """
@@ -33,8 +36,9 @@ MAX_BACKOFF_S = 64.0
 
 
 @dataclass(frozen=True)
-class BreakerTransition:
-    """One breaker state change, stamped in stream time."""
+class Transition:
+    """One state change (a breaker's, or the stream's degraded mode),
+    stamped in stream time."""
 
     day: int  #: calendar day ordinal
     event: int  #: event index within the day
@@ -52,7 +56,7 @@ class BreakerTransition:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "BreakerTransition":
+    def from_dict(cls, payload: dict) -> "Transition":
         return cls(
             day=int(payload["day"]),
             event=int(payload["event"]),
@@ -80,7 +84,7 @@ class CircuitBreaker:
     failures: int = 0
     trips: int = 0
     probe_at: float | None = None
-    transitions: list[BreakerTransition] = field(default_factory=list)
+    transitions: list[Transition] = field(default_factory=list)
 
     def _probe_delay(self) -> float:
         """Seeded backoff before the next half-open probe.
@@ -96,7 +100,7 @@ class CircuitBreaker:
         self, to_state: str, reason: str, day: int, event: int
     ) -> None:
         self.transitions.append(
-            BreakerTransition(day, event, self.state, to_state, reason)
+            Transition(day, event, self.state, to_state, reason)
         )
         self.state = to_state
 
@@ -158,12 +162,15 @@ class CircuitBreaker:
         }
 
     def restore(self, payload: dict) -> None:
-        self.state = str(payload["state"])
+        state = str(payload["state"])
+        if state not in (CLOSED, OPEN, HALF_OPEN):
+            raise ValueError(f"unknown breaker state {state!r}")
+        self.state = state
         self.failures = int(payload["failures"])
         self.trips = int(payload["trips"])
         probe_at = payload.get("probe_at")
         self.probe_at = float(probe_at) if probe_at is not None else None
         self.transitions = [
-            BreakerTransition.from_dict(t)
+            Transition.from_dict(t)
             for t in payload.get("transitions", [])
         ]

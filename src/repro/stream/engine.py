@@ -4,19 +4,19 @@
 event stream: sensors (the honeypots inside
 :func:`~repro.attackers.orchestrator.simulate_day`) *push* each closed
 session into the pipeline, where it crosses the existing
-admission/transport layer into the incremental analysis core — online
-dedup via the :class:`~repro.honeynet.collector.Collector`, a rolling
+admission/transport layer into the collector — online dedup via the
+:class:`~repro.honeynet.collector.Collector`, a rolling
 conservation/coverage ledger audited every day, and live
 ``overload.*`` gauges.
 
-Around that pipeline sits the supervision layer
-(:mod:`repro.stream.supervisor`): per-stage circuit breakers with
-seeded probe schedules, a bounded inter-stage queue whose depth feeds
-backpressure into the admission controller, heartbeat monitoring
-against soft and hard deadlines, the
-``full → analysis-deferred → shed-only`` degraded-mode ladder, and
-crash recovery that resumes the stream — supervision state included —
-from the newest valid checkpoint generation.
+Around that one ingest stage sits the supervision layer
+(:mod:`repro.stream.supervisor`): a circuit breaker with a seeded
+probe schedule, a bounded queue whose depth feeds backpressure into
+the admission controller, a heartbeat graded against soft and hard
+deadlines, and crash recovery that resumes the stream — supervision
+state included — from the newest valid checkpoint generation.  The
+degraded mode is a view of the breaker: ``shed-only`` while it is not
+closed, ``full`` otherwise.
 
 **Batch mode is a replay of the stream.**  ``run_simulation`` calls
 :func:`run_stream` under :meth:`StreamPolicy.replay`; the day-boundary
@@ -31,7 +31,7 @@ checkpoint bytes are byte-identical to the batch engine
 All supervision timing runs on a *virtual* clock that advances
 :data:`TICK_S` per pushed event; stall durations, probe backoffs,
 heartbeat deadlines and clock skews are measured on it, never on wall
-time, so breaker and ladder timelines are a pure function of
+time, so the breaker and mode timelines are a pure function of
 ``(seed, policy)``.
 """
 
@@ -56,19 +56,19 @@ from repro.attackers.orchestrator import (
 )
 from repro.config import SimulationConfig
 from repro.faults.checkpoint import save_checkpoint
-from repro.faults.stream import INERT_DAY_PLAN, compile_day_plan
+from repro.faults.stream import (
+    INERT_DAY_PLAN,
+    STALL_VIRTUAL_S,
+    compile_day_plan,
+)
 from repro.honeynet.collector import Collector
-from repro.stream.breaker import CLOSED, BreakerTransition
+from repro.overload.admission import PRESSURE_CRITICAL, PRESSURE_NONE
+from repro.stream.breaker import CLOSED, Transition
 from repro.stream.policy import StreamPolicy
-from repro.stream.queues import LEVEL_CRITICAL
 from repro.stream.supervisor import (
-    MODE_ANALYSIS_DEFERRED,
-    MODE_SHED_ONLY,
-    STAGE_ANALYSIS,
-    STAGE_INGEST,
-    STAGES,
     BEAT_HARD,
-    ModeTransition,
+    MODE_FULL,
+    MODE_SHED_ONLY,
     StreamSupervisor,
 )
 from repro.util.timeutils import days_between, month_key
@@ -157,8 +157,10 @@ class StreamReport:
     """Supervision summary attached to a supervised run's result."""
 
     mode: str
-    transitions: list[ModeTransition]
-    breaker_transitions: dict[str, list[BreakerTransition]]
+    #: The mode timeline (see :attr:`StreamSupervisor.transitions`).
+    transitions: list[Transition]
+    #: Every state change of the ingest breaker.
+    breaker_transitions: list[Transition]
     days: int
     events: int
     queue_peak_depth: int
@@ -166,9 +168,6 @@ class StreamReport:
     stalls: int
     partition_buffered: int
     partition_replayed: int
-    analysis_observed: int
-    analysis_deferred: int
-    analysis_errors: int
     heartbeat_soft_breaches: int
     heartbeat_hard_breaches: int
     skew_days: int
@@ -180,7 +179,7 @@ class StreamReport:
 
 class StreamSubstrate:
     """One stream run's full state: the simulation substrate plus the
-    supervision plumbing (queue, breakers, heartbeats, fault plans,
+    supervision plumbing (queue, breaker, heartbeat, fault plans,
     virtual clock) wrapped around it."""
 
     def __init__(
@@ -221,21 +220,15 @@ class StreamSubstrate:
         self._event_total = 0
         self._days_seen = 0
         self._stall_at: int | None = None
-        self._stall_s = 0.0
         self._stall_until: float | None = None
-        self._error_at: int | None = None
-        self._error_left = 0
         self._skew = 0.0
         self._partitioned: frozenset[str] = frozenset()
         self._partition_buffer: list = []
-        self._pressure_applied = 0
+        self._pressure_applied = PRESSURE_NONE
         # report accumulators
         self._stalls = 0
         self._partition_buffered = 0
         self._partition_replayed = 0
-        self._analysis_observed = 0
-        self._analysis_deferred = 0
-        self._analysis_errors = 0
         self._skew_days = 0
         self._tel_flushed: dict[str, int] = {}
 
@@ -262,7 +255,7 @@ class StreamSubstrate:
         day = self._ordinal
         if self._stall_at is not None and event >= self._stall_at:
             self._stall_at = None
-            self._stall_until = now + self._stall_s
+            self._stall_until = now + STALL_VIRTUAL_S
             self._stalls += 1
         queue = self.supervisor.queue
         if self._stall_until is not None:
@@ -284,78 +277,38 @@ class StreamSubstrate:
         return self._process(record)
 
     def _pump(self, day: int, event: int) -> None:
-        """Drain the inter-stage queue FIFO through the consumer."""
+        """Drain the queue FIFO through the consumer."""
         queue = self.supervisor.queue
         while queue.depth:
             self._process(queue.pop())
         self._on_queue_pressure(day, event)
 
     def _process(self, record) -> bool:
-        """Consumer side: ingest stage (deliver) then analysis stage."""
+        """Consumer side: deliver, then beat the ingest heartbeat."""
         supervisor = self.supervisor
         now = self._now
         day = self._ordinal
         event = self._event
         stored = self.channel.deliver(record)
-        ingest = supervisor.breakers[STAGE_INGEST]
-        if ingest.state != CLOSED and ingest.allow(now, day, event):
+        breaker = supervisor.breaker
+        if breaker.state != CLOSED and breaker.allow(now, day, event):
             # the half-open probe: a delivery that completed proves the
-            # ingest path healthy again
-            ingest.record_success(now, day, event)
-            if ingest.state == CLOSED:
-                supervisor.recover("ingest-probe-succeeded", day, event)
-                self._sync_admission()
-        heartbeat = supervisor.heartbeat
-        heartbeat.beat(STAGE_INGEST, now - self._skew)
-        if stored:
-            self._analysis_stage(now, day, event)
-        heartbeat.beat(STAGE_ANALYSIS, now - self._skew)
+            # ingest path healthy again, which closes the breaker
+            breaker.record_success(now, day, event)
+            self._sync_admission()
+        supervisor.heartbeat.beat(now - self._skew)
         self._check_heartbeats(now, day, event)
         return stored
-
-    def _analysis_stage(self, now: float, day: int, event: int) -> None:
-        supervisor = self.supervisor
-        if supervisor.mode == MODE_SHED_ONLY:
-            # shed-only outranks analysis: all analysis work is deferred
-            self._analysis_deferred += 1
-            return
-        breaker = supervisor.breakers[STAGE_ANALYSIS]
-        if not breaker.allow(now, day, event):
-            self._analysis_deferred += 1
-            return
-        if (
-            self._error_left > 0
-            and self._error_at is not None
-            and event >= self._error_at
-        ):
-            self._error_left -= 1
-            self._analysis_errors += 1
-            breaker.record_failure(now, day, event, reason="analysis-error")
-            if breaker.state != CLOSED:
-                supervisor.escalate(
-                    MODE_ANALYSIS_DEFERRED, "analysis-breaker-open",
-                    day, event,
-                )
-            return
-        breaker.record_success(now, day, event)
-        if breaker.state == CLOSED:
-            supervisor.recover("analysis-probe-succeeded", day, event)
-        self._analysis_observed += 1
 
     # ------------------------------------------------------------------
     # backpressure and heartbeats
     # ------------------------------------------------------------------
     def _on_queue_pressure(self, day: int, event: int) -> None:
-        """React to the queue's current depth level."""
+        """React to the queue's current depth level: a full queue trips
+        the ingest breaker (a no-op while it is already open)."""
         supervisor = self.supervisor
-        if (
-            supervisor.queue.level() == LEVEL_CRITICAL
-            and supervisor.mode != MODE_SHED_ONLY
-        ):
-            supervisor.breakers[STAGE_INGEST].trip(
-                self._now, day, event, "queue-critical"
-            )
-            supervisor.escalate(MODE_SHED_ONLY, "queue-critical", day, event)
+        if supervisor.queue.level() == PRESSURE_CRITICAL:
+            supervisor.breaker.trip(self._now, day, event, "queue-critical")
         self._sync_admission()
 
     def _sync_admission(self) -> None:
@@ -363,7 +316,7 @@ class StreamSubstrate:
         supervisor = self.supervisor
         level = supervisor.queue.level()
         if supervisor.mode == MODE_SHED_ONLY:
-            level = LEVEL_CRITICAL
+            level = PRESSURE_CRITICAL
         if level != self._pressure_applied:
             self._pressure_applied = level
             admission = self.collector.admission
@@ -371,21 +324,11 @@ class StreamSubstrate:
                 admission.apply_backpressure(level)
 
     def _check_heartbeats(self, now: float, day: int, event: int) -> None:
+        """A hard heartbeat breach trips the ingest breaker."""
         supervisor = self.supervisor
-        for stage in STAGES:
-            if supervisor.heartbeat.check(stage, now) == BEAT_HARD:
-                supervisor.breakers[stage].trip(
-                    now, day, event, "heartbeat-hard"
-                )
-                if stage == STAGE_INGEST:
-                    supervisor.escalate(
-                        MODE_SHED_ONLY, "heartbeat-hard", day, event
-                    )
-                    self._sync_admission()
-                else:
-                    supervisor.escalate(
-                        MODE_ANALYSIS_DEFERRED, "heartbeat-hard", day, event
-                    )
+        if supervisor.heartbeat.check(now) == BEAT_HARD:
+            supervisor.breaker.trip(now, day, event, "heartbeat-hard")
+            self._sync_admission()
 
     # ------------------------------------------------------------------
     # day boundaries
@@ -401,10 +344,7 @@ class StreamSubstrate:
                 self.policy.faults, self._fault_tree, day, self._sensor_ids
             )
         self._stall_at = plan.stall_at_event
-        self._stall_s = plan.stall_virtual_s
         self._stall_until = None
-        self._error_at = plan.error_at_event
-        self._error_left = plan.error_run
         self._skew = plan.clock_skew_s
         self._partitioned = plan.partitioned
         self._partition_buffer = []
@@ -443,10 +383,6 @@ class StreamSubstrate:
         """Supervision bookkeeping after the collector's day boundary."""
         if self.supervisor is None:
             return
-        self.supervisor.recover(
-            "day-boundary-recovery", self._ordinal, self._event
-        )
-        self._sync_admission()
         self.ledger.audit(self.collector, day)
         self._days_seen += 1
         self._event_total += self._event
@@ -460,6 +396,7 @@ class StreamSubstrate:
         supervisor = self.supervisor
         queue = supervisor.queue
         heartbeat = supervisor.heartbeat
+        to_modes = [t.to_state for t in supervisor.transitions]
         return [
             ("stream.days", self._days_seen),
             ("stream.events", self._event_total),
@@ -469,13 +406,16 @@ class StreamSubstrate:
             ("stream.stalls", self._stalls),
             ("stream.partition.buffered", self._partition_buffered),
             ("stream.partition.replayed", self._partition_replayed),
-            ("stream.analysis.observed", self._analysis_observed),
-            ("stream.analysis.deferred", self._analysis_deferred),
-            ("stream.analysis.errors", self._analysis_errors),
             ("stream.skew.days", self._skew_days),
             ("stream.ledger.days_balanced", self.ledger.days),
             ("stream.heartbeat.soft_breaches", heartbeat.soft_breaches),
             ("stream.heartbeat.hard_breaches", heartbeat.hard_breaches),
+            ("stream.mode.transitions", len(to_modes)),
+            (f"stream.mode.to.{MODE_FULL}", to_modes.count(MODE_FULL)),
+            (
+                f"stream.mode.to.{MODE_SHED_ONLY}",
+                to_modes.count(MODE_SHED_ONLY),
+            ),
         ]
 
     def _emit_gauges(self) -> None:
@@ -528,6 +468,10 @@ class StreamSubstrate:
         ledger = state.get("ledger")
         if ledger is not None:
             self.ledger.restore(ledger)
+        # The restored timeline and ledger days were already counted by
+        # the run that wrote the checkpoint; seed the flush snapshot so
+        # they aren't counted again.
+        self._tel_flushed = dict(self._stream_telemetry_state())
         self._sync_admission()
 
     def _report(self) -> StreamReport:
@@ -535,11 +479,8 @@ class StreamSubstrate:
         heartbeat = supervisor.heartbeat
         return StreamReport(
             mode=supervisor.mode,
-            transitions=list(supervisor.transitions),
-            breaker_transitions={
-                stage: list(breaker.transitions)
-                for stage, breaker in supervisor.breakers.items()
-            },
+            transitions=supervisor.transitions,
+            breaker_transitions=list(supervisor.breaker.transitions),
             days=self._days_seen,
             events=self._event_total,
             queue_peak_depth=supervisor.queue.peak_depth,
@@ -547,9 +488,6 @@ class StreamSubstrate:
             stalls=self._stalls,
             partition_buffered=self._partition_buffered,
             partition_replayed=self._partition_replayed,
-            analysis_observed=self._analysis_observed,
-            analysis_deferred=self._analysis_deferred,
-            analysis_errors=self._analysis_errors,
             heartbeat_soft_breaches=heartbeat.soft_breaches,
             heartbeat_hard_breaches=heartbeat.hard_breaches,
             skew_days=self._skew_days,
@@ -569,6 +507,11 @@ class StreamSubstrate:
         resume: bool = False,
         stop_after: date | None = None,
     ) -> SimulationResult:
+        if checkpoint_every_days is not None and checkpoint_every_days < 1:
+            raise ValueError(
+                "checkpoint_every_days must be at least 1, got "
+                f"{checkpoint_every_days}"
+            )
         base = self.base
         config = base.config
         collector = self.collector

@@ -35,9 +35,11 @@ class StreamPolicy:
     * ``faults`` — the seeded stream fault domain
       (:class:`~repro.faults.stream.StreamFaults`); non-inert faults
       require ``supervised=True``.
-    * ``queue_capacity`` — the bounded inter-stage queue; depth at half
-      the capacity raises backpressure level 1, a full queue raises
-      level 2 (critical) and escalates to shed-only.
+    * ``queue_capacity`` — the bounded queue in front of the ingest
+      consumer; depth at half the capacity raises backpressure to
+      ``PRESSURE_HIGH``, a full queue raises ``PRESSURE_CRITICAL`` and
+      trips the ingest breaker (``shed-only`` until its probe
+      succeeds).
 
     The heartbeat deadlines, breaker thresholds and virtual clock tick
     are constants of :mod:`repro.stream.supervisor`,
@@ -71,8 +73,9 @@ class StreamPolicy:
         """Supervised with the ``chaos`` fault preset and a shallow queue.
 
         The shallow queue makes consumer stalls reach the critical
-        backpressure level at soak scale, so the full ladder — including
-        shed-only — is exercised, not just analysis deferral.
+        backpressure level at soak scale, so a full queue trips the
+        ingest breaker into ``shed-only``, not only a hard heartbeat
+        breach does.
         """
         return cls(faults=StreamFaults.from_name("chaos"), queue_capacity=48)
 

@@ -1,14 +1,16 @@
-"""Bounded inter-stage queues whose depth drives backpressure.
+"""A bounded queue whose depth drives backpressure.
 
-One queue sits between the ingest boundary (sensors pushing sessions)
-and the analysis consumer.  On the healthy path it is pass-through —
-every push is pumped synchronously, depth never exceeds one — so the
-stream replays the batch day-loop byte for byte.  Under a consumer
-stall the queue absorbs the backlog FIFO; its depth maps to a
-backpressure level that the engine feeds into the admission controller
-(:meth:`repro.overload.admission.AdmissionController.apply_backpressure`)
-and, at the critical level, escalates the degraded-mode ladder to
-``shed-only``.
+One queue sits between the sensors pushing sessions and the ingest
+consumer.  On the healthy path it is pass-through — every push is
+pumped synchronously, depth never exceeds one — so the stream replays
+the batch day-loop byte for byte.  Under a consumer stall the queue
+absorbs the backlog FIFO; its depth maps to a backpressure level on
+the admission gate's scale (:data:`~repro.overload.admission.PRESSURE_NONE`,
+``PRESSURE_HIGH``, ``PRESSURE_CRITICAL``) that the engine feeds into
+:meth:`repro.overload.admission.AdmissionController.apply_backpressure`;
+the critical level also trips the ingest breaker, which is what puts
+the stream in ``shed-only`` mode.  The query service's request queue
+is the same class on the same scale.
 
 This module must not import :mod:`repro.config`.
 """
@@ -18,19 +20,20 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-#: Backpressure levels derived from queue depth.
-LEVEL_OK = 0
-LEVEL_HIGH = 1
-LEVEL_CRITICAL = 2
+from repro.overload.admission import (
+    PRESSURE_CRITICAL,
+    PRESSURE_HIGH,
+    PRESSURE_NONE,
+)
 
 
 @dataclass
 class BoundedStreamQueue:
-    """A bounded FIFO between two stream stages, with depth accounting."""
+    """A bounded FIFO in front of a consumer, with depth accounting."""
 
     name: str
     capacity: int
-    #: Depth at which backpressure rises to :data:`LEVEL_HIGH`.
+    #: Depth at which backpressure rises to ``PRESSURE_HIGH``.
     high_watermark: int
     _items: deque = field(default_factory=deque, init=False, repr=False)
     pushed: int = field(default=0, init=False)
@@ -72,7 +75,7 @@ class BoundedStreamQueue:
         """The backpressure level this depth maps to."""
         depth = len(self._items)
         if depth >= self.capacity:
-            return LEVEL_CRITICAL
+            return PRESSURE_CRITICAL
         if depth >= self.high_watermark:
-            return LEVEL_HIGH
-        return LEVEL_OK
+            return PRESSURE_HIGH
+        return PRESSURE_NONE

@@ -56,6 +56,21 @@ class TestParser:
             build_parser().parse_args(["cluster", "--sample-limit", limit])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["faults", "--checkpoint", "ck.json", "--checkpoint-every", "0"],
+            ["stream", "--checkpoint", "ck.json", "--checkpoint-every", "-1"],
+            ["loadtest", "--clients", "0"],
+            ["loadtest", "--days", "0"],
+        ],
+        ids=["checkpoint-every-0", "checkpoint-every-neg", "clients-0", "days-0"],
+    )
+    def test_count_below_one_is_a_usage_error(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
     def test_telemetry_writes_through_the_common_flag_only(self):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["telemetry", "--json", "t.json"])

@@ -9,9 +9,10 @@ that its robustness layer is deterministic:
   (The batch engine itself *is* the stream engine under
   ``StreamPolicy.replay`` — one code path.)
 * **Seeded fault determinism** — under the ``chaos`` stream fault
-  domain, the same seed reproduces the same breaker and mode-ladder
-  transition timelines, the same digests, and a mid-run interrupt
-  resumes to the identical final digest.
+  domain, the same seed reproduces the same breaker and mode
+  timelines, the same digests, and a mid-run interrupt resumes to the
+  identical final digest; without an admission gate, chaos supervision
+  is digest-neutral.
 * **Checkpoint stream section** — degraded supervision state rides the
   checkpoint as an optional checksummed section: tampering is caught,
   pristine checkpoints stay byte-identical to batch checkpoints, and
@@ -19,8 +20,9 @@ that its robustness layer is deterministic:
 * **Properties** (hypothesis) — queue-depth-driven backpressure keeps
   the extended conservation law (``admitted == stored + deduplicated``
   with terminal shed/defer buckets), shedding verdicts under critical
-  pressure are order-independent, and the breaker state machine is
-  internally consistent and seed-deterministic.
+  pressure are order-independent, the breaker state machine is
+  internally consistent and seed-deterministic, and the degraded mode
+  is a view of the ingest breaker.
 
 Marked ``stream`` so CI can run this suite as its own job leg
 (``pytest -m stream``).
@@ -61,12 +63,7 @@ from repro.overload.admission import (
 from repro.stream import (
     CLOSED,
     HALF_OPEN,
-    LEVEL_CRITICAL,
-    LEVEL_HIGH,
-    LEVEL_OK,
-    MODE_ANALYSIS_DEFERRED,
     MODE_FULL,
-    MODE_RANK,
     MODE_SHED_ONLY,
     OPEN,
     BoundedStreamQueue,
@@ -76,6 +73,7 @@ from repro.stream import (
     StreamSupervisor,
     run_stream,
 )
+from repro.stream import engine
 from repro.stream.breaker import MAX_BACKOFF_S
 from repro.util.rng import RngTree
 from tests.conftest import (
@@ -198,7 +196,13 @@ class TestStreamReplayDifferential:
 #: accounting and its full :class:`StreamReport` (every mode and
 #: breaker transition, counter and ledger verdict): what supervision
 #: and shedding produce must not move when their code is restructured.
-CHAOS_RUN_PIN = "f5acfe9e08ec27b617e356f5d5130724d861d4368139f2a1589752d84b480cc8"
+CHAOS_RUN_PIN = "9dca230b044cf5c6a999a30df25349edacccc052db139750d1268e022c868e2e"
+
+#: SHA-256 over the chaos run's dataset digest, its conservation
+#: accounting and the ingest breaker's transitions: the data shedding
+#: produced and the state machine that drove it, without the report's
+#: own shape.
+CHAOS_DATA_PIN = "6dcdd4fa382ad9e25ea1a146794bcf331dc9837b92adcec8e86c4fccb166f614"
 
 
 def sha256_json(payload) -> str:
@@ -215,9 +219,19 @@ class TestSupervisionPin:
         }
         assert sha256_json(payload) == CHAOS_RUN_PIN
 
+    def test_chaos_run_data_is_pinned(self, chaos_run):
+        payload = {
+            "digest": chaos_run.database.digest(),
+            "accounting": chaos_run.collector.accounting(),
+            "ingest_breaker": [
+                t.as_dict() for t in chaos_run.stream.breaker_transitions
+            ],
+        }
+        assert sha256_json(payload) == CHAOS_DATA_PIN
+
 
 # ----------------------------------------------------------------------
-# seeded stream faults: determinism + the full ladder
+# seeded stream faults: determinism + the degraded mode
 # ----------------------------------------------------------------------
 
 
@@ -238,13 +252,24 @@ class TestStreamFaultDeterminism:
         report = chaos_run.stream
         assert report.stalls > 0
         assert report.skew_days > 0
-        assert report.analysis_errors > 0
+        assert report.forced_drains > 0
         assert report.partition_buffered == report.partition_replayed > 0
-        modes_hit = {t.to_mode for t in report.transitions}
-        assert MODE_ANALYSIS_DEFERRED in modes_hit
-        assert MODE_SHED_ONLY in modes_hit
+        assert report.heartbeat_hard_breaches > 0
+        modes_hit = {t.to_state for t in report.transitions}
+        assert modes_hit == {MODE_FULL, MODE_SHED_ONLY}
         reasons = {t.reason for t in report.transitions}
-        assert "queue-critical" in reasons or "heartbeat-hard" in reasons
+        assert reasons == {"queue-critical", "heartbeat-hard", "probe-succeeded"}
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_chaos_without_a_gate_equals_batch(self, batch_runs, profile):
+        """Stalls, partitions and skew delay and reorder nothing the
+        collector sees: with no admission gate, a chaos run is the
+        batch replay, byte for byte."""
+        result = run_stream(
+            matrix_config(profile, "off"), policy=StreamPolicy.chaos()
+        )
+        assert result.stream.transitions
+        assert_equivalent(result, batch_runs[(profile, "off")])
 
     def test_conservation_holds_under_chaos(self, chaos_run):
         collector = chaos_run.collector
@@ -264,7 +289,7 @@ class TestStreamFaultDeterminism:
         counters = registry.export()["counters"]
         transitions = result.stream.transitions
         assert counters["stream.mode.transitions"] == len(transitions)
-        for mode, count in Counter(t.to_mode for t in transitions).items():
+        for mode, count in Counter(t.to_state for t in transitions).items():
             assert counters[f"stream.mode.to.{mode}"] == count
 
     def test_day_plans_compose_independently(self):
@@ -279,7 +304,7 @@ class TestStreamFaultDeterminism:
         stall_plan = compile_day_plan(stall_only, tree, day, sensors)
         assert full_plan.stall_at_event == stall_plan.stall_at_event
         assert stall_plan.partitioned == frozenset()
-        assert stall_plan.error_at_event is None
+        assert stall_plan.clock_skew_s == 0.0
 
 
 class TestStreamInterruptResume:
@@ -302,6 +327,41 @@ class TestStreamInterruptResume:
             == chaos_run.collector.accounting()
         )
         assert resumed.stream.mode == chaos_run.stream.mode
+        assert resumed.stream.transitions == chaos_run.stream.transitions
+
+    def test_resumed_run_counts_only_what_it_adds(self, tmp_path):
+        """The restored timeline and ledger days were counted by the run
+        that wrote the checkpoint; the resumed run's telemetry adds only
+        its own, so the two runs' counters total the uninterrupted
+        run's."""
+        config = matrix_config("none", "off")
+        with telemetry.collecting() as registry:
+            whole = run_stream(config, policy=StreamPolicy.chaos())
+        expected = registry.export()["counters"]
+        ckpt = tmp_path / "ck.json"
+        with telemetry.collecting() as first:
+            run_stream(
+                config, policy=StreamPolicy.chaos(),
+                checkpoint_path=ckpt, checkpoint_every_days=5,
+                stop_after=date(2023, 10, 5),
+            )
+        loaded, _ = load_latest_checkpoint(ckpt, config)
+        assert loaded.stream is not None
+        with telemetry.collecting() as second:
+            resumed = run_stream(
+                config, policy=StreamPolicy.chaos(),
+                checkpoint_path=ckpt, resume=True,
+            )
+        assert resumed.stream.transitions == whole.stream.transitions
+        halves = (first.export()["counters"], second.export()["counters"])
+        for name in (
+            "stream.days",
+            "stream.ledger.days_balanced",
+            "stream.mode.transitions",
+            f"stream.mode.to.{MODE_FULL}",
+            f"stream.mode.to.{MODE_SHED_ONLY}",
+        ):
+            assert sum(half.get(name, 0) for half in halves) == expected[name]
 
     @pytest.fixture()
     def degraded_checkpoint(self, tmp_path):
@@ -364,7 +424,7 @@ class TestStreamCheckpointSection:
         )
         document = json.loads(ckpt.read_text())
         assert "stream" in document
-        document["stream"]["mode"] = MODE_FULL  # the tamper
+        document["stream"]["breaker"]["trips"] += 1  # the tamper
         ckpt.write_text(json.dumps(document))
         for generation in Path(ckpt).parent.glob("ck.json.*"):
             generation.unlink()  # leave only the tampered file
@@ -375,7 +435,7 @@ class TestStreamCheckpointSection:
     def test_stream_state_round_trips_through_save(self, tmp_path):
         config = matrix_config("none", "off")
         result = run_simulation(config)
-        payload = {"mode": MODE_SHED_ONLY, "transitions": [], "breakers": {}}
+        payload = {"breaker": {"state": OPEN, "trips": 1}, "clock": 1.5}
         ckpt = tmp_path / "ck.json"
         save_checkpoint(
             ckpt, config, config.end, result.honeynet, result.collector,
@@ -594,11 +654,11 @@ class TestQueueProperties:
             assert queue.depth == len(model) <= capacity
             level = queue.level()
             if queue.full:
-                assert level == LEVEL_CRITICAL
+                assert level == PRESSURE_CRITICAL
             elif queue.depth >= queue.high_watermark:
-                assert level == LEVEL_HIGH
+                assert level == PRESSURE_HIGH
             else:
-                assert level == LEVEL_OK
+                assert level == PRESSURE_NONE
         assert queue.pushed - queue.popped == queue.depth
         assert queue.peak_depth <= capacity
 
@@ -614,69 +674,92 @@ def _supervisor():
 
 
 class TestSupervisorLadder:
-    @given(
-        moves=st.lists(
-            st.sampled_from(
-                (MODE_FULL, MODE_ANALYSIS_DEFERRED, MODE_SHED_ONLY)
-            ),
-            max_size=20,
-        )
-    )
+    """The degraded mode is a view of the ingest breaker."""
+
+    @given(seed=st.integers(min_value=0, max_value=99), ops=breaker_ops)
     @settings(max_examples=60, deadline=None)
-    def test_escalate_only_climbs(self, moves):
+    def test_mode_is_a_view_of_the_breaker(self, seed, ops):
         supervisor = _supervisor()
-        for index, mode in enumerate(moves):
-            before = MODE_RANK[supervisor.mode]
-            changed = supervisor.escalate(mode, "test", 1, index)
-            after = MODE_RANK[supervisor.mode]
-            assert after >= before
-            assert changed == (after > before)
-        # The transition log replays to the final mode.
+        supervisor.breaker = _drive_breaker(seed, ops)
+        breaker = supervisor.breaker
+        assert supervisor.mode == (
+            MODE_FULL if breaker.state == CLOSED else MODE_SHED_ONLY
+        )
+        # The timeline alternates between the two modes, replays to the
+        # current one, and stamps each entry like a breaker transition.
+        stamps = {(t.day, t.event, t.reason) for t in breaker.transitions}
         mode = MODE_FULL
         for transition in supervisor.transitions:
-            assert transition.from_mode == mode
-            mode = transition.to_mode
+            assert transition.from_state == mode != transition.to_state
+            assert (transition.day, transition.event, transition.reason) in stamps
+            mode = transition.to_state
         assert mode == supervisor.mode
 
-    def test_recover_steps_down_to_breaker_floor(self):
+    def test_half_open_probe_restores_full(self):
         supervisor = _supervisor()
-        supervisor.escalate(MODE_SHED_ONLY, "queue-critical", 1, 1)
-        supervisor.breakers["analysis"].trip(0.0, 1, 1, "analysis-error")
-        assert supervisor.recovery_target() == MODE_ANALYSIS_DEFERRED
-        assert supervisor.recover("day-boundary-recovery", 1, 2)
-        assert supervisor.mode == MODE_ANALYSIS_DEFERRED
-        supervisor.breakers["analysis"].state = CLOSED
-        assert supervisor.recover("day-boundary-recovery", 1, 3)
+        breaker = supervisor.breaker
+        breaker.trip(0.0, 1, 1, "queue-critical")
+        assert supervisor.mode == MODE_SHED_ONLY
+        assert breaker.allow(1.5 * MAX_BACKOFF_S, 1, 2)
+        assert breaker.state == HALF_OPEN
+        assert supervisor.mode == MODE_SHED_ONLY  # the probe is in flight
+        breaker.record_success(1.5 * MAX_BACKOFF_S, 1, 2)
         assert supervisor.mode == MODE_FULL
+        assert [t.as_dict() for t in supervisor.transitions] == [
+            {"day": 1, "event": 1, "from": MODE_FULL, "to": MODE_SHED_ONLY,
+             "reason": "queue-critical"},
+            {"day": 1, "event": 2, "from": MODE_SHED_ONLY, "to": MODE_FULL,
+             "reason": "probe-succeeded"},
+        ]
 
     def test_snapshot_restore_round_trip(self):
         supervisor = _supervisor()
-        supervisor.escalate(MODE_ANALYSIS_DEFERRED, "analysis", 2, 5)
-        supervisor.breakers["ingest"].trip(1.0, 2, 5, "queue-critical")
+        supervisor.breaker.trip(1.0, 2, 5, "queue-critical")
         clone = _supervisor()
         clone.restore(supervisor.snapshot())
         assert clone.snapshot() == supervisor.snapshot()
+        assert clone.mode == MODE_SHED_ONLY
+        assert clone.transitions == supervisor.transitions
         assert clone.dirty
 
-    def test_unknown_mode_rejected(self):
-        supervisor = _supervisor()
-        with pytest.raises(ValueError, match="unknown stream mode"):
-            supervisor.set_mode("panic", "test", 1, 1)
-        with pytest.raises(ValueError, match="unknown stream mode"):
-            supervisor.restore({"mode": "panic"})
+    def test_unknown_breaker_state_rejected(self):
+        snapshot = _supervisor().snapshot()
+        snapshot["breaker"]["state"] = "panic"
+        with pytest.raises(ValueError, match="unknown breaker state"):
+            _supervisor().restore(snapshot)
 
 
 class TestHeartbeatEpisodes:
     def test_breaches_counted_once_per_episode(self):
         monitor = HeartbeatMonitor()
         monitor.reset(0.0)
-        assert monitor.check("ingest", 1.0) is None
-        assert monitor.check("ingest", 5.0) == "soft"
-        assert monitor.check("ingest", 6.0) is None  # same episode
-        assert monitor.check("ingest", 9.0) == "hard"
-        assert monitor.check("ingest", 50.0) is None  # still hard
-        monitor.beat("ingest", 50.0)
-        assert monitor.check("ingest", 51.0) is None  # healthy again
-        assert monitor.check("ingest", 60.0) == "hard"
+        assert monitor.check(1.0) is None
+        assert monitor.check(5.0) == "soft"
+        assert monitor.check(6.0) is None  # same episode
+        assert monitor.check(9.0) == "hard"
+        assert monitor.check(50.0) is None  # still hard
+        monitor.beat(50.0)
+        assert monitor.check(51.0) is None  # healthy again
+        assert monitor.check(60.0) == "hard"
         assert monitor.soft_breaches == 1
         assert monitor.hard_breaches == 2
+
+
+class TestCheckpointCadence:
+    @pytest.mark.parametrize("every", [0, -1])
+    @pytest.mark.parametrize("run", [run_simulation, run_stream])
+    def test_cadence_below_one_is_refused_before_simulating(
+        self, tmp_path, monkeypatch, run, every
+    ):
+        def simulate_day(*args):
+            raise AssertionError("simulated a day")
+
+        monkeypatch.setattr(engine, "simulate_day", simulate_day)
+        ckpt = tmp_path / "ck.json"
+        with pytest.raises(ValueError, match="checkpoint_every_days"):
+            run(
+                matrix_config("none", "off"),
+                checkpoint_path=ckpt,
+                checkpoint_every_days=every,
+            )
+        assert not ckpt.exists()
