@@ -24,7 +24,9 @@ log corruption + index corruption):
    breaker and mode timelines, the conservation ledger (including
    the extended `admitted == stored + deduplicated` law) must balance,
    a mid-run interrupt must resume to the same final digest, and a
-   fault-free supervised replay must stay byte-identical to batch;
+   run whose stream faults never fire (every record through the
+   supervised pipeline) must equal the default run (records delivered
+   straight to the channel) in digest, accounting and stream report;
 7. a stream-serve leg: the same chaos stream with a snapshot publisher
    attached and a live query burst fired at every published day
    boundary — digests and accounting must stay byte-identical to the
@@ -316,10 +318,12 @@ def check_mangled_tree_fails(reference, work: Path) -> None:
 def check_stream_chaos(config: SimulationConfig, work: Path) -> None:
     """Stream leg: supervision under elevated stream faults must be a
     pure function of the seed, conserve every record, survive a mid-run
-    interrupt, and collapse back to batch bytes when the faults are off."""
+    interrupt, and deliver through the pipeline exactly what direct
+    delivery does when its faults never fire."""
     import dataclasses
 
     from repro.faults.plan import FloodFaults
+    from repro.faults.stream import StreamFaults
     from repro.stream import StreamPolicy, run_stream
 
     flood_config = config.replace(
@@ -375,13 +379,18 @@ def check_stream_chaos(config: SimulationConfig, work: Path) -> None:
     if resumed.collector.accounting() != collector.accounting():
         fail("interrupted stream chaos run resumed to a different ledger")
 
-    batch = run_simulation(flood_config)
-    replay = run_stream(flood_config, policy=StreamPolicy.live())
-    if replay.database.digest() != batch.database.digest():
-        fail("fault-free supervised stream diverged from batch digest")
-    if replay.collector.accounting() != batch.collector.accounting():
-        fail("fault-free supervised stream diverged from batch accounting")
-    print("stream replay-vs-batch: digests identical")
+    # Not inert, so every record is pushed through the pipeline, but
+    # the one per-day stall coin never comes up.
+    never_firing = StreamPolicy(faults=StreamFaults(stall_probability=1e-12))
+    piped = run_stream(flood_config, policy=never_firing)
+    direct = run_simulation(flood_config)
+    if piped.database.digest() != direct.database.digest():
+        fail("the supervised pipeline diverged from direct delivery's digest")
+    if piped.collector.accounting() != direct.collector.accounting():
+        fail("the supervised pipeline diverged from direct delivery's accounting")
+    if piped.stream != direct.stream:
+        fail("the supervised pipeline's stream report differs from direct delivery's")
+    print("stream pipeline-vs-direct delivery: digests and reports identical")
 
 
 def check_stream_serve(config: SimulationConfig, work: Path) -> None:

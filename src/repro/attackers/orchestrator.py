@@ -14,14 +14,15 @@ collector and each honeypot's session counter — see
 
 :func:`simulate_day` is the one inner loop; the day loop around it
 lives in :mod:`repro.stream.engine`, which :func:`run_simulation`
-delegates to.
+delegates to, so every run audits its conservation ledger at each day
+boundary and carries a :class:`~repro.stream.engine.StreamReport`.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -82,9 +83,8 @@ class SimulationResult:
     plan: FaultPlan
     coverage: CoverageReport
     channel: DirectChannel | ResilientChannel
-    #: Supervision summary when the run used a supervised stream policy
-    #: (:mod:`repro.stream`); None for batch replay.
-    stream: "StreamReport | None" = field(default=None)
+    #: The stream engine's supervision summary (:mod:`repro.stream`).
+    stream: "StreamReport"
 
 
 def _check_bot_names(bots: list[Bot]) -> None:
@@ -261,12 +261,13 @@ def simulate_day(
     substrate: SimulationSubstrate,
     day: date,
     deliver: Callable[[SessionRecord], bool],
-) -> None:
-    """Simulate one calendar day, delivering every produced record.
+) -> int:
+    """Simulate one calendar day, delivering every produced record;
+    returns how many records it produced.
 
     This is *the* inner loop, called once per day by the stream
-    engine's day loop (and so by every batch run, its replay).  The
-    routing draws are batched per (bot, day) via :func:`_route_draws`.
+    engine's day loop, so by every run.  The routing draws are batched
+    per (bot, day) via :func:`_route_draws`.
     """
     honeypots = substrate.honeynet.honeypots
     fleet_size = len(honeypots)
@@ -303,6 +304,7 @@ def simulate_day(
         registry.count("sim.sessions", produced)
         registry.count("sim.active_bot_days", active_bots)
         registry.observe("sim.sessions_per_day", produced)
+    return produced
 
 
 def _finish_result(
@@ -310,6 +312,7 @@ def _finish_result(
     collector: Collector,
     channel: DirectChannel | ResilientChannel,
     started: float,
+    stream: "StreamReport",
 ) -> SimulationResult:
     """Wrap the collected sessions into the public result object."""
     # Final telemetry flush: the day loop emits collector and channel
@@ -343,6 +346,7 @@ def _finish_result(
         plan=substrate.plan,
         coverage=substrate.coverage,
         channel=channel,
+        stream=stream,
     )
 
 
@@ -355,17 +359,16 @@ def _resume_state(
 ) -> date | None:
     """Restore the newest valid checkpoint generation, loudly.
 
-    Called by the stream engine (and thus the serial batch replay).
-    Returns the first day left to simulate, or
+    Called by the stream engine.  Returns the first day left to
+    simulate, or
     ``None`` when no usable checkpoint exists (the caller starts
     fresh).  Generations rejected as corrupt are reported via warnings
     and ``checkpoint.*`` telemetry — a corrupted checkpoint costs
     re-simulated days, never silence.
 
-    ``stream_sink``: a checkpoint written by a *degraded* supervised
-    stream carries a ``stream`` section; the restored section is
-    appended to this list so the caller can reinstate (or refuse) the
-    supervision state.
+    ``stream_sink``: a checkpoint written by a *degraded* stream carries
+    a ``stream`` section; the restored section is appended to this list
+    so the caller can reinstate (or refuse) the supervision state.
     """
     if checkpoint_path is None:
         raise ValueError("resume=True requires a checkpoint_path")
@@ -464,16 +467,16 @@ def run_simulation(
     simulated prefix.
 
     The window runs through the stream engine's day loop
-    (:mod:`repro.stream`) with supervision bypassed — the batch path
-    *is* the stream path.
+    (:mod:`repro.stream`) under :meth:`StreamPolicy.live`, so the result
+    carries a :class:`~repro.stream.engine.StreamReport` whose ledger
+    audited every day boundary.
 
     ``store_dir``, when set, additionally writes the finished dataset as
     an indexed artifact tree (JSONL shards + ``index.sqlite``,
     :mod:`repro.store`) under that directory — a projection of the
     finished result, byte-neutral to the result itself.
     """
-    # Batch mode IS the stream engine replaying the window with
-    # supervision bypassed — one code path (see repro.stream.engine).
+    # One code path: the stream engine's day loop (repro.stream.engine).
     from repro.stream.engine import run_stream
 
     return run_stream(

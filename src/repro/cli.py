@@ -19,11 +19,11 @@ Subcommands:
 * ``query``       — query a persisted artifact tree through the
   indexed store, with automatic shard-scan fallback when the index
   is damaged (see docs/architecture.md).
-* ``stream``      — run the window through the supervised stream
-  engine and print the supervision report (degraded-mode timeline,
-  breaker transitions, queue/coverage stats); ``--verify-replay``
-  additionally proves the digest equals a batch run of the same
-  config (see docs/streaming.md).
+* ``stream``      — run the window through the stream engine under a
+  named stream policy and print the supervision report (degraded-mode
+  timeline, breaker transitions, queue/coverage stats);
+  ``--verify-replay`` additionally proves the digest equals a batch
+  run of the same config (see docs/streaming.md).
 
 Every subcommand accepts ``--fault-profile {none,paper,stress}``; the
 default ``paper`` models exactly the deployment the paper describes.
@@ -570,15 +570,14 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def cmd_stream(args: argparse.Namespace) -> int:
-    """Run the supervised stream engine and print its supervision report.
+    """Run the stream engine and print its supervision report.
 
     ``--stream-profile`` picks the :class:`~repro.stream.StreamPolicy`
-    preset: ``live`` (supervised, fault-free — byte-identical to
-    batch), ``chaos`` (elevated seeded stream faults), or ``replay``
-    (supervision bypassed; exactly the batch serial engine).  The
-    checkpoint flags mirror ``repro faults``; a checkpoint carrying a
-    degraded supervision section resumes seamlessly here, where the
-    batch engines would refuse it.
+    preset: ``live`` (fault-free — the policy every batch run uses) or
+    ``chaos`` (elevated seeded stream faults).  The checkpoint flags
+    mirror ``repro faults``; a checkpoint carrying a degraded
+    supervision section resumes only under the stream faults that
+    wrote it.
     """
     from datetime import date as _date
 
@@ -599,48 +598,43 @@ def cmd_stream(args: argparse.Namespace) -> int:
     digest = result.database.digest()
     print(f"== stream: profile={args.stream_profile} ==")
     report = result.stream
-    if report is None:
-        print("supervision bypassed (replay profile = the batch engine)")
-    else:
-        print(
-            f"mode: {report.mode}, {report.days} days, "
-            f"{report.events} events, coverage {report.coverage_rate:.2%}"
-        )
-        verdict = report.ledger_verdict or {}
-        print(
-            f"ledger: {verdict.get('days', 0)} day boundaries audited, "
-            f"balanced: {verdict.get('balanced', True)}, "
-            f"last day: {verdict.get('last_day')}"
-        )
-        print(
-            f"queue: peak depth {report.queue_peak_depth}, "
-            f"{report.forced_drains} forced drains, {report.stalls} stalls"
-        )
-        print(
-            f"partitions: {report.partition_buffered} buffered, "
-            f"{report.partition_replayed} replayed; "
-            f"skewed days: {report.skew_days}"
-        )
-        print(
-            f"heartbeat: {report.heartbeat_soft_breaches} soft, "
-            f"{report.heartbeat_hard_breaches} hard breaches; "
-            f"ingest breaker: {len(report.breaker_transitions)} transitions"
-        )
-        if report.transitions:
-            print()
-            print("== degraded-mode timeline ==")
-            rows = [
-                [
-                    _date.fromordinal(t.day).isoformat(),
-                    t.event,
-                    f"{t.from_state} -> {t.to_state}",
-                    t.reason,
-                ]
-                for t in report.transitions
+    print(
+        f"mode: {report.mode}, {report.days} days, "
+        f"{report.events} events, coverage {report.coverage_rate:.2%}"
+    )
+    verdict = report.ledger_verdict
+    print(
+        f"ledger: {verdict['days']} day boundaries audited, "
+        f"balanced: {verdict['balanced']}, "
+        f"last day: {verdict['last_day']}"
+    )
+    print(
+        f"queue: peak depth {report.queue_peak_depth}, "
+        f"{report.forced_drains} forced drains, {report.stalls} stalls"
+    )
+    print(
+        f"partitions: {report.partition_buffered} buffered, "
+        f"{report.partition_replayed} replayed; "
+        f"skewed days: {report.skew_days}"
+    )
+    print(
+        f"heartbeat: {report.heartbeat_soft_breaches} soft, "
+        f"{report.heartbeat_hard_breaches} hard breaches; "
+        f"ingest breaker: {len(report.breaker_transitions)} transitions"
+    )
+    if report.transitions:
+        print()
+        print("== degraded-mode timeline ==")
+        rows = [
+            [
+                _date.fromordinal(t.day).isoformat(),
+                t.event,
+                f"{t.from_state} -> {t.to_state}",
+                t.reason,
             ]
-            print(
-                format_table(["day", "event", "transition", "reason"], rows)
-            )
+            for t in report.transitions
+        ]
+        print(format_table(["day", "event", "transition", "reason"], rows))
     print()
     print(f"dataset digest: {digest}")
     if args.verify_replay:
@@ -651,11 +645,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
         )
         print(f"replay-vs-batch: digest+accounting match: {match}")
         if not match:
-            if (
-                policy.supervised
-                and not policy.faults.inert
-                and not config.faults.flood.inert
-            ):
+            if not policy.faults.inert and not config.faults.flood.inert:
                 # Stream faults delay arrivals; with an admission gate
                 # attached, delay changes which records hit the day's
                 # budget — a deterministic divergence, not a bug (see
@@ -956,15 +946,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     stream = commands.add_parser(
         "stream",
-        help="run the supervised stream engine and print the "
+        help="run the stream engine and print the "
         "supervision report (see docs/streaming.md)",
     )
     _add_common(stream)
     stream.add_argument(
         "--stream-profile", choices=STREAM_POLICY_PRESETS,
         default="live",
-        help="stream policy preset: replay (batch, unsupervised), "
-        "live (supervised, fault-free), chaos (elevated stream faults)",
+        help="stream policy preset: live (fault-free, as every batch "
+        "run), chaos (elevated stream faults)",
     )
     _add_checkpoint_flags(stream)
     stream.add_argument(
@@ -1029,11 +1019,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="distinct client ids in the load model (default 6)",
     )
     loadtest.add_argument(
-        "--ticks", type=int, default=15,
+        "--ticks", type=_positive_int, default=15,
         help="load-model ticks (default 15)",
     )
     loadtest.add_argument(
-        "--requests-per-tick", type=int, default=8, metavar="N",
+        "--requests-per-tick", type=_positive_int, default=8, metavar="N",
         help="base requests per tick, herds excluded (default 8)",
     )
     loadtest.add_argument(

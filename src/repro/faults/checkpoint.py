@@ -134,9 +134,9 @@ class Checkpoint:
     counters: dict[str, int]
     sessions: list
     dead_letters: list
-    #: Supervision state written by a *degraded* supervised stream run
-    #: (:mod:`repro.stream.engine`); None for batch checkpoints and for
-    #: supervised checkpoints taken in the pristine state.
+    #: Supervision state written by a *degraded* stream run
+    #: (:mod:`repro.stream.engine`); None for checkpoints taken in the
+    #: pristine state, which is every checkpoint of a fault-free run.
     stream: dict | None = None
 
     @property
@@ -189,8 +189,8 @@ def save_checkpoint(
 
     ``stream_state``: the supervision snapshot of a degraded stream run
     (:mod:`repro.stream.engine`).  It is an *optional* checksummed
-    section — absent entirely when ``None``, so batch checkpoints and
-    pristine supervised checkpoints stay byte-identical.
+    section — absent entirely when ``None``, so a pristine checkpoint
+    has the same bytes whether or not stream faults were configured.
     """
     from repro.honeynet.collector import GATE_COUNTERS, PERSISTED_COUNTERS
     from repro.honeynet.io import sealed_dict
@@ -292,8 +292,8 @@ def _validate_document(document: dict, path: Path | str) -> None:
                 path=path,
                 reason="section-checksum",
             )
-    # The stream section is optional (only degraded supervised runs
-    # write one) but checksummed like any other when present.
+    # The stream section is optional (only degraded stream runs write
+    # one) but checksummed like any other when present.
     if "stream" in document and (
         section_checksum(document["stream"]) != checksums.get("stream")
     ):

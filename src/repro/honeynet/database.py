@@ -3,18 +3,9 @@
 The honeynet's real deployment stores sessions in a central database
 queried in situ; this class is that interface.  Indexes are built
 lazily and cached — the database is append-closed once constructed.
-
-The lazy builds are race-safe: concurrent first-queries (the streaming
-query API serves figures from worker threads) serialize on one
-re-entrant lock, so each derived index is built exactly once and every
-caller sees the same cached object.  Reads after the first build are
-lock-free — the cache fields flip once from ``None`` to their final
-value and are never mutated again.
 """
 
 from __future__ import annotations
-
-import threading
 
 from repro.honeypot.session import Protocol, SessionRecord
 
@@ -31,24 +22,12 @@ class SessionDatabase:
         self._sessions = sorted(sessions, key=database_order)
         self._ssh: list[SessionRecord] | None = None
         self._commands: list[SessionRecord] | None = None
-        # Re-entrant: command_sessions' build calls ssh_sessions under
-        # the same lock.
-        self._build_lock = threading.RLock()
 
     def __len__(self) -> int:
         return len(self._sessions)
 
     def __iter__(self):
         return iter(self._sessions)
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_build_lock"]  # locks don't pickle; remade on restore
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._build_lock = threading.RLock()
 
     @property
     def sessions(self) -> list[SessionRecord]:
@@ -58,23 +37,19 @@ class SessionDatabase:
     def ssh_sessions(self) -> list[SessionRecord]:
         """Only SSH sessions (the paper's analysis scope)."""
         if self._ssh is None:
-            with self._build_lock:
-                if self._ssh is None:
-                    self._ssh = [
-                        s for s in self._sessions if s.protocol == Protocol.SSH
-                    ]
+            self._ssh = [
+                s for s in self._sessions if s.protocol == Protocol.SSH
+            ]
         return self._ssh
 
     def command_sessions(self) -> list[SessionRecord]:
         """SSH sessions with a successful login and ≥1 command."""
         if self._commands is None:
-            with self._build_lock:
-                if self._commands is None:
-                    self._commands = [
-                        s
-                        for s in self.ssh_sessions()
-                        if s.login_succeeded and s.executed_commands
-                    ]
+            self._commands = [
+                s
+                for s in self.ssh_sessions()
+                if s.login_succeeded and s.executed_commands
+            ]
         return self._commands
 
     def unique_client_ips(self) -> set[str]:

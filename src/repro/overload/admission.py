@@ -19,13 +19,14 @@ simulated day may store and sheds the excess *deterministically*:
   and the budget resets.
 
 Because the budget is per *day*, admission is a pure function of
-(day's records, seeded coins): a resumed run, a batch replay and a
-supervised stream make identical verdicts under flood.
+(day's records, seeded coins): a resumed run and an uninterrupted one
+make identical verdicts under flood.
 
-The supervised stream engine (:mod:`repro.stream`) additionally feeds
-queue-depth backpressure into the gate via :meth:`apply_backpressure`:
-high pressure halves the effective budget, critical pressure zeroes it.
-Batch runs never apply pressure, so their verdicts are unchanged.
+The stream engine (:mod:`repro.stream`) additionally feeds queue-depth
+backpressure into the gate via :meth:`apply_backpressure`: high
+pressure halves the effective budget, critical pressure zeroes it.
+Only stream faults raise the pressure, so a run without them never
+sees a shrunk budget.
 
 This module must not import :mod:`repro.config`.
 """
@@ -89,8 +90,8 @@ class AdmissionController:
         default_factory=dict, init=False, repr=False
     )
     #: Backpressure level currently applied by the stream engine's
-    #: supervision layer; 0 outside supervised streams, so the batch
-    #: engines never see a shrunk budget.
+    #: supervision layer; 0 unless stream faults fire, so a fault-free
+    #: run never sees a shrunk budget.
     _pressure: int = field(default=PRESSURE_NONE, init=False, repr=False)
 
     def apply_backpressure(self, level: int) -> None:

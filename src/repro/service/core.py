@@ -44,7 +44,7 @@ from repro.overload.admission import PRESSURE_CRITICAL, PRESSURE_HIGH
 from repro.overload.tokenbucket import ClientRateLimiter
 from repro.service.cache import QueryCache, query_fingerprint
 from repro.service.snapshot import Snapshot, SnapshotPublisher
-from repro.store.base import INDEX_COLUMNS, StoreError
+from repro.store.base import GROUPABLE, INDEX_COLUMNS, StoreError
 from repro.stream.breaker import CLOSED, CircuitBreaker
 from repro.stream.queues import BoundedStreamQueue
 from repro.util import preset
@@ -62,9 +62,6 @@ KIND_COUNT = "count"
 KIND_COUNT_BY = "count_by"
 KIND_DISTINCT = "distinct"
 KINDS = (KIND_STATUS, KIND_AGGREGATE, KIND_COUNT, KIND_COUNT_BY, KIND_DISTINCT)
-
-#: Columns ``count_by`` / ``distinct`` may group on (mirrors the store).
-GROUPABLE = INDEX_COLUMNS + ("session_id", "source")
 
 #: Response outcomes — the whole contract.
 OUTCOME_OK = "ok"

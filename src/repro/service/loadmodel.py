@@ -24,8 +24,6 @@ without real sockets.
 from __future__ import annotations
 
 import asyncio
-import hashlib
-import json
 from dataclasses import dataclass, field
 from datetime import date
 
@@ -38,6 +36,7 @@ from repro.faults.service import (
     compile_request_plan,
     compile_tick_plan,
 )
+from repro.integrity.checksums import canonical_json
 from repro.service.core import (
     KIND_AGGREGATE,
     KIND_COUNT,
@@ -51,6 +50,7 @@ from repro.service.core import (
     Request,
     Response,
 )
+from repro.util.hashing import sha256_hex
 from repro.util.rng import RngTree
 
 #: Ticks map to synthetic days for the flood generator's day-keyed
@@ -130,20 +130,19 @@ class LoadTestReport:
     def digest(self) -> str:
         """SHA-256 over the canonical ledger: replay equality in one
         comparison."""
-        canonical = json.dumps(
-            {
-                "seed": self.seed,
-                "ticks": self.ticks,
-                "clients": self.clients,
-                "requests_per_tick": self.requests_per_tick,
-                "faults": self.faults,
-                "policy": self.policy,
-                "entries": self.entries,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+        return sha256_hex(
+            canonical_json(
+                {
+                    "seed": self.seed,
+                    "ticks": self.ticks,
+                    "clients": self.clients,
+                    "requests_per_tick": self.requests_per_tick,
+                    "faults": self.faults,
+                    "policy": self.policy,
+                    "entries": self.entries,
+                }
+            )
         )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def as_dict(self) -> dict:
         return {
@@ -167,13 +166,29 @@ class LoadTestReport:
 
 @dataclass(frozen=True)
 class ServiceLoadModel:
-    """One deterministic load scenario against a :class:`QueryService`."""
+    """One deterministic load scenario against a :class:`QueryService`.
+
+    ``requests_per_tick`` counts the base requests; a herd tick adds
+    its burst on top, so with herds on it may be 0.  A model whose
+    schedule could hold no request at all is refused.
+    """
 
     seed: int = 0
     clients: int = 6
     ticks: int = 20
     requests_per_tick: int = 8
     faults: ServiceFaults = field(default_factory=ServiceFaults)
+
+    def __post_init__(self) -> None:
+        floors = {
+            "clients": 1,
+            "ticks": 1,
+            "requests_per_tick": 0 if self.faults.herd_probability else 1,
+        }
+        for name, floor in floors.items():
+            value = getattr(self, name)
+            if value < floor:
+                raise ValueError(f"{name} must be at least {floor}, got {value}")
 
     def schedule(self) -> list[PlannedRequest]:
         """Compile the full request schedule — every draw happens here,

@@ -52,7 +52,8 @@ class Snapshot:
     #: Degraded-mode timeline up to this boundary: the ingest breaker's
     #: openings and closings, as transition dicts.
     timeline: tuple[dict, ...] = ()
-    #: Latest rolling-ledger audit verdict, or None (unsupervised runs).
+    #: Latest rolling-ledger audit verdict, or None (a finished run
+    #: folded by :func:`publish_result`, or a store-built snapshot).
     ledger: Mapping[str, object] | None = None
 
     def status_payload(self) -> dict:

@@ -38,6 +38,10 @@ INDEX_COLUMNS = (
     "rule_label",
 )
 
+#: Columns ``distinct`` / ``count_by`` may group on: the index columns
+#: plus each row's session id and source shard.
+GROUPABLE = INDEX_COLUMNS + ("session_id", "source")
+
 
 class StoreError(RuntimeError):
     """Raised when an index cannot be opened, read or trusted.

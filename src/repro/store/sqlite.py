@@ -35,6 +35,7 @@ from typing import Sequence
 
 from repro import telemetry
 from repro.store.base import (
+    GROUPABLE,
     INDEX_COLUMNS,
     STORE_SCHEMA_VERSION,
     IndexRow,
@@ -43,9 +44,6 @@ from repro.store.base import (
     StoreMeta,
     normalize_filters,
 )
-
-#: Columns ``distinct`` / ``count_by`` may group on.
-_GROUPABLE = INDEX_COLUMNS + ("session_id", "source")
 
 _SCHEMA = f"""
 CREATE TABLE store_meta (
@@ -356,8 +354,8 @@ class SqliteStore:
         return {value: count for value, count in cursor.fetchall()}
 
     def _check_column(self, column: str) -> None:
-        if column not in _GROUPABLE:
-            known = ", ".join(_GROUPABLE)
+        if column not in GROUPABLE:
+            known = ", ".join(GROUPABLE)
             raise ValueError(f"unknown index column {column!r} (known: {known})")
 
     def close(self) -> None:

@@ -1,7 +1,7 @@
 """``repro.stream`` — the supervised event-stream engine.
 
-The batch serial engine is this package under
-:meth:`StreamPolicy.replay`; see :mod:`repro.stream.engine` for the
+Every run goes through this package (``run_simulation`` under
+:meth:`StreamPolicy.live`); see :mod:`repro.stream.engine` for the
 architecture and ``docs/streaming.md`` for the operator view.
 """
 

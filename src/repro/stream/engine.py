@@ -1,13 +1,12 @@
-"""The supervised stream engine — and the batch day-loop as its replay.
+"""The stream engine: the one day loop, every run supervised.
 
-``repro.stream`` refactors the orchestrator's serial day loop into an
-event stream: sensors (the honeypots inside
-:func:`~repro.attackers.orchestrator.simulate_day`) *push* each closed
-session into the pipeline, where it crosses the existing
-admission/transport layer into the collector — online dedup via the
-:class:`~repro.honeynet.collector.Collector`, a rolling
-conservation/coverage ledger audited every day, and live
-``overload.*`` gauges.
+``repro.stream`` runs the window as an event stream: sensors (the
+honeypots inside :func:`~repro.attackers.orchestrator.simulate_day`)
+*push* each closed session into the pipeline, where it crosses the
+existing admission/transport layer into the collector — online dedup
+via the :class:`~repro.honeynet.collector.Collector`, a rolling
+conservation/coverage ledger audited at every day boundary, and
+``overload.*`` gauges when an admission gate is attached.
 
 Around that one ingest stage sits the supervision layer
 (:mod:`repro.stream.supervisor`): a circuit breaker with a seeded
@@ -18,15 +17,20 @@ state included — from the newest valid checkpoint generation.  The
 degraded mode is a view of the breaker: ``shed-only`` while it is not
 closed, ``full`` otherwise.
 
-**Batch mode is a replay of the stream.**  ``run_simulation`` calls
-:func:`run_stream` under :meth:`StreamPolicy.replay`; the day-boundary
-sequence (simulate → drain gate → flush telemetry → checkpoint cadence
-→ stop check) is this module's loop, the only day loop in the
-codebase.  On the fault-free path every push is pumped
-synchronously — queue depth never exceeds one, delivery order equals
-the batch loop's — which is why stream digests, accounting and
-checkpoint bytes are byte-identical to the batch engine
-(``tests/test_stream.py`` pins the matrix).
+**Every run is a stream run.**  ``run_simulation`` calls
+:func:`run_stream` under :meth:`StreamPolicy.live`; the day-boundary
+sequence (simulate → drain → close the collector's day and flush its
+telemetry → audit the ledger → checkpoint cadence → stop check) is this
+module's loop, the only day loop in the codebase, and every run ends
+with a :class:`StreamReport`.  Records go through the supervised
+pipeline (:meth:`StreamSubstrate._push`) exactly when the policy's
+stream faults can fire.  With inert faults nothing stalls, partitions
+or skews, so the queue stays empty, the heartbeat stays fresh and the
+ingest breaker never leaves ``closed``: records go straight to the
+delivery channel.  A pipeline that never degrades delivers in arrival
+order too, which is why digests, accounting, checkpoint bytes and the
+report are identical on both paths (``tests/test_stream.py`` pins the
+matrix).
 
 All supervision timing runs on a *virtual* clock that advances
 :data:`TICK_S` per pushed event; stall durations, probe backoffs,
@@ -74,7 +78,7 @@ from repro.stream.supervisor import (
 from repro.util.timeutils import days_between, month_key
 
 # The run loop's progress messages keep their historical logger name:
-# this module IS the serial simulation engine (batch = replay).
+# this module IS the simulation engine.
 logger = logging.getLogger("repro.simulation")
 
 #: Virtual seconds the stream clock advances per pushed event.
@@ -154,7 +158,7 @@ class RollingLedger:
 
 @dataclass
 class StreamReport:
-    """Supervision summary attached to a supervised run's result."""
+    """Supervision summary attached to every run's result."""
 
     mode: str
     #: The mode timeline (see :attr:`StreamSupervisor.transitions`).
@@ -174,7 +178,7 @@ class StreamReport:
     ledger_days: int
     coverage_rate: float
     #: Latest :meth:`RollingLedger.verdict` at run end.
-    ledger_verdict: dict | None = None
+    ledger_verdict: dict
 
 
 class StreamSubstrate:
@@ -197,22 +201,20 @@ class StreamSubstrate:
         #: observer handed each day boundary (duck-typed here so the
         #: stream layer never imports the service layer above it).
         self.publisher = publisher
-        self.supervisor: StreamSupervisor | None = None
+        tree = base.tree.child("stream")
+        self.supervisor = StreamSupervisor.build(
+            tree, queue_capacity=policy.queue_capacity
+        )
         self._fault_tree = None
         self._sensor_ids: tuple[str, ...] = ()
-        if policy.supervised:
-            tree = base.tree.child("stream")
-            self.supervisor = StreamSupervisor.build(
-                tree, queue_capacity=policy.queue_capacity
-            )
+        if not policy.faults.inert:
+            self._fault_tree = tree.child("faults")
             self._sensor_ids = tuple(
                 sorted(
                     honeypot.honeypot_id
                     for honeypot in base.honeynet.honeypots
                 )
             )
-            if not policy.faults.inert:
-                self._fault_tree = tree.child("faults")
         # virtual clock + per-day fault state
         self._now = 0.0
         self._ordinal = 0
@@ -334,8 +336,6 @@ class StreamSubstrate:
     # day boundaries
     # ------------------------------------------------------------------
     def _begin_day(self, day: date) -> None:
-        if self.supervisor is None:
-            return
         self._ordinal = day.toordinal()
         self._event = 0
         plan = INERT_DAY_PLAN
@@ -361,8 +361,6 @@ class StreamSubstrate:
         outlived the day's arrivals is waited out on the virtual clock
         so the queue empties before the admission gate drains.
         """
-        if self.supervisor is None:
-            return
         if self._partition_buffer:
             buffered = self._partition_buffer
             self._partition_buffer = []
@@ -379,15 +377,12 @@ class StreamSubstrate:
             self._pump(self._ordinal, self._event)
         self._on_queue_pressure(self._ordinal, self._event)
 
-    def _end_day(self, day: date) -> None:
-        """Supervision bookkeeping after the collector's day boundary."""
-        if self.supervisor is None:
-            return
+    def _end_day(self, day: date, events: int) -> None:
+        """Audit the ledger after the collector's day boundary;
+        ``events`` is the day's record count from :func:`simulate_day`."""
         self.ledger.audit(self.collector, day)
         self._days_seen += 1
-        self._event_total += self._event
-        telemetry.flush_counts(self._tel_flushed, self._stream_telemetry_state())
-        self._emit_gauges()
+        self._event_total += events
 
     # ------------------------------------------------------------------
     # telemetry
@@ -418,21 +413,27 @@ class StreamSubstrate:
             ),
         ]
 
-    def _emit_gauges(self) -> None:
-        """Live overload gauges at the day boundary (timing-class data:
-        excluded from the comparable telemetry view by design)."""
+    def _flush_telemetry(self) -> None:
+        """Emit the ``stream.*`` counters' growth and set the gauges once,
+        when the day loop ends: counter deltas total the same whenever
+        they are taken, and a gauge keeps only its last write.  Gauges
+        are timing-class data, excluded from the comparable telemetry
+        view by design; the ``overload.*`` ones describe the admission
+        gate, so a run without one names none."""
+        telemetry.flush_counts(self._tel_flushed, self._stream_telemetry_state())
         collector = self.collector
-        telemetry.gauge(
-            "overload.queue_peak_depth", self.supervisor.queue.peak_depth
-        )
-        telemetry.gauge(
-            "overload.backpressure_level", self._pressure_applied
-        )
-        if collector.admission is not None and collector.generated:
+        if collector.admission is not None:
             telemetry.gauge(
-                "overload.shed_rate",
-                collector.shed / collector.generated,
+                "overload.queue_peak_depth", self.supervisor.queue.peak_depth
             )
+            telemetry.gauge(
+                "overload.backpressure_level", self._pressure_applied
+            )
+            if collector.generated:
+                telemetry.gauge(
+                    "overload.shed_rate",
+                    collector.shed / collector.generated,
+                )
         telemetry.gauge("stream.coverage_rate", self.ledger.coverage_rate)
 
     # ------------------------------------------------------------------
@@ -442,10 +443,10 @@ class StreamSubstrate:
         """The supervision state a checkpoint must carry, or None.
 
         None whenever supervision is in its pristine state — which is
-        every checkpoint of a fault-free run — so supervised fault-free
-        checkpoints stay byte-identical to batch checkpoints.
+        every checkpoint of a run whose stream faults never fired — so
+        those checkpoints carry no stream section at all.
         """
-        if self.supervisor is None or not self.supervisor.dirty:
+        if not self.supervisor.dirty:
             return None
         state = self.supervisor.snapshot()
         state["clock"] = self._now
@@ -497,7 +498,7 @@ class StreamSubstrate:
         )
 
     # ------------------------------------------------------------------
-    # the run loop (the one code path: stream, and batch as its replay)
+    # the run loop (the one day loop)
     # ------------------------------------------------------------------
     def run(
         self,
@@ -528,11 +529,6 @@ class StreamSubstrate:
             if restored is not None:
                 first_day = restored
             if stream_sink:
-                if self.supervisor is None:
-                    raise ValueError(
-                        "checkpoint records a degraded stream state; resume "
-                        "it with a supervised stream policy, not batch replay"
-                    )
                 self._restore_stream_state(stream_sink[0])
         corruptor = None
         if checkpoint_path is not None:
@@ -548,9 +544,10 @@ class StreamSubstrate:
             len(honeynet.honeypots), config.faults.name,
         )
 
-        deliver = (
-            channel.deliver if self.supervisor is None else self._push
-        )
+        # Inert stream faults never stall, partition or skew, so the
+        # ingest breaker cannot leave CLOSED: the pipeline would only
+        # advance the virtual clock.
+        deliver = channel.deliver if self.policy.faults.inert else self._push
         current_month: str | None = None
         days_done = 0
         days = (
@@ -570,24 +567,20 @@ class StreamSubstrate:
                     current_month = month
                 self._begin_day(day)
                 with telemetry.span("sim.day"):
-                    simulate_day(base, day, deliver)
+                    events = simulate_day(base, day, deliver)
                     self._drain_day(day)
                 # Day boundary: release deferred records before any
                 # checkpoint below — the deferral queues are intra-day
                 # state and are never serialized.
                 collector.end_of_day()
                 channel.flush_telemetry()
-                self._end_day(day)
+                self._end_day(day, events)
                 if self.publisher is not None:
                     self.publisher.publish_day(
                         collector,
                         day,
                         supervisor=self.supervisor,
-                        ledger=(
-                            self.ledger
-                            if self.supervisor is not None
-                            else None
-                        ),
+                        ledger=self.ledger,
                     )
                 days_done += 1
                 stopping = stop_after is not None and day >= stop_after
@@ -605,10 +598,10 @@ class StreamSubstrate:
                     logger.info("controlled stop after %s", day)
                     break
 
-        result = _finish_result(base, collector, channel, started)
-        if self.supervisor is not None:
-            result.stream = self._report()
-        return result
+        self._flush_telemetry()
+        return _finish_result(
+            base, collector, channel, started, self._report()
+        )
 
 
 def run_stream(
@@ -623,20 +616,19 @@ def run_stream(
     store_dir: Path | str | None = None,
     publisher=None,
 ) -> SimulationResult:
-    """Run ``config`` through the (optionally supervised) stream engine.
+    """Run ``config`` through the stream engine under ``policy``.
 
-    With ``policy=None`` (or :meth:`StreamPolicy.replay`) this *is* the
-    batch engine — ``run_simulation`` delegates here.
-    A supervised policy adds the robustness layer; a supervised
-    fault-free policy still produces byte-identical digests, accounting
-    and checkpoints.  Supervised results carry a :class:`StreamReport`
-    on ``result.stream``.  ``publisher`` (a
+    ``policy=None`` means :meth:`StreamPolicy.live`, the policy
+    ``run_simulation`` runs under.  Every result carries a
+    :class:`StreamReport` on ``result.stream``.  Stream faults that
+    never fire leave digests, accounting, checkpoints and the report
+    exactly as the fault-free run has them.  ``publisher`` (a
     :class:`repro.service.SnapshotPublisher`) receives every day
     boundary; it observes, never mutates, so attaching one is
     digest-neutral.
     """
     if policy is None:
-        policy = StreamPolicy.replay()
+        policy = StreamPolicy.live()
     substrate = build_substrate(config, extra_bots_factory)
     stream = StreamSubstrate(substrate, policy, publisher=publisher)
     result = stream.run(

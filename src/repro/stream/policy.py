@@ -1,13 +1,13 @@
-"""The stream engine's execution policy: supervision, queue depth, faults.
+"""The stream engine's execution policy: queue depth and stream faults.
 
 A :class:`StreamPolicy` is deliberately *not* part of
 :class:`~repro.config.SimulationConfig`: it describes how a run
 executes, never what data it produces on the healthy path, so it stays
-out of config fingerprints and dataset cache keys.  The batch serial
-engine is literally the stream engine under
-:meth:`StreamPolicy.replay` (supervision bypassed, zero per-event
-overhead); the live service mode runs under :meth:`StreamPolicy.live`
-or a faulted variant.
+out of config fingerprints and dataset cache keys.  Every run is
+supervised: ``run_simulation`` runs under :meth:`StreamPolicy.live`,
+and the live service mode under it or a faulted variant.  Whether
+records cross the supervised pipeline is worked out from the policy's
+own faults (:attr:`~repro.faults.stream.StreamFaults.inert`), not set.
 
 The one exception to digest-neutrality is spelled out in
 :mod:`repro.faults.stream`: active stream faults plus an attached
@@ -29,12 +29,8 @@ from repro.util import preset
 class StreamPolicy:
     """Supervision configuration for one stream run.
 
-    * ``supervised`` — False bypasses the supervision layer entirely
-      (pure batch replay; required False path for ``run_simulation``'s
-      serial engine, byte-identical and overhead-free).
     * ``faults`` — the seeded stream fault domain
-      (:class:`~repro.faults.stream.StreamFaults`); non-inert faults
-      require ``supervised=True``.
+      (:class:`~repro.faults.stream.StreamFaults`).
     * ``queue_capacity`` — the bounded queue in front of the ingest
       consumer; depth at half the capacity raises backpressure to
       ``PRESSURE_HIGH``, a full queue raises ``PRESSURE_CRITICAL`` and
@@ -46,31 +42,21 @@ class StreamPolicy:
     :mod:`repro.stream.breaker` and :mod:`repro.stream.engine`.
     """
 
-    supervised: bool = True
     faults: StreamFaults = field(default_factory=StreamFaults)
     queue_capacity: int = 256
 
     def __post_init__(self) -> None:
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be at least 1")
-        if not self.faults.inert and not self.supervised:
-            raise ValueError(
-                "stream faults require a supervised stream policy"
-            )
-
-    @classmethod
-    def replay(cls) -> "StreamPolicy":
-        """Batch replay: no supervision, no faults, no overhead."""
-        return cls(supervised=False)
 
     @classmethod
     def live(cls) -> "StreamPolicy":
-        """The supervised live-service defaults (fault-free)."""
+        """The fault-free defaults every batch run uses."""
         return cls()
 
     @classmethod
     def chaos(cls) -> "StreamPolicy":
-        """Supervised with the ``chaos`` fault preset and a shallow queue.
+        """The ``chaos`` fault preset and a shallow queue.
 
         The shallow queue makes consumer stalls reach the critical
         backpressure level at soak scale, so a full queue trips the
@@ -87,7 +73,6 @@ class StreamPolicy:
 
 #: The stream policies, by name.
 STREAM_POLICY_PRESETS = {
-    "replay": StreamPolicy.replay(),
     "live": StreamPolicy.live(),
     "chaos": StreamPolicy.chaos(),
 }

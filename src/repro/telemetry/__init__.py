@@ -87,10 +87,10 @@ __all__ = [
 #: The admission counters (``overload.admitted/shed/deferred``) are
 #: deliberately NOT here: shedding verdicts are seeded per record, so
 #: every run of a config must agree on them exactly.
-#: ``stream.*`` counters describe the supervision layer of the stream
-#: engine (queue depths, breaker/mode transitions, heartbeat breaches)
-#: — supervision exists only on that engine, so they are engine-class
-#: metrics too.  ``service.*`` counters describe the query/status
+#: ``stream.*`` counters describe the stream engine's supervision
+#: layer (queue depths, breaker/mode transitions, heartbeat breaches,
+#: audited ledger days) — how a run executed, not what it produced, so
+#: they are engine-class metrics too.  ``service.*`` counters describe the query/status
 #: service (cache traffic, overload rejections, stale serves, snapshot
 #: publication) — the service is an optional attachment whose presence
 #: must not change the comparable view, so its whole catalog is
@@ -213,8 +213,8 @@ def comparable_view(export: dict) -> dict:
     Keeps counters and histograms (whose values are functions of the
     config alone) and drops engine-shaped metrics (the
     :data:`MERGE_ONLY_PREFIXES`) plus everything timing-valued (spans,
-    gauges, profiles).  Two runs of the same config — batch replay or
-    supervised stream, with or without a store or service attached —
+    gauges, profiles).  Two runs of the same config — with or without
+    stream faults that never fire, a store or a service attached —
     must agree on this view exactly.
     """
     return {

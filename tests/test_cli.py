@@ -63,8 +63,19 @@ class TestParser:
             ["stream", "--checkpoint", "ck.json", "--checkpoint-every", "-1"],
             ["loadtest", "--clients", "0"],
             ["loadtest", "--days", "0"],
+            ["loadtest", "--ticks", "-2"],
+            ["loadtest", "--ticks", "0"],
+            ["loadtest", "--requests-per-tick", "0"],
         ],
-        ids=["checkpoint-every-0", "checkpoint-every-neg", "clients-0", "days-0"],
+        ids=[
+            "checkpoint-every-0",
+            "checkpoint-every-neg",
+            "clients-0",
+            "days-0",
+            "ticks-neg",
+            "ticks-0",
+            "requests-per-tick-0",
+        ],
     )
     def test_count_below_one_is_a_usage_error(self, argv):
         with pytest.raises(SystemExit) as excinfo:

@@ -602,6 +602,32 @@ class TestLoadModelContract:
                 assert entry["stale"] is True
                 assert entry["version"] == 1
 
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            {"clients": 0},
+            {"ticks": 0},
+            {"ticks": -2},
+            {"requests_per_tick": 0},
+            {
+                "requests_per_tick": -1,
+                "faults": ServiceFaults(herd_probability=1.0),
+            },
+        ],
+        ids=[
+            "clients-0",
+            "ticks-0",
+            "ticks-neg",
+            "requests-0",
+            "requests-neg-herd",
+        ],
+    )
+    def test_a_load_test_that_can_hold_no_request_is_refused(self, counts):
+        """A model whose schedule can hold no request would pass for a
+        healthy load test; only herds may carry a tick on their own."""
+        with pytest.raises(ValueError, match="must be at least"):
+            ServiceLoadModel(seed=1, **counts)
+
     def test_thundering_herd_coalesces_to_one_store_query(self, store):
         counting = CountingStore(store)
         service = QueryService(
@@ -722,7 +748,25 @@ LOAD_TEST_PINS = {
 }
 
 
+#: ``LoadTestReport.digest()`` of the seed-33, 15-tick ``herd`` run
+#: under the default policy: the canonical bytes of the ledger together
+#: with the model's counts and the faults' and policy's ``repr``.
+LOAD_TEST_DIGEST_PIN = (
+    "863302481bd1d8fe95ee9fface22349ceda8c28fc8e2503aa08603ec9e09845a"
+)
+
+
 class TestLoadTestPins:
+    def test_report_digest_is_pinned(self, store):
+        service = QueryService(
+            store=store, policy=ServicePolicy.from_name("default"), seed=33
+        )
+        model = ServiceLoadModel(
+            seed=33, ticks=15, faults=ServiceFaults.from_name("herd")
+        )
+        report = run_load_test(service, model)
+        assert report.digest() == LOAD_TEST_DIGEST_PIN
+
     @pytest.mark.parametrize("policy_name", ("default", "strict"))
     @pytest.mark.parametrize("profile", SERVICE_FAULT_PRESETS)
     def test_ledger_and_health_are_pinned(self, store, profile, policy_name):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import sqlite3
-import threading
 from datetime import date
 
 import pytest
@@ -626,26 +625,6 @@ class TestStoreNeutrality:
 
 
 class TestSessionDatabaseRaceSafety:
-    @pytest.mark.parametrize("method", ("ssh_sessions", "command_sessions"))
-    def test_concurrent_first_queries_build_once(self, method):
-        database = SessionDatabase(records(50))
-        barrier = threading.Barrier(8)
-        results = []
-
-        def hammer():
-            barrier.wait()
-            results.append(getattr(database, method)())
-
-        threads = [threading.Thread(target=hammer) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(results) == 8
-        # Every caller must see the same built-exactly-once cache object.
-        assert all(value is results[0] for value in results)
-        assert results[0] == getattr(database, method)()
-
     def test_database_survives_pickling(self):
         import pickle
 

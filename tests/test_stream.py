@@ -1,13 +1,16 @@
-"""Stream engine: replay differential, supervision, fault determinism.
+"""Stream engine: pipeline differential, supervision, fault determinism.
 
-Four layers of proof that the stream refactor cannot move a byte and
-that its robustness layer is deterministic:
+Four layers of proof that supervision cannot move a byte and that its
+robustness layer is deterministic:
 
-* **Replay differential** — a *supervised* fault-free stream produces
-  digests, conservation accounting and checkpoint bytes identical to
-  the batch engine across {none, paper, stress} × {flood off, burst}.
-  (The batch engine itself *is* the stream engine under
-  ``StreamPolicy.replay`` — one code path.)
+* **Pipeline differential** — every run is a stream run
+  (``run_simulation`` runs under ``StreamPolicy.live``, whose inert
+  faults send records straight to the channel).  A policy whose stream
+  faults are not inert but never fire sends every record through the
+  supervised pipeline instead, and must produce the same digests,
+  conservation accounting, checkpoint bytes, comparable telemetry and
+  :class:`StreamReport` across {none, paper, stress} × {flood off,
+  burst}.
 * **Seeded fault determinism** — under the ``chaos`` stream fault
   domain, the same seed reproduces the same breaker and mode
   timelines, the same digests, and a mid-run interrupt resumes to the
@@ -15,8 +18,8 @@ that its robustness layer is deterministic:
   is digest-neutral.
 * **Checkpoint stream section** — degraded supervision state rides the
   checkpoint as an optional checksummed section: tampering is caught,
-  pristine checkpoints stay byte-identical to batch checkpoints, and
-  batch replay refuses to resume a degraded stream checkpoint.
+  pristine checkpoints carry no stream section, and a run under other
+  stream faults refuses to resume a degraded stream checkpoint.
 * **Properties** (hypothesis) — queue-depth-driven backpressure keeps
   the extended conservation law (``admitted == stored + deduplicated``
   with terminal shed/defer buckets), shedding verdicts under critical
@@ -108,11 +111,17 @@ def batch_runs():
     return {key: run_simulation(matrix_config(*key)) for key in MATRIX}
 
 
+#: Stream faults that are not inert, so every record crosses the
+#: supervised pipeline (``StreamSubstrate._push``), but whose one
+#: per-day coin never comes up: nothing ever stalls.
+NEVER_FIRING = StreamPolicy(faults=StreamFaults(stall_probability=1e-12))
+
+
 @pytest.fixture(scope="module")
 def stream_runs():
-    """Supervised fault-free stream runs for the full matrix."""
+    """Runs through the supervised pipeline for the full matrix."""
     return {
-        key: run_stream(matrix_config(*key), policy=StreamPolicy.live())
+        key: run_stream(matrix_config(*key), policy=NEVER_FIRING)
         for key in MATRIX
     }
 
@@ -128,7 +137,7 @@ def chaos_run():
 
 
 # ----------------------------------------------------------------------
-# replay differential: stream ≡ batch
+# pipeline differential: supervised pipeline ≡ direct delivery
 # ----------------------------------------------------------------------
 
 
@@ -139,15 +148,46 @@ class TestStreamReplayDifferential:
     ):
         stream = stream_runs[key]
         assert_equivalent(stream, batch_runs[key])
-        # Fault-free supervision never leaves the healthy rung.
-        assert stream.stream is not None
-        assert stream.stream.mode == MODE_FULL
-        assert stream.stream.transitions == []
-        assert stream.stream.ledger_days == stream.stream.days
+        # A pipeline that never degrades reports what direct delivery
+        # reports, field for field.
+        assert stream.stream == batch_runs[key].stream
 
-    def test_batch_serial_result_has_no_stream_report(self, batch_runs):
-        for result in batch_runs.values():
-            assert result.stream is None
+    def test_batch_report_audits_every_day(self, batch_runs):
+        """A batch run is supervised too: full mode throughout, every
+        day boundary audited, every produced record counted."""
+        for key, result in batch_runs.items():
+            report = result.stream
+            config = matrix_config(*key)
+            assert report.mode == MODE_FULL
+            assert report.transitions == []
+            assert report.breaker_transitions == []
+            assert report.days == (config.end - config.start).days + 1
+            assert report.ledger_days == report.days
+            # Each honeypot counts the sessions it handled: every record
+            # produced, before transport duplicates or loss.
+            produced = sum(
+                honeypot._counter for honeypot in result.honeynet.honeypots
+            )
+            assert report.events == produced
+
+    def test_only_stream_faults_route_records_through_the_pipeline(
+        self, monkeypatch
+    ):
+        """The differential above compares two paths: inert faults
+        deliver directly, faults that never fire push every record."""
+        pushed = []
+        push = engine.StreamSubstrate._push
+
+        def counting_push(self, record):
+            pushed.append(record.session_id)
+            return push(self, record)
+
+        monkeypatch.setattr(engine.StreamSubstrate, "_push", counting_push)
+        config = matrix_config("none", "off")
+        live = run_stream(config, policy=StreamPolicy.live())
+        assert pushed == []
+        piped = run_stream(config, policy=NEVER_FIRING)
+        assert len(pushed) == piped.stream.events == live.stream.events > 0
 
     def test_checkpoint_bytes_identical(self, tmp_path):
         """Same day, same state ⇒ byte-identical checkpoint files."""
@@ -160,20 +200,20 @@ class TestStreamReplayDifferential:
             stop_after=stop,
         )
         run_stream(
-            config, policy=StreamPolicy.live(),
+            config, policy=NEVER_FIRING,
             checkpoint_path=stream_ckpt, checkpoint_every_days=7,
             stop_after=stop,
         )
         assert batch_ckpt.read_bytes() == stream_ckpt.read_bytes()
 
     def test_telemetry_comparable_view_matches_batch(self):
-        """Counters outside ``stream.*`` agree between the engines."""
+        """Counters agree between the two delivery paths."""
         config = short_fault_config("paper")
         with telemetry.collecting() as registry:
             run_simulation(config)
         batch_export = registry.export()
         with telemetry.collecting() as registry:
-            run_stream(config, policy=StreamPolicy.live())
+            run_stream(config, policy=NEVER_FIRING)
         stream_export = registry.export()
         assert telemetry.comparable_view(
             batch_export
@@ -183,9 +223,11 @@ class TestStreamReplayDifferential:
             stream_export["spans"]["sim.run/sim.day"]["count"]
             == batch_export["spans"]["sim.run/sim.day"]["count"]
         )
-        # Supervision emits its own engine-class counters, but they are
-        # merge-only: none survive into the comparable view.
-        assert stream_export["counters"]["stream.days"] > 0
+        # Every run emits the supervision layer's engine-class counters,
+        # but they are merge-only: none survive into the comparable
+        # view.
+        assert batch_export["counters"]["stream.days"] > 0
+        assert stream_export["counters"] == batch_export["counters"]
         comparable = telemetry.comparable_view(stream_export)
         assert not any(
             name.startswith("stream.") for name in comparable["counters"]
@@ -264,7 +306,7 @@ class TestStreamFaultDeterminism:
     def test_chaos_without_a_gate_equals_batch(self, batch_runs, profile):
         """Stalls, partitions and skew delay and reorder nothing the
         collector sees: with no admission gate, a chaos run is the
-        batch replay, byte for byte."""
+        fault-free run, byte for byte."""
         result = run_stream(
             matrix_config(profile, "off"), policy=StreamPolicy.chaos()
         )
@@ -378,7 +420,9 @@ class TestStreamInterruptResume:
     def test_batch_replay_refuses_degraded_checkpoint(
         self, degraded_checkpoint
     ):
-        with pytest.raises(ValueError, match="degraded stream state"):
+        with pytest.raises(
+            ValueError, match="different stream fault configuration"
+        ):
             run_simulation(
                 chaos_config(),
                 checkpoint_path=degraded_checkpoint,
