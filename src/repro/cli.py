@@ -22,8 +22,10 @@ Subcommands:
 * ``stream``      — run the window through the stream engine under a
   named stream policy and print the supervision report (degraded-mode
   timeline, breaker transitions, queue/coverage stats);
-  ``--verify-replay`` additionally proves the digest equals a batch
-  run of the same config (see docs/streaming.md).
+  ``--verify-replay`` additionally runs the same config under the
+  ``live`` policy (what ``run_simulation`` runs) and requires the same
+  digest and accounting: run-to-run identity under ``live``, stream
+  faults that move no byte under ``chaos`` (see docs/streaming.md).
 
 Every subcommand accepts ``--fault-profile {none,paper,stress}``; the
 default ``paper`` models exactly the deployment the paper describes.
@@ -638,12 +640,15 @@ def cmd_stream(args: argparse.Namespace) -> int:
     print()
     print(f"dataset digest: {digest}")
     if args.verify_replay:
-        batch = run_simulation(config)
+        live = run_simulation(config)
         match = (
-            digest == batch.database.digest()
-            and result.collector.accounting() == batch.collector.accounting()
+            digest == live.database.digest()
+            and result.collector.accounting() == live.collector.accounting()
         )
-        print(f"replay-vs-batch: digest+accounting match: {match}")
+        print(
+            f"{args.stream_profile}-vs-live replay: "
+            f"digest+accounting match: {match}"
+        )
         if not match:
             if not policy.faults.inert and not config.faults.flood.inert:
                 # Stream faults delay arrivals; with an admission gate
@@ -959,8 +964,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_checkpoint_flags(stream)
     stream.add_argument(
         "--verify-replay", action="store_true",
-        help="also run the batch engine on the same config and fail "
-        "unless digest and accounting are identical",
+        help="also run the same config under the live policy (as "
+        "run_simulation does) and fail unless digest and accounting are "
+        "identical: under live a run-to-run identity check, under chaos "
+        "a check that the stream faults move no byte",
     )
     stream.set_defaults(func=cmd_stream)
 

@@ -8,10 +8,11 @@ timeline, ledger verdict); a :class:`QueryService` answers queries
 against the newest one, backed by :mod:`repro.store` for filtered
 lookups, behind the full overload-protection ladder:
 
-* read-through LRU cache keyed ``(snapshot_version, query_fingerprint)``
-  with single-flight stampede suppression (:mod:`repro.service.cache`);
+* read-through LRU cache keyed on the normalized query
+  ``(snapshot_version, kind, by, sorted filter items)`` with
+  single-flight stampede suppression (:mod:`repro.service.cache`);
 * per-client token buckets, bounded request queue feeding an admission
-  gate, request deadlines with cancellation, and a service↔store
+  gate, request deadlines, and a service↔store
   circuit breaker that degrades to the last-good snapshot marked
   ``stale`` (:mod:`repro.service.core`);
 * a seeded load model (:mod:`repro.service.loadmodel`) driving the
@@ -33,7 +34,7 @@ layer next to the CLI; nothing imports it except the CLI and tests.
 
 from __future__ import annotations
 
-from repro.service.cache import QueryCache, query_fingerprint
+from repro.service.cache import QueryCache
 from repro.service.core import (
     KINDS,
     OUTCOME_OK,
@@ -80,7 +81,6 @@ __all__ = [
     "Snapshot",
     "SnapshotPublisher",
     "publish_result",
-    "query_fingerprint",
     "run_load_test",
     "serve",
 ]

@@ -1,38 +1,49 @@
 """Read-through LRU cache with single-flight stampede suppression.
 
-Entries are keyed on ``(snapshot_version, query_fingerprint)``: a
-query's answer is immutable for the lifetime of the snapshot version
+Entries are keyed on the normalized query the service parses each
+request into — ``(snapshot_version, kind, by, sorted filter items)``:
+a query's answer is immutable for the lifetime of the snapshot version
 that produced it, so there is no invalidation protocol at all — a new
 version simply starts missing, and old entries age out of the LRU.
 
 Single flight: when N identical queries arrive concurrently (the
-thundering-herd profile), the first one starts the store load as a
-task and the other N-1 await that same task — one store hit total,
-counted as one miss plus N-1 ``coalesced``.  A failed load propagates
-the error to every waiter (so the breaker sees one failure, not N) and
-caches nothing.
+thundering-herd profile), the first one registers a future for the key,
+yields once (the coalescing window) and then runs the load in its own
+task; the other N-1 find the future and await it — one store hit total,
+counted as one miss plus N-1 ``coalesced``.  A failed load caches
+nothing and raises its error in every caller that waited on it, and
+each of them records the failure as its own: a herd of five behind one
+failed store read reports five store errors to the service's breaker,
+which opens at three.  If the first caller is cancelled before its load
+is done, a task takes the load over and calls the loader, so the
+callers that coalesced onto it are still answered; a load whose first
+caller left is not cached.
 """
 
 from __future__ import annotations
 
 import asyncio
-import hashlib
-import json
 from collections import OrderedDict
 from typing import Awaitable, Callable
 
 from repro import telemetry
 
 
-def query_fingerprint(kind: str, params: dict) -> str:
-    """Canonical fingerprint of one query: kind + sorted-key params."""
-    canonical = json.dumps(
-        {"kind": kind, "params": params},
-        sort_keys=True,
-        separators=(",", ":"),
-        default=str,
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+def _settle(future: asyncio.Future, load: asyncio.Future) -> None:
+    """Resolve ``future`` as the finished ``load`` ended."""
+    if load.cancelled():
+        future.cancel()
+    elif (error := load.exception()) is not None:
+        _fail(future, error)
+    else:
+        future.set_result(load.result())
+
+
+def _fail(future: asyncio.Future, error: BaseException) -> None:
+    """Fail ``future``; its waiters, if any, raise ``error`` themselves,
+    so a load nobody coalesced onto logs nothing."""
+    future.set_exception(error)
+    future.exception()
 
 
 class QueryCache:
@@ -43,7 +54,9 @@ class QueryCache:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
         self._entries: OrderedDict[tuple, object] = OrderedDict()
-        self._inflight: dict[tuple, asyncio.Task] = {}
+        self._inflight: dict[tuple, asyncio.Future] = {}
+        #: Loads whose first caller was cancelled, held until they finish.
+        self._handed_off: set[asyncio.Task] = set()
         self.hits = 0
         self.misses = 0
         self.coalesced = 0
@@ -63,28 +76,40 @@ class QueryCache:
         ``cache_lookup_hit_ratio`` (both held at ≥ 0.9 on repeated-query
         load by the ``service`` tests) are computed from these counters.
         """
-        if key in self._entries:
-            self._entries.move_to_end(key)
+        entries = self._entries
+        if key in entries:
+            entries.move_to_end(key)
             self.hits += 1
             telemetry.count("service.cache.hits")
-            return self._entries[key], "hit"
-        task = self._inflight.get(key)
-        if task is not None:
+            return entries[key], "hit"
+        inflight = self._inflight
+        pending = inflight.get(key)
+        if pending is not None:
             self.coalesced += 1
             telemetry.count("service.cache.coalesced")
-            return await asyncio.shield(task), "coalesced"
+            return await asyncio.shield(pending), "coalesced"
         self.misses += 1
         telemetry.count("service.cache.misses")
-        task = asyncio.ensure_future(loader())
-        self._inflight[key] = task
+        pending = inflight[key] = asyncio.get_running_loop().create_future()
         try:
-            value = await asyncio.shield(task)
-        finally:
-            self._inflight.pop(key, None)
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+            await asyncio.sleep(0)  # identical queries coalesce meanwhile
+            value = await loader()
+        except asyncio.CancelledError:
+            del inflight[key]
+            load = asyncio.ensure_future(loader())
+            self._handed_off.add(load)
+            load.add_done_callback(self._handed_off.discard)
+            load.add_done_callback(lambda load: _settle(pending, load))
+            raise
+        except BaseException as error:
+            del inflight[key]
+            _fail(pending, error)
+            raise
+        del inflight[key]
+        pending.set_result(value)
+        entries[key] = value
+        while len(entries) > self.capacity:
+            entries.popitem(last=False)
             self.evictions += 1
             telemetry.count("service.cache.evictions")
         return value, "miss"

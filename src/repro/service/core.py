@@ -16,14 +16,23 @@ overload-protection ladder, every rung on the *virtual* clock:
    ``PRESSURE_HIGH`` rejects low-priority queries,
    ``PRESSURE_CRITICAL`` serves the status endpoint only, a full queue
    rejects outright;
-4. **request deadlines with cancellation** — a slow-loris stall that
-   would overrun :data:`DEADLINE_S` cancels the in-flight task and
-   rejects with ``deadline``;
+4. **request deadlines** — a slow-loris stall that would overrun
+   :data:`DEADLINE_S` is rejected with ``deadline`` before any answer
+   is formed;
 5. **service↔store circuit breaker**
    (:class:`repro.stream.breaker.CircuitBreaker`, seeded probe
    schedule) — store failures open it and the service degrades to the
    last-good snapshot, marked ``stale`` with the version served; never
    a 500 while any snapshot exists.
+
+Each request is parsed once, into its ``by`` and its normalized
+filters (:func:`repro.store.base.normalize_filters`); the cache key, the
+store call and the stale fallback all read that parse.  An admitted
+request suspends exactly once, after the queue push and the level
+checks: the requests gathered in one tick are all admitted, each seeing
+the queue depth of those before it, before any of them is answered, and
+the answer then runs inline (a cache miss yields once more, inside the
+cache, for its coalescing window).
 
 The response contract (pinned by ``tests/test_service.py``): every
 request resolves to exactly one of ``ok``, ``rejected(reason)`` or
@@ -42,9 +51,14 @@ from repro import telemetry
 from repro.faults.service import INERT_REQUEST_PLAN, RequestFaultPlan
 from repro.overload.admission import PRESSURE_CRITICAL, PRESSURE_HIGH
 from repro.overload.tokenbucket import ClientRateLimiter
-from repro.service.cache import QueryCache, query_fingerprint
+from repro.service.cache import QueryCache
 from repro.service.snapshot import Snapshot, SnapshotPublisher
-from repro.store.base import GROUPABLE, INDEX_COLUMNS, StoreError
+from repro.store.base import (
+    GROUPABLE,
+    INDEX_COLUMNS,
+    StoreError,
+    normalize_filters,
+)
 from repro.stream.breaker import CLOSED, CircuitBreaker
 from repro.stream.queues import BoundedStreamQueue
 from repro.util import preset
@@ -70,7 +84,7 @@ OUTCOME_STALE = "stale"
 
 #: Virtual seconds the service clock advances per handled request.
 TICK_S = 0.05
-#: Virtual seconds a request may stall before it is cancelled.
+#: Virtual seconds a request may stall before it is rejected.
 DEADLINE_S = 2.0
 
 
@@ -254,21 +268,22 @@ class QueryService:
         telemetry.count(f"service.rejected.{reason}")
         return Response(outcome=OUTCOME_REJECTED, reason=reason)
 
-    def _validate(self, request: Request) -> str | None:
-        """The malformed-query gate; returns a reject reason or None."""
+    def _validate(self, request: Request) -> tuple[str | None, dict] | None:
+        """The malformed-query gate: the request's ``by`` and its
+        normalized filters, or None when it is malformed."""
         if request.kind not in KINDS:
-            return "malformed"
+            return None
         params = dict(request.params)
         by = params.pop("by", None)
         if request.kind in (KIND_COUNT_BY, KIND_DISTINCT):
             if by not in GROUPABLE:
-                return "malformed"
+                return None
         elif by is not None:
-            return "malformed"
+            return None
         for name in params:
             if name not in INDEX_COLUMNS:
-                return "malformed"
-        return None
+                return None
+        return by, normalize_filters(params)
 
     async def handle(
         self,
@@ -296,9 +311,9 @@ class QueryService:
             self.disconnects += 1
             telemetry.count("service.disconnects")
         try:
-            reason = self._validate(request)
-            if reason is not None:
-                return self._reject(reason)
+            query = self._validate(request)
+            if query is None:
+                return self._reject("malformed")
             if request.priority != PRIORITY_STATUS and not self.limiter.allow(
                 request.client_id, self._now
             ):
@@ -312,22 +327,20 @@ class QueryService:
                     return self._reject("critical-load")
                 if level == PRESSURE_HIGH and request.priority == PRIORITY_LOW:
                     return self._reject("load-shed")
-                work = asyncio.ensure_future(
-                    self._answer(request, plan, store_error)
-                )
+                # The one suspension: the requests gathered in this tick
+                # are all admitted, each seeing the queue depth of those
+                # before it, before any of them is answered.
+                await asyncio.sleep(0)
                 if plan.stall_s > DEADLINE_S:
                     # The stall's virtual duration is known up front, so
-                    # the overrun verdict is deterministic: cancel the
-                    # in-flight task and reject.
-                    work.cancel()
-                    try:
-                        await work
-                    except asyncio.CancelledError:
-                        pass
+                    # the overrun verdict is deterministic: reject before
+                    # any answer is formed.
                     self.deadline_cancelled += 1
                     telemetry.count("service.deadline_cancelled")
                     return self._reject("deadline")
-                response = await work
+                if plan.stall_s:
+                    self._now += plan.stall_s
+                response = await self._answer(request.kind, *query, store_error)
                 if response.outcome == OUTCOME_OK:
                     self.served += 1
                     telemetry.count("service.served")
@@ -345,13 +358,14 @@ class QueryService:
     # answering
     # ------------------------------------------------------------------
     async def _answer(
-        self, request: Request, plan: RequestFaultPlan, store_error: bool
+        self,
+        kind: str,
+        by: str | None,
+        filters: dict[str, str],
+        store_error: bool,
     ) -> Response:
-        if plan.stall_s:
-            self._now += plan.stall_s
-            await asyncio.sleep(0)  # a real suspension point to cancel
         snapshot = self.current_snapshot()
-        if request.kind == KIND_STATUS:
+        if kind == KIND_STATUS:
             payload = {
                 "snapshot": (
                     snapshot.status_payload() if snapshot is not None else None
@@ -365,14 +379,14 @@ class QueryService:
             )
         if snapshot is None:
             return self._reject("no-snapshot")
-        if request.kind == KIND_AGGREGATE:
+        if kind == KIND_AGGREGATE:
             return Response(
                 outcome=OUTCOME_OK,
                 payload=snapshot.aggregate_payload(),
                 version=snapshot.version,
             )
         if self.store is None:
-            payload = self._from_snapshot(request, snapshot)
+            payload = self._from_snapshot(kind, by, filters, snapshot)
             if payload is None:
                 return self._reject("unsupported")
             return Response(
@@ -380,19 +394,15 @@ class QueryService:
             )
         now = self._now
         if not self.breaker.allow(now, snapshot.day_ordinal, self._event):
-            return self._stale(request, snapshot, "breaker-open")
-        key = (
-            snapshot.version,
-            query_fingerprint(request.kind, dict(request.params)),
-        )
+            return self._stale(kind, by, filters, snapshot, "breaker-open")
+        key = (snapshot.version, kind, by, tuple(sorted(filters.items())))
 
         async def loader():
-            await asyncio.sleep(0)  # let identical queries coalesce
             if store_error:
                 raise StoreError(
                     "injected store fault", path=None, reason="injected"
                 )
-            return self._store_query(request)
+            return self._store_query(kind, by, filters)
 
         try:
             value, served_from = await self.cache.get_or_load(key, loader)
@@ -405,7 +415,7 @@ class QueryService:
                 self._event,
                 reason=error.reason or "store-error",
             )
-            return self._stale(request, snapshot, "store-error")
+            return self._stale(kind, by, filters, snapshot, "store-error")
         if self.breaker.state != CLOSED:
             self.breaker.record_success(now, snapshot.day_ordinal, self._event)
         return Response(
@@ -416,11 +426,16 @@ class QueryService:
         )
 
     def _stale(
-        self, request: Request, snapshot: Snapshot, reason: str
+        self,
+        kind: str,
+        by: str | None,
+        filters: dict[str, str],
+        snapshot: Snapshot,
+        reason: str,
     ) -> Response:
         """Degrade to the last-good snapshot, marked stale — the
         never-a-500 rung at the bottom of the ladder."""
-        payload = self._from_snapshot(request, snapshot)
+        payload = self._from_snapshot(kind, by, filters, snapshot)
         self.stale_served += 1
         telemetry.count("service.stale_served")
         return Response(
@@ -432,35 +447,37 @@ class QueryService:
         )
 
     def _from_snapshot(
-        self, request: Request, snapshot: Snapshot
+        self,
+        kind: str,
+        by: str | None,
+        filters: dict[str, str],
+        snapshot: Snapshot,
     ) -> dict | None:
         """Best-effort answer from the snapshot's precomputed aggregates."""
-        params = dict(request.params)
-        by = params.pop("by", None)
-        if request.kind == KIND_COUNT:
-            if not params:
+        if kind == KIND_COUNT:
+            if not filters:
                 return {"count": snapshot.sessions}
-            if set(params) == {"day"}:
-                return {"count": snapshot.by_day.get(str(params["day"]), 0)}
-            if set(params) == {"rule_label"}:
+            if filters.keys() == {"day"}:
+                return {"count": snapshot.by_day.get(filters["day"], 0)}
+            if filters.keys() == {"rule_label"}:
                 return {
-                    "count": snapshot.by_label.get(str(params["rule_label"]), 0)
+                    "count": snapshot.by_label.get(filters["rule_label"], 0)
                 }
             return None
-        if request.kind == KIND_COUNT_BY and not params:
+        if kind == KIND_COUNT_BY and not filters:
             if by == "day":
                 return dict(snapshot.by_day)
             if by == "rule_label":
                 return dict(snapshot.by_label)
         return None
 
-    def _store_query(self, request: Request):
+    def _store_query(
+        self, kind: str, by: str | None, filters: dict[str, str]
+    ):
         """The store round trip behind the cache (validated upstream)."""
         telemetry.count("service.store.queries")
-        params = dict(request.params)
-        by = params.pop("by", None)
-        if request.kind == KIND_COUNT:
-            return {"count": self.store.count(**params)}
-        if request.kind == KIND_COUNT_BY:
-            return self.store.count_by(by, **params)
-        return self.store.distinct(by, **params)
+        if kind == KIND_COUNT:
+            return {"count": self.store.count(**filters)}
+        if kind == KIND_COUNT_BY:
+            return self.store.count_by(by, **filters)
+        return self.store.distinct(by, **filters)

@@ -5,7 +5,7 @@ boundary; the service answers every request against the newest one.  A
 snapshot is immutable and versioned, so a response can name exactly
 which state it describes (``version``), a stale-serving breaker can
 say *how* stale (the version it fell back to), and the read-through
-cache can key entries on ``(snapshot_version, query_fingerprint)``
+cache can key entries on the snapshot version and the normalized query
 without any invalidation protocol — a new version simply stops hitting
 the old keys.
 
@@ -29,10 +29,11 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from datetime import date
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from repro import telemetry
 from repro.store.base import record_facts, snapshot_aggregates
+from repro.stream.breaker import Transition
 from repro.stream.supervisor import MODE_FULL
 
 
@@ -52,8 +53,9 @@ class Snapshot:
     #: Degraded-mode timeline up to this boundary: the ingest breaker's
     #: openings and closings, as transition dicts.
     timeline: tuple[dict, ...] = ()
-    #: Latest rolling-ledger audit verdict, or None (a finished run
-    #: folded by :func:`publish_result`, or a store-built snapshot).
+    #: Latest rolling-ledger audit verdict (a finished run folded by
+    #: :func:`publish_result` carries its last), or None for a
+    #: store-built snapshot.
     ledger: Mapping[str, object] | None = None
 
     def status_payload(self) -> dict:
@@ -140,26 +142,25 @@ class SnapshotPublisher:
         collector,
         day: date,
         *,
-        supervisor=None,
-        ledger=None,
+        mode: str = MODE_FULL,
+        transitions: Sequence[Transition] = (),
+        ledger: Mapping[str, object] | None = None,
     ) -> Snapshot | None:
-        """Publish the boundary snapshot for ``day``, or skip if clean."""
+        """Publish the boundary snapshot for ``day``, or skip if clean.
+
+        ``mode`` and ``transitions`` are the stream's degraded mode and
+        its timeline so far, ``ledger`` the latest ledger verdict.
+        """
         sessions = collector.sessions
         fresh = sessions[self._folded:]
-        mode = supervisor.mode if supervisor is not None else MODE_FULL
-        timeline = (
-            tuple(t.as_dict() for t in supervisor.transitions)
-            if supervisor is not None
-            else ()
-        )
-        ledger_state = ledger.verdict() if ledger is not None else None
+        timeline = tuple(t.as_dict() for t in transitions)
         previous = self._latest
         dirty = (
             previous is None
             or bool(fresh)
             or previous.mode != mode
             or previous.timeline != timeline
-            or previous.ledger != ledger_state
+            or previous.ledger != ledger
         )
         if not dirty:
             self.skipped_clean += 1
@@ -178,7 +179,7 @@ class SnapshotPublisher:
             accounting=dict(collector.accounting()),
             mode=mode,
             timeline=timeline,
-            ledger=ledger_state,
+            ledger=ledger,
         )
         self.published += 1
         self._latest = snapshot
@@ -191,16 +192,19 @@ class SnapshotPublisher:
 def publish_result(publisher: SnapshotPublisher, result) -> Snapshot:
     """Publish one final snapshot of a finished run.
 
-    For a run that had no publisher attached (a batch ``run_simulation``
+    For a run that had no publisher attached (a ``run_simulation``
     result, or one loaded back from a checkpoint), a service serves the
     end state: one snapshot folded from the final collector, published
-    at the run's last day.
+    at the run's last day with the run's final mode, mode timeline and
+    ledger verdict (``result.stream``).
     """
+    report = result.stream
     snapshot = publisher.publish_day(
         result.collector,
         result.config.end,
-        supervisor=None,
-        ledger=None,
+        mode=report.mode,
+        transitions=report.transitions,
+        ledger=report.ledger_verdict,
     )
     if snapshot is None:  # nothing new since the last publish
         snapshot = publisher.latest

@@ -2,11 +2,23 @@
 
 The index is one SQLite file with two tables:
 
-* ``sessions`` — one :class:`~repro.store.base.IndexRow` per record,
-  with a covering b-tree index per queryable column;
+* ``sessions`` — one :class:`~repro.store.base.IndexRow` per record;
 * ``store_meta`` — key/value self-description
   (:class:`~repro.store.base.StoreMeta`): schema version, config
   fingerprint, content digest, record count.
+
+Six b-tree indexes (:data:`INDEXES`) lead with one queryable column
+each.  Three of them carry a second column, so that every query shape
+the service, :meth:`repro.service.Snapshot.from_store` and the load
+model issue is answered from one index alone, already in the order its
+``GROUP BY`` or ``DISTINCT`` wants: ``(day, rule_label)`` serves a day's
+count and the categories seen on it, ``(sensor_id, client_ip)`` the
+client IPs one sensor saw, and ``(rule_label, day)`` one category's
+daily series.  The indexes are not part of the schema version: they
+change no table, column or meta key, and the queries are the same SQL
+over any set of them, so an index written with the single-column
+indexes of earlier builds answers the same (only slower), and
+:data:`~repro.store.base.STORE_SCHEMA_VERSION` stays 1.
 
 Writes happen exactly once, at build time, in a single transaction
 against a temp file that is fsync'ed and renamed into place — the same
@@ -36,13 +48,24 @@ from typing import Sequence
 from repro import telemetry
 from repro.store.base import (
     GROUPABLE,
-    INDEX_COLUMNS,
     STORE_SCHEMA_VERSION,
     IndexRow,
     StaleIndexError,
     StoreError,
     StoreMeta,
     normalize_filters,
+)
+
+#: The indexes on ``sessions``, each as its columns.  Every queryable
+#: column leads one; the served query shapes each read one as a covering
+#: index, with no temporary b-tree for the grouping or the ``DISTINCT``.
+INDEXES = (
+    ("day", "rule_label"),
+    ("sensor_id", "client_ip"),
+    ("client_ip",),
+    ("session_hash",),
+    ("protocol",),
+    ("rule_label", "day"),
 )
 
 _SCHEMA = f"""
@@ -62,8 +85,9 @@ CREATE TABLE sessions (
     seq          INTEGER NOT NULL
 );
 {chr(10).join(
-    f"CREATE INDEX idx_sessions_{column} ON sessions ({column});"
-    for column in INDEX_COLUMNS
+    f"CREATE INDEX idx_sessions_{'_'.join(columns)} "
+    f"ON sessions ({', '.join(columns)});"
+    for columns in INDEXES
 )}
 """
 
@@ -351,7 +375,7 @@ class SqliteStore:
             f"GROUP BY {column} ORDER BY {column}",
             parameters,
         )
-        return {value: count for value, count in cursor.fetchall()}
+        return dict(cursor.fetchall())
 
     def _check_column(self, column: str) -> None:
         if column not in GROUPABLE:

@@ -579,8 +579,9 @@ class StreamSubstrate:
                     self.publisher.publish_day(
                         collector,
                         day,
-                        supervisor=self.supervisor,
-                        ledger=self.ledger,
+                        mode=self.supervisor.mode,
+                        transitions=self.supervisor.transitions,
+                        ledger=self.ledger.verdict(),
                     )
                 days_done += 1
                 stopping = stop_after is not None and day >= stop_after

@@ -33,6 +33,7 @@ from datetime import date
 import pytest
 
 from repro import telemetry
+from repro.analysis.regexrules import RULES, UNKNOWN_CATEGORY
 from repro.attackers.orchestrator import _export_store
 from repro.faults.checkpoint import load_latest_checkpoint
 from repro.faults.service import (
@@ -55,12 +56,12 @@ from repro.service import (
     Snapshot,
     SnapshotPublisher,
     publish_result,
-    query_fingerprint,
     run_load_test,
 )
 from repro.store import SqliteStore, index_path_for
 from repro.stream import CLOSED, OPEN, StreamPolicy, run_stream
 from repro.stream.breaker import FAILURE_THRESHOLD
+from repro.util.timeutils import days_between
 from tests.conftest import PROFILES, assert_equivalent, short_fault_config
 from tests.test_stream import chaos_config, sha256_json
 
@@ -174,15 +175,20 @@ class TestServiceAttachmentDifferential:
     def test_publish_result_folds_the_live_aggregates(
         self, serial_baselines, published_runs, profile
     ):
-        snapshot = publish_result(
-            SnapshotPublisher(), serial_baselines[profile]
-        )
+        result = serial_baselines[profile]
+        snapshot = publish_result(SnapshotPublisher(), result)
         # Aggregates agree across creation paths (live day-boundary
         # fold vs finished-run fold); digests are per-path encodings.
         live = published_runs[profile][0].latest
         assert dict(snapshot.by_day) == dict(live.by_day)
         assert dict(snapshot.by_label) == dict(live.by_label)
         assert snapshot.sessions == live.sessions
+        # The finished run's supervision state rides along.
+        assert snapshot.ledger == result.stream.ledger_verdict
+        assert snapshot.mode == result.stream.mode
+        assert snapshot.timeline == tuple(
+            t.as_dict() for t in result.stream.transitions
+        )
 
     def test_checkpoint_bytes_identical_with_publisher_attached(
         self, tmp_path
@@ -438,21 +444,26 @@ class TestOverloadLadder:
 
 
 # ----------------------------------------------------------------------
-# cache: fingerprints, LRU, single flight
+# cache: keys, LRU, single flight
 # ----------------------------------------------------------------------
 
 
 class TestQueryCacheAndSingleFlight:
-    def test_query_fingerprint_is_param_order_insensitive(self):
-        one = query_fingerprint(
-            "count", {"day": "2023-09-15", "sensor_id": "hp-000"}
-        )
-        two = query_fingerprint(
-            "count", {"sensor_id": "hp-000", "day": "2023-09-15"}
-        )
-        assert one == two
-        assert one != query_fingerprint("count", {"day": "2023-09-16"})
-        assert one != query_fingerprint("count_by", {"day": "2023-09-15"})
+    async def test_the_cache_key_is_param_order_insensitive(self, store):
+        service = QueryService(store=store)
+
+        async def served_from(kind, params):
+            response = await service.handle(Request("c", kind, params))
+            assert response.outcome == OUTCOME_OK
+            return response.cache
+
+        one = {"day": "2023-09-15", "sensor_id": "hp-000"}
+        assert await served_from("count", one) == "miss"
+        two = {"sensor_id": "hp-000", "day": "2023-09-15"}
+        assert await served_from("count", two) == "hit"
+        assert await served_from("count", {"day": "2023-09-16"}) == "miss"
+        assert await served_from("count_by", {"by": "day", **one}) == "miss"
+        assert await served_from("count_by", {"by": "sensor_id", **one}) == "miss"
 
     async def test_lru_evicts_least_recently_used(self):
         cache = QueryCache(capacity=2)
@@ -510,6 +521,131 @@ class TestQueryCacheAndSingleFlight:
                 assert response.outcome == "ok"
         assert service.cache.misses == 2
         assert service.cache.hit_ratio >= 0.9  # the cache floor
+
+    async def test_a_cancelled_first_caller_still_answers_its_waiter(self):
+        """The caller that started a load may leave inside the
+        coalescing window; whoever coalesced onto the load still gets
+        its value, from one load, and nothing is cached."""
+        cache = QueryCache()
+        loads = 0
+
+        async def loader():
+            nonlocal loads
+            await asyncio.sleep(0)
+            loads += 1
+            return {"answer": 42}
+
+        first = asyncio.ensure_future(cache.get_or_load(("v1", "q"), loader))
+        waiter = asyncio.ensure_future(cache.get_or_load(("v1", "q"), loader))
+        await asyncio.sleep(0)  # both callers are inside the window now
+        first.cancel()
+        assert await waiter == ({"answer": 42}, "coalesced")
+        with pytest.raises(asyncio.CancelledError):
+            await first
+        assert loads == 1
+        assert (cache.misses, cache.coalesced, len(cache)) == (1, 1, 0)
+
+    async def test_a_failed_load_fails_every_waiter_and_each_counts(
+        self, store
+    ):
+        """A failed load reaches every caller coalesced onto it, and each
+        caller records the failure itself: one failed store read in a
+        herd of five opens the breaker."""
+        service = QueryService(store=store, seed=5)
+        responses = await asyncio.gather(
+            *(
+                service.handle(
+                    Request(f"c{i}", "count_by", {"by": "rule_label"}),
+                    store_error=i == 0,
+                )
+                for i in range(5)
+            )
+        )
+        assert [(r.outcome, r.reason) for r in responses] == (
+            [(OUTCOME_STALE, "store-error")] * 5
+        )
+        assert service.store_errors == 5
+        assert (service.cache.misses, service.cache.coalesced) == (1, 4)
+        assert service.breaker.state == OPEN
+        assert service.breaker.trips == 1
+
+
+# ----------------------------------------------------------------------
+# query parsing: every served shape, filter values of any type
+# ----------------------------------------------------------------------
+
+
+def store_answer(store, kind: str, params: dict):
+    """The answer ``store`` gives a query, with no service in between."""
+    params = dict(params)
+    by = params.pop("by", None)
+    if kind == "count":
+        return {"count": store.count(**params)}
+    if kind == "count_by":
+        return store.count_by(by, **params)
+    return store.distinct(by, **params)
+
+
+class TestServedShapes:
+    async def test_every_served_shape_answers_as_the_store(self, store):
+        """Each grouping the paper's figures read, for every day, sensor
+        and label, answers as the uncached store and as the scan
+        fallback's in-memory engine do."""
+        scan = SqliteStore.in_memory(store.rows(), store.meta())
+        window = short_fault_config("none")
+        days = [day.isoformat() for day in days_between(window.start, window.end)]
+        labels = [rule.name for rule in RULES] + [UNKNOWN_CATEGORY]
+        queries = (
+            [("count", {"day": day}) for day in days]
+            + [("count_by", {"by": "rule_label", "day": day}) for day in days]
+            + [
+                ("distinct", {"by": "client_ip", "sensor_id": sensor})
+                for sensor in store.distinct("sensor_id")
+            ]
+            + [("count_by", {"by": "day", "rule_label": label}) for label in labels]
+            + [
+                ("count_by", {"by": "day"}),
+                ("count_by", {"by": "rule_label"}),
+                ("distinct", {"by": "sensor_id"}),
+            ]
+        )
+        service = QueryService(store=store)
+        try:
+            for kind, params in queries:
+                response = await service.handle(Request("shapes", kind, params))
+                assert response.outcome == OUTCOME_OK, (kind, params)
+                expected = store_answer(store, kind, params)
+                assert response.payload == expected, (kind, params)
+                assert store_answer(scan, kind, params) == expected, (kind, params)
+        finally:
+            scan.close()
+        assert service.cache.misses == len(queries)
+
+    async def test_filter_values_of_any_type_are_answered(self, store):
+        """A filter value is compared as its column string, whatever its
+        type; none of them may break the request."""
+        service = QueryService(store=store)
+        odd = ([1, 2], {"a": 1}, None, 5, 2.5, True)
+        for value in odd:
+            for kind, params in (
+                ("count", {"day": value}),
+                ("count_by", {"by": "day", "rule_label": value}),
+                ("distinct", {"by": "client_ip", "sensor_id": value}),
+            ):
+                response = await service.handle(Request("odd", kind, params))
+                assert response.outcome == OUTCOME_OK, (kind, params)
+                assert response.payload == store_answer(store, kind, params)
+        unfiltered = await service.handle(Request("odd", "count", {"day": None}))
+        assert unfiltered.payload == {"count": store.count()}
+
+    async def test_a_date_shares_its_iso_strings_cache_entry(self, store):
+        service = QueryService(store=store)
+        first = await service.handle(Request("c", "count", {"day": "2023-01-02"}))
+        again = await service.handle(
+            Request("c", "count", {"day": date(2023, 1, 2)})
+        )
+        assert (first.cache, again.cache) == ("miss", "hit")
+        assert again.payload == first.payload
 
 
 # ----------------------------------------------------------------------

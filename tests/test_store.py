@@ -15,6 +15,7 @@ The load-bearing guarantees:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sqlite3
 from datetime import date
@@ -42,7 +43,7 @@ from repro.store import (
     rebuild_index,
     recover_tree,
 )
-from repro.store.base import index_contents, normalize_filters
+from repro.store.base import INDEX_COLUMNS, index_contents, normalize_filters
 from repro.util.rng import RngTree
 from tests.conftest import PROFILES, make_record, short_fault_config
 
@@ -683,3 +684,149 @@ class TestIndexRowSemantics:
         _, meta = index_contents(sessions, origins)
         assert meta.content_digest == SessionDatabase(sessions).digest()
         assert meta.record_count == len(sessions)
+
+
+#: Schema version 1 as the first indexes were written: the same tables,
+#: with one single-column index per queryable column.  Files written with
+#: it keep the version, so they must keep answering.
+SINGLE_COLUMN_DDL = """
+CREATE TABLE store_meta (
+    key   TEXT PRIMARY KEY,
+    value TEXT NOT NULL
+);
+CREATE TABLE sessions (
+    session_id   TEXT PRIMARY KEY,
+    day          TEXT NOT NULL,
+    sensor_id    TEXT NOT NULL,
+    client_ip    TEXT NOT NULL,
+    session_hash TEXT NOT NULL,
+    protocol     TEXT NOT NULL,
+    rule_label   TEXT NOT NULL,
+    source       TEXT NOT NULL,
+    seq          INTEGER NOT NULL
+);
+CREATE INDEX idx_sessions_day ON sessions (day);
+CREATE INDEX idx_sessions_sensor_id ON sessions (sensor_id);
+CREATE INDEX idx_sessions_client_ip ON sessions (client_ip);
+CREATE INDEX idx_sessions_session_hash ON sessions (session_hash);
+CREATE INDEX idx_sessions_protocol ON sessions (protocol);
+CREATE INDEX idx_sessions_rule_label ON sessions (rule_label);
+"""
+
+#: Every query shape the service, ``Snapshot.from_store`` and the load
+#: model issue, as ``(method, grouped column, filter column)``.
+SERVED_SHAPES = (
+    ("count", None, "day"),
+    ("count_by", "rule_label", "day"),
+    ("distinct", "client_ip", "sensor_id"),
+    ("count_by", "day", "rule_label"),
+    ("count_by", "day", None),
+    ("count_by", "rule_label", None),
+    ("distinct", "sensor_id", None),
+    ("count", None, None),
+)
+
+
+def ask(store, shape, value=None):
+    """``store``'s answer to one served shape, filtered on ``value``."""
+    method, by, column = shape
+    filters = {column: value} if column is not None else {}
+    if method == "count":
+        return store.count(**filters)
+    return getattr(store, method)(by, **filters)
+
+
+def query_plan(store, shape, value) -> list[str]:
+    """SQLite's plan for the one statement ``ask`` runs."""
+    connection = store._connection
+    statements: list[str] = []
+    connection.set_trace_callback(statements.append)
+    try:
+        ask(store, shape, value)
+    finally:
+        connection.set_trace_callback(None)
+    (statement,) = statements
+    return [row[3] for row in connection.execute("EXPLAIN QUERY PLAN " + statement)]
+
+
+@pytest.fixture(scope="module")
+def indexed_rows(serial_baselines):
+    """The rows and meta of the fault-free short run's index."""
+    sessions = serial_baselines["none"].database.sessions
+    origins = [("sessions.jsonl", seq) for seq in range(len(sessions))]
+    return index_contents(sessions, origins)
+
+
+class TestIndexSchema:
+    def test_a_single_column_index_still_answers(self, tmp_path, indexed_rows):
+        rows, meta = indexed_rows
+        legacy = tmp_path / "legacy.sqlite"
+        connection = sqlite3.connect(legacy)
+        try:
+            connection.executescript(SINGLE_COLUMN_DDL)
+            with connection:
+                connection.executemany(
+                    "INSERT INTO sessions VALUES (?,?,?,?,?,?,?,?,?)",
+                    [dataclasses.astuple(row) for row in rows],
+                )
+                connection.executemany(
+                    "INSERT INTO store_meta VALUES (?, ?)",
+                    [
+                        ("schema_version", str(meta.schema_version)),
+                        ("config_fingerprint", meta.config_fingerprint),
+                        ("content_digest", meta.content_digest),
+                        ("record_count", str(meta.record_count)),
+                    ],
+                )
+            connection.execute("PRAGMA journal_mode=WAL")
+        finally:
+            connection.close()
+        built = SqliteStore.build(tmp_path / "index.sqlite", rows, meta)
+        old = SqliteStore.open(legacy, read_only=True)
+        try:
+            assert old.meta() == built.meta()
+            values = {
+                column: built.distinct(column) + ["absent"]
+                for column in ("day", "sensor_id", "rule_label")
+            }
+            asked = 0
+            for shape in SERVED_SHAPES:
+                column = shape[2]
+                for value in values[column] if column else [None]:
+                    assert ask(old, shape, value) == ask(built, shape, value)
+                    asked += 1
+            assert asked > len(values["sensor_id"])
+        finally:
+            old.close()
+            built.close()
+
+    def test_every_queryable_column_leads_an_index(self, tmp_path):
+        root, _ = make_tree(tmp_path, count=3)
+        connection = sqlite3.connect(index_path_for(root))
+        try:
+            names = [
+                row[1]
+                for row in connection.execute("PRAGMA index_list(sessions)")
+                if row[3] == "c"  # created by CREATE INDEX
+            ]
+            leading = {
+                connection.execute(f"PRAGMA index_info({name})").fetchone()[2]
+                for name in names
+            }
+        finally:
+            connection.close()
+        assert len(names) == len(INDEX_COLUMNS)
+        assert leading == set(INDEX_COLUMNS)
+
+    def test_every_served_shape_reads_only_a_covering_index(
+        self, tmp_path, indexed_rows
+    ):
+        with SqliteStore.build(tmp_path / "index.sqlite", *indexed_rows) as store:
+            example = {
+                column: store.distinct(column)[0]
+                for column in ("day", "sensor_id", "rule_label")
+            }
+            for shape in SERVED_SHAPES:
+                plan = query_plan(store, shape, example.get(shape[2]))
+                assert any("COVERING INDEX" in step for step in plan), (shape, plan)
+                assert not any("TEMP B-TREE" in step for step in plan), (shape, plan)
